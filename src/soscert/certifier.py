@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import gram, quotient, variety
-from .errors import (NotPD, NotStrictlyPositiveOnS, PrecisionExceeded,
-                     ZeroPivot)
+from .errors import (IdentityBroken, NotPD, NotStrictlyPositiveOnS,
+                     PrecisionExceeded, ZeroPivot)
 from .polyring import Polynomial, evaluate, round_binary
 
 
@@ -53,11 +53,6 @@ class ProblemInstance:
 
 def build_ring(inst):
     return quotient.monomial_basis(quotient.groebner(inst.h))
-
-
-def _is_radical(ring):
-    return all(ring.ideal.reduce(g).is_zero()
-               for g in quotient.radical_generators(ring))
 
 
 def _real_values(var, p):
@@ -130,7 +125,7 @@ def _assemble(inst, ring, blocks0, g_blocks, extra=None):
     residual = inst.f - total
     cof = quotient.cofactor_reduce(ring, residual)
     if not cof.remainder.is_zero():
-        raise AssertionError("residual is not in the ideal; internal identity broken")
+        raise IdentityBroken("residual is not in the ideal")
     cofactors = [pj * Fraction(1, cof.nu) for pj in cof.p_j]
     return Certificate("strict", [blocks0] + g_blocks, cofactors, gamma=extra)
 
@@ -141,7 +136,7 @@ def certify_strict(inst, ring=None):
         ring = build_ring(inst)
     if ring.D == 0:
         raise NotStrictlyPositiveOnS("trivial ideal: empty variety")
-    if not _is_radical(ring):
+    if not ring.is_radical:
         return certify_strict_nonradical(inst, ring=ring)
     seed = inst.options.get("seed", 0)
     var = variety.solve_variety(ring, seed=seed)
@@ -187,23 +182,23 @@ def hensel_sqrt(chain, theta, theta0):
         sigma = quotient.inverse_mod(ring_k, t)
         t = (t + theta * sigma) * Fraction(1, 2)
         t = ring_k.normal_form(t)
-        assert ring_k.normal_form(t * t - theta).is_zero()
+        if not ring_k.normal_form(t * t - theta).is_zero():
+            raise IdentityBroken("Hensel step does not square to theta")
     return t
 
 
-def certify_strict_nonradical(inst, radical_generators=None, ring=None):
+def certify_strict_nonradical(inst, ring=None):
     """Strict certificate when the ideal has multiple points: certify over
     the radical with a distinguished nonvanishing square, then Hensel-lift
     that square back to a certificate modulo I."""
     if ring is None:
         ring = build_ring(inst)
-    if radical_generators is None:
-        radical_generators = quotient.radical_generators(ring)
-    rad_ideal = quotient.groebner(radical_generators)
+    rad_ideal = quotient.groebner(ring.radical)
     chain = quotient.ideal_power_chain(rad_ideal, ring.ideal)
     if not chain:
         return certify_strict(inst, ring=ring)
     ring_j = quotient.monomial_basis(rad_ideal)
+    ring_j.is_radical = True  # the quotient by the radical is radical
     seed = inst.options.get("seed", 0)
     var_j = variety.solve_variety(ring_j, seed=seed)
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 parse or I/O error; 2 the requested certificate
 cannot exist (failed mathematical precondition); 3 numerical exhaustion
-(precision ceiling or feasibility solver gave up); 4 verification failure.
+(precision ceiling or feasibility solver gave up); 4 verification failure,
+including an exact identity that failed inside `certify`.
 
 The environment variable SOS_CERT_MAX_BITS overrides the precision
 ceiling of the rounding loops.
@@ -14,9 +15,9 @@ import argparse
 import sys
 
 from . import certifier, problem_io, quotient, verify_bounds
-from .errors import (ConditionFailed, Infeasible, MaxIterations,
-                     NotStrictlyPositiveOnS, ParseError, PrecisionExceeded,
-                     SosCertError)
+from .errors import (ConditionFailed, IdentityBroken, Infeasible,
+                     MaxIterations, NotStrictlyPositiveOnS, ParseError,
+                     PrecisionExceeded, SosCertError)
 from .polyring import height
 
 EXIT_OK = 0
@@ -51,6 +52,9 @@ def cmd_certify(args):
     except (PrecisionExceeded, Infeasible, MaxIterations) as exc:
         print(f"gave up: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except IdentityBroken as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     text = problem_io.format_certificate(cert, inst.var_names)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

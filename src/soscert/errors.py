@@ -74,9 +74,9 @@ class NonPositiveAtRealRoot(SosCertError):
     pass
 
 
-class NonRadicalNeedsLift(SosCertError):
-    """Internal routing signal: the ideal has multiple points, the strict
-    certifier must go through the Hensel path."""
+class IdentityBroken(SosCertError):
+    """An exact identity that the construction guarantees does not hold:
+    an internal error, not a property of the input."""
 
 
 class NotGraded(SosCertError):

@@ -1,17 +1,14 @@
 """Exact linear algebra over Fraction: elimination, solving, nullspaces.
 
-Matrices are plain lists of lists of Fraction.  Everything here is dense
-Gaussian elimination with exact pivoting -- the problem sizes in this
-package (quotient dimension up to a few dozen) never justify more.
+Matrices are plain lists of lists of Fraction, eliminated densely with exact
+pivoting.  The inputs are D x D systems in the quotient dimension D, or the
+D-row Gram constraint system, reduced once per Gram set; the Gram projection
+keeps its large, mostly zero matrix sparse itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def identity(n):

@@ -6,6 +6,11 @@ combined into two real squares through the lambda-window identity), round
 it to dyadic rationals, project exactly onto the affine variety of Gram
 matrices of p, and factor the result by fraction-free LDL^t into an exact
 weighted sum of squares.
+
+The Gram set is A y = b over the D(D+1)/2 upper-triangle unknowns.  A column
+of A is NF(b_i b_j), over the monomial basis one or a few basis monomials, so
+the rows of A are kept sparse and the exact projection y = q + W^-1 A^t mu,
+(A W^-1 A^t) mu = b - A q, is built from their nonzeros alone.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from . import exactla
 from .errors import (InfeasibleVariety, NonPositiveAtRealRoot, NotPD,
                      PrecisionExceeded, ZeroPivot)
-from .polyring import Polynomial, evaluate, round_binary
+from .polyring import evaluate, round_binary
 
 DEFAULT_MAX_BITS = 4096
 
@@ -173,7 +178,8 @@ def build_gram_real(ring, var, p, distinguished=False):
 class GramVariety:
     """Integer constraint system A y = b over the upper-triangle unknowns of
     {Y : sum_ij Y_ij c_i c_j = p mod I}, rank-reduced; off-diagonal unknowns
-    carry Frobenius weight 2."""
+    carry Frobenius weight 2.  Each row of A is the list of its nonzero
+    (unknown index, coefficient) pairs."""
 
     def __init__(self, ring, p, span_polys=None):
         self.ring = ring
@@ -182,21 +188,23 @@ class GramVariety:
         self.pairs = [(i, j) for i in range(D) for j in range(i, D)]
         self.weights = [Fraction(1) if i == j else Fraction(2) for i, j in self.pairs]
         if span_polys is None:
-            span_polys = [Polynomial({m: Fraction(1)}, ring.nvars) for m in ring.basis]
-        cols = []
-        for i, j in self.pairs:
-            prod = ring.nf_vector(span_polys[i] * span_polys[j])
-            mult = Fraction(1) if i == j else Fraction(2)
-            cols.append([mult * x for x in prod])
+            # b_i b_j is a monomial: its normal form comes from the ring's cache
+            products = (ring.nf_monomial(ring.basis[i] * ring.basis[j]) for i, j in self.pairs)
+        else:
+            products = (ring.normal_form(span_polys[i] * span_polys[j])
+                        for i, j in self.pairs)
+        cols = [[w * x if x else x for x in ring.to_vector(prod)]
+                for w, prod in zip(self.weights, products)]
         rows = exactla.transpose(cols)
-        rhs = ring.nf_vector(ring.normal_form(p))
+        rhs = ring.nf_vector(p)
         # rank-reduce, keeping consistency information
         aug = [row + [r] for row, r in zip(rows, rhs)]
-        red, pivots = exactla.rref(aug, ncols=len(self.pairs))
+        red, _ = exactla.rref(aug, ncols=len(self.pairs))
         a, b = [], []
-        for k, row in enumerate(red):
-            if any(row[:-1]):
-                a.append(row[:-1])
+        for row in red:
+            nonzeros = [(k, x) for k, x in enumerate(row[:-1]) if x]
+            if nonzeros:
+                a.append(nonzeros)
                 b.append(row[-1])
             elif row[-1] != 0:
                 raise InfeasibleVariety("constraint system is inconsistent")
@@ -208,18 +216,27 @@ def project_to_gram(variety, q):
     """Exact weighted-Frobenius projection of a symmetric matrix onto the
     affine Gram set; returns an exact SymmetricMatrix in the set."""
     a, b, w = variety.A, variety.b, variety.weights
-    qvec = [q.entry(i, j) for i, j in variety.pairs]
     if not a:
         return SymmetricMatrix(q.mat, q.nu)
+    qvec = [q.entry(i, j) for i, j in variety.pairs]
+    # column index of A: unknown k -> [(row, coefficient)]
+    columns = [[] for _ in w]
+    for m, row in enumerate(a):
+        for k, x in row:
+            columns[k].append((m, x))
     # y = q + W^-1 A^t mu  with  (A W^-1 A^t) mu = b - A q
-    rhs = [bi - sum(ai * qi for ai, qi in zip(row, qvec)) for row, bi in zip(a, b)]
-    awat = [[sum(r1[k] * r2[k] / w[k] for k in range(len(w)))
-             for r2 in a] for r1 in a]
+    rhs = [bi - sum(x * qvec[k] for k, x in row) for row, bi in zip(a, b)]
+    awat = [[0] * len(a) for _ in a]
+    for col, wk in zip(columns, w):
+        for m1, x1 in col:
+            scaled = x1 / wk
+            row = awat[m1]
+            for m2, x2 in col:
+                row[m2] += scaled * x2
     mu = exactla.solve(awat, rhs)
     if mu is None:
         raise InfeasibleVariety("projection system singular")
-    corr = [sum(a[m][k] * mu[m] for m in range(len(a))) / w[k] for k in range(len(w))]
-    yvec = [qi + ck for qi, ck in zip(qvec, corr)]
+    yvec = [qk + sum(x * mu[m] for m, x in col) / wk for qk, col, wk in zip(qvec, columns, w)]
     out = [[Fraction(0)] * variety.D for _ in range(variety.D)]
     for (i, j), v in zip(variety.pairs, yvec):
         out[i][j] = v
@@ -309,8 +326,8 @@ def round_matrix(mat, frac_bits):
 
 def round_and_certify(ring, var, p, start_bits=32, max_bits=None):
     """Round the real Gram matrix, project exactly, factor; double the
-    precision on failure.  Returns (Q0 exact PD in the Gram variety, its
-    LDL^t factorization)."""
+    precision on failure while the rounding still changes.  Returns (Q0
+    exact PD in the Gram variety, its LDL^t factorization)."""
     if max_bits is None:
         max_bits = precision_ceiling()
     try:
@@ -322,12 +339,17 @@ def round_and_certify(ring, var, p, start_bits=32, max_bits=None):
         raise
     variety = GramVariety(ring, p)
     n = start_bits
+    previous = None
     while n <= max_bits:
         q_exact = round_matrix(q_tilde, n)
+        if (q_exact.nu, q_exact.mat) == previous:
+            raise PrecisionExceeded(f"float64 margin used up: {n} bits repeat the "
+                                    f"{n // 2}-bit matrix, which is not positive definite")
         q0 = project_to_gram(variety, q_exact)
         try:
             fact = ldlt(q0)
         except (NotPD, ZeroPivot):
+            previous = (q_exact.nu, q_exact.mat)
             n *= 2
             continue
         return q0, fact

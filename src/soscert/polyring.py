@@ -128,15 +128,6 @@ class Polynomial:
     def variable(cls, i, nvars):
         return cls({Monomial.variable(i, nvars): Fraction(1)}, nvars)
 
-    @classmethod
-    def from_pairs(cls, pairs, nvars):
-        acc = {}
-        for m, c in pairs:
-            if not isinstance(m, Monomial):
-                m = Monomial(m)
-            acc[m] = acc.get(m, 0) + c
-        return cls(acc, nvars)
-
     # -- basic queries ------------------------------------------------
 
     def is_zero(self):
@@ -241,12 +232,6 @@ class Polynomial:
 
     def real_part(self):
         return Polynomial({m: c.real for m, c in self.terms.items()}, self.nvars)
-
-    def imag_part(self):
-        return Polynomial({m: complex(c).imag for m, c in self.terms.items()}, self.nvars)
-
-    def conjugate(self):
-        return Polynomial({m: complex(c).conjugate() for m, c in self.terms.items()}, self.nvars)
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"

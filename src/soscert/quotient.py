@@ -9,6 +9,7 @@ ideal, and chains of ideal powers for Hensel lifting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -223,10 +224,17 @@ class QuotientRing:
 
     # -- normal forms -------------------------------------------------
 
-    def _nf_monomial(self, m):
+    def nf_monomial(self, m):
+        """Normal form of a monomial, cached; NF(x_k m) = M_k NF(m) once the
+        multiplication matrices exist."""
         cached = self._nf_cache.get(m)
         if cached is None:
-            cached = self.ideal.reduce(Polynomial({m: Fraction(1)}, self.nvars))
+            k = next((i for i, e in enumerate(m.exponents) if e), None)
+            if self.mult_matrices is None or k is None:
+                cached = self.ideal.reduce(Polynomial({m: Fraction(1)}, self.nvars))
+            else:
+                inner = self.to_vector(self.nf_monomial(m / Monomial.variable(k, self.nvars)))
+                cached = self.from_vector(exactla.mat_vec(self.mult_matrices[k], inner))
             self._nf_cache[m] = cached
         return cached
 
@@ -237,7 +245,7 @@ class QuotientRing:
             return self.ideal.reduce(p)
         acc = Polynomial.zero(self.nvars)
         for m, c in p.terms.items():
-            acc = acc + self._nf_monomial(m) * c
+            acc = acc + self.nf_monomial(m) * c
         return acc
 
     def to_vector(self, p):
@@ -271,6 +279,15 @@ class QuotientRing:
 
     def degree_of_basis(self):
         return max((m.degree for m in self.basis), default=0)
+
+    @functools.cached_property
+    def radical(self):
+        """Generators of the radical ideal, computed once per ring."""
+        return radical_generators(self)
+
+    @functools.cached_property
+    def is_radical(self):
+        return all(self.ideal.reduce(g).is_zero() for g in self.radical)
 
 
 def monomial_basis(ideal):
@@ -308,10 +325,6 @@ def monomial_basis(ideal):
         mats.append(exactla.transpose(cols))
     ring.mult_matrices = mats
     return ring
-
-
-def normal_form(ring, p):
-    return ring.normal_form(p)
 
 
 def cofactor_reduce(ring, p):
@@ -380,28 +393,24 @@ def coprimality_witness(ring, f, var_data=None):
     if not a.is_zero() or not b.is_zero():
         from . import variety as _variety
 
-        try:
-            var = var_data if var_data is not None else _variety.solve_variety(ring)
-        except Exception:
-            var = None
-        if var is not None:
-            f_float = f.to_float()
-            a_float = a.to_float()
-            zero_pts = []
-            for pt in var.points:
-                if pt.kind != "real":
-                    continue
-                coords = [z.real for z in pt.coordinates]
-                if abs(evaluate(f_float, coords)) <= var.tolerance * 100:
-                    zero_pts.append(coords)
-            if zero_pts:
-                vals = [evaluate(a_float, pt) for pt in zero_pts]
-                if min(vals) <= 0:
-                    bound = max(abs(v) for v in vals) + 1
-                    rho = 1
-                    while rho <= bound:
-                        rho *= 2
-                    a = a + b * rho
+        var = var_data if var_data is not None else _variety.solve_variety(ring)
+        f_float = f.to_float()
+        a_float = a.to_float()
+        zero_pts = []
+        for pt in var.points:
+            if pt.kind != "real":
+                continue
+            coords = [z.real for z in pt.coordinates]
+            if abs(evaluate(f_float, coords)) <= var.tolerance * 100:
+                zero_pts.append(coords)
+        if zero_pts:
+            vals = [evaluate(a_float, pt) for pt in zero_pts]
+            if min(vals) <= 0:
+                bound = max(abs(v) for v in vals) + 1
+                rho = 1
+                while rho <= bound:
+                    rho *= 2
+                a = a + b * rho
 
     # clear denominators into gamma
     nu = 1
@@ -512,7 +521,8 @@ def _squarefree_part(coeffs):
 
 def radical_generators(ring):
     """Generators of the radical: the ideal plus the squarefree part of the
-    characteristic polynomial of each multiplication matrix."""
+    characteristic polynomial of each multiplication matrix (Seidenberg's
+    lemma).  Callers use the cached `QuotientRing.radical`."""
     gens = list(ring.ideal.generators)
     for i in range(ring.nvars):
         coeffs = _squarefree_part(_char_poly(ring.mult_matrices[i]))

@@ -42,18 +42,13 @@ class VarietyData:
     def is_radical(self):
         return all(p.multiplicity == 1 for p in self.points)
 
-    def real_points(self):
-        return [(i, p) for i, p in enumerate(self.points) if p.kind == "real"]
-
 
 def _distinct_point_count(ring):
     """Number of distinct points of the variety, computed exactly as the
     quotient dimension of the radical ideal."""
-    if all(p.is_zero() for p in
-           (ring.ideal.reduce(g) for g in quotient.radical_generators(ring))):
+    if ring.is_radical:
         return ring.D
-    rad = quotient.groebner(quotient.radical_generators(ring))
-    return quotient.monomial_basis(rad).D
+    return quotient.monomial_basis(quotient.groebner(ring.radical)).D
 
 
 def solve_variety(ring, tol=None, seed=0):
@@ -168,17 +163,6 @@ def idempotents(ring, points):
         if p.kind == "complex" and p.partner is not None and p.partner < j:
             u[:, j] = np.conj(u[:, p.partner])
     return u
-
-
-def idempotent_poly(var, j):
-    """u_zeta as an approximate polynomial supported on B."""
-    ring = var.ring
-    col = var.idempotents[:, j]
-    if var.points[j].kind == "real":
-        coeffs = {m: float(c.real) for m, c in zip(ring.basis, col)}
-    else:
-        coeffs = {m: complex(c) for m, c in zip(ring.basis, col)}
-    return Polynomial(coeffs, ring.nvars)
 
 
 class Membership:

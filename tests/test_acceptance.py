@@ -201,7 +201,7 @@ class TestCriterion6PropertySuites:
                 continue
             y_star = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                       for _ in range(ncols)]
-            stub.A = rows
+            stub.A = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
             stub.b = [sum(r[k] * y_star[k] for k in range(ncols)) for r in rows]
             start = gram.SymmetricMatrix.from_rational(
                 [[Fraction(rng.randint(-6, 6), rng.randint(1, 3))

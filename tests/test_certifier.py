@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from soscert import certifier, problem_io, quotient, variety
-from soscert.errors import ConditionFailed, NotStrictlyPositiveOnS
+from soscert import certifier, cli, problem_io, quotient, variety
+from soscert.errors import (ClusterAmbiguity, ConditionFailed,
+                            NotStrictlyPositiveOnS)
 from soscert.polyring import Polynomial, parse_polynomial
+
+from conftest import data_path
 
 
 def poly(s, names=("x", "y")):
@@ -141,3 +148,67 @@ class TestDispatcher:
     def test_empty_h_rejected(self):
         with pytest.raises(ValueError):
             certifier.ProblemInstance(["x"], parse_polynomial("x", ["x"]), [], [])
+
+
+class TestRadicalOnce:
+    def test_char_poly_once_per_variable(self, monkeypatch):
+        calls = []
+        char_poly = quotient._char_poly
+        monkeypatch.setattr(quotient, "_char_poly",
+                            lambda m: calls.append(len(m)) or char_poly(m))
+        inst = certifier.ProblemInstance(
+            ["x", "y"], poly("x + y + 3"), [], [poly("x^2 - 1"), poly("y^2 - y")])
+        cert = certifier.certify_strict(inst)
+        assert expand(inst, cert) == inst.f
+        assert calls == [4, 4]
+
+
+class TestInternalFailuresSurface:
+    """Each exact identity the construction relies on is checked with an
+    exception, not an assert, so it also holds under `python -O`."""
+
+    def test_hensel_step_checked_without_asserts(self):
+        script = textwrap.dedent("""
+            import sys
+            assert False, "asserts must be off"
+            from soscert import certifier, quotient
+            from soscert.errors import IdentityBroken
+            from soscert.polyring import Polynomial, parse_polynomial
+            # a wrong inverse breaks the Newton step t^2 = theta
+            quotient.inverse_mod = lambda ring, t: Polynomial.constant(3, ring.nvars)
+            inst = certifier.ProblemInstance(
+                ["x"], parse_polynomial("1 + x", ["x"]), [],
+                [parse_polynomial("x^2", ["x"])])
+            try:
+                certifier.certify_strict(inst)
+            except IdentityBroken as exc:
+                sys.exit(0 if "Hensel step" in str(exc) else 2)
+            sys.exit(1)
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_assemble_residual_checked(self, monkeypatch, capsys):
+        cofactor_reduce = quotient.cofactor_reduce
+
+        def leaky(ring, p):
+            cof = cofactor_reduce(ring, p)
+            cof.remainder = cof.remainder + Polynomial.constant(Fraction(1), ring.nvars)
+            return cof
+
+        monkeypatch.setattr(quotient, "cofactor_reduce", leaky)
+        code = cli.main(["certify", "--input", data_path("four_points.prob")])
+        assert code == 4
+        assert "internal error: residual is not in the ideal" in capsys.readouterr().err
+
+    def test_witness_needs_the_variety(self, cusp_circle, monkeypatch):
+        def fail(ring, *args, **kwargs):
+            raise ClusterAmbiguity("forced")
+
+        monkeypatch.setattr(variety, "solve_variety", fail)
+        ring = certifier.build_ring(cusp_circle)
+        with pytest.raises(ClusterAmbiguity):
+            quotient.coprimality_witness(ring, cusp_circle.f)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soscert import gram, quotient, variety
+from soscert import cli, exactla, gram, quotient, variety
 from soscert.errors import NotPD, ZeroPivot
 from soscert.polyring import evaluate, parse_polynomial
 
@@ -88,6 +88,65 @@ class TestGramProjection:
         assert y.rational() == member.rational()
 
 
+def dense_project_to_gram(lp, q):
+    """Reference projection on the dense constraint matrix: the textbook
+    y = q + W^-1 A^t mu with (A W^-1 A^t) mu = b - A q, one sum per entry."""
+    w = lp.weights
+    a = [[Fraction(0)] * len(w) for _ in lp.A]
+    for dense, row in zip(a, lp.A):
+        for k, x in row:
+            dense[k] = x
+    qvec = [q.entry(i, j) for i, j in lp.pairs]
+    rhs = [bi - sum(ai * qi for ai, qi in zip(row, qvec)) for row, bi in zip(a, lp.b)]
+    awat = [[sum(r1[k] * r2[k] / w[k] for k in range(len(w))) for r2 in a] for r1 in a]
+    mu = exactla.solve(awat, rhs)
+    corr = [sum(a[m][k] * mu[m] for m in range(len(a))) / w[k] for k in range(len(w))]
+    out = [[Fraction(0)] * lp.D for _ in range(lp.D)]
+    for (i, j), v in zip(lp.pairs, [qi + ck for qi, ck in zip(qvec, corr)]):
+        out[i][j] = out[j][i] = v
+    return gram.SymmetricMatrix.from_rational(out)
+
+
+_SPARSE_CASES = {
+    "cube3": (["x^2 - x", "y^2 - y", "z^2 - z"], "x + 2*y - z + 3"),
+    "grid3x3": (["x^3 - 3*x^2 + 2*x", "y^3 - 3*y^2 + 2*y"], "x*y - x + 2*y + 1"),
+    "conjugate": (["x^4 + x^2 - 2", "y^3 - y"], "x^2 + x*y + 3"),
+}
+_GRAM_SETS = {}
+
+
+def gram_set(name):
+    if name not in _GRAM_SETS:
+        gens, f = _SPARSE_CASES[name]
+        names = ["x", "y", "z"] if name == "cube3" else ["x", "y"]
+        ring = make_ring(gens, names)
+        _GRAM_SETS[name] = gram.GramVariety(ring, parse_polynomial(f, names))
+    return _GRAM_SETS[name]
+
+
+class TestSparseProjection:
+    def test_rows_are_sparse(self):
+        lp = gram_set("cube3")
+        assert len(lp.A) == 8
+        assert sum(len(row) for row in lp.A) < len(lp.A) * len(lp.pairs) // 4
+        assert all(x != 0 for row in lp.A for _, x in row)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(sorted(_SPARSE_CASES)), st.integers(0, 40), st.data())
+    def test_equals_dense_reference(self, name, frac_bits, data):
+        lp = gram_set(name)
+        d = lp.D
+        entries = data.draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
+                                     min_size=len(lp.pairs), max_size=len(lp.pairs)))
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        for (i, j), v in zip(lp.pairs, entries):
+            rows[i][j] = rows[j][i] = Fraction(v, 2 ** frac_bits)
+        q = gram.SymmetricMatrix.from_rational(rows)
+        sparse = gram.project_to_gram(lp, q)
+        dense = dense_project_to_gram(lp, q)
+        assert (sparse.nu, sparse.mat) == (dense.nu, dense.mat)
+
+
 class TestRoundAndCertify:
     def test_strictly_positive_input(self):
         ring = make_ring(["x^2 - 1"], ["x"])
@@ -138,3 +197,22 @@ class TestThetaColumns:
         last = ring.from_vector([complex(c) for c in cols[-1]]).to_float()
         for pt in var.points:
             assert abs(evaluate(last, pt.coordinates)) > 1e-6
+
+
+class TestEscalation:
+    def test_stops_when_rounding_repeats(self, tmp_path, monkeypatch, capsys):
+        # f > 0 on V by 2^-51, below what the float64 Gram matrix can show:
+        # from 64 bits on, rounding reproduces the same matrix
+        prob = tmp_path / "tiny.prob"
+        prob.write_text(f"variables x y\nf: x + 1 + 1/{2 ** 51}\n"
+                        "h: x^2 - 1\nh: y^2 - y\n")
+        bits, factored = [], []
+        round_matrix, ldlt = gram.round_matrix, gram.ldlt
+        monkeypatch.setattr(gram, "round_matrix",
+                            lambda m, n: bits.append(n) or round_matrix(m, n))
+        monkeypatch.setattr(gram, "ldlt", lambda q: factored.append(q) or ldlt(q))
+        code = cli.main(["certify", "--input", str(prob)])
+        assert code == 3
+        assert len(factored) == 2
+        assert bits == [32, 64, 128]
+        assert "float64 margin used up" in capsys.readouterr().err
