@@ -13,8 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gram, quotient, variety
-from .errors import (IdentityBroken, NotPD, NotStrictlyPositiveOnS,
-                     PrecisionExceeded, ZeroPivot)
+from .errors import IdentityBroken, NotPD, NotStrictlyPositiveOnS, ZeroPivot
 from .polyring import Polynomial, evaluate, round_binary
 
 
@@ -35,13 +34,25 @@ class Certificate:
         self.gamma = gamma
 
 
+def expansion(inst, cert):
+    """The right-hand side of the certificate identity:
+    sum_i m_i sum_k w_{i,k} q_{i,k}^2 + sum_j p_j h_j with m_0 = 1, m_i = g_i."""
+    total = Polynomial.zero(inst.nvars)
+    for i, block in enumerate(cert.blocks):
+        for w, q in block:
+            square = q * q * w
+            total = total + (square if i == 0 else inst.g[i - 1] * square)
+    for pj, hj in zip(cert.cofactors, inst.h):
+        total = total + pj * hj
+    return total
+
+
 class ProblemInstance:
-    def __init__(self, var_names, f, g=None, h=None, radical=None, options=None):
+    def __init__(self, var_names, f, g=None, h=None, options=None):
         self.var_names = list(var_names)
         self.f = f
         self.g = list(g or [])
         self.h = list(h or [])
-        self.radical = radical
         self.options = dict(options or {})
         if not self.h:
             raise ValueError("at least one equality constraint required")
@@ -72,36 +83,34 @@ def perturb(inst, ring, var):
     for i in member.s_indices:
         if f_vals[i] < -tol:
             raise NotStrictlyPositiveOnS(f"f = {f_vals[i]:.3e} at a point of S")
-    blocks = [[] for _ in inst.g]
     if not member.excluded:
-        return blocks, inst.f
-    bits = 16
-    while bits <= gram.precision_ceiling():
+        return [[] for _ in inst.g], inst.f
+    rhos = []
+    for idx, gi in member.excluded:
+        coords = [z.real for z in var.points[idx].coordinates]
+        g_val = evaluate(inst.g[gi].to_float(), coords)
+        rho = Fraction(1)
+        while f_vals[idx] - float(rho) * g_val <= max(1.0, abs(f_vals[idx])):
+            rho *= 2
+        rhos.append(rho)
+
+    def round_at(bits):
+        return [ring.from_vector([round_binary(float(c.real), bits)
+                                  for c in var.idempotents[:, idx]])
+                for idx, _ in member.excluded]
+
+    def attempt(u_hats):
         blocks = [[] for _ in inst.g]
         phi = Polynomial.zero(inst.nvars)
-        ok = True
-        for idx, gi in member.excluded:
-            coords = [z.real for z in var.points[idx].coordinates]
-            g_val = evaluate(inst.g[gi].to_float(), coords)
-            u_hat = ring.from_vector(
-                [round_binary(float(c.real), bits) for c in var.idempotents[:, idx]])
-            rho = Fraction(1)
-            while f_vals[idx] - float(rho) * g_val <= max(1.0, abs(f_vals[idx])):
-                rho *= 2
+        for (_, gi), rho, u_hat in zip(member.excluded, rhos, u_hats):
             blocks[gi].append((rho, u_hat))
             phi = phi + inst.g[gi] * (u_hat * u_hat) * rho
         f_tilde = inst.f - phi
-        ft = f_tilde.to_float()
-        for i, pt in enumerate(var.points):
-            if pt.kind != "real":
-                continue
-            if evaluate(ft, [z.real for z in pt.coordinates]) <= tol:
-                ok = False
-                break
-        if ok:
+        if all(v > tol for v in _real_values(var, f_tilde).values()):
             return blocks, f_tilde
-        bits *= 2
-    raise NotStrictlyPositiveOnS("no rational perturbation keeps f positive at the real roots")
+        return None
+
+    return gram.escalate(16, round_at, attempt)
 
 
 def _squares_from_factorization(ring, fact):
@@ -113,21 +122,18 @@ def _squares_from_factorization(ring, fact):
     return out
 
 
-def _assemble(inst, ring, blocks0, g_blocks, extra=None):
-    """Close the identity with exact cofactors of the residual (which lies
-    in the ideal by construction)."""
-    total = Polynomial.zero(inst.nvars)
-    for w, q in blocks0:
-        total = total + q * q * w
-    for gi, block in enumerate(g_blocks):
-        for w, q in block:
-            total = total + inst.g[gi] * (q * q) * w
-    residual = inst.f - total
-    cof = quotient.cofactor_reduce(ring, residual)
+def _assemble(inst, ring, blocks0, g_blocks, cofactors=None):
+    """Close the identity: the residual f minus the expansion with the
+    starting cofactors (zero by default) lies in the ideal by construction,
+    and its exact cofactors are added to them."""
+    if cofactors is None:
+        cofactors = [Polynomial.zero(inst.nvars) for _ in inst.h]
+    cert = Certificate("strict", [blocks0] + g_blocks, cofactors)
+    cof = quotient.cofactor_reduce(ring, inst.f - expansion(inst, cert))
     if not cof.remainder.is_zero():
         raise IdentityBroken("residual is not in the ideal")
-    cofactors = [pj * Fraction(1, cof.nu) for pj in cof.p_j]
-    return Certificate("strict", [blocks0] + g_blocks, cofactors, gamma=extra)
+    cert.cofactors = [p + pj * Fraction(1, cof.nu) for p, pj in zip(cofactors, cof.p_j)]
+    return cert
 
 
 def certify_strict(inst, ring=None):
@@ -202,41 +208,32 @@ def certify_strict_nonradical(inst, ring=None):
     seed = inst.options.get("seed", 0)
     var_j = variety.solve_variety(ring_j, seed=seed)
 
-    inner = ProblemInstance(inst.var_names, inst.f, inst.g, inst.h,
-                            options=inst.options)
-    g_blocks, f_tilde = perturb(inner, ring_j, var_j)
+    g_blocks, f_tilde = perturb(inst, ring_j, var_j)
 
     cols = gram.theta_columns(ring_j, var_j, f_tilde, distinguished=True)
     theta_tilde = np.column_stack(cols)
     d = ring_j.D
-    max_bits = gram.precision_ceiling()
-    bits = inst.options.get("precision_start", 32)
     roots = [pt.coordinates for pt in var_j.points]
-    while bits <= max_bits:
-        theta_rows = [[round_binary(float(theta_tilde[i, k]), bits) for k in range(d)]
-                      for i in range(d)]
-        span = []
-        for k in range(d):
-            span.append(ring_j.from_vector([theta_rows[i][k] for i in range(d)]))
+    eye = gram.SymmetricMatrix([[int(i == j) for j in range(d)] for i in range(d)])
+
+    def round_at(bits):
+        return [[round_binary(float(theta_tilde[i, k]), bits) for k in range(d)]
+                for i in range(d)]
+
+    def attempt(theta_rows):
+        span = [ring_j.from_vector([row[k] for row in theta_rows]) for k in range(d)]
         # the distinguished column must stay nonvanishing after rounding
         if any(abs(complex(evaluate(span[-1].to_float(), z))) < 1e-9 for z in roots):
-            bits *= 2
-            continue
+            return None
         try:
             lp = gram.GramVariety(ring_j, f_tilde, span_polys=span)
-            eye = gram.SymmetricMatrix([[1 if i == j else 0 for j in range(d)]
-                                        for i in range(d)], 1)
-            y0 = gram.project_to_gram(lp, eye)
-            fact = gram.ldlt(y0)
+            fact = gram.ldlt(gram.project_to_gram(lp, eye))
         except (NotPD, ZeroPivot):
-            bits *= 2
-            continue
-        if fact.perm != list(range(d)):
-            bits *= 2
-            continue
-        break
-    else:
-        raise PrecisionExceeded("Hensel seed construction exhausted the precision ceiling")
+            return None
+        return (theta_rows, fact) if fact.perm == list(range(d)) else None
+
+    theta_rows, fact = gram.escalate(inst.options.get("precision_start", 32),
+                                     round_at, attempt)
 
     # squares theta_k = B Theta L, with the last one nonvanishing on V_C
     squares = []
@@ -256,17 +253,14 @@ def certify_strict_nonradical(inst, ring=None):
 
 
 def certify(inst):
-    """Dispatch on mode and engine options."""
-    mode = inst.options.get("mode", "strict")
-    engine = inst.options.get("engine", "constructive")
-    if engine == "sdp":
+    """Dispatch on the engine and mode options.  The SDP engine returns a
+    strict-mode certificate in either mode (it proves nonnegativity too);
+    the witness structure of the constructive nonneg route is not produced
+    there."""
+    if inst.options.get("engine") == "sdp":
         from . import sdp_backend
 
-        ring = build_ring(inst)
-        order = inst.options.get("order")
-        if mode == "nonneg":
-            return sdp_backend.algorithm1_nonneg(inst, ring, order)
-        return sdp_backend.algorithm1_certify(inst, ring, order)
-    if mode == "nonneg":
+        return sdp_backend.algorithm1_certify(inst, build_ring(inst), inst.options.get("order"))
+    if inst.options.get("mode") == "nonneg":
         return certify_nonneg(inst)
     return certify_strict(inst)

@@ -24,7 +24,7 @@ import numpy as np
 from . import exactla
 from .errors import (InfeasibleVariety, NonPositiveAtRealRoot, NotPD,
                      PrecisionExceeded, ZeroPivot)
-from .polyring import evaluate, round_binary
+from .polyring import common_denominator, evaluate, round_binary
 
 DEFAULT_MAX_BITS = 4096
 
@@ -43,11 +43,11 @@ class SymmetricMatrix:
 
     @classmethod
     def from_rational(cls, rows):
-        nu = 1
-        for row in rows:
-            for x in row:
-                nu = nu * x.denominator // math.gcd(nu, x.denominator)
+        nu = common_denominator(x for row in rows for x in row)
         return cls([[int(x * nu) for x in row] for row in rows], nu)
+
+    def __eq__(self, other):
+        return (self.nu, self.mat) == (other.nu, other.mat)
 
     def entry(self, i, j):
         return Fraction(self.mat[i][j], self.nu)
@@ -324,12 +324,31 @@ def round_matrix(mat, frac_bits):
     return SymmetricMatrix.from_rational(rows)
 
 
-def round_and_certify(ring, var, p, start_bits=32, max_bits=None):
-    """Round the real Gram matrix, project exactly, factor; double the
-    precision on failure while the rounding still changes.  Returns (Q0
-    exact PD in the Gram variety, its LDL^t factorization)."""
-    if max_bits is None:
-        max_bits = precision_ceiling()
+def escalate(start_bits, round_at, attempt):
+    """The one precision loop of the toolkit.  At start_bits, twice that,
+    ... up to the ceiling: `rounded = round_at(bits)` rounds every float
+    input, and `attempt(rounded)` returns the exact result or None to ask
+    for more bits.  A rounding equal to the previous one means the float64
+    data has no more bits to give, so the loop stops there."""
+    ceiling = precision_ceiling()
+    bits, previous = start_bits, None
+    while bits <= ceiling:
+        rounded = round_at(bits)
+        if previous is not None and rounded == previous:
+            raise PrecisionExceeded(f"float64 margin used up: {bits} bits round the "
+                                    f"inputs as {bits // 2} bits did, and that failed")
+        result = attempt(rounded)
+        if result is not None:
+            return result
+        previous = rounded
+        bits *= 2
+    raise PrecisionExceeded(f"no exact certificate up to the ceiling of {ceiling} bits")
+
+
+def round_and_certify(ring, var, p, start_bits=32):
+    """Round the real Gram matrix, project exactly, factor; escalate the
+    precision on failure.  Returns (Q0 exact PD in the Gram variety, its
+    LDL^t factorization)."""
     try:
         q_tilde, _ = build_gram_real(ring, var, p)
     except NonPositiveAtRealRoot as exc:
@@ -338,19 +357,12 @@ def round_and_certify(ring, var, p, start_bits=32, max_bits=None):
                 "p is numerically zero at a real root; no strict certificate") from exc
         raise
     variety = GramVariety(ring, p)
-    n = start_bits
-    previous = None
-    while n <= max_bits:
-        q_exact = round_matrix(q_tilde, n)
-        if (q_exact.nu, q_exact.mat) == previous:
-            raise PrecisionExceeded(f"float64 margin used up: {n} bits repeat the "
-                                    f"{n // 2}-bit matrix, which is not positive definite")
+
+    def attempt(q_exact):
         q0 = project_to_gram(variety, q_exact)
         try:
-            fact = ldlt(q0)
+            return q0, ldlt(q0)
         except (NotPD, ZeroPivot):
-            previous = (q_exact.nu, q_exact.mat)
-            n *= 2
-            continue
-        return q0, fact
-    raise PrecisionExceeded(f"no positive definite Gram matrix up to {max_bits} bits")
+            return None
+
+    return escalate(start_bits, lambda bits: round_matrix(q_tilde, bits), attempt)

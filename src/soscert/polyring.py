@@ -259,6 +259,11 @@ class HeightInfo:
     denominator_height: int
 
 
+def common_denominator(values):
+    """Least common multiple of the denominators of rational values."""
+    return math.lcm(*(v.denominator for v in values))
+
+
 def height(p):
     """Height of an exact polynomial: bit length of the largest numerator and
     of the common (lcm) denominator of a primitive representation."""
@@ -266,9 +271,7 @@ def height(p):
         raise ValueError("height is defined for exact-rational polynomials")
     if p.is_zero():
         return HeightInfo(0, 0)
-    nu = 1
-    for c in p.terms.values():
-        nu = nu * c.denominator // math.gcd(nu, c.denominator)
+    nu = common_denominator(p.terms.values())
     top = max(abs(c.numerator * (nu // c.denominator)) for c in p.terms.values())
     return HeightInfo(top.bit_length(), nu.bit_length() if nu > 1 else 0)
 

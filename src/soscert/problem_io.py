@@ -7,7 +7,6 @@ Problem file::
     g: y
     h: x^2 - 1
     h: y^2 - x - 2
-    radical: true
     option mode strict
 
 Certificate file::
@@ -46,7 +45,6 @@ def parse_problem(text):
     f = None
     g = []
     h = []
-    radical = None
     options = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -63,8 +61,6 @@ def parse_problem(text):
                 g.append(parse_polynomial(line[2:], _need_vars(var_names)))
             elif line.startswith("h:"):
                 h.append(parse_polynomial(line[2:], _need_vars(var_names)))
-            elif line.startswith("radical:"):
-                radical = line.split(":", 1)[1].strip().lower() == "true"
             elif line.startswith("option"):
                 _, key, value = line.split(None, 2)
                 if key not in _OPTION_TYPES:
@@ -83,8 +79,7 @@ def parse_problem(text):
     if f is None:
         raise ParseError("missing `f:` line")
     try:
-        return ProblemInstance(var_names, f, g, h, radical=radical,
-                               options=options)
+        return ProblemInstance(var_names, f, g, h, options=options)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -102,8 +97,6 @@ def format_problem(inst):
         lines.append("g: " + format_polynomial(p, inst.var_names))
     for p in inst.h:
         lines.append("h: " + format_polynomial(p, inst.var_names))
-    if inst.radical is not None:
-        lines.append(f"radical: {str(inst.radical).lower()}")
     for key in sorted(inst.options):
         lines.append(f"option {key} {inst.options[key]}")
     return "\n".join(lines) + "\n"

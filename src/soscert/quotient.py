@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 
 from . import exactla
 from .errors import ConditionFailed, NotInvertible, NotZeroDimensional
-from .polyring import Monomial, Polynomial, evaluate
+from .polyring import Monomial, Polynomial, common_denominator, evaluate
 
 
 def monomials_upto(nvars, max_degree):
@@ -345,14 +344,11 @@ def cofactor_reduce(ring, p):
         for j, r_j in enumerate(cof):
             if not r_j.is_zero():
                 rational[j] = rational[j] + q_g * r_j
-    nu = 1
-    for poly in rational + [remainder]:
-        for c in poly.terms.values():
-            nu = nu * c.denominator // math.gcd(nu, c.denominator)
+    nu = common_denominator(c for poly in rational + [remainder] for c in poly.terms.values())
     return Cofactors([poly * nu for poly in rational], remainder, nu)
 
 
-def coprimality_witness(ring, f, var_data=None):
+def coprimality_witness(ring, f):
     """Integer-scaled (a, b, gamma) with b*f = 0 and a*f + b = gamma mod I.
 
     Infeasibility of the underlying linear system means (I : f) + (f) is a
@@ -393,7 +389,7 @@ def coprimality_witness(ring, f, var_data=None):
     if not a.is_zero() or not b.is_zero():
         from . import variety as _variety
 
-        var = var_data if var_data is not None else _variety.solve_variety(ring)
+        var = _variety.solve_variety(ring)
         f_float = f.to_float()
         a_float = a.to_float()
         zero_pts = []
@@ -413,10 +409,7 @@ def coprimality_witness(ring, f, var_data=None):
                 a = a + b * rho
 
     # clear denominators into gamma
-    nu = 1
-    for poly in (a, b):
-        for c in poly.terms.values():
-            nu = nu * c.denominator // math.gcd(nu, c.denominator)
+    nu = common_denominator(c for poly in (a, b) for c in poly.terms.values())
     return (a * nu, b * nu, nu)
 
 

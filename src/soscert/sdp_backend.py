@@ -20,10 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gram, quotient
-from .certifier import Certificate
-from .errors import (Infeasible, MaxIterations, NotGraded, NotPD,
-                     PrecisionExceeded, ZeroPivot)
+from . import certifier, gram, quotient
+from .errors import Infeasible, MaxIterations, NotGraded, NotPD, ZeroPivot
 from .polyring import Polynomial, round_binary
 
 
@@ -247,72 +245,44 @@ def _round_eigen_squares(ring, qc, bits):
     return out
 
 
-def algorithm1_certify(inst, ring=None, order=None, iterations=40000):
-    """Solve the feasibility SDP, then round at an escalating number of
-    decimal digits until the exactly refactored free block is positive
-    definite; the output identity is exact by construction."""
+def algorithm1_certify(inst, ring=None, order=None):
+    """Solve the feasibility SDP, then round at an escalating precision
+    until the exactly projected free block is positive definite; the output
+    identity is exact by construction."""
     if ring is None:
         ring = quotient.monomial_basis(quotient.groebner(inst.h))
     ell = _normalize_ell(ring, inst, order)
     prob = SdpProblem(inst, ring, ell)
-    result = maximize_lambda(prob, iterations=iterations)
+    result = maximize_lambda(prob)
     if not result.lam > 0:
         raise Infeasible(result.residual)
 
     nf_mats = [_nf_matrix(ring, mons) for mons in prob.block_monomials]
-    kappa = max(math.ceil(-math.log10(result.lam)), 0)
-    for digits in range(kappa, kappa + 40):
-        bits = max(math.ceil(digits * math.log2(10)), 4)
-        g_blocks = []
-        g_part = Polynomial.zero(inst.nvars)
-        for i in range(1, len(prob.block_monomials)):
-            qc = nf_mats[i] @ result.blocks[i] @ nf_mats[i].T
-            block = _round_eigen_squares(ring, qc, bits)
-            g_blocks.append(block)
-            for w, qk in block:
-                g_part = g_part + inst.g[i - 1] * (qk * qk) * w
-        p_hats = []
-        cof_part = Polynomial.zero(inst.nvars)
-        for mons, vec, h in zip(prob.cof_monomials, result.cofactors, inst.h):
-            p_hat = Polynomial({m: round_binary(float(c), bits)
-                                for m, c in zip(mons, vec)}, inst.nvars)
-            p_hats.append(p_hat)
-            cof_part = cof_part + p_hat * h
-        f_hat = inst.f - g_part - cof_part
+    compressed = [m @ q @ m.T for m, q in zip(nf_mats, result.blocks)]
 
-        q0c = nf_mats[0] @ result.blocks[0] @ nf_mats[0].T
-        q0_hat = gram.round_matrix(q0c, bits)
+    def round_at(bits):
+        q0_hat = gram.round_matrix(compressed[0], bits)
+        g_blocks = [_round_eigen_squares(ring, qc, bits) for qc in compressed[1:]]
+        p_hats = [Polynomial({m: round_binary(float(c), bits) for m, c in zip(mons, vec)},
+                             inst.nvars)
+                  for mons, vec in zip(prob.cof_monomials, result.cofactors)]
+        return q0_hat, g_blocks, p_hats
+
+    def attempt(rounded):
+        q0_hat, g_blocks, p_hats = rounded
+        # f - (g and cofactor parts) = sum of the free block's squares mod I
+        rest = certifier.Certificate("strict", [[]] + g_blocks, p_hats)
+        f_hat = inst.f - certifier.expansion(inst, rest)
         try:
-            lp = gram.GramVariety(ring, f_hat)
-            y0 = gram.project_to_gram(lp, q0_hat)
+            y0 = gram.project_to_gram(gram.GramVariety(ring, f_hat), q0_hat)
             fact = gram.ldlt(y0)
         except (NotPD, ZeroPivot):
-            continue
-        blocks0 = []
-        total = Polynomial.zero(inst.nvars)
-        for w, vec in fact.square_vectors():
-            poly = ring.from_vector([Fraction(v) for v in vec])
-            if poly.is_zero():
-                continue
-            blocks0.append((w, poly))
-            total = total + poly * poly * w
-        residual = inst.f - total - g_part - cof_part
-        cof = quotient.cofactor_reduce(ring, residual)
-        if not cof.remainder.is_zero():
-            continue
-        cofactors = [p_hat + pj * Fraction(1, cof.nu)
-                     for p_hat, pj in zip(p_hats, cof.p_j)]
-        return Certificate("strict", [blocks0] + g_blocks, cofactors)
-    raise PrecisionExceeded("rounding loop exhausted without a positive definite free block")
+            return None
+        blocks0 = certifier._squares_from_factorization(ring, fact)
+        return certifier._assemble(inst, ring, blocks0, g_blocks, cofactors=p_hats)
 
-
-def algorithm1_nonneg(inst, ring=None, order=None, iterations=40000):
-    """Quadratic-module membership test at the given degree: a feasible
-    point with positive smallest eigenvalue yields a certificate (which in
-    particular proves nonnegativity on S); otherwise Infeasible.  The
-    divisibility-witness structure of the constructive nonnegative route is
-    not produced on this path."""
-    return algorithm1_certify(inst, ring, order, iterations=iterations)
+    kappa = max(math.ceil(-math.log10(result.lam)), 0)
+    return gram.escalate(max(math.ceil(kappa * math.log2(10)), 4), round_at, attempt)
 
 
 # -- external-solver bridge -------------------------------------------------

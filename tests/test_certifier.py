@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from soscert import certifier, cli, problem_io, quotient, variety
+from soscert import certifier, cli, gram, problem_io, quotient, sdp_backend, variety
 from soscert.errors import (ClusterAmbiguity, ConditionFailed,
                             NotStrictlyPositiveOnS)
 from soscert.polyring import Polynomial, parse_polynomial
@@ -137,6 +137,48 @@ class TestPerturb:
         blocks, f_tilde = certifier.perturb(inst, ring, var)
         assert f_tilde == inst.f
         assert blocks == []
+
+
+    def test_margin_below_the_tolerance_is_exhaustion(self, tmp_path, monkeypatch, capsys):
+        # f > 0 on S = {(+-1, 0)} with minimum 2^-30 at (-1, 0), under the
+        # perturbation's tolerance: the rounded idempotents stop changing,
+        # which is numerical exhaustion (3), not impossibility (2)
+        prob = tmp_path / "tiny_g.prob"
+        prob.write_text(f"variables x y\nf: x + 1 + 1/{2 ** 30}\ng: 1/2 - y\n"
+                        "h: x^2 - 1\nh: y^2 - y\n")
+        bits = []
+        escalate = gram.escalate
+        monkeypatch.setattr(gram, "escalate", lambda start, round_at, attempt: escalate(
+            start, lambda n: bits.append(n) or round_at(n), attempt))
+        code = cli.main(["certify", "--input", str(prob)])
+        assert code == 3
+        assert bits == [16, 32, 64, 128, 256]
+        assert "float64 margin used up" in capsys.readouterr().err
+
+
+class TestExpansion:
+    """The identity expansion shared by the certifier and the verifier."""
+
+    @pytest.mark.parametrize("route", ["radical", "with_g", "hensel", "nonneg", "sdp"])
+    def test_matches_the_direct_sum(self, route, four_points, cusp_circle):
+        x = ["x"]
+        inst = {
+            "radical": certifier.ProblemInstance(
+                x, parse_polynomial("x + 3", x), [], [parse_polynomial("x^2 - 1", x)]),
+            "with_g": four_points,
+            "hensel": certifier.ProblemInstance(
+                x, parse_polynomial("1 + x", x), [], [parse_polynomial("x^2", x)]),
+            "nonneg": cusp_circle,
+            "sdp": certifier.ProblemInstance(
+                x, parse_polynomial("x + 3", x), [], [parse_polynomial("x^2 - 1", x)]),
+        }[route]
+        if route == "sdp":
+            cert = sdp_backend.algorithm1_certify(inst)
+        elif route == "nonneg":
+            cert = certifier.certify_nonneg(inst)
+        else:
+            cert = certifier.certify_strict(inst)
+        assert certifier.expansion(inst, cert) == expand(inst, cert) == inst.f
 
 
 class TestDispatcher:

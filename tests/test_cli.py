@@ -1,9 +1,9 @@
 import pytest
 
-from soscert import cli, problem_io
+from soscert import cli, problem_io, verify_bounds
 from soscert.errors import ParseError
 
-from conftest import data_path
+from conftest import data_path, load_problem
 
 
 def run(argv):
@@ -68,6 +68,29 @@ class TestVerify:
         assert code == 4
         assert "identity" in capsys.readouterr().err
 
+    def test_degree_bound_decides_no_exit_code(self, tmp_path, capsys):
+        # t*h2 added to cofactor 1 and -t*h1 to cofactor 2 cancel in the
+        # identity, and the products pass the degree bound of 5
+        t = "x^3*y^3"
+        lines = []
+        for line in open(data_path("four_points_strict.cert")).read().splitlines():
+            if line.startswith("cofactor 1"):
+                line += f" + {t}*y^2 - {t}*x - 2*{t}"
+            elif line.startswith("cofactor 2"):
+                line += f" - {t}*x^2 + {t}"
+            lines.append(line)
+        cert = tmp_path / "big.cert"
+        cert.write_text("\n".join(lines) + "\n")
+        inst = load_problem("four_points.prob")
+        report = verify_bounds.verify_certificate(
+            inst, problem_io.parse_certificate(cert.read_text())[0])
+        assert report.identity_ok and report.degree_bound_ok is False
+        assert report.ok
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(cert)])
+        assert code == 0
+        assert "degree bound: FAILED" in capsys.readouterr().out
+
     def test_variable_mismatch_exits_1(self, tmp_path):
         text = open(data_path("four_points_strict.cert")).read()
         bad = tmp_path / "bad.cert"
@@ -106,6 +129,12 @@ class TestProblemIO:
         with pytest.raises(ParseError) as exc:
             problem_io.parse_problem("variables x\nf: x\nh: x^2 - $\n")
         assert "line 3" in str(exc.value)
+
+    def test_radical_hint_rejected(self):
+        # radicality is computed per ring, not taken from the input
+        with pytest.raises(ParseError) as exc:
+            problem_io.parse_problem("variables x\nf: x + 3\nh: x^2 - 1\nradical: true\n")
+        assert exc.value.line == 4
 
     def test_polynomial_before_variables(self):
         with pytest.raises(ParseError):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soscert import cli, exactla, gram, quotient, variety
-from soscert.errors import NotPD, ZeroPivot
+from soscert.errors import NotPD, PrecisionExceeded, ZeroPivot
 from soscert.polyring import evaluate, parse_polynomial
 
 
@@ -216,3 +216,22 @@ class TestEscalation:
         assert len(factored) == 2
         assert bits == [32, 64, 128]
         assert "float64 margin used up" in capsys.readouterr().err
+
+    def test_helper_stops_after_a_repeated_rounding(self):
+        # the second rounding repeats the first: the failed attempt is not rerun
+        bits, calls = [], []
+        with pytest.raises(PrecisionExceeded, match="float64 margin used up"):
+            gram.escalate(16, lambda n: bits.append(n) or "same",
+                          lambda rounded: calls.append(rounded))
+        assert bits == [16, 32]
+        assert calls == ["same"]
+
+    def test_helper_doubles_up_to_the_ceiling(self, monkeypatch):
+        monkeypatch.setenv("SOS_CERT_MAX_BITS", "128")
+        bits = []
+        with pytest.raises(PrecisionExceeded, match="ceiling of 128 bits"):
+            gram.escalate(16, lambda n: bits.append(n) or n, lambda rounded: None)
+        assert bits == [16, 32, 64, 128]
+
+    def test_helper_returns_the_first_result(self):
+        assert gram.escalate(8, lambda n: n, lambda n: n if n >= 32 else None) == 32

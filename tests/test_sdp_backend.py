@@ -98,7 +98,7 @@ class TestAlgorithm1:
     def test_negative_control(self, double_origin):
         ring = build(double_origin)
         with pytest.raises((Infeasible, MaxIterations)):
-            sdp_backend.algorithm1_nonneg(double_origin, ring, 2)
+            sdp_backend.algorithm1_certify(double_origin, ring, 2)
 
 
 class TestBridge:
