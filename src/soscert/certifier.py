@@ -122,17 +122,14 @@ def _squares_from_factorization(ring, fact):
     return out
 
 
-def _assemble(inst, ring, blocks0, g_blocks, cofactors=None):
-    """Close the identity: the residual f minus the expansion with the
-    starting cofactors (zero by default) lies in the ideal by construction,
-    and its exact cofactors are added to them."""
-    if cofactors is None:
-        cofactors = [Polynomial.zero(inst.nvars) for _ in inst.h]
-    cert = Certificate("strict", [blocks0] + g_blocks, cofactors)
+def _assemble(inst, ring, blocks0, g_blocks):
+    """Close the identity: the residual f minus the sums of squares lies in
+    the ideal by construction, and its exact cofactors complete it."""
+    cert = Certificate("strict", [blocks0] + g_blocks, [])
     cof = quotient.cofactor_reduce(ring, inst.f - expansion(inst, cert))
     if not cof.remainder.is_zero():
         raise IdentityBroken("residual is not in the ideal")
-    cert.cofactors = [p + pj * Fraction(1, cof.nu) for p, pj in zip(cofactors, cof.p_j)]
+    cert.cofactors = [pj * Fraction(1, cof.nu) for pj in cof.p_j]
     return cert
 
 
@@ -260,7 +257,7 @@ def certify(inst):
     if inst.options.get("engine") == "sdp":
         from . import sdp_backend
 
-        return sdp_backend.algorithm1_certify(inst, build_ring(inst), inst.options.get("order"))
+        return sdp_backend.algorithm1_certify(inst)
     if inst.options.get("mode") == "nonneg":
         return certify_nonneg(inst)
     return certify_strict(inst)

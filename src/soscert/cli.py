@@ -5,8 +5,10 @@ cannot exist (failed mathematical precondition); 3 numerical exhaustion
 (precision ceiling reached, float64 margin used up, or feasibility solver
 gave up); 4 verification failure, including an exact identity that failed
 inside `certify`.  `certify` and `verify` share one rule: exit 0 exactly
-when the identity holds, the weights are nonnegative and the nonneg-mode
-witnesses check.  The degree bound is printed but decides no exit code.
+when the certificate fits the problem (at most 1 + len(g) blocks and len(h)
+cofactors), the identity holds, the weights are nonnegative and the
+nonneg-mode witnesses check.  The degree bound is printed but decides no
+exit code.
 
 The environment variable SOS_CERT_MAX_BITS overrides the precision
 ceiling of every rounding loop, the SDP engine's included.
@@ -41,7 +43,7 @@ def _load_problem(path):
 
 def cmd_certify(args):
     inst = _load_problem(args.input)
-    for key in ("mode", "engine", "order", "seed"):
+    for key in ("mode", "engine", "seed"):
         value = getattr(args, key)
         if value is not None:
             inst.options[key] = value
@@ -111,7 +113,6 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["strict", "nonneg"])
     p.add_argument("--engine", choices=["constructive", "sdp"])
-    p.add_argument("--order", type=int)
     p.add_argument("--precision-start", type=int, dest="precision_start")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

@@ -36,8 +36,7 @@ from .errors import ParseError
 from .polyring import format_polynomial, parse_polynomial
 
 
-_OPTION_TYPES = {"mode": str, "engine": str, "order": int, "seed": int,
-                 "precision_start": int}
+_OPTION_TYPES = {"mode": str, "engine": str, "seed": int, "precision_start": int}
 
 
 def parse_problem(text):

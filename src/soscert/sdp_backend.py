@@ -1,148 +1,97 @@
 """Feasibility-SDP route to the same certificates.
 
-The problem maximizes the smallest eigenvalue of the free Gram block
-subject to exact coefficient matching of
+Modulo the zero-dimensional ideal I every square reduces to a square over
+the quotient basis B (q^2 = NF(q)^2 mod I), so the problem is posed over B
+itself: one D x D Gram block Q_i per multiplier m_0 = 1, m_i = g_i, and the
+D coefficient equations
 
-    f = m0 Q0 m0^t + sum_i (mi Qi mi^t) g_i + sum_j p_j h_j,
+    NF(sum_i m_i b Q_i b^t) = NF(f)    over B,
 
-where mi runs over all monomials of degree <= ell_i.  The built-in solver
-is Dykstra's alternating projections between the affine coefficient set
-and the product of (shifted) semidefinite cones; any external solver that
-produces the same result shape can be substituted, since the rounding
-step re-derives an exact certificate from the approximate blocks and all
-rounding error is absorbed into an exactly factored remainder.
+with no cofactor unknowns; the cofactors of the h_j come afterwards from
+exact reduction, as on the constructive route.  The problem maximizes the
+smallest eigenvalue of the free block Q_0.  The built-in solver is Dykstra's
+alternating projections between the affine coefficient set and the product
+of (shifted) semidefinite cones; any external solver that produces the same
+result shape can be substituted, since the rounding step re-derives an
+exact certificate from the approximate blocks and all rounding error is
+absorbed into an exactly projected and factored free block.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from . import certifier, gram, quotient
+from . import certifier, gram
 from .errors import Infeasible, MaxIterations, NotGraded, NotPD, ZeroPivot
 from .polyring import Polynomial, round_binary
 
 
-def _monomial_poly(m, nvars):
-    return Polynomial({m: Fraction(1)}, nvars)
-
-
 class SdpProblem:
-    """Affine coefficient-matching system over vectorized PSD blocks plus
-    cofactor coefficients, with a float copy for the iterative solver."""
+    """Affine coefficient-matching system over the vectorized D x D blocks,
+    with a float copy for the iterative solver."""
 
-    def __init__(self, inst, ring, ell):
+    def __init__(self, inst, ring):
         if not ring.ideal.is_graded:
             raise NotGraded("the equality generators are not a graded basis")
-        delta = ring.degree_of_basis()
-        mults = [Polynomial.constant(Fraction(1), inst.nvars)] + list(inst.g)
-        if len(ell) != len(mults):
-            raise ValueError(f"expected {len(mults)} block degrees, got {len(ell)}")
-        if any(l < delta for l in ell):
-            raise ValueError(f"block degrees must be at least deg(B) = {delta}")
         self.inst = inst
         self.ring = ring
-        self.ell = list(ell)
-        self.mults = mults
-        n = inst.nvars
-        self.block_monomials = [quotient.monomials_upto(n, l) for l in ell]
-        deg_max = max([max(inst.f.degree, 0)]
-                      + [m.degree + 2 * l for m, l in zip(mults, ell)])
-        self.degree = deg_max
-        self.cof_monomials = [quotient.monomials_upto(n, deg_max - h.degree)
-                              for h in inst.h]
-
-        rows = quotient.monomials_upto(n, deg_max)
-        row_of = {m: k for k, m in enumerate(rows)}
-        self.nrows = len(rows)
-        self.block_sizes = [len(b) for b in self.block_monomials]
-        self.cof_sizes = [len(c) for c in self.cof_monomials]
-
-        # vectorization layout: full block entries, then cofactor coefficients
-        self.slices = []
-        pos = 0
-        for sz in self.block_sizes:
-            self.slices.append((pos, sz * sz))
-            pos += sz * sz
-        self.cof_slices = []
-        for sz in self.cof_sizes:
-            self.cof_slices.append((pos, sz))
-            pos += sz
-        self.nvars_total = pos
-
-        a = np.zeros((self.nrows, pos))
-        for i, (mons, mult) in enumerate(zip(self.block_monomials, mults)):
-            base = self.slices[i][0]
-            sz = self.block_sizes[i]
-            for p in range(sz):
-                for q in range(sz):
-                    prod = (_monomial_poly(mons[p], n) * _monomial_poly(mons[q], n)
-                            * mult)
-                    for m, c in prod.terms.items():
-                        a[row_of[m], base + p * sz + q] += float(c)
-        for j, (mons, h) in enumerate(zip(self.cof_monomials, inst.h)):
-            base = self.cof_slices[j][0]
-            for t, mon in enumerate(mons):
-                prod = _monomial_poly(mon, n) * h
-                for m, c in prod.terms.items():
-                    a[row_of[m], base + t] += float(c)
-        b = np.zeros(self.nrows)
-        for m, c in inst.f.terms.items():
-            b[row_of[m]] = float(c)
-        self.A = a
-        self.b = b
-        self._pinv = np.linalg.pinv(a)
+        self.mults = [Polynomial.constant(1, inst.nvars)] + list(inst.g)
+        d = ring.D
+        self.block_sizes = [d] * len(self.mults)
+        self.nrows = d
+        self.nvars_total = len(self.mults) * d * d
+        # column (p, q) of the free block is NF(b_p b_q) over B; a g block
+        # multiplies it by the matrix of g on the quotient
+        products = np.array([ring.to_vector(ring.nf_monomial(bp * bq))
+                             for bp in ring.basis for bq in ring.basis],
+                            dtype=float).reshape(d * d, d).T
+        self.A = np.hstack([products] + [np.array(ring.mult_matrix(g), dtype=float) @ products
+                                         for g in inst.g])
+        self.b = np.array([float(c) for c in ring.nf_vector(inst.f)])
+        self._pinv = np.linalg.pinv(self.A)
 
     def unpack(self, x):
-        blocks = []
-        for (base, length), sz in zip(self.slices, self.block_sizes):
-            blocks.append(np.asarray(x[base:base + length]).reshape(sz, sz))
-        cofs = [np.asarray(x[base:base + length])
-                for base, length in self.cof_slices]
-        return blocks, cofs
+        d = self.ring.D
+        return [np.asarray(x[k * d * d:(k + 1) * d * d]).reshape(d, d)
+                for k in range(len(self.mults))]
 
-    def pack(self, blocks, cofs):
-        return np.concatenate([q.reshape(-1) for q in blocks] + list(cofs))
+    def pack(self, blocks):
+        return np.concatenate([q.reshape(-1) for q in blocks])
 
     def project_affine(self, x):
         return x - self._pinv @ (self.A @ x - self.b)
 
     def project_cone(self, x, lam):
-        blocks, cofs = self.unpack(x)
         out = []
-        for i, q in enumerate(blocks):
+        for i, q in enumerate(self.unpack(x)):
             sym = (q + q.T) / 2.0
             w, v = np.linalg.eigh(sym)
             floor = lam if i == 0 else 0.0
             out.append((v * np.maximum(w, floor)) @ v.T)
-        return self.pack(out, cofs)
+        return self.pack(out)
 
-    def residual(self, blocks, cofs):
-        """Largest coefficient of the matching error, recomputed from the
-        assembled polynomials rather than the stored constraint matrix."""
+    def residual(self, blocks):
+        """Largest coefficient of NF(f - sum_i m_i b Q_i b^t), recomputed
+        from the float polynomials rather than the stored constraint matrix,
+        so that it also checks blocks from an external solver."""
+        basis = self.ring.basis
         total = Polynomial.zero(self.inst.nvars)
-        for mons, q, mult in zip(self.block_monomials, blocks, self.mults):
-            acc = Polynomial.zero(self.inst.nvars)
-            for a_ in range(len(mons)):
-                row = Polynomial({m: Fraction(float(q[a_, t]))
-                                  for t, m in enumerate(mons) if q[a_, t]},
-                                 self.inst.nvars)
-                acc = acc + _monomial_poly(mons[a_], self.inst.nvars) * row
-            total = total + acc * mult
-        for mons, vec, h in zip(self.cof_monomials, cofs, self.inst.h):
-            p = Polynomial({m: Fraction(float(v)) for m, v in zip(mons, vec) if v},
-                           self.inst.nvars)
-            total = total + p * h
-        diff = self.inst.f - total
-        return max((abs(float(c)) for c in diff.terms.values()), default=0.0)
+        for mult, q in zip(self.mults, blocks):
+            terms = {}
+            for p, bp in enumerate(basis):
+                for t, bt in enumerate(basis):
+                    m = bp * bt
+                    terms[m] = terms.get(m, 0.0) + float(q[p, t])
+            total = total + mult * Polynomial(terms, self.inst.nvars)
+        diff = self.ring.normal_form(self.inst.f - total)
+        return max((abs(c) for c in diff.terms.values()), default=0.0)
 
 
 class SolverResult:
-    def __init__(self, blocks, cofactors, lam, residual):
+    def __init__(self, blocks, lam, residual):
         self.blocks = blocks          # float symmetric PSD matrices
-        self.cofactors = cofactors    # float coefficient vectors
         self.lam = lam
         self.residual = residual
 
@@ -163,8 +112,7 @@ def solve_feasibility(prob, lam, iterations=40000, tol=1e-8, x0=None):
         x = z
         res = float(np.max(np.abs(prob.A @ y - prob.b))) if prob.nrows else 0.0
         if res < tol:
-            blocks, cofs = prob.unpack(y)
-            return SolverResult(blocks, cofs, lam, res)
+            return SolverResult(prob.unpack(y), lam, res)
         best = min(best, res)
         if it % 250 == 249:
             if best > checkpoint * 0.99:
@@ -174,7 +122,9 @@ def solve_feasibility(prob, lam, iterations=40000, tol=1e-8, x0=None):
 
 
 def maximize_lambda(prob, iterations=40000, tol=1e-8):
-    """Bisection over lam with warm-started feasibility probes."""
+    """Bisection over lam with warm-started feasibility probes.  It stops
+    once lam is known within a factor 1.5: the rounding precision depends
+    only on the decimal order of lam, and every probe is a full solve."""
 
     def probe(lam, x0):
         try:
@@ -183,19 +133,19 @@ def maximize_lambda(prob, iterations=40000, tol=1e-8):
             return None
 
     best = solve_feasibility(prob, 0.0, iterations, tol)
-    x_best = prob.pack(best.blocks, best.cofactors)
+    x_best = prob.pack(best.blocks)
     lo, hi = 0.0, 1.0
     while True:
         r = probe(hi, x_best)
         if r is None:
             break
         best, lo = r, hi
-        x_best = prob.pack(r.blocks, r.cofactors)
+        x_best = prob.pack(r.blocks)
         if hi > 1e6:
             break
         hi *= 4.0
     for _ in range(20):
-        if hi - lo < max(1e-6, 0.05 * lo):
+        if hi - lo < max(1e-6, 0.5 * lo):
             break
         mid = (lo + hi) / 2.0
         r = probe(mid, x_best)
@@ -203,33 +153,14 @@ def maximize_lambda(prob, iterations=40000, tol=1e-8):
             hi = mid
         else:
             best, lo = r, mid
-            x_best = prob.pack(r.blocks, r.cofactors)
+            x_best = prob.pack(r.blocks)
     return best
 
 
-def _normalize_ell(ring, inst, order):
-    delta = ring.degree_of_basis()
-    nblocks = 1 + len(inst.g)
-    if order is None:
-        return [delta] * nblocks
-    if isinstance(order, int):
-        return [max(order, delta)] * nblocks
-    return list(order)
-
-
-def _nf_matrix(ring, monomials):
-    """Float D x M matrix whose columns are the normal forms over B."""
-    cols = []
-    for m in monomials:
-        cols.append([float(c) for c in
-                     ring.nf_vector(_monomial_poly(m, ring.nvars))])
-    return np.array(cols).T
-
-
-def _round_eigen_squares(ring, qc, bits):
+def _round_eigen_squares(ring, q, bits):
     """Weighted squares over span(B) from the clipped eigendecomposition,
     each rounded entrywise."""
-    sym = (qc + qc.T) / 2.0
+    sym = (q + q.T) / 2.0
     w, v = np.linalg.eigh(sym)
     out = []
     for k in range(len(w)):
@@ -245,33 +176,25 @@ def _round_eigen_squares(ring, qc, bits):
     return out
 
 
-def algorithm1_certify(inst, ring=None, order=None):
+def algorithm1_certify(inst, ring=None):
     """Solve the feasibility SDP, then round at an escalating precision
     until the exactly projected free block is positive definite; the output
     identity is exact by construction."""
     if ring is None:
-        ring = quotient.monomial_basis(quotient.groebner(inst.h))
-    ell = _normalize_ell(ring, inst, order)
-    prob = SdpProblem(inst, ring, ell)
+        ring = certifier.build_ring(inst)
+    prob = SdpProblem(inst, ring)
     result = maximize_lambda(prob)
     if not result.lam > 0:
         raise Infeasible(result.residual)
 
-    nf_mats = [_nf_matrix(ring, mons) for mons in prob.block_monomials]
-    compressed = [m @ q @ m.T for m, q in zip(nf_mats, result.blocks)]
-
     def round_at(bits):
-        q0_hat = gram.round_matrix(compressed[0], bits)
-        g_blocks = [_round_eigen_squares(ring, qc, bits) for qc in compressed[1:]]
-        p_hats = [Polynomial({m: round_binary(float(c), bits) for m, c in zip(mons, vec)},
-                             inst.nvars)
-                  for mons, vec in zip(prob.cof_monomials, result.cofactors)]
-        return q0_hat, g_blocks, p_hats
+        return (gram.round_matrix(result.blocks[0], bits),
+                [_round_eigen_squares(ring, q, bits) for q in result.blocks[1:]])
 
     def attempt(rounded):
-        q0_hat, g_blocks, p_hats = rounded
-        # f - (g and cofactor parts) = sum of the free block's squares mod I
-        rest = certifier.Certificate("strict", [[]] + g_blocks, p_hats)
+        q0_hat, g_blocks = rounded
+        # f minus the g part is a sum of squares of the free block mod I
+        rest = certifier.Certificate("strict", [[]] + g_blocks, [])
         f_hat = inst.f - certifier.expansion(inst, rest)
         try:
             y0 = gram.project_to_gram(gram.GramVariety(ring, f_hat), q0_hat)
@@ -279,7 +202,7 @@ def algorithm1_certify(inst, ring=None, order=None):
         except (NotPD, ZeroPivot):
             return None
         blocks0 = certifier._squares_from_factorization(ring, fact)
-        return certifier._assemble(inst, ring, blocks0, g_blocks, cofactors=p_hats)
+        return certifier._assemble(inst, ring, blocks0, g_blocks)
 
     kappa = max(math.ceil(-math.log10(result.lam)), 0)
     return gram.escalate(max(math.ceil(kappa * math.log2(10)), 4), round_at, attempt)
@@ -289,40 +212,31 @@ def algorithm1_certify(inst, ring=None, order=None):
 
 
 def write_problem(prob, path):
-    """Sparse text dump: block sizes, cofactor sizes, constraint triplets
-    (row, column, value), right-hand side."""
+    """Sparse text dump: block sizes, constraint triplets (row, column,
+    value) over the row-major block entries, right-hand side."""
     lines = [
         "blocks " + " ".join(str(s) for s in prob.block_sizes),
-        "cofactors " + " ".join(str(s) for s in prob.cof_sizes),
         f"constraints {prob.nrows} {prob.nvars_total}",
     ]
     rows, cols = np.nonzero(prob.A)
     for r, c in zip(rows, cols):
-        lines.append(f"{r} {c} {prob.A[r, c]!r}")
+        lines.append(f"{r} {c} {float(prob.A[r, c])!r}")
     lines.append("rhs " + " ".join(repr(float(v)) for v in prob.b))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_result(path, prob):
-    """Result file: `lambda <v>`, then `block <i>` followed by its rows,
-    then `cofactor <j>` followed by one coefficient row."""
+    """Result file: `lambda <v>`, then `block <i>` followed by its rows."""
     blocks = [np.zeros((s, s)) for s in prob.block_sizes]
-    cofs = [np.zeros(s) for s in prob.cof_sizes]
     lam = 0.0
     target = None
     rows = []
 
     def flush():
         nonlocal target, rows
-        if target is None:
-            return
-        kind, idx = target
-        data = np.array(rows)
-        if kind == "block":
-            blocks[idx] = data
-        else:
-            cofs[idx] = data.reshape(-1)
+        if target is not None:
+            blocks[target] = np.array(rows)
         target, rows = None, []
 
     with open(path) as fh:
@@ -333,11 +247,10 @@ def read_result(path, prob):
             if parts[0] == "lambda":
                 flush()
                 lam = float(parts[1])
-            elif parts[0] in ("block", "cofactor"):
+            elif parts[0] == "block":
                 flush()
-                target = (parts[0], int(parts[1]))
+                target = int(parts[1])
             else:
                 rows.append([float(v) for v in parts])
     flush()
-    res = prob.residual(blocks, cofs)
-    return SolverResult(blocks, cofs, lam, res)
+    return SolverResult(blocks, lam, prob.residual(blocks))

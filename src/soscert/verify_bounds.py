@@ -20,7 +20,8 @@ from .polyring import height
 class VerificationReport:
     def __init__(self, identity_ok, weights_ok, degree_bound_ok=None,
                  mode_ok=None, max_numerator_bits=0, max_denominator_bits=0,
-                 detail=""):
+                 detail="", shape_error=None):
+        self.shape_error = shape_error
         self.identity_ok = identity_ok
         self.weights_ok = weights_ok
         self.degree_bound_ok = degree_bound_ok
@@ -31,13 +32,16 @@ class VerificationReport:
 
     @property
     def ok(self):
-        """The certificate proves its claim: the identity holds, the weights
-        are nonnegative and the nonneg-mode witnesses check.  The degree
-        bound is reported but decides nothing, since a valid identity with
-        larger cofactors proves the same."""
-        return self.identity_ok and self.weights_ok and self.mode_ok is not False
+        """The certificate proves its claim: it fits the problem, the
+        identity holds, the weights are nonnegative and the nonneg-mode
+        witnesses check.  The degree bound is reported but decides nothing,
+        since a valid identity with larger cofactors proves the same."""
+        return (self.shape_error is None and self.identity_ok and self.weights_ok
+                and self.mode_ok is not False)
 
     def first_failure(self):
+        if self.shape_error is not None:
+            return f"shape: {self.shape_error}"
         if not self.identity_ok:
             return "identity"
         if not self.weights_ok:
@@ -47,7 +51,8 @@ class VerificationReport:
         return None
 
     def to_text(self):
-        lines = [
+        lines = [] if self.shape_error is None else [f"shape: FAILED ({self.shape_error})"]
+        lines += [
             f"identity: {'ok' if self.identity_ok else 'FAILED'}",
             f"weights nonnegative: {'ok' if self.weights_ok else 'FAILED'}",
         ]
@@ -74,13 +79,22 @@ class VerificationReport:
 
 
 def verify_certificate(inst, cert, ring=None):
-    """Exact verification of the certificate identity over the rationals."""
+    """Exact verification of the certificate identity over the rationals.
+    A certificate with more blocks than 1 + len(g) or more cofactors than
+    len(h) does not fit the problem; its identity is not checked."""
+    shape_error = None
+    if len(cert.blocks) > 1 + len(inst.g):
+        shape_error = (f"{len(cert.blocks)} blocks, but the problem has "
+                       f"{1 + len(inst.g)} multipliers")
+    elif len(cert.cofactors) > len(inst.h):
+        shape_error = (f"{len(cert.cofactors)} cofactors, but the problem has "
+                       f"{len(inst.h)} equations")
     weights_ok = all(w >= 0 for block in cert.blocks for w, _ in block)
     squares = [q for block in cert.blocks for _, q in block]
-    heights = [height(p) for p in squares + cert.cofactors[:len(inst.h)]]
+    heights = [height(p) for p in squares + cert.cofactors]
     num_bits = max((info.numerator_height for info in heights), default=0)
     den_bits = max((info.denominator_height for info in heights), default=0)
-    identity_ok = (expansion(inst, cert) - inst.f).is_zero()
+    identity_ok = shape_error is None and (expansion(inst, cert) - inst.f).is_zero()
 
     degree_bound_ok = None
     mode_ok = None
@@ -99,7 +113,7 @@ def verify_certificate(inst, cert, ring=None):
                 ring.normal_form(q - inst.f * r).is_zero()
                 for (w, q), r in zip(cert.blocks[0], cert.witnesses))
     return VerificationReport(identity_ok, weights_ok, degree_bound_ok, mode_ok,
-                              num_bits, den_bits)
+                              num_bits, den_bits, shape_error=shape_error)
 
 
 class BoundReport:

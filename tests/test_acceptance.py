@@ -73,7 +73,7 @@ class TestCriterion2StrictBothEngines:
         start = time.monotonic()
         code = cli.main(["certify", "--input", data_path("four_points.prob"),
                          "--mode", "strict", "--engine", "sdp",
-                         "--order", "2", "--out", str(out)])
+                         "--out", str(out)])
         elapsed = time.monotonic() - start
         assert code == 0
         assert elapsed < 30.0
@@ -123,7 +123,7 @@ class TestCriterion4NegativeControl:
 
     def test_sdp_infeasible_at_positive_lambda(self, double_origin):
         ring = certifier.build_ring(double_origin)
-        prob = sdp_backend.SdpProblem(double_origin, ring, [2])
+        prob = sdp_backend.SdpProblem(double_origin, ring)
         with pytest.raises((Infeasible, MaxIterations)):
             sdp_backend.solve_feasibility(prob, 0.01)
 

@@ -28,7 +28,7 @@ class TestCertify:
 
     def test_sdp_infeasible(self):
         code = run(["certify", "--input", data_path("double_origin.prob"),
-                    "--mode", "nonneg", "--engine", "sdp", "--order", "2"])
+                    "--mode", "nonneg", "--engine", "sdp"])
         assert code == 3
 
     def test_missing_file(self):
@@ -91,6 +91,28 @@ class TestVerify:
         assert code == 0
         assert "degree bound: FAILED" in capsys.readouterr().out
 
+    def test_extra_block_exits_4(self, tmp_path, capsys):
+        # four_points has one g, so a certificate has at most blocks 0 and 1
+        text = open(data_path("four_points_strict.cert")).read()
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text.replace("cofactor 1", "block 2\nweight 1 square x\ncofactor 1", 1))
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 4
+        assert ("verification failed: shape: 3 blocks, but the problem has 2 multipliers"
+                in capsys.readouterr().err)
+
+    def test_extra_cofactor_exits_4(self, tmp_path, capsys):
+        # a third cofactor on a two-equation problem cannot be ignored
+        text = open(data_path("four_points_strict.cert")).read()
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text + "cofactor 3 x\n")
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 4
+        assert ("verification failed: shape: 3 cofactors, but the problem has 2 equations"
+                in capsys.readouterr().err)
+
     def test_variable_mismatch_exits_1(self, tmp_path):
         text = open(data_path("four_points_strict.cert")).read()
         bad = tmp_path / "bad.cert"
@@ -122,8 +144,14 @@ class TestProblemIO:
     def test_options_parsed(self):
         inst = problem_io.parse_problem(
             "variables x\nf: x + 3\nh: x^2 - 1\noption mode strict\n"
-            "option order 2\noption seed 5\n")
-        assert inst.options == {"mode": "strict", "order": 2, "seed": 5}
+            "option seed 5\n")
+        assert inst.options == {"mode": "strict", "seed": 5}
+
+    def test_order_option_rejected(self):
+        # the SDP engine's blocks are fixed by the quotient basis
+        with pytest.raises(ParseError) as exc:
+            problem_io.parse_problem("variables x\nf: x + 3\nh: x^2 - 1\noption order 2\n")
+        assert exc.value.line == 4
 
     def test_line_numbered_diagnostics(self):
         with pytest.raises(ParseError) as exc:

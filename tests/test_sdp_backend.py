@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from soscert import certifier, sdp_backend, verify_bounds
 from soscert.errors import Infeasible, MaxIterations, NotGraded
-from soscert.polyring import parse_polynomial
+from soscert.polyring import Polynomial, parse_polynomial
 
 
 def poly(s, names=("x", "y")):
@@ -17,27 +19,55 @@ def build(inst):
 @pytest.fixture
 def four_points_prob(four_points):
     ring = build(four_points)
-    return sdp_backend.SdpProblem(four_points, ring, [2, 2]), ring
+    return sdp_backend.SdpProblem(four_points, ring), ring
 
 
 class TestFormulate:
-    def test_block_sizes_and_caps(self, four_points_prob):
-        prob, _ = four_points_prob
-        assert prob.block_sizes == [6, 6]       # monomials of degree <= 2
-        assert prob.cof_sizes == [10, 10]       # cofactor degree caps of 3
-        assert prob.degree == 5
+    def test_block_sizes(self, four_points_prob):
+        prob, ring = four_points_prob
+        assert prob.block_sizes == [4, 4]       # one D x D block per multiplier
+        assert prob.nrows == 4                  # one equation per element of B
+        assert prob.nvars_total == 32
+        assert prob.A.shape == (4, 32)
 
-    def test_minimum_degree_enforced(self, four_points):
-        ring = build(four_points)
-        with pytest.raises(ValueError):
-            sdp_backend.SdpProblem(four_points, ring, [1, 2])
+    def test_degree_fixed_by_the_basis(self):
+        # deg f = 5 > 2 deg B: the blocks stay over B, and the right-hand
+        # side is NF(f) = x + 3
+        inst = certifier.ProblemInstance(
+            ["x"], parse_polynomial("x^5 + 3", ["x"]), [],
+            [parse_polynomial("x^2 - 1", ["x"])])
+        prob = sdp_backend.SdpProblem(inst, build(inst))
+        assert prob.block_sizes == [2]
+        assert list(prob.b) == [3.0, 1.0]
 
     def test_single_block(self):
         inst = certifier.ProblemInstance(
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
-        prob = sdp_backend.SdpProblem(inst, build(inst), [1])
+        prob = sdp_backend.SdpProblem(inst, build(inst))
         assert prob.block_sizes == [2]
+
+    def test_columns_are_normal_forms_of_the_blocks(self, four_points_prob):
+        # A vec(Q) = NF(sum_i m_i b Q_i b^t) over B, the right side built as
+        # float polynomials and reduced independently of A
+        prob, ring = four_points_prob
+        inst = prob.inst
+        rng = np.random.default_rng(7)
+        mults = [Polynomial.constant(1, 2)] + inst.g
+        for _ in range(5):
+            blocks = []
+            total = Polynomial.zero(2)
+            for mult in mults:
+                raw = rng.standard_normal((ring.D, ring.D))
+                q = (raw + raw.T) / 2
+                blocks.append(q)
+                square = Polynomial.zero(2)
+                for p, bp in enumerate(ring.basis):
+                    for t, bt in enumerate(ring.basis):
+                        square = square + Polynomial({bp * bt: float(q[p, t])}, 2)
+                total = total + mult * square
+            expected = ring.to_vector(ring.normal_form(total))
+            assert np.allclose(prob.A @ prob.pack(blocks), expected, atol=1e-12)
 
     def test_not_graded_rejected(self):
         # x^2 is in (x - y^2, y^3) but admits no degree-2 cofactor
@@ -48,7 +78,7 @@ class TestFormulate:
         ring = build(inst)
         assert not ring.ideal.is_graded
         with pytest.raises(NotGraded):
-            sdp_backend.SdpProblem(inst, ring, [2])
+            sdp_backend.SdpProblem(inst, ring)
 
 
 class TestSolver:
@@ -57,7 +87,7 @@ class TestSolver:
         result = sdp_backend.solve_feasibility(prob, 0.05)
         assert result.residual < 1e-8
         # independent residual recomputation agrees
-        assert prob.residual(result.blocks, result.cofactors) < 1e-7
+        assert prob.residual(result.blocks) < 1e-7
         # cone feasibility with the shift
         w = np.linalg.eigvalsh((result.blocks[0] + result.blocks[0].T) / 2)
         assert w.min() > 0.05 - 1e-6
@@ -66,7 +96,7 @@ class TestSolver:
         inst = certifier.ProblemInstance(
             ["x"], parse_polynomial("-1", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
-        prob = sdp_backend.SdpProblem(inst, build(inst), [1])
+        prob = sdp_backend.SdpProblem(inst, build(inst))
         with pytest.raises((Infeasible, MaxIterations)):
             sdp_backend.solve_feasibility(prob, 0.0)
 
@@ -82,7 +112,7 @@ class TestSolver:
 class TestAlgorithm1:
     def test_four_points_exact(self, four_points):
         ring = build(four_points)
-        cert = sdp_backend.algorithm1_certify(four_points, ring, 2)
+        cert = sdp_backend.algorithm1_certify(four_points, ring)
         report = verify_bounds.verify_certificate(four_points, cert, ring)
         assert report.identity_ok and report.weights_ok
 
@@ -91,14 +121,27 @@ class TestAlgorithm1:
             ["x"], parse_polynomial("1", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
         ring = build(inst)
-        cert = sdp_backend.algorithm1_certify(inst, ring, 1)
+        cert = sdp_backend.algorithm1_certify(inst, ring)
         report = verify_bounds.verify_certificate(inst, cert, ring)
         assert report.identity_ok
 
     def test_negative_control(self, double_origin):
         ring = build(double_origin)
         with pytest.raises((Infeasible, MaxIterations)):
-            sdp_backend.algorithm1_certify(double_origin, ring, 2)
+            sdp_backend.algorithm1_certify(double_origin, ring)
+
+    def test_binary_cube_3(self):
+        # D = 8; f > 0 where g >= 0 (x1 = 0), f = -2 at (1, 1, 0)
+        names = ["x1", "x2", "x3"]
+        inst = certifier.ProblemInstance(
+            names, parse_polynomial("2 - 3*x1 - x2 + x3", names),
+            [parse_polynomial("1 - 2*x1", names)],
+            [parse_polynomial(f"{v}^2 - {v}", names) for v in names])
+        start = time.monotonic()
+        cert = sdp_backend.algorithm1_certify(inst)
+        assert time.monotonic() - start < 5.0
+        report = verify_bounds.verify_certificate(inst, cert)
+        assert report.ok and report.identity_ok
 
 
 class TestBridge:
@@ -107,7 +150,7 @@ class TestBridge:
         path = tmp_path / "prob.sdp"
         sdp_backend.write_problem(prob, path)
         text = path.read_text()
-        assert text.startswith("blocks 6 6")
+        assert text.startswith("blocks 4 4\nconstraints 4 32\n")
 
         result = sdp_backend.solve_feasibility(prob, 0.05)
         out = tmp_path / "result.txt"
@@ -116,12 +159,22 @@ class TestBridge:
             lines.append(f"block {i}")
             for row in q:
                 lines.append(" ".join(repr(float(v)) for v in row))
-        for j, vec in enumerate(result.cofactors):
-            lines.append(f"cofactor {j}")
-            lines.append(" ".join(repr(float(v)) for v in vec))
         out.write_text("\n".join(lines) + "\n")
         back = sdp_backend.read_result(out, prob)
         assert back.lam == result.lam
         assert back.residual < 1e-7
         for a, b in zip(back.blocks, result.blocks):
             assert np.max(np.abs(a - b)) == 0
+
+    def test_triplets_parse_as_int_int_float(self, four_points_prob, tmp_path):
+        prob, _ = four_points_prob
+        path = tmp_path / "prob.sdp"
+        sdp_backend.write_problem(prob, path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == f"constraints {prob.nrows} {prob.nvars_total}"
+        triplets = lines[2:-1]
+        assert len(triplets) == np.count_nonzero(prob.A)
+        for line in triplets:
+            r, c, v = line.split()
+            assert prob.A[int(r), int(c)] == float(v)
+        assert lines[-1].startswith("rhs ")
