@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import gram, quotient, variety
-from .errors import IdentityBroken, NotPD, NotStrictlyPositiveOnS, ZeroPivot
+from .errors import (IdentityBroken, NotPD, NotStrictlyPositiveOnS, PrecisionExceeded,
+                     ZeroPivot)
 from .polyring import Polynomial, evaluate, round_binary
 
 
@@ -85,6 +86,11 @@ def perturb(inst, ring, var):
             raise NotStrictlyPositiveOnS(f"f = {f_vals[i]:.3e} at a point of S")
     if not member.excluded:
         return [[] for _ in inst.g], inst.f
+    # phi >= 0 on S, so no rounding lifts f - phi above tol where f is not
+    for i in member.s_indices:
+        if f_vals[i] <= tol:
+            raise PrecisionExceeded(f"float64 margin used up: f = {f_vals[i]:.3e} at a point "
+                                    f"of S, within the perturbation tolerance {tol:.1e}")
     rhos = []
     for idx, gi in member.excluded:
         coords = [z.real for z in var.points[idx].coordinates]
@@ -179,10 +185,21 @@ def certify_nonneg(inst, ring=None):
 
 def hensel_sqrt(chain, theta, theta0):
     """Newton square-root lifting: from theta0^2 = theta mod J up the chain
-    of quotients by J^2, J^4, ..., doubling correctness at each level."""
+    of quotients by J^2, J^4, ..., doubling correctness at each level.
+
+    The inverse sigma of t is solved for only at the first level.  After
+    that, the previous sigma inverts the new t modulo J^(2^(k-2)) (t moved
+    by sigma (theta - t^2) / 2), so two Newton steps
+    sigma <- sigma (2 - t sigma) carry it to J^(2^k); the inverse is unique
+    in the quotient, so this is the same sigma."""
     t = theta0
+    sigma = None
     for ring_k in chain:
-        sigma = quotient.inverse_mod(ring_k, t)
+        if sigma is None:
+            sigma = quotient.inverse_mod(ring_k, t)
+        else:
+            for _ in range(2):
+                sigma = ring_k.normal_form(sigma * (2 - ring_k.normal_form(t * sigma)))
         t = (t + theta * sigma) * Fraction(1, 2)
         t = ring_k.normal_form(t)
         if not ring_k.normal_form(t * t - theta).is_zero():

@@ -79,10 +79,6 @@ class IdentityBroken(SosCertError):
     an internal error, not a property of the input."""
 
 
-class NotGraded(SosCertError):
-    pass
-
-
 class Infeasible(SosCertError):
     """The SDP feasibility solver stalled above tolerance."""
 

@@ -73,15 +73,35 @@ class IdealBasis:
 
     `gb_cofactors[k][j]` expresses the k-th Gröbner element as
     sum_j gb_cofactors[k][j] * generators[j]; when `is_graded`, each of
-    those products has degree <= the element's degree.
+    those products has degree <= the element's degree.  Both come from one
+    dense solve per Gröbner element, done the first time either is read:
+    only `cofactor_reduce` and the degree bound need them, so the radical
+    and the ideal powers of the Hensel lift never pay for it.
     """
 
-    def __init__(self, generators, gb, is_graded, gb_cofactors, nvars):
+    def __init__(self, generators, gb, nvars):
         self.generators = generators
         self.gb = gb
-        self.is_graded = is_graded
-        self.gb_cofactors = gb_cofactors
         self.nvars = nvars
+
+    @functools.cached_property
+    def _cofactor_data(self):
+        graded = True
+        cofs = []
+        for g in self.gb:
+            start = [g.degree - h.degree for h in self.generators]
+            r_j, caps = _express_in_generators(g, self.generators, start)
+            graded = graded and caps == start
+            cofs.append(r_j)
+        return graded, cofs
+
+    @property
+    def is_graded(self):
+        return self._cofactor_data[0]
+
+    @property
+    def gb_cofactors(self):
+        return self._cofactor_data[1]
 
     def reduce(self, p):
         return _reduce(p, self.gb)
@@ -132,9 +152,9 @@ def _express_in_generators(g, generators, start_caps):
 
 def groebner(generators):
     """Buchberger completion with sugar-strategy pair selection, followed by
-    full inter-reduction.  Also records, for every Gröbner element, exact
-    cofactors over the original generators, and flags the basis graded when
-    those cofactors exist within the graded degree caps."""
+    full inter-reduction.  The cofactors of the Gröbner elements over the
+    original generators are left to `IdealBasis`, which computes them on
+    first read."""
     gens = [p for p in generators if not p.is_zero()]
     if not gens:
         raise ValueError("empty generating set")
@@ -189,15 +209,7 @@ def groebner(generators):
         reduced.append(_monic(_reduce(g, others)) if others else _monic(g))
     reduced.sort(key=lambda g: g.leading_monomial().grevlex_key())
 
-    graded = True
-    cofs = []
-    for g in reduced:
-        start = [g.degree - h.degree for h in gens]
-        r_j, caps = _express_in_generators(g, gens, start)
-        if caps != start:
-            graded = False
-        cofs.append(r_j)
-    return IdealBasis(gens, reduced, graded, cofs, nvars)
+    return IdealBasis(gens, reduced, nvars)
 
 
 class Cofactors:

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from . import certifier, gram
-from .errors import Infeasible, MaxIterations, NotGraded, NotPD, ZeroPivot
+from .errors import Infeasible, MaxIterations, NotPD, ZeroPivot
 from .polyring import Polynomial, round_binary
 
 
@@ -33,8 +33,6 @@ class SdpProblem:
     with a float copy for the iterative solver."""
 
     def __init__(self, inst, ring):
-        if not ring.ideal.is_graded:
-            raise NotGraded("the equality generators are not a graded basis")
         self.inst = inst
         self.ring = ring
         self.mults = [Polynomial.constant(1, inst.nvars)] + list(inst.g)

@@ -64,6 +64,21 @@ class TestGroebner:
             quotient.monomial_basis(ideal)
 
 
+class TestLazyCofactors:
+    def test_built_on_first_read(self, monkeypatch):
+        calls = []
+        express = quotient._express_in_generators
+        monkeypatch.setattr(quotient, "_express_in_generators",
+                            lambda g, gens, caps: calls.append(g) or express(g, gens, caps))
+        ideal = quotient.groebner([poly("x^3 - y^2"), poly("x^2 - 2*x + y^2")])
+        quotient.monomial_basis(ideal)
+        assert calls == []
+        assert ideal.is_graded
+        assert calls == ideal.gb
+        assert len(ideal.gb_cofactors) == len(ideal.gb)
+        assert calls == ideal.gb  # one computation serves both
+
+
 class TestQuotientRing:
     def test_basis_four_points(self, circle_pair_ring):
         names = [str(m) for m in circle_pair_ring.basis]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soscert import certifier, sdp_backend, verify_bounds
-from soscert.errors import Infeasible, MaxIterations, NotGraded
+from soscert.errors import Infeasible, MaxIterations
 from soscert.polyring import Polynomial, parse_polynomial
 
 
@@ -69,16 +69,17 @@ class TestFormulate:
             expected = ring.to_vector(ring.normal_form(total))
             assert np.allclose(prob.A @ prob.pack(blocks), expected, atol=1e-12)
 
-    def test_not_graded_rejected(self):
+    def test_not_graded_certified(self):
         # x^2 is in (x - y^2, y^3) but admits no degree-2 cofactor
-        # representation, so this generating set is not graded
+        # representation, so this generating set is not graded; the
+        # cofactors come from exact reduction, which does not need it
         inst = certifier.ProblemInstance(
             ["x", "y"], poly("x + 1"), [],
             [poly("x - y^2"), poly("y^3")])
         ring = build(inst)
         assert not ring.ideal.is_graded
-        with pytest.raises(NotGraded):
-            sdp_backend.SdpProblem(inst, ring)
+        cert = sdp_backend.algorithm1_certify(inst, ring)
+        assert verify_bounds.verify_certificate(inst, cert, ring).ok
 
 
 class TestSolver:
