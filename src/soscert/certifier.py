@@ -3,7 +3,8 @@
 Four routes produce a Certificate: strict positivity on the real variety
 (radical ideals), strict positivity on S via inequality perturbation,
 nonnegativity through the (a, b, gamma) witness, and non-radical ideals
-through a Hensel square-root lift over the radical.
+through a certificate over the radical J whose last square is Hensel-lifted
+back to I inside R/I; no ring but R/I and R/J is built.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class ProblemInstance:
 
 
 def build_ring(inst):
+    """The quotient ring R/I of the instance's equations."""
     return quotient.monomial_basis(quotient.groebner(inst.h))
 
 
@@ -183,28 +185,24 @@ def certify_nonneg(inst, ring=None):
                        witnesses=witnesses, gamma=gamma_val)
 
 
-def hensel_sqrt(chain, theta, theta0):
-    """Newton square-root lifting: from theta0^2 = theta mod J up the chain
-    of quotients by J^2, J^4, ..., doubling correctness at each level.
+def hensel_sqrt(ring, theta, theta0, sigma0):
+    """Newton square-root lifting in ring = R/I: from theta0^2 = theta and
+    theta0 * sigma0 = 1 modulo the radical J to the unique t = theta0 mod J
+    with t^2 = theta mod I (unique because 2 theta0 is a unit).
 
-    The inverse sigma of t is solved for only at the first level.  After
-    that, the previous sigma inverts the new t modulo J^(2^(k-2)) (t moved
-    by sigma (theta - t^2) / 2), so two Newton steps
-    sigma <- sigma (2 - t sigma) carry it to J^(2^k); the inverse is unique
-    in the quotient, so this is the same sigma."""
-    t = theta0
-    sigma = None
-    for ring_k in chain:
-        if sigma is None:
-            sigma = quotient.inverse_mod(ring_k, t)
-        else:
-            for _ in range(2):
-                sigma = ring_k.normal_form(sigma * (2 - ring_k.normal_form(t * sigma)))
-        t = (t + theta * sigma) * Fraction(1, 2)
-        t = ring_k.normal_form(t)
-        if not ring_k.normal_form(t * t - theta).is_zero():
-            raise IdentityBroken("Hensel step does not square to theta")
-    return t
+    Each level takes two Newton steps sigma <- sigma (2 - t sigma) for the
+    inverse of t, then t <- (t + theta sigma) / 2; the level k iterate is
+    right modulo J^(2^k).  J/I is nilpotent in an algebra of dimension D, so
+    J^D lies in I and ceil(log2 D) + 1 levels always suffice."""
+    theta = ring.normal_form(theta)
+    t, sigma = theta0, sigma0
+    for _ in range((ring.D - 1).bit_length() + 1):
+        for _ in range(2):
+            sigma = ring.normal_form(sigma * (2 - ring.normal_form(t * sigma)))
+        t = ring.normal_form((t + theta * sigma) * Fraction(1, 2))
+        if ring.normal_form(t * t - theta).is_zero():
+            return t
+    raise IdentityBroken("Hensel step does not square to theta")
 
 
 def certify_strict_nonradical(inst, ring=None):
@@ -213,12 +211,7 @@ def certify_strict_nonradical(inst, ring=None):
     that square back to a certificate modulo I."""
     if ring is None:
         ring = build_ring(inst)
-    rad_ideal = quotient.groebner(ring.radical)
-    chain = quotient.ideal_power_chain(rad_ideal, ring.ideal)
-    if not chain:
-        return certify_strict(inst, ring=ring)
-    ring_j = quotient.monomial_basis(rad_ideal)
-    ring_j.is_radical = True  # the quotient by the radical is radical
+    ring_j = ring.radical_ring
     seed = inst.options.get("seed", 0)
     var_j = variety.solve_variety(ring_j, seed=seed)
 
@@ -259,8 +252,7 @@ def certify_strict_nonradical(inst, ring=None):
     w_d, theta_d = squares[-1]
     theta_target = (f_tilde - sum((q * q * w for w, q in squares[:-1]),
                                   Polynomial.zero(inst.nvars))) * (Fraction(1) / w_d)
-    q1 = hensel_sqrt(chain, theta_target, theta_d)
-    q1 = ring.normal_form(q1)
+    q1 = hensel_sqrt(ring, theta_target, theta_d, quotient.inverse_mod(ring_j, theta_d))
     blocks0 = [(w, q) for w, q in squares[:-1] if not q.is_zero()]
     blocks0.append((w_d, q1))
     return _assemble(inst, ring, blocks0, g_blocks)

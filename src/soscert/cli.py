@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import certifier, problem_io, quotient, verify_bounds
+from . import certifier, problem_io, verify_bounds
 from .errors import (ConditionFailed, IdentityBroken, Infeasible,
                      MaxIterations, NotStrictlyPositiveOnS, ParseError,
                      PrecisionExceeded, SosCertError)
@@ -87,7 +87,7 @@ def _verdict(inst, cert):
 
 def cmd_bounds(args):
     inst = _load_problem(args.input)
-    ring = quotient.monomial_basis(quotient.groebner(inst.h))
+    ring = certifier.build_ring(inst)
     report = verify_bounds.degree_bounds(inst, ring)
     print(report.to_text())
     if args.constant is not None:

@@ -4,12 +4,13 @@ Gröbner bases (Buchberger, sugar selection), the monomial basis of the
 quotient ring with multiplication matrices, normal forms, degree-aware
 cofactor reduction against the *original* generators, the coprimality
 witness (a, b, gamma) for the nonnegativity pipeline, inverses modulo an
-ideal, and chains of ideal powers for Hensel lifting.
+ideal, and the quotient by the radical that the Hensel lift starts from.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -166,20 +167,21 @@ def groebner(generators):
         if not r.is_zero():
             basis.append(_monic(r))
             sugars.append(r.degree)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    lead = [g.leading_monomial() for g in basis]
+    pairs = []  # heap of (sugar, grevlex key of the lcm, i, j), keyed once
 
-    def pair_key(ij):
-        i, j = ij
-        lcm = basis[i].leading_monomial().lcm(basis[j].leading_monomial())
-        s_i = sugars[i] + lcm.degree - basis[i].leading_monomial().degree
-        s_j = sugars[j] + lcm.degree - basis[j].leading_monomial().degree
-        return (max(s_i, s_j), lcm.grevlex_key())
+    def add_pairs(k):
+        for i in range(k):
+            lcm = lead[i].lcm(lead[k])
+            sugar = max(sugars[i] + lcm.degree - lead[i].degree,
+                        sugars[k] + lcm.degree - lead[k].degree)
+            heapq.heappush(pairs, (sugar, lcm.grevlex_key(), i, k))
 
+    for k in range(1, len(basis)):
+        add_pairs(k)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        lm_i = basis[i].leading_monomial()
-        lm_j = basis[j].leading_monomial()
+        sugar, _, i, j = heapq.heappop(pairs)
+        lm_i, lm_j = lead[i], lead[j]
         lcm = lm_i.lcm(lm_j)
         if lcm.degree == lm_i.degree + lm_j.degree:
             continue  # coprime leading terms: S-polynomial reduces to zero
@@ -187,15 +189,12 @@ def groebner(generators):
              - Polynomial({lcm / lm_j: Fraction(1)}, nvars) * basis[j])
         r = _reduce(s, basis)
         if not r.is_zero():
-            sugar = max(sugars[i] + lcm.degree - lm_i.degree,
-                        sugars[j] + lcm.degree - lm_j.degree)
             basis.append(_monic(r))
+            lead.append(r.leading_monomial())
             sugars.append(sugar)
-            k = len(basis) - 1
-            pairs.update((t, k) for t in range(k))
+            add_pairs(len(basis) - 1)
 
     # inter-reduce: drop redundant elements, then tail-reduce each survivor
-    lead = [g.leading_monomial() for g in basis]
     keep = []
     for i, lm in enumerate(lead):
         redundant = any(j != i and lead[j].divides(lm) and (lead[j] != lm or j < i)
@@ -299,6 +298,14 @@ class QuotientRing:
     @functools.cached_property
     def is_radical(self):
         return all(self.ideal.reduce(g).is_zero() for g in self.radical)
+
+    @functools.cached_property
+    def radical_ring(self):
+        """The quotient by the radical, built once per ring; it is radical
+        (Seidenberg's lemma), so it never computes a radical of its own."""
+        ring = monomial_basis(groebner(self.radical))
+        ring.is_radical = True
+        return ring
 
 
 def monomial_basis(ideal):
@@ -440,7 +447,10 @@ def ideal_power_chain(radical, target):
     """Quotient rings of J^2, J^4, ... up to the first power inside I.
 
     `radical` and `target` are IdealBasis values (J and I).  An empty chain
-    means J itself is already contained in I (the radical case).
+    means J itself is already contained in I (the radical case).  Nothing
+    in the pipeline calls this: the Hensel lift runs in R/I itself.  It is
+    kept as the reference the tests check that lift against, and because
+    the benchmark's tracer wraps it by name.
     """
     if target.contains(radical):
         return []

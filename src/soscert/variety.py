@@ -15,7 +15,6 @@ import warnings
 import numpy as np
 from scipy.linalg import schur
 
-from . import quotient
 from .errors import BoundaryAmbiguity, ClusterAmbiguity, SingularVandermonde
 from .polyring import Polynomial, evaluate
 
@@ -46,9 +45,7 @@ class VarietyData:
 def _distinct_point_count(ring):
     """Number of distinct points of the variety, computed exactly as the
     quotient dimension of the radical ideal."""
-    if ring.is_radical:
-        return ring.D
-    return quotient.monomial_basis(quotient.groebner(ring.radical)).D
+    return ring.D if ring.is_radical else ring.radical_ring.D
 
 
 def solve_variety(ring, tol=None, seed=0):

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 
-from . import quotient
-from .certifier import expansion
+from .certifier import build_ring, expansion
 from .polyring import height
 
 
@@ -99,7 +98,7 @@ def verify_certificate(inst, cert, ring=None):
     degree_bound_ok = None
     mode_ok = None
     if ring is None:
-        ring = quotient.monomial_basis(quotient.groebner(inst.h))
+        ring = build_ring(inst)
     if ring.ideal.is_graded:
         bound = degree_bounds(inst, ring).cofactor_degree_bound
         degree_bound_ok = all(

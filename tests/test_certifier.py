@@ -65,12 +65,27 @@ class TestStrict:
                 == problem_io.format_certificate(c2, names))
 
 
+def _ring(gens):
+    return quotient.monomial_basis(quotient.groebner(gens))
+
+
+def _chain_sqrt(ring, j, theta, t):
+    """Reference lift up the quotients by J^2, J^4, ... of the radical J of
+    ring = R/I, with an exact inverse solve at every level, reduced modulo I
+    at the end."""
+    chain = quotient.ideal_power_chain(quotient.groebner(j), ring.ideal)
+    for ring_k in chain:
+        sigma = quotient.inverse_mod(ring_k, t)
+        t = ring_k.normal_form((t + theta * sigma) * Fraction(1, 2))
+    return chain, ring.normal_form(t)
+
+
 @functools.cache
-def _cliff_chain():
+def _cliff_ideals():
     x, y = (parse_polynomial(v, ["x", "y"]) for v in ("x", "y"))
     j = [x * (x - 1), y * (y - 2)]
-    return quotient.ideal_power_chain(quotient.groebner(j),
-                                      quotient.groebner([x * j[0], y * j[1]]))
+    i = [x * j[0], y * j[1]]
+    return j, i, _ring(i)
 
 
 class TestHensel:
@@ -94,19 +109,20 @@ class TestHensel:
 
     def test_hensel_sqrt_chain_property(self):
         x = parse_polynomial("x", ["x"])
-        rad = quotient.groebner([x])
-        target = quotient.groebner([parse_polynomial("x^3", ["x"])])
-        chain = quotient.ideal_power_chain(rad, target)
+        ring = _ring([parse_polynomial("x^3", ["x"])])
         theta = parse_polynomial("1 + x", ["x"])
         theta0 = parse_polynomial("1", ["x"])
-        t = certifier.hensel_sqrt(chain, theta, theta0)
-        # the final lift squares to theta modulo every power in the chain
-        for ring_k in chain:
-            assert ring_k.normal_form(t * t - theta).is_zero()
+        t = certifier.hensel_sqrt(ring, theta, theta0,
+                                  quotient.inverse_mod(ring.radical_ring, theta0))
+        # the lift in R/I is the chain's lift reduced modulo I
+        chain, t_ref = _chain_sqrt(ring, [x], theta, theta0)
+        assert len(chain) == 2
+        assert t == t_ref
+        assert ring.normal_form(t * t - theta).is_zero()
 
     def test_cofactors_only_for_the_original_ideal(self, monkeypatch):
-        # (x - 1)^2 (x - 2), (y - 3)^2: the radical and its powers are only
-        # reduced against, never expressed in their generators
+        # (x - 1)^2 (x - 2), (y - 3)^2: the radical is only reduced
+        # against, never expressed in its generators
         seen = []
         express = quotient._express_in_generators
         monkeypatch.setattr(quotient, "_express_in_generators",
@@ -132,16 +148,26 @@ class TestHensel:
         r1 = sum((c * m for c, m in zip(r_coeffs[:3], (one, x, y))), one * 0)
         r2 = sum((c * m for c, m in zip(r_coeffs[3:], (one, x, y))), one * 0)
         theta = s * s + r1 * x * (x - 1) + r2 * y * (y - 2)
-        chain = _cliff_chain()
-        assert len(chain) == 2  # J^2, J^4: one Newton level
+        j, i, ring = _cliff_ideals()
+        chain, t = _chain_sqrt(ring, j, theta, s)
+        assert len(chain) == 2  # J^2, J^4
 
-        t = s
-        for ring_k in chain:
-            sigma = quotient.inverse_mod(ring_k, t)
-            t = ring_k.normal_form((t + theta * sigma) * Fraction(1, 2))
-        assert certifier.hensel_sqrt(chain, theta, s) == t
+        sigma0 = quotient.inverse_mod(ring.radical_ring, s)
+        assert certifier.hensel_sqrt(ring, theta, s, sigma0) == t
 
-    def test_radical_input_delegates(self):
+    def test_only_the_ideal_and_its_radical_get_groebner_bases(self, monkeypatch):
+        j, i, _ = _cliff_ideals()
+        calls = []
+        groebner = quotient.groebner
+        monkeypatch.setattr(quotient, "groebner", lambda gens: calls.append(gens) or groebner(gens))
+        xy = ["x", "y"]
+        inst = certifier.ProblemInstance(xy, parse_polynomial("x + y + 1", xy), [], i)
+        cert = certifier.certify_strict(inst)
+        assert expand(inst, cert) == inst.f
+        assert len(calls) == 2 and calls[0] == i
+        assert groebner(calls[1]).gb == groebner(j).gb
+
+    def test_radical_input_certified_by_the_lift(self):
         inst = certifier.ProblemInstance(
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
@@ -163,6 +189,17 @@ class TestNonneg:
     def test_condition_failed(self, double_origin):
         with pytest.raises(ConditionFailed):
             certifier.certify_nonneg(double_origin)
+
+    def test_one_radical_ring(self, cusp_circle, monkeypatch):
+        # the witness's point count and the Hensel lift share one R/J
+        rings = []
+        monomial_basis = quotient.monomial_basis
+        monkeypatch.setattr(quotient, "monomial_basis",
+                            lambda ideal: rings.append(monomial_basis(ideal)) or rings[-1])
+        cert = certifier.certify_nonneg(cusp_circle)
+        assert expand(cusp_circle, cert) == cusp_circle.f
+        ring, ring_j = rings
+        assert not ring.is_radical and ring_j is ring.radical_ring
 
 
 class TestPerturb:
