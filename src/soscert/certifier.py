@@ -82,7 +82,7 @@ def perturb(inst, ring, var):
     Returns (per-constraint blocks of (weight, square), f - phi)."""
     member = variety.membership(var, inst.g)
     f_vals = _real_values(var, inst.f)
-    tol = max(var.tolerance * 1e6, 1e-9)
+    tol = var.decision_tol
     for i in member.s_indices:
         if f_vals[i] < -tol:
             raise NotStrictlyPositiveOnS(f"f = {f_vals[i]:.3e} at a point of S")
@@ -256,6 +256,10 @@ def certify_strict_nonradical(inst, ring=None):
     blocks0 = [(w, q) for w, q in squares[:-1] if not q.is_zero()]
     blocks0.append((w_d, q1))
     return _assemble(inst, ring, blocks0, g_blocks)
+
+
+# the values of the mode and engine options, in files and on the command line
+OPTION_CHOICES = {"mode": ("strict", "nonneg"), "engine": ("constructive", "sdp")}
 
 
 def certify(inst):

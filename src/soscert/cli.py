@@ -111,8 +111,8 @@ def build_parser():
 
     p = sub.add_parser("certify", help="compute a certificate")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=["strict", "nonneg"])
-    p.add_argument("--engine", choices=["constructive", "sdp"])
+    p.add_argument("--mode", choices=certifier.OPTION_CHOICES["mode"])
+    p.add_argument("--engine", choices=certifier.OPTION_CHOICES["engine"])
     p.add_argument("--precision-start", type=int, dest="precision_start")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

@@ -104,20 +104,6 @@ def nullspace(a):
     return basis
 
 
-def rank(a):
-    return len(rref(a)[1])
-
-
-def invert(a):
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(a)
-    aug = [list(a[i]) + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug, ncols=n)
-    if len(pivots) < n:
-        return None
-    return [row[n:] for row in red]
-
-
 def determinant(a):
     """Fraction-free (Bareiss) determinant of a square matrix."""
     n = len(a)

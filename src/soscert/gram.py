@@ -7,10 +7,13 @@ it to dyadic rationals, project exactly onto the affine variety of Gram
 matrices of p, and factor the result by fraction-free LDL^t into an exact
 weighted sum of squares.
 
-The Gram set is A y = b over the D(D+1)/2 upper-triangle unknowns.  A column
-of A is NF(b_i b_j), over the monomial basis one or a few basis monomials, so
-the rows of A are kept sparse and the exact projection y = q + W^-1 A^t mu,
-(A W^-1 A^t) mu = b - A q, is built from their nonzeros alone.
+The Gram set is A y = b over the D(D+1)/2 upper-triangle unknowns of a
+matrix on a spanning set c_1..c_D of the quotient (the basis monomials B
+unless given).  A column of A is the vector NF(c_i c_j) over B, and b is
+NF(p), both from the ring's one normal-form map.  Over B a column has one or
+a few nonzeros, so the rows of A are kept sparse and the exact projection
+y = q + W^-1 A^t mu, (A W^-1 A^t) mu = b - A q, is built from their nonzeros
+alone.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import exactla
 from .errors import (InfeasibleVariety, NonPositiveAtRealRoot, NotPD,
                      PrecisionExceeded, ZeroPivot)
-from .polyring import common_denominator, evaluate, round_binary
+from .polyring import Polynomial, common_denominator, evaluate, round_binary
 
 DEFAULT_MAX_BITS = 4096
 
@@ -177,24 +180,20 @@ def build_gram_real(ring, var, p, distinguished=False):
 
 class GramVariety:
     """Integer constraint system A y = b over the upper-triangle unknowns of
-    {Y : sum_ij Y_ij c_i c_j = p mod I}, rank-reduced; off-diagonal unknowns
-    carry Frobenius weight 2.  Each row of A is the list of its nonzero
-    (unknown index, coefficient) pairs."""
+    {Y : sum_ij Y_ij c_i c_j = p mod I}, rank-reduced, with c = span_polys
+    (by default the monomials of B); off-diagonal unknowns carry Frobenius
+    weight 2.  Each row of A is the list of its nonzero (unknown index,
+    coefficient) pairs."""
 
     def __init__(self, ring, p, span_polys=None):
+        if span_polys is None:
+            span_polys = [Polynomial({b: Fraction(1)}, ring.nvars) for b in ring.basis]
         self.ring = ring
-        D = ring.D if span_polys is None else len(span_polys)
-        self.D = D
+        D = self.D = len(span_polys)
         self.pairs = [(i, j) for i in range(D) for j in range(i, D)]
         self.weights = [Fraction(1) if i == j else Fraction(2) for i, j in self.pairs]
-        if span_polys is None:
-            # b_i b_j is a monomial: its normal form comes from the ring's cache
-            products = (ring.nf_monomial(ring.basis[i] * ring.basis[j]) for i, j in self.pairs)
-        else:
-            products = (ring.normal_form(span_polys[i] * span_polys[j])
-                        for i, j in self.pairs)
-        cols = [[w * x if x else x for x in ring.to_vector(prod)]
-                for w, prod in zip(self.weights, products)]
+        cols = [[w * x if x else x for x in ring.nf_vector(span_polys[i] * span_polys[j])]
+                for w, (i, j) in zip(self.weights, self.pairs)]
         rows = exactla.transpose(cols)
         rhs = ring.nf_vector(p)
         # rank-reduce, keeping consistency information

@@ -230,9 +230,6 @@ class Polynomial:
         conv = float if self.domain in (EXACT, REAL) else complex
         return Polynomial({m: conv(c) for m, c in self.terms.items()}, self.nvars)
 
-    def real_part(self):
-        return Polynomial({m: c.real for m, c in self.terms.items()}, self.nvars)
-
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
 
@@ -285,11 +282,6 @@ def round_binary(x, frac_bits):
     if not math.isfinite(x):
         raise ValueError("cannot round a non-finite value")
     return Fraction(math.floor(Fraction(x) * (1 << frac_bits)), 1 << frac_bits)
-
-
-def round_poly(p, frac_bits):
-    """Entrywise binary rounding of an approx-real polynomial to exact dyadics."""
-    return Polynomial({m: round_binary(c, frac_bits) for m, c in p.terms.items()}, p.nvars)
 
 
 # -- ASCII grammar --------------------------------------------------------

@@ -31,12 +31,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certifier import Certificate, ProblemInstance
+from .certifier import OPTION_CHOICES, Certificate, ProblemInstance
 from .errors import ParseError
 from .polyring import format_polynomial, parse_polynomial
 
 
 _OPTION_TYPES = {"mode": str, "engine": str, "seed": int, "precision_start": int}
+
+
+def _choice(key, value):
+    if key in OPTION_CHOICES and value not in OPTION_CHOICES[key]:
+        raise ParseError(f"{key} must be one of {', '.join(OPTION_CHOICES[key])}, "
+                         f"not {value!r}")
+    return value
 
 
 def parse_problem(text):
@@ -64,7 +71,7 @@ def parse_problem(text):
                 _, key, value = line.split(None, 2)
                 if key not in _OPTION_TYPES:
                     raise ParseError(f"unknown option {key!r}")
-                options[key] = _OPTION_TYPES[key](value)
+                options[key] = _choice(key, _OPTION_TYPES[key](value))
             else:
                 raise ParseError(f"unrecognized line {line!r}")
         except ParseError as exc:
@@ -115,7 +122,7 @@ def parse_certificate(text, expected_vars=None):
             continue
         try:
             if line.startswith("mode"):
-                mode = line.split()[1]
+                mode = _choice("mode", line.split()[1])
             elif line.startswith("variables"):
                 var_names = line.split()[1:]
                 if expected_vars is not None and var_names != list(expected_vars):
@@ -140,7 +147,10 @@ def parse_certificate(text, expected_vars=None):
                                 parse_polynomial(poly_text, _need_vars(var_names))))
             elif line.startswith("cofactor"):
                 _, j, poly_text = line.split(None, 2)
-                cofactors[int(j)] = parse_polynomial(poly_text, _need_vars(var_names))
+                j = int(j)
+                if j in cofactors:
+                    raise ParseError(f"second `cofactor {j}` line")
+                cofactors[j] = parse_polynomial(poly_text, _need_vars(var_names))
             elif line.startswith("witness"):
                 _, k, poly_text = line.split(None, 2)
                 if int(k) != len(witnesses) + 1:

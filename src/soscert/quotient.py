@@ -5,6 +5,11 @@ quotient ring with multiplication matrices, normal forms, degree-aware
 cofactor reduction against the *original* generators, the coprimality
 witness (a, b, gamma) for the nonnegativity pipeline, inverses modulo an
 ideal, and the quotient by the radical that the Hensel lift starts from.
+
+Normal forms come from one linear map over the quotient basis B (see
+`QuotientRing`); full division by the Gröbner basis is left to what needs
+its quotients or runs before the ring exists: Gröbner completion,
+`cofactor_reduce` and the multiplication matrices of `monomial_basis`.
 """
 
 from __future__ import annotations
@@ -221,7 +226,15 @@ class Cofactors:
 
 
 class QuotientRing:
-    """Finite-dimensional quotient by a zero-dimensional ideal."""
+    """Finite-dimensional quotient by a zero-dimensional ideal.
+
+    Every reduction modulo I goes through one linear map over the basis B:
+    NF(p) = sum_m c_m NF(m), with NF(m) cached as a coefficient vector over
+    B.  The cache starts from B's unit vectors and the border NF(x_k b) that
+    `monomial_basis` reduces by division to build M_k; every other monomial
+    follows from NF(x_k m) = M_k NF(m).  The map is the same for exact, float
+    and complex coefficients.
+    """
 
     def __init__(self, ideal, basis, mult_matrices):
         self.ideal = ideal
@@ -230,58 +243,43 @@ class QuotientRing:
         self.mult_matrices = mult_matrices
         self.nvars = ideal.nvars
         self._index = {m: i for i, m in enumerate(basis)}
-        self._nf_cache = {}
+        self._nf_vectors = {m: self._unit(i) for i, m in enumerate(basis)}
+        # 1 lies in B unless I is the unit ideal, where every vector is empty
+        self._nf_vectors.setdefault(Monomial.unit(self.nvars), [])
 
     # -- normal forms -------------------------------------------------
 
-    def nf_monomial(self, m):
-        """Normal form of a monomial, cached; NF(x_k m) = M_k NF(m) once the
-        multiplication matrices exist."""
-        cached = self._nf_cache.get(m)
-        if cached is None:
-            k = next((i for i, e in enumerate(m.exponents) if e), None)
-            if self.mult_matrices is None or k is None:
-                cached = self.ideal.reduce(Polynomial({m: Fraction(1)}, self.nvars))
-            else:
-                inner = self.to_vector(self.nf_monomial(m / Monomial.variable(k, self.nvars)))
-                cached = self.from_vector(exactla.mat_vec(self.mult_matrices[k], inner))
-            self._nf_cache[m] = cached
-        return cached
+    def _nf_monomial(self, m):
+        path = []  # divide down to a cached monomial, then multiply back up
+        while m not in self._nf_vectors:
+            k = next(i for i, e in enumerate(m.exponents) if e)
+            path.append((m, k))
+            m = m / Monomial.variable(k, self.nvars)
+        v = self._nf_vectors[m]
+        for m, k in reversed(path):
+            v = self._nf_vectors[m] = exactla.mat_vec(self.mult_matrices[k], v)
+        return v
 
-    def normal_form(self, p):
-        """Normal form in span(B); linear, so complex/float coefficients are
-        combined against exactly reduced monomials."""
-        if p.domain == "QQ":
-            return self.ideal.reduce(p)
-        acc = Polynomial.zero(self.nvars)
+    def nf_vector(self, p):
+        """Coefficient vector over B of the normal form of p."""
+        acc = [Fraction(0)] * self.D
         for m, c in p.terms.items():
-            acc = acc + self.nf_monomial(m) * c
+            for i, x in enumerate(self._nf_monomial(m)):
+                if x:
+                    acc[i] += c * x
         return acc
 
-    def to_vector(self, p):
-        """Coefficient vector over B of a polynomial supported on B."""
-        if p.domain == "QQ":
-            v = [Fraction(0)] * self.D
-        elif p.domain == "C":
-            v = [0j] * self.D
-        else:
-            v = [0.0] * self.D
-        for m, c in p.terms.items():
-            i = self._index.get(m)
-            if i is None:
-                raise ValueError(f"monomial {m} not in the quotient basis")
-            v[i] = c
-        return v
+    def normal_form(self, p):
+        """Normal form in span(B)."""
+        return self.from_vector(self.nf_vector(p))
 
     def from_vector(self, v):
         return Polynomial({m: c for m, c in zip(self.basis, v)}, self.nvars)
 
-    def nf_vector(self, p):
-        return self.to_vector(self.normal_form(p))
-
     def mult_matrix(self, f):
         """Matrix of multiplication by f on the quotient, columns over B."""
-        cols = [self.nf_vector(f * self.from_vector(self._unit(k))) for k in range(self.D)]
+        cols = [self.nf_vector(f * Polynomial({b: Fraction(1)}, self.nvars))
+                for b in self.basis]
         return exactla.transpose(cols)
 
     def _unit(self, k):
@@ -297,7 +295,7 @@ class QuotientRing:
 
     @functools.cached_property
     def is_radical(self):
-        return all(self.ideal.reduce(g).is_zero() for g in self.radical)
+        return not any(x for g in self.radical for x in self.nf_vector(g))
 
     @functools.cached_property
     def radical_ring(self):
@@ -311,8 +309,11 @@ class QuotientRing:
 def monomial_basis(ideal):
     """Standard monomials of the ideal, with multiplication matrices.
 
-    Raises NotZeroDimensional unless every variable has a pure power among
-    the Gröbner leading monomials (the classical finiteness criterion).
+    The columns of M_k are NF(x_k b) for b in B, reduced here by division;
+    they seed the ring's normal-form cache, so this is the ring's only
+    reduction by division.  Raises NotZeroDimensional unless every variable
+    has a pure power among the Gröbner leading monomials (the classical
+    finiteness criterion).
     """
     nvars = ideal.nvars
     lead = [g.leading_monomial() for g in ideal.gb]
@@ -336,10 +337,16 @@ def monomial_basis(ideal):
             queue.append(m * Monomial.variable(i, nvars))
     standard.sort(key=Monomial.grevlex_key)
     ring = QuotientRing(ideal, standard, None)
+    cache = ring._nf_vectors
     mats = []
     for i in range(nvars):
-        xi = Polynomial.variable(i, nvars)
-        cols = [ring.nf_vector(xi * Polynomial({b: Fraction(1)}, nvars)) for b in standard]
+        cols = []
+        for b in standard:
+            m = b * Monomial.variable(i, nvars)
+            if m not in cache:
+                nf = ideal.reduce(Polynomial({m: Fraction(1)}, nvars))
+                cache[m] = [nf.coefficient(b2) for b2 in standard]
+            cols.append(cache[m])
         mats.append(exactla.transpose(cols))
     ring.mult_matrices = mats
     return ring

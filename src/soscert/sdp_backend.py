@@ -42,7 +42,7 @@ class SdpProblem:
         self.nvars_total = len(self.mults) * d * d
         # column (p, q) of the free block is NF(b_p b_q) over B; a g block
         # multiplies it by the matrix of g on the quotient
-        products = np.array([ring.to_vector(ring.nf_monomial(bp * bq))
+        products = np.array([ring.nf_vector(Polynomial({bp * bq: 1}, inst.nvars))
                              for bp in ring.basis for bq in ring.basis],
                             dtype=float).reshape(d * d, d).T
         self.A = np.hstack([products] + [np.array(ring.mult_matrix(g), dtype=float) @ products

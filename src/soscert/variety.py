@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from .errors import BoundaryAmbiguity, ClusterAmbiguity, SingularVandermonde
-from .polyring import Polynomial, evaluate
+from .polyring import evaluate
 
 
 class RootPoint:
@@ -35,6 +35,9 @@ class VarietyData:
         self.points = points
         self.idempotents = idempotents  # complex array, column j = u_{zeta_j} over B
         self.tolerance = tolerance
+        # the one tolerance of the float decisions on values at the roots:
+        # membership in S and the sign of f there must agree on it
+        self.decision_tol = max(tolerance * 1e6, 1e-9)
         self.ring = ring
 
     @property
@@ -169,11 +172,10 @@ class Membership:
         self.complex_indices = complex_indices
 
 
-def membership(var, g_list, tol=None):
+def membership(var, g_list):
     """Partition the variety into S, excluded real points (with a violated
     constraint index each), and complex points."""
-    if tol is None:
-        tol = max(var.tolerance * 1e6, 1e-9)
+    tol = var.decision_tol
     s_indices = []
     excluded = []
     complex_indices = []
@@ -201,21 +203,3 @@ def membership(var, g_list, tol=None):
             excluded.append((i, violated))
     return Membership(s_indices, excluded, complex_indices)
 
-
-def interpolation_poly(var, j):
-    """Lagrange-style product of linear factors: 1 at point j, 0 elsewhere."""
-    ring = var.ring
-    target = np.array(var.points[j].coordinates)
-    phi = Polynomial.constant(1.0, ring.nvars)
-    for i, p in enumerate(var.points):
-        if i == j:
-            continue
-        other = np.array(p.coordinates)
-        c = int(np.argmax(np.abs(target - other)))
-        denom = target[c] - other[c]
-        xc = Polynomial.variable(c, ring.nvars)
-        factor = (xc - complex(other[c])) * (1.0 / complex(denom))
-        phi = phi * factor
-    if all(p.kind == "real" for p in var.points):
-        phi = phi.real_part()
-    return phi

@@ -65,17 +65,6 @@ class VerificationReport:
             lines.append(self.detail)
         return "\n".join(lines)
 
-    def to_kv_lines(self):
-        kv = {
-            "identity_ok": self.identity_ok,
-            "weights_ok": self.weights_ok,
-            "degree_bound_ok": self.degree_bound_ok,
-            "mode_ok": self.mode_ok,
-            "max_numerator_bits": self.max_numerator_bits,
-            "max_denominator_bits": self.max_denominator_bits,
-        }
-        return "\n".join(f"{k}={v}" for k, v in kv.items())
-
 
 def verify_certificate(inst, cert, ring=None):
     """Exact verification of the certificate identity over the rationals.

@@ -1,6 +1,6 @@
 import pytest
 
-from soscert import cli, problem_io, verify_bounds
+from soscert import certifier, cli, problem_io, verify_bounds
 from soscert.errors import ParseError
 
 from conftest import data_path, load_problem
@@ -113,6 +113,25 @@ class TestVerify:
         assert ("verification failed: shape: 3 cofactors, but the problem has 2 equations"
                 in capsys.readouterr().err)
 
+    def test_second_cofactor_line_exits_1(self, tmp_path, capsys):
+        # a repeated index must not silently replace the first cofactor
+        text = open(data_path("four_points_strict.cert")).read()
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text + "cofactor 1 0\n")
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 1
+        assert "line 15: second `cofactor 1` line" in capsys.readouterr().err
+
+    def test_unknown_mode_exits_1(self, tmp_path, capsys):
+        text = open(data_path("four_points_strict.cert")).read()
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text.replace("mode strict", "mode strictly"))
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 1
+        assert "line 1: mode must be one of strict, nonneg" in capsys.readouterr().err
+
     def test_variable_mismatch_exits_1(self, tmp_path):
         text = open(data_path("four_points_strict.cert")).read()
         bad = tmp_path / "bad.cert"
@@ -146,6 +165,26 @@ class TestProblemIO:
             "variables x\nf: x + 3\nh: x^2 - 1\noption mode strict\n"
             "option seed 5\n")
         assert inst.options == {"mode": "strict", "seed": 5}
+
+    @pytest.mark.parametrize("key,value", [("mode", "nonnegative"), ("engine", "simplex")])
+    def test_unknown_option_value_rejected(self, tmp_path, key, value):
+        text = f"variables x\nf: x + 3\nh: x^2 - 1\noption {key} {value}\n"
+        with pytest.raises(ParseError) as exc:
+            problem_io.parse_problem(text)
+        assert exc.value.line == 4
+        prob = tmp_path / "bad.prob"
+        prob.write_text(text)
+        assert run(["certify", "--input", str(prob)]) == 1
+
+    @pytest.mark.parametrize("key", ["mode", "engine"])
+    def test_option_values_match_the_cli(self, key):
+        # files and the command line accept the values of one table
+        for value in certifier.OPTION_CHOICES[key]:
+            args = cli.build_parser().parse_args(["certify", "--input", "p", f"--{key}", value])
+            assert getattr(args, key) == value
+            inst = problem_io.parse_problem(
+                f"variables x\nf: x + 3\nh: x^2 - 1\noption {key} {value}\n")
+            assert inst.options == {key: value}
 
     def test_order_option_rejected(self):
         # the SDP engine's blocks are fixed by the quotient basis

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from soscert.errors import ParseError
 from soscert.polyring import (Monomial, Polynomial, evaluate, format_polynomial,
-                              height, parse_polynomial, round_binary, round_poly)
+                              height, parse_polynomial, round_binary)
 
 
 def poly(s, names=("x", "y")):
@@ -137,7 +137,3 @@ class TestRounding:
     def test_error_bound(self, x, bits):
         r = round_binary(x, bits)
         assert abs(Fraction(x) - r) < Fraction(1, 2 ** bits)
-
-    def test_round_poly(self):
-        p = round_poly(poly("1/3*x"), 2)
-        assert p.coefficient(Monomial((1, 0))) == Fraction(1, 4)

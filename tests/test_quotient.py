@@ -1,3 +1,5 @@
+import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -206,3 +208,55 @@ def test_normal_form_linear(p, q):
                                parse_polynomial("y^2 - x - 2", ["x", "y"])])
     ring = quotient.monomial_basis(ideal)
     assert ring.normal_form(p + q) == ring.normal_form(p) + ring.normal_form(q)
+
+
+# -- one normal form: the cached monomial map against full division ------------
+
+RINGS = {
+    "radical": ["x^2 - 1", "y^2 - x - 2"],
+    "multiple": ["x^3 - x^2", "y^3 - 2*y^2"],
+    "conjugate": ["x^2 - 2*x + 2", "y^2 + y + 1"],
+}
+
+
+@functools.cache
+def built_ring(name):
+    return quotient.monomial_basis(quotient.groebner([poly(h) for h in RINGS[name]]))
+
+
+@st.composite
+def high_degree_polys(draw, max_exp):
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        exps = (draw(st.integers(0, max_exp)), draw(st.integers(0, max_exp)))
+        terms[Monomial(exps)] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+    return Polynomial(terms, 2)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_division(name, data):
+    # exponents up to 2 deg B + 2 reach monomials that only M_k NF(m) gives
+    ring = built_ring(name)
+    p = data.draw(high_degree_polys(2 * ring.degree_of_basis() + 2))
+    expected = ring.ideal.reduce(p)
+    assert ring.normal_form(p) == expected
+    approx = ring.normal_form(p.to_float())
+    assert approx.is_zero() or approx.domain == "R"
+    for m in set(approx.terms) | set(expected.terms):
+        assert math.isclose(approx.coefficient(m), float(expected.coefficient(m)),
+                            rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_normal_form_never_divides_once_the_ring_is_built(monkeypatch):
+    ring = quotient.monomial_basis(quotient.groebner([poly(h) for h in RINGS["multiple"]]))
+    p = poly("x^9*y^7 - 3*x^5*y^11 + 2*x*y - 1")
+    expected = ring.ideal.reduce(p)
+
+    def refuse(*args):
+        raise AssertionError("division after the ring was built")
+
+    monkeypatch.setattr(quotient, "divide", refuse)
+    assert ring.normal_form(p) == expected
+    assert not ring.is_radical

@@ -66,7 +66,7 @@ class TestFormulate:
                     for t, bt in enumerate(ring.basis):
                         square = square + Polynomial({bp * bt: float(q[p, t])}, 2)
                 total = total + mult * square
-            expected = ring.to_vector(ring.normal_form(total))
+            expected = ring.nf_vector(total)
             assert np.allclose(prob.A @ prob.pack(blocks), expected, atol=1e-12)
 
     def test_not_graded_certified(self):

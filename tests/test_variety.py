@@ -109,14 +109,3 @@ class TestMembership:
             variety.membership(four_points_var, [poly("x - 1")])
         assert any(issubclass(w.category, BoundaryAmbiguity) for w in caught)
 
-
-class TestInterpolation:
-    def test_lagrange_values(self, four_points_var):
-        var = four_points_var
-        for j in range(len(var.points)):
-            phi = variety.interpolation_poly(var, j)
-            pf = phi.to_float()
-            for i, p in enumerate(var.points):
-                val = evaluate(pf, p.coordinates)
-                target = 1.0 if i == j else 0.0
-                assert abs(val - target) < 1e-6

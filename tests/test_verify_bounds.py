@@ -63,13 +63,6 @@ class TestVerifyCertificate:
             four_points, Certificate("nonneg", cert.blocks, cert.cofactors))
         assert report.mode_ok is False
 
-    def test_kv_serialization(self, four_points):
-        cert = load_certificate("four_points_strict.cert")
-        report = verify_bounds.verify_certificate(four_points, cert)
-        kv = dict(line.split("=", 1) for line in report.to_kv_lines().splitlines())
-        assert kv["identity_ok"] == "True"
-        assert "max_numerator_bits" in kv
-
 
 def binary_cube_instance(n, f, g=None):
     names = [f"x{i+1}" for i in range(n)]
