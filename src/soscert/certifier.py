@@ -2,20 +2,20 @@
 
 Four routes produce a Certificate: strict positivity on the real variety
 (radical ideals), strict positivity on S via inequality perturbation,
-nonnegativity through the (a, b, gamma) witness, and non-radical ideals
-through a certificate over the radical J whose last square is Hensel-lifted
-back to I inside R/I; no ring but R/I and R/J is built.
+nonnegativity through the (a, b, gamma) witness, and non-radical ideals.
+A non-radical ideal I gets the radical route's own Gram certificate of
+f~ - eps over its radical J, plus eps t^2 with t the square root of
+1 mod J Hensel-lifted inside R/I; no ring but R/I and R/J is built.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import gram, quotient, variety
-from .errors import (IdentityBroken, NotPD, NotStrictlyPositiveOnS, PrecisionExceeded,
-                     ZeroPivot)
+from .errors import (IdentityBroken, NonPositiveAtRealRoot, NotStrictlyPositiveOnS,
+                     PrecisionExceeded)
 from .polyring import Polynomial, evaluate, round_binary
 
 
@@ -185,17 +185,17 @@ def certify_nonneg(inst, ring=None):
                        witnesses=witnesses, gamma=gamma_val)
 
 
-def hensel_sqrt(ring, theta, theta0, sigma0):
-    """Newton square-root lifting in ring = R/I: from theta0^2 = theta and
-    theta0 * sigma0 = 1 modulo the radical J to the unique t = theta0 mod J
-    with t^2 = theta mod I (unique because 2 theta0 is a unit).
+def hensel_sqrt(ring, theta):
+    """Newton square-root lifting in ring = R/I of a theta that is 1 modulo
+    the radical J: from t = sigma = 1 to the unique t = 1 mod J with
+    t^2 = theta mod I (unique because 2 is a unit).
 
     Each level takes two Newton steps sigma <- sigma (2 - t sigma) for the
     inverse of t, then t <- (t + theta sigma) / 2; the level k iterate is
     right modulo J^(2^k).  J/I is nilpotent in an algebra of dimension D, so
     J^D lies in I and ceil(log2 D) + 1 levels always suffice."""
     theta = ring.normal_form(theta)
-    t, sigma = theta0, sigma0
+    t = sigma = Polynomial.constant(1, ring.nvars)
     for _ in range((ring.D - 1).bit_length() + 1):
         for _ in range(2):
             sigma = ring.normal_form(sigma * (2 - ring.normal_form(t * sigma)))
@@ -206,55 +206,26 @@ def hensel_sqrt(ring, theta, theta0, sigma0):
 
 
 def certify_strict_nonradical(inst, ring=None):
-    """Strict certificate when the ideal has multiple points: certify over
-    the radical with a distinguished nonvanishing square, then Hensel-lift
-    that square back to a certificate modulo I."""
+    """Strict certificate when the ideal has multiple points.  Over the
+    radical J, certify f~ - eps = sum w q^2 mod J for a power of two eps
+    below f~ at the real roots; then theta = (f~ - sum w q^2) / eps is 1
+    modulo J, and its Hensel-lifted square root t gives
+    f~ = sum w q^2 + eps t^2 modulo I."""
     if ring is None:
         ring = build_ring(inst)
     ring_j = ring.radical_ring
-    seed = inst.options.get("seed", 0)
-    var_j = variety.solve_variety(ring_j, seed=seed)
-
+    var_j = variety.solve_variety(ring_j, seed=inst.options.get("seed", 0))
     g_blocks, f_tilde = perturb(inst, ring_j, var_j)
-
-    cols = gram.theta_columns(ring_j, var_j, f_tilde, distinguished=True)
-    theta_tilde = np.column_stack(cols)
-    d = ring_j.D
-    roots = [pt.coordinates for pt in var_j.points]
-    eye = gram.SymmetricMatrix([[int(i == j) for j in range(d)] for i in range(d)])
-
-    def round_at(bits):
-        return [[round_binary(float(theta_tilde[i, k]), bits) for k in range(d)]
-                for i in range(d)]
-
-    def attempt(theta_rows):
-        span = [ring_j.from_vector([row[k] for row in theta_rows]) for k in range(d)]
-        # the distinguished column must stay nonvanishing after rounding
-        if any(abs(complex(evaluate(span[-1].to_float(), z))) < 1e-9 for z in roots):
-            return None
-        try:
-            lp = gram.GramVariety(ring_j, f_tilde, span_polys=span)
-            fact = gram.ldlt(gram.project_to_gram(lp, eye))
-        except (NotPD, ZeroPivot):
-            return None
-        return (theta_rows, fact) if fact.perm == list(range(d)) else None
-
-    theta_rows, fact = gram.escalate(inst.options.get("precision_start", 32),
-                                     round_at, attempt)
-
-    # squares theta_k = B Theta L, with the last one nonvanishing on V_C
-    squares = []
-    for k in range(d):
-        coeffs = [sum(theta_rows[i][j] * Fraction(fact.L[j][k]) for j in range(k, d))
-                  for i in range(d)]
-        squares.append((Fraction(1, fact.pivots[k]), ring_j.from_vector(coeffs)))
-
-    w_d, theta_d = squares[-1]
-    theta_target = (f_tilde - sum((q * q * w for w, q in squares[:-1]),
-                                  Polynomial.zero(inst.nvars))) * (Fraction(1) / w_d)
-    q1 = hensel_sqrt(ring, theta_target, theta_d, quotient.inverse_mod(ring_j, theta_d))
-    blocks0 = [(w, q) for w, q in squares[:-1] if not q.is_zero()]
-    blocks0.append((w_d, q1))
+    # eps is the largest power of two <= min(1, low / 2), or 1 without real roots
+    low = min(_real_values(var_j, f_tilde).values(), default=2.0)
+    if low <= 0:
+        raise NonPositiveAtRealRoot(f"p = {low:.3e} at a real root")
+    eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
+    _, fact = gram.round_and_certify(ring_j, var_j, f_tilde - eps,
+                                     start_bits=inst.options.get("precision_start", 32))
+    blocks0 = _squares_from_factorization(ring_j, fact)
+    theta = (f_tilde - sum((q * q * w for w, q in blocks0), Polynomial.zero(inst.nvars))) / eps
+    blocks0.append((eps, hensel_sqrt(ring, theta)))
     return _assemble(inst, ring, blocks0, g_blocks)
 
 
@@ -262,7 +233,7 @@ def certify_strict_nonradical(inst, ring=None):
 OPTION_CHOICES = {"mode": ("strict", "nonneg"), "engine": ("constructive", "sdp")}
 
 
-def certify(inst):
+def certify(inst, ring=None):
     """Dispatch on the engine and mode options.  The SDP engine returns a
     strict-mode certificate in either mode (it proves nonnegativity too);
     the witness structure of the constructive nonneg route is not produced
@@ -270,7 +241,7 @@ def certify(inst):
     if inst.options.get("engine") == "sdp":
         from . import sdp_backend
 
-        return sdp_backend.algorithm1_certify(inst)
+        return sdp_backend.algorithm1_certify(inst, ring)
     if inst.options.get("mode") == "nonneg":
-        return certify_nonneg(inst)
-    return certify_strict(inst)
+        return certify_nonneg(inst, ring)
+    return certify_strict(inst, ring)

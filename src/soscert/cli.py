@@ -10,8 +10,10 @@ cofactors), the identity holds, the weights are nonnegative and the
 nonneg-mode witnesses check.  The degree bound is printed but decides no
 exit code.
 
-The environment variable SOS_CERT_MAX_BITS overrides the precision
-ceiling of every rounding loop, the SDP engine's included.
+Every rounding loop doubles its precision and stops once the rounded
+float64 data repeats, as it does from 1074 bits on; a fixed ceiling of 4096
+bits guards the loop.
+`certify` builds the quotient ring once and verifies its own output in it.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ def cmd_certify(args):
             inst.options[key] = value
     if args.precision_start is not None:
         inst.options["precision_start"] = args.precision_start
+    ring = certifier.build_ring(inst)
     try:
-        cert = certifier.certify(inst)
+        cert = certifier.certify(inst, ring)
     except (ConditionFailed, NotStrictlyPositiveOnS) as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_IMPOSSIBLE
@@ -66,7 +69,7 @@ def cmd_certify(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return _verdict(inst, cert)
+    return _verdict(inst, cert, ring)
 
 
 def cmd_verify(args):
@@ -76,8 +79,8 @@ def cmd_verify(args):
     return _verdict(inst, cert)
 
 
-def _verdict(inst, cert):
-    report = verify_bounds.verify_certificate(inst, cert)
+def _verdict(inst, cert, ring=None):
+    report = verify_bounds.verify_certificate(inst, cert, ring)
     print(report.to_text())
     if report.ok:
         return EXIT_OK

@@ -7,19 +7,19 @@ it to dyadic rationals, project exactly onto the affine variety of Gram
 matrices of p, and factor the result by fraction-free LDL^t into an exact
 weighted sum of squares.
 
-The Gram set is A y = b over the D(D+1)/2 upper-triangle unknowns of a
-matrix on a spanning set c_1..c_D of the quotient (the basis monomials B
-unless given).  A column of A is the vector NF(c_i c_j) over B, and b is
-NF(p), both from the ring's one normal-form map.  Over B a column has one or
-a few nonzeros, so the rows of A are kept sparse and the exact projection
-y = q + W^-1 A^t mu, (A W^-1 A^t) mu = b - A q, is built from their nonzeros
-alone.
+Both strict routes use this one construction: the radical route on R/I,
+the Hensel route on R/J for f~ - eps (see `certifier`).  The Gram set is
+A y = b over the D(D+1)/2 upper-triangle unknowns of a matrix on the basis
+monomials B of the quotient.  A column of A is the vector NF(b_i b_j) over
+B, and b is NF(p), both from the ring's one normal-form map.  A column has
+one or a few nonzeros, so the rows of A are kept sparse and the exact
+projection y = q + W^-1 A^t mu, (A W^-1 A^t) mu = b - A q, is built from
+their nonzeros alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -29,11 +29,9 @@ from .errors import (InfeasibleVariety, NonPositiveAtRealRoot, NotPD,
                      PrecisionExceeded, ZeroPivot)
 from .polyring import Polynomial, common_denominator, evaluate, round_binary
 
-DEFAULT_MAX_BITS = 4096
-
-
-def precision_ceiling():
-    return int(os.environ.get("SOS_CERT_MAX_BITS", DEFAULT_MAX_BITS))
+# float64 data rounds exactly from 1074 fractional bits on, so a repeated
+# rounding stops every precision loop before this ceiling; it only guards it
+MAX_BITS = 4096
 
 
 class SymmetricMatrix:
@@ -70,91 +68,37 @@ def _dyadic_lambda(mag):
     return math.floor((mag + 1.5) * 256) / 256.0
 
 
-def theta_columns(ring, var, p, distinguished=False):
-    """Real coefficient vectors theta (over B) with sum theta^2 = p mod I.
+def build_gram_real(ring, var, p):
+    """Q~ = Theta Theta^t with B Q~ B^t = p mod I (numerically), PD.
 
-    With `distinguished`, the last column is nonvanishing at every point of
-    the variety (needed as the seed of a Hensel lift); this uses the mixing
-    construction with a small epsilon instead of the plain idempotents.
-    """
+    The columns of Theta are sqrt(p(xi)) u_xi for each real root xi and two
+    real columns per conjugate pair."""
     pf = p.to_float()
     u = var.idempotents
     if u is None:
         raise NonPositiveAtRealRoot("variety is not radical; no idempotents")
-    reals = [(i, [z.real for z in pt.coordinates])
-             for i, pt in enumerate(var.points) if pt.kind == "real"]
-    pairs = [(i, pt.partner) for i, pt in enumerate(var.points)
+    reals = [i for i, pt in enumerate(var.points) if pt.kind == "real"]
+    pairs = [i for i, pt in enumerate(var.points)
              if pt.kind == "complex" and pt.partner is not None and i < pt.partner]
-    vals_real = {i: evaluate(pf, coords) for i, coords in reals}
-    bad = [v for v in vals_real.values() if v <= 0]
-    if bad:
+    vals_real = {i: evaluate(pf, [z.real for z in var.points[i].coordinates]) for i in reals}
+    if any(v <= 0 for v in vals_real.values()):
         exc = NonPositiveAtRealRoot(f"p = {min(vals_real.values()):.3e} at a real root")
         exc.value = min(vals_real.values())
         raise exc
-
-    cols = []
-    if not distinguished:
-        for i, _ in reals:
-            cols.append(math.sqrt(vals_real[i]) * u[:, i].real)
-        for i, _ in pairs:
-            val = complex(evaluate(pf, var.points[i].coordinates))
-            cols.extend(_pair_columns(u[:, i], val, 0.0))
-        return cols
-
-    if reals:
-        # mix the first real root's idempotent across the whole variety
-        i0 = reals[0][0]
-        f0 = vals_real[i0]
-        eps = 0.5
-        others = [i for i, _ in reals[1:]]
-        while others and any(vals_real[i] - eps * eps * f0 <= 0 for i in others):
-            eps *= 0.5
-        v0 = u[:, i0].real + eps * sum((u[:, i].real for i in others), np.zeros(ring.D))
-        for i, j in pairs:
-            v0 = v0 + (u[:, i] + u[:, j]).real
-        cols = []
-        for i in others:
-            cols.append(math.sqrt(vals_real[i] - eps * eps * f0) * u[:, i].real)
-        for i, _ in pairs:
-            val = complex(evaluate(pf, var.points[i].coordinates)) - f0
-            cols.extend(_pair_columns(u[:, i], val, 0.0))
-        cols.append(math.sqrt(f0) * v0)
-        return cols
-
-    # V_R empty: mix one conjugate pair (Lemma-2.3-style construction)
-    if not pairs:
-        return []
-    (i0, j0) = pairs[0]
-    f_z0 = complex(evaluate(pf, var.points[i0].coordinates))
-    lam0 = 2.0 * abs(f_z0) + 2.0
-    eps = 0.5
-    while True:
-        a_ib = (f_z0 - eps * eps * f_z0.conjugate()) / (1 - eps ** 4) - eps * lam0
-        if (1 + eps * eps) * lam0 > 2 * abs(a_ib):
-            break
-        eps *= 0.5
-    v0 = u[:, i0] + eps * u[:, j0]
-    rho = {}
-    for i, _ in pairs[1:]:
-        f_z = complex(evaluate(pf, var.points[i].coordinates))
-        rho[i] = f_z - (2 * f_z0.real / (1 + eps * eps) + (1 - eps) ** 2 * lam0)
-        v0 = v0 + u[:, i] + u[:, var.points[i].partner]
-    lam_eff = (1 + eps * eps) * lam0 / 2.0
-    cols = []
-    for i, _ in pairs[1:]:
-        cols.extend(_pair_columns(u[:, i], rho[i], 0.0))
-    # the first column of the pair is nonvanishing on the variety; put it last
-    cols.extend(reversed(_pair_columns(v0, a_ib, 0.0, lam_override=lam_eff)))
-    return cols
+    cols = [math.sqrt(vals_real[i]) * u[:, i].real for i in reals]
+    for i in pairs:
+        cols.extend(_pair_columns(u[:, i], complex(evaluate(pf, var.points[i].coordinates))))
+    theta = np.column_stack(cols) if cols else np.zeros((ring.D, 0))
+    return theta @ theta.T
 
 
-def _pair_columns(u_col, a_ib, shift, lam_override=None):
+def _pair_columns(u_col, a_ib):
     """Two real columns for a conjugate pair via the identity
     (a+ib)(u+iv)^2 + (a-ib)(u-iv)^2 + 2 lam (u^2+v^2)
       = 2(lam+a)(u - b/(lam+a) v)^2 + 2 (lam^2-|a+ib|^2)/(lam+a) v^2."""
-    a = a_ib.real - shift
+    a = a_ib.real
     b = a_ib.imag
-    lam = _dyadic_lambda(abs(complex(a, b))) if lam_override is None else lam_override
+    lam = _dyadic_lambda(abs(complex(a, b)))
     ur = np.asarray(u_col).real
     ui = np.asarray(u_col).imag
     w1 = 2.0 * (lam + a)
@@ -164,35 +108,22 @@ def _pair_columns(u_col, a_ib, shift, lam_override=None):
     return [c1, c2]
 
 
-def build_gram_real(ring, var, p, distinguished=False):
-    """Q~ = Theta Theta^t with B Q~ B^t = p mod I (numerically), PD.
-
-    Returns (Q~, lambda_min estimate)."""
-    cols = theta_columns(ring, var, p, distinguished)
-    theta = np.column_stack(cols) if cols else np.zeros((ring.D, 0))
-    q = theta @ theta.T
-    lam_min = float(np.min(np.linalg.eigvalsh(q))) if ring.D else 0.0
-    return q, lam_min
-
-
 # -- affine Gram variety ---------------------------------------------------
 
 
 class GramVariety:
     """Integer constraint system A y = b over the upper-triangle unknowns of
-    {Y : sum_ij Y_ij c_i c_j = p mod I}, rank-reduced, with c = span_polys
-    (by default the monomials of B); off-diagonal unknowns carry Frobenius
-    weight 2.  Each row of A is the list of its nonzero (unknown index,
-    coefficient) pairs."""
+    {Y : sum_ij Y_ij b_i b_j = p mod I}, rank-reduced, over the monomials
+    b_i of B; off-diagonal unknowns carry Frobenius weight 2.  Each row of A
+    is the list of its nonzero (unknown index, coefficient) pairs."""
 
-    def __init__(self, ring, p, span_polys=None):
-        if span_polys is None:
-            span_polys = [Polynomial({b: Fraction(1)}, ring.nvars) for b in ring.basis]
+    def __init__(self, ring, p):
+        basis = [Polynomial({b: Fraction(1)}, ring.nvars) for b in ring.basis]
         self.ring = ring
-        D = self.D = len(span_polys)
+        D = self.D = ring.D
         self.pairs = [(i, j) for i in range(D) for j in range(i, D)]
         self.weights = [Fraction(1) if i == j else Fraction(2) for i, j in self.pairs]
-        cols = [[w * x if x else x for x in ring.nf_vector(span_polys[i] * span_polys[j])]
+        cols = [[w * x if x else x for x in ring.nf_vector(basis[i] * basis[j])]
                 for w, (i, j) in zip(self.weights, self.pairs)]
         rows = exactla.transpose(cols)
         rhs = ring.nf_vector(p)
@@ -329,9 +260,8 @@ def escalate(start_bits, round_at, attempt):
     input, and `attempt(rounded)` returns the exact result or None to ask
     for more bits.  A rounding equal to the previous one means the float64
     data has no more bits to give, so the loop stops there."""
-    ceiling = precision_ceiling()
     bits, previous = start_bits, None
-    while bits <= ceiling:
+    while bits <= MAX_BITS:
         rounded = round_at(bits)
         if previous is not None and rounded == previous:
             raise PrecisionExceeded(f"float64 margin used up: {bits} bits round the "
@@ -341,7 +271,7 @@ def escalate(start_bits, round_at, attempt):
             return result
         previous = rounded
         bits *= 2
-    raise PrecisionExceeded(f"no exact certificate up to the ceiling of {ceiling} bits")
+    raise PrecisionExceeded(f"no exact certificate up to the ceiling of {MAX_BITS} bits")
 
 
 def round_and_certify(ring, var, p, start_bits=32):
@@ -349,7 +279,7 @@ def round_and_certify(ring, var, p, start_bits=32):
     precision on failure.  Returns (Q0 exact PD in the Gram variety, its
     LDL^t factorization)."""
     try:
-        q_tilde, _ = build_gram_real(ring, var, p)
+        q_tilde = build_gram_real(ring, var, p)
     except NonPositiveAtRealRoot as exc:
         if getattr(exc, "value", -1.0) > -1e-6:
             raise PrecisionExceeded(

@@ -3,8 +3,8 @@
 Gröbner bases (Buchberger, sugar selection), the monomial basis of the
 quotient ring with multiplication matrices, normal forms, degree-aware
 cofactor reduction against the *original* generators, the coprimality
-witness (a, b, gamma) for the nonnegativity pipeline, inverses modulo an
-ideal, and the quotient by the radical that the Hensel lift starts from.
+witness (a, b, gamma) for the nonnegativity pipeline, and the quotient by
+the radical on which the Hensel route certifies before its lift.
 
 Normal forms come from one linear map over the quotient basis B (see
 `QuotientRing`); full division by the Gröbner basis is left to what needs
@@ -440,7 +440,11 @@ def coprimality_witness(ring, f):
 
 
 def inverse_mod(ring, theta):
-    """sigma with theta * sigma = 1 modulo the ideal, via an exact solve."""
+    """sigma with theta * sigma = 1 modulo the ideal, via an exact solve.
+
+    Nothing in the pipeline calls this: the Hensel lift starts from the
+    inverse 1 of 1.  Like `ideal_power_chain`, it is kept as the tests'
+    reference and because the benchmark's tracer wraps it by name."""
     m = ring.mult_matrix(ring.normal_form(theta))
     one = [Fraction(0)] * ring.D
     one[ring._index[Monomial.unit(ring.nvars)]] = Fraction(1)

@@ -17,7 +17,7 @@ from soscert import (certifier, cli, exactla, gram, quotient, sdp_backend,
 from soscert.errors import ConditionFailed, Infeasible, MaxIterations
 from soscert.polyring import (Monomial, Polynomial, evaluate, parse_polynomial)
 
-from conftest import data_path, load_certificate
+from conftest import data_path, load_certificate, load_problem
 
 
 def poly(s, names=("x", "y")):
@@ -130,15 +130,13 @@ class TestCriterion4NegativeControl:
 
 class TestCriterion5HenselPath:
     def test_double_origin_certificate(self):
-        inst = certifier.ProblemInstance(
-            ["x"], parse_polynomial("1 + x", ["x"]), [],
-            [parse_polynomial("x^2", ["x"])])
+        inst = load_problem("double_origin_shifted.prob")
         cert = certifier.certify_strict(inst)
         assert (expand(inst, cert) - inst.f).is_zero()
-        # the lifted square agrees with 1 + x modulo x^2
-        ring = certifier.build_ring(inst)
-        squares = [q for _, q in cert.blocks[0] if not q.is_zero()]
-        assert any(ring.normal_form(q * q - inst.f).is_zero() for q in squares)
+        # 1 + x = 1/2 * 1^2 + 1/2 * (1 + x)^2 - 1/2 * x^2, where 1 + x is the
+        # lifted square root of theta = 1 + 2x modulo x^2
+        half = Fraction(1, 2)
+        assert cert.blocks[0] == [(half, poly("1", ["x"])), (half, poly("1 + x", ["x"]))]
 
     def test_chain_property_on_cubed_ideal(self):
         x = parse_polynomial("x", ["x"])

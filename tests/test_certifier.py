@@ -2,17 +2,19 @@ import functools
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soscert import certifier, cli, gram, problem_io, quotient, sdp_backend, variety
+from soscert import (certifier, cli, gram, problem_io, quotient, sdp_backend, variety,
+                     verify_bounds)
 from soscert.errors import (ClusterAmbiguity, ConditionFailed,
                             NotStrictlyPositiveOnS)
-from soscert.polyring import Polynomial, evaluate, parse_polynomial
+from soscert.polyring import Polynomial, parse_polynomial
 
 from conftest import data_path
 
@@ -95,10 +97,11 @@ class TestHensel:
             [parse_polynomial("x^2", ["x"])])
         cert = certifier.certify_strict(inst)
         assert expand(inst, cert) == inst.f
-        # the textbook factorization 1 + x = (1 + x/2)^2 - x^2/4
-        [(w, q)] = [wq for wq in cert.blocks[0] if not wq[1].is_zero()]
-        assert w * q * q == parse_polynomial(
-            "1/4*x^2 + x + 1", ["x"]) * 1
+        # eps = 1/2 below f(0) = 1: 1/2 = 1/2 * 1^2 modulo x, and the square
+        # root of theta = 1 + 2x modulo x^2 is 1 + x
+        half, one = Fraction(1, 2), Polynomial.constant(1, 1)
+        assert cert.blocks[0] == [(half, one), (half, parse_polynomial("1 + x", ["x"]))]
+        assert cert.cofactors == [Polynomial.constant(-half, 1)]
 
     def test_triple_origin_lift(self):
         inst = certifier.ProblemInstance(
@@ -111,11 +114,9 @@ class TestHensel:
         x = parse_polynomial("x", ["x"])
         ring = _ring([parse_polynomial("x^3", ["x"])])
         theta = parse_polynomial("1 + x", ["x"])
-        theta0 = parse_polynomial("1", ["x"])
-        t = certifier.hensel_sqrt(ring, theta, theta0,
-                                  quotient.inverse_mod(ring.radical_ring, theta0))
+        t = certifier.hensel_sqrt(ring, theta)
         # the lift in R/I is the chain's lift reduced modulo I
-        chain, t_ref = _chain_sqrt(ring, [x], theta, theta0)
+        chain, t_ref = _chain_sqrt(ring, [x], theta, parse_polynomial("1", ["x"]))
         assert len(chain) == 2
         assert t == t_ref
         assert ring.normal_form(t * t - theta).is_zero()
@@ -136,24 +137,19 @@ class TestHensel:
         assert seen and all(gens == inst.h for gens in seen)
 
     @settings(max_examples=10, deadline=None)
-    @given(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-           st.lists(st.integers(-2, 2), min_size=6, max_size=6))
-    def test_newton_inverse_matches_a_solve_per_level(self, s_coeffs, r_coeffs):
-        # theta = s^2 + r1 x (x - 1) + r2 y (y - 2) is s^2 modulo the radical
-        # of (x^2 (x - 1), y^2 (y - 2)); it is nonzero at the roots when s is
+    @given(st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+    def test_newton_inverse_matches_a_solve_per_level(self, r_coeffs):
+        # theta = 1 + r1 x (x - 1) + r2 y (y - 2) is 1 modulo the radical
+        # of (x^2 (x - 1), y^2 (y - 2))
         xy = ["x", "y"]
         one, x, y = (parse_polynomial(v, xy) for v in ("1", "x", "y"))
-        s = sum((c * m for c, m in zip(s_coeffs, (one, x, y, x * y))), one * 0)
-        assume(all(evaluate(s, pt) != 0 for pt in [(0, 0), (0, 2), (1, 0), (1, 2)]))
         r1 = sum((c * m for c, m in zip(r_coeffs[:3], (one, x, y))), one * 0)
         r2 = sum((c * m for c, m in zip(r_coeffs[3:], (one, x, y))), one * 0)
-        theta = s * s + r1 * x * (x - 1) + r2 * y * (y - 2)
+        theta = one + r1 * x * (x - 1) + r2 * y * (y - 2)
         j, i, ring = _cliff_ideals()
-        chain, t = _chain_sqrt(ring, j, theta, s)
+        chain, t = _chain_sqrt(ring, j, theta, one)
         assert len(chain) == 2  # J^2, J^4
-
-        sigma0 = quotient.inverse_mod(ring.radical_ring, s)
-        assert certifier.hensel_sqrt(ring, theta, s, sigma0) == t
+        assert certifier.hensel_sqrt(ring, theta) == t
 
     def test_only_the_ideal_and_its_radical_get_groebner_bases(self, monkeypatch):
         j, i, _ = _cliff_ideals()
@@ -173,6 +169,80 @@ class TestHensel:
             [parse_polynomial("x^2 - 1", ["x"])])
         cert = certifier.certify_strict_nonradical(inst)
         assert expand(inst, cert) == inst.f
+
+
+def _certify_and_verify(tmp, text):
+    """Run `soscert certify` then `verify` on a problem text; returns the
+    exit codes and the parsed certificate."""
+    prob, out = os.path.join(tmp, "p.prob"), os.path.join(tmp, "p.cert")
+    with open(prob, "w") as fh:
+        fh.write(text)
+    code = cli.main(["certify", "--input", prob, "--out", out])
+    with open(out) as fh:
+        cert = problem_io.parse_certificate(fh.read())[0]
+    return code, cli.main(["verify", "--input", prob, "--certificate", out]), cert
+
+
+def _lifted_square_is_one_mod_radical(text, cert):
+    ring = certifier.build_ring(problem_io.parse_problem(text))
+    assert not ring.is_radical
+    _, t = cert.blocks[0][-1]
+    return ring.radical_ring.normal_form(t - 1).is_zero()
+
+
+class TestConstantSquareLift:
+    """The Hensel route certifies f~ - eps over the radical J with the
+    radical route's Gram construction and lifts the square root of
+    theta = 1 mod J; its last square is 1 modulo J."""
+
+    @pytest.mark.parametrize("text", [
+        # V(J) = {i, -i}: no real point, so eps = 1
+        "variables x\nf: x + 5\nh: x^4 + 2*x^2 + 1\n",
+        # a double point in x times a conjugate pair in y, with a g
+        "variables x y\nf: x - 2\ng: x\nh: x^3 - x^2\nh: y^2 + 1\n",
+    ])
+    def test_complex_points(self, tmp_path, text):
+        code, verified, cert = _certify_and_verify(str(tmp_path), text)
+        assert (code, verified) == (0, 0)
+        assert cert.blocks[0][-1][0] == 1
+        assert _lifted_square_is_one_mod_radical(text, cert)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=4, max_size=4, unique=True),
+           st.integers(2, 3), st.integers(1, 3), st.integers(-2, 2), st.integers(-2, 2),
+           st.integers(1, 4))
+    def test_random_products(self, roots, k, m, u, v, margin):
+        # (x - a)^k (x - b), (y - c)^m (y - d) with f = u x + v y + w, whose
+        # minimum over the four points is the margin
+        a, b, c, d = roots
+        xy = ["x", "y"]
+        x, y = poly("x"), poly("y")
+        w = margin - min(u * px + v * py for px in (a, b) for py in (c, d))
+        inst = certifier.ProblemInstance(
+            xy, x * u + y * v + w, [], [(x - a) ** k * (x - b), (y - c) ** m * (y - d)])
+        text = problem_io.format_problem(inst)
+        with tempfile.TemporaryDirectory() as tmp:
+            code, verified, cert = _certify_and_verify(tmp, text)
+        assert (code, verified) == (0, 0)
+        assert _lifted_square_is_one_mod_radical(text, cert)
+
+    def test_cliff_height(self):
+        # x^2 (x - 1), y^2 (y - 2): lifting a non-constant square from R/J
+        # gives thousands of bits here
+        xy = ["x", "y"]
+        _, i, ring = _cliff_ideals()
+        inst = certifier.ProblemInstance(xy, parse_polynomial("x + y + 1", xy), [], i)
+        report = verify_bounds.verify_certificate(inst, certifier.certify(inst, ring), ring)
+        assert report.ok
+        assert max(report.max_numerator_bits, report.max_denominator_bits) <= 256
+
+    def test_zero_at_a_multiple_point_is_impossible(self, tmp_path, capsys):
+        # f = x vanishes at the double root 0 of x^3 - x^2: exit 2, naming
+        # the value 0 of f there, not that of f - eps
+        prob = tmp_path / "zero.prob"
+        prob.write_text("variables x\nf: x\nh: x^3 - x^2\n")
+        assert cli.main(["certify", "--input", str(prob)]) == 2
+        assert "p = 0.000e+00 at a real root" in capsys.readouterr().err
 
 
 class TestNonneg:
@@ -302,13 +372,11 @@ class TestInternalFailuresSurface:
             from soscert import certifier, quotient
             from soscert.errors import IdentityBroken
             from soscert.polyring import Polynomial, parse_polynomial
-            # a wrong inverse breaks the Newton step t^2 = theta
-            quotient.inverse_mod = lambda ring, t: Polynomial.constant(3, ring.nvars)
-            inst = certifier.ProblemInstance(
-                ["x"], parse_polynomial("1 + x", ["x"]), [],
-                [parse_polynomial("x^2", ["x"])])
+            # -1 is not 1 modulo the radical (x), so no Newton lift from 1
+            # squares to it modulo x^2
+            ring = quotient.monomial_basis(quotient.groebner([parse_polynomial("x^2", ["x"])]))
             try:
-                certifier.certify_strict(inst)
+                certifier.hensel_sqrt(ring, Polynomial.constant(-1, 1))
             except IdentityBroken as exc:
                 sys.exit(0 if "Hensel step" in str(exc) else 2)
             sys.exit(1)

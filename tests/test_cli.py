@@ -1,6 +1,6 @@
 import pytest
 
-from soscert import certifier, cli, problem_io, verify_bounds
+from soscert import certifier, cli, problem_io, quotient, verify_bounds
 from soscert.errors import ParseError
 
 from conftest import data_path, load_problem
@@ -38,6 +38,16 @@ class TestCertify:
         bad = tmp_path / "bad.prob"
         bad.write_text("variables x\nf: x\n")
         assert run(["certify", "--input", str(bad)]) == 1
+
+    def test_one_ring_per_certify(self, tmp_path, monkeypatch, capsys):
+        # certify verifies its own output in the ring it certified in
+        calls = []
+        groebner = quotient.groebner
+        monkeypatch.setattr(quotient, "groebner", lambda gens: calls.append(gens) or groebner(gens))
+        out = tmp_path / "cert.txt"
+        assert run(["certify", "--input", data_path("four_points.prob"), "--out", str(out)]) == 0
+        assert "identity: ok" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_seed_determinism(self, tmp_path):
         outs = []
