@@ -6,6 +6,8 @@ nonnegativity through the (a, b, gamma) witness, and non-radical ideals.
 A non-radical ideal I gets the radical route's own Gram certificate of
 f~ - eps over its radical J, plus eps t^2 with t the square root of
 1 mod J Hensel-lifted inside R/I; no ring but R/I and R/J is built.
+Both strict routes solve roots on a radical ring and judge the sign of f
+at the points of S by one rule, in `perturb`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import math
 from fractions import Fraction
 
 from . import gram, quotient, variety
-from .errors import (IdentityBroken, NonPositiveAtRealRoot, NotStrictlyPositiveOnS,
-                     PrecisionExceeded)
+from .errors import IdentityBroken, NotStrictlyPositiveOnS, PrecisionExceeded
 from .polyring import Polynomial, evaluate, round_binary
 
 
@@ -79,6 +80,12 @@ def perturb(inst, ring, var):
     """phi = sum rho_xi u_xi^2 g_{i_xi} over excluded real points, with
     rational data, such that f - phi > 0 at every real root.
 
+    This is the one sign rule of both strict routes at the points of S:
+    f < -tol means no certificate exists (NotStrictlyPositiveOnS); f <= 0,
+    or f <= tol when points are excluded, means float64 cannot show the
+    margin (PrecisionExceeded).  phi >= 0 on S, so no rounding lifts
+    f - phi above tol where f is not.
+
     Returns (per-constraint blocks of (weight, square), f - phi)."""
     member = variety.membership(var, inst.g)
     f_vals = _real_values(var, inst.f)
@@ -86,13 +93,14 @@ def perturb(inst, ring, var):
     for i in member.s_indices:
         if f_vals[i] < -tol:
             raise NotStrictlyPositiveOnS(f"f = {f_vals[i]:.3e} at a point of S")
+    floor = tol if member.excluded else 0.0
+    for i in member.s_indices:
+        if f_vals[i] <= floor:
+            within = f", within the perturbation tolerance {tol:.1e}" if floor else ""
+            raise PrecisionExceeded(f"float64 margin used up: f = {f_vals[i]:.3e} at a point "
+                                    f"of S{within}")
     if not member.excluded:
         return [[] for _ in inst.g], inst.f
-    # phi >= 0 on S, so no rounding lifts f - phi above tol where f is not
-    for i in member.s_indices:
-        if f_vals[i] <= tol:
-            raise PrecisionExceeded(f"float64 margin used up: f = {f_vals[i]:.3e} at a point "
-                                    f"of S, within the perturbation tolerance {tol:.1e}")
     rhos = []
     for idx, gi in member.excluded:
         coords = [z.real for z in var.points[idx].coordinates]
@@ -216,10 +224,9 @@ def certify_strict_nonradical(inst, ring=None):
     ring_j = ring.radical_ring
     var_j = variety.solve_variety(ring_j, seed=inst.options.get("seed", 0))
     g_blocks, f_tilde = perturb(inst, ring_j, var_j)
-    # eps is the largest power of two <= min(1, low / 2), or 1 without real roots
+    # eps is the largest power of two <= min(1, low / 2), or 1 without real
+    # roots; perturb has made low > 0
     low = min(_real_values(var_j, f_tilde).values(), default=2.0)
-    if low <= 0:
-        raise NonPositiveAtRealRoot(f"p = {low:.3e} at a real root")
     eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
     _, fact = gram.round_and_certify(ring_j, var_j, f_tilde - eps,
                                      start_bits=inst.options.get("precision_start", 32))

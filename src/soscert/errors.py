@@ -53,12 +53,12 @@ class PrecisionExceeded(SosCertError):
 
 
 class ClusterAmbiguity(SosCertError):
-    """Root clusters are closer than the clustering tolerance allows."""
+    """Two computed roots are closer than the separation tolerance allows."""
 
 
 class SingularVandermonde(SosCertError):
-    """Vandermonde of the basis at the computed points is singular; the
-    ideal has multiple points or clustering failed."""
+    """Vandermonde of the basis at the computed points is singular: the
+    ring is not radical, or two roots nearly coincide."""
 
 
 class BoundaryAmbiguity(UserWarning):

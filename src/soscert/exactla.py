@@ -1,35 +1,15 @@
 """Exact linear algebra over Fraction: elimination, solving, nullspaces.
 
 Matrices are plain lists of lists of Fraction, eliminated densely with exact
-pivoting.  The inputs are D x D systems in the quotient dimension D, or the
-D-row Gram constraint system, reduced once per Gram set; the Gram projection
+pivoting.  The inputs are systems in D or 2D unknowns, D the quotient
+dimension (the trace form, whose kernel gives the radical; the coprimality
+witness), or the D-row Gram constraint system, reduced once per Gram set; the Gram projection
 keeps its large, mostly zero matrix sparse itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
 
 
 def mat_vec(a, v):

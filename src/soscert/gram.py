@@ -72,19 +72,17 @@ def build_gram_real(ring, var, p):
     """Q~ = Theta Theta^t with B Q~ B^t = p mod I (numerically), PD.
 
     The columns of Theta are sqrt(p(xi)) u_xi for each real root xi and two
-    real columns per conjugate pair."""
+    real columns per conjugate pair.  The routes call it only after
+    `certifier.perturb` has made p > 0 at every real root; p <= 0 there
+    raises NonPositiveAtRealRoot."""
     pf = p.to_float()
     u = var.idempotents
-    if u is None:
-        raise NonPositiveAtRealRoot("variety is not radical; no idempotents")
     reals = [i for i, pt in enumerate(var.points) if pt.kind == "real"]
     pairs = [i for i, pt in enumerate(var.points)
              if pt.kind == "complex" and pt.partner is not None and i < pt.partner]
     vals_real = {i: evaluate(pf, [z.real for z in var.points[i].coordinates]) for i in reals}
     if any(v <= 0 for v in vals_real.values()):
-        exc = NonPositiveAtRealRoot(f"p = {min(vals_real.values()):.3e} at a real root")
-        exc.value = min(vals_real.values())
-        raise exc
+        raise NonPositiveAtRealRoot(f"p = {min(vals_real.values()):.3e} at a real root")
     cols = [math.sqrt(vals_real[i]) * u[:, i].real for i in reals]
     for i in pairs:
         cols.extend(_pair_columns(u[:, i], complex(evaluate(pf, var.points[i].coordinates))))
@@ -278,13 +276,7 @@ def round_and_certify(ring, var, p, start_bits=32):
     """Round the real Gram matrix, project exactly, factor; escalate the
     precision on failure.  Returns (Q0 exact PD in the Gram variety, its
     LDL^t factorization)."""
-    try:
-        q_tilde = build_gram_real(ring, var, p)
-    except NonPositiveAtRealRoot as exc:
-        if getattr(exc, "value", -1.0) > -1e-6:
-            raise PrecisionExceeded(
-                "p is numerically zero at a real root; no strict certificate") from exc
-        raise
+    q_tilde = build_gram_real(ring, var, p)
     variety = GramVariety(ring, p)
 
     def attempt(q_exact):

@@ -1,9 +1,10 @@
-"""Sparse multivariate polynomials over exact rationals and over floating
-real/complex scalars.
+"""Sparse multivariate polynomials over exact rationals and over floats.
 
 The exact domain uses `fractions.Fraction` coefficients; the approximate
-domains use `float`/`complex`.  Monomials are compared in graded reverse
-lexicographic order throughout, so leading terms are degree-compatible.
+domain uses `float`.  Complex points only ever meet float polynomials in
+`evaluate`, so no polynomial has complex coefficients.  Monomials are
+compared in graded reverse lexicographic order throughout, so leading terms
+are degree-compatible.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import DimensionMismatch, ParseError
 
 EXACT = "QQ"
 REAL = "R"
-COMPLEX = "C"
 
 # relative magnitude below which approximate coefficients are dropped
 APPROX_PRUNE = 2.0 ** -52
@@ -82,8 +82,8 @@ class Polynomial:
     """Finite map Monomial -> coefficient; zero coefficients are never stored.
 
     The scalar domain is inferred from the coefficients: Fraction/int give
-    the exact-rational domain, float gives approx-real, complex approx-complex.
-    Values are immutable after construction.
+    the exact-rational domain, any float gives approx-real.  Values are
+    immutable after construction.
     """
 
     __slots__ = ("terms", "nvars", "domain")
@@ -93,26 +93,20 @@ class Polynomial:
         clean = {}
         domain = EXACT
         for m, c in terms.items():
-            if isinstance(c, complex):
-                domain = COMPLEX
-            elif isinstance(c, float):
-                if domain == EXACT:
-                    domain = REAL
-            if _is_exact(c):
+            if isinstance(c, float):
+                domain = REAL
+            elif _is_exact(c):
                 c = Fraction(c)
                 if c == 0:
                     continue
             clean[m] = c
-        if domain != EXACT and prune and clean:
-            top = max(abs(c) for c in clean.values())
-            floor = top * APPROX_PRUNE
-            clean = {m: c for m, c in clean.items() if abs(c) > floor}
-        if domain == COMPLEX:
-            clean = {m: complex(c) for m, c in clean.items()}
-        elif domain == REAL:
+        if domain == REAL:
+            if prune and clean:
+                floor = max(abs(c) for c in clean.values()) * APPROX_PRUNE
+                clean = {m: c for m, c in clean.items() if abs(c) > floor}
             clean = {m: float(c) for m, c in clean.items()}
         self.terms = clean
-        self.domain = domain if clean else (EXACT if domain == EXACT else domain)
+        self.domain = domain
 
     # -- constructors -------------------------------------------------
 
@@ -147,11 +141,7 @@ class Polynomial:
         return self.terms[self.leading_monomial()]
 
     def coefficient(self, m):
-        if self.domain == EXACT:
-            return self.terms.get(m, Fraction(0))
-        if self.domain == COMPLEX:
-            return self.terms.get(m, 0j)
-        return self.terms.get(m, 0.0)
+        return self.terms.get(m, Fraction(0) if self.domain == EXACT else 0.0)
 
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda t: t[0].grevlex_key(), reverse=reverse)
@@ -224,11 +214,8 @@ class Polynomial:
     # -- conversions --------------------------------------------------
 
     def to_float(self):
-        """Approximate-real (or complex) copy of an exact polynomial."""
-        if self.domain == COMPLEX:
-            return self
-        conv = float if self.domain in (EXACT, REAL) else complex
-        return Polynomial({m: conv(c) for m, c in self.terms.items()}, self.nvars)
+        """Approximate-real copy of a polynomial."""
+        return Polynomial({m: float(c) for m, c in self.terms.items()}, self.nvars)
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
@@ -366,8 +353,6 @@ def parse_polynomial(text, var_names):
 def _format_coeff(c):
     if isinstance(c, Fraction):
         return str(c)
-    if isinstance(c, complex):
-        return f"({c.real:.12g}{c.imag:+.12g}i)"
     return f"{c:.12g}"
 
 

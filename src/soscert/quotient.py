@@ -4,7 +4,12 @@ Gröbner bases (Buchberger, sugar selection), the monomial basis of the
 quotient ring with multiplication matrices, normal forms, degree-aware
 cofactor reduction against the *original* generators, the coprimality
 witness (a, b, gamma) for the nonnegativity pipeline, and the quotient by
-the radical on which the Hensel route certifies before its lift.
+the radical J on which the Hensel route certifies before its lift.
+
+J is read off the trace form H1[i][j] = Tr(M_{b_i b_j}) of R/I: its
+kernel is the nilradical, so one exact nullspace decides radicality and
+gives J (`radical_generators`).  Every float step (root solving, the
+witness's roots, the Gram matrix) sees only R/J, where each root is simple.
 
 Normal forms come from one linear map over the quotient basis B (see
 `QuotientRing`); full division by the Gröbner basis is left to what needs
@@ -232,8 +237,8 @@ class QuotientRing:
     NF(p) = sum_m c_m NF(m), with NF(m) cached as a coefficient vector over
     B.  The cache starts from B's unit vectors and the border NF(x_k b) that
     `monomial_basis` reduces by division to build M_k; every other monomial
-    follows from NF(x_k m) = M_k NF(m).  The map is the same for exact, float
-    and complex coefficients.
+    follows from NF(x_k m) = M_k NF(m).  The map is the same for exact and
+    float coefficients.
     """
 
     def __init__(self, ideal, basis, mult_matrices):
@@ -295,12 +300,16 @@ class QuotientRing:
 
     @functools.cached_property
     def is_radical(self):
-        return not any(x for g in self.radical for x in self.nf_vector(g))
+        """Exact: the radical adds a generator unless the kernel is empty."""
+        return len(self.radical) == len(self.ideal.generators)
 
     @functools.cached_property
     def radical_ring(self):
-        """The quotient by the radical, built once per ring; it is radical
-        (Seidenberg's lemma), so it never computes a radical of its own."""
+        """The quotient by the radical, built once per ring: the ring itself
+        when I is radical.  J is radical, so its ring never computes a
+        radical of its own."""
+        if self.is_radical:
+            return self
         ring = monomial_basis(groebner(self.radical))
         ring.is_radical = True
         return ring
@@ -415,7 +424,8 @@ def coprimality_witness(ring, f):
     if not a.is_zero() or not b.is_zero():
         from . import variety as _variety
 
-        var = _variety.solve_variety(ring)
+        # R/J has the points of R/I, each simple, as root solving requires
+        var = _variety.solve_variety(ring.radical_ring)
         f_float = f.to_float()
         a_float = a.to_float()
         zero_pts = []
@@ -479,84 +489,19 @@ def ideal_power_chain(radical, target):
         current_gens = ideal.gb
 
 
-# -- radical computation (univariate per variable) -------------------------
-
-
-def _char_poly(m):
-    """Characteristic polynomial coefficients (monic, high to low) of an
-    exact matrix, by the Faddeev-LeVerrier recurrence."""
-    d = len(m)
-    coeffs = [Fraction(1)]
-    n_mat = exactla.identity(d)
-    for k in range(1, d + 1):
-        mn = exactla.mat_mul(m, n_mat)
-        c = -sum(mn[i][i] for i in range(d)) / k
-        coeffs.append(c)
-        for i in range(d):
-            mn[i][i] += c
-        n_mat = mn
-    return coeffs
-
-
-def _poly_gcd(a, b):
-    """Monic gcd of univariate polynomials given as high-to-low Fraction lists."""
-
-    def strip(p):
-        i = 0
-        while i < len(p) and p[i] == 0:
-            i += 1
-        return p[i:]
-
-    def rem(p, q):
-        p = p[:]
-        while len(p) >= len(q) and p:
-            f = p[0] / q[0]
-            for i in range(len(q)):
-                p[i] -= f * q[i]
-            p = strip(p[1:] if p[0] == 0 else p)
-            if p and p[0] == 0:
-                p = strip(p)
-        return p
-
-    a, b = strip(a), strip(b)
-    while b:
-        a, b = b, rem(a, b)
-    if not a:
-        return []
-    return [c / a[0] for c in a]
-
-
-def _squarefree_part(coeffs):
-    """Squarefree part of a monic univariate polynomial (high-to-low list)."""
-    d = len(coeffs) - 1
-    deriv = [coeffs[i] * (d - i) for i in range(d)]
-    g = _poly_gcd(coeffs, deriv)
-    if len(g) <= 1:
-        return coeffs
-    # exact division coeffs / g
-    q = []
-    r = coeffs[:]
-    while len(r) >= len(g):
-        f = r[0] / g[0]
-        q.append(f)
-        for i in range(len(g)):
-            r[i] -= f * g[i]
-        r = r[1:]
-    return q
+# -- radical computation (kernel of the trace form) ------------------------
 
 
 def radical_generators(ring):
-    """Generators of the radical: the ideal plus the squarefree part of the
-    characteristic polynomial of each multiplication matrix (Seidenberg's
-    lemma).  Callers use the cached `QuotientRing.radical`."""
-    gens = list(ring.ideal.generators)
-    for i in range(ring.nvars):
-        coeffs = _squarefree_part(_char_poly(ring.mult_matrices[i]))
-        d = len(coeffs) - 1
-        xi = Polynomial.variable(i, ring.nvars)
-        p = Polynomial.zero(ring.nvars)
-        for k, c in enumerate(coeffs):
-            if c:
-                p = p + Polynomial.constant(c, ring.nvars) * xi ** (d - k)
-        gens.append(p)
-    return gens
+    """Generators of the radical J: the ideal plus sum_i c_i b_i for a basis
+    c of the kernel of the trace form H1[i][j] = Tr(M_{b_i b_j}).  In
+    characteristic 0 that kernel is the nilradical of R/I (Becker-Woermann;
+    Pedersen-Roy-Szpirglas), so I is radical exactly when it is empty.
+    Tr(M_p) = t . NF(p) with t_k = Tr(M_{b_k}) = sum_i NF(b_k b_i)[i], and
+    every NF(b_i b_j) comes from the ring's cache, which the Gram
+    constraint system reads too.  Callers use the cached
+    `QuotientRing.radical`."""
+    products = [[ring._nf_monomial(bi * bj) for bj in ring.basis] for bi in ring.basis]
+    t = [sum((row[i][i] for i in range(ring.D)), Fraction(0)) for row in products]
+    h1 = [exactla.mat_vec(row, t) for row in products]
+    return list(ring.ideal.generators) + [ring.from_vector(c) for c in exactla.nullspace(h1)]

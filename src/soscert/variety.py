@@ -1,11 +1,12 @@
-"""Numerical solving of the complex variety of a zero-dimensional ideal.
+"""Numerical solving of the complex variety of a radical zero-dimensional
+ideal.
 
 Coordinates come from a complex Schur decomposition of a random (seeded)
-linear combination of the multiplication matrices; clustering recovers
-multiplicities, guided by the exactly computed number of distinct points
-(the dimension of the quotient by the radical).  For radical ideals the
-idempotent coefficients are the inverse transpose of the Vandermonde
-matrix of the basis at the points.
+linear combination of the multiplication matrices.  Multiplicity is handled
+exactly, before any float step: callers solve the quotient by the radical
+(`QuotientRing.radical_ring`), whose D points are distinct, so each
+eigenvalue is one point.  The idempotent coefficients are the inverse
+transpose of the Vandermonde matrix of the basis at the points.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from .polyring import evaluate
 
 
 class RootPoint:
-    def __init__(self, coordinates, kind, multiplicity, partner=None):
+    def __init__(self, coordinates, kind, partner=None):
         self.coordinates = list(coordinates)
         self.kind = kind  # "real" or "complex"
-        self.multiplicity = multiplicity
         self.partner = partner  # index of the conjugate point, complex kind
 
     def __repr__(self):
-        return f"RootPoint({self.coordinates}, {self.kind}, mult={self.multiplicity})"
+        return f"RootPoint({self.coordinates}, {self.kind})"
 
 
 class VarietyData:
@@ -40,19 +40,17 @@ class VarietyData:
         self.decision_tol = max(tolerance * 1e6, 1e-9)
         self.ring = ring
 
-    @property
-    def is_radical(self):
-        return all(p.multiplicity == 1 for p in self.points)
-
-
-def _distinct_point_count(ring):
-    """Number of distinct points of the variety, computed exactly as the
-    quotient dimension of the radical ideal."""
-    return ring.D if ring.is_radical else ring.radical_ring.D
-
 
 def solve_variety(ring, tol=None, seed=0):
-    """Points of the variety, with multiplicities, via the eigenvalue method."""
+    """Points of the variety of a radical ring, via the eigenvalue method.
+
+    The ring has D distinct points, one per eigenvalue, so nothing is
+    clustered; pass `ring.radical_ring` for a non-radical ideal.  A
+    non-radical ring is refused by the exact test, since its repeated
+    eigenvalues can split by about 1e-8, which no float test of the
+    Vandermonde matrix is sure to see."""
+    if not ring.is_radical:
+        raise SingularVandermonde("the ring is not radical: its points are multiple")
     D = ring.D
     n = ring.nvars
     mats = [np.array([[float(x) for x in row] for row in m]) for m in ring.mult_matrices]
@@ -67,47 +65,20 @@ def solve_variety(ring, tol=None, seed=0):
         scale = max((float(np.max(np.abs(r))) for r in raw), default=0.0)
         tol = 2.0 ** -40 * (1.0 + scale)
 
-    n_distinct = _distinct_point_count(ring)
-    clusters = _cluster(raw, n_distinct)
-    centers = [sum(raw[i] for i in c) / len(c) for c in clusters]
-
-    # separation check between distinct clusters
-    if len(centers) > 1:
-        sep = min(float(np.max(np.abs(a - b)))
-                  for i, a in enumerate(centers) for b in centers[i + 1:])
-        if sep < 10 * tol:
-            raise ClusterAmbiguity(f"cluster separation {sep:.3e} below 10*tol")
-
     points = []
-    for c, center in zip(clusters, centers):
-        imag = float(np.max(np.abs(center.imag))) if D else 0.0
-        kind = "real" if imag <= 1e4 * tol else "complex"
-        coords = [complex(z.real, 0.0) if kind == "real" else complex(z) for z in center]
-        points.append(RootPoint(coords, kind, len(c)))
-
+    for z in raw:
+        kind = "real" if float(np.max(np.abs(z.imag))) <= 1e4 * tol else "complex"
+        points.append(RootPoint([complex(c.real, 0.0) if kind == "real" else complex(c)
+                                 for c in z], kind))
     _pair_conjugates(points, tol)
+    idem = idempotents(ring, points)
 
-    idem = None
-    if all(p.multiplicity == 1 for p in points):
-        idem = idempotents(ring, points)
+    # separation check between distinct points
+    if len(raw) > 1:
+        sep = min(float(np.max(np.abs(a - b))) for i, a in enumerate(raw) for b in raw[i + 1:])
+        if sep < 10 * tol:
+            raise ClusterAmbiguity(f"point separation {sep:.3e} below 10*tol")
     return VarietyData(points, idem, tol, ring)
-
-
-def _cluster(raw, n_clusters):
-    """Single-linkage merge down to the exact number of distinct points."""
-    clusters = [[i] for i in range(len(raw))]
-    while len(clusters) > n_clusters:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = min(float(np.max(np.abs(raw[a] - raw[b])))
-                        for a in clusters[i] for b in clusters[j])
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        _, i, j = best
-        clusters[i] = clusters[i] + clusters[j]
-        del clusters[j]
-    return clusters
 
 
 def _pair_conjugates(points, tol):
@@ -143,11 +114,7 @@ def _eval_basis(ring, coords):
 
 def idempotents(ring, points):
     """U = (V^T)^{-1} with V the Vandermonde of B at the points."""
-    if any(p.multiplicity != 1 for p in points):
-        raise SingularVandermonde("multiple points: idempotents are undefined")
     v = np.array([_eval_basis(ring, p.coordinates) for p in points]).T  # V[i,j] = b_i(zeta_j)
-    if v.shape[0] != v.shape[1]:
-        raise SingularVandermonde("point count does not match quotient dimension")
     try:
         u = np.linalg.inv(v.T)
     except np.linalg.LinAlgError as exc:

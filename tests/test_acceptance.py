@@ -241,8 +241,8 @@ class TestCriterion6PropertySuites:
             h2 = (poly("y") - (poly("x^2") * c[2] + poly("x") * c[1]
                                + Polynomial.constant(c[0], 2)))
             ring = quotient.monomial_basis(quotient.groebner([h1, h2]))
+            assert ring.is_radical
             var = variety.solve_variety(ring)
-            assert var.is_radical
             u = var.idempotents
             v = np.array([variety._eval_basis(ring, p.coordinates)
                           for p in var.points]).T

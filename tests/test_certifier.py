@@ -236,13 +236,27 @@ class TestConstantSquareLift:
         assert report.ok
         assert max(report.max_numerator_bits, report.max_denominator_bits) <= 256
 
-    def test_zero_at_a_multiple_point_is_impossible(self, tmp_path, capsys):
-        # f = x vanishes at the double root 0 of x^3 - x^2: exit 2, naming
-        # the value 0 of f there, not that of f - eps
+    def test_zero_at_a_multiple_point_is_exhaustion(self, tmp_path, capsys):
+        # f = x vanishes at the double root 0 of x^3 - x^2.  A float value
+        # cannot tell 0 from a margin below float64, so this is exhaustion
+        # (3), naming the value of f there, not that of f - eps
         prob = tmp_path / "zero.prob"
         prob.write_text("variables x\nf: x\nh: x^3 - x^2\n")
-        assert cli.main(["certify", "--input", str(prob)]) == 2
-        assert "p = 0.000e+00 at a real root" in capsys.readouterr().err
+        assert cli.main(["certify", "--input", str(prob)]) == 3
+        assert "f = 0.000e+00 at a point of S" in capsys.readouterr().err
+
+
+class TestSignRule:
+    """Both strict routes judge the sign of f at the points of S by one
+    rule, in `perturb`: f = 2 - x^2 + 10^-20 is 10^-20 > 0 at +-sqrt(2),
+    below what float64 can show, so either route gives up with exit 3."""
+
+    @pytest.mark.parametrize("h", ["x^2 - 2", "x^4 - 4*x^2 + 4"], ids=["radical", "hensel"])
+    def test_margin_below_float64_is_exhaustion(self, tmp_path, capsys, h):
+        prob = tmp_path / "tiny.prob"
+        prob.write_text(f"variables x\nf: 2 - x^2 + 1/{10 ** 20}\nh: {h}\n")
+        assert cli.main(["certify", "--input", str(prob)]) == 3
+        assert "float64 margin used up" in capsys.readouterr().err
 
 
 class TestNonneg:
@@ -261,7 +275,7 @@ class TestNonneg:
             certifier.certify_nonneg(double_origin)
 
     def test_one_radical_ring(self, cusp_circle, monkeypatch):
-        # the witness's point count and the Hensel lift share one R/J
+        # the witness's roots and the Hensel lift share one R/J
         rings = []
         monomial_basis = quotient.monomial_basis
         monkeypatch.setattr(quotient, "monomial_basis",
@@ -349,16 +363,24 @@ class TestDispatcher:
 
 
 class TestRadicalOnce:
-    def test_char_poly_once_per_variable(self, monkeypatch):
+    @pytest.mark.parametrize("mode, h", [
+        ("strict", ["x^2 - 1", "y^2 - y"]),
+        ("strict", ["x^3 - x^2", "y^2 - y"]),
+        ("nonneg", ["x^3 - y^2", "x^2 - 2*x + y^2"]),
+    ], ids=["radical", "hensel", "nonneg"])
+    def test_radical_generators_once_per_ring(self, monkeypatch, mode, h):
+        # R/I computes its radical once; R/J is radical by construction
         calls = []
-        char_poly = quotient._char_poly
-        monkeypatch.setattr(quotient, "_char_poly",
-                            lambda m: calls.append(len(m)) or char_poly(m))
-        inst = certifier.ProblemInstance(
-            ["x", "y"], poly("x + y + 3"), [], [poly("x^2 - 1"), poly("y^2 - y")])
-        cert = certifier.certify_strict(inst)
+        radical_generators = quotient.radical_generators
+        monkeypatch.setattr(quotient, "radical_generators",
+                            lambda ring: calls.append(ring) or radical_generators(ring))
+        f = poly("x") if mode == "nonneg" else poly("x + y + 3")
+        inst = certifier.ProblemInstance(["x", "y"], f, [], [poly(p) for p in h],
+                                         options={"mode": mode})
+        ring = certifier.build_ring(inst)
+        cert = certifier.certify(inst, ring)
         assert expand(inst, cert) == inst.f
-        assert calls == [4, 4]
+        assert calls == [ring]
 
 
 class TestInternalFailuresSurface:

@@ -166,11 +166,17 @@ class TestRadical:
     def test_radical_ideal_unchanged(self, circle_pair_ring):
         for g in quotient.radical_generators(circle_pair_ring):
             assert circle_pair_ring.ideal.reduce(g).is_zero()
+        assert circle_pair_ring.is_radical
+        assert circle_pair_ring.radical_ring is circle_pair_ring
 
     def test_double_point(self):
         ring = quotient.monomial_basis(
             quotient.groebner([parse_polynomial("x^2", ["x"])]))
         gens = quotient.radical_generators(ring)
+        # B = {1, x}: t = (Tr M_1, Tr M_x) = (2, 0), so H1 = [[2, 0], [0, 0]]
+        # and its kernel adds x
+        assert gens[1:] == [parse_polynomial("x", ["x"])]
+        assert not ring.is_radical
         rad = quotient.monomial_basis(quotient.groebner(gens))
         assert rad.D == 1
         assert rad.ideal.contains(parse_polynomial("x", ["x"]))
@@ -260,3 +266,48 @@ def test_normal_form_never_divides_once_the_ring_is_built(monkeypatch):
     monkeypatch.setattr(quotient, "divide", refuse)
     assert ring.normal_form(p) == expected
     assert not ring.is_radical
+
+
+# -- the radical against known answers -----------------------------------------
+
+
+def _check_radical(gens, squarefree, n_points, radical):
+    """R/I for the generators: its radical ring has the n_points distinct
+    points and the Gröbner basis of the known squarefree generators, and I
+    is radical exactly when `radical`."""
+    ring = quotient.monomial_basis(quotient.groebner(gens))
+    assert ring.is_radical == radical
+    ring_j = ring.radical_ring
+    assert ring_j.D == n_points
+    assert ring_j.ideal.gb == quotient.groebner(squarefree).gb
+    assert ring_j.is_radical
+    return ring
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=4, max_size=4, unique=True),
+       st.integers(1, 3), st.integers(1, 3))
+def test_radical_of_products(roots, k, m):
+    # (x - a)^k (x - b), (y - c)^m (y - d): four simple points
+    a, b, c, d = roots
+    x, y = poly("x"), poly("y")
+    _check_radical([(x - a) ** k * (x - b), (y - c) ** m * (y - d)],
+                   [(x - a) * (x - b), (y - c) * (y - d)], 4, k == m == 1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(1, 5), st.integers(-3, 3), st.integers(1, 2))
+def test_radical_of_a_squared_conjugate_factor(c, a, k):
+    # (x^2 + c)^k (x - a): a conjugate pair, double when k = 2, and a real point
+    x = parse_polynomial("x", ["x"])
+    _check_radical([(x * x + c) ** k * (x - a)], [(x * x + c) * (x - a)], 3, k == 1)
+
+
+def test_radical_of_the_cusp_circle_ring():
+    # 6 roots counted with multiplicity: the origin twice, (1, +-1) and the
+    # conjugate pair (-2, +-2 sqrt(2) i).  The radical adds the squarefree
+    # polynomials that vanish at the distinct x and at the distinct y.
+    gens = [poly("x^3 - y^2"), poly("x^2 - 2*x + y^2")]
+    ring = _check_radical(gens, gens + [poly("x^3 + x^2 - 2*x"), poly("y^5 + 7*y^3 - 8*y")],
+                          5, False)
+    assert ring.D == 6
