@@ -71,8 +71,8 @@ def build_ring(inst):
 
 
 def _real_values(var, p):
-    pf = p.to_float()
-    return {i: evaluate(pf, [z.real for z in pt.coordinates])
+    # float(): a constant p evaluates to a Fraction even at a float point
+    return {i: float(evaluate(p, [z.real for z in pt.coordinates]))
             for i, pt in enumerate(var.points) if pt.kind == "real"}
 
 
@@ -104,7 +104,7 @@ def perturb(inst, ring, var):
     rhos = []
     for idx, gi in member.excluded:
         coords = [z.real for z in var.points[idx].coordinates]
-        g_val = evaluate(inst.g[gi].to_float(), coords)
+        g_val = evaluate(inst.g[gi], coords)
         rho = Fraction(1)
         while f_vals[idx] - float(rho) * g_val <= max(1.0, abs(f_vals[idx])):
             rho *= 2
@@ -174,7 +174,14 @@ def certify_nonneg(inst, ring=None):
     a, b, gamma_val = quotient.coprimality_witness(ring, inst.f)
     inner = ProblemInstance(inst.var_names, a, inst.g, inst.h,
                             options=inst.options)
-    cert_a = certify_strict(inner, ring=ring)
+    try:
+        cert_a = certify_strict(inner, ring=ring)
+    except NotStrictlyPositiveOnS as exc:
+        if ring.D == 0:
+            raise
+        # a = gamma / f wherever f != 0, and a > 0 where f = 0: a < 0 at a
+        # point of S is f < 0 there, while the inner message gives a's value
+        raise NotStrictlyPositiveOnS("f < 0 at a point of S") from exc
     f = inst.f
     blocks = []
     witnesses = []

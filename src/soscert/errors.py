@@ -43,10 +43,6 @@ class ZeroPivot(SosCertError):
         self.index = index
 
 
-class InfeasibleVariety(SosCertError):
-    """The affine Gram constraint system has no solution."""
-
-
 class PrecisionExceeded(SosCertError):
     """The precision-escalation loop hit its ceiling; the input is likely
     not strictly positive numerically."""

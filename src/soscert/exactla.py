@@ -2,9 +2,9 @@
 
 Matrices are plain lists of lists of Fraction, eliminated densely with exact
 pivoting.  The inputs are systems in D or 2D unknowns, D the quotient
-dimension (the trace form, whose kernel gives the radical; the coprimality
-witness), or the D-row Gram constraint system, reduced once per Gram set; the Gram projection
-keeps its large, mostly zero matrix sparse itself.
+dimension: the trace form, whose kernel gives the radical, the coprimality
+witness, and the D x D normal equations of the Gram projection, which
+builds them from its sparse constraint rows itself.
 """
 
 from __future__ import annotations

@@ -10,11 +10,13 @@ weighted sum of squares.
 Both strict routes use this one construction: the radical route on R/I,
 the Hensel route on R/J for f~ - eps (see `certifier`).  The Gram set is
 A y = b over the D(D+1)/2 upper-triangle unknowns of a matrix on the basis
-monomials B of the quotient.  A column of A is the vector NF(b_i b_j) over
-B, and b is NF(p), both from the ring's one normal-form map.  A column has
-one or a few nonzeros, so the rows of A are kept sparse and the exact
-projection y = q + W^-1 A^t mu, (A W^-1 A^t) mu = b - A q, is built from
-their nonzeros alone.
+monomials B of the quotient: D rows, one per basis monomial.  A column of A
+is NF(b_i b_j) over B, read from the ring's product table, and b is NF(p).
+Since 1 = b_0 lies in B, the columns (0, j) are weighted unit vectors, so
+the rows are independent and the system is always consistent; no
+elimination is needed.  A column has one or a few nonzeros, so the rows of
+A are kept sparse and the exact projection y = q + W^-1 A^t mu,
+(A W^-1 A^t) mu = b - A q, is built from their nonzeros alone.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .errors import (InfeasibleVariety, NonPositiveAtRealRoot, NotPD,
+from .errors import (IdentityBroken, NonPositiveAtRealRoot, NotPD,
                      PrecisionExceeded, ZeroPivot)
-from .polyring import Polynomial, common_denominator, evaluate, round_binary
+from .polyring import common_denominator, evaluate, round_binary
 
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
 # rounding stops every precision loop before this ceiling; it only guards it
@@ -75,17 +77,17 @@ def build_gram_real(ring, var, p):
     real columns per conjugate pair.  The routes call it only after
     `certifier.perturb` has made p > 0 at every real root; p <= 0 there
     raises NonPositiveAtRealRoot."""
-    pf = p.to_float()
     u = var.idempotents
     reals = [i for i, pt in enumerate(var.points) if pt.kind == "real"]
     pairs = [i for i, pt in enumerate(var.points)
              if pt.kind == "complex" and pt.partner is not None and i < pt.partner]
-    vals_real = {i: evaluate(pf, [z.real for z in var.points[i].coordinates]) for i in reals}
+    vals_real = {i: float(evaluate(p, [z.real for z in var.points[i].coordinates]))
+                 for i in reals}
     if any(v <= 0 for v in vals_real.values()):
         raise NonPositiveAtRealRoot(f"p = {min(vals_real.values()):.3e} at a real root")
     cols = [math.sqrt(vals_real[i]) * u[:, i].real for i in reals]
     for i in pairs:
-        cols.extend(_pair_columns(u[:, i], complex(evaluate(pf, var.points[i].coordinates))))
+        cols.extend(_pair_columns(u[:, i], complex(evaluate(p, var.points[i].coordinates))))
     theta = np.column_stack(cols) if cols else np.zeros((ring.D, 0))
     return theta @ theta.T
 
@@ -110,34 +112,23 @@ def _pair_columns(u_col, a_ib):
 
 
 class GramVariety:
-    """Integer constraint system A y = b over the upper-triangle unknowns of
-    {Y : sum_ij Y_ij b_i b_j = p mod I}, rank-reduced, over the monomials
-    b_i of B; off-diagonal unknowns carry Frobenius weight 2.  Each row of A
-    is the list of its nonzero (unknown index, coefficient) pairs."""
+    """Constraint system A y = b over the upper-triangle unknowns of
+    {Y : sum_ij Y_ij b_i b_j = p mod I}: row r is the coefficient of b_r in
+    NF(sum_ij Y_ij b_i b_j) = NF(p).  Off-diagonal unknowns carry Frobenius
+    weight 2.  Each row of A is the list of its nonzero (unknown index,
+    coefficient) pairs."""
 
     def __init__(self, ring, p):
-        basis = [Polynomial({b: Fraction(1)}, ring.nvars) for b in ring.basis]
         self.ring = ring
         D = self.D = ring.D
         self.pairs = [(i, j) for i in range(D) for j in range(i, D)]
         self.weights = [Fraction(1) if i == j else Fraction(2) for i, j in self.pairs]
-        cols = [[w * x if x else x for x in ring.nf_vector(basis[i] * basis[j])]
-                for w, (i, j) in zip(self.weights, self.pairs)]
-        rows = exactla.transpose(cols)
-        rhs = ring.nf_vector(p)
-        # rank-reduce, keeping consistency information
-        aug = [row + [r] for row, r in zip(rows, rhs)]
-        red, _ = exactla.rref(aug, ncols=len(self.pairs))
-        a, b = [], []
-        for row in red:
-            nonzeros = [(k, x) for k, x in enumerate(row[:-1]) if x]
-            if nonzeros:
-                a.append(nonzeros)
-                b.append(row[-1])
-            elif row[-1] != 0:
-                raise InfeasibleVariety("constraint system is inconsistent")
-        self.A = a
-        self.b = b
+        self.A = [[] for _ in range(D)]
+        for k, ((i, j), w) in enumerate(zip(self.pairs, self.weights)):
+            for r, x in enumerate(ring.products[i][j]):
+                if x:
+                    self.A[r].append((k, w * x))
+        self.b = ring.nf_vector(p)
 
 
 def project_to_gram(variety, q):
@@ -163,7 +154,8 @@ def project_to_gram(variety, q):
                 row[m2] += scaled * x2
     mu = exactla.solve(awat, rhs)
     if mu is None:
-        raise InfeasibleVariety("projection system singular")
+        # A has independent rows and W > 0, so A W^-1 A^t is invertible
+        raise IdentityBroken("projection system singular")
     yvec = [qk + sum(x * mu[m] for m, x in col) / wk for qk, col, wk in zip(qvec, columns, w)]
     out = [[Fraction(0)] * variety.D for _ in range(variety.D)]
     for (i, j), v in zip(variety.pairs, yvec):

@@ -1,10 +1,9 @@
-"""Sparse multivariate polynomials over exact rationals and over floats.
+"""Sparse multivariate polynomials over the exact rationals.
 
-The exact domain uses `fractions.Fraction` coefficients; the approximate
-domain uses `float`.  Complex points only ever meet float polynomials in
-`evaluate`, so no polynomial has complex coefficients.  Monomials are
-compared in graded reverse lexicographic order throughout, so leading terms
-are degree-compatible.
+Every coefficient is a `fractions.Fraction`.  Float and complex points meet
+a polynomial only in `evaluate`, which then computes in floats.  Monomials
+are compared in graded reverse lexicographic order throughout, so leading
+terms are degree-compatible.
 """
 
 from __future__ import annotations
@@ -16,12 +15,6 @@ from fractions import Fraction
 from functools import total_ordering
 
 from .errors import DimensionMismatch, ParseError
-
-EXACT = "QQ"
-REAL = "R"
-
-# relative magnitude below which approximate coefficients are dropped
-APPROX_PRUNE = 2.0 ** -52
 
 
 @total_ordering
@@ -74,39 +67,19 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
-def _is_exact(c):
-    return isinstance(c, (Fraction, int))
-
-
 class Polynomial:
-    """Finite map Monomial -> coefficient; zero coefficients are never stored.
+    """Finite map Monomial -> Fraction; zero coefficients are never stored.
 
-    The scalar domain is inferred from the coefficients: Fraction/int give
-    the exact-rational domain, any float gives approx-real.  Values are
-    immutable after construction.
+    Integer coefficients are converted to Fraction.  Values are immutable
+    after construction.
     """
 
-    __slots__ = ("terms", "nvars", "domain")
+    __slots__ = ("terms", "nvars")
 
-    def __init__(self, terms, nvars, prune=True):
+    def __init__(self, terms, nvars):
         self.nvars = nvars
-        clean = {}
-        domain = EXACT
-        for m, c in terms.items():
-            if isinstance(c, float):
-                domain = REAL
-            elif _is_exact(c):
-                c = Fraction(c)
-                if c == 0:
-                    continue
-            clean[m] = c
-        if domain == REAL:
-            if prune and clean:
-                floor = max(abs(c) for c in clean.values()) * APPROX_PRUNE
-                clean = {m: c for m, c in clean.items() if abs(c) > floor}
-            clean = {m: float(c) for m, c in clean.items()}
-        self.terms = clean
-        self.domain = domain
+        self.terms = {m: c if type(c) is Fraction else Fraction(c)
+                      for m, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -141,7 +114,7 @@ class Polynomial:
         return self.terms[self.leading_monomial()]
 
     def coefficient(self, m):
-        return self.terms.get(m, Fraction(0) if self.domain == EXACT else 0.0)
+        return self.terms.get(m, Fraction(0))
 
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda t: t[0].grevlex_key(), reverse=reverse)
@@ -164,7 +137,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()}, self.nvars, prune=False)
+        return Polynomial({m: -c for m, c in self.terms.items()}, self.nvars)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -190,7 +163,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self * (Fraction(1, 1) / scalar if _is_exact(scalar) else 1.0 / scalar)
+        return self * (Fraction(1) / scalar)
 
     def __pow__(self, k):
         result = Polynomial.constant(Fraction(1), self.nvars)
@@ -211,18 +184,13 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    # -- conversions --------------------------------------------------
-
-    def to_float(self):
-        """Approximate-real copy of a polynomial."""
-        return Polynomial({m: float(c) for m, c in self.terms.items()}, self.nvars)
-
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
 
 
 def evaluate(p, point):
-    """Evaluate p at a point; exact when both sides are exact."""
+    """Evaluate p at a point: exactly at a rational point, in floats at a
+    float or complex one (Fraction * float is float(c) * x)."""
     if len(point) != p.nvars:
         raise DimensionMismatch(f"point has {len(point)} coordinates, polynomial has {p.nvars} variables")
     total = 0
@@ -249,10 +217,8 @@ def common_denominator(values):
 
 
 def height(p):
-    """Height of an exact polynomial: bit length of the largest numerator and
-    of the common (lcm) denominator of a primitive representation."""
-    if p.domain != EXACT:
-        raise ValueError("height is defined for exact-rational polynomials")
+    """Height of a polynomial: bit length of the largest numerator and of
+    the common (lcm) denominator of a primitive representation."""
     if p.is_zero():
         return HeightInfo(0, 0)
     nu = common_denominator(p.terms.values())
@@ -350,12 +316,6 @@ def parse_polynomial(text, var_names):
     return result
 
 
-def _format_coeff(c):
-    if isinstance(c, Fraction):
-        return str(c)
-    return f"{c:.12g}"
-
-
 def format_polynomial(p, var_names=None):
     """Canonical printing, grevlex-descending, rationals in lowest terms."""
     if var_names is None:
@@ -371,14 +331,14 @@ def format_polynomial(p, var_names=None):
             elif e > 1:
                 factors.append(f"{name}^{e}")
         body = "*".join(factors)
-        negative = isinstance(c, Fraction) and c < 0
+        negative = c < 0
         mag = -c if negative else c
         if not body:
-            text = _format_coeff(mag)
-        elif isinstance(mag, Fraction) and mag == 1:
+            text = str(mag)
+        elif mag == 1:
             text = body
         else:
-            text = f"{_format_coeff(mag)}*{body}"
+            text = f"{mag}*{body}"
         if not parts:
             parts.append(f"-{text}" if negative else text)
         else:

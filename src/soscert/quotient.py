@@ -237,8 +237,7 @@ class QuotientRing:
     NF(p) = sum_m c_m NF(m), with NF(m) cached as a coefficient vector over
     B.  The cache starts from B's unit vectors and the border NF(x_k b) that
     `monomial_basis` reduces by division to build M_k; every other monomial
-    follows from NF(x_k m) = M_k NF(m).  The map is the same for exact and
-    float coefficients.
+    follows from NF(x_k m) = M_k NF(m).
     """
 
     def __init__(self, ideal, basis, mult_matrices):
@@ -266,7 +265,7 @@ class QuotientRing:
         return v
 
     def nf_vector(self, p):
-        """Coefficient vector over B of the normal form of p."""
+        """Coefficient vector over B of the normal form of p, in Fractions."""
         acc = [Fraction(0)] * self.D
         for m, c in p.terms.items():
             for i, x in enumerate(self._nf_monomial(m)):
@@ -292,6 +291,12 @@ class QuotientRing:
 
     def degree_of_basis(self):
         return max((m.degree for m in self.basis), default=0)
+
+    @functools.cached_property
+    def products(self):
+        """products[i][j] = NF(b_i b_j) over B: the product table that the
+        radical, the Gram set and the SDP constraints read."""
+        return [[self._nf_monomial(bi * bj) for bj in self.basis] for bi in self.basis]
 
     @functools.cached_property
     def radical(self):
@@ -388,9 +393,11 @@ def coprimality_witness(ring, f):
 
     Infeasibility of the underlying linear system means (I : f) + (f) is a
     proper ideal, i.e. no nonnegativity certificate of this shape exists.
-    When `a` fails to be strictly positive at the roots where f vanishes,
-    it is shifted by a power-of-two multiple of b (which equals gamma at
-    those roots and 0 elsewhere on the variety).
+    Before denominators are cleared, a f + b = 1 and b f = 0 give b^2 = b
+    mod I, so b is exactly 1 at the zeros of f on the variety and 0
+    elsewhere: the real zeros of f are the real roots where b > 1/2, and
+    roots are solved only when b != 0.  When `a` fails to be strictly
+    positive at those zeros, it is shifted by a power-of-two multiple of b.
     """
     D = ring.D
     if f.is_zero():
@@ -421,22 +428,15 @@ def coprimality_witness(ring, f):
     b = ring.from_vector(sol[D:])
 
     # positivity of a where f vanishes on the variety
-    if not a.is_zero() or not b.is_zero():
+    if not b.is_zero():
         from . import variety as _variety
 
         # R/J has the points of R/I, each simple, as root solving requires
         var = _variety.solve_variety(ring.radical_ring)
-        f_float = f.to_float()
-        a_float = a.to_float()
-        zero_pts = []
-        for pt in var.points:
-            if pt.kind != "real":
-                continue
-            coords = [z.real for z in pt.coordinates]
-            if abs(evaluate(f_float, coords)) <= var.tolerance * 100:
-                zero_pts.append(coords)
+        reals = ([z.real for z in pt.coordinates] for pt in var.points if pt.kind == "real")
+        zero_pts = [coords for coords in reals if evaluate(b, coords) > 0.5]
         if zero_pts:
-            vals = [evaluate(a_float, pt) for pt in zero_pts]
+            vals = [evaluate(a, pt) for pt in zero_pts]
             if min(vals) <= 0:
                 bound = max(abs(v) for v in vals) + 1
                 rho = 1
@@ -498,10 +498,9 @@ def radical_generators(ring):
     characteristic 0 that kernel is the nilradical of R/I (Becker-Woermann;
     Pedersen-Roy-Szpirglas), so I is radical exactly when it is empty.
     Tr(M_p) = t . NF(p) with t_k = Tr(M_{b_k}) = sum_i NF(b_k b_i)[i], and
-    every NF(b_i b_j) comes from the ring's cache, which the Gram
-    constraint system reads too.  Callers use the cached
-    `QuotientRing.radical`."""
-    products = [[ring._nf_monomial(bi * bj) for bj in ring.basis] for bi in ring.basis]
+    every NF(b_i b_j) comes from the ring's product table.  Callers use the
+    cached `QuotientRing.radical`."""
+    products = ring.products
     t = [sum((row[i][i] for i in range(ring.D)), Fraction(0)) for row in products]
     h1 = [exactla.mat_vec(row, t) for row in products]
     return list(ring.ideal.generators) + [ring.from_vector(c) for c in exactla.nullspace(h1)]

@@ -25,25 +25,23 @@ import numpy as np
 
 from . import certifier, gram
 from .errors import Infeasible, MaxIterations, NotPD, ZeroPivot
-from .polyring import Polynomial, round_binary
+from .polyring import round_binary
 
 
 class SdpProblem:
-    """Affine coefficient-matching system over the vectorized D x D blocks,
-    with a float copy for the iterative solver."""
+    """Affine coefficient-matching system A x = b over the vectorized D x D
+    blocks, in floats for the iterative solver."""
 
     def __init__(self, inst, ring):
         self.inst = inst
         self.ring = ring
-        self.mults = [Polynomial.constant(1, inst.nvars)] + list(inst.g)
         d = ring.D
-        self.block_sizes = [d] * len(self.mults)
+        self.block_sizes = [d] * (1 + len(inst.g))  # multipliers 1, g_1, ...
         self.nrows = d
-        self.nvars_total = len(self.mults) * d * d
+        self.nvars_total = len(self.block_sizes) * d * d
         # column (p, q) of the free block is NF(b_p b_q) over B; a g block
         # multiplies it by the matrix of g on the quotient
-        products = np.array([ring.nf_vector(Polynomial({bp * bq: 1}, inst.nvars))
-                             for bp in ring.basis for bq in ring.basis],
+        products = np.array([v for row in ring.products for v in row],
                             dtype=float).reshape(d * d, d).T
         self.A = np.hstack([products] + [np.array(ring.mult_matrix(g), dtype=float) @ products
                                          for g in inst.g])
@@ -53,7 +51,7 @@ class SdpProblem:
     def unpack(self, x):
         d = self.ring.D
         return [np.asarray(x[k * d * d:(k + 1) * d * d]).reshape(d, d)
-                for k in range(len(self.mults))]
+                for k in range(len(self.block_sizes))]
 
     def pack(self, blocks):
         return np.concatenate([q.reshape(-1) for q in blocks])
@@ -71,20 +69,9 @@ class SdpProblem:
         return self.pack(out)
 
     def residual(self, blocks):
-        """Largest coefficient of NF(f - sum_i m_i b Q_i b^t), recomputed
-        from the float polynomials rather than the stored constraint matrix,
-        so that it also checks blocks from an external solver."""
-        basis = self.ring.basis
-        total = Polynomial.zero(self.inst.nvars)
-        for mult, q in zip(self.mults, blocks):
-            terms = {}
-            for p, bp in enumerate(basis):
-                for t, bt in enumerate(basis):
-                    m = bp * bt
-                    terms[m] = terms.get(m, 0.0) + float(q[p, t])
-            total = total + mult * Polynomial(terms, self.inst.nvars)
-        diff = self.ring.normal_form(self.inst.f - total)
-        return max((abs(c) for c in diff.terms.values()), default=0.0)
+        """max |A pack(blocks) - b|: the largest coefficient over B of
+        NF(f - sum_i m_i b Q_i b^t), for blocks from any solver."""
+        return float(np.max(np.abs(self.A @ self.pack(blocks) - self.b), initial=0.0))
 
 
 class SolverResult:

@@ -154,7 +154,7 @@ def membership(var, g_list):
         violated = None
         ambiguous = False
         for gi, g in enumerate(g_list):
-            val = evaluate(g.to_float(), coords)
+            val = evaluate(g, coords)
             if val < -tol:
                 violated = gi
                 break

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soscert import (certifier, cli, gram, problem_io, quotient, sdp_backend, variety,
-                     verify_bounds)
+from soscert import (certifier, cli, exactla, gram, problem_io, quotient, sdp_backend,
+                     variety, verify_bounds)
 from soscert.errors import (ClusterAmbiguity, ConditionFailed,
                             NotStrictlyPositiveOnS)
-from soscert.polyring import Polynomial, parse_polynomial
+from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
-from conftest import data_path
+from conftest import data_path, load_problem
 
 
 def poly(s, names=("x", "y")):
@@ -274,6 +274,32 @@ class TestNonneg:
         with pytest.raises(ConditionFailed):
             certifier.certify_nonneg(double_origin)
 
+    def test_witness_zeros_from_the_idempotent(self):
+        # b^2 = b mod I: b is 1 at the zeros +-sqrt(2) of f and 0 at 1/10,
+        # 1/5, although float64 sees |f| of order 1e-7 at +-sqrt(2)
+        inst = load_problem("scaled_witness.prob")
+        ring, f = certifier.build_ring(inst), inst.f
+        a, b, gamma = quotient.coprimality_witness(ring, f)
+        assert ring.normal_form(b * b - b * gamma).is_zero()
+        assert ring.normal_form(b * f).is_zero()
+        assert ring.normal_form(a * f + b - gamma).is_zero()
+        for x in (Fraction(1, 10), Fraction(1, 5)):
+            assert evaluate(b, [x]) == 0
+            assert evaluate(a, [x]) * evaluate(f, [x]) == gamma
+        for x in (2 ** 0.5, -2 ** 0.5):
+            assert abs(evaluate(b, [x]) / gamma - 1) < 1e-9
+            assert evaluate(a, [x]) > 0
+
+    def test_negative_f_message_names_f(self, tmp_path, capsys):
+        # the inner route fails on a = gamma/f, which is -12 at x = 1 here,
+        # while f takes the values -4, -3, -2 on V
+        prob = tmp_path / "neg.prob"
+        prob.write_text("variables x\nf: x - 4\nh: x^3 - 3*x^2 + 2*x\n")
+        assert cli.main(["certify", "--mode", "nonneg", "--input", str(prob)]) == 2
+        err = capsys.readouterr().err
+        assert "f < 0 at a point of S" in err
+        assert "e+01" not in err
+
     def test_one_radical_ring(self, cusp_circle, monkeypatch):
         # the witness's roots and the Hensel lift share one R/J
         rings = []
@@ -291,11 +317,9 @@ class TestPerturb:
         ring = certifier.build_ring(four_points)
         var = variety.solve_variety(ring)
         blocks, f_tilde = certifier.perturb(four_points, ring, var)
-        from soscert.polyring import evaluate
-        ft = f_tilde.to_float()
         for pt in var.points:
             if pt.kind == "real":
-                assert evaluate(ft, [z.real for z in pt.coordinates]) > 0
+                assert evaluate(f_tilde, [z.real for z in pt.coordinates]) > 0
 
     def test_no_excluded_points_is_identity(self):
         inst = certifier.ProblemInstance(
@@ -421,6 +445,14 @@ class TestInternalFailuresSurface:
         code = cli.main(["certify", "--input", data_path("four_points.prob")])
         assert code == 4
         assert "internal error: residual is not in the ideal" in capsys.readouterr().err
+
+    def test_singular_projection_is_internal(self, monkeypatch, capsys):
+        # A has independent rows, so A W^-1 A^t is invertible: a failed
+        # solve there is an internal error (4), not a fault of the input
+        monkeypatch.setattr(exactla, "solve", lambda a, b: None)
+        code = cli.main(["certify", "--input", data_path("four_points.prob")])
+        assert code == 4
+        assert "internal error: projection system singular" in capsys.readouterr().err
 
     def test_witness_needs_the_variety(self, cusp_circle, monkeypatch):
         def fail(ring, *args, **kwargs):

@@ -26,6 +26,16 @@ class TestCertify:
                     "--mode", "nonneg"])
         assert code == 2
 
+    def test_nonneg_zeros_below_float_resolution(self, tmp_path, capsys):
+        # f = 0 exactly at +-sqrt(2), where float64 sees |f| of order 1e-7:
+        # the witness finds those zeros through its idempotent b, not by a
+        # tolerance on f
+        out = tmp_path / "cert.txt"
+        prob = data_path("scaled_witness.prob")
+        assert run(["certify", "--mode", "nonneg", "--input", prob, "--out", str(out)]) == 0
+        assert "mode witnesses: ok" in capsys.readouterr().out
+        assert run(["verify", "--input", prob, "--certificate", str(out)]) == 0
+
     def test_sdp_infeasible(self):
         code = run(["certify", "--input", data_path("double_origin.prob"),
                     "--mode", "nonneg", "--engine", "sdp"])

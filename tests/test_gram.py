@@ -132,6 +132,23 @@ class TestSparseProjection:
         assert sum(len(row) for row in lp.A) < len(lp.A) * len(lp.pairs) // 4
         assert all(x != 0 for row in lp.A for _, x in row)
 
+    @pytest.mark.parametrize("name", sorted(_SPARSE_CASES))
+    def test_rows_from_the_product_table(self, name, monkeypatch):
+        # one row per basis monomial, read from NF(b_i b_j) with no
+        # elimination: 1 in B makes the rows independent
+        ring = gram_set(name).ring
+        f = parse_polynomial(_SPARSE_CASES[name][1], ["x", "y", "z"][:ring.nvars])
+        monkeypatch.setattr(exactla, "rref", lambda *a, **k: pytest.fail("rref called"))
+        lp = gram.GramVariety(ring, f)
+        monkeypatch.undo()
+        assert len(lp.A) == len(lp.b) == lp.D == ring.D
+        q = gram.SymmetricMatrix.from_rational(
+            [[Fraction((3 * (i + j) + i * j) % 7 - 3, 1 + (i + j) % 4) for j in range(lp.D)]
+             for i in range(lp.D)])
+        y = gram.project_to_gram(lp, q)
+        dense = dense_project_to_gram(lp, q)
+        assert (y.nu, y.mat) == (dense.nu, dense.mat)
+
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from(sorted(_SPARSE_CASES)), st.integers(0, 40), st.data())
     def test_equals_dense_reference(self, name, frac_bits, data):
@@ -178,11 +195,10 @@ class TestThetaColumns:
         p = parse_polynomial("x + y + 3", ["x", "y"])
         q_tilde = gram.build_gram_real(ring, var, p)
         assert np.min(np.linalg.eigvalsh(q_tilde)) > 0
-        pf = p.to_float()
         for pt in var.points:
             b_vals = variety._eval_basis(ring, pt.coordinates)
             val = b_vals @ q_tilde @ b_vals
-            assert abs(val - evaluate(pf, pt.coordinates)) < 1e-7
+            assert abs(val - evaluate(p, pt.coordinates)) < 1e-7
 
 
 class TestEscalation:

@@ -77,6 +77,27 @@ class TestArithmetic:
         assert evaluate(p + q, pt) == evaluate(p, pt) + evaluate(q, pt)
 
 
+class TestExactCoefficients:
+    def test_integers_are_stored_as_fractions(self):
+        p = Polynomial({Monomial((1, 0)): 1, Monomial((0, 1)): 0}, 2)
+        assert p.terms == {Monomial((1, 0)): Fraction(1)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert all(type(c) is Fraction for c in (p * 3 - 2).terms.values())
+
+    def test_evaluate_at_a_complex_point(self):
+        # an exact polynomial at a float point computes float(c) * x^e
+        p = poly("3/7*x^2*y - 5*x*y^3 + 2/3*y + 11")
+        z = [complex(0.3, -1.1), complex(-2.0, 0.25)]
+        expected = 0
+        for m, c in p.terms.items():
+            v = float(c)
+            for x, e in zip(z, m.exponents):
+                if e:
+                    v = v * x ** e
+            expected = expected + v
+        assert evaluate(p, z) == expected
+
+
 class TestParseFormat:
     def test_grammar(self):
         p = parse_polynomial("3/2*x1^2*x2 - x3 + 7", ["x1", "x2", "x3"])

@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,8 +49,8 @@ class TestFormulate:
         assert prob.block_sizes == [2]
 
     def test_columns_are_normal_forms_of_the_blocks(self, four_points_prob):
-        # A vec(Q) = NF(sum_i m_i b Q_i b^t) over B, the right side built as
-        # float polynomials and reduced independently of A
+        # A vec(Q) = NF(sum_i m_i b Q_i b^t) over B, the right side built
+        # exactly from the float entries and reduced independently of A
         prob, ring = four_points_prob
         inst = prob.inst
         rng = np.random.default_rng(7)
@@ -64,9 +65,9 @@ class TestFormulate:
                 square = Polynomial.zero(2)
                 for p, bp in enumerate(ring.basis):
                     for t, bt in enumerate(ring.basis):
-                        square = square + Polynomial({bp * bt: float(q[p, t])}, 2)
+                        square = square + Polynomial({bp * bt: Fraction(q[p, t])}, 2)
                 total = total + mult * square
-            expected = ring.nf_vector(total)
+            expected = np.array(ring.nf_vector(total), dtype=float)
             assert np.allclose(prob.A @ prob.pack(blocks), expected, atol=1e-12)
 
     def test_not_graded_certified(self):

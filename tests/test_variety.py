@@ -37,9 +37,8 @@ class TestSolveVariety:
     def test_residuals_small(self, four_points_var):
         var = four_points_var
         for g in var.ring.ideal.generators:
-            gf = g.to_float()
             for p in var.points:
-                assert abs(evaluate(gf, p.coordinates)) < 1e-8
+                assert abs(evaluate(g, p.coordinates)) < 1e-8
 
     def test_multiplicity_and_conjugates(self):
         # origin is a double point; one conjugate pair lies off the reals.
