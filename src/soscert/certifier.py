@@ -150,11 +150,10 @@ def _assemble(inst, ring, blocks0, g_blocks):
 
 
 def certify_strict(inst, ring=None):
-    """Strict-positivity certificate of f on S."""
+    """Strict-positivity certificate of f on S, for a ring with D >= 1
+    (`certify` handles the empty variety)."""
     if ring is None:
         ring = build_ring(inst)
-    if ring.D == 0:
-        raise NotStrictlyPositiveOnS("trivial ideal: empty variety")
     if not ring.is_radical:
         return certify_strict_nonradical(inst, ring=ring)
     seed = inst.options.get("seed", 0)
@@ -177,8 +176,6 @@ def certify_nonneg(inst, ring=None):
     try:
         cert_a = certify_strict(inner, ring=ring)
     except NotStrictlyPositiveOnS as exc:
-        if ring.D == 0:
-            raise
         # a = gamma / f wherever f != 0, and a > 0 where f = 0: a < 0 at a
         # point of S is f < 0 there, while the inner message gives a's value
         raise NotStrictlyPositiveOnS("f < 0 at a point of S") from exc
@@ -251,7 +248,12 @@ def certify(inst, ring=None):
     """Dispatch on the engine and mode options.  The SDP engine returns a
     strict-mode certificate in either mode (it proves nonnegativity too);
     the witness structure of the constructive nonneg route is not produced
-    there."""
+    there.  An empty variety (1 in I) needs no squares at all: f lies in I,
+    and its cofactors alone are the certificate, in every mode and engine."""
+    if ring is None:
+        ring = build_ring(inst)
+    if ring.D == 0:
+        return _assemble(inst, ring, [], [[] for _ in inst.g])
     if inst.options.get("engine") == "sdp":
         from . import sdp_backend
 

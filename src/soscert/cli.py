@@ -2,13 +2,13 @@
 
 Exit codes: 0 success; 1 parse or I/O error; 2 the requested certificate
 cannot exist (failed mathematical precondition); 3 numerical exhaustion
-(precision ceiling reached, float64 margin used up, or feasibility solver
-gave up); 4 verification failure, including an exact identity that failed
-inside `certify`.  `certify` and `verify` share one rule: exit 0 exactly
-when the certificate fits the problem (at most 1 + len(g) blocks and len(h)
-cofactors), the identity holds, the weights are nonnegative and the
-nonneg-mode witnesses check.  The degree bound is printed but decides no
-exit code.
+(precision ceiling reached, float64 margin used up, an SDP dual bound at
+or below 0, or the SDP solver stopped without an answer); 4 verification
+failure, including an exact identity that failed inside `certify`.
+`certify` and `verify` share one rule: exit 0 exactly when the certificate
+fits the problem (at most 1 + len(g) blocks and len(h) cofactors), the
+identity holds, the weights are nonnegative and the nonneg-mode witnesses
+check.  The degree bound is printed but decides no exit code.
 
 Every rounding loop doubles its precision and stops once the rounded
 float64 data repeats, as it does from 1074 bits on; a fixed ceiling of 4096

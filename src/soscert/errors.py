@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the toolkit.
 
 Mathematical impossibility (ConditionFailed), numerical exhaustion
-(PrecisionExceeded, Infeasible) and structural misuse are kept distinct so
-that callers -- in particular the CLI -- can branch on them.
+(PrecisionExceeded, Infeasible, MaxIterations) and structural misuse are
+kept distinct so that callers -- in particular the CLI -- can branch on
+them.
 """
 
 
@@ -76,15 +77,20 @@ class IdentityBroken(SosCertError):
 
 
 class Infeasible(SosCertError):
-    """The SDP feasibility solver stalled above tolerance."""
+    """A feasible point y of the SDP dual bounds the smallest eigenvalue of
+    the free Gram block by lambda* <= b^t y, and that bound is <= 0 to the
+    float resolution of b: there is no positive definite block to round."""
 
-    def __init__(self, residual):
-        super().__init__(f"feasibility residual stalled at {residual:.3e}")
-        self.residual = residual
+    def __init__(self, bound):
+        super().__init__(f"SDP dual bound: the smallest eigenvalue of the free Gram block "
+                         f"is at most {bound:.3e}")
+        self.bound = bound
 
 
 class MaxIterations(SosCertError):
-    pass
+    """The SDP solver stopped without an answer: its iteration limit, or a
+    float breakdown of its Newton system; the message names the iteration
+    and the residuals."""
 
 
 class ParseError(SosCertError):

@@ -9,12 +9,13 @@ D coefficient equations
 
 with no cofactor unknowns; the cofactors of the h_j come afterwards from
 exact reduction, as on the constructive route.  The problem maximizes the
-smallest eigenvalue of the free block Q_0.  The built-in solver is Dykstra's
-alternating projections between the affine coefficient set and the product
-of (shifted) semidefinite cones; any external solver that produces the same
-result shape can be substituted, since the rounding step re-derives an
-exact certificate from the approximate blocks and all rounding error is
-absorbed into an exactly projected and factored free block.
+smallest eigenvalue lam of the free block Q_0, in one primal-dual
+interior-point solve (`maximize_lambda`) that stops once lam is known
+within a factor 1.5.  The rounding step re-derives an exact certificate
+from the approximate blocks, and all rounding error and the solver's
+residual are absorbed into an exactly projected and factored free block.
+`solve_feasibility` (Dykstra's alternating projections at a fixed lam) is
+kept as an independent reference for the tests.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class SdpProblem:
         self.A = np.hstack([products] + [np.array(ring.mult_matrix(g), dtype=float) @ products
                                          for g in inst.g])
         self.b = np.array([float(c) for c in ring.nf_vector(inst.f)])
-        self._pinv = np.linalg.pinv(self.A)
+        self._pinv = None             # built by the first project_affine
 
     def unpack(self, x):
         d = self.ring.D
@@ -57,6 +58,8 @@ class SdpProblem:
         return np.concatenate([q.reshape(-1) for q in blocks])
 
     def project_affine(self, x):
+        if self._pinv is None:
+            self._pinv = np.linalg.pinv(self.A)
         return x - self._pinv @ (self.A @ x - self.b)
 
     def project_cone(self, x, lam):
@@ -75,16 +78,17 @@ class SdpProblem:
 
 
 class SolverResult:
-    def __init__(self, blocks, lam, residual):
+    def __init__(self, blocks, lam, residual, bound=None):
         self.blocks = blocks          # float symmetric PSD matrices
         self.lam = lam
         self.residual = residual
+        self.bound = bound            # dual objective b^t y >= lam*, if known
 
 
-def solve_feasibility(prob, lam, iterations=40000, tol=1e-8, x0=None):
+def solve_feasibility(prob, lam, iterations=40000, tol=1e-8):
     """Dykstra alternating projections onto {A x = b} and the PSD cone
     product with the free block shifted by lam."""
-    x = prob.project_affine(np.zeros(prob.nvars_total) if x0 is None else x0)
+    x = prob.project_affine(np.zeros(prob.nvars_total))
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     best = math.inf
@@ -101,45 +105,125 @@ def solve_feasibility(prob, lam, iterations=40000, tol=1e-8, x0=None):
         best = min(best, res)
         if it % 250 == 249:
             if best > checkpoint * 0.99:
-                raise Infeasible(best)
+                raise MaxIterations(f"feasibility residual stalled at {best:.3e}")
             checkpoint = best
     raise MaxIterations(f"feasibility residual {best:.3e} after {iterations} iterations")
 
 
-def maximize_lambda(prob, iterations=40000, tol=1e-8):
-    """Bisection over lam with warm-started feasibility probes.  It stops
-    once lam is known within a factor 1.5: the rounding precision depends
-    only on the decimal order of lam, and every probe is a full solve."""
+def _max_step(p, dp):
+    """Largest alpha with p + alpha dp still positive semidefinite (inf when
+    every alpha keeps it so), for positive definite p."""
+    inv_l = np.linalg.inv(np.linalg.cholesky(p))
+    low = np.linalg.eigvalsh(inv_l @ dp @ inv_l.T)[0]
+    return -1.0 / low if low < 0 else math.inf
 
-    def probe(lam, x0):
+
+def maximize_lambda(prob, iterations=100):
+    """Primal-dual interior-point solve of
+
+        primal  max lam   s.t.  sum_k A_k(X_k) + lam a = b,  X_k >= 0,
+        dual    min b^t y s.t.  S_k = A_k^*(y) >= 0,  a^t y = 1,
+
+    with X_0 = Q_0 - lam I, a = A_0(I) and A_k the k-th D x D slice of
+    prob.A.  Each iteration takes the HKM direction with Mehrotra's
+    predictor-corrector (sigma = (mu_aff / mu)^3) and 0.95 of the step to
+    the boundary, from the infeasible start X = S = I, y = 0, lam = 0.  lam
+    stays one free scalar, eliminated through the bordered Schur system
+    [M a; a^t 0] with M_rs = sum_k tr(A_{k,r} X_k A_{k,s} S_k^-1).
+
+    It stops once lam > 0, the primal residual is at most 1e-3 lam
+    (relative to 1 + |b|_inf), and either the dual is feasible with
+    b^t y <= 1.5 lam or lam >= 1: the rounding precision depends only on
+    the decimal order of lam, the exact projection absorbs the primal
+    residual, and lam >= 1 already rounds at the fewest bits.  lam is
+    unbounded without real points in S, and lam >= 1 caps it there.
+    Driving the residuals further makes M singular.
+
+    A feasible dual proves lam* <= b^t y: Infeasible is raised with that
+    bound once it is <= 0 to the float resolution of b, as it becomes when
+    the gap closes at lam* = 0.  A float breakdown of the Newton system, or
+    the iteration limit, raises MaxIterations with the residuals."""
+    ring = prob.ring
+    d = ring.D
+    slices = [prob.A[:, k * d * d:(k + 1) * d * d] for k in range(len(prob.block_sizes))]
+    eye = np.eye(d)
+    a = slices[0] @ eye.reshape(-1)
+    # a = NF(sum_p b_p^2) is exactly 0 only without real points (it is at
+    # least 1 at a real point); lam then leaves the constraints and is held
+    # at 1
+    held = not any(sum((ring.products[p][p][r] for p in range(d)), 0) for r in range(d))
+    b = prob.b
+    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    n = d * len(slices)
+    xs = [eye.copy() for _ in slices]
+    ss = [eye.copy() for _ in slices]
+    y = np.zeros(d)
+    lam = 1.0 if held else 0.0
+    for it in range(iterations):
+        r_p = b - sum(ak @ xk.reshape(-1) for ak, xk in zip(slices, xs)) - lam * a
+        r_d = [sk - (ak.T @ y).reshape(d, d) for ak, sk in zip(slices, ss)]
+        r_lam = 1.0 - float(a @ y)
+        p_res = float(np.max(np.abs(r_p), initial=0.0)) / scale
+        d_res = max(abs(r_lam), max(float(np.max(np.abs(r))) for r in r_d))
+        # b^t y bounds lam* only when the dual is feasible; at or below the
+        # float resolution of b it proves that lam* is not positive
+        bound = float(b @ y) if d_res < 1e-8 else None
+        if bound is not None and bound <= np.finfo(float).eps * scale:
+            raise Infeasible(bound)
+        known = lam >= 1 or (bound is not None and bound <= 1.5 * lam)
+        if lam > 0 and p_res <= 1e-3 * lam and known:
+            blocks = [xs[0] + lam * eye] + xs[1:]
+            return SolverResult(blocks, lam, prob.residual(blocks), bound)
         try:
-            return solve_feasibility(prob, lam, iterations, tol, x0=x0)
-        except (Infeasible, MaxIterations):
-            return None
+            s_inv = [np.linalg.inv(sk) for sk in ss]
+            m = sum(ak @ np.kron(si, xk) @ ak.T for ak, si, xk in zip(slices, s_inv, xs))
+            bordered = np.block([[m, a[:, None]], [a[None, :], np.zeros((1, 1))]])
 
-    best = solve_feasibility(prob, 0.0, iterations, tol)
-    x_best = prob.pack(best.blocks)
-    lo, hi = 0.0, 1.0
-    while True:
-        r = probe(hi, x_best)
-        if r is None:
-            break
-        best, lo = r, hi
-        x_best = prob.pack(r.blocks)
-        if hi > 1e6:
-            break
-        hi *= 4.0
-    for _ in range(20):
-        if hi - lo < max(1e-6, 0.5 * lo):
-            break
-        mid = (lo + hi) / 2.0
-        r = probe(mid, x_best)
-        if r is None:
-            hi = mid
-        else:
-            best, lo = r, mid
-            x_best = prob.pack(r.blocks)
-    return best
+            def step_blocks(dy, targets):
+                dss = [(ak.T @ dy).reshape(d, d) - rk for ak, rk in zip(slices, r_d)]
+                dxs = [gk - xk @ dsk @ si for gk, xk, dsk, si in zip(targets, xs, dss, s_inv)]
+                return [(dxk + dxk.T) / 2.0 for dxk in dxs], dss
+
+            def direction(targets):
+                # dX_k = G_k - X_k dS_k S_k^-1 with dS_k = A_k^*(dy) - R_k, so
+                # the primal equation A(dX) + dlam a = r_p and a^t dy = r_lam
+                # read M dy - dlam a = A(G + X R S^-1) - r_p.  One solve and
+                # one refinement against the computed dX keep the step's
+                # primal residual at float level as M grows ill-conditioned.
+                dy, dlam = np.zeros(d), 0.0
+                for _ in range(2):
+                    dxs, dss = step_blocks(dy, targets)
+                    e_p = r_p - dlam * a - sum(ak @ dxk.reshape(-1)
+                                               for ak, dxk in zip(slices, dxs))
+                    if held:
+                        dy = dy - np.linalg.solve(m, e_p)
+                    else:
+                        sol = np.linalg.solve(bordered, np.append(-e_p, r_lam - a @ dy))
+                        dy, dlam = dy + sol[:d], dlam - sol[d]
+                dxs, dss = step_blocks(dy, targets)
+                alpha_p = min([1.0] + [_max_step(xk, dxk) for xk, dxk in zip(xs, dxs)])
+                alpha_d = min([1.0] + [_max_step(sk, dsk) for sk, dsk in zip(ss, dss)])
+                return dxs, dy, dss, dlam, alpha_p, alpha_d
+
+            mu = sum(float(np.vdot(xk, sk)) for xk, sk in zip(xs, ss)) / n
+            dxs, _, dss, _, alpha_p, alpha_d = direction([-xk for xk in xs])
+            mu_aff = sum(float(np.vdot(xk + alpha_p * dxk, sk + alpha_d * dsk))
+                         for xk, dxk, sk, dsk in zip(xs, dxs, ss, dss)) / n
+            sigma = (mu_aff / mu) ** 3
+            targets = [sigma * mu * si - xk - dxk @ dsk @ si
+                       for si, xk, dxk, dsk in zip(s_inv, xs, dxs, dss)]
+            dxs, dy, dss, dlam, alpha_p, alpha_d = direction(targets)
+        except np.linalg.LinAlgError as exc:
+            raise MaxIterations(f"interior point broke down at iteration {it} ({exc}): "
+                                f"primal residual {p_res:.3e}, dual residual {d_res:.3e}, "
+                                f"lambda {lam:.3e}") from exc
+        alpha_p, alpha_d = 0.95 * alpha_p, 0.95 * alpha_d
+        xs = [xk + alpha_p * dxk for xk, dxk in zip(xs, dxs)]
+        lam += alpha_p * dlam
+        y = y + alpha_d * dy
+        ss = [sk + alpha_d * dsk for sk, dsk in zip(ss, dss)]
+    raise MaxIterations(f"interior point: {iterations} iterations, primal residual "
+                        f"{p_res:.3e}, dual residual {d_res:.3e}, lambda {lam:.3e}")
 
 
 def _round_eigen_squares(ring, q, bits):
@@ -162,15 +246,14 @@ def _round_eigen_squares(ring, q, bits):
 
 
 def algorithm1_certify(inst, ring=None):
-    """Solve the feasibility SDP, then round at an escalating precision
-    until the exactly projected free block is positive definite; the output
-    identity is exact by construction."""
+    """Solve the SDP for the largest lam, then round at an escalating
+    precision, starting from the decimal order of lam, until the exactly
+    projected free block is positive definite; the output identity is exact
+    by construction."""
     if ring is None:
         ring = certifier.build_ring(inst)
     prob = SdpProblem(inst, ring)
     result = maximize_lambda(prob)
-    if not result.lam > 0:
-        raise Infeasible(result.residual)
 
     def round_at(bits):
         return (gram.round_matrix(result.blocks[0], bits),
@@ -192,50 +275,3 @@ def algorithm1_certify(inst, ring=None):
     kappa = max(math.ceil(-math.log10(result.lam)), 0)
     return gram.escalate(max(math.ceil(kappa * math.log2(10)), 4), round_at, attempt)
 
-
-# -- external-solver bridge -------------------------------------------------
-
-
-def write_problem(prob, path):
-    """Sparse text dump: block sizes, constraint triplets (row, column,
-    value) over the row-major block entries, right-hand side."""
-    lines = [
-        "blocks " + " ".join(str(s) for s in prob.block_sizes),
-        f"constraints {prob.nrows} {prob.nvars_total}",
-    ]
-    rows, cols = np.nonzero(prob.A)
-    for r, c in zip(rows, cols):
-        lines.append(f"{r} {c} {float(prob.A[r, c])!r}")
-    lines.append("rhs " + " ".join(repr(float(v)) for v in prob.b))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_result(path, prob):
-    """Result file: `lambda <v>`, then `block <i>` followed by its rows."""
-    blocks = [np.zeros((s, s)) for s in prob.block_sizes]
-    lam = 0.0
-    target = None
-    rows = []
-
-    def flush():
-        nonlocal target, rows
-        if target is not None:
-            blocks[target] = np.array(rows)
-        target, rows = None, []
-
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "lambda":
-                flush()
-                lam = float(parts[1])
-            elif parts[0] == "block":
-                flush()
-                target = int(parts[1])
-            else:
-                rows.append([float(v) for v in parts])
-    flush()
-    return SolverResult(blocks, lam, prob.residual(blocks))

@@ -36,6 +36,17 @@ class TestCertify:
         assert "mode witnesses: ok" in capsys.readouterr().out
         assert run(["verify", "--input", prob, "--certificate", str(out)]) == 0
 
+    @pytest.mark.parametrize("mode", ["strict", "nonneg"])
+    def test_empty_variety_certified(self, tmp_path, capsys, mode):
+        # 1 is in (x, x - 1): f = x h_1 - x h_2 needs no squares
+        prob = tmp_path / "empty.prob"
+        prob.write_text("variables x\nf: x\nh: x\nh: x - 1\n")
+        out = tmp_path / "cert.txt"
+        assert run(["certify", "--mode", mode, "--input", str(prob), "--out", str(out)]) == 0
+        assert run(["verify", "--input", str(prob), "--certificate", str(out)]) == 0
+        cert, _ = problem_io.parse_certificate(out.read_text(), ["x"])
+        assert all(not block for block in cert.blocks)
+
     def test_sdp_infeasible(self):
         code = run(["certify", "--input", data_path("double_origin.prob"),
                     "--mode", "nonneg", "--engine", "sdp"])

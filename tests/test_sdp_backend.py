@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soscert import certifier, sdp_backend, verify_bounds
+from soscert import certifier, problem_io, sdp_backend, verify_bounds
 from soscert.errors import Infeasible, MaxIterations
 from soscert.polyring import Polynomial, parse_polynomial
 
@@ -106,9 +106,18 @@ class TestSolver:
         prob, _ = four_points_prob
         best = sdp_backend.maximize_lambda(prob)
         assert best.lam > 0
-        # any probe below the found optimum stays feasible
+        assert prob.residual(best.blocks) <= 1e-3 * best.lam
+        assert np.linalg.eigvalsh(best.blocks[0]).min() >= best.lam - 1e-6
+        # weak duality brackets the optimum: lam <= lam* <= b^t y <= 1.5 lam
+        assert best.lam <= best.bound <= 1.5 * best.lam
+        # the independent Dykstra reference is feasible below the optimum
         lower = sdp_backend.solve_feasibility(prob, best.lam / 2)
         assert lower.residual < 1e-8
+
+    def test_iteration_limit_names_its_residuals(self, four_points_prob):
+        prob, _ = four_points_prob
+        with pytest.raises(MaxIterations, match=r"2 iterations, primal residual .*dual residual"):
+            sdp_backend.maximize_lambda(prob, iterations=2)
 
 
 class TestAlgorithm1:
@@ -132,6 +141,33 @@ class TestAlgorithm1:
         with pytest.raises((Infeasible, MaxIterations)):
             sdp_backend.algorithm1_certify(double_origin, ring)
 
+    @pytest.mark.parametrize("lines", [
+        # a conjugate pair of roots in x: the dual has no interior
+        ["f: x - 2*y + 7", "h: x^4 - x^2 - 12", "h: y^3 - 4*y"],
+        # six real points, lam* ~ 3e-4
+        ["f: -x^2 + 2*x*y - y^2 + 145/4", "h: x^2 - 9", "h: y^3 - 3*y^2 - 4*y + 12"],
+        # g < 0 at points of V, so the dual has no interior either
+        ["f: -2*x + 2*y + 5/2", "g: 3*x - y - 1", "h: x^2 - x", "h: y^2 - y"],
+        # lam* ~ 9e-7 on a 3 x 3 grid: the primal residual must fall below
+        # 1e-3 lam* before M breaks down, which takes the refined Newton step
+        ["f: -2*x + y + 28673/4096", "h: x^3 - 5*x^2 + 6*x", "h: y^3 - 4*y^2 + y + 6"],
+        # no real point: lam is unbounded (sum of b_p^2 is in I for x^2 + 1)
+        ["f: x - 5", "h: x^2 + 1", "h: y^2 - 1"],
+        ["f: x - 5", "h: x^4 + 5*x^2 + 4", "h: y - 1"],
+    ])
+    def test_known_answers(self, lines):
+        inst = problem_io.parse_problem("variables x y\n" + "\n".join(lines) + "\n")
+        ring = build(inst)
+        cert = sdp_backend.algorithm1_certify(inst, ring)
+        assert verify_bounds.verify_certificate(inst, cert, ring).ok
+
+    def test_zero_minimum_is_infeasible(self):
+        # f = 0 at (1, 1): lam* = 0, proved from the dual as the gap closes
+        inst = problem_io.parse_problem(
+            "variables x y\nf: -x - y + 2\nh: x^2 - x\nh: y^2 - y\n")
+        with pytest.raises(Infeasible, match="at most"):
+            sdp_backend.algorithm1_certify(inst)
+
     def test_binary_cube_3(self):
         # D = 8; f > 0 where g >= 0 (x1 = 0), f = -2 at (1, 1, 0)
         names = ["x1", "x2", "x3"]
@@ -144,39 +180,3 @@ class TestAlgorithm1:
         assert time.monotonic() - start < 5.0
         report = verify_bounds.verify_certificate(inst, cert)
         assert report.ok and report.identity_ok
-
-
-class TestBridge:
-    def test_dump_and_read_round_trip(self, four_points_prob, tmp_path):
-        prob, _ = four_points_prob
-        path = tmp_path / "prob.sdp"
-        sdp_backend.write_problem(prob, path)
-        text = path.read_text()
-        assert text.startswith("blocks 4 4\nconstraints 4 32\n")
-
-        result = sdp_backend.solve_feasibility(prob, 0.05)
-        out = tmp_path / "result.txt"
-        lines = [f"lambda {result.lam}"]
-        for i, q in enumerate(result.blocks):
-            lines.append(f"block {i}")
-            for row in q:
-                lines.append(" ".join(repr(float(v)) for v in row))
-        out.write_text("\n".join(lines) + "\n")
-        back = sdp_backend.read_result(out, prob)
-        assert back.lam == result.lam
-        assert back.residual < 1e-7
-        for a, b in zip(back.blocks, result.blocks):
-            assert np.max(np.abs(a - b)) == 0
-
-    def test_triplets_parse_as_int_int_float(self, four_points_prob, tmp_path):
-        prob, _ = four_points_prob
-        path = tmp_path / "prob.sdp"
-        sdp_backend.write_problem(prob, path)
-        lines = path.read_text().splitlines()
-        assert lines[1] == f"constraints {prob.nrows} {prob.nvars_total}"
-        triplets = lines[2:-1]
-        assert len(triplets) == np.count_nonzero(prob.A)
-        for line in triplets:
-            r, c, v = line.split()
-            assert prob.A[int(r), int(c)] == float(v)
-        assert lines[-1].startswith("rhs ")
