@@ -7,17 +7,19 @@ A non-radical ideal I gets the radical route's own Gram certificate of
 f~ - eps over its radical J, plus eps t^2 with t the square root of
 1 mod J Hensel-lifted inside R/I; no ring but R/I and R/J is built.
 Both strict routes solve roots on a radical ring and judge the sign of f
-at the points of S by one rule, in `perturb`.
+at the points of S by one rule, in `perturb`.  `residual` is the one
+expansion of a certificate identity, for the verifier as for the routes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from . import gram, quotient, variety
 from .errors import IdentityBroken, NotStrictlyPositiveOnS, PrecisionExceeded
-from .polyring import Polynomial, evaluate, round_binary
+from .polyring import Monomial, Polynomial, common_denominator, evaluate, round_binary
 
 
 class Certificate:
@@ -37,17 +39,61 @@ class Certificate:
         self.gamma = gamma
 
 
-def expansion(inst, cert):
-    """The right-hand side of the certificate identity:
-    sum_i m_i sum_k w_{i,k} q_{i,k}^2 + sum_j p_j h_j with m_0 = 1, m_i = g_i."""
-    total = Polynomial.zero(inst.nvars)
-    for i, block in enumerate(cert.blocks):
-        for w, q in block:
-            square = q * q * w
-            total = total + (square if i == 0 else inst.g[i - 1] * square)
-    for pj, hj in zip(cert.cofactors, inst.h):
-        total = total + pj * hj
-    return total
+def _integral(p):
+    """p as integer coefficients keyed by exponent tuples, over the lcm of
+    its denominators."""
+    den = common_denominator(p.terms.values())
+    return {m.exponents: c.numerator * (den // c.denominator)
+            for m, c in p.terms.items()}, den
+
+
+def _add_product(acc, a, b, scale):
+    """acc += scale * a * b on integer polynomials keyed by exponent tuples."""
+    for e1, c1 in a.items():
+        c1 *= scale
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _add_square(acc, a, scale):
+    """acc += scale * a^2, each cross term taken once."""
+    items = list(a.items())
+    for i, (e1, c1) in enumerate(items):
+        s1 = scale * c1
+        e = tuple(map(operator.add, e1, e1))
+        acc[e] = acc.get(e, 0) + s1 * c1
+        s1 += s1
+        for e2, c2 in items[i + 1:]:
+            e = tuple(map(operator.add, e1, e2))
+            acc[e] = acc.get(e, 0) + s1 * c2
+
+
+def residual(inst, cert):
+    """f - sum_i m_i sum_k w_{i,k} q_{i,k}^2 - sum_j p_j h_j, with m_0 = 1
+    and m_i = g_i: the certificate identity expanded exactly, in integers
+    over one common denominator lcd.  Each factor is an integer polynomial
+    over its own lcm denominator; only the nonzero residual terms become
+    Fractions c / lcd."""
+    n = inst.nvars
+    f, f_den = _integral(inst.f)
+    mults = [({(0,) * n: 1}, 1)] + [_integral(g) for g in inst.g]
+    blocks = [[(w, *_integral(q)) for w, q in block] for block in cert.blocks]
+    products = [(_integral(p), _integral(h)) for p, h in zip(cert.cofactors, inst.h)]
+    lcd = math.lcm(f_den,
+                   *(w.denominator * d * d * m_den
+                     for (_, m_den), block in zip(mults, blocks) for w, _, d in block),
+                   *(dp * dh for (_, dp), (_, dh) in products))
+    acc = {e: c * (lcd // f_den) for e, c in f.items()}
+    for (m, m_den), block in zip(mults, blocks):
+        # one product by m_i for the whole block
+        inner = {}
+        for w, q, d in block:
+            _add_square(inner, q, -w.numerator * (lcd // (w.denominator * d * d * m_den)))
+        _add_product(acc, m, inner, 1)
+    for (p, dp), (h, dh) in products:
+        _add_product(acc, p, h, -(lcd // (dp * dh)))
+    return Polynomial({Monomial(e): Fraction(c, lcd) for e, c in acc.items() if c}, n)
 
 
 class ProblemInstance:
@@ -117,11 +163,9 @@ def perturb(inst, ring, var):
 
     def attempt(u_hats):
         blocks = [[] for _ in inst.g]
-        phi = Polynomial.zero(inst.nvars)
         for (_, gi), rho, u_hat in zip(member.excluded, rhos, u_hats):
             blocks[gi].append((rho, u_hat))
-            phi = phi + inst.g[gi] * (u_hat * u_hat) * rho
-        f_tilde = inst.f - phi
+        f_tilde = residual(inst, Certificate("strict", [[]] + blocks, []))
         if all(v > tol for v in _real_values(var, f_tilde).values()):
             return blocks, f_tilde
         return None
@@ -142,10 +186,10 @@ def _assemble(inst, ring, blocks0, g_blocks):
     """Close the identity: the residual f minus the sums of squares lies in
     the ideal by construction, and its exact cofactors complete it."""
     cert = Certificate("strict", [blocks0] + g_blocks, [])
-    cof = quotient.cofactor_reduce(ring, inst.f - expansion(inst, cert))
+    cof = quotient.cofactor_reduce(ring, residual(inst, cert))
     if not cof.remainder.is_zero():
         raise IdentityBroken("residual is not in the ideal")
-    cert.cofactors = [pj * Fraction(1, cof.nu) for pj in cof.p_j]
+    cert.cofactors = cof.p_j
     return cert
 
 

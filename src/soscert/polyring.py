@@ -259,19 +259,21 @@ def parse_polynomial(text, var_names):
                 raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in polynomial")
             break
         pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", Fraction(m.group("num"))))
+        num = m.group("num")
+        if num:
+            top, _, bottom = num.partition("/")
+            tokens.append(("num", Fraction(int(top), int(bottom)) if bottom else int(top)))
         elif m.group("name"):
             tokens.append(("name", m.group("name")))
         else:
             op = m.group("op")
             tokens.append(("op", "^" if op == "**" else op))
 
-    result = Polynomial.zero(nvars)
+    terms = {}
     i = 0
     n = len(tokens)
     while i < n:
-        sign = Fraction(1)
+        sign = 1
         while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
             if tokens[i][1] == "-":
                 sign = -sign
@@ -312,8 +314,8 @@ def parse_polynomial(text, var_names):
         if expect_factor:
             raise ParseError("empty term in polynomial")
         m = Monomial(exps)
-        result = result + Polynomial({m: coeff}, nvars)
-    return result
+        terms[m] = terms.get(m, 0) + coeff
+    return Polynomial(terms, nvars)
 
 
 def format_polynomial(p, var_names=None):

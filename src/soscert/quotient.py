@@ -222,12 +222,11 @@ def groebner(generators):
 
 
 class Cofactors:
-    """Exact identity nu * p = sum p_j h_j + nu * remainder with integer p_j."""
+    """Exact identity p = sum p_j h_j + remainder."""
 
-    def __init__(self, p_j, remainder, nu):
+    def __init__(self, p_j, remainder):
         self.p_j = p_j
         self.remainder = remainder
-        self.nu = nu
 
 
 class QuotientRing:
@@ -367,7 +366,7 @@ def monomial_basis(ideal):
 
 
 def cofactor_reduce(ring, p):
-    """Write nu*p = sum p_j h_j + nu*N(p) against the original generators.
+    """Write p = sum p_j h_j + N(p) against the original generators.
 
     Division by the Gröbner basis gives degree-controlled quotients (the
     term order is degree-compatible); each Gröbner element is then replaced
@@ -377,15 +376,14 @@ def cofactor_reduce(ring, p):
     ideal = ring.ideal
     quotients, remainder = divide(p, ideal.gb)
     gens = ideal.generators
-    rational = [Polynomial.zero(ring.nvars) for _ in gens]
+    p_j = [Polynomial.zero(ring.nvars) for _ in gens]
     for q_g, cof in zip(quotients, ideal.gb_cofactors):
         if q_g.is_zero():
             continue
         for j, r_j in enumerate(cof):
             if not r_j.is_zero():
-                rational[j] = rational[j] + q_g * r_j
-    nu = common_denominator(c for poly in rational + [remainder] for c in poly.terms.values())
-    return Cofactors([poly * nu for poly in rational], remainder, nu)
+                p_j[j] = p_j[j] + q_g * r_j
+    return Cofactors(p_j, remainder)
 
 
 def coprimality_witness(ring, f):

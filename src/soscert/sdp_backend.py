@@ -263,7 +263,7 @@ def algorithm1_certify(inst, ring=None):
         q0_hat, g_blocks = rounded
         # f minus the g part is a sum of squares of the free block mod I
         rest = certifier.Certificate("strict", [[]] + g_blocks, [])
-        f_hat = inst.f - certifier.expansion(inst, rest)
+        f_hat = certifier.residual(inst, rest)
         try:
             y0 = gram.project_to_gram(gram.GramVariety(ring, f_hat), q0_hat)
             fact = gram.ldlt(y0)

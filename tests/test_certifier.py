@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from soscert import (certifier, cli, exactla, gram, problem_io, quotient, sdp_ba
                      variety, verify_bounds)
 from soscert.errors import (ClusterAmbiguity, ConditionFailed,
                             NotStrictlyPositiveOnS)
-from soscert.polyring import Polynomial, evaluate, parse_polynomial
+from soscert.polyring import (Monomial, Polynomial, common_denominator, evaluate,
+                              parse_polynomial)
 
 from conftest import data_path, load_problem
 
@@ -350,8 +352,44 @@ class TestPerturb:
         assert "float64 margin used up" in capsys.readouterr().err
 
 
-class TestExpansion:
-    """The identity expansion shared by the certifier and the verifier."""
+def _polys(nvars, max_terms=4):
+    """Polynomials with large numerators and denominators, zero included."""
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.fractions(min_value=-2 ** 70, max_value=2 ** 70, max_denominator=2 ** 64)
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
+        lambda terms: Polynomial({Monomial(e): c for e, c in terms.items()}, nvars))
+
+
+@st.composite
+def _instances_and_certificates(draw):
+    """Arbitrary (inst, cert): zero and empty blocks, g blocks, cofactors."""
+    n = draw(st.integers(1, 3))
+    polys = _polys(n)
+    g = draw(st.lists(polys, max_size=2))
+    h = draw(st.lists(polys, min_size=1, max_size=2))
+    inst = certifier.ProblemInstance([f"x{i}" for i in range(n)], draw(polys), g, h)
+    weights = st.fractions(min_value=0, max_value=2 ** 40, max_denominator=2 ** 40)
+    blocks = draw(st.lists(st.lists(st.tuples(weights, _polys(n, 3)), max_size=3),
+                           max_size=1 + len(g)))
+    cofactors = draw(st.lists(polys, max_size=len(h)))
+    return inst, certifier.Certificate("strict", blocks, cofactors)
+
+
+def _identity_denominator(inst, cert):
+    """The common denominator over which `residual` expands the identity."""
+    def den(p):
+        return common_denominator(p.terms.values())
+
+    mults = [Polynomial.constant(1, inst.nvars)] + inst.g
+    return math.lcm(den(inst.f),
+                    *(w.denominator * den(q) ** 2 * den(m)
+                      for m, block in zip(mults, cert.blocks) for w, q in block),
+                    *(den(p) * den(h) for p, h in zip(cert.cofactors, inst.h)))
+
+
+class TestResidual:
+    """The one expansion of the certificate identity, shared by the
+    verifier, `_assemble` and the SDP rounding."""
 
     @pytest.mark.parametrize("route", ["radical", "with_g", "hensel", "nonneg", "sdp"])
     def test_matches_the_direct_sum(self, route, four_points, cusp_circle):
@@ -372,7 +410,32 @@ class TestExpansion:
             cert = certifier.certify_nonneg(inst)
         else:
             cert = certifier.certify_strict(inst)
-        assert certifier.expansion(inst, cert) == expand(inst, cert) == inst.f
+        assert certifier.residual(inst, cert).is_zero()
+        assert expand(inst, cert) == inst.f
+
+    @settings(max_examples=60, deadline=None)
+    @given(_instances_and_certificates())
+    def test_equals_the_fraction_expansion(self, case):
+        inst, cert = case
+        assert certifier.residual(inst, cert) == inst.f - expand(inst, cert)
+
+    def test_one_step_of_the_common_denominator_is_rejected(self, tmp_path, capsys):
+        prob = data_path("four_points.prob")
+        out = tmp_path / "c.cert"
+        assert cli.main(["certify", "--input", prob, "--out", str(out)]) == 0
+        inst = load_problem("four_points.prob")
+        cert, _ = problem_io.parse_certificate(out.read_text(), inst.var_names)
+        step = Fraction(1, _identity_denominator(inst, cert))
+        j = next(j for j, pj in enumerate(cert.cofactors) if not pj.is_zero())
+        lead = cert.cofactors[j].leading_monomial()
+        moved = cert.cofactors[j] + Polynomial({lead: step}, inst.nvars)
+        cofactors = cert.cofactors[:j] + [moved] + cert.cofactors[j + 1:]
+        mutant = certifier.Certificate(cert.mode, cert.blocks, cofactors)
+        assert certifier.residual(inst, mutant) == -Polynomial({lead: step}, inst.nvars) * inst.h[j]
+        out.write_text(problem_io.format_certificate(mutant, inst.var_names))
+        capsys.readouterr()
+        assert cli.main(["verify", "--input", prob, "--certificate", str(out)]) == 4
+        assert "verification failed: identity" in capsys.readouterr().err
 
 
 class TestDispatcher:
