@@ -203,8 +203,7 @@ def certify_strict(inst, ring=None):
     seed = inst.options.get("seed", 0)
     var = variety.solve_variety(ring, seed=seed)
     g_blocks, f_tilde = perturb(inst, ring, var)
-    start = inst.options.get("precision_start", 32)
-    _, fact = gram.round_and_certify(ring, var, f_tilde, start_bits=start)
+    _, fact = gram.round_and_certify(ring, var, f_tilde)
     blocks0 = _squares_from_factorization(ring, fact)
     return _assemble(inst, ring, blocks0, g_blocks)
 
@@ -276,10 +275,9 @@ def certify_strict_nonradical(inst, ring=None):
     # roots; perturb has made low > 0
     low = min(_real_values(var_j, f_tilde).values(), default=2.0)
     eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
-    _, fact = gram.round_and_certify(ring_j, var_j, f_tilde - eps,
-                                     start_bits=inst.options.get("precision_start", 32))
+    _, fact = gram.round_and_certify(ring_j, var_j, f_tilde - eps)
     blocks0 = _squares_from_factorization(ring_j, fact)
-    theta = (f_tilde - sum((q * q * w for w, q in blocks0), Polynomial.zero(inst.nvars))) / eps
+    theta = residual(inst, Certificate("strict", [blocks0] + g_blocks, [])) / eps
     blocks0.append((eps, hensel_sqrt(ring, theta)))
     return _assemble(inst, ring, blocks0, g_blocks)
 

@@ -49,8 +49,6 @@ def cmd_certify(args):
         value = getattr(args, key)
         if value is not None:
             inst.options[key] = value
-    if args.precision_start is not None:
-        inst.options["precision_start"] = args.precision_start
     ring = certifier.build_ring(inst)
     try:
         cert = certifier.certify(inst, ring)
@@ -116,7 +114,6 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=certifier.OPTION_CHOICES["mode"])
     p.add_argument("--engine", choices=certifier.OPTION_CHOICES["engine"])
-    p.add_argument("--precision-start", type=int, dest="precision_start")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)

@@ -34,6 +34,7 @@ from .polyring import common_denominator, evaluate, round_binary
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
 # rounding stops every precision loop before this ceiling; it only guards it
 MAX_BITS = 4096
+START_BITS = 32  # the Gram matrix's first rounding, in fractional bits
 
 
 class SymmetricMatrix:
@@ -264,7 +265,7 @@ def escalate(start_bits, round_at, attempt):
     raise PrecisionExceeded(f"no exact certificate up to the ceiling of {MAX_BITS} bits")
 
 
-def round_and_certify(ring, var, p, start_bits=32):
+def round_and_certify(ring, var, p):
     """Round the real Gram matrix, project exactly, factor; escalate the
     precision on failure.  Returns (Q0 exact PD in the Gram variety, its
     LDL^t factorization)."""
@@ -278,4 +279,4 @@ def round_and_certify(ring, var, p, start_bits=32):
         except (NotPD, ZeroPivot):
             return None
 
-    return escalate(start_bits, lambda bits: round_matrix(q_tilde, bits), attempt)
+    return escalate(START_BITS, lambda bits: round_matrix(q_tilde, bits), attempt)

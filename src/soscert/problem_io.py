@@ -29,6 +29,7 @@ Rationals are printed in lowest terms.
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 
 from .certifier import OPTION_CHOICES, Certificate, ProblemInstance
@@ -36,7 +37,7 @@ from .errors import ParseError
 from .polyring import format_polynomial, parse_polynomial
 
 
-_OPTION_TYPES = {"mode": str, "engine": str, "seed": int, "precision_start": int}
+_OPTION_TYPES = {"mode": str, "engine": str, "seed": int}
 
 
 def _choice(key, value):
@@ -44,6 +45,27 @@ def _choice(key, value):
         raise ParseError(f"{key} must be one of {', '.join(OPTION_CHOICES[key])}, "
                          f"not {value!r}")
     return value
+
+
+@contextlib.contextmanager
+def _at_line(lineno):
+    """Report any error of reading one line as a ParseError naming it."""
+    try:
+        yield
+    except ZeroDivisionError:
+        raise ParseError("zero denominator", lineno) from None
+    except (ParseError, ValueError, IndexError) as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
+def _variables(line):
+    var_names = line.split()[1:]
+    if not var_names:
+        raise ParseError("empty variable list")
+    for i, name in enumerate(var_names):
+        if name in var_names[:i]:
+            raise ParseError(f"variable {name!r} declared twice")
+    return var_names
 
 
 def parse_problem(text):
@@ -56,11 +78,9 @@ def parse_problem(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
+        with _at_line(lineno):
             if line.startswith("variables"):
-                var_names = line.split()[1:]
-                if not var_names:
-                    raise ParseError("empty variable list")
+                var_names = _variables(line)
             elif line.startswith("f:"):
                 f = parse_polynomial(line[2:], _need_vars(var_names))
             elif line.startswith("g:"):
@@ -74,12 +94,6 @@ def parse_problem(text):
                 options[key] = _choice(key, _OPTION_TYPES[key](value))
             else:
                 raise ParseError(f"unrecognized line {line!r}")
-        except ParseError as exc:
-            if exc.line is None:
-                raise ParseError(str(exc), lineno) from None
-            raise
-        except (ValueError, IndexError) as exc:
-            raise ParseError(str(exc), lineno) from None
     if var_names is None:
         raise ParseError("missing `variables` line")
     if f is None:
@@ -120,11 +134,11 @@ def parse_certificate(text, expected_vars=None):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
+        with _at_line(lineno):
             if line.startswith("mode"):
                 mode = _choice("mode", line.split()[1])
             elif line.startswith("variables"):
-                var_names = line.split()[1:]
+                var_names = _variables(line)
                 if expected_vars is not None and var_names != list(expected_vars):
                     raise ParseError(
                         f"variable mismatch: certificate has {var_names}, "
@@ -158,12 +172,6 @@ def parse_certificate(text, expected_vars=None):
                 witnesses.append(parse_polynomial(poly_text, _need_vars(var_names)))
             else:
                 raise ParseError(f"unrecognized line {line!r}")
-        except ParseError as exc:
-            if exc.line is None:
-                raise ParseError(str(exc), lineno) from None
-            raise
-        except (ValueError, IndexError) as exc:
-            raise ParseError(str(exc), lineno) from None
     if mode is None:
         raise ParseError("missing `mode` line")
     if var_names is None:

@@ -1,10 +1,11 @@
 """Zero-dimensional ideal machinery.
 
-Gröbner bases (Buchberger, sugar selection), the monomial basis of the
-quotient ring with multiplication matrices, normal forms, degree-aware
-cofactor reduction against the *original* generators, the coprimality
-witness (a, b, gamma) for the nonnegativity pipeline, and the quotient by
-the radical J on which the Hensel route certifies before its lift.
+Gröbner bases (Buchberger, sugar selection), the quotient ring on the
+monomial basis, which builds its tables (multiplication matrices, normal
+forms, products, radical) on first read, degree-aware cofactor reduction
+against the *original* generators, the coprimality witness (a, b, gamma)
+for the nonnegativity pipeline, and the quotient by the radical J on
+which the Hensel route certifies before its lift.
 
 J is read off the trace form H1[i][j] = Tr(M_{b_i b_j}) of R/I: its
 kernel is the nilradical, so one exact nullspace decides radicality and
@@ -13,8 +14,8 @@ witness's roots, the Gram matrix) sees only R/J, where each root is simple.
 
 Normal forms come from one linear map over the quotient basis B (see
 `QuotientRing`); full division by the Gröbner basis is left to what needs
-its quotients or runs before the ring exists: Gröbner completion,
-`cofactor_reduce` and the multiplication matrices of `monomial_basis`.
+its quotients or runs before the ring's tables exist: Gröbner completion,
+`cofactor_reduce` and the border of `QuotientRing.mult_matrices`.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class IdealBasis:
     sum_j gb_cofactors[k][j] * generators[j]; when `is_graded`, each of
     those products has degree <= the element's degree.  Both come from one
     dense solve per Gröbner element, done the first time either is read:
-    only `cofactor_reduce` and the degree bound need them, so the radical
-    and the ideal powers of the Hensel lift never pay for it.
+    only `cofactor_reduce` and the degree bound need them, so the ring of
+    the radical never pays for it.
     """
 
     def __init__(self, generators, gb, nvars):
@@ -234,19 +235,19 @@ class QuotientRing:
 
     Every reduction modulo I goes through one linear map over the basis B:
     NF(p) = sum_m c_m NF(m), with NF(m) cached as a coefficient vector over
-    B.  The cache starts from B's unit vectors and the border NF(x_k b) that
-    `monomial_basis` reduces by division to build M_k; every other monomial
-    follows from NF(x_k m) = M_k NF(m).
+    B.  The cache starts from B's unit vectors; the first monomial outside
+    B adds the border NF(x_k b) that `mult_matrices` reduces by division,
+    and every other monomial follows from NF(x_k m) = M_k NF(m).
     """
 
-    def __init__(self, ideal, basis, mult_matrices):
+    def __init__(self, ideal, basis):
         self.ideal = ideal
         self.basis = basis
         self.D = len(basis)
-        self.mult_matrices = mult_matrices
         self.nvars = ideal.nvars
         self._index = {m: i for i, m in enumerate(basis)}
-        self._nf_vectors = {m: self._unit(i) for i, m in enumerate(basis)}
+        self._nf_vectors = {m: [Fraction(int(i == k)) for i in range(self.D)]
+                            for k, m in enumerate(basis)}
         # 1 lies in B unless I is the unit ideal, where every vector is empty
         self._nf_vectors.setdefault(Monomial.unit(self.nvars), [])
 
@@ -285,11 +286,25 @@ class QuotientRing:
                 for b in self.basis]
         return exactla.transpose(cols)
 
-    def _unit(self, k):
-        return [Fraction(1) if i == k else Fraction(0) for i in range(self.D)]
-
     def degree_of_basis(self):
         return max((m.degree for m in self.basis), default=0)
+
+    @functools.cached_property
+    def mult_matrices(self):
+        """M_k, multiplication by x_k, with columns NF(x_k b) over B.  On
+        first read, the border x_k b outside B is reduced by division into
+        the normal-form cache: the ring's only division."""
+        mats = []
+        for k in range(self.nvars):
+            cols = []
+            for b in self.basis:
+                m = b * Monomial.variable(k, self.nvars)
+                if m not in self._nf_vectors:
+                    nf = self.ideal.reduce(Polynomial({m: Fraction(1)}, self.nvars))
+                    self._nf_vectors[m] = [nf.coefficient(b2) for b2 in self.basis]
+                cols.append(self._nf_vectors[m])
+            mats.append(exactla.transpose(cols))
+        return mats
 
     @functools.cached_property
     def products(self):
@@ -320,18 +335,14 @@ class QuotientRing:
 
 
 def monomial_basis(ideal):
-    """Standard monomials of the ideal, with multiplication matrices.
-
-    The columns of M_k are NF(x_k b) for b in B, reduced here by division;
-    they seed the ring's normal-form cache, so this is the ring's only
-    reduction by division.  Raises NotZeroDimensional unless every variable
-    has a pure power among the Gröbner leading monomials (the classical
-    finiteness criterion).
+    """The quotient ring on the standard monomials of the ideal, which
+    builds its multiplication matrices on first read.  Raises
+    NotZeroDimensional unless every variable has a pure power among the
+    Gröbner leading monomials (the classical finiteness criterion); the
+    unit ideal has 1 as a leading monomial, so its basis is empty.
     """
     nvars = ideal.nvars
     lead = [g.leading_monomial() for g in ideal.gb]
-    if any(m.degree == 0 for m in lead):
-        return QuotientRing(ideal, [], [[] for _ in range(nvars)])
     for i in range(nvars):
         if not any(all(e == 0 for k, e in enumerate(m.exponents) if k != i) for m in lead):
             raise NotZeroDimensional(f"no pure power of variable {i + 1} among leading terms")
@@ -346,23 +357,9 @@ def monomial_basis(ideal):
         if any(lm.divides(m) for lm in lead):
             continue
         standard.append(m)
-        for i in range(nvars):
-            queue.append(m * Monomial.variable(i, nvars))
+        queue.extend(m * Monomial.variable(i, nvars) for i in range(nvars))
     standard.sort(key=Monomial.grevlex_key)
-    ring = QuotientRing(ideal, standard, None)
-    cache = ring._nf_vectors
-    mats = []
-    for i in range(nvars):
-        cols = []
-        for b in standard:
-            m = b * Monomial.variable(i, nvars)
-            if m not in cache:
-                nf = ideal.reduce(Polynomial({m: Fraction(1)}, nvars))
-                cache[m] = [nf.coefficient(b2) for b2 in standard]
-            cols.append(cache[m])
-        mats.append(exactla.transpose(cols))
-    ring.mult_matrices = mats
-    return ring
+    return QuotientRing(ideal, standard)
 
 
 def cofactor_reduce(ring, p):

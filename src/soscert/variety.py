@@ -41,7 +41,7 @@ class VarietyData:
         self.ring = ring
 
 
-def solve_variety(ring, tol=None, seed=0):
+def solve_variety(ring, seed=0):
     """Points of the variety of a radical ring, via the eigenvalue method.
 
     The ring has D distinct points, one per eigenvalue, so nothing is
@@ -61,9 +61,7 @@ def solve_variety(ring, tol=None, seed=0):
     triangs = [q.conj().T @ m @ q for m in mats]
     raw = [np.array([t[k, k] for t in triangs]) for k in range(D)]
 
-    if tol is None:
-        scale = max((float(np.max(np.abs(r))) for r in raw), default=0.0)
-        tol = 2.0 ** -40 * (1.0 + scale)
+    tol = 2.0 ** -40 * (1.0 + max((float(np.max(np.abs(r))) for r in raw), default=0.0))
 
     points = []
     for z in raw:

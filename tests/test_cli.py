@@ -197,7 +197,8 @@ class TestProblemIO:
             "option seed 5\n")
         assert inst.options == {"mode": "strict", "seed": 5}
 
-    @pytest.mark.parametrize("key,value", [("mode", "nonnegative"), ("engine", "simplex")])
+    @pytest.mark.parametrize("key,value", [("mode", "nonnegative"), ("engine", "simplex"),
+                                           ("precision_start", "8")])
     def test_unknown_option_value_rejected(self, tmp_path, key, value):
         text = f"variables x\nf: x + 3\nh: x^2 - 1\noption {key} {value}\n"
         with pytest.raises(ParseError) as exc:
@@ -233,6 +234,36 @@ class TestProblemIO:
         with pytest.raises(ParseError) as exc:
             problem_io.parse_problem("variables x\nf: x + 3\nh: x^2 - 1\nradical: true\n")
         assert exc.value.line == 4
+
+    @pytest.mark.parametrize("line", ["f: 1/0*x + 1", "f: x^1/0 + 1"])
+    def test_zero_denominator_in_problem_exits_1(self, tmp_path, capsys, line):
+        prob = tmp_path / "bad.prob"
+        prob.write_text(f"variables x\n{line}\nh: x^2 - 1\n")
+        assert run(["certify", "--input", str(prob)]) == 1
+        assert "line 2: zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,lineno", [
+        ("weight 1/2 square", "weight 1/0 square", 4),
+        ("square -3/5*y + x", "square -3/0*y + x", 11),
+        ("variables x y\n", "variables x y\ngamma 2/0\n", 3),
+    ], ids=["weight", "square", "gamma"])
+    def test_zero_denominator_in_certificate_exits_1(self, tmp_path, capsys, old, new, lineno):
+        text = open(data_path("four_points_strict.cert")).read()
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text.replace(old, new))
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 1
+        assert f"line {lineno}: zero denominator" in capsys.readouterr().err
+
+    def test_repeated_variable_exits_1(self, tmp_path, capsys):
+        prob = tmp_path / "bad.prob"
+        prob.write_text("variables x x\nf: x + 3\nh: x^2 - 1\n")
+        assert run(["certify", "--input", str(prob)]) == 1
+        assert "line 1: variable 'x' declared twice" in capsys.readouterr().err
+        with pytest.raises(ParseError) as exc:
+            problem_io.parse_certificate("mode strict\nvariables y x y\nblock 0\n")
+        assert exc.value.line == 2
 
     def test_polynomial_before_variables(self):
         with pytest.raises(ParseError):

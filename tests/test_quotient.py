@@ -253,6 +253,7 @@ def test_normal_form_never_divides_once_the_ring_is_built(monkeypatch):
     ring = quotient.monomial_basis(quotient.groebner([poly(h) for h in RINGS["multiple"]]))
     p = poly("x^9*y^7 - 3*x^5*y^11 + 2*x*y - 1")
     expected = ring.ideal.reduce(p)
+    ring.mult_matrices  # the first read reduces the border by division
 
     def refuse(*args):
         raise AssertionError("division after the ring was built")

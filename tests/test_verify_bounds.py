@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from soscert import certifier, verify_bounds
+from soscert import certifier, quotient, verify_bounds
 from soscert.certifier import Certificate
 from soscert.polyring import Polynomial, parse_polynomial
 
@@ -109,6 +109,38 @@ class TestDegreeBounds:
             four_points.var_names, poly("x^4*y^3"), four_points.g, four_points.h)
         report = verify_bounds.degree_bounds(bigger, ring)
         assert report.cofactor_degree_bound >= base.cofactor_degree_bound
+
+
+class TestRingTables:
+    def test_strict_verify_and_bounds_never_divide(self, four_points, monkeypatch):
+        # the degree bound reads B and is_graded alone: no M_k, no division
+        # outside the Groebner completion
+        rings = []
+        build_ring = certifier.build_ring
+        monkeypatch.setattr(verify_bounds, "build_ring",
+                            lambda inst: rings.append(build_ring(inst)) or rings[-1])
+        completing = []
+        groebner, divide = quotient.groebner, quotient.divide
+
+        def traced_groebner(gens):
+            completing.append(True)
+            try:
+                return groebner(gens)
+            finally:
+                completing.pop()
+
+        def traced_divide(p, divisors):
+            assert completing, "division outside the Groebner completion"
+            return divide(p, divisors)
+
+        monkeypatch.setattr(quotient, "groebner", traced_groebner)
+        monkeypatch.setattr(quotient, "divide", traced_divide)
+        report = verify_bounds.verify_certificate(
+            four_points, load_certificate("four_points_strict.cert"))
+        assert report.ok and report.degree_bound_ok
+        ring, = rings
+        assert verify_bounds.degree_bounds(four_points, ring).cofactor_degree_bound == 5
+        assert "mult_matrices" not in ring.__dict__
 
 
 class TestHeightFormula:
