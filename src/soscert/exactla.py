@@ -3,8 +3,8 @@
 Matrices are plain lists of lists of Fraction, eliminated densely with exact
 pivoting.  The inputs are systems in D or 2D unknowns, D the quotient
 dimension: the trace form, whose kernel gives the radical, the coprimality
-witness, and the D x D normal equations of the Gram projection, which
-builds them from its sparse constraint rows itself.
+witness, inverses modulo I and the cofactors of a Groebner basis.  The Gram
+matrix needs no solve (see `gram`).
 """
 
 from __future__ import annotations
@@ -82,26 +82,3 @@ def nullspace(a):
             v[c] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def determinant(a):
-    """Fraction-free (Bareiss) determinant of a square matrix."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in a]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -3,20 +3,19 @@
 The pipeline: assemble a positive definite real Gram matrix from the
 variety data (real roots contribute p(xi) u_xi^2; conjugate pairs are
 combined into two real squares through the lambda-window identity), round
-it to dyadic rationals, project exactly onto the affine variety of Gram
-matrices of p, and factor the result by fraction-free LDL^t into an exact
-weighted sum of squares.
+it to the nearest dyadic rationals, correct it exactly into the affine
+variety of Gram matrices of p, and factor the result by fraction-free
+LDL^t into an exact weighted sum of squares.
 
 Both strict routes use this one construction: the radical route on R/I,
 the Hensel route on R/J for f~ - eps (see `certifier`).  The Gram set is
 A y = b over the D(D+1)/2 upper-triangle unknowns of a matrix on the basis
 monomials B of the quotient: D rows, one per basis monomial.  A column of A
 is NF(b_i b_j) over B, read from the ring's product table, and b is NF(p).
-Since 1 = b_0 lies in B, the columns (0, j) are weighted unit vectors, so
-the rows are independent and the system is always consistent; no
-elimination is needed.  A column has one or a few nonzeros, so the rows of
-A are kept sparse and the exact projection y = q + W^-1 A^t mu,
-(A W^-1 A^t) mu = b - A q, is built from their nonzeros alone.
+Since 1 = b_0 lies in B, the columns (0, j) are weighted unit vectors:
+y_0j appears in row j alone.  So a rounded matrix q is moved into the set
+by correcting its row and column 0 by the residual b - A q, with no linear
+solve, and the rest of q stays as rounded.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactla
-from .errors import (IdentityBroken, NonPositiveAtRealRoot, NotPD,
-                     PrecisionExceeded, ZeroPivot)
+from .errors import NonPositiveAtRealRoot, NotPD, PrecisionExceeded, ZeroPivot
 from .polyring import common_denominator, evaluate, round_binary
 
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
@@ -52,9 +49,6 @@ class SymmetricMatrix:
 
     def __eq__(self, other):
         return (self.nu, self.mat) == (other.nu, other.mat)
-
-    def entry(self, i, j):
-        return Fraction(self.mat[i][j], self.nu)
 
     def rational(self):
         return [[Fraction(x, self.nu) for x in row] for row in self.mat]
@@ -115,54 +109,34 @@ def _pair_columns(u_col, a_ib):
 class GramVariety:
     """Constraint system A y = b over the upper-triangle unknowns of
     {Y : sum_ij Y_ij b_i b_j = p mod I}: row r is the coefficient of b_r in
-    NF(sum_ij Y_ij b_i b_j) = NF(p).  Off-diagonal unknowns carry Frobenius
-    weight 2.  Each row of A is the list of its nonzero (unknown index,
-    coefficient) pairs."""
+    NF(sum_ij Y_ij b_i b_j) = NF(p).  Each row of A is the list of its
+    nonzero ((i, j), coefficient) pairs, i <= j; an off-diagonal unknown
+    stands for Y_ij and Y_ji, so its coefficient is doubled."""
 
     def __init__(self, ring, p):
-        self.ring = ring
         D = self.D = ring.D
-        self.pairs = [(i, j) for i in range(D) for j in range(i, D)]
-        self.weights = [Fraction(1) if i == j else Fraction(2) for i, j in self.pairs]
         self.A = [[] for _ in range(D)]
-        for k, ((i, j), w) in enumerate(zip(self.pairs, self.weights)):
-            for r, x in enumerate(ring.products[i][j]):
-                if x:
-                    self.A[r].append((k, w * x))
+        for i in range(D):
+            for j in range(i, D):
+                for r, x in enumerate(ring.products[i][j]):
+                    if x:
+                        self.A[r].append(((i, j), x if i == j else 2 * x))
         self.b = ring.nf_vector(p)
 
 
 def project_to_gram(variety, q):
-    """Exact weighted-Frobenius projection of a symmetric matrix onto the
-    affine Gram set; returns an exact SymmetricMatrix in the set."""
-    a, b, w = variety.A, variety.b, variety.weights
-    if not a:
-        return SymmetricMatrix(q.mat, q.nu)
-    qvec = [q.entry(i, j) for i, j in variety.pairs]
-    # column index of A: unknown k -> [(row, coefficient)]
-    columns = [[] for _ in w]
-    for m, row in enumerate(a):
-        for k, x in row:
-            columns[k].append((m, x))
-    # y = q + W^-1 A^t mu  with  (A W^-1 A^t) mu = b - A q
-    rhs = [bi - sum(x * qvec[k] for k, x in row) for row, bi in zip(a, b)]
-    awat = [[0] * len(a) for _ in a]
-    for col, wk in zip(columns, w):
-        for m1, x1 in col:
-            scaled = x1 / wk
-            row = awat[m1]
-            for m2, x2 in col:
-                row[m2] += scaled * x2
-    mu = exactla.solve(awat, rhs)
-    if mu is None:
-        # A has independent rows and W > 0, so A W^-1 A^t is invertible
-        raise IdentityBroken("projection system singular")
-    yvec = [qk + sum(x * mu[m] for m, x in col) / wk for qk, col, wk in zip(qvec, columns, w)]
-    out = [[Fraction(0)] * variety.D for _ in range(variety.D)]
-    for (i, j), v in zip(variety.pairs, yvec):
-        out[i][j] = v
-        out[j][i] = v
-    return SymmetricMatrix.from_rational(out)
+    """Correct a symmetric matrix into the affine Gram set along row and
+    column 0; returns an exact SymmetricMatrix in the set.
+
+    With r = b - A q, y_00 = q_00 + r_0 and y_0j = y_j0 = q_0j + r_j / 2;
+    every other entry stays q_ij.  Since NF(b_0 b_j) = b_j, the unknown
+    y_0j appears in row j alone, so A y = b holds exactly with no solve."""
+    y = q.rational()
+    r = [bj - sum(x * y[i][j] for (i, j), x in row) for row, bj in zip(variety.A, variety.b)]
+    for j, rj in enumerate(r):
+        y[0][j] += rj if j == 0 else rj / 2
+        y[j][0] = y[0][j]
+    return SymmetricMatrix.from_rational(y)
 
 
 # -- fraction-free LDL^t ---------------------------------------------------
@@ -188,17 +162,6 @@ class LDLFactorization:
                 vec[self.perm[i]] = self.L[i][k]
             out.append((Fraction(1, self.pivots[k]), vec))
         return out
-
-    def reconstruct(self):
-        D = len(self.L)
-        acc = [[Fraction(0)] * D for _ in range(D)]
-        for w, vec in self.square_vectors():
-            for i in range(D):
-                if vec[i]:
-                    for j in range(D):
-                        if vec[j]:
-                            acc[i][j] += w * vec[i] * vec[j]
-        return acc
 
 
 def ldlt(q):
@@ -266,9 +229,9 @@ def escalate(start_bits, round_at, attempt):
 
 
 def round_and_certify(ring, var, p):
-    """Round the real Gram matrix, project exactly, factor; escalate the
-    precision on failure.  Returns (Q0 exact PD in the Gram variety, its
-    LDL^t factorization)."""
+    """Round the real Gram matrix, correct it exactly into the Gram set,
+    factor; escalate the precision on failure.  Returns (Q0 exact PD in the
+    Gram variety, its LDL^t factorization)."""
     q_tilde = build_gram_real(ring, var, p)
     variety = GramVariety(ring, p)
 

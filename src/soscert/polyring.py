@@ -227,14 +227,13 @@ def height(p):
 
 
 def round_binary(x, frac_bits):
-    """Truncate a real number to xi / 2^frac_bits with xi = floor(x 2^N)."""
+    """The nearest dyadic xi / 2^frac_bits to a real number (ties to even),
+    within 2^-(frac_bits+1) of it."""
     if frac_bits < 0:
         raise ValueError("frac_bits must be nonnegative")
-    if isinstance(x, Fraction):
-        return Fraction(math.floor(x * (1 << frac_bits)), 1 << frac_bits)
-    if not math.isfinite(x):
+    if isinstance(x, float) and not math.isfinite(x):
         raise ValueError("cannot round a non-finite value")
-    return Fraction(math.floor(Fraction(x) * (1 << frac_bits)), 1 << frac_bits)
+    return Fraction(round(Fraction(x) * (1 << frac_bits)), 1 << frac_bits)
 
 
 # -- ASCII grammar --------------------------------------------------------

@@ -78,16 +78,17 @@ def parse_problem(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        keyword = line.split()[0]
         with _at_line(lineno):
-            if line.startswith("variables"):
-                var_names = _variables(line)
-            elif line.startswith("f:"):
+            if line.startswith("f:"):
                 f = parse_polynomial(line[2:], _need_vars(var_names))
             elif line.startswith("g:"):
                 g.append(parse_polynomial(line[2:], _need_vars(var_names)))
             elif line.startswith("h:"):
                 h.append(parse_polynomial(line[2:], _need_vars(var_names)))
-            elif line.startswith("option"):
+            elif keyword == "variables":
+                var_names = _variables(line)
+            elif keyword == "option":
                 _, key, value = line.split(None, 2)
                 if key not in _OPTION_TYPES:
                     raise ParseError(f"unknown option {key!r}")
@@ -110,18 +111,6 @@ def _need_vars(var_names):
     return var_names
 
 
-def format_problem(inst):
-    lines = ["variables " + " ".join(inst.var_names)]
-    lines.append("f: " + format_polynomial(inst.f, inst.var_names))
-    for p in inst.g:
-        lines.append("g: " + format_polynomial(p, inst.var_names))
-    for p in inst.h:
-        lines.append("h: " + format_polynomial(p, inst.var_names))
-    for key in sorted(inst.options):
-        lines.append(f"option {key} {inst.options[key]}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_certificate(text, expected_vars=None):
     mode = None
     var_names = None
@@ -134,24 +123,25 @@ def parse_certificate(text, expected_vars=None):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        keyword = line.split()[0]
         with _at_line(lineno):
-            if line.startswith("mode"):
+            if keyword == "mode":
                 mode = _choice("mode", line.split()[1])
-            elif line.startswith("variables"):
+            elif keyword == "variables":
                 var_names = _variables(line)
                 if expected_vars is not None and var_names != list(expected_vars):
                     raise ParseError(
                         f"variable mismatch: certificate has {var_names}, "
                         f"instance has {list(expected_vars)}")
-            elif line.startswith("gamma"):
+            elif keyword == "gamma":
                 gamma = Fraction(line.split()[1])
-            elif line.startswith("block"):
+            elif keyword == "block":
                 idx = int(line.split()[1])
                 if idx != len(blocks):
                     raise ParseError(f"blocks must appear in order; got {idx}")
                 blocks.append([])
                 current = blocks[-1]
-            elif line.startswith("weight"):
+            elif keyword == "weight":
                 if current is None:
                     raise ParseError("`weight` line before any `block` line")
                 _, w, kw, poly_text = line.split(None, 3)
@@ -159,13 +149,13 @@ def parse_certificate(text, expected_vars=None):
                     raise ParseError("expected `weight <rational> square <poly>`")
                 current.append((Fraction(w),
                                 parse_polynomial(poly_text, _need_vars(var_names))))
-            elif line.startswith("cofactor"):
+            elif keyword == "cofactor":
                 _, j, poly_text = line.split(None, 2)
                 j = int(j)
                 if j in cofactors:
                     raise ParseError(f"second `cofactor {j}` line")
                 cofactors[j] = parse_polynomial(poly_text, _need_vars(var_names))
-            elif line.startswith("witness"):
+            elif keyword == "witness":
                 _, k, poly_text = line.split(None, 2)
                 if int(k) != len(witnesses) + 1:
                     raise ParseError("witness lines must appear in order")

@@ -13,7 +13,8 @@ smallest eigenvalue lam of the free block Q_0, in one primal-dual
 interior-point solve (`maximize_lambda`) that stops once lam is known
 within a factor 1.5.  The rounding step re-derives an exact certificate
 from the approximate blocks, and all rounding error and the solver's
-residual are absorbed into an exactly projected and factored free block.
+residual are absorbed into the free block, corrected exactly into its Gram
+set along row and column 0 (`gram.project_to_gram`) and factored.
 `solve_feasibility` (Dykstra's alternating projections at a fixed lam) is
 kept as an independent reference for the tests.
 """
@@ -134,9 +135,9 @@ def maximize_lambda(prob, iterations=100):
     It stops once lam > 0, the primal residual is at most 1e-3 lam
     (relative to 1 + |b|_inf), and either the dual is feasible with
     b^t y <= 1.5 lam or lam >= 1: the rounding precision depends only on
-    the decimal order of lam, the exact projection absorbs the primal
-    residual, and lam >= 1 already rounds at the fewest bits.  lam is
-    unbounded without real points in S, and lam >= 1 caps it there.
+    the decimal order of lam, the exact row-0 correction absorbs the
+    primal residual, and lam >= 1 already rounds at the fewest bits.  lam
+    is unbounded without real points in S, and lam >= 1 caps it there.
     Driving the residuals further makes M singular.
 
     A feasible dual proves lam* <= b^t y: Infeasible is raised with that
@@ -247,9 +248,9 @@ def _round_eigen_squares(ring, q, bits):
 
 def algorithm1_certify(inst, ring=None):
     """Solve the SDP for the largest lam, then round at an escalating
-    precision, starting from the decimal order of lam, until the exactly
-    projected free block is positive definite; the output identity is exact
-    by construction."""
+    precision, starting from the decimal order of lam, until the free block,
+    corrected exactly into its Gram set, is positive definite; the output
+    identity is exact by construction."""
     if ring is None:
         ring = certifier.build_ring(inst)
     prob = SdpProblem(inst, ring)

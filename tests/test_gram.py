@@ -9,6 +9,8 @@ from soscert import cli, exactla, gram, quotient, variety
 from soscert.errors import NotPD, PrecisionExceeded, ZeroPivot
 from soscert.polyring import evaluate, parse_polynomial
 
+from conftest import reconstruct
+
 
 def poly(s, names=("x",)):
     return parse_polynomial(s, list(names))
@@ -29,7 +31,7 @@ class TestLdlt:
         fact = gram.ldlt(sym([[2, 1], [1, 2]]))
         assert fact.pivots == [2, 6]
         assert [col[0] for col in fact.L], fact.L == [[2, 0], [1, 3]]
-        assert fact.reconstruct() == [[Fraction(2), Fraction(1)],
+        assert reconstruct(fact) == [[Fraction(2), Fraction(1)],
                                       [Fraction(1), Fraction(2)]]
 
     def test_not_pd(self):
@@ -57,7 +59,7 @@ class TestLdlt:
         q = [[sum(a[k][i] * a[k][j] for k in range(n))
               + (1 if i == j else 0) for j in range(n)] for i in range(n)]
         fact = gram.ldlt(gram.SymmetricMatrix.from_rational(q))
-        assert fact.reconstruct() == q
+        assert reconstruct(fact) == q
         assert all(p > 0 for p in fact.pivots)
 
 
@@ -89,25 +91,6 @@ class TestGramProjection:
         assert y.rational() == member.rational()
 
 
-def dense_project_to_gram(lp, q):
-    """Reference projection on the dense constraint matrix: the textbook
-    y = q + W^-1 A^t mu with (A W^-1 A^t) mu = b - A q, one sum per entry."""
-    w = lp.weights
-    a = [[Fraction(0)] * len(w) for _ in lp.A]
-    for dense, row in zip(a, lp.A):
-        for k, x in row:
-            dense[k] = x
-    qvec = [q.entry(i, j) for i, j in lp.pairs]
-    rhs = [bi - sum(ai * qi for ai, qi in zip(row, qvec)) for row, bi in zip(a, lp.b)]
-    awat = [[sum(r1[k] * r2[k] / w[k] for k in range(len(w))) for r2 in a] for r1 in a]
-    mu = exactla.solve(awat, rhs)
-    corr = [sum(a[m][k] * mu[m] for m in range(len(a))) / w[k] for k in range(len(w))]
-    out = [[Fraction(0)] * lp.D for _ in range(lp.D)]
-    for (i, j), v in zip(lp.pairs, [qi + ck for qi, ck in zip(qvec, corr)]):
-        out[i][j] = out[j][i] = v
-    return gram.SymmetricMatrix.from_rational(out)
-
-
 _SPARSE_CASES = {
     "cube3": (["x^2 - x", "y^2 - y", "z^2 - z"], "x + 2*y - z + 3"),
     "grid3x3": (["x^3 - 3*x^2 + 2*x", "y^3 - 3*y^2 + 2*y"], "x*y - x + 2*y + 1"),
@@ -117,52 +100,60 @@ _GRAM_SETS = {}
 
 
 def gram_set(name):
+    """(ring, Gram set of f) for one of the cases, built once."""
     if name not in _GRAM_SETS:
         gens, f = _SPARSE_CASES[name]
         names = ["x", "y", "z"] if name == "cube3" else ["x", "y"]
         ring = make_ring(gens, names)
-        _GRAM_SETS[name] = gram.GramVariety(ring, parse_polynomial(f, names))
+        _GRAM_SETS[name] = ring, gram.GramVariety(ring, parse_polynomial(f, names))
     return _GRAM_SETS[name]
+
+
+def check_correction(lp, q):
+    """A y = b exactly, y = q off row and column 0, and y is a fixed point."""
+    y = gram.project_to_gram(lp, q)
+    yr, qr = y.rational(), q.rational()
+    for row, bj in zip(lp.A, lp.b):
+        assert sum(x * yr[i][j] for (i, j), x in row) == bj
+    assert all(yr[i][j] == yr[j][i] for i in range(lp.D) for j in range(lp.D))
+    assert all(yr[i][j] == qr[i][j] for i in range(1, lp.D) for j in range(1, lp.D))
+    assert gram.project_to_gram(lp, y) == y
 
 
 class TestSparseProjection:
     def test_rows_are_sparse(self):
-        lp = gram_set("cube3")
+        _, lp = gram_set("cube3")
         assert len(lp.A) == 8
-        assert sum(len(row) for row in lp.A) < len(lp.A) * len(lp.pairs) // 4
+        assert sum(len(row) for row in lp.A) < len(lp.A) * (8 * 9 // 2) // 4
         assert all(x != 0 for row in lp.A for _, x in row)
 
     @pytest.mark.parametrize("name", sorted(_SPARSE_CASES))
     def test_rows_from_the_product_table(self, name, monkeypatch):
-        # one row per basis monomial, read from NF(b_i b_j) with no
-        # elimination: 1 in B makes the rows independent
-        ring = gram_set(name).ring
+        # one row per basis monomial, read from NF(b_i b_j), and a
+        # correction, with no elimination anywhere
+        ring, _ = gram_set(name)
         f = parse_polynomial(_SPARSE_CASES[name][1], ["x", "y", "z"][:ring.nvars])
         monkeypatch.setattr(exactla, "rref", lambda *a, **k: pytest.fail("rref called"))
         lp = gram.GramVariety(ring, f)
-        monkeypatch.undo()
         assert len(lp.A) == len(lp.b) == lp.D == ring.D
+        # 1 = b_0 in B: the unknown (0, j) is e_j with weight 1 or 2
+        for j, row in enumerate(lp.A):
+            assert [(u, x) for u, x in row if u[0] == 0] == [((0, j), 1 if j == 0 else 2)]
         q = gram.SymmetricMatrix.from_rational(
             [[Fraction((3 * (i + j) + i * j) % 7 - 3, 1 + (i + j) % 4) for j in range(lp.D)]
              for i in range(lp.D)])
-        y = gram.project_to_gram(lp, q)
-        dense = dense_project_to_gram(lp, q)
-        assert (y.nu, y.mat) == (dense.nu, dense.mat)
+        check_correction(lp, q)
 
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from(sorted(_SPARSE_CASES)), st.integers(0, 40), st.data())
-    def test_equals_dense_reference(self, name, frac_bits, data):
-        lp = gram_set(name)
+    def test_correction_on_random_matrices(self, name, frac_bits, data):
+        _, lp = gram_set(name)
         d = lp.D
         entries = data.draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
-                                     min_size=len(lp.pairs), max_size=len(lp.pairs)))
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        for (i, j), v in zip(lp.pairs, entries):
-            rows[i][j] = rows[j][i] = Fraction(v, 2 ** frac_bits)
-        q = gram.SymmetricMatrix.from_rational(rows)
-        sparse = gram.project_to_gram(lp, q)
-        dense = dense_project_to_gram(lp, q)
-        assert (sparse.nu, sparse.mat) == (dense.nu, dense.mat)
+                                     min_size=d * d, max_size=d * d))
+        rows = [[Fraction(entries[min(i, j) * d + max(i, j)], 2 ** frac_bits)
+                 for j in range(d)] for i in range(d)]
+        check_correction(lp, gram.SymmetricMatrix.from_rational(rows))
 
 
 class TestRoundAndCertify:
@@ -172,7 +163,7 @@ class TestRoundAndCertify:
         q0, fact = gram.round_and_certify(ring, var, poly("x + 3"))
         assert all(p > 0 for p in fact.pivots)
         # the factorization rebuilds the projected Gram matrix exactly
-        assert fact.reconstruct() == q0.rational()
+        assert reconstruct(fact) == q0.rational()
         from soscert.polyring import Polynomial
         total = Polynomial.zero(1)
         for w, vec in fact.square_vectors():

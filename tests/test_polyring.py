@@ -145,10 +145,14 @@ class TestHeight:
 
 
 class TestRounding:
-    def test_round_binary_truncates(self):
-        assert round_binary(1.4999, 1) == Fraction(1)
+    def test_round_binary_rounds_to_nearest(self):
+        assert round_binary(1.4999, 1) == Fraction(3, 2)
+        assert round_binary(1.2, 1) == Fraction(1)
         assert round_binary(0.3, 2) == Fraction(1, 4)
-        assert round_binary(-0.3, 2) == Fraction(-1, 2)
+        assert round_binary(-0.3, 2) == Fraction(-1, 4)
+        assert round_binary(Fraction(-5, 8), 2) == Fraction(-1, 2)  # ties to even
+        # a near-integer rounds to the integer, not a 2^-bits step below it
+        assert round_binary(1 - 2.0 ** -53, 32) == round_binary(1 - 2.0 ** -40, 32) == 1
 
     def test_exact_dyadic_fixed_point(self):
         assert round_binary(0.75, 4) == Fraction(3, 4)
@@ -157,4 +161,4 @@ class TestRounding:
     @given(st.floats(-100, 100), st.integers(1, 40))
     def test_error_bound(self, x, bits):
         r = round_binary(x, bits)
-        assert abs(Fraction(x) - r) < Fraction(1, 2 ** bits)
+        assert abs(Fraction(x) - r) <= Fraction(1, 2 ** (bits + 1))
