@@ -19,6 +19,7 @@ bits guards the loop.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import certifier, problem_io, verify_bounds
@@ -101,7 +102,9 @@ def cmd_bounds(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="soscert",
         description="Exact rational weighted sum-of-squares certificates on "

@@ -8,14 +8,18 @@ for the nonnegativity pipeline, and the quotient by the radical J on
 which the Hensel route certifies before its lift.
 
 J is read off the trace form H1[i][j] = Tr(M_{b_i b_j}) of R/I: its
-kernel is the nilradical, so one exact nullspace decides radicality and
-gives J (`radical_generators`).  Every float step (root solving, the
+kernel is the nilradical (`radical_generators`).  H1 is first eliminated
+modulo a 61-bit prime, where full rank proves I radical with no rational
+arithmetic; only when that test fails, as it does on every non-radical
+ring, does one exact nullspace give J.  Every float step (root solving, the
 witness's roots, the Gram matrix) sees only R/J, where each root is simple.
 
 Normal forms come from one linear map over the quotient basis B (see
-`QuotientRing`); full division by the Gröbner basis is left to what needs
-its quotients or runs before the ring's tables exist: Gröbner completion,
-`cofactor_reduce` and the border of `QuotientRing.mult_matrices`.
+`QuotientRing`), propagated in integers over one denominator; full
+division by the Gröbner basis (`divide`, on a heap of exponent tuples) is
+left to what needs its quotients or runs before the ring's tables exist:
+Gröbner completion, `cofactor_reduce` and the border of
+`QuotientRing.mult_matrices`.
 """
 
 from __future__ import annotations
@@ -23,11 +27,17 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from fractions import Fraction
 
 from . import exactla
 from .errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from .polyring import Monomial, Polynomial, common_denominator, evaluate
+
+
+# one shared zero: most entries of a normal-form vector are 0, and Fraction(0)
+# would rebuild it each time
+_ZERO = Fraction(0)
 
 
 def monomials_upto(nvars, max_degree):
@@ -55,25 +65,52 @@ def _monic(p):
 
 def divide(p, divisors):
     """Multivariate division: p = sum(q_i * divisors[i]) + remainder, with no
-    remainder monomial divisible by any divisor's leading monomial."""
-    quotients = [Polynomial.zero(p.nvars) for _ in divisors]
-    remainder = Polynomial.zero(p.nvars)
-    lead = [(d.leading_monomial(), d.leading_coefficient()) for d in divisors]
-    work = p
-    while not work.is_zero():
-        t = work.leading_monomial()
-        c = work.terms[t]
-        for i, (lm, lc) in enumerate(lead):
-            if lm.divides(t):
-                factor = Polynomial({t / lm: c / lc}, p.nvars)
-                quotients[i] = quotients[i] + factor
-                work = work - factor * divisors[i]
+    remainder monomial divisible by any divisor's leading monomial.
+
+    The working polynomial is a dict keyed by exponent tuples, changed in
+    place.  Its leading term comes off a heap keyed (-degree, exponents),
+    which is grevlex-descending (see `Monomial.grevlex_key`); each monomial
+    is queued at most once, and one whose coefficient cancelled is skipped
+    when it is popped.  A popped monomial never comes back, since every
+    term a step adds is below the leading term it removes."""
+    nvars = p.nvars
+    quotients = [{} for _ in divisors]
+    split = []  # (leading exponents, leading coefficient, tail terms, quotient)
+    for d, q in zip(divisors, quotients):
+        lm = d.leading_monomial()
+        split.append((lm.exponents, d.terms[lm],
+                      [(m.exponents, c) for m, c in d.terms.items() if m != lm], q))
+    work = {m.exponents: c for m, c in p.terms.items()}
+    heap = [(-sum(e), e) for e in work]
+    heapq.heapify(heap)
+    queued = set(work)
+    remainder = {}
+    while heap:
+        t = heapq.heappop(heap)[1]
+        queued.remove(t)
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        for lead, lc, tail, q in split:
+            if all(a <= b for a, b in zip(lead, t)):
+                shift = tuple(b - a for a, b in zip(lead, t))
+                factor = c if lc == 1 else c / lc
+                q[shift] = factor
+                for e, dc in tail:
+                    m = tuple(a + b for a, b in zip(e, shift))
+                    v = work.get(m, 0) - factor * dc
+                    if v:
+                        work[m] = v
+                        if m not in queued:
+                            queued.add(m)
+                            heapq.heappush(heap, (-sum(m), m))
+                    else:
+                        del work[m]
                 break
         else:
-            mono = Polynomial({t: c}, p.nvars)
-            remainder = remainder + mono
-            work = work - mono
-    return quotients, remainder
+            remainder[t] = c
+    return ([Polynomial({Monomial(e): c for e, c in q.items()}, nvars) for q in quotients],
+            Polynomial({Monomial(e): c for e, c in remainder.items()}, nvars))
 
 
 def _reduce(p, basis):
@@ -237,7 +274,8 @@ class QuotientRing:
     NF(p) = sum_m c_m NF(m), with NF(m) cached as a coefficient vector over
     B.  The cache starts from B's unit vectors; the first monomial outside
     B adds the border NF(x_k b) that `mult_matrices` reduces by division,
-    and every other monomial follows from NF(x_k m) = M_k NF(m).
+    and every other monomial follows from NF(x_k m) = M_k NF(m), computed
+    as A_k NF(m) / d_k with M_k = A_k / d_k in integers.
     """
 
     def __init__(self, ideal, basis):
@@ -260,8 +298,19 @@ class QuotientRing:
             path.append((m, k))
             m = m / Monomial.variable(k, self.nvars)
         v = self._nf_vectors[m]
+        if not path:
+            return v
+        # NF(x_k m) = A_k NF(m) / d_k in integers over one denominator
+        ints, den = _integral_vector(v)
         for m, k in reversed(path):
-            v = self._nf_vectors[m] = exactla.mat_vec(self.mult_matrices[k], v)
+            rows, d = self._integral_mult_matrices[k]
+            ints = [sum(a * ints[j] for j, a in row) for row in rows]
+            den *= d
+            g = math.gcd(den, *ints)
+            if g > 1:
+                ints = [x // g for x in ints]
+                den //= g
+            v = self._nf_vectors[m] = [Fraction(x, den) if x else _ZERO for x in ints]
         return v
 
     def nf_vector(self, p):
@@ -307,6 +356,17 @@ class QuotientRing:
         return mats
 
     @functools.cached_property
+    def _integral_mult_matrices(self):
+        """Each M_k as (sparse rows of integers (j, a), d_k) with M_k = A_k / d_k,
+        d_k the lcm of M_k's denominators."""
+        out = []
+        for mat in self.mult_matrices:
+            den = common_denominator(x for row in mat for x in row)
+            out.append(([[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(row) if x]
+                         for row in mat], den))
+        return out
+
+    @functools.cached_property
     def products(self):
         """products[i][j] = NF(b_i b_j) over B: the product table that the
         radical, the Gram set and the SDP constraints read."""
@@ -332,6 +392,12 @@ class QuotientRing:
         ring = monomial_basis(groebner(self.radical))
         ring.is_radical = True
         return ring
+
+
+def _integral_vector(v):
+    """A Fraction vector as (integers, lcm of its denominators)."""
+    den = common_denominator(v)
+    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 def monomial_basis(ideal):
@@ -486,6 +552,9 @@ def ideal_power_chain(radical, target):
 
 # -- radical computation (kernel of the trace form) ------------------------
 
+# A Mersenne prime: H1 of full rank modulo it has det H1 != 0 over Q.
+PRIME = (1 << 61) - 1
+
 
 def radical_generators(ring):
     """Generators of the radical J: the ideal plus sum_i c_i b_i for a basis
@@ -493,9 +562,48 @@ def radical_generators(ring):
     characteristic 0 that kernel is the nilradical of R/I (Becker-Woermann;
     Pedersen-Roy-Szpirglas), so I is radical exactly when it is empty.
     Tr(M_p) = t . NF(p) with t_k = Tr(M_{b_k}) = sum_i NF(b_k b_i)[i], and
-    every NF(b_i b_j) comes from the ring's product table.  Callers use the
-    cached `QuotientRing.radical`."""
+    every NF(b_i b_j) comes from the ring's product table.  H1 is first
+    eliminated modulo PRIME: full rank there proves the kernel empty, and
+    only otherwise is the rational kernel computed.  Callers use the cached
+    `QuotientRing.radical`."""
     products = ring.products
     t = [sum((row[i][i] for i in range(ring.D)), Fraction(0)) for row in products]
+    if _nonsingular_mod_p(products, t):
+        return list(ring.ideal.generators)
     h1 = [exactla.mat_vec(row, t) for row in products]
     return list(ring.ideal.generators) + [ring.from_vector(c) for c in exactla.nullspace(h1)]
+
+
+def _nonsingular_mod_p(products, t):
+    """True when H1 = (NF(b_i b_j) . t) has full rank modulo PRIME, so that
+    det H1 != 0 over Q.  False when the rank there falls short, or when a
+    denominator of t or of the table is 0 modulo PRIME, so that H1 has no
+    reduction modulo PRIME: neither proves anything."""
+    p = PRIME
+    inverse = functools.cache(lambda den: pow(den, -1, p))
+
+    def residue(x):
+        return x.numerator * inverse(x.denominator) % p
+
+    try:
+        t_p = [residue(x) for x in t]
+        traces = {}  # products repeats one cached vector for equal b_i b_j
+        for row in products:
+            for v in row:
+                if id(v) not in traces:
+                    traces[id(v)] = sum(residue(x) * y for x, y in zip(v, t_p) if x) % p
+    except ValueError:  # pow found a denominator that is 0 modulo PRIME
+        return False
+    h1 = [[traces[id(v)] for v in row] for row in products]
+    for c in range(len(h1)):
+        r = next((r for r in range(c, len(h1)) if h1[r][c]), None)
+        if r is None:
+            return False
+        h1[c], h1[r] = h1[r], h1[c]
+        pivot = h1[c]
+        inv = pow(pivot[c], -1, p)
+        for row in h1[c + 1:]:
+            if row[c]:
+                f = row[c] * inv % p
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], pivot[c:])]
+    return True

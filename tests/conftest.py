@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from soscert import problem_io
-from soscert.polyring import format_polynomial
+from soscert.polyring import Polynomial, format_polynomial
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -57,6 +57,29 @@ def determinant(a):
             f = m[i][k] / m[k][k]
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return det
+
+
+def reference_divide(p, divisors):
+    """Multivariate division: p = sum(q_i * divisors[i]) + remainder, with no
+    remainder monomial divisible by any divisor's leading monomial."""
+    quotients = [Polynomial.zero(p.nvars) for _ in divisors]
+    remainder = Polynomial.zero(p.nvars)
+    lead = [(d.leading_monomial(), d.leading_coefficient()) for d in divisors]
+    work = p
+    while not work.is_zero():
+        t = work.leading_monomial()
+        c = work.terms[t]
+        for i, (lm, lc) in enumerate(lead):
+            if lm.divides(t):
+                factor = Polynomial({t / lm: c / lc}, p.nvars)
+                quotients[i] = quotients[i] + factor
+                work = work - factor * divisors[i]
+                break
+        else:
+            mono = Polynomial({t: c}, p.nvars)
+            remainder = remainder + mono
+            work = work - mono
+    return quotients, remainder
 
 
 @pytest.fixture

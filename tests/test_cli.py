@@ -185,6 +185,29 @@ class TestBounds:
         assert "gram_height" in capsys.readouterr().out
 
 
+class TestOneParserPerProcess:
+    def test_commands_in_turn(self, tmp_path, capsys):
+        # one cached parser serves every call: no option of one call
+        # reaches the next (certify with --mode nonneg exits 2 on the double
+        # origin, and 3 in the default strict mode right after it)
+        assert cli.build_parser() is cli.build_parser()
+        prob, double = data_path("four_points.prob"), data_path("double_origin.prob")
+        out = tmp_path / "cert.txt"
+        calls = [
+            (["certify", "--input", prob, "--out", str(out)], 0),
+            (["verify", "--input", prob, "--certificate", str(out)], 0),
+            (["bounds", "--input", prob, "--constant", "2"], 0),
+            (["certify", "--input", double, "--mode", "nonneg"], 2),
+            (["certify", "--input", double], 3),
+            (["verify", "--input", prob, "--certificate", data_path("four_points_strict.cert")], 0),
+            (["bounds", "--input", double], 0),
+            (["verify", "--input", double, "--certificate", str(out)], 1),
+            (["certify", "--input", "/nonexistent.prob"], 1),
+        ]
+        for sequence in (calls, calls[::-1], calls):
+            assert [run(argv) for argv, _ in sequence] == [code for _, code in sequence]
+
+
 class TestProblemIO:
     def test_problem_round_trip(self, four_points):
         text = format_problem(four_points)

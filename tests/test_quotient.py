@@ -2,12 +2,14 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soscert import quotient
+from soscert import exactla, quotient
 from soscert.errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from soscert.polyring import Monomial, Polynomial, parse_polynomial
+
+from conftest import load_problem, reference_divide
 
 
 def poly(s, names=("x", "y")):
@@ -41,6 +43,63 @@ class TestDivision:
         for qi, d in zip(qs, divisors):
             total = total + qi * d
         assert total == p
+
+
+def _check_division(p, divisors):
+    qs, r = quotient.divide(p, divisors)
+    ref_qs, ref_r = reference_divide(p, divisors)
+    assert qs == ref_qs
+    assert r == ref_r
+    total = r
+    for qi, d in zip(qs, divisors):
+        total = total + qi * d
+    assert total == p
+
+
+def _polys(nvars, max_exp, max_terms, coefficients):
+    @st.composite
+    def draw_poly(draw):
+        terms = {}
+        for _ in range(draw(st.integers(1, max_terms))):
+            exps = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
+            terms[Monomial(exps)] = draw(coefficients)
+        return Polynomial(terms, nvars)
+    return draw_poly()
+
+
+_small_rationals = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def zero_dimensional_division(draw):
+    # x_i^d_i plus lower-degree terms for every variable: the leading terms
+    # include a pure power of each, so the ideal is zero-dimensional
+    nvars = draw(st.integers(1, 3))
+    gens = []
+    for i in range(nvars):
+        d = draw(st.integers(1, 3 if nvars < 3 else 2))
+        tail = draw(_polys(nvars, d - 1, 3, _small_rationals))
+        tail = Polynomial({m: c for m, c in tail.terms.items() if m.degree < d}, nvars)
+        gens.append(Polynomial.variable(i, nvars) ** d + tail)
+    gb = quotient.groebner(gens).gb
+    p = draw(_polys(nvars, 4, 6, _small_rationals))
+    return p, gb
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_dimensional_division())
+def test_division_matches_reference_on_groebner_bases(case):
+    _check_division(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(2, 3, 6, _small_rationals),
+       st.lists(_polys(2, 2, 3, _small_rationals), min_size=1, max_size=3))
+@example(poly("2/3*x*y + 2*y + 1"), [poly("-y - 1/2"), poly("x - 1")])
+def test_division_matches_reference_on_non_monic_divisors(p, divisors):
+    # the example deletes the constant term (from y by the first divisor)
+    # while it is queued, and the second divisor's step on x re-creates it
+    _check_division(p, divisors)
 
 
 class TestGroebner:
@@ -245,7 +304,7 @@ def test_normal_form_matches_division(name, data):
     # exponents up to 2 deg B + 2 reach monomials that only M_k NF(m) gives
     ring = built_ring(name)
     p = data.draw(high_degree_polys(2 * ring.degree_of_basis() + 2))
-    expected = ring.ideal.reduce(p)
+    expected = reference_divide(p, ring.ideal.gb)[1]
     assert ring.normal_form(p) == expected
 
 
@@ -306,3 +365,84 @@ def test_radical_of_the_cusp_circle_ring():
     ring = _check_radical(gens, gens + [poly("x^3 + x^2 - 2*x"), poly("y^5 + 7*y^3 - 8*y")],
                           5, False)
     assert ring.D == 6
+
+
+# -- the radical test modulo a prime, and the integer normal-form table --------
+
+
+def _exact_radical(ring):
+    """The rational kernel of H1, with no test modulo a prime."""
+    products = ring.products
+    t = [sum((row[i][i] for i in range(ring.D)), Fraction(0)) for row in products]
+    h1 = [exactla.mat_vec(row, t) for row in products]
+    return list(ring.ideal.generators) + [ring.from_vector(c) for c in exactla.nullspace(h1)]
+
+
+def _ring(gens, names=("x", "y")):
+    return quotient.monomial_basis(quotient.groebner([poly(h, names) for h in gens]))
+
+
+@pytest.mark.parametrize("gens, names", [
+    (["x^2 - 1", "y^2 - x - 2"], ("x", "y")),  # four points
+    (["x^2 - 1", "y^2 - 1", "z^2 - 1"], ("x", "y", "z")),  # the 3-cube
+    (RINGS["conjugate"], ("x", "y")),  # two conjugate pairs
+])
+def test_radical_rings_need_no_rational_elimination(gens, names, monkeypatch):
+    ring = _ring(gens, names)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational elimination on a radical ring")
+
+    monkeypatch.setattr(exactla, "rref", refuse)
+    assert ring.is_radical
+    assert ring.radical == ring.ideal.generators
+
+
+@pytest.mark.parametrize("prime, gens", [
+    (2, ["x^2 - 1"]),  # B = {1, x}, H1 = 2I: rank 0 modulo 2
+    (3, ["3*x^2 - 1"]),  # M_x = [[0, 1/3], [1, 0]]: a denominator is 3
+])
+def test_small_prime_falls_back_to_the_exact_kernel(prime, gens, monkeypatch):
+    ring = _ring(gens, ("x",))
+    expected = _exact_radical(ring)
+    assert expected == ring.ideal.generators
+    calls = []
+    nullspace = exactla.nullspace
+    monkeypatch.setattr(exactla, "nullspace", lambda a: calls.append(a) or nullspace(a))
+    monkeypatch.setattr(quotient, "PRIME", prime)
+    assert quotient.radical_generators(ring) == expected
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gens, names", [
+    (["x^3 - x^2"], ("x",)),
+    (["x^3 - y^2", "x^2 - 2*x + y^2"], ("x", "y")),  # the cusp-circle ring
+])
+def test_non_radical_rings_keep_their_radical(gens, names):
+    ring = _ring(gens, names)
+    assert quotient.radical_generators(ring) == _exact_radical(ring)
+    assert len(ring.radical) > len(ring.ideal.generators)
+
+
+def _monomial_product_reference(ring, m):
+    """NF(m) = M^alpha NF(1), one Fraction mat_vec per variable factor."""
+    v = [Fraction(int(b == Monomial.unit(ring.nvars))) for b in ring.basis]
+    for k, e in enumerate(m.exponents):
+        for _ in range(e):
+            v = exactla.mat_vec(ring.mult_matrices[k], v)
+    return v
+
+
+@pytest.mark.parametrize("ring", [
+    pytest.param(lambda: quotient.monomial_basis(
+        quotient.groebner(load_problem("scaled_witness.prob").h)), id="scaled_witness"),
+    pytest.param(lambda: _ring(["3*x^2 - 1", "2*y^2 - x"]), id="3x^2-1,2y^2-x"),
+])
+def test_products_match_fraction_reference(ring):
+    ring = ring()
+    assert any(x.denominator > 1 for mat in ring.mult_matrices for row in mat for x in row)
+    for bi, row in zip(ring.basis, ring.products):
+        for bj, v in zip(ring.basis, row):
+            expected = _monomial_product_reference(ring, bi * bj)
+            assert all(type(x) is Fraction for x in v)
+            assert v == expected
