@@ -176,7 +176,7 @@ def perturb(inst, ring, var):
 def _squares_from_factorization(ring, fact):
     out = []
     for w, vec in fact.square_vectors():
-        poly = ring.from_vector([Fraction(v) for v in vec])
+        poly = ring.from_vector(vec)
         if not poly.is_zero():
             out.append((w, poly))
     return out

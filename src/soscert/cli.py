@@ -49,7 +49,7 @@ def cmd_certify(args):
     for key in ("mode", "engine", "seed"):
         value = getattr(args, key)
         if value is not None:
-            inst.options[key] = value
+            inst.options[key] = problem_io.check_option(key, value)
     ring = certifier.build_ring(inst)
     try:
         cert = certifier.certify(inst, ring)
@@ -90,15 +90,17 @@ def _verdict(inst, cert, ring=None):
 def cmd_bounds(args):
     inst = _load_problem(args.input)
     ring = certifier.build_ring(inst)
-    report = verify_bounds.degree_bounds(inst, ring)
-    print(report.to_text())
+    text = verify_bounds.degree_bounds(inst, ring).to_text()
     if args.constant is not None:
         info = height(inst.f)
         tau = max(info.numerator_height + info.denominator_height, 1)
-        hb = verify_bounds.height_bound_formula(
-            inst.nvars, ring.D, max(ring.degree_of_basis(), 1), tau,
-            max(inst.f.degree, 1), args.constant)
-        print(hb.to_text())
+        try:
+            text += "\n" + verify_bounds.height_bound_formula(
+                inst.nvars, ring.D, max(ring.degree_of_basis(), 1), tau,
+                max(inst.f.degree, 1), args.constant).to_text()
+        except ValueError as exc:
+            raise ParseError(f"height bound: {exc}") from None
+    print(text)
     return EXIT_OK
 
 

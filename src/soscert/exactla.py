@@ -13,10 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if c), Fraction(0)) for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 

@@ -15,18 +15,21 @@ is NF(b_i b_j) over B, read from the ring's product table, and b is NF(p).
 Since 1 = b_0 lies in B, the columns (0, j) are weighted unit vectors:
 y_0j appears in row j alone.  So a rounded matrix q is moved into the set
 by correcting its row and column 0 by the residual b - A q, with no linear
-solve, and the rest of q stays as rounded.
+solve, and the rest of q stays as rounded.  All of it is integers over one
+denominator, like the ring's vectors (see `quotient`): each matrix is a
+`SymmetricMatrix` M / nu in lowest terms, and the Gram set is A / den, b / b_den.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import NonPositiveAtRealRoot, NotPD, PrecisionExceeded, ZeroPivot
-from .polyring import common_denominator, evaluate, round_binary
+from .polyring import evaluate, round_scaled
 
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
 # rounding stops every precision loop before this ceiling; it only guards it
@@ -35,23 +38,17 @@ START_BITS = 32  # the Gram matrix's first rounding, in fractional bits
 
 
 class SymmetricMatrix:
-    """Symmetric matrix with integer entries over a common denominator."""
+    """Symmetric matrix M / nu of integers over a positive denominator, in
+    lowest terms (gcd(nu, M) = 1), so equal matrices have equal (M, nu)."""
 
     def __init__(self, mat, nu=1):
-        self.mat = [[int(x) for x in row] for row in mat]
-        self.nu = int(nu)
+        g = math.gcd(nu, *itertools.chain.from_iterable(mat))
+        self.mat = [[x // g for x in row] for row in mat]
+        self.nu = nu // g
         self.D = len(mat)
-
-    @classmethod
-    def from_rational(cls, rows):
-        nu = common_denominator(x for row in rows for x in row)
-        return cls([[int(x * nu) for x in row] for row in rows], nu)
 
     def __eq__(self, other):
         return (self.nu, self.mat) == (other.nu, other.mat)
-
-    def rational(self):
-        return [[Fraction(x, self.nu) for x in row] for row in self.mat]
 
     def __repr__(self):
         return f"SymmetricMatrix({self.mat}, nu={self.nu})"
@@ -110,18 +107,23 @@ class GramVariety:
     """Constraint system A y = b over the upper-triangle unknowns of
     {Y : sum_ij Y_ij b_i b_j = p mod I}: row r is the coefficient of b_r in
     NF(sum_ij Y_ij b_i b_j) = NF(p).  Each row of A is the list of its
-    nonzero ((i, j), coefficient) pairs, i <= j; an off-diagonal unknown
-    stands for Y_ij and Y_ji, so its coefficient is doubled."""
+    nonzero ((i, j), coefficient) pairs, i <= j, with integer coefficients
+    over the common denominator `den` of the product table; an off-diagonal
+    unknown stands for Y_ij and Y_ji, so its coefficient is doubled.  b is
+    the ring vector NF(p) = b / b_den."""
 
     def __init__(self, ring, p):
         D = self.D = ring.D
+        self.den = math.lcm(*(d for row in ring.products for _, d in row))
         self.A = [[] for _ in range(D)]
         for i in range(D):
             for j in range(i, D):
-                for r, x in enumerate(ring.products[i][j]):
+                v, d = ring.products[i][j]
+                scale = self.den // d * (1 if i == j else 2)
+                for r, x in enumerate(v):
                     if x:
-                        self.A[r].append(((i, j), x if i == j else 2 * x))
-        self.b = ring.nf_vector(p)
+                        self.A[r].append(((i, j), scale * x))
+        self.b, self.b_den = ring.nf_vector(p)
 
 
 def project_to_gram(variety, q):
@@ -130,13 +132,17 @@ def project_to_gram(variety, q):
 
     With r = b - A q, y_00 = q_00 + r_0 and y_0j = y_j0 = q_0j + r_j / 2;
     every other entry stays q_ij.  Since NF(b_0 b_j) = b_j, the unknown
-    y_0j appears in row j alone, so A y = b holds exactly with no solve."""
-    y = q.rational()
-    r = [bj - sum(x * y[i][j] for (i, j), x in row) for row, bj in zip(variety.A, variety.b)]
-    for j, rj in enumerate(r):
-        y[0][j] += rj if j == 0 else rj / 2
+    y_0j appears in row j alone, so A y = b holds exactly with no solve.
+    In integers over n = 2 b_den den nu, n r_j / 2 = den nu b_j -
+    b_den (A_j . M) for q = M / nu."""
+    m, nu = q.mat, q.nu
+    scale = 2 * variety.b_den * variety.den
+    y = [[scale * x for x in row] for row in m]
+    for j, (row, bj) in enumerate(zip(variety.A, variety.b)):
+        half = variety.den * nu * bj - variety.b_den * sum(x * m[i][k] for (i, k), x in row)
+        y[0][j] += 2 * half if j == 0 else half
         y[j][0] = y[0][j]
-    return SymmetricMatrix.from_rational(y)
+    return SymmetricMatrix(y, scale * nu)
 
 
 # -- fraction-free LDL^t ---------------------------------------------------
@@ -171,7 +177,7 @@ def ldlt(q):
     when a zero pivot survives every symmetric permutation of the trailing
     block."""
     D = q.D
-    m = [[int(x) for x in row] for row in q.mat]
+    m = [row[:] for row in q.mat]
     perm = list(range(D))
     cols = [[0] * D for _ in range(D)]
     minors = [1]  # Delta_0
@@ -201,11 +207,11 @@ def ldlt(q):
 
 
 def round_matrix(mat, frac_bits):
-    """Entrywise binary rounding of a float matrix, symmetrized first."""
+    """Entrywise binary rounding of a float matrix, symmetrized first: a
+    SymmetricMatrix of integers over 2^frac_bits."""
     sym = (np.asarray(mat) + np.asarray(mat).T) / 2.0
-    rows = [[round_binary(float(sym[i, j]), frac_bits) for j in range(sym.shape[1])]
-            for i in range(sym.shape[0])]
-    return SymmetricMatrix.from_rational(rows)
+    return SymmetricMatrix([[round_scaled(x, frac_bits) for x in row] for row in sym.tolist()],
+                           1 << frac_bits)
 
 
 def escalate(start_bits, round_at, attempt):

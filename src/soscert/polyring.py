@@ -9,6 +9,7 @@ terms are degree-compatible.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ class Monomial:
     __slots__ = ("exponents",)
 
     def __init__(self, exponents):
-        self.exponents = tuple(int(e) for e in exponents)
+        self.exponents = tuple(exponents)
 
     @classmethod
     def unit(cls, nvars):
@@ -39,16 +40,16 @@ class Monomial:
         return sum(self.exponents)
 
     def __mul__(self, other):
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
+        return Monomial(tuple(map(operator.add, self.exponents, other.exponents)))
 
     def divides(self, other):
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def __truediv__(self, other):
-        return Monomial(a - b for a, b in zip(self.exponents, other.exponents))
+        return Monomial(tuple(map(operator.sub, self.exponents, other.exponents)))
 
     def lcm(self, other):
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents))
+        return Monomial(tuple(map(max, self.exponents, other.exponents)))
 
     def grevlex_key(self):
         # graded reverse lexicographic with x1 < x2 < ... < xn
@@ -112,9 +113,6 @@ class Polynomial:
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
-
-    def coefficient(self, m):
-        return self.terms.get(m, Fraction(0))
 
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda t: t[0].grevlex_key(), reverse=reverse)
@@ -229,11 +227,18 @@ def height(p):
 def round_binary(x, frac_bits):
     """The nearest dyadic xi / 2^frac_bits to a real number (ties to even),
     within 2^-(frac_bits+1) of it."""
+    return Fraction(round_scaled(x, frac_bits), 1 << frac_bits)
+
+
+def round_scaled(x, frac_bits):
+    """The xi of `round_binary`: x * 2^frac_bits rounded exactly, ties to even."""
     if frac_bits < 0:
         raise ValueError("frac_bits must be nonnegative")
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError("cannot round a non-finite value")
-    return Fraction(round(Fraction(x) * (1 << frac_bits)), 1 << frac_bits)
+    n, d = x.as_integer_ratio()
+    q, r = divmod(n << frac_bits, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
 
 
 # -- ASCII grammar --------------------------------------------------------

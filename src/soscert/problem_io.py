@@ -40,10 +40,13 @@ from .polyring import format_polynomial, parse_polynomial
 _OPTION_TYPES = {"mode": str, "engine": str, "seed": int}
 
 
-def _choice(key, value):
+def check_option(key, value):
+    """An option value, or ParseError for a mode or engine out of its choices or a negative seed."""
     if key in OPTION_CHOICES and value not in OPTION_CHOICES[key]:
         raise ParseError(f"{key} must be one of {', '.join(OPTION_CHOICES[key])}, "
                          f"not {value!r}")
+    if key == "seed" and value < 0:
+        raise ParseError(f"seed must be nonnegative, not {value}")
     return value
 
 
@@ -92,7 +95,7 @@ def parse_problem(text):
                 _, key, value = line.split(None, 2)
                 if key not in _OPTION_TYPES:
                     raise ParseError(f"unknown option {key!r}")
-                options[key] = _choice(key, _OPTION_TYPES[key](value))
+                options[key] = check_option(key, _OPTION_TYPES[key](value))
             else:
                 raise ParseError(f"unrecognized line {line!r}")
     if var_names is None:
@@ -126,7 +129,7 @@ def parse_certificate(text, expected_vars=None):
         keyword = line.split()[0]
         with _at_line(lineno):
             if keyword == "mode":
-                mode = _choice("mode", line.split()[1])
+                mode = check_option("mode", line.split()[1])
             elif keyword == "variables":
                 var_names = _variables(line)
                 if expected_vars is not None and var_names != list(expected_vars):

@@ -14,12 +14,15 @@ arithmetic; only when that test fails, as it does on every non-radical
 ring, does one exact nullspace give J.  Every float step (root solving, the
 witness's roots, the Gram matrix) sees only R/J, where each root is simple.
 
-Normal forms come from one linear map over the quotient basis B (see
-`QuotientRing`), propagated in integers over one denominator; full
-division by the Gröbner basis (`divide`, on a heap of exponent tuples) is
-left to what needs its quotients or runs before the ring's tables exist:
-Gröbner completion, `cofactor_reduce` and the border of
-`QuotientRing.mult_matrices`.
+A ring vector, the coefficients over the quotient basis B of a normal
+form, has one form: a pair (ints, den) of integers over one positive
+denominator, in lowest terms.  Normal forms, the product table and the
+multiplication matrices all use it; only `QuotientRing.mult_matrix` and
+the exact solves of `exactla` work in Fractions.  Normal forms come from
+one linear map over B (see `QuotientRing`); full division by the Gröbner
+basis (`divide`, on a heap of exponent tuples) is left to what needs its
+quotients or runs before the ring's tables exist: Gröbner completion,
+`cofactor_reduce` and the border of `QuotientRing.mult_matrices`.
 """
 
 from __future__ import annotations
@@ -28,16 +31,12 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import exactla
 from .errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from .polyring import Monomial, Polynomial, common_denominator, evaluate
-
-
-# one shared zero: most entries of a normal-form vector are 0, and Fraction(0)
-# would rebuild it each time
-_ZERO = Fraction(0)
 
 
 def monomials_upto(nvars, max_degree):
@@ -206,7 +205,7 @@ def groebner(generators):
     first read."""
     gens = [p for p in generators if not p.is_zero()]
     if not gens:
-        raise ValueError("empty generating set")
+        raise NotZeroDimensional("every equation is 0: the ideal (0) has infinitely many zeros")
     nvars = gens[0].nvars
     basis = []
     sugars = []
@@ -271,11 +270,11 @@ class QuotientRing:
     """Finite-dimensional quotient by a zero-dimensional ideal.
 
     Every reduction modulo I goes through one linear map over the basis B:
-    NF(p) = sum_m c_m NF(m), with NF(m) cached as a coefficient vector over
-    B.  The cache starts from B's unit vectors; the first monomial outside
-    B adds the border NF(x_k b) that `mult_matrices` reduces by division,
-    and every other monomial follows from NF(x_k m) = M_k NF(m), computed
-    as A_k NF(m) / d_k with M_k = A_k / d_k in integers.
+    NF(p) = sum_m c_m NF(m), with NF(m) cached as a ring vector (ints, den)
+    over B.  The cache starts from B's unit vectors; the first monomial
+    outside B adds the border NF(x_k b) that `mult_matrices` reduces by
+    division, and every other monomial follows from NF(x_k m) = M_k NF(m),
+    computed as A_k NF(m) / d_k with M_k = A_k / d_k in integers.
     """
 
     def __init__(self, ideal, basis):
@@ -284,10 +283,10 @@ class QuotientRing:
         self.D = len(basis)
         self.nvars = ideal.nvars
         self._index = {m: i for i, m in enumerate(basis)}
-        self._nf_vectors = {m: [Fraction(int(i == k)) for i in range(self.D)]
+        self._nf_vectors = {m: ([int(i == k) for i in range(self.D)], 1)
                             for k, m in enumerate(basis)}
         # 1 lies in B unless I is the unit ideal, where every vector is empty
-        self._nf_vectors.setdefault(Monomial.unit(self.nvars), [])
+        self._nf_vectors.setdefault(Monomial.unit(self.nvars), ([], 1))
 
     # -- normal forms -------------------------------------------------
 
@@ -298,51 +297,45 @@ class QuotientRing:
             path.append((m, k))
             m = m / Monomial.variable(k, self.nvars)
         v = self._nf_vectors[m]
-        if not path:
-            return v
-        # NF(x_k m) = A_k NF(m) / d_k in integers over one denominator
-        ints, den = _integral_vector(v)
         for m, k in reversed(path):
-            rows, d = self._integral_mult_matrices[k]
-            ints = [sum(a * ints[j] for j, a in row) for row in rows]
-            den *= d
-            g = math.gcd(den, *ints)
-            if g > 1:
-                ints = [x // g for x in ints]
-                den //= g
-            v = self._nf_vectors[m] = [Fraction(x, den) if x else _ZERO for x in ints]
+            rows, d = self.mult_matrices[k]
+            v = self._nf_vectors[m] = _lowest([sum(map(operator.mul, row, v[0])) for row in rows],
+                                              v[1] * d)
         return v
 
     def nf_vector(self, p):
-        """Coefficient vector over B of the normal form of p, in Fractions."""
-        acc = [Fraction(0)] * self.D
-        for m, c in p.terms.items():
-            for i, x in enumerate(self._nf_monomial(m)):
-                if x:
-                    acc[i] += c * x
-        return acc
+        """The normal form of p as a ring vector (ints, den) over B."""
+        terms = [(c, *self._nf_monomial(m)) for m, c in p.terms.items()]
+        den = math.lcm(*(c.denominator * d for c, _, d in terms))
+        acc = [0] * self.D
+        for c, v, d in terms:
+            s = c.numerator * (den // (c.denominator * d))
+            acc = [a + s * x if x else a for a, x in zip(acc, v)]
+        return _lowest(acc, den)
 
     def normal_form(self, p):
         """Normal form in span(B)."""
-        return self.from_vector(self.nf_vector(p))
+        return self.from_vector(*self.nf_vector(p))
 
-    def from_vector(self, v):
-        return Polynomial({m: c for m, c in zip(self.basis, v)}, self.nvars)
+    def from_vector(self, v, den=1):
+        """The polynomial sum_i (v_i / den) b_i."""
+        return Polynomial({m: Fraction(x, den) for m, x in zip(self.basis, v) if x}, self.nvars)
 
     def mult_matrix(self, f):
-        """Matrix of multiplication by f on the quotient, columns over B."""
-        cols = [self.nf_vector(f * Polynomial({b: Fraction(1)}, self.nvars))
-                for b in self.basis]
-        return exactla.transpose(cols)
+        """Matrix of multiplication by f on the quotient, columns over B, in
+        Fractions for the exact solves."""
+        cols = [self.nf_vector(f * Polynomial({b: Fraction(1)}, self.nvars)) for b in self.basis]
+        return exactla.transpose([[Fraction(x, den) for x in ints] for ints, den in cols])
 
     def degree_of_basis(self):
         return max((m.degree for m in self.basis), default=0)
 
     @functools.cached_property
     def mult_matrices(self):
-        """M_k, multiplication by x_k, with columns NF(x_k b) over B.  On
-        first read, the border x_k b outside B is reduced by division into
-        the normal-form cache: the ring's only division."""
+        """M_k, multiplication by x_k, as (integer rows of A_k, d_k) with
+        M_k = A_k / d_k, d_k the lcm of the denominators of its columns
+        NF(x_k b).  On first read, the border x_k b outside B is reduced by
+        division into the normal-form cache: the ring's only division."""
         mats = []
         for k in range(self.nvars):
             cols = []
@@ -350,26 +343,17 @@ class QuotientRing:
                 m = b * Monomial.variable(k, self.nvars)
                 if m not in self._nf_vectors:
                     nf = self.ideal.reduce(Polynomial({m: Fraction(1)}, self.nvars))
-                    self._nf_vectors[m] = [nf.coefficient(b2) for b2 in self.basis]
+                    self._nf_vectors[m] = self.nf_vector(nf)
                 cols.append(self._nf_vectors[m])
-            mats.append(exactla.transpose(cols))
+            d_k = math.lcm(*(den for _, den in cols))
+            scaled = [[x * (d_k // den) for x in ints] for ints, den in cols]
+            mats.append((exactla.transpose(scaled), d_k))
         return mats
 
     @functools.cached_property
-    def _integral_mult_matrices(self):
-        """Each M_k as (sparse rows of integers (j, a), d_k) with M_k = A_k / d_k,
-        d_k the lcm of M_k's denominators."""
-        out = []
-        for mat in self.mult_matrices:
-            den = common_denominator(x for row in mat for x in row)
-            out.append(([[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(row) if x]
-                         for row in mat], den))
-        return out
-
-    @functools.cached_property
     def products(self):
-        """products[i][j] = NF(b_i b_j) over B: the product table that the
-        radical, the Gram set and the SDP constraints read."""
+        """products[i][j] = NF(b_i b_j), a ring vector over B: the product
+        table that the radical, the Gram set and the SDP constraints read."""
         return [[self._nf_monomial(bi * bj) for bj in self.basis] for bi in self.basis]
 
     @functools.cached_property
@@ -394,10 +378,12 @@ class QuotientRing:
         return ring
 
 
-def _integral_vector(v):
-    """A Fraction vector as (integers, lcm of its denominators)."""
-    den = common_denominator(v)
-    return [x.numerator * (den // x.denominator) for x in v], den
+def _lowest(ints, den):
+    """The ring vector ints / den in lowest terms."""
+    g = math.gcd(den, *ints)
+    if g > 1:
+        return [x // g for x in ints], den // g
+    return ints, den
 
 
 def monomial_basis(ideal):
@@ -567,34 +553,28 @@ def radical_generators(ring):
     only otherwise is the rational kernel computed.  Callers use the cached
     `QuotientRing.radical`."""
     products = ring.products
-    t = [sum((row[i][i] for i in range(ring.D)), Fraction(0)) for row in products]
-    if _nonsingular_mod_p(products, t):
+    if _nonsingular_mod_p(products):
         return list(ring.ideal.generators)
-    h1 = [exactla.mat_vec(row, t) for row in products]
+    t = [sum(Fraction(v[i], d) for i, (v, d) in enumerate(row)) for row in products]
+    h1 = [[Fraction(sum(x * y for x, y in zip(v, t) if x), d) for v, d in row] for row in products]
     return list(ring.ideal.generators) + [ring.from_vector(c) for c in exactla.nullspace(h1)]
 
 
-def _nonsingular_mod_p(products, t):
+def _nonsingular_mod_p(products):
     """True when H1 = (NF(b_i b_j) . t) has full rank modulo PRIME, so that
     det H1 != 0 over Q.  False when the rank there falls short, or when a
-    denominator of t or of the table is 0 modulo PRIME, so that H1 has no
+    denominator of the table is 0 modulo PRIME, so that H1 has no
     reduction modulo PRIME: neither proves anything."""
     p = PRIME
-    inverse = functools.cache(lambda den: pow(den, -1, p))
-
-    def residue(x):
-        return x.numerator * inverse(x.denominator) % p
-
+    distinct = {id(e): e for row in products for e in row}  # equal b_i b_j share one
     try:
-        t_p = [residue(x) for x in t]
-        traces = {}  # products repeats one cached vector for equal b_i b_j
-        for row in products:
-            for v in row:
-                if id(v) not in traces:
-                    traces[id(v)] = sum(residue(x) * y for x, y in zip(v, t_p) if x) % p
+        inverse = {key: pow(d, -1, p) for key, (_, d) in distinct.items()}
     except ValueError:  # pow found a denominator that is 0 modulo PRIME
         return False
-    h1 = [[traces[id(v)] for v in row] for row in products]
+    t_p = [sum(e[0][i] * inverse[id(e)] for i, e in enumerate(row)) % p for row in products]
+    traces = {key: sum(x * y for x, y in zip(v, t_p) if x) * inverse[key] % p
+              for key, (v, _) in distinct.items()}
+    h1 = [[traces[id(e)] for e in row] for row in products]
     for c in range(len(h1)):
         r = next((r for r in range(c, len(h1)) if h1[r][c]), None)
         if r is None:

@@ -14,7 +14,9 @@ interior-point solve (`maximize_lambda`) that stops once lam is known
 within a factor 1.5.  The rounding step re-derives an exact certificate
 from the approximate blocks, and all rounding error and the solver's
 residual are absorbed into the free block, corrected exactly into its Gram
-set along row and column 0 (`gram.project_to_gram`) and factored.
+set along row and column 0 (`gram.project_to_gram`) and factored.  The
+float problem reads the ring's vectors (ints, den) as x / den, which rounds
+correctly as float(Fraction(x, den)) does.
 `solve_feasibility` (Dykstra's alternating projections at a fixed lam) is
 kept as an independent reference for the tests.
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import certifier, gram
 from .errors import Infeasible, MaxIterations, NotPD, ZeroPivot
-from .polyring import round_binary
+from .polyring import Polynomial, round_binary
 
 
 class SdpProblem:
@@ -43,11 +45,12 @@ class SdpProblem:
         self.nvars_total = len(self.block_sizes) * d * d
         # column (p, q) of the free block is NF(b_p b_q) over B; a g block
         # multiplies it by the matrix of g on the quotient
-        products = np.array([v for row in ring.products for v in row],
+        products = np.array([[x / den for x in v] for row in ring.products for v, den in row],
                             dtype=float).reshape(d * d, d).T
         self.A = np.hstack([products] + [np.array(ring.mult_matrix(g), dtype=float) @ products
                                          for g in inst.g])
-        self.b = np.array([float(c) for c in ring.nf_vector(inst.f)])
+        f_ints, f_den = ring.nf_vector(inst.f)
+        self.b = np.array([x / f_den for x in f_ints])
         self._pinv = None             # built by the first project_affine
 
     def unpack(self, x):
@@ -152,7 +155,7 @@ def maximize_lambda(prob, iterations=100):
     # a = NF(sum_p b_p^2) is exactly 0 only without real points (it is at
     # least 1 at a real point); lam then leaves the constraints and is held
     # at 1
-    held = not any(sum((ring.products[p][p][r] for p in range(d)), 0) for r in range(d))
+    held = not any(ring.nf_vector(Polynomial({b * b: 1 for b in ring.basis}, ring.nvars))[0])
     b = prob.b
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     n = d * len(slices)

@@ -53,7 +53,7 @@ def solve_variety(ring, seed=0):
         raise SingularVandermonde("the ring is not radical: its points are multiple")
     D = ring.D
     n = ring.nvars
-    mats = [np.array([[float(x) for x in row] for row in m]) for m in ring.mult_matrices]
+    mats = [np.array([[x / d for x in row] for row in rows]) for rows, d in ring.mult_matrices]
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(0.5, 1.5, size=n)
     combo = sum(c * m for c, m in zip(coeffs, mats))

@@ -129,10 +129,13 @@ def degree_bounds(inst, ring):
 def height_bound_formula(n, d, delta, tau, d_f, c):
     """Parametrized upper-bound formula with user constant c; diagnostic
     only (the true constant is not specified)."""
-    if min(n, d, delta, tau, d_f) <= 0 or c <= 0:
-        raise ValueError("all parameters must be positive")
+    if min(n, d, delta, tau, d_f) <= 0 or not 0 < c < math.inf:
+        raise ValueError(f"the parameters must be positive and finite (constant {c})")
     cnd = c * n * math.log2(d * (n + 1))
-    gram_height = math.ceil(cnd * d ** (2 * n - 1) * (d ** n * delta + d_f) * (d + tau))
+    gram_bits = cnd * d ** (2 * n - 1) * (d ** n * delta + d_f) * (d + tau)
+    if gram_bits == math.inf:
+        raise ValueError(f"the bound overflows a float at the constant {c}")
+    gram_height = math.ceil(gram_bits)
     value_height = math.ceil(c * n * math.log2(n + 1) * d ** (n - 1) * d_f * (d + tau))
     d_hat = 2 * (d + delta) + 1
     return BoundReport(gram_height=gram_height, root_value_height=value_height,

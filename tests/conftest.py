@@ -1,9 +1,10 @@
+import math
 import os
 from fractions import Fraction
 
 import pytest
 
-from soscert import problem_io
+from soscert import gram, problem_io
 from soscert.polyring import Polynomial, format_polynomial
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -32,6 +33,28 @@ def format_problem(inst):
     lines += ["h: " + format_polynomial(p, inst.var_names) for p in inst.h]
     lines += [f"option {key} {inst.options[key]}" for key in sorted(inst.options)]
     return "\n".join(lines) + "\n"
+
+
+def from_rational(rows):
+    """The SymmetricMatrix of a matrix of rationals."""
+    nu = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return gram.SymmetricMatrix([[int(x * nu) for x in row] for row in rows], nu)
+
+
+def rational(q):
+    """The entries of a SymmetricMatrix as Fractions."""
+    return [[Fraction(x, q.nu) for x in row] for row in q.mat]
+
+
+def fractions(vector):
+    """A ring vector (ints, den) as a list of Fractions."""
+    ints, den = vector
+    return [Fraction(x, den) for x in ints]
+
+
+def mat_vec(a, v):
+    """The product of a Fraction matrix and a vector."""
+    return [sum((c * x for c, x in zip(row, v) if c), Fraction(0)) for row in a]
 
 
 def reconstruct(fact):

@@ -17,7 +17,8 @@ from soscert import (certifier, cli, gram, quotient, sdp_backend,
 from soscert.errors import ConditionFailed, Infeasible, MaxIterations
 from soscert.polyring import (Monomial, Polynomial, evaluate, parse_polynomial)
 
-from conftest import data_path, determinant, load_certificate, load_problem, reconstruct
+from conftest import (data_path, determinant, fractions, from_rational, load_certificate,
+                      load_problem, rational, reconstruct)
 
 
 def poly(s, names=("x", "y")):
@@ -166,7 +167,7 @@ class TestCriterion6PropertySuites:
             q = [[Fraction(sum(a[k][i] * a[k][j] for k in range(d))
                            + (1 if i == j else 0))
                   for j in range(d)] for i in range(d)]
-            fact = gram.ldlt(gram.SymmetricMatrix.from_rational(q))
+            fact = gram.ldlt(from_rational(q))
             assert reconstruct(fact) == q
             # pivots are products of consecutive leading principal minors
             minors = [1] + [determinant([row[:k + 1] for row in q[:k + 1]])
@@ -186,21 +187,24 @@ class TestCriterion6PropertySuites:
             d = rng.randint(2, 6)
             stub = Stub()
             stub.D = d
-            stub.A = [[((0, j), Fraction(1 if j == 0 else 2))] for j in range(d)]
+            stub.den = rng.randint(1, 6)
+            stub.A = [[((0, j), stub.den * (1 if j == 0 else 2))] for j in range(d)]
             for i in range(1, d):
                 for j in range(i, d):
                     for r in rng.sample(range(d), rng.randint(0, 2)):
-                        stub.A[r].append(((i, j), Fraction(rng.randint(-5, 5) or 1)))
-            stub.b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+                        stub.A[r].append(((i, j), rng.randint(-5, 5) or 1))
+            stub.b_den = rng.randint(1, 4)
+            stub.b = [rng.randint(-9, 9) for _ in range(d)]
             rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)]
                     for _ in range(d)]
-            start = gram.SymmetricMatrix.from_rational(
+            start = from_rational(
                 [[rows[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)])
             y = gram.project_to_gram(stub, start)
-            yr, qr = y.rational(), start.rational()
+            yr, qr = rational(y), rational(start)
             # exact membership
             for row, bi in zip(stub.A, stub.b):
-                assert sum(x * yr[i][j] for (i, j), x in row) == bi
+                assert (sum(Fraction(x, stub.den) * yr[i][j] for (i, j), x in row)
+                        == Fraction(bi, stub.b_den))
             # symmetric, and unchanged off row and column 0
             assert all(yr[i][j] == yr[j][i] for i in range(d) for j in range(d))
             assert all(yr[i][j] == qr[i][j] for i in range(1, d) for j in range(1, d))
@@ -228,8 +232,8 @@ class TestCriterion6PropertySuites:
             v = np.array([variety._eval_basis(ring, p.coordinates)
                           for p in var.points]).T
             assert np.max(np.abs(v.T @ u - np.eye(ring.D))) < 1e-8
-            one = np.array([float(x) for x in ring.nf_vector(
-                Polynomial.constant(Fraction(1), 2))])
+            one = np.array([float(x) for x in fractions(ring.nf_vector(
+                Polynomial.constant(Fraction(1), 2)))])
             assert np.max(np.abs(u.sum(axis=1) - one)) < 1e-8
             done += 1
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from soscert import certifier, cli, problem_io, quotient, verify_bounds
@@ -59,6 +61,25 @@ class TestCertify:
         bad = tmp_path / "bad.prob"
         bad.write_text("variables x\nf: x\n")
         assert run(["certify", "--input", str(bad)]) == 1
+
+    def test_zero_ideal_exits_2(self, tmp_path, capsys):
+        # h = 0 is no equation at all, like h = x*y: not zero-dimensional
+        prob = tmp_path / "zero.prob"
+        prob.write_text("variables x y\nf: x + 3\nh: 0\n")
+        assert run(["certify", "--input", str(prob)]) == 2
+        assert "infinitely many zeros" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        assert run(["certify", "--input", data_path("four_points.prob"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, not -1\n"
+        text = "variables x\nf: x + 3\nh: x^2 - 1\noption seed -5\n"
+        with pytest.raises(ParseError) as exc:
+            problem_io.parse_problem(text)
+        assert exc.value.line == 4
+        prob = tmp_path / "seed.prob"
+        prob.write_text(text)
+        assert run(["certify", "--input", str(prob)]) == 1
+        assert capsys.readouterr().err == "error: line 4: seed must be nonnegative, not -5\n"
 
     def test_one_ring_per_certify(self, tmp_path, monkeypatch, capsys):
         # certify verifies its own output in the ring it certified in
@@ -183,6 +204,14 @@ class TestBounds:
         assert run(["bounds", "--input", data_path("four_points.prob"),
                     "--constant", "1.5"]) == 0
         assert "gram_height" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("constant", ["0", "-1", "nan", "inf", "1e308"])
+    def test_bad_constant_exits_1(self, capsys, constant):
+        assert run(["bounds", "--input", data_path("four_points.prob"),
+                    "--constant", constant]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: height bound: ") and err.count("\n") == 1
 
 
 class TestOneParserPerProcess:
@@ -321,3 +350,39 @@ class TestProblemIO:
     def test_certificate_requires_blocks(self):
         with pytest.raises(ParseError):
             problem_io.parse_certificate("mode strict\nvariables x\n")
+
+
+# `soscert certify` on each tests/data problem under each option set: its
+# exit code and, for exit 0, the certificate it writes, kept byte for byte in
+# tests/data/golden.  A change of representation inside the exact pipeline
+# must leave both alone.
+GOLDEN_OPTIONS = {"none": [], "nonneg": ["--mode", "nonneg"], "sdp": ["--engine", "sdp"]}
+GOLDEN_EXITS = {
+    "cusp_circle": {"none": 3, "nonneg": 0, "sdp": 3},
+    "cusp_circle_shifted": {"none": 0, "nonneg": 0, "sdp": 0},
+    "double_origin": {"none": 3, "nonneg": 2, "sdp": 3},
+    "double_origin_shifted": {"none": 0, "nonneg": 0, "sdp": 0},
+    "four_points": {"none": 0, "nonneg": 0, "sdp": 0},
+    "scaled_witness": {"none": 3, "nonneg": 0, "sdp": 3},
+}
+
+
+class TestGolden:
+    def test_every_problem_has_golden_exit_codes(self):
+        problems = sorted(name[:-len(".prob")] for name in os.listdir(data_path(""))
+                          if name.endswith(".prob"))
+        assert problems == sorted(GOLDEN_EXITS)
+
+    @pytest.mark.parametrize("problem", sorted(GOLDEN_EXITS))
+    @pytest.mark.parametrize("options", sorted(GOLDEN_OPTIONS))
+    def test_certificate_bytes(self, tmp_path, capsys, problem, options):
+        out = tmp_path / "out.cert"
+        code = run(["certify", "--input", data_path(f"{problem}.prob"), "--out", str(out)]
+                   + GOLDEN_OPTIONS[options])
+        assert code == GOLDEN_EXITS[problem][options]
+        golden = data_path(os.path.join("golden", f"{problem}-{options}.cert"))
+        if code == 0:
+            with open(golden, "rb") as fh:
+                assert out.read_bytes() == fh.read()
+        else:
+            assert not os.path.exists(golden)

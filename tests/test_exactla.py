@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from soscert import exactla
 
-from conftest import determinant
+from conftest import determinant, mat_vec
 
 
 entries = st.integers(-50, 50).map(Fraction)
@@ -39,10 +39,10 @@ def test_invert_or_singular(a):
 def test_solve_satisfies_system(a, data):
     n, m = len(a), len(a[0])
     x_true = [data.draw(entries) for _ in range(m)]
-    b = exactla.mat_vec(a, x_true)
+    b = mat_vec(a, x_true)
     x = exactla.solve(a, b)
     assert x is not None
-    assert exactla.mat_vec(a, x) == b
+    assert mat_vec(a, x) == b
 
 
 @settings(max_examples=40, deadline=None)
@@ -51,7 +51,7 @@ def test_nullspace_annihilates(a):
     basis = exactla.nullspace(a)
     zero = [Fraction(0)] * len(a)
     for v in basis:
-        assert exactla.mat_vec(a, v) == zero
+        assert mat_vec(a, v) == zero
     assert len(basis) == len(a[0]) - len(exactla.rref(a)[1])
 
 

@@ -9,16 +9,11 @@ from soscert import cli, exactla, gram, quotient, variety
 from soscert.errors import NotPD, PrecisionExceeded, ZeroPivot
 from soscert.polyring import evaluate, parse_polynomial
 
-from conftest import reconstruct
+from conftest import from_rational, rational, reconstruct
 
 
 def poly(s, names=("x",)):
     return parse_polynomial(s, list(names))
-
-
-def sym(rows):
-    return gram.SymmetricMatrix.from_rational(
-        [[Fraction(v) for v in row] for row in rows])
 
 
 def make_ring(gens, names):
@@ -28,7 +23,7 @@ def make_ring(gens, names):
 
 class TestLdlt:
     def test_known_factorization(self):
-        fact = gram.ldlt(sym([[2, 1], [1, 2]]))
+        fact = gram.ldlt(from_rational([[2, 1], [1, 2]]))
         assert fact.pivots == [2, 6]
         assert [col[0] for col in fact.L], fact.L == [[2, 0], [1, 3]]
         assert reconstruct(fact) == [[Fraction(2), Fraction(1)],
@@ -36,20 +31,20 @@ class TestLdlt:
 
     def test_not_pd(self):
         with pytest.raises(NotPD) as exc:
-            gram.ldlt(sym([[1, 2], [2, 1]]))
+            gram.ldlt(from_rational([[1, 2], [2, 1]]))
         assert exc.value.index == 2
 
     def test_zero_pivot_permutation_attempted(self):
         # zero leading diagonal is permuted away before concluding; the
         # permuted matrix is then seen to be indefinite, not zero-pivoted
         with pytest.raises(NotPD):
-            gram.ldlt(sym([[0, 1], [1, 1]]))
+            gram.ldlt(from_rational([[0, 1], [1, 1]]))
 
     def test_rank_deficient_raises_zero_pivot(self):
         with pytest.raises(ZeroPivot):
-            gram.ldlt(sym([[0, 0], [0, 1]]))
+            gram.ldlt(from_rational([[0, 0], [0, 1]]))
         with pytest.raises(ZeroPivot):
-            gram.ldlt(sym([[0, 0], [0, 0]]))
+            gram.ldlt(from_rational([[0, 0], [0, 0]]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.data())
@@ -58,7 +53,7 @@ class TestLdlt:
               for _ in range(n)] for _ in range(n)]
         q = [[sum(a[k][i] * a[k][j] for k in range(n))
               + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        fact = gram.ldlt(gram.SymmetricMatrix.from_rational(q))
+        fact = gram.ldlt(from_rational(q))
         assert reconstruct(fact) == q
         assert all(p > 0 for p in fact.pivots)
 
@@ -68,13 +63,13 @@ class TestGramProjection:
         ring = make_ring(["x^2 - 1"], ["x"])
         p = poly("x + 3")
         lp = gram.GramVariety(ring, p)
-        start = sym([[1, 0], [0, 1]])
+        start = from_rational([[1, 0], [0, 1]])
         y = gram.project_to_gram(lp, start)
-        yr = y.rational()
+        yr = rational(y)
         # membership: sum_ij Y_ij b_i b_j = p mod I
         from soscert.polyring import Polynomial
         accp = Polynomial.zero(1)
-        basis_polys = [ring.from_vector([Fraction(k == t) for k in range(ring.D)])
+        basis_polys = [ring.from_vector([int(k == t) for k in range(ring.D)])
                        for t in range(ring.D)]
         for i in range(ring.D):
             for j in range(ring.D):
@@ -85,16 +80,19 @@ class TestGramProjection:
         ring = make_ring(["x^2 - 1"], ["x"])
         p = poly("x + 3")
         lp = gram.GramVariety(ring, p)
-        member = sym([[Fraction(3, 2), Fraction(1, 2)],
-                      [Fraction(1, 2), Fraction(3, 2)]])
+        member = from_rational([[Fraction(3, 2), Fraction(1, 2)],
+                                [Fraction(1, 2), Fraction(3, 2)]])
+        # a SymmetricMatrix is kept in lowest terms, so equal matrices compare equal
+        assert gram.SymmetricMatrix([[6, 2], [2, 6]], 4) == member
         y = gram.project_to_gram(lp, member)
-        assert y.rational() == member.rational()
+        assert rational(y) == rational(member)
 
 
 _SPARSE_CASES = {
     "cube3": (["x^2 - x", "y^2 - y", "z^2 - z"], "x + 2*y - z + 3"),
     "grid3x3": (["x^3 - 3*x^2 + 2*x", "y^3 - 3*y^2 + 2*y"], "x*y - x + 2*y + 1"),
     "conjugate": (["x^4 + x^2 - 2", "y^3 - y"], "x^2 + x*y + 3"),
+    "scaled": (["3*x^2 - 1", "2*y^2 - x"], "1/5*x*y + 2"),  # den > 1 in A and b
 }
 _GRAM_SETS = {}
 
@@ -112,9 +110,9 @@ def gram_set(name):
 def check_correction(lp, q):
     """A y = b exactly, y = q off row and column 0, and y is a fixed point."""
     y = gram.project_to_gram(lp, q)
-    yr, qr = y.rational(), q.rational()
+    yr, qr = rational(y), rational(q)
     for row, bj in zip(lp.A, lp.b):
-        assert sum(x * yr[i][j] for (i, j), x in row) == bj
+        assert sum(Fraction(x, lp.den) * yr[i][j] for (i, j), x in row) == Fraction(bj, lp.b_den)
     assert all(yr[i][j] == yr[j][i] for i in range(lp.D) for j in range(lp.D))
     assert all(yr[i][j] == qr[i][j] for i in range(1, lp.D) for j in range(1, lp.D))
     assert gram.project_to_gram(lp, y) == y
@@ -138,8 +136,8 @@ class TestSparseProjection:
         assert len(lp.A) == len(lp.b) == lp.D == ring.D
         # 1 = b_0 in B: the unknown (0, j) is e_j with weight 1 or 2
         for j, row in enumerate(lp.A):
-            assert [(u, x) for u, x in row if u[0] == 0] == [((0, j), 1 if j == 0 else 2)]
-        q = gram.SymmetricMatrix.from_rational(
+            assert [(u, x) for u, x in row if u[0] == 0] == [((0, j), lp.den * (1 if j == 0 else 2))]
+        q = from_rational(
             [[Fraction((3 * (i + j) + i * j) % 7 - 3, 1 + (i + j) % 4) for j in range(lp.D)]
              for i in range(lp.D)])
         check_correction(lp, q)
@@ -153,7 +151,7 @@ class TestSparseProjection:
                                      min_size=d * d, max_size=d * d))
         rows = [[Fraction(entries[min(i, j) * d + max(i, j)], 2 ** frac_bits)
                  for j in range(d)] for i in range(d)]
-        check_correction(lp, gram.SymmetricMatrix.from_rational(rows))
+        check_correction(lp, from_rational(rows))
 
 
 class TestRoundAndCertify:
@@ -163,11 +161,11 @@ class TestRoundAndCertify:
         q0, fact = gram.round_and_certify(ring, var, poly("x + 3"))
         assert all(p > 0 for p in fact.pivots)
         # the factorization rebuilds the projected Gram matrix exactly
-        assert reconstruct(fact) == q0.rational()
+        assert reconstruct(fact) == rational(q0)
         from soscert.polyring import Polynomial
         total = Polynomial.zero(1)
         for w, vec in fact.square_vectors():
-            q = ring.from_vector([Fraction(v) for v in vec])
+            q = ring.from_vector(vec)
             total = total + q * q * w
         assert ring.normal_form(total - poly("x + 3")).is_zero()
 
