@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import certifier, problem_io, verify_bounds
@@ -91,7 +92,9 @@ def cmd_bounds(args):
     inst = _load_problem(args.input)
     ring = certifier.build_ring(inst)
     text = verify_bounds.degree_bounds(inst, ring).to_text()
-    if args.constant is not None:
+    if args.constant is not None and ring.D == 0 and 0 < args.constant < math.inf:
+        text += "\nD = 0: the variety is empty, so there are no squares to bound"
+    elif args.constant is not None:
         info = height(inst.f)
         tau = max(info.numerator_height + info.denominator_height, 1)
         try:
@@ -112,7 +115,7 @@ def build_parser():
         description="Exact rational weighted sum-of-squares certificates on "
                     "finite semialgebraic sets.",
         epilog="Polynomial grammar: rationals `num/den`, variables as declared, "
-               "`*` products, `^` or `**` powers, e.g. `3/2*x1^2*x2 - x3 + 7`.")
+               "`*` products, `^` or `**` integer powers, e.g. `3/2*x1^2*x2 - x3 + 7`.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="compute a certificate")

@@ -292,6 +292,8 @@ def parse_polynomial(text, var_names):
             if kind == "op" and val in "+-":
                 break
             if kind == "op" and val == "*":
+                if expect_factor:
+                    raise ParseError("missing factor before '*'")
                 i += 1
                 expect_factor = True
                 continue
@@ -307,7 +309,7 @@ def parse_polynomial(text, var_names):
                 i += 1
                 if i < n and tokens[i] == ("op", "^"):
                     i += 1
-                    if i >= n or tokens[i][0] != "num" or tokens[i][1].denominator != 1:
+                    if i >= n or tokens[i][0] != "num" or not isinstance(tokens[i][1], int):
                         raise ParseError("exponent must be a nonnegative integer")
                     power = int(tokens[i][1])
                     i += 1

@@ -1,9 +1,12 @@
 """Numerical solving of the complex variety of a radical zero-dimensional
 ideal.
 
-Coordinates come from a complex Schur decomposition of a random (seeded)
-linear combination of the multiplication matrices.  Multiplicity is handled
-exactly, before any float step: callers solve the quotient by the radical
+Coordinates come from an eigendecomposition C = V diag(c) V^-1 of a random
+(seeded) linear combination C of the multiplication matrices M_j.  The D
+eigenvalues of C are generically distinct, so its eigenvectors are shared by
+the M_j, which commute with C: the k-th diagonal entry of V^-1 M_j V is the
+j-th coordinate of point k.  Multiplicity is handled exactly, before any
+float step: callers solve the quotient by the radical
 (`QuotientRing.radical_ring`), whose D points are distinct, so each
 eigenvalue is one point.  The idempotent coefficients are the inverse
 transpose of the Vandermonde matrix of the basis at the points.
@@ -14,7 +17,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import BoundaryAmbiguity, ClusterAmbiguity, SingularVandermonde
 from .polyring import evaluate
@@ -57,9 +59,12 @@ def solve_variety(ring, seed=0):
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(0.5, 1.5, size=n)
     combo = sum(c * m for c, m in zip(coeffs, mats))
-    _, q = schur(combo.astype(complex), output="complex")
-    triangs = [q.conj().T @ m @ q for m in mats]
-    raw = [np.array([t[k, k] for t in triangs]) for k in range(D)]
+    vecs = np.linalg.eig(combo.astype(complex))[1]
+    try:
+        inv = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularVandermonde(str(exc)) from exc
+    raw = [np.array([inv[k] @ m @ vecs[:, k] for m in mats]) for k in range(D)]
 
     tol = 2.0 ** -40 * (1.0 + max((float(np.max(np.abs(r))) for r in raw), default=0.0))
 

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -99,6 +102,22 @@ class TestCertify:
                         "--seed", "11", "--out", str(out)]) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+
+class TestNumpyIsTheOnlyNumericDependency:
+    def test_certify_loads_no_scipy(self, tmp_path):
+        script = textwrap.dedent("""
+            import sys
+            from soscert import cli
+            code = cli.main(["certify", "--input", sys.argv[1], "--out", sys.argv[2]])
+            sys.exit(code if code else 10 if "scipy" in sys.modules else 0)
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", script, data_path("four_points.prob"),
+                               str(tmp_path / "c.cert")],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerify:
@@ -212,6 +231,17 @@ class TestBounds:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: height bound: ") and err.count("\n") == 1
+
+    def test_empty_variety_has_nothing_to_bound(self, tmp_path, capsys):
+        prob = tmp_path / "empty.prob"
+        prob.write_text("variables x\nf: x\nh: x\nh: x - 1\n")
+        assert run(["bounds", "--input", str(prob), "--constant", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert "quotient_dimension = 0" in out
+        assert "D = 0: the variety is empty, so there are no squares to bound" in out
+        assert err == ""
+        assert run(["bounds", "--input", str(prob), "--constant", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: height bound: ")
 
 
 class TestOneParserPerProcess:

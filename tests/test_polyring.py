@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from soscert.errors import ParseError
 from soscert.polyring import (Monomial, Polynomial, evaluate, format_polynomial,
                               height, parse_polynomial, round_binary)
+from soscert.problem_io import parse_problem
 
 
 def poly(s, names=("x", "y")):
@@ -114,6 +115,20 @@ class TestParseFormat:
     def test_bad_character(self):
         with pytest.raises(ParseError):
             poly("x + $")
+
+    @pytest.mark.parametrize("text", ["x^4/2", "x^2/1", "x**3/3"])
+    def test_fraction_exponent(self, text):
+        with pytest.raises(ParseError, match="exponent must be a nonnegative integer"):
+            poly(text)
+
+    def test_zero_denominator_exponent(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_problem("variables x\nf: x^1/0 + 1\nh: x^2 - 1\n")
+
+    @pytest.mark.parametrize("text", ["*x", "x + *y", "x - *2", "x * * y", "x*"])
+    def test_star_without_factor(self, text):
+        with pytest.raises(ParseError):
+            poly(text)
 
     @settings(max_examples=60)
     @given(polynomials())

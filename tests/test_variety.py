@@ -63,6 +63,21 @@ class TestSolveVariety:
         c2 = [p.coordinates for p in v2.points]
         assert c1 == c2
 
+    def test_singular_eigenvectors_raise_singular_vandermonde(self, monkeypatch):
+        # a rank-deficient eigenvector matrix has no inverse: the solver
+        # reports it as SingularVandermonde, never as a LinAlgError
+        eig = np.linalg.eig
+
+        def deficient(a):
+            values, vectors = eig(a)
+            vectors[:, -1] = vectors[:, 0]
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", deficient)
+        ring = make_ring(poly("x^2 - 1"), poly("y^2 - x - 2"))
+        with pytest.raises(SingularVandermonde):
+            variety.solve_variety(ring)
+
 
 class TestIdempotents:
     def test_duality(self, four_points_var):
