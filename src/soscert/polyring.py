@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -246,41 +247,46 @@ def round_scaled(x, frac_bits):
 # Terms like `3/2*x1^2*x2 - x3 + 7`; variables `x1..xn` or declared names;
 # whitespace-insensitive.  `**` is accepted as a synonym of `^`.
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>\*\*|[*^+-]))")
+# One findall splits the text into tokens: a number, a name, an operator,
+# or (the catch-all last alternative) any other non-space character, which
+# the parser then reports.  Names stay ASCII: `\w` would admit Unicode
+# letters.
+_TOKEN = re.compile(r"\d+(?:/\d+)?|[A-Za-z_][A-Za-z_0-9]*|\*\*|[*^+-]|\S")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_SIGNS = {"+": 1, "-": -1}
+_POWER = ("^", "**")
+_OPERATORS = frozenset(("*", *_SIGNS, *_POWER))
+
+
+def _number(token):
+    """The value of a number token: an int, or a Fraction for num/den."""
+    top, _, bottom = token.partition("/")
+    return Fraction(int(top), int(bottom)) if bottom else int(top)
+
+
+def _grammar_error(tokens, message):
+    """The error to raise for a grammar error: a stray character or a zero
+    denominator anywhere in the text is reported first, in text order."""
+    for t in tokens:
+        if t[0].isdecimal():
+            _number(t)  # raises ZeroDivisionError on a zero denominator
+        elif t[0] not in _NAME_START and t not in _OPERATORS:
+            return ParseError(f"unexpected character {t!r} in polynomial")
+    return ParseError(message)
 
 
 def parse_polynomial(text, var_names):
     """Parse the CLI polynomial grammar into an exact Polynomial."""
     nvars = len(var_names)
     index = {name: i for i, name in enumerate(var_names)}
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in polynomial")
-            break
-        pos = m.end()
-        num = m.group("num")
-        if num:
-            top, _, bottom = num.partition("/")
-            tokens.append(("num", Fraction(int(top), int(bottom)) if bottom else int(top)))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
-
+    tokens = _TOKEN.findall(text)
     terms = {}
     i = 0
     n = len(tokens)
     while i < n:
         sign = 1
-        while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
-            if tokens[i][1] == "-":
-                sign = -sign
+        while i < n and tokens[i] in _SIGNS:
+            sign *= _SIGNS[tokens[i]]
             i += 1
         if i >= n:
             raise ParseError("dangling sign in polynomial")
@@ -288,37 +294,37 @@ def parse_polynomial(text, var_names):
         exps = [0] * nvars
         expect_factor = True
         while i < n:
-            kind, val = tokens[i]
-            if kind == "op" and val in "+-":
+            t = tokens[i]
+            if t in _SIGNS:
                 break
-            if kind == "op" and val == "*":
+            if t == "*":
                 if expect_factor:
-                    raise ParseError("missing factor before '*'")
+                    raise _grammar_error(tokens, "missing factor before '*'")
                 i += 1
                 expect_factor = True
                 continue
             if not expect_factor:
-                raise ParseError("missing operator between factors")
-            if kind == "num":
-                coeff *= val
-                i += 1
-            elif kind == "name":
-                if val not in index:
-                    raise ParseError(f"unknown variable {val!r}")
+                raise _grammar_error(tokens, "missing operator between factors")
+            i += 1
+            if t[0] in _NAME_START:
+                if t not in index:
+                    raise _grammar_error(tokens, f"unknown variable {t!r}")
                 power = 1
-                i += 1
-                if i < n and tokens[i] == ("op", "^"):
-                    i += 1
-                    if i >= n or tokens[i][0] != "num" or not isinstance(tokens[i][1], int):
-                        raise ParseError("exponent must be a nonnegative integer")
-                    power = int(tokens[i][1])
-                    i += 1
-                exps[index[val]] += power
+                if i < n and tokens[i] in _POWER:
+                    if i + 1 >= n or not tokens[i + 1].isdecimal():
+                        raise _grammar_error(tokens, "exponent must be a nonnegative integer")
+                    power = int(tokens[i + 1])
+                    i += 2
+                exps[index[t]] += power
+            elif t[0].isdecimal():
+                coeff *= _number(t)
+            elif t in _POWER:
+                raise _grammar_error(tokens, "unexpected operator '^'")
             else:
-                raise ParseError(f"unexpected operator {val!r}")
+                raise ParseError(f"unexpected character {t!r} in polynomial")
             expect_factor = False
         if expect_factor:
-            raise ParseError("empty term in polynomial")
+            raise _grammar_error(tokens, "empty term in polynomial")
         m = Monomial(exps)
         terms[m] = terms.get(m, 0) + coeff
     return Polynomial(terms, nvars)

@@ -30,6 +30,7 @@ Rationals are printed in lowest terms.
 from __future__ import annotations
 
 import contextlib
+import re
 from fractions import Fraction
 
 from .certifier import OPTION_CHOICES, Certificate, ProblemInstance
@@ -38,6 +39,14 @@ from .polyring import format_polynomial, parse_polynomial
 
 
 _OPTION_TYPES = {"mode": str, "engine": str, "seed": int}
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def _rational(keyword, text):
+    """A `weight` or `gamma` value: an optional sign, then num or num/den."""
+    if not _RATIONAL.fullmatch(text):
+        raise ParseError(f"{keyword} must be a rational num or num/den, not {text!r}")
+    return Fraction(text)
 
 
 def check_option(key, value):
@@ -137,7 +146,7 @@ def parse_certificate(text, expected_vars=None):
                         f"variable mismatch: certificate has {var_names}, "
                         f"instance has {list(expected_vars)}")
             elif keyword == "gamma":
-                gamma = Fraction(line.split()[1])
+                gamma = _rational("gamma", line.split()[1])
             elif keyword == "block":
                 idx = int(line.split()[1])
                 if idx != len(blocks):
@@ -150,7 +159,7 @@ def parse_certificate(text, expected_vars=None):
                 _, w, kw, poly_text = line.split(None, 3)
                 if kw != "square":
                     raise ParseError("expected `weight <rational> square <poly>`")
-                current.append((Fraction(w),
+                current.append((_rational("weight", w),
                                 parse_polynomial(poly_text, _need_vars(var_names))))
             elif keyword == "cofactor":
                 _, j, poly_text = line.split(None, 2)

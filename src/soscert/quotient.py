@@ -119,12 +119,19 @@ def _reduce(p, basis):
 class IdealBasis:
     """Original generators h_j plus a Gröbner basis for the same ideal.
 
+    `is_graded` holds when the generators form a graded basis (an H-basis):
+    every p in the ideal is sum_j r_j h_j with deg(r_j h_j) <= deg(p).  That
+    holds exactly when the top-degree forms top(h_j) generate top(I), the
+    ideal of the top-degree forms of all of I.  Grevlex is
+    degree-compatible, so in(top(I)) = in(I), and since (top(h_j)) lies in
+    top(I), the two are equal exactly when every leading monomial of the
+    Gröbner basis is divisible by one of a Gröbner basis of the top forms.
+
     `gb_cofactors[k][j]` expresses the k-th Gröbner element as
-    sum_j gb_cofactors[k][j] * generators[j]; when `is_graded`, each of
-    those products has degree <= the element's degree.  Both come from one
-    dense solve per Gröbner element, done the first time either is read:
-    only `cofactor_reduce` and the degree bound need them, so the ring of
-    the radical never pays for it.
+    sum_j gb_cofactors[k][j] * generators[j], with degrees bounded as above
+    when `is_graded`.  It costs one dense solve per Gröbner element, done
+    the first time it is read: only `cofactor_reduce` needs it, so neither
+    `verify` nor the ring of the radical pays for it.
     """
 
     def __init__(self, generators, gb, nvars):
@@ -133,23 +140,17 @@ class IdealBasis:
         self.nvars = nvars
 
     @functools.cached_property
-    def _cofactor_data(self):
-        graded = True
-        cofs = []
-        for g in self.gb:
-            start = [g.degree - h.degree for h in self.generators]
-            r_j, caps = _express_in_generators(g, self.generators, start)
-            graded = graded and caps == start
-            cofs.append(r_j)
-        return graded, cofs
-
-    @property
     def is_graded(self):
-        return self._cofactor_data[0]
+        tops = [Polynomial({m: c for m, c in h.terms.items() if m.degree == h.degree}, self.nvars)
+                for h in self.generators]
+        top_lead = [g.leading_monomial() for g in groebner(tops).gb]
+        return all(any(t.divides(g.leading_monomial()) for t in top_lead) for g in self.gb)
 
-    @property
+    @functools.cached_property
     def gb_cofactors(self):
-        return self._cofactor_data[1]
+        return [_express_in_generators(g, self.generators,
+                                       [g.degree - h.degree for h in self.generators])
+                for g in self.gb]
 
     def reduce(self, p):
         return _reduce(p, self.gb)
@@ -194,7 +195,7 @@ def _express_in_generators(g, generators, start_caps):
                 for x, (j, m) in zip(sol, col_polys):
                     if x:
                         result[j] = result[j] + Polynomial({m: x}, nvars)
-            return result, caps
+            return result
         caps = [c + 1 for c in caps]
 
 

@@ -4,10 +4,13 @@ verify_certificate fully expands the claimed identity, exactly, over the
 integers with one common denominator (`certifier.residual`, with which
 the certifier also closes its identities); it reports rather than throws,
 so callers can distinguish which clause of the certificate failed.  The
-bound calculators evaluate the degree bound for the cofactor products, the
-relaxation order at which the hierarchy is exact, and a parametrized
-height-bound formula (diagnostic only, since the multiplicative constant
-is a free parameter).
+degree bound of the p_j h_j terms is checked only when the equations form
+a graded basis (`quotient.IdealBasis.is_graded`, decided from their
+top-degree forms with no cofactor solve); in nonnegative mode, block 0
+must have exactly one witness per square.  The bound calculators evaluate
+the degree bound for the cofactor products, the relaxation order at which
+the hierarchy is exact, and a parametrized height-bound formula
+(diagnostic only, since the multiplicative constant is a free parameter).
 """
 
 from __future__ import annotations
@@ -96,12 +99,10 @@ def verify_certificate(inst, cert, ring=None):
             pj.is_zero() or hj.is_zero() or pj.degree + hj.degree <= bound
             for pj, hj in zip(cert.cofactors, inst.h))
     if cert.mode == "nonneg":
-        if cert.witnesses is None:
-            mode_ok = False
-        else:
-            mode_ok = all(
-                ring.normal_form(q - inst.f * r).is_zero()
-                for (w, q), r in zip(cert.blocks[0], cert.witnesses))
+        # one witness r per square q of block 0, with q = f r modulo I
+        mode_ok = (cert.witnesses is not None and len(cert.witnesses) == len(cert.blocks[0])
+                   and all(ring.normal_form(q - inst.f * r).is_zero()
+                           for (w, q), r in zip(cert.blocks[0], cert.witnesses)))
     return VerificationReport(identity_ok, weights_ok, degree_bound_ok, mode_ok,
                               num_bits, den_bits, shape_error=shape_error)
 

@@ -1,11 +1,13 @@
 import math
 import os
+import re
 from fractions import Fraction
 
 import pytest
 
 from soscert import gram, problem_io
-from soscert.polyring import Polynomial, format_polynomial
+from soscert.errors import ParseError
+from soscert.polyring import Monomial, Polynomial, format_polynomial
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -103,6 +105,86 @@ def reference_divide(p, divisors):
             remainder = remainder + mono
             work = work - mono
     return quotients, remainder
+
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                              r"|(?P<op>\*\*|[*^+-]))")
+
+
+def reference_parse_polynomial(text, var_names):
+    """The polynomial grammar parsed in two passes, a tokenizer that matches
+    one token at a time and a term loop over (kind, value) tokens: the
+    reference that `polyring.parse_polynomial` must agree with."""
+    nvars = len(var_names)
+    index = {name: i for i, name in enumerate(var_names)}
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} in polynomial")
+            break
+        pos = m.end()
+        num = m.group("num")
+        if num:
+            top, _, bottom = num.partition("/")
+            tokens.append(("num", Fraction(int(top), int(bottom)) if bottom else int(top)))
+        elif m.group("name"):
+            tokens.append(("name", m.group("name")))
+        else:
+            op = m.group("op")
+            tokens.append(("op", "^" if op == "**" else op))
+
+    terms = {}
+    i = 0
+    n = len(tokens)
+    while i < n:
+        sign = 1
+        while i < n and tokens[i] == ("op", "+") or i < n and tokens[i] == ("op", "-"):
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+        if i >= n:
+            raise ParseError("dangling sign in polynomial")
+        coeff = sign
+        exps = [0] * nvars
+        expect_factor = True
+        while i < n:
+            kind, val = tokens[i]
+            if kind == "op" and val in "+-":
+                break
+            if kind == "op" and val == "*":
+                if expect_factor:
+                    raise ParseError("missing factor before '*'")
+                i += 1
+                expect_factor = True
+                continue
+            if not expect_factor:
+                raise ParseError("missing operator between factors")
+            if kind == "num":
+                coeff *= val
+                i += 1
+            elif kind == "name":
+                if val not in index:
+                    raise ParseError(f"unknown variable {val!r}")
+                power = 1
+                i += 1
+                if i < n and tokens[i] == ("op", "^"):
+                    i += 1
+                    if i >= n or tokens[i][0] != "num" or not isinstance(tokens[i][1], int):
+                        raise ParseError("exponent must be a nonnegative integer")
+                    power = int(tokens[i][1])
+                    i += 1
+                exps[index[val]] += power
+            else:
+                raise ParseError(f"unexpected operator {val!r}")
+            expect_factor = False
+        if expect_factor:
+            raise ParseError("empty term in polynomial")
+        m = Monomial(exps)
+        terms[m] = terms.get(m, 0) + coeff
+    return Polynomial(terms, nvars)
 
 
 @pytest.fixture

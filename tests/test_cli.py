@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -87,8 +88,9 @@ class TestCertify:
     def test_one_ring_per_certify(self, tmp_path, monkeypatch, capsys):
         # certify verifies its own output in the ring it certified in
         calls = []
-        groebner = quotient.groebner
-        monkeypatch.setattr(quotient, "groebner", lambda gens: calls.append(gens) or groebner(gens))
+        monomial_basis = quotient.monomial_basis
+        monkeypatch.setattr(quotient, "monomial_basis",
+                            lambda ideal: calls.append(ideal) or monomial_basis(ideal))
         out = tmp_path / "cert.txt"
         assert run(["certify", "--input", data_path("four_points.prob"), "--out", str(out)]) == 0
         assert "identity: ok" in capsys.readouterr().out
@@ -161,6 +163,23 @@ class TestVerify:
                     "--certificate", str(cert)])
         assert code == 0
         assert "degree bound: FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [line for line in lines
+                       if not line.startswith("witness") or line.startswith("witness 1 ")],
+        lambda lines: lines + ["witness 7 x"],
+    ], ids=["fewer", "more"])
+    def test_witness_count_differs_from_block_0_exits_4(self, tmp_path, capsys, edit):
+        # every square of block 0 has its own witness, and no witness is spare
+        golden = data_path(os.path.join("golden", "cusp_circle-nonneg.cert"))
+        bad = tmp_path / "bad.cert"
+        bad.write_text("\n".join(edit(open(golden).read().splitlines())) + "\n")
+        code = run(["verify", "--input", data_path("cusp_circle.prob"),
+                    "--certificate", str(bad)])
+        assert code == 4
+        out = capsys.readouterr()
+        assert "identity: ok" in out.out and "mode witnesses: FAILED" in out.out
+        assert "verification failed: mode-witness" in out.err
 
     def test_extra_block_exits_4(self, tmp_path, capsys):
         # four_points has one g, so a certificate has at most blocks 0 and 1
@@ -337,6 +356,40 @@ class TestProblemIO:
                     "--certificate", str(bad)])
         assert code == 1
         assert f"line {lineno}: zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.5", "1e-3", "1_0", "1/2/3", "1/-2", "--1", "inf", "½"])
+    @pytest.mark.parametrize("keyword,old,new,lineno", [
+        ("weight", "weight 1/2 square", "weight {} square", 4),
+        ("gamma", "variables x y\n", "variables x y\ngamma {}\n", 3),
+    ], ids=["weight", "gamma"])
+    def test_weight_and_gamma_outside_the_grammar_exit_1(self, tmp_path, capsys, value,
+                                                         keyword, old, new, lineno):
+        # an optional sign, then num or num/den, as in polynomials
+        text = open(data_path("four_points_strict.cert")).read()
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text.replace(old, new.format(value)))
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 1
+        assert (f"line {lineno}: {keyword} must be a rational num or num/den, not {value!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value,expected", [("-1/2", Fraction(-1, 2)), ("+3", Fraction(3)),
+                                                ("6/4", Fraction(3, 2))])
+    def test_signed_weight_and_gamma_parse(self, value, expected):
+        text = open(data_path("four_points_strict.cert")).read()
+        text = text.replace("weight 1/2 square", f"weight {value} square")
+        cert, _ = problem_io.parse_certificate(text.replace("block 0", f"gamma {value}\nblock 0"))
+        assert cert.blocks[0][0][0] == cert.gamma == expected
+
+    def test_negative_weight_exits_4(self, tmp_path, capsys):
+        text = open(data_path("four_points_strict.cert")).read()
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text.replace("weight 1/2 square", "weight -1/2 square"))
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 4
+        assert "weights nonnegative: FAILED" in capsys.readouterr().out
 
     @pytest.mark.parametrize("old,new,lineno", [
         ("variables x y\n", "variablesq x y\n", 1),

@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soscert.errors import ParseError
 from soscert.polyring import (Monomial, Polynomial, evaluate, format_polynomial,
                               height, parse_polynomial, round_binary)
 from soscert.problem_io import parse_problem
+
+from conftest import reference_parse_polynomial
 
 
 def poly(s, names=("x", "y")):
@@ -129,6 +131,27 @@ class TestParseFormat:
     def test_star_without_factor(self, text):
         with pytest.raises(ParseError):
             poly(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(["x", "y", "x1", "z", "_", "0", "1", "2", "10", "/", "*",
+                                     "**", "^", "+", "-", " "]), max_size=14),
+           st.integers(0, 14), st.sampled_from(["", "$", "é", ".", "٣"]))
+    @example(["x^1/2"], 0, "")
+    @example(["x^1/0 + "], 1, "$")
+    @example(["x * + ", " 1/0"], 1, "$")
+    @example(["x ", "^ 2/1"], 1, "é")
+    def test_agrees_with_the_reference(self, pieces, at, stray):
+        # equal polynomials, or the same error with the same message
+        pieces.insert(at, stray)
+        text = "".join(pieces)
+
+        def outcome(parse):
+            try:
+                return parse(text, ["x", "y", "x1"]).terms
+            except (ParseError, ZeroDivisionError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(parse_polynomial) == outcome(reference_parse_polynomial)
 
     @settings(max_examples=60)
     @given(polynomials())

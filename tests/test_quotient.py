@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from soscert import exactla, quotient
@@ -103,6 +103,14 @@ def test_division_matches_reference_on_non_monic_divisors(p, divisors):
     _check_division(p, divisors)
 
 
+def _graded_by_definition(ideal):
+    """Every Groebner element g is sum_j r_j h_j with deg(r_j h_j) <= deg(g):
+    the cofactors solve at those caps first and escalate only when that fails."""
+    return all(r.is_zero() or r.degree + h.degree <= g.degree
+               for g, cofactors in zip(ideal.gb, ideal.gb_cofactors)
+               for r, h in zip(cofactors, ideal.generators))
+
+
 class TestGroebner:
     def test_generators_reduce_to_zero(self, circle_pair_ring):
         ideal = circle_pair_ring.ideal
@@ -119,6 +127,26 @@ class TestGroebner:
         assert circle_pair_ring.ideal.is_graded
         assert cusp_ring.ideal.is_graded
 
+    @pytest.mark.parametrize("gens,graded", [
+        (["x - y^2", "y^3"], False),  # x^2 needs a cofactor of degree 2 on y^3
+        (["x", "x - 1"], False),  # 1 = x - (x - 1) only with degree-1 products
+        (["2", "x^2 + y"], True),
+        (["x^3 - y^2", "x^2 - 2*x + y^2"], True),
+    ])
+    def test_graded_named_cases(self, gens, graded):
+        ideal = quotient.groebner([poly(h) for h in gens])
+        assert ideal.is_graded == graded == _graded_by_definition(ideal)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_polys(2, 2, 4, st.integers(-2, 2).filter(bool)), min_size=2, max_size=3))
+    def test_graded_matches_its_definition(self, gens):
+        ideal = quotient.groebner(gens)
+        try:
+            quotient.monomial_basis(ideal)
+        except NotZeroDimensional:
+            assume(False)
+        assert ideal.is_graded == _graded_by_definition(ideal)
+
     def test_not_zero_dimensional(self):
         ideal = quotient.groebner([poly("x*y - 1")])
         with pytest.raises(NotZeroDimensional):
@@ -133,11 +161,12 @@ class TestLazyCofactors:
                             lambda g, gens, caps: calls.append(g) or express(g, gens, caps))
         ideal = quotient.groebner([poly("x^3 - y^2"), poly("x^2 - 2*x + y^2")])
         quotient.monomial_basis(ideal)
-        assert calls == []
         assert ideal.is_graded
-        assert calls == ideal.gb
+        assert calls == []  # the graded test reads the top-degree forms alone
         assert len(ideal.gb_cofactors) == len(ideal.gb)
-        assert calls == ideal.gb  # one computation serves both
+        assert calls == ideal.gb
+        ideal.gb_cofactors
+        assert calls == ideal.gb  # one solve per element, once
 
 
 class TestQuotientRing:
