@@ -213,7 +213,8 @@ def certify_nonneg(inst, ring=None):
     strictly positive a, then use f = (1/gamma) a f^2 modulo I."""
     if ring is None:
         ring = build_ring(inst)
-    a, b, gamma_val = quotient.coprimality_witness(ring, inst.f)
+    a, b, gamma_val = quotient.coprimality_witness(ring, inst.f,
+                                                   seed=inst.options.get("seed", 0))
     inner = ProblemInstance(inst.var_names, a, inst.g, inst.h,
                             options=inst.options)
     try:
@@ -233,7 +234,7 @@ def certify_nonneg(inst, ring=None):
                 continue
             new_block.append((w / gamma_val, q))
             if i == 0:
-                witnesses.append(ring.normal_form(qbar))
+                witnesses.append(qbar)
         blocks.append(new_block)
     out = _assemble(inst, ring, blocks[0], blocks[1:])
     return Certificate("nonneg", out.blocks, out.cofactors,

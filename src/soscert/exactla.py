@@ -1,10 +1,10 @@
 """Exact linear algebra over Fraction: elimination, solving, nullspaces.
 
 Matrices are plain lists of lists of Fraction, eliminated densely with exact
-pivoting.  The inputs are systems in D or 2D unknowns, D the quotient
-dimension: the trace form, whose kernel gives the radical (eliminated here
-only when `quotient.radical_generators` cannot prove it nonsingular modulo
-a prime), the coprimality witness, inverses modulo I and the cofactors of a
+pivoting.  The inputs are D x D systems, D the quotient dimension: the
+trace form, whose kernel gives the radical (eliminated here only when
+`quotient.radical_generators` cannot prove it nonsingular modulo a prime),
+the coprimality witness and inverses modulo I; and the cofactors of a
 Groebner basis.  The Gram matrix needs no solve (see `gram`).
 """
 

@@ -70,6 +70,14 @@ def _at_line(lineno):
         raise ParseError(str(exc), lineno) from None
 
 
+def _value(line):
+    """The one word after the keyword of a `mode`, `gamma` or `block` line."""
+    words = line.split()
+    if len(words) != 2:
+        raise ParseError(f"expected `{words[0]} <value>`, not {line!r}")
+    return words[1]
+
+
 def _variables(line):
     var_names = line.split()[1:]
     if not var_names:
@@ -138,7 +146,7 @@ def parse_certificate(text, expected_vars=None):
         keyword = line.split()[0]
         with _at_line(lineno):
             if keyword == "mode":
-                mode = check_option("mode", line.split()[1])
+                mode = check_option("mode", _value(line))
             elif keyword == "variables":
                 var_names = _variables(line)
                 if expected_vars is not None and var_names != list(expected_vars):
@@ -146,9 +154,9 @@ def parse_certificate(text, expected_vars=None):
                         f"variable mismatch: certificate has {var_names}, "
                         f"instance has {list(expected_vars)}")
             elif keyword == "gamma":
-                gamma = _rational("gamma", line.split()[1])
+                gamma = _rational("gamma", _value(line))
             elif keyword == "block":
-                idx = int(line.split()[1])
+                idx = int(_value(line))
                 if idx != len(blocks):
                     raise ParseError(f"blocks must appear in order; got {idx}")
                 blocks.append([])
@@ -184,7 +192,7 @@ def parse_certificate(text, expected_vars=None):
     if sorted(cofactors) != list(range(1, len(cof_list) + 1)):
         raise ParseError("cofactor indices must be 1..s")
     return Certificate(mode, blocks, cof_list,
-                       witnesses=witnesses or None, gamma=gamma), var_names
+                       witnesses=witnesses, gamma=gamma), var_names
 
 
 def format_certificate(cert, var_names):

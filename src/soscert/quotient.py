@@ -436,51 +436,31 @@ def cofactor_reduce(ring, p):
     return Cofactors(p_j, remainder)
 
 
-def coprimality_witness(ring, f):
+def coprimality_witness(ring, f, seed=0):
     """Integer-scaled (a, b, gamma) with b*f = 0 and a*f + b = gamma mod I.
 
-    Infeasibility of the underlying linear system means (I : f) + (f) is a
-    proper ideal, i.e. no nonnegativity certificate of this shape exists.
-    Before denominators are cleared, a f + b = 1 and b f = 0 give b^2 = b
-    mod I, so b is exactly 1 at the zeros of f on the variety and 0
-    elsewhere: the real zeros of f are the real roots where b > 1/2, and
-    roots are solved only when b != 0.  When `a` fails to be strictly
-    positive at those zeros, it is shifted by a power-of-two multiple of b.
+    Before denominators are cleared, a f + b = 1 and b f = 0 is one D x D
+    solve: it holds exactly when a f^2 = f and b = 1 - a f.  No solution
+    means (I : f) + (f) is a proper ideal, so no nonnegativity certificate
+    of this shape exists; f = 0 gives a = 0, b = 1.  As b^2 = b mod I, b is
+    exactly 1 at the zeros of f on the variety and 0 elsewhere: the real
+    zeros of f are the real roots where b > 1/2, solved with `seed` only
+    when b != 0.  Where `a` fails to be strictly positive at those zeros,
+    it is shifted by a power-of-two multiple of b.
     """
-    D = ring.D
-    if f.is_zero():
-        if D == 0:
-            return (Polynomial.zero(ring.nvars), Polynomial.zero(ring.nvars), 1)
-        raise ConditionFailed("f = 0 admits no witness unless the ideal is trivial")
     nf = ring.normal_form(f)
-    if D == 0:
-        raise ConditionFailed("trivial quotient ring")
-    m_f = ring.mult_matrix(nf)
-    # unknowns: alpha (coefficients of a over B), then beta (of b)
-    rows = []
-    rhs = []
-    const_index = ring._index[Monomial.unit(ring.nvars)]
-    for r in range(D):
-        row = [m_f[r][k] for k in range(D)]
-        row += [Fraction(1) if k == r else Fraction(0) for k in range(D)]
-        rows.append(row)
-        rhs.append(Fraction(1) if r == const_index else Fraction(0))
-    for r in range(D):
-        row = [Fraction(0)] * D + [m_f[r][k] for k in range(D)]
-        rows.append(row)
-        rhs.append(Fraction(0))
-    sol = exactla.solve(rows, rhs)
+    sol = exactla.solve(ring.mult_matrix(nf * nf), [nf.terms.get(m, 0) for m in ring.basis])
     if sol is None:
         raise ConditionFailed("(I : f) + (f) is not the unit ideal")
-    a = ring.from_vector(sol[:D])
-    b = ring.from_vector(sol[D:])
+    a = ring.from_vector(sol)
+    b = ring.normal_form(1 - a * nf)
 
     # positivity of a where f vanishes on the variety
     if not b.is_zero():
         from . import variety as _variety
 
         # R/J has the points of R/I, each simple, as root solving requires
-        var = _variety.solve_variety(ring.radical_ring)
+        var = _variety.solve_variety(ring.radical_ring, seed=seed)
         reals = ([z.real for z in pt.coordinates] for pt in var.points if pt.kind == "real")
         zero_pts = [coords for coords in reals if evaluate(b, coords) > 0.5]
         if zero_pts:

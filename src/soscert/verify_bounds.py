@@ -24,7 +24,7 @@ from .polyring import height
 class VerificationReport:
     def __init__(self, identity_ok, weights_ok, degree_bound_ok=None,
                  mode_ok=None, max_numerator_bits=0, max_denominator_bits=0,
-                 detail="", shape_error=None):
+                 shape_error=None):
         self.shape_error = shape_error
         self.identity_ok = identity_ok
         self.weights_ok = weights_ok
@@ -32,7 +32,6 @@ class VerificationReport:
         self.mode_ok = mode_ok
         self.max_numerator_bits = max_numerator_bits
         self.max_denominator_bits = max_denominator_bits
-        self.detail = detail
 
     @property
     def ok(self):
@@ -66,8 +65,6 @@ class VerificationReport:
             lines.append(f"mode witnesses: {'ok' if self.mode_ok else 'FAILED'}")
         lines.append(f"max numerator bits: {self.max_numerator_bits}")
         lines.append(f"max denominator bits: {self.max_denominator_bits}")
-        if self.detail:
-            lines.append(self.detail)
         return "\n".join(lines)
 
 

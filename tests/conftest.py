@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from soscert import gram, problem_io
-from soscert.errors import ParseError
-from soscert.polyring import Monomial, Polynomial, format_polynomial
+from soscert import exactla, gram, problem_io, variety
+from soscert.errors import ConditionFailed, ParseError
+from soscert.polyring import Monomial, Polynomial, common_denominator, evaluate, format_polynomial
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -105,6 +105,34 @@ def reference_divide(p, divisors):
             remainder = remainder + mono
             work = work - mono
     return quotients, remainder
+
+
+def reference_witness(ring, f, seed=0):
+    """The coprimality witness from the 2D x 2D block system a f + b = 1,
+    b f = 0 over the quotient basis, with the coefficients of a, then of b,
+    as unknowns; then the shift of a at the zeros of f and the common
+    denominator gamma.  `quotient.coprimality_witness` must return the same
+    (a, b, gamma) from its one D x D solve of a f^2 = f."""
+    D = ring.D
+    m_f = ring.mult_matrix(ring.normal_form(f))
+    zero = [Fraction(0)] * D
+    rows = [m_f[r] + [Fraction(int(k == r)) for k in range(D)] for r in range(D)]
+    rows += [zero + m_f[r] for r in range(D)]
+    sol = exactla.solve(rows, fractions(ring.nf_vector(Polynomial.constant(1, ring.nvars))) + zero)
+    if sol is None:
+        raise ConditionFailed("(I : f) + (f) is not the unit ideal")
+    a, b = ring.from_vector(sol[:D]), ring.from_vector(sol[D:])
+    if not b.is_zero():
+        var = variety.solve_variety(ring.radical_ring, seed=seed)
+        reals = ([z.real for z in pt.coordinates] for pt in var.points if pt.kind == "real")
+        vals = [evaluate(a, coords) for coords in reals if evaluate(b, coords) > 0.5]
+        if vals and min(vals) <= 0:
+            rho = 1
+            while rho <= max(abs(v) for v in vals) + 1:
+                rho *= 2
+            a = a + b * rho
+    nu = common_denominator(c for poly in (a, b) for c in poly.terms.values())
+    return a * nu, b * nu, nu
 
 
 _REFERENCE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"

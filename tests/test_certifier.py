@@ -328,6 +328,17 @@ class TestNonneg:
         ring, ring_j = rings
         assert not ring.is_radical and ring_j is ring.radical_ring
 
+    def test_witness_roots_use_the_seed(self, cusp_circle, monkeypatch):
+        # the witness's root solve and the Hensel route's both take --seed
+        seeds = []
+        solve_variety = variety.solve_variety
+        monkeypatch.setattr(variety, "solve_variety",
+                            lambda ring, seed=0: seeds.append(seed) or solve_variety(ring, seed))
+        cusp_circle.options["seed"] = 7
+        cert = certifier.certify_nonneg(cusp_circle)
+        assert expand(cusp_circle, cert) == cusp_circle.f
+        assert len(seeds) == 2 and set(seeds) == {7}
+
 
 class TestPerturb:
     def test_perturbed_f_positive_at_all_real_roots(self, four_points):

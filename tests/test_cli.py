@@ -42,6 +42,18 @@ class TestCertify:
         assert "mode witnesses: ok" in capsys.readouterr().out
         assert run(["verify", "--input", prob, "--certificate", str(out)]) == 0
 
+    def test_nonneg_round_trip_with_empty_block_0(self, tmp_path, capsys):
+        # f = x^2 - 1 lies in I, so q f = 0 mod I for every square q of a's
+        # certificate: block 0 and the witness list are both empty
+        prob = tmp_path / "in_ideal.prob"
+        prob.write_text("variables x y\nf: x^2 - 1\nh: x^2 - 1\nh: y^2 - y\n")
+        out = tmp_path / "cert.txt"
+        assert run(["certify", "--mode", "nonneg", "--input", str(prob), "--out", str(out)]) == 0
+        assert "mode witnesses: ok" in capsys.readouterr().out
+        assert "witness" not in out.read_text()
+        assert run(["verify", "--input", str(prob), "--certificate", str(out)]) == 0
+        assert "mode witnesses: ok" in capsys.readouterr().out
+
     @pytest.mark.parametrize("mode", ["strict", "nonneg"])
     def test_empty_variety_certified(self, tmp_path, capsys, mode):
         # 1 is in (x, x - 1): f = x h_1 - x h_2 needs no squares
@@ -167,8 +179,9 @@ class TestVerify:
     @pytest.mark.parametrize("edit", [
         lambda lines: [line for line in lines
                        if not line.startswith("witness") or line.startswith("witness 1 ")],
+        lambda lines: [line for line in lines if not line.startswith("witness")],
         lambda lines: lines + ["witness 7 x"],
-    ], ids=["fewer", "more"])
+    ], ids=["fewer", "none", "more"])
     def test_witness_count_differs_from_block_0_exits_4(self, tmp_path, capsys, edit):
         # every square of block 0 has its own witness, and no witness is spare
         golden = data_path(os.path.join("golden", "cusp_circle-nonneg.cert"))
@@ -417,6 +430,25 @@ class TestProblemIO:
         assert code == 1
         assert f"line {lineno}: unrecognized line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keyword,old,new,lineno", [
+        ("mode", "mode strict", "mode strict extra", 1),
+        ("gamma", "variables x y\n", "variables x y\ngamma 2 junk\n", 3),
+        ("block", "block 0", "block 0 junk", 3),
+    ], ids=["mode", "gamma", "block"])
+    def test_trailing_words_in_certificate_exit_1(self, tmp_path, capsys, keyword, old, new,
+                                                  lineno):
+        # `mode`, `gamma` and `block` take exactly one value
+        text = open(data_path("four_points_strict.cert")).read()
+        with pytest.raises(ParseError) as exc:
+            problem_io.parse_certificate(text.replace(old, new))
+        assert exc.value.line == lineno
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text.replace(old, new))
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 1
+        assert f"line {lineno}: expected `{keyword} <value>`" in capsys.readouterr().err
+
     def test_repeated_variable_exits_1(self, tmp_path, capsys):
         prob = tmp_path / "bad.prob"
         prob.write_text("variables x x\nf: x + 3\nh: x^2 - 1\n")
@@ -447,6 +479,7 @@ GOLDEN_EXITS = {
     "double_origin_shifted": {"none": 0, "nonneg": 0, "sdp": 0},
     "four_points": {"none": 0, "nonneg": 0, "sdp": 0},
     "scaled_witness": {"none": 3, "nonneg": 0, "sdp": 3},
+    "zero_f": {"none": 3, "nonneg": 0, "sdp": 3},
 }
 
 

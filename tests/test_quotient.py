@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from soscert import exactla, quotient
+from soscert import exactla, problem_io, quotient
 from soscert.errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from soscert.polyring import Monomial, Polynomial, parse_polynomial
 
-from conftest import fractions, load_problem, mat_vec, reference_divide
+from conftest import fractions, load_problem, mat_vec, reference_divide, reference_witness
 
 
 def poly(s, names=("x", "y")):
@@ -221,6 +221,22 @@ class TestCofactorReduce:
                 assert (pj * hj).degree <= p.degree
 
 
+# named witness cases: tests/data problems and those below, with the
+# expected (a, b, gamma) where it is short
+_WITNESS_CASES = [
+    ("cusp_circle", None),
+    ("scaled_witness", None),
+    ("double_origin", "ConditionFailed"),
+    ("zero_f", ("2", "1", 1)),  # (I : 0) = R: a = 0, b = 1, then a is shifted
+    ("empty_variety", ("0", "0", 1)),  # D = 0
+    ("non_radical", None),  # f is a unit at the double root
+]
+_WITNESS_PROBLEMS = {
+    "empty_variety": "variables x\nf: x\nh: x\nh: x - 1\n",
+    "non_radical": "variables x y\nf: x - 1\nh: x^3 - x^2\nh: y^2 - y\n",
+}
+
+
 class TestWitness:
     def test_cusp_witness_matches_known_triple(self, cusp_ring):
         a, b, gamma = quotient.coprimality_witness(cusp_ring, poly("x"))
@@ -237,6 +253,60 @@ class TestWitness:
             quotient.groebner([parse_polynomial("x^2", ["x"])]))
         with pytest.raises(ConditionFailed):
             quotient.coprimality_witness(ring, parse_polynomial("x", ["x"]))
+
+    @pytest.mark.parametrize("name, expected", _WITNESS_CASES,
+                             ids=[name for name, _ in _WITNESS_CASES])
+    def test_matches_the_block_system(self, name, expected):
+        inst = (problem_io.parse_problem(_WITNESS_PROBLEMS[name]) if name in _WITNESS_PROBLEMS
+                else load_problem(f"{name}.prob"))
+        ring = quotient.monomial_basis(quotient.groebner(inst.h))
+        got = _witness_or_failure(quotient.coprimality_witness, ring, inst.f)
+        assert got == _witness_or_failure(reference_witness, ring, inst.f)
+        if expected == "ConditionFailed":
+            assert got == expected
+            return
+        a, b, gamma = got
+        assert ring.normal_form(a * inst.f + b - gamma).is_zero()
+        assert ring.normal_form(b * inst.f).is_zero()
+        if expected is not None:
+            names = inst.var_names
+            assert (a, b, gamma) == (poly(expected[0], names), poly(expected[1], names),
+                                     expected[2])
+
+
+def _witness_or_failure(witness, ring, f):
+    try:
+        return witness(ring, f)
+    except ConditionFailed:
+        return "ConditionFailed"
+
+
+@st.composite
+def witness_cases(draw):
+    """A grid ring (p(x), q(y)): each of p and q has one or two integer
+    roots, the first possibly double, and possibly the factor v^2 + 1.  f
+    is a small polynomial, possibly times a factor that vanishes at some
+    points of the grid."""
+    x, y = poly("x"), poly("y")
+
+    def univariate(v):
+        roots = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2, unique=True))
+        p = (v - roots[0]) ** draw(st.integers(1, 2))
+        for r in roots[1:]:
+            p = p * (v - r)
+        return p * (v * v + 1) if draw(st.booleans()) else p
+
+    ring = quotient.monomial_basis(quotient.groebner([univariate(x), univariate(y)]))
+    factor = draw(st.sampled_from([poly("1"), x, y - 1, x * (y + 1)]))
+    return ring, factor * draw(small_polys())
+
+
+@settings(max_examples=30, deadline=None)
+@given(witness_cases())
+def test_witness_matches_the_block_system_on_grids(case):
+    ring, f = case
+    got = _witness_or_failure(quotient.coprimality_witness, ring, f)
+    assert got == _witness_or_failure(reference_witness, ring, f)
 
 
 class TestInverse:
