@@ -13,6 +13,7 @@ expansion of a certificate identity, for the verifier as for the routes.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -202,23 +203,31 @@ def certify_strict(inst, ring=None):
         return certify_strict_nonradical(inst, ring=ring)
     seed = inst.options.get("seed", 0)
     var = variety.solve_variety(ring, seed=seed)
+    return _assemble(inst, ring, *_strict_squares(inst, ring, var))
+
+
+def _strict_squares(inst, ring, var):
+    """Block 0 and the g blocks of `certify_strict` on a radical ring, from
+    its points var, before `_assemble` closes the identity."""
     g_blocks, f_tilde = perturb(inst, ring, var)
     _, fact = gram.round_and_certify(ring, var, f_tilde)
-    blocks0 = _squares_from_factorization(ring, fact)
-    return _assemble(inst, ring, blocks0, g_blocks)
+    return _squares_from_factorization(ring, fact), g_blocks
 
 
 def certify_nonneg(inst, ring=None):
-    """Nonnegativity certificate via the coprimality witness: certify the
-    strictly positive a, then use f = (1/gamma) a f^2 modulo I."""
+    """Nonnegativity certificate via the coprimality witness: take the
+    squares of a strict certificate of the positive a, from the witness's
+    roots of R/J, then close f = (1/gamma) a f^2 modulo I."""
     if ring is None:
         ring = build_ring(inst)
-    a, b, gamma_val = quotient.coprimality_witness(ring, inst.f,
-                                                   seed=inst.options.get("seed", 0))
+    seed = inst.options.get("seed", 0)
+    roots = functools.cache(lambda: variety.solve_variety(ring.radical_ring, seed=seed))
+    a, b, gamma_val = quotient.coprimality_witness(ring, inst.f, roots=roots)
     inner = ProblemInstance(inst.var_names, a, inst.g, inst.h,
                             options=inst.options)
     try:
-        cert_a = certify_strict(inner, ring=ring)
+        squares = _strict_squares if ring.is_radical else _hensel_squares
+        blocks0, g_blocks = squares(inner, ring, roots())
     except NotStrictlyPositiveOnS as exc:
         # a = gamma / f wherever f != 0, and a > 0 where f = 0: a < 0 at a
         # point of S is f < 0 there, while the inner message gives a's value
@@ -226,7 +235,7 @@ def certify_nonneg(inst, ring=None):
     f = inst.f
     blocks = []
     witnesses = []
-    for i, block in enumerate(cert_a.blocks):
+    for i, block in enumerate([blocks0] + g_blocks):
         new_block = []
         for w, qbar in block:
             q = ring.normal_form(qbar * f)
@@ -269,8 +278,13 @@ def certify_strict_nonradical(inst, ring=None):
     f~ = sum w q^2 + eps t^2 modulo I."""
     if ring is None:
         ring = build_ring(inst)
+    var_j = variety.solve_variety(ring.radical_ring, seed=inst.options.get("seed", 0))
+    return _assemble(inst, ring, *_hensel_squares(inst, ring, var_j))
+
+
+def _hensel_squares(inst, ring, var_j):
+    """The squares of `certify_strict_nonradical`, from the points of R/J."""
     ring_j = ring.radical_ring
-    var_j = variety.solve_variety(ring_j, seed=inst.options.get("seed", 0))
     g_blocks, f_tilde = perturb(inst, ring_j, var_j)
     # eps is the largest power of two <= min(1, low / 2), or 1 without real
     # roots; perturb has made low > 0
@@ -280,7 +294,7 @@ def certify_strict_nonradical(inst, ring=None):
     blocks0 = _squares_from_factorization(ring_j, fact)
     theta = residual(inst, Certificate("strict", [blocks0] + g_blocks, [])) / eps
     blocks0.append((eps, hensel_sqrt(ring, theta)))
-    return _assemble(inst, ring, blocks0, g_blocks)
+    return blocks0, g_blocks
 
 
 # the values of the mode and engine options, in files and on the command line

@@ -436,7 +436,7 @@ def cofactor_reduce(ring, p):
     return Cofactors(p_j, remainder)
 
 
-def coprimality_witness(ring, f, seed=0):
+def coprimality_witness(ring, f, roots):
     """Integer-scaled (a, b, gamma) with b*f = 0 and a*f + b = gamma mod I.
 
     Before denominators are cleared, a f + b = 1 and b f = 0 is one D x D
@@ -444,9 +444,9 @@ def coprimality_witness(ring, f, seed=0):
     means (I : f) + (f) is a proper ideal, so no nonnegativity certificate
     of this shape exists; f = 0 gives a = 0, b = 1.  As b^2 = b mod I, b is
     exactly 1 at the zeros of f on the variety and 0 elsewhere: the real
-    zeros of f are the real roots where b > 1/2, solved with `seed` only
-    when b != 0.  Where `a` fails to be strictly positive at those zeros,
-    it is shifted by a power-of-two multiple of b.
+    zeros of f are the real roots where b > 1/2, from `roots()` (the points
+    of ring.radical_ring) only when b != 0; where `a` is not strictly
+    positive at those zeros, it is shifted by a power-of-two multiple of b.
     """
     nf = ring.normal_form(f)
     sol = exactla.solve(ring.mult_matrix(nf * nf), [nf.terms.get(m, 0) for m in ring.basis])
@@ -457,10 +457,7 @@ def coprimality_witness(ring, f, seed=0):
 
     # positivity of a where f vanishes on the variety
     if not b.is_zero():
-        from . import variety as _variety
-
-        # R/J has the points of R/I, each simple, as root solving requires
-        var = _variety.solve_variety(ring.radical_ring, seed=seed)
+        var = roots()
         reals = ([z.real for z in pt.coordinates] for pt in var.points if pt.kind == "real")
         zero_pts = [coords for coords in reals if evaluate(b, coords) > 0.5]
         if zero_pts:

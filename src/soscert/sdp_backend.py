@@ -82,11 +82,12 @@ class SdpProblem:
 
 
 class SolverResult:
-    def __init__(self, blocks, lam, residual, bound=None):
+    def __init__(self, blocks, lam, residual, bound=None, iterations=0):
         self.blocks = blocks          # float symmetric PSD matrices
         self.lam = lam
         self.residual = residual
         self.bound = bound            # dual objective b^t y >= lam*, if known
+        self.iterations = iterations  # interior-point steps taken
 
 
 def solve_feasibility(prob, lam, iterations=40000, tol=1e-8):
@@ -114,14 +115,6 @@ def solve_feasibility(prob, lam, iterations=40000, tol=1e-8):
     raise MaxIterations(f"feasibility residual {best:.3e} after {iterations} iterations")
 
 
-def _max_step(p, dp):
-    """Largest alpha with p + alpha dp still positive semidefinite (inf when
-    every alpha keeps it so), for positive definite p."""
-    inv_l = np.linalg.inv(np.linalg.cholesky(p))
-    low = np.linalg.eigvalsh(inv_l @ dp @ inv_l.T)[0]
-    return -1.0 / low if low < 0 else math.inf
-
-
 def maximize_lambda(prob, iterations=100):
     """Primal-dual interior-point solve of
 
@@ -133,7 +126,11 @@ def maximize_lambda(prob, iterations=100):
     predictor-corrector (sigma = (mu_aff / mu)^3) and 0.95 of the step to
     the boundary, from the infeasible start X = S = I, y = 0, lam = 0.  lam
     stays one free scalar, eliminated through the bordered Schur system
-    [M a; a^t 0] with M_rs = sum_k tr(A_{k,r} X_k A_{k,s} S_k^-1).
+    [M a; a^t 0] with M_rs = sum_k tr(A_{k,r} X_k A_{k,s} S_k^-1).  The
+    blocks are stacked, A_k as one (K, D, D^2) view of prob.A and X, S as
+    (K, D, D) arrays: each numpy call does the float operations of a loop
+    over the blocks, summing over blocks in block order, and one Cholesky
+    factor of [X; S] per iterate serves the steps of both directions.
 
     It stops once lam > 0, the primal residual is at most 1e-3 lam
     (relative to 1 + |b|_inf), and either the dual is feasible with
@@ -149,26 +146,29 @@ def maximize_lambda(prob, iterations=100):
     the iteration limit, raises MaxIterations with the residuals."""
     ring = prob.ring
     d = ring.D
-    slices = [prob.A[:, k * d * d:(k + 1) * d * d] for k in range(len(prob.block_sizes))]
+    nk = len(prob.block_sizes)
+    a3 = prob.A.reshape(d, nk, d * d).transpose(1, 0, 2)
+    a3t = a3.transpose(0, 2, 1)
     eye = np.eye(d)
-    a = slices[0] @ eye.reshape(-1)
+    a = a3[0] @ eye.reshape(-1)
     # a = NF(sum_p b_p^2) is exactly 0 only without real points (it is at
     # least 1 at a real point); lam then leaves the constraints and is held
     # at 1
     held = not any(ring.nf_vector(Polynomial({b * b: 1 for b in ring.basis}, ring.nvars))[0])
     b = prob.b
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    n = d * len(slices)
-    xs = [eye.copy() for _ in slices]
-    ss = [eye.copy() for _ in slices]
+    xs = np.array([eye] * nk)
+    ss = xs.copy()
     y = np.zeros(d)
     lam = 1.0 if held else 0.0
+    bordered = np.block([[np.zeros((d, d)), a[:, None]], [a[None, :], np.zeros((1, 1))]])
+    rhs = np.empty(d + 1)
     for it in range(iterations):
-        r_p = b - sum(ak @ xk.reshape(-1) for ak, xk in zip(slices, xs)) - lam * a
-        r_d = [sk - (ak.T @ y).reshape(d, d) for ak, sk in zip(slices, ss)]
+        r_p = b - sum(a3 @ xs.reshape(nk, -1, 1))[:, 0] - lam * a
+        r_d = ss - (a3t @ y).reshape(nk, d, d)
         r_lam = 1.0 - float(a @ y)
         p_res = float(np.max(np.abs(r_p), initial=0.0)) / scale
-        d_res = max(abs(r_lam), max(float(np.max(np.abs(r))) for r in r_d))
+        d_res = max(abs(r_lam), max(np.max(np.abs(r_d), axis=(1, 2)).tolist()))
         # b^t y bounds lam* only when the dual is feasible; at or below the
         # float resolution of b it proves that lam* is not positive
         bound = float(b @ y) if d_res < 1e-8 else None
@@ -176,17 +176,17 @@ def maximize_lambda(prob, iterations=100):
             raise Infeasible(bound)
         known = lam >= 1 or (bound is not None and bound <= 1.5 * lam)
         if lam > 0 and p_res <= 1e-3 * lam and known:
-            blocks = [xs[0] + lam * eye] + xs[1:]
-            return SolverResult(blocks, lam, prob.residual(blocks), bound)
+            blocks = [xs[0] + lam * eye, *xs[1:]]
+            return SolverResult(blocks, lam, prob.residual(blocks), bound, it)
         try:
-            s_inv = [np.linalg.inv(sk) for sk in ss]
-            m = sum(ak @ np.kron(si, xk) @ ak.T for ak, si, xk in zip(slices, s_inv, xs))
-            bordered = np.block([[m, a[:, None]], [a[None, :], np.zeros((1, 1))]])
+            s_inv = np.linalg.inv(ss)
+            kron = np.einsum("kij,kab->kiajb", s_inv, xs).reshape(nk, d * d, d * d)
+            m = bordered[:d, :d] = sum(a3 @ kron @ a3t)
 
             def step_blocks(dy, targets):
-                dss = [(ak.T @ dy).reshape(d, d) - rk for ak, rk in zip(slices, r_d)]
-                dxs = [gk - xk @ dsk @ si for gk, xk, dsk, si in zip(targets, xs, dss, s_inv)]
-                return [(dxk + dxk.T) / 2.0 for dxk in dxs], dss
+                dss = (a3t @ dy).reshape(nk, d, d) - r_d
+                dxs = targets - xs @ dss @ s_inv
+                return (dxs + dxs.transpose(0, 2, 1)) / 2.0, dss
 
             def direction(targets):
                 # dX_k = G_k - X_k dS_k S_k^-1 with dS_k = A_k^*(dy) - R_k, so
@@ -197,35 +197,42 @@ def maximize_lambda(prob, iterations=100):
                 dy, dlam = np.zeros(d), 0.0
                 for _ in range(2):
                     dxs, dss = step_blocks(dy, targets)
-                    e_p = r_p - dlam * a - sum(ak @ dxk.reshape(-1)
-                                               for ak, dxk in zip(slices, dxs))
+                    e_p = r_p - dlam * a - sum(a3 @ dxs.reshape(nk, -1, 1))[:, 0]
                     if held:
                         dy = dy - np.linalg.solve(m, e_p)
                     else:
-                        sol = np.linalg.solve(bordered, np.append(-e_p, r_lam - a @ dy))
+                        rhs[:d], rhs[d] = -e_p, r_lam - a @ dy
+                        sol = np.linalg.solve(bordered, rhs)
                         dy, dlam = dy + sol[:d], dlam - sol[d]
-                dxs, dss = step_blocks(dy, targets)
-                alpha_p = min([1.0] + [_max_step(xk, dxk) for xk, dxk in zip(xs, dxs)])
-                alpha_d = min([1.0] + [_max_step(sk, dsk) for sk, dsk in zip(ss, dss)])
-                return dxs, dy, dss, dlam, alpha_p, alpha_d
+                return (*step_blocks(dy, targets), dy, dlam)
 
-            mu = sum(float(np.vdot(xk, sk)) for xk, sk in zip(xs, ss)) / n
-            dxs, _, dss, _, alpha_p, alpha_d = direction([-xk for xk in xs])
-            mu_aff = sum(float(np.vdot(xk + alpha_p * dxk, sk + alpha_d * dsk))
-                         for xk, dxk, sk, dsk in zip(xs, dxs, ss, dss)) / n
+            def max_steps(dxs, dss):
+                # the largest alpha <= 1 with L^-1 (P + alpha dP) L^-t >= 0
+                low = np.linalg.eigvalsh(inv_l @ np.concatenate((dxs, dss)) @ inv_lt)[:, 0]
+                alpha = [-1.0 / v if v < 0 else math.inf for v in low.tolist()]
+                return min([1.0] + alpha[:nk]), min([1.0] + alpha[nk:])
+
+            mu = sum(float(np.vdot(xk, sk)) for xk, sk in zip(xs, ss)) / (d * nk)
+            dxs, dss, _, _ = direction(-xs)
+            # factored after the predictor's solves, as a per-block loop
+            # does, so that a breakdown raises the same error there
+            inv_l = np.linalg.inv(np.linalg.cholesky(np.concatenate((xs, ss))))
+            inv_lt = inv_l.transpose(0, 2, 1)
+            alpha_p, alpha_d = max_steps(dxs, dss)
+            mu_aff = sum(float(np.vdot(xk, sk)) for xk, sk
+                         in zip(xs + alpha_p * dxs, ss + alpha_d * dss)) / (d * nk)
             sigma = (mu_aff / mu) ** 3
-            targets = [sigma * mu * si - xk - dxk @ dsk @ si
-                       for si, xk, dxk, dsk in zip(s_inv, xs, dxs, dss)]
-            dxs, dy, dss, dlam, alpha_p, alpha_d = direction(targets)
+            dxs, dss, dy, dlam = direction(sigma * mu * s_inv - xs - dxs @ dss @ s_inv)
+            alpha_p, alpha_d = max_steps(dxs, dss)
         except np.linalg.LinAlgError as exc:
             raise MaxIterations(f"interior point broke down at iteration {it} ({exc}): "
                                 f"primal residual {p_res:.3e}, dual residual {d_res:.3e}, "
                                 f"lambda {lam:.3e}") from exc
         alpha_p, alpha_d = 0.95 * alpha_p, 0.95 * alpha_d
-        xs = [xk + alpha_p * dxk for xk, dxk in zip(xs, dxs)]
+        xs = xs + alpha_p * dxs
         lam += alpha_p * dlam
         y = y + alpha_d * dy
-        ss = [sk + alpha_d * dsk for sk, dsk in zip(ss, dss)]
+        ss = ss + alpha_d * dss
     raise MaxIterations(f"interior point: {iterations} iterations, primal residual "
                         f"{p_res:.3e}, dual residual {d_res:.3e}, lambda {lam:.3e}")
 

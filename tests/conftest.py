@@ -3,10 +3,11 @@ import os
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from soscert import exactla, gram, problem_io, variety
-from soscert.errors import ConditionFailed, ParseError
+from soscert import exactla, gram, problem_io, sdp_backend, variety
+from soscert.errors import ConditionFailed, Infeasible, MaxIterations, ParseError
 from soscert.polyring import Monomial, Polynomial, common_denominator, evaluate, format_polynomial
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -107,6 +108,12 @@ def reference_divide(p, divisors):
     return quotients, remainder
 
 
+def radical_roots(ring, seed=0):
+    """The `roots` argument of `quotient.coprimality_witness`: solves the
+    points of ring.radical_ring when called."""
+    return lambda: variety.solve_variety(ring.radical_ring, seed=seed)
+
+
 def reference_witness(ring, f, seed=0):
     """The coprimality witness from the 2D x 2D block system a f + b = 1,
     b f = 0 over the quotient basis, with the coefficients of a, then of b,
@@ -133,6 +140,103 @@ def reference_witness(ring, f, seed=0):
             a = a + b * rho
     nu = common_denominator(c for poly in (a, b) for c in poly.terms.values())
     return a * nu, b * nu, nu
+
+
+def _reference_max_step(p, dp):
+    """Largest alpha with p + alpha dp still positive semidefinite (inf when
+    every alpha keeps it so), for positive definite p."""
+    inv_l = np.linalg.inv(np.linalg.cholesky(p))
+    low = np.linalg.eigvalsh(inv_l @ dp @ inv_l.T)[0]
+    return -1.0 / low if low < 0 else math.inf
+
+
+def reference_maximize_lambda(prob, iterations=100):
+    """The interior-point solve as a loop over the blocks, one numpy call
+    per block and step, with the Cholesky factors of X_k and S_k taken
+    again for each direction: `sdp_backend.maximize_lambda` must return the
+    same SolverResult bit for bit, or raise the same exception with the
+    same message."""
+    ring = prob.ring
+    d = ring.D
+    slices = [prob.A[:, k * d * d:(k + 1) * d * d] for k in range(len(prob.block_sizes))]
+    eye = np.eye(d)
+    a = slices[0] @ eye.reshape(-1)
+    # a = NF(sum_p b_p^2) is exactly 0 only without real points (it is at
+    # least 1 at a real point); lam then leaves the constraints and is held
+    # at 1
+    held = not any(ring.nf_vector(Polynomial({b * b: 1 for b in ring.basis}, ring.nvars))[0])
+    b = prob.b
+    scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    n = d * len(slices)
+    xs = [eye.copy() for _ in slices]
+    ss = [eye.copy() for _ in slices]
+    y = np.zeros(d)
+    lam = 1.0 if held else 0.0
+    for it in range(iterations):
+        r_p = b - sum(ak @ xk.reshape(-1) for ak, xk in zip(slices, xs)) - lam * a
+        r_d = [sk - (ak.T @ y).reshape(d, d) for ak, sk in zip(slices, ss)]
+        r_lam = 1.0 - float(a @ y)
+        p_res = float(np.max(np.abs(r_p), initial=0.0)) / scale
+        d_res = max(abs(r_lam), max(float(np.max(np.abs(r))) for r in r_d))
+        # b^t y bounds lam* only when the dual is feasible; at or below the
+        # float resolution of b it proves that lam* is not positive
+        bound = float(b @ y) if d_res < 1e-8 else None
+        if bound is not None and bound <= np.finfo(float).eps * scale:
+            raise Infeasible(bound)
+        known = lam >= 1 or (bound is not None and bound <= 1.5 * lam)
+        if lam > 0 and p_res <= 1e-3 * lam and known:
+            blocks = [xs[0] + lam * eye] + xs[1:]
+            return sdp_backend.SolverResult(blocks, lam, prob.residual(blocks), bound, it)
+        try:
+            s_inv = [np.linalg.inv(sk) for sk in ss]
+            m = sum(ak @ np.kron(si, xk) @ ak.T for ak, si, xk in zip(slices, s_inv, xs))
+            bordered = np.block([[m, a[:, None]], [a[None, :], np.zeros((1, 1))]])
+
+            def step_blocks(dy, targets):
+                dss = [(ak.T @ dy).reshape(d, d) - rk for ak, rk in zip(slices, r_d)]
+                dxs = [gk - xk @ dsk @ si for gk, xk, dsk, si in zip(targets, xs, dss, s_inv)]
+                return [(dxk + dxk.T) / 2.0 for dxk in dxs], dss
+
+            def direction(targets):
+                # dX_k = G_k - X_k dS_k S_k^-1 with dS_k = A_k^*(dy) - R_k, so
+                # the primal equation A(dX) + dlam a = r_p and a^t dy = r_lam
+                # read M dy - dlam a = A(G + X R S^-1) - r_p.  One solve and
+                # one refinement against the computed dX keep the step's
+                # primal residual at float level as M grows ill-conditioned.
+                dy, dlam = np.zeros(d), 0.0
+                for _ in range(2):
+                    dxs, dss = step_blocks(dy, targets)
+                    e_p = r_p - dlam * a - sum(ak @ dxk.reshape(-1)
+                                               for ak, dxk in zip(slices, dxs))
+                    if held:
+                        dy = dy - np.linalg.solve(m, e_p)
+                    else:
+                        sol = np.linalg.solve(bordered, np.append(-e_p, r_lam - a @ dy))
+                        dy, dlam = dy + sol[:d], dlam - sol[d]
+                dxs, dss = step_blocks(dy, targets)
+                alpha_p = min([1.0] + [_reference_max_step(xk, dxk) for xk, dxk in zip(xs, dxs)])
+                alpha_d = min([1.0] + [_reference_max_step(sk, dsk) for sk, dsk in zip(ss, dss)])
+                return dxs, dy, dss, dlam, alpha_p, alpha_d
+
+            mu = sum(float(np.vdot(xk, sk)) for xk, sk in zip(xs, ss)) / n
+            dxs, _, dss, _, alpha_p, alpha_d = direction([-xk for xk in xs])
+            mu_aff = sum(float(np.vdot(xk + alpha_p * dxk, sk + alpha_d * dsk))
+                         for xk, dxk, sk, dsk in zip(xs, dxs, ss, dss)) / n
+            sigma = (mu_aff / mu) ** 3
+            targets = [sigma * mu * si - xk - dxk @ dsk @ si
+                       for si, xk, dxk, dsk in zip(s_inv, xs, dxs, dss)]
+            dxs, dy, dss, dlam, alpha_p, alpha_d = direction(targets)
+        except np.linalg.LinAlgError as exc:
+            raise MaxIterations(f"interior point broke down at iteration {it} ({exc}): "
+                                f"primal residual {p_res:.3e}, dual residual {d_res:.3e}, "
+                                f"lambda {lam:.3e}") from exc
+        alpha_p, alpha_d = 0.95 * alpha_p, 0.95 * alpha_d
+        xs = [xk + alpha_p * dxk for xk, dxk in zip(xs, dxs)]
+        lam += alpha_p * dlam
+        y = y + alpha_d * dy
+        ss = [sk + alpha_d * dsk for sk, dsk in zip(ss, dss)]
+    raise MaxIterations(f"interior point: {iterations} iterations, primal residual "
+                        f"{p_res:.3e}, dual residual {d_res:.3e}, lambda {lam:.3e}")
 
 
 _REFERENCE_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"

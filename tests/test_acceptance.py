@@ -18,7 +18,7 @@ from soscert.errors import ConditionFailed, Infeasible, MaxIterations
 from soscert.polyring import (Monomial, Polynomial, evaluate, parse_polynomial)
 
 from conftest import (data_path, determinant, fractions, from_rational, load_certificate,
-                      load_problem, rational, reconstruct)
+                      load_problem, radical_roots, rational, reconstruct)
 
 
 def poly(s, names=("x", "y")):
@@ -96,7 +96,7 @@ class TestCriterion3NonnegativePipeline:
         start = time.monotonic()
         ring = certifier.build_ring(cusp_circle)
         f = cusp_circle.f
-        a, b, gamma = quotient.coprimality_witness(ring, f)
+        a, b, gamma = quotient.coprimality_witness(ring, f, radical_roots(ring))
         # exact defining identity a*f + b = gamma modulo I
         assert ring.normal_form(a * f + b) == Polynomial.constant(gamma, 2)
         # scalar multiple of the known minimal witness

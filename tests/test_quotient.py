@@ -10,7 +10,8 @@ from soscert import exactla, problem_io, quotient
 from soscert.errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from soscert.polyring import Monomial, Polynomial, parse_polynomial
 
-from conftest import fractions, load_problem, mat_vec, reference_divide, reference_witness
+from conftest import (fractions, load_problem, mat_vec, radical_roots, reference_divide,
+                      reference_witness)
 
 
 def poly(s, names=("x", "y")):
@@ -239,7 +240,7 @@ _WITNESS_PROBLEMS = {
 
 class TestWitness:
     def test_cusp_witness_matches_known_triple(self, cusp_ring):
-        a, b, gamma = quotient.coprimality_witness(cusp_ring, poly("x"))
+        a, b, gamma = quotient.coprimality_witness(cusp_ring, poly("x"), radical_roots(cusp_ring))
         # (a, b, gamma) is a scalar multiple of (1 + x, 2 - x - x^2, 2)
         scale = gamma / 2
         assert a == poly("1 + x") * scale
@@ -252,7 +253,7 @@ class TestWitness:
         ring = quotient.monomial_basis(
             quotient.groebner([parse_polynomial("x^2", ["x"])]))
         with pytest.raises(ConditionFailed):
-            quotient.coprimality_witness(ring, parse_polynomial("x", ["x"]))
+            quotient.coprimality_witness(ring, parse_polynomial("x", ["x"]), radical_roots(ring))
 
     @pytest.mark.parametrize("name, expected", _WITNESS_CASES,
                              ids=[name for name, _ in _WITNESS_CASES])
@@ -260,7 +261,7 @@ class TestWitness:
         inst = (problem_io.parse_problem(_WITNESS_PROBLEMS[name]) if name in _WITNESS_PROBLEMS
                 else load_problem(f"{name}.prob"))
         ring = quotient.monomial_basis(quotient.groebner(inst.h))
-        got = _witness_or_failure(quotient.coprimality_witness, ring, inst.f)
+        got = _witness_or_failure(quotient.coprimality_witness, ring, inst.f, radical_roots(ring))
         assert got == _witness_or_failure(reference_witness, ring, inst.f)
         if expected == "ConditionFailed":
             assert got == expected
@@ -274,9 +275,9 @@ class TestWitness:
                                      expected[2])
 
 
-def _witness_or_failure(witness, ring, f):
+def _witness_or_failure(witness, *args):
     try:
-        return witness(ring, f)
+        return witness(*args)
     except ConditionFailed:
         return "ConditionFailed"
 
@@ -305,7 +306,7 @@ def witness_cases(draw):
 @given(witness_cases())
 def test_witness_matches_the_block_system_on_grids(case):
     ring, f = case
-    got = _witness_or_failure(quotient.coprimality_witness, ring, f)
+    got = _witness_or_failure(quotient.coprimality_witness, ring, f, radical_roots(ring))
     assert got == _witness_or_failure(reference_witness, ring, f)
 
 

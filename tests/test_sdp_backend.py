@@ -1,9 +1,13 @@
+import itertools
+import math
+import random
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import load_problem, reference_maximize_lambda
 from soscert import certifier, problem_io, sdp_backend, verify_bounds
 from soscert.errors import Infeasible, MaxIterations
 from soscert.polyring import Polynomial, parse_polynomial
@@ -15,6 +19,30 @@ def poly(s, names=("x", "y")):
 
 def build(inst):
     return certifier.build_ring(inst)
+
+
+def _parse(lines):
+    return problem_io.parse_problem("variables x y\n" + "\n".join(lines) + "\n")
+
+
+KNOWN_ANSWERS = [
+    # a conjugate pair of roots in x: the dual has no interior
+    ["f: x - 2*y + 7", "h: x^4 - x^2 - 12", "h: y^3 - 4*y"],
+    # six real points, lam* ~ 3e-4
+    ["f: -x^2 + 2*x*y - y^2 + 145/4", "h: x^2 - 9", "h: y^3 - 3*y^2 - 4*y + 12"],
+    # g < 0 at points of V, so the dual has no interior either
+    ["f: -2*x + 2*y + 5/2", "g: 3*x - y - 1", "h: x^2 - x", "h: y^2 - y"],
+    # lam* ~ 9e-7 on a 3 x 3 grid: the primal residual must fall below
+    # 1e-3 lam* before M breaks down, which takes the refined Newton step
+    ["f: -2*x + y + 28673/4096", "h: x^3 - 5*x^2 + 6*x", "h: y^3 - 4*y^2 + y + 6"],
+    # no real point: lam is unbounded (sum of b_p^2 is in I for x^2 + 1)
+    ["f: x - 5", "h: x^2 + 1", "h: y^2 - 1"],
+    ["f: x - 5", "h: x^4 + 5*x^2 + 4", "h: y - 1"],
+]
+
+# lam* ~ 2.7e-7 with one g: the solve breaks down at iteration 17
+BREAKDOWN = ["f: -2*x - 2*y + 1/4096", "g: -3*x - y - 2",
+             "h: x^2 + 2*x - 3", "h: y^3 - 2*y^2 - 3*y"]
 
 
 @pytest.fixture
@@ -121,6 +149,87 @@ class TestSolver:
             sdp_backend.maximize_lambda(prob, iterations=2)
 
 
+def _outcome(solve, prob):
+    """Everything a solve returns, blocks as bytes, or its exception."""
+    try:
+        r = solve(prob)
+    except (Infeasible, MaxIterations) as exc:
+        return type(exc).__name__, str(exc)
+    return ("ok", r.lam, r.bound, r.residual, r.iterations,
+            [(q.shape, q.tobytes()) for q in r.blocks])
+
+
+RANDOM_GRIDS = 40
+
+
+def _random_grid(seed):
+    """A grid ideal with 2 or 3 integer roots per variable, one or two
+    random linear g on the 3 x 3 grids (so two or three blocks) and a
+    random linear f whose minimum over S is a margin from 1 down to 2^-20,
+    or -1."""
+    rng = random.Random(seed)
+    x, y = poly("x"), poly("y")
+    one = Polynomial.constant(1, 2)
+    kx, ky = rng.choice([(2, 2), (2, 3), (3, 3), (3, 3)])
+    rx, ry = sorted(rng.sample(range(-3, 4), kx)), sorted(rng.sample(range(-3, 4), ky))
+    h = [math.prod((x - r for r in rx), start=one), math.prod((y - r for r in ry), start=one)]
+    points = list(itertools.product(rx, ry))
+    g = []
+    for _ in range(rng.choice([1, 1, 2]) if (kx, ky) == (3, 3) else 0):
+        # nonzero on the grid, and S keeps a point and loses one
+        while True:
+            c = [rng.randint(-3, 3) for _ in range(3)]
+            vals = [c[0] * px + c[1] * py + c[2] for px, py in points]
+            if all(vals) and min(vals) < 0 < max(vals):
+                break
+        g.append(x * c[0] + y * c[1] + c[2])
+        points = [pt for pt, v in zip(points, vals) if v > 0]
+    u, v = rng.randint(-3, 3), rng.randint(-3, 3)
+    margin = rng.choice([Fraction(1), Fraction(1, 2 ** 4), Fraction(1, 2 ** 10),
+                         Fraction(1, 2 ** 16), Fraction(1, 2 ** 20), Fraction(-1)])
+    low = min(u * px + v * py for px, py in points)
+    return certifier.ProblemInstance(["x", "y"], x * u + y * v + (margin - low), g, h)
+
+
+def _reference_cases():
+    return ([pytest.param(load_problem("four_points.prob"), id="four_points")]
+            + [pytest.param(_parse(lines), id=f"known{i}") for i, lines in enumerate(KNOWN_ANSWERS)]
+            + [pytest.param(_parse(BREAKDOWN), id="breakdown")]
+            + [pytest.param(_random_grid(seed), id=f"grid{seed}") for seed in range(RANDOM_GRIDS)])
+
+
+class TestStackedIteration:
+    """The stacked solve against the per-block loop it replaced."""
+
+    @pytest.mark.parametrize("inst", _reference_cases())
+    def test_matches_the_per_block_loop(self, inst):
+        prob = sdp_backend.SdpProblem(inst, build(inst))
+        assert _outcome(sdp_backend.maximize_lambda, prob) == \
+            _outcome(reference_maximize_lambda, prob)
+
+    def test_random_grids_reach_every_outcome(self):
+        # the draws above exercise success, a dual proof of lam* <= 0 and
+        # a float breakdown on one, two and three blocks; with three, the
+        # order of the sums over blocks shows in the bits
+        seen = set()
+        for seed in range(RANDOM_GRIDS):
+            inst = _random_grid(seed)
+            prob = sdp_backend.SdpProblem(inst, build(inst))
+            seen.add((_outcome(sdp_backend.maximize_lambda, prob)[0], len(prob.block_sizes)))
+        assert {(kind, k) for kind in ("ok", "Infeasible", "MaxIterations")
+                for k in (1, 2, 3)} <= seen
+
+    def test_iterations_counts_the_steps(self, four_points_prob):
+        prob, _ = four_points_prob
+        result = sdp_backend.maximize_lambda(prob)
+        assert result.iterations > 0
+        # one step fewer than it took is too few
+        with pytest.raises(MaxIterations):
+            sdp_backend.maximize_lambda(prob, iterations=result.iterations)
+        again = sdp_backend.maximize_lambda(prob, iterations=result.iterations + 1)
+        assert again.iterations == result.iterations
+
+
 class TestAlgorithm1:
     def test_four_points_exact(self, four_points):
         ring = build(four_points)
@@ -142,22 +251,9 @@ class TestAlgorithm1:
         with pytest.raises((Infeasible, MaxIterations)):
             sdp_backend.algorithm1_certify(double_origin, ring)
 
-    @pytest.mark.parametrize("lines", [
-        # a conjugate pair of roots in x: the dual has no interior
-        ["f: x - 2*y + 7", "h: x^4 - x^2 - 12", "h: y^3 - 4*y"],
-        # six real points, lam* ~ 3e-4
-        ["f: -x^2 + 2*x*y - y^2 + 145/4", "h: x^2 - 9", "h: y^3 - 3*y^2 - 4*y + 12"],
-        # g < 0 at points of V, so the dual has no interior either
-        ["f: -2*x + 2*y + 5/2", "g: 3*x - y - 1", "h: x^2 - x", "h: y^2 - y"],
-        # lam* ~ 9e-7 on a 3 x 3 grid: the primal residual must fall below
-        # 1e-3 lam* before M breaks down, which takes the refined Newton step
-        ["f: -2*x + y + 28673/4096", "h: x^3 - 5*x^2 + 6*x", "h: y^3 - 4*y^2 + y + 6"],
-        # no real point: lam is unbounded (sum of b_p^2 is in I for x^2 + 1)
-        ["f: x - 5", "h: x^2 + 1", "h: y^2 - 1"],
-        ["f: x - 5", "h: x^4 + 5*x^2 + 4", "h: y - 1"],
-    ])
+    @pytest.mark.parametrize("lines", KNOWN_ANSWERS)
     def test_known_answers(self, lines):
-        inst = problem_io.parse_problem("variables x y\n" + "\n".join(lines) + "\n")
+        inst = _parse(lines)
         ring = build(inst)
         cert = sdp_backend.algorithm1_certify(inst, ring)
         assert verify_bounds.verify_certificate(inst, cert, ring).ok
