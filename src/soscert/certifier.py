@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import gram, quotient, variety
 from .errors import IdentityBroken, NotStrictlyPositiveOnS, PrecisionExceeded
-from .polyring import Monomial, Polynomial, common_denominator, evaluate, round_binary
+from .polyring import Monomial, Polynomial, evaluate, integral, round_binary
 
 
 class Certificate:
@@ -38,14 +38,6 @@ class Certificate:
         self.cofactors = cofactors
         self.witnesses = witnesses
         self.gamma = gamma
-
-
-def _integral(p):
-    """p as integer coefficients keyed by exponent tuples, over the lcm of
-    its denominators."""
-    den = common_denominator(p.terms.values())
-    return {m.exponents: c.numerator * (den // c.denominator)
-            for m, c in p.terms.items()}, den
 
 
 def _add_product(acc, a, b, scale):
@@ -77,10 +69,10 @@ def residual(inst, cert):
     over its own lcm denominator; only the nonzero residual terms become
     Fractions c / lcd."""
     n = inst.nvars
-    f, f_den = _integral(inst.f)
-    mults = [({(0,) * n: 1}, 1)] + [_integral(g) for g in inst.g]
-    blocks = [[(w, *_integral(q)) for w, q in block] for block in cert.blocks]
-    products = [(_integral(p), _integral(h)) for p, h in zip(cert.cofactors, inst.h)]
+    f, f_den = integral(inst.f)
+    mults = [({(0,) * n: 1}, 1)] + [integral(g) for g in inst.g]
+    blocks = [[(w, *integral(q)) for w, q in block] for block in cert.blocks]
+    products = [(integral(p), integral(h)) for p, h in zip(cert.cofactors, inst.h)]
     lcd = math.lcm(f_den,
                    *(w.denominator * d * d * m_den
                      for (_, m_den), block in zip(mults, blocks) for w, _, d in block),

@@ -1,15 +1,16 @@
-"""Exact linear algebra over Fraction: elimination, solving, nullspaces.
+"""Exact linear algebra over the rationals: elimination, solving, nullspaces.
 
-Matrices are plain lists of lists of Fraction, eliminated densely with exact
-pivoting.  The inputs are D x D systems, D the quotient dimension: the
-trace form, whose kernel gives the radical (eliminated here only when
-`quotient.radical_generators` cannot prove it nonsingular modulo a prime),
-the coprimality witness and inverses modulo I; and the cofactors of a
-Groebner basis.  The Gram matrix needs no solve (see `gram`).
+Matrices are lists of lists of Fractions or ints.  The one kernel, `rref`,
+eliminates fraction-free in integers (Bareiss 1968).  Its inputs are the
+D x D systems of the quotient ring (the trace form, when
+`quotient.radical_generators` cannot prove it nonsingular modulo a prime;
+the coprimality witness; inverses modulo I) and the integer systems of the
+cofactors of a Groebner basis.  The Gram matrix needs no solve (see `gram`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -18,33 +19,49 @@ def transpose(a):
 
 
 def rref(matrix, ncols=None):
-    """Reduced row echelon form.  Returns (R, pivot column list)."""
-    a = [row[:] for row in matrix]
+    """Reduced row echelon form over the first `ncols` columns.  Returns
+    (R, pivot column list), R in Fractions.
+
+    Row i is scaled to integers by the lcm s_i of its denominators.  At the
+    k-th pivot p_k every other row becomes (p_k row - row[c] pivot_row) /
+    p_{k-1}, p_0 = 1: an exact division, after which each row is p_k times
+    the row that Fraction elimination gives.  So R is each pivot row over
+    the last pivot p, and each other row over p s_i."""
+    a = []
+    scales = []
+    for row in matrix:
+        s = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (s // x.denominator) for x in row])
+        scales.append(s)
     nrows = len(a)
     if ncols is None:
         ncols = len(a[0]) if a else 0
     pivots = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                pivot_row = i
-                break
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                else:
+                    a[i] = [p * x // prev for x in row]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+        prev = p
+    rank = len(pivots)
+    return ([[Fraction(x, prev) for x in row] for row in a[:rank]]
+            + [[Fraction(x, prev * s) for x in row] for row, s in zip(a[rank:], scales[rank:])],
+            pivots)
 
 
 def solve(a, b):
@@ -53,16 +70,13 @@ def solve(a, b):
     Free variables are set to 0, so with columns ordered by preference the
     returned solution is supported on the earliest possible columns.
     """
-    n = len(a)
     m = len(a[0]) if a else 0
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(n)]
-    red, pivots = rref(aug, ncols=m)
-    for row in red:
-        if all(x == 0 for x in row[:m]) and row[m] != 0:
-            return None
+    red, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b)], ncols=m)
+    if any(row[m] for row in red[len(pivots):]):
+        return None
     x = [Fraction(0)] * m
-    for r, c in enumerate(pivots):
-        x[c] = red[r][m]
+    for row, c in zip(red, pivots):
+        x[c] = row[m]
     return x
 
 
@@ -75,7 +89,7 @@ def nullspace(a):
     for fc in free:
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][fc]
+        for row, c in zip(red, pivots):
+            v[c] = -row[fc]
         basis.append(v)
     return basis

@@ -110,7 +110,7 @@ class Polynomial:
         return max(m.degree for m in self.terms)
 
     def leading_monomial(self):
-        return max(self.terms)
+        return max(self.terms, key=Monomial.grevlex_key)
 
     def leading_coefficient(self):
         return self.terms[self.leading_monomial()]
@@ -213,6 +213,14 @@ class HeightInfo:
 def common_denominator(values):
     """Least common multiple of the denominators of rational values."""
     return math.lcm(*(v.denominator for v in values))
+
+
+def integral(p):
+    """p as integer coefficients keyed by exponent tuples, over the lcm of
+    its denominators."""
+    den = common_denominator(p.terms.values())
+    return {m.exponents: c.numerator * (den // c.denominator)
+            for m, c in p.terms.items()}, den
 
 
 def height(p):

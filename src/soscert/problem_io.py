@@ -78,6 +78,24 @@ def _value(line):
     return words[1]
 
 
+def _fields(line, form):
+    """The fields after the keyword of a line of the given form, such as
+    `cofactor <j> <poly>`: one per word of the form, the last one the rest
+    of the line."""
+    words = line.split(None, form.count(" "))
+    if len(words) <= form.count(" "):
+        raise ParseError(f"expected `{form}`, not {line!r}")
+    return words[1:]
+
+
+def _integer(word, form):
+    """An integer field of a line of the given form."""
+    try:
+        return int(word)
+    except ValueError:
+        raise ParseError(f"expected `{form}`, where {word!r} is not an integer") from None
+
+
 def _variables(line):
     var_names = line.split()[1:]
     if not var_names:
@@ -109,10 +127,12 @@ def parse_problem(text):
             elif keyword == "variables":
                 var_names = _variables(line)
             elif keyword == "option":
-                _, key, value = line.split(None, 2)
+                key, value = _fields(line, "option <key> <value>")
                 if key not in _OPTION_TYPES:
                     raise ParseError(f"unknown option {key!r}")
-                options[key] = check_option(key, _OPTION_TYPES[key](value))
+                if _OPTION_TYPES[key] is int:
+                    value = _integer(value, f"option {key} <n>")
+                options[key] = check_option(key, value)
             else:
                 raise ParseError(f"unrecognized line {line!r}")
     if var_names is None:
@@ -156,7 +176,7 @@ def parse_certificate(text, expected_vars=None):
             elif keyword == "gamma":
                 gamma = _rational("gamma", _value(line))
             elif keyword == "block":
-                idx = int(_value(line))
+                idx = _integer(_value(line), "block <i>")
                 if idx != len(blocks):
                     raise ParseError(f"blocks must appear in order; got {idx}")
                 blocks.append([])
@@ -164,20 +184,20 @@ def parse_certificate(text, expected_vars=None):
             elif keyword == "weight":
                 if current is None:
                     raise ParseError("`weight` line before any `block` line")
-                _, w, kw, poly_text = line.split(None, 3)
+                w, kw, poly_text = _fields(line, "weight <rational> square <poly>")
                 if kw != "square":
-                    raise ParseError("expected `weight <rational> square <poly>`")
+                    raise ParseError(f"expected `weight <rational> square <poly>`, not {line!r}")
                 current.append((_rational("weight", w),
                                 parse_polynomial(poly_text, _need_vars(var_names))))
             elif keyword == "cofactor":
-                _, j, poly_text = line.split(None, 2)
-                j = int(j)
+                j, poly_text = _fields(line, "cofactor <j> <poly>")
+                j = _integer(j, "cofactor <j> <poly>")
                 if j in cofactors:
                     raise ParseError(f"second `cofactor {j}` line")
                 cofactors[j] = parse_polynomial(poly_text, _need_vars(var_names))
             elif keyword == "witness":
-                _, k, poly_text = line.split(None, 2)
-                if int(k) != len(witnesses) + 1:
+                k, poly_text = _fields(line, "witness <k> <poly>")
+                if _integer(k, "witness <k> <poly>") != len(witnesses) + 1:
                     raise ParseError("witness lines must appear in order")
                 witnesses.append(parse_polynomial(poly_text, _need_vars(var_names)))
             else:

@@ -18,11 +18,12 @@ A ring vector, the coefficients over the quotient basis B of a normal
 form, has one form: a pair (ints, den) of integers over one positive
 denominator, in lowest terms.  Normal forms, the product table and the
 multiplication matrices all use it; only `QuotientRing.mult_matrix` and
-the exact solves of `exactla` work in Fractions.  Normal forms come from
-one linear map over B (see `QuotientRing`); full division by the Gröbner
-basis (`divide`, on a heap of exponent tuples) is left to what needs its
-quotients or runs before the ring's tables exist: Gröbner completion,
-`cofactor_reduce` and the border of `QuotientRing.mult_matrices`.
+the solutions that `exactla` returns are in Fractions.  Normal forms come
+from one linear map over B (see `QuotientRing`), whose border the tails of
+the reduced Gröbner basis give; full division by the Gröbner basis
+(`divide`, on a heap of exponent tuples) is left to what needs its
+quotients or runs before the ring exists: Gröbner completion and
+`cofactor_reduce`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 from . import exactla
 from .errors import ConditionFailed, NotInvertible, NotZeroDimensional
-from .polyring import Monomial, Polynomial, common_denominator, evaluate
+from .polyring import Monomial, Polynomial, common_denominator, evaluate, integral
 
 
 def monomials_upto(nvars, max_degree):
@@ -129,9 +130,10 @@ class IdealBasis:
 
     `gb_cofactors[k][j]` expresses the k-th Gröbner element as
     sum_j gb_cofactors[k][j] * generators[j], with degrees bounded as above
-    when `is_graded`.  It costs one dense solve per Gröbner element, done
-    the first time it is read: only `cofactor_reduce` needs it, so neither
-    `verify` nor the ring of the radical pays for it.
+    when `is_graded`.  It costs one integer solve per Gröbner element (see
+    `_express_in_generators`), done the first time it is read: only
+    `cofactor_reduce` needs it, so neither `verify` nor the ring of the
+    radical pays for it.
     """
 
     def __init__(self, generators, gb, nvars):
@@ -165,37 +167,32 @@ class IdealBasis:
 
 def _express_in_generators(g, generators, start_caps):
     """Solve g = sum r_j h_j with deg(r_j) <= cap_j, escalating the caps
-    until the coefficient-matching system becomes feasible."""
+    until the coefficient-matching system becomes feasible.
+
+    The system is in integers.  Each h_j, scaled to integer coefficients
+    L_j h_j, is shifted by the monomials u of degree <= cap_j (grevlex
+    ascending): the columns are the u L_j h_j, by j and then by u, the
+    right-hand side is L_g g, and there is one row per monomial that occurs.
+    A solution y of that system gives r_j = sum_u y_(j,u) (L_j / L_g) u."""
     nvars = g.nvars
+    target, target_den = integral(g)
+    scaled = [integral(h) for h in generators]
     caps = list(start_caps)
     while True:
-        cols = []
-        col_polys = []
-        support_deg = max([g.degree] + [c + h.degree for c, h in zip(caps, generators) if c >= 0])
-        support = monomials_upto(nvars, support_deg)
-        index = {m: i for i, m in enumerate(support)}
-        for j, h in enumerate(generators):
-            if caps[j] < 0:
-                continue
-            for m in monomials_upto(nvars, caps[j]):
-                prod = Polynomial({m: Fraction(1)}, nvars) * h
-                col = [Fraction(0)] * len(support)
-                for mm, c in prod.terms.items():
-                    col[index[mm]] = c
-                cols.append(col)
-                col_polys.append((j, m))
-        rhs = [Fraction(0)] * len(support)
-        for mm, c in g.terms.items():
-            rhs[index[mm]] = c
-        a = exactla.transpose(cols) if cols else [[] for _ in support]
-        sol = exactla.solve(a, rhs) if cols else (rhs if all(x == 0 for x in rhs) else None)
+        cols = [(j, u.exponents) for j, cap in enumerate(caps) for u in monomials_upto(nvars, cap)]
+        index = {e: i for i, e in enumerate(target)}  # row of each monomial
+        entries = [(index.setdefault(tuple(map(operator.add, e, u)), len(index)), col, c)
+                   for col, (j, u) in enumerate(cols) for e, c in scaled[j][0].items()]
+        a = [[0] * len(cols) for _ in index]
+        for r, col, c in entries:
+            a[r][col] = c
+        sol = exactla.solve(a, list(target.values()) + [0] * (len(index) - len(target)))
         if sol is not None:
-            result = [Polynomial.zero(nvars) for _ in generators]
-            if cols:
-                for x, (j, m) in zip(sol, col_polys):
-                    if x:
-                        result[j] = result[j] + Polynomial({m: x}, nvars)
-            return result
+            terms = [{} for _ in generators]
+            for x, (j, u) in zip(sol, cols):
+                if x:
+                    terms[j][Monomial(u)] = x * Fraction(scaled[j][1], target_den)
+            return [Polynomial(t, nvars) for t in terms]
         caps = [c + 1 for c in caps]
 
 
@@ -272,10 +269,11 @@ class QuotientRing:
 
     Every reduction modulo I goes through one linear map over the basis B:
     NF(p) = sum_m c_m NF(m), with NF(m) cached as a ring vector (ints, den)
-    over B.  The cache starts from B's unit vectors; the first monomial
-    outside B adds the border NF(x_k b) that `mult_matrices` reduces by
-    division, and every other monomial follows from NF(x_k m) = M_k NF(m),
-    computed as A_k NF(m) / d_k with M_k = A_k / d_k in integers.
+    over B, keyed by the exponents of m.  The cache starts from B's unit
+    vectors; the first monomial outside B builds `mult_matrices`, whose
+    border NF(x_k b) comes from the tails of the reduced Gröbner basis, and
+    every other monomial follows from NF(x_k m) = M_k NF(m), computed as
+    A_k NF(m) / d_k with M_k = A_k / d_k in integers.
     """
 
     def __init__(self, ideal, basis):
@@ -284,35 +282,55 @@ class QuotientRing:
         self.D = len(basis)
         self.nvars = ideal.nvars
         self._index = {m: i for i, m in enumerate(basis)}
-        self._nf_vectors = {m: ([int(i == k) for i in range(self.D)], 1)
+        self._nf_vectors = {m.exponents: ([int(i == k) for i in range(self.D)], 1)
                             for k, m in enumerate(basis)}
         # 1 lies in B unless I is the unit ideal, where every vector is empty
-        self._nf_vectors.setdefault(Monomial.unit(self.nvars), ([], 1))
+        self._nf_vectors.setdefault((0,) * self.nvars, ([], 1))
 
     # -- normal forms -------------------------------------------------
 
-    def _nf_monomial(self, m):
+    def _nf_monomial(self, e):
+        """NF of the monomial with exponents e."""
         path = []  # divide down to a cached monomial, then multiply back up
-        while m not in self._nf_vectors:
-            k = next(i for i, e in enumerate(m.exponents) if e)
-            path.append((m, k))
-            m = m / Monomial.variable(k, self.nvars)
-        v = self._nf_vectors[m]
-        for m, k in reversed(path):
+        while e not in self._nf_vectors:
+            k = next(i for i, x in enumerate(e) if x)
+            path.append((e, k))
+            e = e[:k] + (e[k] - 1,) + e[k + 1:]
+        v = self._nf_vectors[e]
+        for e, k in reversed(path):
             rows, d = self.mult_matrices[k]
-            v = self._nf_vectors[m] = _lowest([sum(map(operator.mul, row, v[0])) for row in rows],
+            v = self._nf_vectors[e] = _lowest([sum(map(operator.mul, row, v[0])) for row in rows],
                                               v[1] * d)
         return v
 
+    def _nf_from_tails(self, e, reducers):
+        """NF of the monomial with exponents e, with no division: for
+        x^e = x^u lm(g), g monic in the reduced Gröbner basis,
+        NF(x^e) = -sum_t c_t NF(x^u t) over the tail terms c_t t of g.  Each
+        x^u t is below x^e in grevlex, so the stack, which computes them
+        first, empties.  `reducers` holds each (lm(g), [(t, -c_t)]) by
+        exponents; any g whose lm divides x^e gives the same normal form."""
+        cache = self._nf_vectors
+        stack = [e]
+        while stack:
+            top = stack[-1]
+            if top in cache:
+                stack.pop()
+                continue
+            lead, tail = next(r for r in reducers if all(map(operator.le, r[0], top)))
+            shift = tuple(map(operator.sub, top, lead))
+            below = [tuple(map(operator.add, t, shift)) for t, _ in tail]
+            missing = [m for m in below if m not in cache]
+            if missing:
+                stack += missing
+            else:
+                cache[top] = _combine([(c, *cache[m]) for (_, c), m in zip(tail, below)], self.D)
+                stack.pop()
+        return cache[e]
+
     def nf_vector(self, p):
         """The normal form of p as a ring vector (ints, den) over B."""
-        terms = [(c, *self._nf_monomial(m)) for m, c in p.terms.items()]
-        den = math.lcm(*(c.denominator * d for c, _, d in terms))
-        acc = [0] * self.D
-        for c, v, d in terms:
-            s = c.numerator * (den // (c.denominator * d))
-            acc = [a + s * x if x else a for a, x in zip(acc, v)]
-        return _lowest(acc, den)
+        return _combine([(c, *self._nf_monomial(m.exponents)) for m, c in p.terms.items()], self.D)
 
     def normal_form(self, p):
         """Normal form in span(B)."""
@@ -335,17 +353,16 @@ class QuotientRing:
     def mult_matrices(self):
         """M_k, multiplication by x_k, as (integer rows of A_k, d_k) with
         M_k = A_k / d_k, d_k the lcm of the denominators of its columns
-        NF(x_k b).  On first read, the border x_k b outside B is reduced by
-        division into the normal-form cache: the ring's only division."""
+        NF(x_k b).  On first read, each border monomial x_k b outside B gets
+        its normal form from the Gröbner tails (`_nf_from_tails`)."""
+        reducers = []
+        for g in self.ideal.gb:
+            lm = g.leading_monomial()
+            reducers.append((lm.exponents, [(m.exponents, -c) for m, c in g.terms.items() if m != lm]))
         mats = []
         for k in range(self.nvars):
-            cols = []
-            for b in self.basis:
-                m = b * Monomial.variable(k, self.nvars)
-                if m not in self._nf_vectors:
-                    nf = self.ideal.reduce(Polynomial({m: Fraction(1)}, self.nvars))
-                    self._nf_vectors[m] = self.nf_vector(nf)
-                cols.append(self._nf_vectors[m])
+            x_k = Monomial.variable(k, self.nvars)
+            cols = [self._nf_from_tails((b * x_k).exponents, reducers) for b in self.basis]
             d_k = math.lcm(*(den for _, den in cols))
             scaled = [[x * (d_k // den) for x in ints] for ints, den in cols]
             mats.append((exactla.transpose(scaled), d_k))
@@ -355,7 +372,7 @@ class QuotientRing:
     def products(self):
         """products[i][j] = NF(b_i b_j), a ring vector over B: the product
         table that the radical, the Gram set and the SDP constraints read."""
-        return [[self._nf_monomial(bi * bj) for bj in self.basis] for bi in self.basis]
+        return [[self._nf_monomial((bi * bj).exponents) for bj in self.basis] for bi in self.basis]
 
     @functools.cached_property
     def radical(self):
@@ -377,6 +394,17 @@ class QuotientRing:
         ring = monomial_basis(groebner(self.radical))
         ring.is_radical = True
         return ring
+
+
+def _combine(terms, size):
+    """The ring vector sum_t c_t v_t / d_t of the rationals c_t and the ring
+    vectors (v_t, d_t) of the terms (c_t, v_t, d_t), each of length size."""
+    den = math.lcm(*(c.denominator * d for c, _, d in terms))
+    acc = [0] * size
+    for c, v, d in terms:
+        s = c.numerator * (den // (c.denominator * d))
+        acc = [a + s * x if x else a for a, x in zip(acc, v)]
+    return _lowest(acc, den)
 
 
 def _lowest(ints, den):

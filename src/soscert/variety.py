@@ -76,12 +76,17 @@ def solve_variety(ring, seed=0):
     _pair_conjugates(points, tol)
     idem = idempotents(ring, points)
 
-    # separation check between distinct points
     if len(raw) > 1:
-        sep = min(float(np.max(np.abs(a - b))) for i, a in enumerate(raw) for b in raw[i + 1:])
+        sep = separation(np.array(raw))
         if sep < 10 * tol:
             raise ClusterAmbiguity(f"point separation {sep:.3e} below 10*tol")
     return VarietyData(points, idem, tol, ring)
+
+
+def separation(r):
+    """The smallest max-norm distance between two of the rows of r (at
+    least two points, one per row)."""
+    return float(np.abs(r[:, None] - r[None]).max(axis=2)[np.triu_indices(len(r), 1)].min())
 
 
 def _pair_conjugates(points, tol):

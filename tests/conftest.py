@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soscert import exactla, gram, problem_io, sdp_backend, variety
+from soscert import exactla, gram, problem_io, quotient, sdp_backend, variety
 from soscert.errors import ConditionFailed, Infeasible, MaxIterations, ParseError
 from soscert.polyring import Monomial, Polynomial, common_denominator, evaluate, format_polynomial
 
@@ -106,6 +106,124 @@ def reference_divide(p, divisors):
             remainder = remainder + mono
             work = work - mono
     return quotients, remainder
+
+
+def reference_rref(matrix, ncols=None):
+    """Reduced row echelon form by Gauss-Jordan elimination in Fractions,
+    each pivot row normalized: the reference that `exactla.rref` must
+    return the same (R, pivots) as."""
+    a = [row[:] for row in matrix]
+    nrows = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if a[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = Fraction(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def reference_solve(a, b):
+    """One solution of A x = b, free variables 0, or None if inconsistent,
+    from `reference_rref`."""
+    n = len(a)
+    m = len(a[0]) if a else 0
+    aug = [list(a[i]) + [Fraction(b[i])] for i in range(n)]
+    red, pivots = reference_rref(aug, ncols=m)
+    for row in red:
+        if all(x == 0 for x in row[:m]) and row[m] != 0:
+            return None
+    x = [Fraction(0)] * m
+    for r, c in enumerate(pivots):
+        x[c] = red[r][m]
+    return x
+
+
+def reference_nullspace(a):
+    """Basis of the right nullspace of A, from `reference_rref`."""
+    m = len(a[0]) if a else 0
+    red, pivots = reference_rref(a)
+    free = [c for c in range(m) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * m
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_mult_matrices(ring):
+    """`QuotientRing.mult_matrices` with each column NF(x_k b) reduced by
+    division by the Gröbner basis: (integer rows of A_k, d_k), d_k the lcm
+    of the denominators of the columns."""
+    mats = []
+    for k in range(ring.nvars):
+        cols = []
+        for b in ring.basis:
+            nf = reference_divide(Polynomial({b * Monomial.variable(k, ring.nvars): 1}, ring.nvars),
+                                  ring.ideal.gb)[1]
+            cols.append([nf.terms.get(m, Fraction(0)) for m in ring.basis])
+        d_k = math.lcm(*(x.denominator for col in cols for x in col))
+        mats.append(([[int(x * d_k) for x in row] for row in zip(*cols)], d_k))
+    return mats
+
+
+def reference_express_in_generators(g, generators, start_caps):
+    """`quotient._express_in_generators` from the dense Fraction system: one
+    row per monomial of degree up to the largest in the system, one column
+    m h_j per generator and monomial m of degree <= cap_j (grevlex
+    ascending), the caps raised by one until `reference_solve` finds a
+    solution."""
+    nvars = g.nvars
+    caps = list(start_caps)
+    while True:
+        cols = []
+        col_polys = []
+        support_deg = max([g.degree] + [c + h.degree for c, h in zip(caps, generators) if c >= 0])
+        support = quotient.monomials_upto(nvars, support_deg)
+        index = {m: i for i, m in enumerate(support)}
+        for j, h in enumerate(generators):
+            if caps[j] < 0:
+                continue
+            for m in quotient.monomials_upto(nvars, caps[j]):
+                prod = Polynomial({m: Fraction(1)}, nvars) * h
+                col = [Fraction(0)] * len(support)
+                for mm, c in prod.terms.items():
+                    col[index[mm]] = c
+                cols.append(col)
+                col_polys.append((j, m))
+        rhs = [Fraction(0)] * len(support)
+        for mm, c in g.terms.items():
+            rhs[index[mm]] = c
+        a = [list(row) for row in zip(*cols)] if cols else [[] for _ in support]
+        sol = reference_solve(a, rhs) if cols else (rhs if all(x == 0 for x in rhs) else None)
+        if sol is not None:
+            result = [Polynomial.zero(nvars) for _ in generators]
+            if cols:
+                for x, (j, m) in zip(sol, col_polys):
+                    if x:
+                        result[j] = result[j] + Polynomial({m: x}, nvars)
+            return result
+        caps = [c + 1 for c in caps]
 
 
 def radical_roots(ring, seed=0):

@@ -449,6 +449,42 @@ class TestProblemIO:
         assert code == 1
         assert f"line {lineno}: expected `{keyword} <value>`" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,lineno,message", [
+        ("block 0", "block x", 3, "expected `block <i>`, where 'x' is not an integer"),
+        ("weight 1/5 square y - 17/10", "weight 1", 12,
+         "expected `weight <rational> square <poly>`, not 'weight 1'"),
+        ("cofactor 1 -2/5*y^2 - 1/2*x^2 - 1/10*y - 7/10", "cofactor x 1", 13,
+         "expected `cofactor <j> <poly>`, where 'x' is not an integer"),
+        ("cofactor 1 -2/5*y^2 - 1/2*x^2 - 1/10*y - 7/10", "cofactor 1", 13,
+         "expected `cofactor <j> <poly>`, not 'cofactor 1'"),
+        ("- 1/10*x - 4/5\n", "- 1/10*x - 4/5\nwitness\n", 15,
+         "expected `witness <k> <poly>`, not 'witness'"),
+        ("- 1/10*x - 4/5\n", "- 1/10*x - 4/5\nwitness x 1\n", 15,
+         "expected `witness <k> <poly>`, where 'x' is not an integer"),
+    ], ids=["block", "weight", "cofactor-index", "cofactor-short", "witness-short",
+            "witness-index"])
+    def test_malformed_certificate_line_names_its_form(self, tmp_path, capsys, old, new, lineno,
+                                                       message):
+        text = open(data_path("four_points_strict.cert")).read()
+        assert old in text
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text.replace(old, new))
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 1
+        assert f"line {lineno}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("option mode", "expected `option <key> <value>`, not 'option mode'"),
+        ("option", "expected `option <key> <value>`, not 'option'"),
+        ("option seed abc", "expected `option seed <n>`, where 'abc' is not an integer"),
+    ], ids=["no-value", "bare", "seed"])
+    def test_malformed_option_line_names_its_form(self, tmp_path, capsys, line, message):
+        prob = tmp_path / "bad.prob"
+        prob.write_text(open(data_path("four_points.prob")).read() + line + "\n")
+        assert run(["certify", "--input", str(prob)]) == 1
+        assert f"line 6: {message}" in capsys.readouterr().err
+
     def test_repeated_variable_exits_1(self, tmp_path, capsys):
         prob = tmp_path / "bad.prob"
         prob.write_text("variables x x\nf: x + 3\nh: x^2 - 1\n")

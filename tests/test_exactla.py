@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from soscert import exactla
 
-from conftest import determinant, mat_vec
+from conftest import determinant, mat_vec, reference_nullspace, reference_rref, reference_solve
 
 
 entries = st.integers(-50, 50).map(Fraction)
@@ -86,3 +86,40 @@ def test_inconsistent_system():
     a = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
     b = [Fraction(1), Fraction(3)]
     assert exactla.solve(a, b) is None
+
+
+# -- the fraction-free kernel against Fraction elimination ---------------------
+
+
+@st.composite
+def structured_matrices(draw):
+    """Integer or Fraction entries, wide or tall, of a drawn rank (rows
+    are combinations of rank random rows), some columns possibly zero."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(n, m)))
+    values = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    basis = [[draw(values) for _ in range(m)] for _ in range(rank)]
+    rows = [[sum((c * b[j] for c, b in zip(coeffs, basis)), 0) for j in range(m)]
+            for coeffs in ([draw(st.integers(-3, 3)) for _ in basis] for _ in range(n))]
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_matrices(), st.data())
+def test_rref_matches_fraction_elimination(a, data):
+    ncols = data.draw(st.sampled_from([None] + list(range(len(a[0])))))
+    assert exactla.rref(a, ncols) == reference_rref(a, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_matrices(), st.data())
+def test_solve_and_nullspace_match_fraction_elimination(a, data):
+    # a random right-hand side is inconsistent unless A has full row rank
+    x = [data.draw(entries) for _ in a[0]]
+    for b in (mat_vec(a, x), [data.draw(entries) for _ in a]):
+        assert exactla.solve(a, b) == reference_solve(a, b)
+    assert exactla.nullspace(a) == reference_nullspace(a)

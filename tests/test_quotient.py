@@ -11,7 +11,7 @@ from soscert.errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from soscert.polyring import Monomial, Polynomial, parse_polynomial
 
 from conftest import (fractions, load_problem, mat_vec, radical_roots, reference_divide,
-                      reference_witness)
+                      reference_express_in_generators, reference_mult_matrices, reference_witness)
 
 
 def poly(s, names=("x", "y")):
@@ -73,9 +73,13 @@ _small_rationals = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integ
 
 
 @st.composite
-def zero_dimensional_division(draw):
-    # x_i^d_i plus lower-degree terms for every variable: the leading terms
-    # include a pure power of each, so the ideal is zero-dimensional
+def zero_dimensional_generators(draw):
+    """x_i^d_i plus lower-degree terms for every variable: the leading terms
+    include a pure power of each, so the ideal is zero-dimensional.  With
+    two or more variables the first generator is then replaced by itself
+    plus a multiple of the last: the ideal is the same, but the leading
+    terms need not be coprime, so the generators are in general no Gröbner
+    basis."""
     nvars = draw(st.integers(1, 3))
     gens = []
     for i in range(nvars):
@@ -83,9 +87,16 @@ def zero_dimensional_division(draw):
         tail = draw(_polys(nvars, d - 1, 3, _small_rationals))
         tail = Polynomial({m: c for m, c in tail.terms.items() if m.degree < d}, nvars)
         gens.append(Polynomial.variable(i, nvars) ** d + tail)
-    gb = quotient.groebner(gens).gb
-    p = draw(_polys(nvars, 4, 6, _small_rationals))
-    return p, gb
+    if nvars > 1:
+        gens[0] = gens[0] + draw(_polys(nvars, 1, 2, _small_rationals)) * gens[-1]
+    return gens
+
+
+@st.composite
+def zero_dimensional_division(draw):
+    gens = draw(zero_dimensional_generators())
+    p = draw(_polys(gens[0].nvars, 4, 6, _small_rationals))
+    return p, quotient.groebner(gens).gb
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,7 +424,7 @@ def test_normal_form_never_divides_once_the_ring_is_built(monkeypatch):
     ring = quotient.monomial_basis(quotient.groebner([poly(h) for h in RINGS["multiple"]]))
     p = poly("x^9*y^7 - 3*x^5*y^11 + 2*x*y - 1")
     expected = ring.ideal.reduce(p)
-    ring.mult_matrices  # the first read reduces the border by division
+    ring.mult_matrices  # the first read builds the border from the Gröbner tails
 
     def refuse(*args):
         raise AssertionError("division after the ring was built")
@@ -421,6 +432,75 @@ def test_normal_form_never_divides_once_the_ring_is_built(monkeypatch):
     monkeypatch.setattr(quotient, "divide", refuse)
     assert ring.normal_form(p) == expected
     assert not ring.is_radical
+
+
+@pytest.mark.parametrize("gens", [RINGS[name] for name in sorted(RINGS)]
+                         + [["x^3 - y^2", "x^2 - 2*x + y^2"], ["3*x^2 - 1", "2*y^2 - x"]],
+                         ids=sorted(RINGS) + ["cusp_circle", "3x^2-1,2y^2-x"])
+def test_mult_matrices_never_divide(gens, monkeypatch):
+    ring = quotient.monomial_basis(quotient.groebner([poly(h) for h in gens]))
+    expected = reference_mult_matrices(ring)
+
+    def refuse(*args):
+        raise AssertionError("division while the border was built")
+
+    monkeypatch.setattr(quotient, "divide", refuse)
+    assert ring.mult_matrices == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(zero_dimensional_generators(),
+                 st.lists(_polys(2, 2, 4, st.integers(-2, 2).filter(bool)), min_size=2, max_size=3)))
+def test_border_matches_division(gens):
+    try:
+        ring = quotient.monomial_basis(quotient.groebner(gens))
+    except NotZeroDimensional:
+        assume(False)
+    assert ring.mult_matrices == reference_mult_matrices(ring)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=4, max_size=4, unique=True),
+       st.integers(1, 3), st.integers(2, 3), st.integers(-2, 2))
+def test_border_matches_division_on_radical_rings(roots, k, m, c):
+    # (x - a)^k (x - b), (y - c')^m (y - d) + c (x - a)(x - b): not radical,
+    # so J adds generators and its reduced Gröbner basis is new
+    a, b, cy, d = roots
+    x, y = poly("x"), poly("y")
+    ring = quotient.monomial_basis(quotient.groebner(
+        [(x - a) ** k * (x - b), (y - cy) ** m * (y - d) + (x - a) * (x - b) * c]))
+    assert not ring.is_radical
+    assert ring.radical_ring.mult_matrices == reference_mult_matrices(ring.radical_ring)
+
+
+def _cofactor_reference(ideal):
+    return [reference_express_in_generators(g, ideal.generators,
+                                            [g.degree - h.degree for h in ideal.generators])
+            for g in ideal.gb]
+
+
+@pytest.mark.parametrize("gens, escalates", [
+    (["x^3 - y^2", "x^2 - 2*x + y^2"], False),  # the cusp circle
+    (["x^2 + y^2 - 1", "x*y - 1/2"], False),
+    (["x - y^2", "y^3"], True),
+    (["x", "x - 1"], True),  # the unit ideal
+], ids=["cusp_circle", "circle_hyperbola", "x-y^2,y^3", "unit"])
+def test_cofactors_match_the_dense_fraction_system(gens, escalates, monkeypatch):
+    ideal = quotient.groebner([poly(h) for h in gens])
+    expected = _cofactor_reference(ideal)
+    failed = []
+    solve = exactla.solve
+    monkeypatch.setattr(exactla, "solve", lambda a, b: failed.append(solve(a, b)) or failed[-1])
+    assert ideal.gb_cofactors == expected
+    assert (None in failed) == escalates
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(zero_dimensional_generators(),
+                 st.lists(_polys(2, 2, 3, _small_rationals), min_size=1, max_size=3)))
+def test_cofactors_match_the_dense_fraction_system_on_random_ideals(gens):
+    ideal = quotient.groebner(gens)
+    assert ideal.gb_cofactors == _cofactor_reference(ideal)
 
 
 # -- the radical against known answers -----------------------------------------

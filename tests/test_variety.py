@@ -125,3 +125,13 @@ class TestMembership:
             variety.membership(four_points_var, [poly("x - 1")])
         assert any(issubclass(w.category, BoundaryAmbiguity) for w in caught)
 
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_separation_matches_the_pairwise_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 9)
+    r = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    r[n - 1] = r[0] + 1e-13  # one near-repeated point
+    expected = min(float(np.max(np.abs(a - b))) for i, a in enumerate(r) for b in r[i + 1:])
+    assert variety.separation(r) == expected
