@@ -4,8 +4,9 @@ Four routes produce a Certificate: strict positivity on the real variety
 (radical ideals), strict positivity on S via inequality perturbation,
 nonnegativity through the (a, b, gamma) witness, and non-radical ideals.
 A non-radical ideal I gets the radical route's own Gram certificate of
-f~ - eps over its radical J, plus eps t^2 with t the square root of
-1 mod J Hensel-lifted inside R/I; no ring but R/I and R/J is built.
+f~ - eps over its radical J, plus eps t^2 with t the square root, 1 mod J,
+of theta = 1 mod J, a finite binomial series in R/I; no ring but R/I and
+R/J is built.  Every product in R/I reads the ring's product table.
 Both strict routes solve roots on a radical ring and judge the sign of f
 at the points of S by one rule, in `perturb`.  `residual` is the one
 expansion of a certificate identity, for the verifier as for the routes.
@@ -224,13 +225,13 @@ def certify_nonneg(inst, ring=None):
         # a = gamma / f wherever f != 0, and a > 0 where f = 0: a < 0 at a
         # point of S is f < 0 there, while the inner message gives a's value
         raise NotStrictlyPositiveOnS("f < 0 at a point of S") from exc
-    f = inst.f
+    nf_f = ring.nf_vector(inst.f)
     blocks = []
     witnesses = []
     for i, block in enumerate([blocks0] + g_blocks):
         new_block = []
         for w, qbar in block:
-            q = ring.normal_form(qbar * f)
+            q = ring.from_vector(*ring.mul(ring.nf_vector(qbar), nf_f))
             if q.is_zero():
                 continue
             new_block.append((w / gamma_val, q))
@@ -243,23 +244,26 @@ def certify_nonneg(inst, ring=None):
 
 
 def hensel_sqrt(ring, theta):
-    """Newton square-root lifting in ring = R/I of a theta that is 1 modulo
-    the radical J: from t = sigma = 1 to the unique t = 1 mod J with
-    t^2 = theta mod I (unique because 2 is a unit).
+    """The square root t = 1 mod the radical J of a theta that is 1 mod J,
+    in ring = R/I: unique, since 2 is a unit, so it is what Newton's
+    (Hensel's) lift from t = 1 converges to.
 
-    Each level takes two Newton steps sigma <- sigma (2 - t sigma) for the
-    inverse of t, then t <- (t + theta sigma) / 2; the level k iterate is
-    right modulo J^(2^k).  J/I is nilpotent in an algebra of dimension D, so
-    J^D lies in I and ceil(log2 D) + 1 levels always suffice."""
-    theta = ring.normal_form(theta)
-    t = sigma = Polynomial.constant(1, ring.nvars)
-    for _ in range((ring.D - 1).bit_length() + 1):
-        for _ in range(2):
-            sigma = ring.normal_form(sigma * (2 - ring.normal_form(t * sigma)))
-        t = ring.normal_form((t + theta * sigma) * Fraction(1, 2))
-        if ring.normal_form(t * t - theta).is_zero():
-            return t
-    raise IdentityBroken("Hensel step does not square to theta")
+    With n = theta - 1 in J/I, t is the binomial series
+    sum_k C(1/2, k) n^k.  J/I is nilpotent in an algebra of dimension D, so
+    n^D = 0 and the series ends within D - 1 products in R/I."""
+    theta = ring.nf_vector(theta)
+    n = quotient.combine([(1, *theta), (-1, *ring.unit)], ring.D)
+    terms, power = [(Fraction(1), *ring.unit)], ring.unit
+    for k in range(1, ring.D):
+        power = ring.mul(power, n)
+        if not any(power[0]):
+            break
+        # C(1/2, k) = C(1/2, k - 1) (1/2 - (k - 1)) / k
+        terms.append((terms[-1][0] * (Fraction(3, 2) - k) / k, *power))
+    t = quotient.combine(terms, ring.D)
+    if ring.mul(t, t) != theta:
+        raise IdentityBroken("Hensel step does not square to theta")
+    return ring.from_vector(*t)
 
 
 def certify_strict_nonradical(inst, ring=None):

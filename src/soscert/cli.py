@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success; 1 parse or I/O error; 2 the requested certificate
+Exit codes: 0 success; 1 usage, parse or I/O error; 2 the requested certificate
 cannot exist (failed mathematical precondition); 3 numerical exhaustion
 (precision ceiling reached, float64 margin used up, an SDP dual bound at
 or below 0, or the SDP solver stopped without an answer); 4 verification
@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import certifier, problem_io, verify_bounds
 from .errors import (ConditionFailed, IdentityBroken, Infeasible,
                      MaxIterations, NotStrictlyPositiveOnS, ParseError,
                      PrecisionExceeded, SosCertError)
-from .polyring import height
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -90,27 +88,22 @@ def _verdict(inst, cert, ring=None):
 
 def cmd_bounds(args):
     inst = _load_problem(args.input)
-    ring = certifier.build_ring(inst)
-    text = verify_bounds.degree_bounds(inst, ring).to_text()
-    if args.constant is not None and ring.D == 0 and 0 < args.constant < math.inf:
-        text += "\nD = 0: the variety is empty, so there are no squares to bound"
-    elif args.constant is not None:
-        info = height(inst.f)
-        tau = max(info.numerator_height + info.denominator_height, 1)
-        try:
-            text += "\n" + verify_bounds.height_bound_formula(
-                inst.nvars, ring.D, max(ring.degree_of_basis(), 1), tau,
-                max(inst.f.degree, 1), args.constant).to_text()
-        except ValueError as exc:
-            raise ParseError(f"height bound: {exc}") from None
-    print(text)
+    print(verify_bounds.degree_bounds(inst, certifier.build_ring(inst)).to_text())
     return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are parse errors (exit 1), not
+    argparse's exit 2, which here means that no certificate can exist."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 @functools.cache
 def build_parser():
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="soscert",
         description="Exact rational weighted sum-of-squares certificates on "
                     "finite semialgebraic sets.",
@@ -131,16 +124,15 @@ def build_parser():
     p.add_argument("--certificate", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bounds", help="print degree/height bound reports")
+    p = sub.add_parser("bounds", help="print the degree bound report")
     p.add_argument("--input", required=True)
-    p.add_argument("--constant", type=float)
     p.set_defaults(func=cmd_bounds)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,10 @@ witness's roots, the Gram matrix) sees only R/J, where each root is simple.
 A ring vector, the coefficients over the quotient basis B of a normal
 form, has one form: a pair (ints, den) of integers over one positive
 denominator, in lowest terms.  Normal forms, the product table and the
-multiplication matrices all use it; only `QuotientRing.mult_matrix` and
-the solutions that `exactla` returns are in Fractions.  Normal forms come
+multiplication matrices all use it; only the solutions that `exactla`
+returns are in Fractions.  Every product of two elements of R/I is read
+off the product table (`QuotientRing.mul`), and so is the matrix of
+multiplication by one (`QuotientRing.mult_matrix`).  Normal forms come
 from one linear map over B (see `QuotientRing`), whose border the tails of
 the reduced Gröbner basis give; full division by the Gröbner basis
 (`divide`, on a heap of exponent tuples) is left to what needs its
@@ -273,7 +275,8 @@ class QuotientRing:
     vectors; the first monomial outside B builds `mult_matrices`, whose
     border NF(x_k b) comes from the tails of the reduced Gröbner basis, and
     every other monomial follows from NF(x_k m) = M_k NF(m), computed as
-    A_k NF(m) / d_k with M_k = A_k / d_k in integers.
+    A_k NF(m) / d_k with M_k = A_k / d_k in integers.  A product of two
+    ring vectors (`mul`) reads the table `products` of the NF(b_i b_j).
     """
 
     def __init__(self, ideal, basis):
@@ -281,11 +284,10 @@ class QuotientRing:
         self.basis = basis
         self.D = len(basis)
         self.nvars = ideal.nvars
-        self._index = {m: i for i, m in enumerate(basis)}
         self._nf_vectors = {m.exponents: ([int(i == k) for i in range(self.D)], 1)
                             for k, m in enumerate(basis)}
-        # 1 lies in B unless I is the unit ideal, where every vector is empty
-        self._nf_vectors.setdefault((0,) * self.nvars, ([], 1))
+        # NF(1): 1 lies in B unless I is the unit ideal, where every vector is empty
+        self.unit = self._nf_vectors.setdefault((0,) * self.nvars, ([], 1))
 
     # -- normal forms -------------------------------------------------
 
@@ -324,13 +326,13 @@ class QuotientRing:
             if missing:
                 stack += missing
             else:
-                cache[top] = _combine([(c, *cache[m]) for (_, c), m in zip(tail, below)], self.D)
+                cache[top] = combine([(c, *cache[m]) for (_, c), m in zip(tail, below)], self.D)
                 stack.pop()
         return cache[e]
 
     def nf_vector(self, p):
         """The normal form of p as a ring vector (ints, den) over B."""
-        return _combine([(c, *self._nf_monomial(m.exponents)) for m, c in p.terms.items()], self.D)
+        return combine([(c, *self._nf_monomial(m.exponents)) for m, c in p.terms.items()], self.D)
 
     def normal_form(self, p):
         """Normal form in span(B)."""
@@ -340,11 +342,19 @@ class QuotientRing:
         """The polynomial sum_i (v_i / den) b_i."""
         return Polynomial({m: Fraction(x, den) for m, x in zip(self.basis, v) if x}, self.nvars)
 
-    def mult_matrix(self, f):
-        """Matrix of multiplication by f on the quotient, columns over B, in
-        Fractions for the exact solves."""
-        cols = [self.nf_vector(f * Polynomial({b: Fraction(1)}, self.nvars)) for b in self.basis]
-        return exactla.transpose([[Fraction(x, den) for x in ints] for ints, den in cols])
+    def mul(self, u, v):
+        """The product of the ring vectors u and v, sum_ij u_i v_j NF(b_i b_j)
+        from the product table."""
+        (us, ud), (vs, vd) = u, v
+        table = self.products
+        ints, den = combine([(x * y, *table[i][j]) for i, x in enumerate(us) if x
+                             for j, y in enumerate(vs) if y], self.D)
+        return _lowest(ints, den * ud * vd)
+
+    def mult_matrix(self, v):
+        """Multiplication by the ring vector v, as (integer rows of A, d)
+        with M_v = A / d: column j is v b_j = sum_i v_i NF(b_i b_j)."""
+        return _matrix(self.mul(v, self._nf_vectors[b.exponents]) for b in self.basis)
 
     def degree_of_basis(self):
         return max((m.degree for m in self.basis), default=0)
@@ -362,10 +372,8 @@ class QuotientRing:
         mats = []
         for k in range(self.nvars):
             x_k = Monomial.variable(k, self.nvars)
-            cols = [self._nf_from_tails((b * x_k).exponents, reducers) for b in self.basis]
-            d_k = math.lcm(*(den for _, den in cols))
-            scaled = [[x * (d_k // den) for x in ints] for ints, den in cols]
-            mats.append((exactla.transpose(scaled), d_k))
+            mats.append(_matrix(self._nf_from_tails((b * x_k).exponents, reducers)
+                                for b in self.basis))
         return mats
 
     @functools.cached_property
@@ -396,7 +404,7 @@ class QuotientRing:
         return ring
 
 
-def _combine(terms, size):
+def combine(terms, size):
     """The ring vector sum_t c_t v_t / d_t of the rationals c_t and the ring
     vectors (v_t, d_t) of the terms (c_t, v_t, d_t), each of length size."""
     den = math.lcm(*(c.denominator * d for c, _, d in terms))
@@ -405,6 +413,14 @@ def _combine(terms, size):
         s = c.numerator * (den // (c.denominator * d))
         acc = [a + s * x if x else a for a, x in zip(acc, v)]
     return _lowest(acc, den)
+
+
+def _matrix(cols):
+    """(integer rows of A, d) with A / d the matrix whose columns are the
+    ring vectors cols, d the lcm of their denominators."""
+    cols = list(cols)
+    d = math.lcm(*(den for _, den in cols))
+    return exactla.transpose([[x * (d // den) for x in ints] for ints, den in cols]), d
 
 
 def _lowest(ints, den):
@@ -476,12 +492,15 @@ def coprimality_witness(ring, f, roots):
     of ring.radical_ring) only when b != 0; where `a` is not strictly
     positive at those zeros, it is shifted by a power-of-two multiple of b.
     """
-    nf = ring.normal_form(f)
-    sol = exactla.solve(ring.mult_matrix(nf * nf), [nf.terms.get(m, 0) for m in ring.basis])
+    nf = ring.nf_vector(f)
+    rows, d = ring.mult_matrix(ring.mul(nf, nf))
+    sol = exactla.solve(rows, [Fraction(d * x, nf[1]) for x in nf[0]])
     if sol is None:
         raise ConditionFailed("(I : f) + (f) is not the unit ideal")
-    a = ring.from_vector(sol)
-    b = ring.normal_form(1 - a * nf)
+    den = common_denominator(sol)
+    a_vec = [x.numerator * (den // x.denominator) for x in sol], den
+    a = ring.from_vector(*a_vec)
+    b = ring.from_vector(*combine([(1, *ring.unit), (-1, *ring.mul(a_vec, nf))], ring.D))
 
     # positivity of a where f vanishes on the variety
     if not b.is_zero():
@@ -505,13 +524,12 @@ def coprimality_witness(ring, f, roots):
 def inverse_mod(ring, theta):
     """sigma with theta * sigma = 1 modulo the ideal, via an exact solve.
 
-    Nothing in the pipeline calls this: the Hensel lift starts from the
-    inverse 1 of 1.  Like `ideal_power_chain`, it is kept as the tests'
-    reference and because the benchmark's tracer wraps it by name."""
-    m = ring.mult_matrix(ring.normal_form(theta))
-    one = [Fraction(0)] * ring.D
-    one[ring._index[Monomial.unit(ring.nvars)]] = Fraction(1)
-    sol = exactla.solve(m, one)
+    Nothing in the pipeline calls this: the Hensel lift is a series with no
+    inverse.  Like `ideal_power_chain`, it is kept as the tests' reference,
+    forming each theta b_j as a Polynomial product, and because the
+    benchmark's tracer wraps it by name."""
+    rows, d = _matrix(ring.nf_vector(theta * Polynomial({b: 1}, ring.nvars)) for b in ring.basis)
+    sol = exactla.solve(rows, [d * x for x in ring.unit[0]])
     if sol is None:
         raise NotInvertible("polynomial vanishes at a root of the ideal")
     return ring.from_vector(sol)

@@ -27,9 +27,9 @@ import math
 
 import numpy as np
 
-from . import certifier, gram
+from . import certifier, gram, quotient
 from .errors import Infeasible, MaxIterations, NotPD, ZeroPivot
-from .polyring import Polynomial, round_binary
+from .polyring import round_binary
 
 
 class SdpProblem:
@@ -47,8 +47,9 @@ class SdpProblem:
         # multiplies it by the matrix of g on the quotient
         products = np.array([[x / den for x in v] for row in ring.products for v, den in row],
                             dtype=float).reshape(d * d, d).T
-        self.A = np.hstack([products] + [np.array(ring.mult_matrix(g), dtype=float) @ products
-                                         for g in inst.g])
+        mats = [ring.mult_matrix(ring.nf_vector(g)) for g in inst.g]
+        self.A = np.hstack([products] + [np.array([[x / den for x in row] for row in rows])
+                                         @ products for rows, den in mats])
         f_ints, f_den = ring.nf_vector(inst.f)
         self.b = np.array([x / f_den for x in f_ints])
         self._pinv = None             # built by the first project_affine
@@ -154,7 +155,7 @@ def maximize_lambda(prob, iterations=100):
     # a = NF(sum_p b_p^2) is exactly 0 only without real points (it is at
     # least 1 at a real point); lam then leaves the constraints and is held
     # at 1
-    held = not any(ring.nf_vector(Polynomial({b * b: 1 for b in ring.basis}, ring.nvars))[0])
+    held = not any(quotient.combine([(1, *ring.products[p][p]) for p in range(d)], d)[0])
     b = prob.b
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     xs = np.array([eye] * nk)

@@ -7,10 +7,9 @@ so callers can distinguish which clause of the certificate failed.  The
 degree bound of the p_j h_j terms is checked only when the equations form
 a graded basis (`quotient.IdealBasis.is_graded`, decided from their
 top-degree forms with no cofactor solve); in nonnegative mode, block 0
-must have exactly one witness per square.  The bound calculators evaluate
-the degree bound for the cofactor products, the relaxation order at which
-the hierarchy is exact, and a parametrized height-bound formula
-(diagnostic only, since the multiplicative constant is a free parameter).
+must have exactly one witness per square.  The bound calculator evaluates
+the degree bound for the cofactor products and the relaxation order at
+which the hierarchy is exact.
 """
 
 from __future__ import annotations
@@ -97,8 +96,9 @@ def verify_certificate(inst, cert, ring=None):
             for pj, hj in zip(cert.cofactors, inst.h))
     if cert.mode == "nonneg":
         # one witness r per square q of block 0, with q = f r modulo I
+        nf_f = ring.nf_vector(inst.f)
         mode_ok = (cert.witnesses is not None and len(cert.witnesses) == len(cert.blocks[0])
-                   and all(ring.normal_form(q - inst.f * r).is_zero()
+                   and all(ring.nf_vector(q) == ring.mul(nf_f, ring.nf_vector(r))
                            for (w, q), r in zip(cert.blocks[0], cert.witnesses)))
     return VerificationReport(identity_ok, weights_ok, degree_bound_ok, mode_ok,
                               num_bits, den_bits, shape_error=shape_error)
@@ -122,19 +122,3 @@ def degree_bounds(inst, ring):
     order = math.ceil(bound / 2)
     return BoundReport(cofactor_degree_bound=bound, hierarchy_order=order,
                        basis_degree=deg_b, quotient_dimension=ring.D)
-
-
-def height_bound_formula(n, d, delta, tau, d_f, c):
-    """Parametrized upper-bound formula with user constant c; diagnostic
-    only (the true constant is not specified)."""
-    if min(n, d, delta, tau, d_f) <= 0 or not 0 < c < math.inf:
-        raise ValueError(f"the parameters must be positive and finite (constant {c})")
-    cnd = c * n * math.log2(d * (n + 1))
-    gram_bits = cnd * d ** (2 * n - 1) * (d ** n * delta + d_f) * (d + tau)
-    if gram_bits == math.inf:
-        raise ValueError(f"the bound overflows a float at the constant {c}")
-    gram_height = math.ceil(gram_bits)
-    value_height = math.ceil(c * n * math.log2(n + 1) * d ** (n - 1) * d_f * (d + tau))
-    d_hat = 2 * (d + delta) + 1
-    return BoundReport(gram_height=gram_height, root_value_height=value_height,
-                       d_hat=d_hat, constant=c)

@@ -239,7 +239,8 @@ def reference_witness(ring, f, seed=0):
     denominator gamma.  `quotient.coprimality_witness` must return the same
     (a, b, gamma) from its one D x D solve of a f^2 = f."""
     D = ring.D
-    m_f = ring.mult_matrix(ring.normal_form(f))
+    m_f = exactla.transpose([fractions(ring.nf_vector(f * Polynomial({b: 1}, ring.nvars)))
+                             for b in ring.basis])
     zero = [Fraction(0)] * D
     rows = [m_f[r] + [Fraction(int(k == r)) for k in range(D)] for r in range(D)]
     rows += [zero + m_f[r] for r in range(D)]

@@ -273,15 +273,3 @@ class TestCriterion7BoundCalculators:
             [parse_polynomial(f"{v}^2 - {v}", names) for v in names])
         ring = certifier.build_ring(inst)
         assert verify_bounds.degree_bounds(inst, ring).hierarchy_order == 4
-
-    def test_height_formula_monotone(self):
-        grid = [(c, d, tau) for c in (1.0, 2.0, 3.0)
-                for d in (2, 3, 4) for tau in (1, 2, 4)]
-        for c, d, tau in grid:
-            base = verify_bounds.height_bound_formula(3, d, 2, tau, 2, c)
-            assert verify_bounds.height_bound_formula(
-                3, d, 2, tau, 2, c + 1).gram_height >= base.gram_height
-            assert verify_bounds.height_bound_formula(
-                3, d + 1, 2, tau, 2, c).gram_height >= base.gram_height
-            assert verify_bounds.height_bound_formula(
-                3, d, 2, tau + 1, 2, c).gram_height >= base.gram_height

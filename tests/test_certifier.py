@@ -123,6 +123,16 @@ class TestHensel:
         assert t == t_ref
         assert ring.normal_form(t * t - theta).is_zero()
 
+    def test_series_needs_every_power_below_d(self):
+        # theta = 1 + x on (x^4): n = x has n^3 != 0, so the series
+        # sum_k C(1/2, k) x^k runs to its D-th term
+        x = parse_polynomial("x", ["x"])
+        ring = _ring([parse_polynomial("x^4", ["x"])])
+        theta = parse_polynomial("1 + x", ["x"])
+        t = certifier.hensel_sqrt(ring, theta)
+        assert t == parse_polynomial("1 + 1/2*x - 1/8*x^2 + 1/16*x^3", ["x"])
+        assert t == _chain_sqrt(ring, [x], theta, parse_polynomial("1", ["x"]))[1]
+
     def test_cofactors_only_for_the_original_ideal(self, monkeypatch):
         # (x - 1)^2 (x - 2), (y - 3)^2: the radical is only reduced
         # against, never expressed in its generators
@@ -507,8 +517,8 @@ class TestInternalFailuresSurface:
             from soscert import certifier, quotient
             from soscert.errors import IdentityBroken
             from soscert.polyring import Polynomial, parse_polynomial
-            # -1 is not 1 modulo the radical (x), so no Newton lift from 1
-            # squares to it modulo x^2
+            # -1 is not 1 modulo the radical (x), so the series from 1 does
+            # not square to it modulo x^2
             ring = quotient.monomial_basis(quotient.groebner([parse_polynomial("x^2", ["x"])]))
             try:
                 certifier.hensel_sqrt(ring, Polynomial.constant(-1, 1))

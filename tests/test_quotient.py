@@ -209,9 +209,10 @@ class TestQuotientRing:
 
     def test_mult_matrix_consistency(self, circle_pair_ring):
         r = circle_pair_ring
-        mx = r.mult_matrix(poly("x"))
+        rows, d = r.mult_matrix(r.nf_vector(poly("x")))
+        assert all(type(x) is int for row in rows for x in row)
         v = fractions(r.nf_vector(poly("y")))
-        prod = [sum(mx[i][j] * v[j] for j in range(r.D)) for i in range(r.D)]
+        prod = [Fraction(x, d) for x in mat_vec(rows, v)]
         assert prod == fractions(r.nf_vector(poly("x*y")))
 
 
@@ -629,3 +630,35 @@ def test_products_match_fraction_reference(ring):
             assert all(type(x) is int for x in ints)
             assert den > 0 and math.gcd(den, *ints) == 1  # lowest terms
             assert fractions((ints, den)) == expected
+
+
+# -- products in R/I read off the product table ---------------------------------
+
+MUL_RINGS = {
+    "radical": ["x^2 - 1", "y^2 - x - 2"],
+    "cusp": ["x^3 - y^2", "x^2 - 2*x + y^2"],  # not radical: a cusp at the origin
+    "unit": ["x", "x - 1"],  # D = 0
+}
+
+
+@functools.cache
+def mul_ring(name):
+    return quotient.monomial_basis(quotient.groebner([poly(h) for h in MUL_RINGS[name]]))
+
+
+@pytest.mark.parametrize("name", sorted(MUL_RINGS))
+@settings(max_examples=25, deadline=None)
+@given(p=high_degree_polys(3), q=high_degree_polys(3))
+def test_mul_and_mult_matrix_read_the_product_table(name, p, q):
+    ring = mul_ring(name)
+    assert ring.is_radical == (name != "cusp")
+    nf_p = ring.nf_vector(p)
+    product = ring.mul(nf_p, ring.nf_vector(q))
+    assert ring.from_vector(*product) == reference_divide(p * q, ring.ideal.gb)[1]
+    assert product == ring.nf_vector(p * q)
+    # column j of the matrix of p is NF(p b_j), in integers over d
+    rows, d = ring.mult_matrix(nf_p)
+    assert len(rows) == ring.D and all(type(x) is int for row in rows for x in row)
+    for j, b in enumerate(ring.basis):
+        column = [Fraction(row[j], d) for row in rows]
+        assert column == fractions(ring.nf_vector(p * Polynomial({b: 1}, 2)))

@@ -63,6 +63,16 @@ class TestVerifyCertificate:
             four_points, Certificate("nonneg", cert.blocks, cert.cofactors))
         assert report.mode_ok is False
 
+    def test_wrong_witness_flagged(self, cusp_circle):
+        # q = f r modulo I fails once r changes by a unit, and only that
+        # clause fails: the squares and the identity are untouched
+        cert = load_certificate("golden/cusp_circle-nonneg.cert")
+        assert verify_bounds.verify_certificate(cusp_circle, cert).mode_ok
+        witnesses = cert.witnesses[:-1] + [cert.witnesses[-1] + Polynomial.constant(1, 2)]
+        report = verify_bounds.verify_certificate(
+            cusp_circle, Certificate("nonneg", cert.blocks, cert.cofactors, witnesses, cert.gamma))
+        assert report.identity_ok and report.mode_ok is False
+
 
 def binary_cube_instance(n, f, g=None):
     names = [f"x{i+1}" for i in range(n)]
@@ -142,34 +152,3 @@ class TestRingTables:
         assert verify_bounds.degree_bounds(four_points, ring).cofactor_degree_bound == 5
         assert "mult_matrices" not in ring.__dict__
 
-
-class TestHeightFormula:
-    def test_deterministic_finite(self):
-        r = verify_bounds.height_bound_formula(2, 2, 2, 2, 2, 1.0)
-        assert r.gram_height > 0
-        assert isinstance(r.gram_height, int)
-
-    def test_d_hat(self):
-        r = verify_bounds.height_bound_formula(2, 2, 2, 2, 2, 1.0)
-        assert r.d_hat == 9
-
-    def test_doubling_c_doubles_bounds(self):
-        r1 = verify_bounds.height_bound_formula(2, 2, 2, 2, 2, 1.0)
-        r2 = verify_bounds.height_bound_formula(2, 2, 2, 2, 2, 2.0)
-        assert r2.gram_height >= 2 * r1.gram_height - 1
-
-    def test_monotone_grid(self):
-        for c in (1.0, 2.0, 4.0):
-            for d in (2, 3, 4):
-                for tau in (2, 4, 8):
-                    here = verify_bounds.height_bound_formula(2, d, 2, tau, 2, c)
-                    up_c = verify_bounds.height_bound_formula(2, d, 2, tau, 2, 2 * c)
-                    up_d = verify_bounds.height_bound_formula(2, d + 1, 2, tau, 2, c)
-                    up_t = verify_bounds.height_bound_formula(2, d, 2, 2 * tau, 2, c)
-                    assert up_c.gram_height >= here.gram_height
-                    assert up_d.gram_height >= here.gram_height
-                    assert up_t.gram_height >= here.gram_height
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            verify_bounds.height_bound_formula(0, 2, 2, 2, 2, 1.0)
