@@ -8,8 +8,12 @@ f~ - eps over its radical J, plus eps t^2 with t the square root, 1 mod J,
 of theta = 1 mod J, a finite binomial series in R/I; no ring but R/I and
 R/J is built.  Every product in R/I reads the ring's product table.
 Both strict routes solve roots on a radical ring and judge the sign of f
-at the points of S by one rule, in `perturb`.  `residual` is the one
-expansion of a certificate identity, for the verifier as for the routes.
+at the points of S by one rule, in `perturb`.  The Gram routes (radical,
+Hensel, SDP) close their identity from the Gram matrix Q0 of f~, as
+f~ - B^t Q0 B (`gram.gram_rest`), since the squares are its LDL^t form.
+`residual` is the one expansion of a certificate identity: the verifier's,
+and the one `perturb`, the nonneg route and the SDP rounding use for
+squares that no Gram matrix carries.
 """
 
 from __future__ import annotations
@@ -176,15 +180,17 @@ def _squares_from_factorization(ring, fact):
     return out
 
 
-def _assemble(inst, ring, blocks0, g_blocks):
-    """Close the identity: the residual f minus the sums of squares lies in
-    the ideal by construction, and its exact cofactors complete it."""
-    cert = Certificate("strict", [blocks0] + g_blocks, [])
-    cof = quotient.cofactor_reduce(ring, residual(inst, cert))
+def _assemble(ring, blocks, rest):
+    """Close the identity f = sum of the blocks' squares + sum p_j h_j.
+    `rest` is f minus the squares; it lies in the ideal by construction, and
+    its exact cofactors complete the certificate.  The Gram routes read it
+    off their Gram matrices (`gram.gram_rest`), whose LDL^t forms their
+    squares are, and expand no square: `residual` stays the verifier's
+    expansion, which the CLI runs on every certificate it writes."""
+    cof = quotient.cofactor_reduce(ring, rest)
     if not cof.remainder.is_zero():
         raise IdentityBroken("residual is not in the ideal")
-    cert.cofactors = cof.p_j
-    return cert
+    return Certificate("strict", blocks, cof.p_j)
 
 
 def certify_strict(inst, ring=None):
@@ -196,15 +202,16 @@ def certify_strict(inst, ring=None):
         return certify_strict_nonradical(inst, ring=ring)
     seed = inst.options.get("seed", 0)
     var = variety.solve_variety(ring, seed=seed)
-    return _assemble(inst, ring, *_strict_squares(inst, ring, var))
+    return _assemble(ring, *_strict_squares(inst, ring, var))
 
 
 def _strict_squares(inst, ring, var):
-    """Block 0 and the g blocks of `certify_strict` on a radical ring, from
-    its points var, before `_assemble` closes the identity."""
+    """The blocks of `certify_strict` on a radical ring, from its points
+    var, and the rest f~ - B^t Q0 B that `_assemble` closes."""
     g_blocks, f_tilde = perturb(inst, ring, var)
-    _, fact = gram.round_and_certify(ring, var, f_tilde)
-    return _squares_from_factorization(ring, fact), g_blocks
+    q0, fact = gram.round_and_certify(ring, var, f_tilde)
+    blocks0 = _squares_from_factorization(ring, fact)
+    return [blocks0] + g_blocks, gram.gram_rest(f_tilde, ring.basis, q0)
 
 
 def certify_nonneg(inst, ring=None):
@@ -220,7 +227,8 @@ def certify_nonneg(inst, ring=None):
                             options=inst.options)
     try:
         squares = _strict_squares if ring.is_radical else _hensel_squares
-        blocks0, g_blocks = squares(inner, ring, roots())
+        # only f's identity is closed: a's rest is dropped
+        squares_of_a, _ = squares(inner, ring, roots())
     except NotStrictlyPositiveOnS as exc:
         # a = gamma / f wherever f != 0, and a > 0 where f = 0: a < 0 at a
         # point of S is f < 0 there, while the inner message gives a's value
@@ -228,7 +236,7 @@ def certify_nonneg(inst, ring=None):
     nf_f = ring.nf_vector(inst.f)
     blocks = []
     witnesses = []
-    for i, block in enumerate([blocks0] + g_blocks):
+    for i, block in enumerate(squares_of_a):
         new_block = []
         for w, qbar in block:
             q = ring.from_vector(*ring.mul(ring.nf_vector(qbar), nf_f))
@@ -238,7 +246,7 @@ def certify_nonneg(inst, ring=None):
             if i == 0:
                 witnesses.append(qbar)
         blocks.append(new_block)
-    out = _assemble(inst, ring, blocks[0], blocks[1:])
+    out = _assemble(ring, blocks, residual(inst, Certificate("strict", blocks, [])))
     return Certificate("nonneg", out.blocks, out.cofactors,
                        witnesses=witnesses, gamma=gamma_val)
 
@@ -275,22 +283,28 @@ def certify_strict_nonradical(inst, ring=None):
     if ring is None:
         ring = build_ring(inst)
     var_j = variety.solve_variety(ring.radical_ring, seed=inst.options.get("seed", 0))
-    return _assemble(inst, ring, *_hensel_squares(inst, ring, var_j))
+    return _assemble(ring, *_hensel_squares(inst, ring, var_j))
 
 
 def _hensel_squares(inst, ring, var_j):
-    """The squares of `certify_strict_nonradical`, from the points of R/J."""
+    """The blocks of `certify_strict_nonradical`, from the points of R/J,
+    and the rest eps theta - eps t^2 that `_assemble` closes."""
     ring_j = ring.radical_ring
     g_blocks, f_tilde = perturb(inst, ring_j, var_j)
     # eps is the largest power of two <= min(1, low / 2), or 1 without real
     # roots; perturb has made low > 0
     low = min(_real_values(var_j, f_tilde).values(), default=2.0)
     eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
-    _, fact = gram.round_and_certify(ring_j, var_j, f_tilde - eps)
+    q0, fact = gram.round_and_certify(ring_j, var_j, f_tilde - eps)
     blocks0 = _squares_from_factorization(ring_j, fact)
-    theta = residual(inst, Certificate("strict", [blocks0] + g_blocks, [])) / eps
-    blocks0.append((eps, hensel_sqrt(ring, theta)))
-    return blocks0, g_blocks
+    # eps theta = f~ - B_J^t Q0 B_J; eps t^2 = B^t (eps c c^t) B for t = B^t c
+    eps_theta = gram.gram_rest(f_tilde, ring_j.basis, q0)
+    t = hensel_sqrt(ring, eps_theta / eps)
+    blocks0.append((eps, t))
+    c, den = ring.nf_vector(t)
+    eps_t2 = gram.SymmetricMatrix([[eps.numerator * x * y for y in c] for x in c],
+                                  eps.denominator * den * den)
+    return [blocks0] + g_blocks, gram.gram_rest(eps_theta, ring.basis, eps_t2)
 
 
 # the values of the mode and engine options, in files and on the command line
@@ -306,7 +320,7 @@ def certify(inst, ring=None):
     if ring is None:
         ring = build_ring(inst)
     if ring.D == 0:
-        return _assemble(inst, ring, [], [[] for _ in inst.g])
+        return _assemble(ring, [[] for _ in range(len(inst.g) + 1)], inst.f)
     if inst.options.get("engine") == "sdp":
         from . import sdp_backend
 

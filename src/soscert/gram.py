@@ -18,18 +18,21 @@ by correcting its row and column 0 by the residual b - A q, with no linear
 solve, and the rest of q stays as rounded.  All of it is integers over one
 denominator, like the ring's vectors (see `quotient`): each matrix is a
 `SymmetricMatrix` M / nu in lowest terms, and the Gram set is A / den, b / b_den.
+The LDL^t squares of a matrix Q expand to B^t Q B exactly, so a route
+closes its identity from `gram_rest`, p - B^t Q B, and expands no square.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import NonPositiveAtRealRoot, NotPD, PrecisionExceeded, ZeroPivot
-from .polyring import evaluate, round_scaled
+from .polyring import Monomial, Polynomial, evaluate, integral, round_scaled
 
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
 # rounding stops every precision loop before this ceiling; it only guards it
@@ -143,6 +146,25 @@ def project_to_gram(variety, q):
         y[0][j] += 2 * half if j == 0 else half
         y[j][0] = y[0][j]
     return SymmetricMatrix(y, scale * nu)
+
+
+def gram_rest(p, basis, q):
+    """p - B^t Q B for Q = M / nu on the basis monomials B: the polynomial
+    p - sum_{i<=j} (2 - [i = j]) M_ij / nu x^(alpha_i + alpha_j), in
+    integers over lcm(den p, nu).  For Q in the Gram set of p it lies in the
+    ideal, and it equals p minus the LDL^t squares of Q expanded, at one
+    addition per upper-triangle entry."""
+    ints, den = integral(p)
+    lcd = math.lcm(den, q.nu)
+    acc = {e: c * (lcd // den) for e, c in ints.items()}
+    once = lcd // q.nu
+    exps = [b.exponents for b in basis]
+    for i, (ei, row) in enumerate(zip(exps, q.mat)):
+        for j in range(i, len(exps)):
+            if row[j]:
+                e = tuple(map(operator.add, ei, exps[j]))
+                acc[e] = acc.get(e, 0) - (once if i == j else 2 * once) * row[j]
+    return Polynomial({Monomial(e): Fraction(c, lcd) for e, c in acc.items() if c}, p.nvars)
 
 
 # -- fraction-free LDL^t ---------------------------------------------------

@@ -96,6 +96,12 @@ def _integer(word, form):
         raise ParseError(f"expected `{form}`, where {word!r} is not an integer") from None
 
 
+def _once(previous, keyword):
+    """ParseError for a second line of a keyword that may appear once."""
+    if previous is not None:
+        raise ParseError(f"second `{keyword}` line")
+
+
 def _variables(line):
     var_names = line.split()[1:]
     if not var_names:
@@ -119,17 +125,20 @@ def parse_problem(text):
         keyword = line.split()[0]
         with _at_line(lineno):
             if line.startswith("f:"):
+                _once(f, "f:")
                 f = parse_polynomial(line[2:], _need_vars(var_names))
             elif line.startswith("g:"):
                 g.append(parse_polynomial(line[2:], _need_vars(var_names)))
             elif line.startswith("h:"):
                 h.append(parse_polynomial(line[2:], _need_vars(var_names)))
             elif keyword == "variables":
+                _once(var_names, "variables")
                 var_names = _variables(line)
             elif keyword == "option":
                 key, value = _fields(line, "option <key> <value>")
                 if key not in _OPTION_TYPES:
                     raise ParseError(f"unknown option {key!r}")
+                _once(options.get(key), f"option {key}")
                 if _OPTION_TYPES[key] is int:
                     value = _integer(value, f"option {key} <n>")
                 options[key] = check_option(key, value)
@@ -166,14 +175,17 @@ def parse_certificate(text, expected_vars=None):
         keyword = line.split()[0]
         with _at_line(lineno):
             if keyword == "mode":
+                _once(mode, "mode")
                 mode = check_option("mode", _value(line))
             elif keyword == "variables":
+                _once(var_names, "variables")
                 var_names = _variables(line)
                 if expected_vars is not None and var_names != list(expected_vars):
                     raise ParseError(
                         f"variable mismatch: certificate has {var_names}, "
                         f"instance has {list(expected_vars)}")
             elif keyword == "gamma":
+                _once(gamma, "gamma")
                 gamma = _rational("gamma", _value(line))
             elif keyword == "block":
                 idx = _integer(_value(line), "block <i>")

@@ -14,7 +14,8 @@ interior-point solve (`maximize_lambda`) that stops once lam is known
 within a factor 1.5.  The rounding step re-derives an exact certificate
 from the approximate blocks, and all rounding error and the solver's
 residual are absorbed into the free block, corrected exactly into its Gram
-set along row and column 0 (`gram.project_to_gram`) and factored.  The
+set along row and column 0 (`gram.project_to_gram`) and factored; the
+identity is closed from that block's Gram matrix (`gram.gram_rest`).  The
 float problem reads the ring's vectors (ints, den) as x / den, which rounds
 correctly as float(Fraction(x, den)) does.
 `solve_feasibility` (Dykstra's alternating projections at a fixed lam) is
@@ -274,15 +275,15 @@ def algorithm1_certify(inst, ring=None):
     def attempt(rounded):
         q0_hat, g_blocks = rounded
         # f minus the g part is a sum of squares of the free block mod I
-        rest = certifier.Certificate("strict", [[]] + g_blocks, [])
-        f_hat = certifier.residual(inst, rest)
+        f_hat = certifier.residual(inst, certifier.Certificate("strict", [[]] + g_blocks, []))
         try:
             y0 = gram.project_to_gram(gram.GramVariety(ring, f_hat), q0_hat)
             fact = gram.ldlt(y0)
         except (NotPD, ZeroPivot):
             return None
         blocks0 = certifier._squares_from_factorization(ring, fact)
-        return certifier._assemble(inst, ring, blocks0, g_blocks)
+        return certifier._assemble(ring, [blocks0] + g_blocks,
+                                   gram.gram_rest(f_hat, ring.basis, y0))
 
     kappa = max(math.ceil(-math.log10(result.lam)), 0)
     return gram.escalate(max(math.ceil(kappa * math.log2(10)), 4), round_at, attempt)

@@ -424,11 +424,16 @@ def _identity_denominator(inst, cert):
 
 
 class TestResidual:
-    """The one expansion of the certificate identity, shared by the
-    verifier, `_assemble` and the SDP rounding."""
+    """The one expansion of the certificate identity: the verifier's, and
+    the one the nonneg route, `perturb` and the SDP rounding use."""
 
     @pytest.mark.parametrize("route", ["radical", "with_g", "hensel", "nonneg", "sdp"])
-    def test_matches_the_direct_sum(self, route, four_points, cusp_circle):
+    def test_matches_the_direct_sum(self, route, four_points, cusp_circle, monkeypatch):
+        # each route's rest, which `_assemble` closes, is f minus its squares
+        closed = []
+        assemble = certifier._assemble
+        monkeypatch.setattr(certifier, "_assemble", lambda ring, blocks, rest: (
+            closed.append((blocks, rest)) or assemble(ring, blocks, rest)))
         x = ["x"]
         inst = {
             "radical": certifier.ProblemInstance(
@@ -448,6 +453,8 @@ class TestResidual:
             cert = certifier.certify_strict(inst)
         assert certifier.residual(inst, cert).is_zero()
         assert expand(inst, cert) == inst.f
+        (blocks, rest), = closed
+        assert rest == certifier.residual(inst, certifier.Certificate("strict", blocks, []))
 
     @settings(max_examples=60, deadline=None)
     @given(_instances_and_certificates())
@@ -472,6 +479,46 @@ class TestResidual:
         capsys.readouterr()
         assert cli.main(["verify", "--input", prob, "--certificate", str(out)]) == 4
         assert "verification failed: identity" in capsys.readouterr().err
+
+
+class TestGramClosure:
+    """The Gram routes close their identity from the Gram matrix Q0, not
+    from their squares; the exact check of the certificate still sees the
+    squares."""
+
+    @pytest.mark.parametrize("problem,options", [
+        ("four_points.prob", []),
+        ("double_origin_shifted.prob", []),
+        ("four_points.prob", ["--engine", "sdp"]),
+    ], ids=["radical", "hensel", "sdp"])
+    def test_a_wrong_square_fails_verification(self, problem, options, monkeypatch,
+                                               tmp_path, capsys):
+        vectors = gram.LDLFactorization.square_vectors
+
+        def off_by_a_unit(fact):
+            out = vectors(fact)
+            w, vec = out[0]
+            out[0] = w, [vec[0] + 1] + vec[1:]
+            return out
+
+        monkeypatch.setattr(gram.LDLFactorization, "square_vectors", off_by_a_unit)
+        code = cli.main(["certify", "--input", data_path(problem), *options,
+                         "--out", str(tmp_path / "c.cert")])
+        assert code == 4
+        assert "verification failed: identity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", ["x^2 - 1", "x^2"], ids=["radical", "hensel"])
+    def test_no_expansion_without_excluded_points(self, h, monkeypatch):
+        x = ["x"]
+        inst = certifier.ProblemInstance(x, parse_polynomial("x + 3", x), [],
+                                         [parse_polynomial(h, x)])
+        calls = []
+        residual = certifier.residual
+        monkeypatch.setattr(certifier, "residual",
+                            lambda *a: calls.append(a) or residual(*a))
+        cert = certifier.certify_strict(inst)
+        assert calls == []
+        assert residual(inst, cert).is_zero()
 
 
 class TestDispatcher:

@@ -247,6 +247,37 @@ class TestVerify:
         assert code == 1
         assert "line 15: second `cofactor 1` line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,lineno,keyword", [
+        ("mode strict\n", "mode strict\nmode nonneg\n", 2, "mode"),
+        ("cofactor 1", "variables x y\ncofactor 1", 13, "variables"),
+        ("variables x y\n", "variables x y\ngamma 2\ngamma 3\n", 4, "gamma"),
+    ], ids=["mode", "variables", "gamma"])
+    def test_second_header_line_in_certificate_exits_1(self, tmp_path, capsys, old, new,
+                                                        lineno, keyword):
+        # a repeated header line must not silently replace the first one
+        text = open(data_path("four_points_strict.cert")).read()
+        bad = tmp_path / "bad.cert"
+        bad.write_text(text.replace(old, new))
+        code = run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(bad)])
+        assert code == 1
+        assert f"line {lineno}: second `{keyword}` line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,lineno,keyword", [
+        ("g: y\n", "f: y + x - 3\ng: y\n", 3, "f:"),
+        ("variables x y\n", "variables x\nvariables x y\n", 2, "variables"),
+        ("h: y^2 - x - 2\n", "h: y^2 - x - 2\noption mode strict\noption mode nonneg\n", 7,
+         "option mode"),
+    ], ids=["f", "variables", "option"])
+    def test_second_line_in_problem_exits_1(self, tmp_path, capsys, old, new, lineno, keyword):
+        # the last `f:` used to win silently, and two `variables` lines
+        # gave a dimension error with no line number
+        text = open(data_path("four_points.prob")).read()
+        prob = tmp_path / "bad.prob"
+        prob.write_text(text.replace(old, new))
+        assert run(["certify", "--input", str(prob)]) == 1
+        assert f"line {lineno}: second `{keyword}` line" in capsys.readouterr().err
+
     def test_unknown_mode_exits_1(self, tmp_path, capsys):
         text = open(data_path("four_points_strict.cert")).read()
         bad = tmp_path / "bad.cert"

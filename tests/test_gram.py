@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soscert import cli, exactla, gram, quotient, variety
+from soscert import certifier, cli, exactla, gram, quotient, variety
 from soscert.errors import NotPD, PrecisionExceeded, ZeroPivot
 from soscert.polyring import evaluate, parse_polynomial
 
@@ -152,6 +152,24 @@ class TestSparseProjection:
         rows = [[Fraction(entries[min(i, j) * d + max(i, j)], 2 ** frac_bits)
                  for j in range(d)] for i in range(d)]
         check_correction(lp, from_rational(rows))
+
+
+class TestGramRest:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(_SPARSE_CASES)), st.integers(0, 12), st.data())
+    def test_equals_the_residual_of_the_squares(self, name, nu_bits, data):
+        # p - B^t Q0 B is p minus the LDL^t squares of Q0, expanded
+        ring, _ = gram_set(name)
+        names = ["x", "y", "z"][:ring.nvars]
+        f = parse_polynomial(_SPARSE_CASES[name][1], names)
+        d = ring.D
+        a = [data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)) for _ in range(d)]
+        m = [[sum(r[i] * r[j] for r in a) + (i == j) for j in range(d)] for i in range(d)]
+        q0 = gram.SymmetricMatrix(m, data.draw(st.integers(1, 2 ** nu_bits)))
+        squares = certifier._squares_from_factorization(ring, gram.ldlt(q0))
+        inst = certifier.ProblemInstance(names, f, [], ring.ideal.generators)
+        rest = gram.gram_rest(f, ring.basis, q0)
+        assert rest == certifier.residual(inst, certifier.Certificate("strict", [squares], []))
 
 
 class TestRoundAndCertify:
