@@ -9,8 +9,9 @@ of theta = 1 mod J, a finite binomial series in R/I; no ring but R/I and
 R/J is built.  Every product in R/I reads the ring's product table.
 Both strict routes solve roots on a radical ring and judge the sign of f
 at the points of S by one rule, in `perturb`.  The Gram routes (radical,
-Hensel, SDP) close their identity from the Gram matrix Q0 of f~, as
-f~ - B^t Q0 B (`gram.gram_rest`), since the squares are its LDL^t form.
+Hensel, SDP) close their identity through the one Gram step
+(`gram.gram_squares`): it returns the LDL^t squares of a Gram matrix Q0 of
+f~ with the rest f~ - B^t Q0 B, whose cofactors `_assemble` finds.
 `residual` is the one expansion of a certificate identity: the verifier's,
 and the one `perturb`, the nonneg route and the SDP rounding use for
 squares that no Gram matrix carries.
@@ -115,8 +116,7 @@ def build_ring(inst):
 
 
 def _real_values(var, p):
-    # float(): a constant p evaluates to a Fraction even at a float point
-    return {i: float(evaluate(p, [z.real for z in pt.coordinates]))
+    return {i: evaluate(p, [z.real for z in pt.coordinates])
             for i, pt in enumerate(var.points) if pt.kind == "real"}
 
 
@@ -171,22 +171,14 @@ def perturb(inst, ring, var):
     return gram.escalate(16, round_at, attempt)
 
 
-def _squares_from_factorization(ring, fact):
-    out = []
-    for w, vec in fact.square_vectors():
-        poly = ring.from_vector(vec)
-        if not poly.is_zero():
-            out.append((w, poly))
-    return out
-
-
 def _assemble(ring, blocks, rest):
     """Close the identity f = sum of the blocks' squares + sum p_j h_j.
     `rest` is f minus the squares; it lies in the ideal by construction, and
-    its exact cofactors complete the certificate.  The Gram routes read it
-    off their Gram matrices (`gram.gram_rest`), whose LDL^t forms their
-    squares are, and expand no square: `residual` stays the verifier's
-    expansion, which the CLI runs on every certificate it writes."""
+    its exact cofactors complete the certificate.  The Gram routes take it
+    from the Gram step (`gram.gram_squares`), which reads it off the Gram
+    matrix whose LDL^t form their squares are, and expand no square:
+    `residual` stays the verifier's expansion, which the CLI runs on every
+    certificate it writes."""
     cof = quotient.cofactor_reduce(ring, rest)
     if not cof.remainder.is_zero():
         raise IdentityBroken("residual is not in the ideal")
@@ -209,9 +201,8 @@ def _strict_squares(inst, ring, var):
     """The blocks of `certify_strict` on a radical ring, from its points
     var, and the rest f~ - B^t Q0 B that `_assemble` closes."""
     g_blocks, f_tilde = perturb(inst, ring, var)
-    q0, fact = gram.round_and_certify(ring, var, f_tilde)
-    blocks0 = _squares_from_factorization(ring, fact)
-    return [blocks0] + g_blocks, gram.gram_rest(f_tilde, ring.basis, q0)
+    squares, rest = gram.round_and_certify(ring, var, f_tilde)
+    return [squares] + g_blocks, rest
 
 
 def certify_nonneg(inst, ring=None):
@@ -295,16 +286,15 @@ def _hensel_squares(inst, ring, var_j):
     # roots; perturb has made low > 0
     low = min(_real_values(var_j, f_tilde).values(), default=2.0)
     eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
-    q0, fact = gram.round_and_certify(ring_j, var_j, f_tilde - eps)
-    blocks0 = _squares_from_factorization(ring_j, fact)
-    # eps theta = f~ - B_J^t Q0 B_J; eps t^2 = B^t (eps c c^t) B for t = B^t c
-    eps_theta = gram.gram_rest(f_tilde, ring_j.basis, q0)
+    squares, rest = gram.round_and_certify(ring_j, var_j, f_tilde - eps)
+    # eps theta = f~ - B_J^t Q0 B_J = rest + eps; eps t^2 = B^t (eps c c^t) B
+    # for t = B^t c
+    eps_theta = rest + eps
     t = hensel_sqrt(ring, eps_theta / eps)
-    blocks0.append((eps, t))
     c, den = ring.nf_vector(t)
     eps_t2 = gram.SymmetricMatrix([[eps.numerator * x * y for y in c] for x in c],
                                   eps.denominator * den * den)
-    return [blocks0] + g_blocks, gram.gram_rest(eps_theta, ring.basis, eps_t2)
+    return [squares + [(eps, t)]] + g_blocks, gram.gram_rest(eps_theta, ring.basis, eps_t2)
 
 
 # the values of the mode and engine options, in files and on the command line

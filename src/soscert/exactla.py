@@ -4,8 +4,8 @@ Matrices are lists of lists of Fractions or ints.  The one kernel, `rref`,
 eliminates fraction-free in integers (Bareiss 1968).  Its inputs are the
 D x D systems of the quotient ring (the trace form, when
 `quotient.radical_generators` cannot prove it nonsingular modulo a prime;
-the coprimality witness; inverses modulo I) and the integer systems of the
-cofactors of a Groebner basis.  The Gram matrix needs no solve (see `gram`).
+the coprimality witness) and the integer systems of the cofactors of a
+Groebner basis.  The Gram matrix needs no solve (see `gram`).
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 The pipeline: assemble a positive definite real Gram matrix from the
 variety data (real roots contribute p(xi) u_xi^2; conjugate pairs are
 combined into two real squares through the lambda-window identity), round
-it to the nearest dyadic rationals, correct it exactly into the affine
-variety of Gram matrices of p, and factor the result by fraction-free
-LDL^t into an exact weighted sum of squares.
+it to the nearest dyadic rationals, and take the one Gram step
+(`gram_squares`): correct it exactly into the affine variety of Gram
+matrices of p, and factor the result Q0 by fraction-free LDL^t into an
+exact weighted sum of squares.
 
-Both strict routes use this one construction: the radical route on R/I,
-the Hensel route on R/J for f~ - eps (see `certifier`).  The Gram set is
+All three Gram routes take this step: the radical route on R/I, the
+Hensel route on R/J for f~ - eps (see `certifier`), and the SDP engine on
+its rounded free block (see `sdp_backend`).  The Gram set is
 A y = b over the D(D+1)/2 upper-triangle unknowns of a matrix on the basis
 monomials B of the quotient: D rows, one per basis monomial.  A column of A
 is NF(b_i b_j) over B, read from the ring's product table, and b is NF(p).
@@ -18,8 +20,9 @@ by correcting its row and column 0 by the residual b - A q, with no linear
 solve, and the rest of q stays as rounded.  All of it is integers over one
 denominator, like the ring's vectors (see `quotient`): each matrix is a
 `SymmetricMatrix` M / nu in lowest terms, and the Gram set is A / den, b / b_den.
-The LDL^t squares of a matrix Q expand to B^t Q B exactly, so a route
-closes its identity from `gram_rest`, p - B^t Q B, and expands no square.
+The LDL^t squares of a matrix Q expand to B^t Q B exactly, so the step
+returns the rest p - B^t Q0 B that closes a route's identity from
+`gram_rest`, and expands no square.
 """
 
 from __future__ import annotations
@@ -76,13 +79,13 @@ def build_gram_real(ring, var, p):
     reals = [i for i, pt in enumerate(var.points) if pt.kind == "real"]
     pairs = [i for i, pt in enumerate(var.points)
              if pt.kind == "complex" and pt.partner is not None and i < pt.partner]
-    vals_real = {i: float(evaluate(p, [z.real for z in var.points[i].coordinates]))
+    vals_real = {i: evaluate(p, [z.real for z in var.points[i].coordinates])
                  for i in reals}
     if any(v <= 0 for v in vals_real.values()):
         raise NonPositiveAtRealRoot(f"p = {min(vals_real.values()):.3e} at a real root")
     cols = [math.sqrt(vals_real[i]) * u[:, i].real for i in reals]
     for i in pairs:
-        cols.extend(_pair_columns(u[:, i], complex(evaluate(p, var.points[i].coordinates))))
+        cols.extend(_pair_columns(u[:, i], evaluate(p, var.points[i].coordinates)))
     theta = np.column_stack(cols) if cols else np.zeros((ring.D, 0))
     return theta @ theta.T
 
@@ -113,9 +116,10 @@ class GramVariety:
     nonzero ((i, j), coefficient) pairs, i <= j, with integer coefficients
     over the common denominator `den` of the product table; an off-diagonal
     unknown stands for Y_ij and Y_ji, so its coefficient is doubled.  b is
-    the ring vector NF(p) = b / b_den."""
+    the ring vector NF(p) = b / b_den; `ring` and `p` are kept."""
 
     def __init__(self, ring, p):
+        self.ring, self.p = ring, p
         D = self.D = ring.D
         self.den = math.lcm(*(d for row in ring.products for _, d in row))
         self.A = [[] for _ in range(D)]
@@ -174,11 +178,10 @@ class LDLFactorization:
     """Q = L D L^t with integer L (columns are bordered minors) and
     D = diag(1/pivot_k); permutation applied symmetrically when needed."""
 
-    def __init__(self, L, pivots, perm, nu):
+    def __init__(self, L, pivots, perm):
         self.L = L
         self.pivots = pivots  # pivot_k = nu * Delta_k * Delta_{k-1}
         self.perm = perm
-        self.nu = nu
 
     def square_vectors(self):
         """(weight, integer coefficient vector) pairs, in original indexing."""
@@ -225,7 +228,7 @@ def ldlt(q):
             m[i][k] = 0
         prev = delta_k
     pivots = [q.nu * minors[k + 1] * minors[k] for k in range(D)]
-    return LDLFactorization(cols, pivots, perm, q.nu)
+    return LDLFactorization(cols, pivots, perm)
 
 
 def round_matrix(mat, frac_bits):
@@ -256,18 +259,25 @@ def escalate(start_bits, round_at, attempt):
     raise PrecisionExceeded(f"no exact certificate up to the ceiling of {MAX_BITS} bits")
 
 
+def gram_squares(variety, q):
+    """The Gram step: correct q into the Gram set of p and factor the
+    result Q0.  Returns (Q0's LDL^t squares over B, rest = p - B^t Q0 B),
+    no square zero (column k of L carries Delta_k > 0), or None when Q0 is
+    not positive definite."""
+    q0 = project_to_gram(variety, q)
+    try:
+        fact = ldlt(q0)
+    except (NotPD, ZeroPivot):
+        return None
+    squares = [(w, variety.ring.from_vector(vec)) for w, vec in fact.square_vectors()]
+    return squares, gram_rest(variety.p, variety.ring.basis, q0)
+
+
 def round_and_certify(ring, var, p):
-    """Round the real Gram matrix, correct it exactly into the Gram set,
-    factor; escalate the precision on failure.  Returns (Q0 exact PD in the
-    Gram variety, its LDL^t factorization)."""
+    """Round the real Gram matrix of p and take the Gram step, escalating
+    the precision until Q0 is positive definite.  Returns `gram_squares`'s
+    (squares, rest)."""
     q_tilde = build_gram_real(ring, var, p)
     variety = GramVariety(ring, p)
-
-    def attempt(q_exact):
-        q0 = project_to_gram(variety, q_exact)
-        try:
-            return q0, ldlt(q0)
-        except (NotPD, ZeroPivot):
-            return None
-
-    return escalate(START_BITS, lambda bits: round_matrix(q_tilde, bits), attempt)
+    return escalate(START_BITS, lambda bits: round_matrix(q_tilde, bits),
+                    lambda q: gram_squares(variety, q))

@@ -189,12 +189,14 @@ class Polynomial:
 
 def evaluate(p, point):
     """Evaluate p at a point: exactly at a rational point, in floats at a
-    float or complex one (Fraction * float is float(c) * x)."""
+    float or complex one, where each coefficient is taken as float(c) once,
+    as Fraction * x would, bit for bit; a constant gives a float there."""
     if len(point) != p.nvars:
         raise DimensionMismatch(f"point has {len(point)} coordinates, polynomial has {p.nvars} variables")
-    total = 0
+    inexact = any(isinstance(x, (float, complex)) for x in point)
+    total = 0.0 if inexact else 0
     for m, c in p.terms.items():
-        v = c
+        v = float(c) if inexact else c
         for x, e in zip(point, m.exponents):
             if e:
                 v = v * x ** e

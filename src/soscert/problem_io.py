@@ -126,11 +126,11 @@ def parse_problem(text):
         with _at_line(lineno):
             if line.startswith("f:"):
                 _once(f, "f:")
-                f = parse_polynomial(line[2:], _need_vars(var_names))
+                f = _polynomial_line(line, var_names)
             elif line.startswith("g:"):
-                g.append(parse_polynomial(line[2:], _need_vars(var_names)))
+                g.append(_polynomial_line(line, var_names))
             elif line.startswith("h:"):
-                h.append(parse_polynomial(line[2:], _need_vars(var_names)))
+                h.append(_polynomial_line(line, var_names))
             elif keyword == "variables":
                 _once(var_names, "variables")
                 var_names = _variables(line)
@@ -152,6 +152,14 @@ def parse_problem(text):
         return ProblemInstance(var_names, f, g, h, options=options)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+def _polynomial_line(line, var_names):
+    """The polynomial of an `f:`, `g:` or `h:` line, which may not be empty."""
+    names = _need_vars(var_names)
+    if not line[2:].strip():
+        raise ParseError("empty polynomial; write 0 for zero")
+    return parse_polynomial(line[2:], names)
 
 
 def _need_vars(var_names):

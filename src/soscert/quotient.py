@@ -21,11 +21,12 @@ multiplication matrices all use it; only the solutions that `exactla`
 returns are in Fractions.  Every product of two elements of R/I is read
 off the product table (`QuotientRing.mul`), and so is the matrix of
 multiplication by one (`QuotientRing.mult_matrix`).  Normal forms come
-from one linear map over B (see `QuotientRing`), whose border the tails of
-the reduced Gröbner basis give; full division by the Gröbner basis
-(`divide`, on a heap of exponent tuples) is left to what needs its
-quotients or runs before the ring exists: Gröbner completion and
-`cofactor_reduce`.
+from one linear map over B (see `QuotientRing`), and the normal form of
+each monomial from the tails of the reduced Gröbner basis only; the
+multiplication matrices by the variables are read off those normal forms
+for the root solver alone.  Full division by the Gröbner basis (`divide`,
+on a heap of exponent tuples) is left to what needs its quotients or runs
+before the ring exists: Gröbner completion and `cofactor_reduce`.
 """
 
 from __future__ import annotations
@@ -272,11 +273,11 @@ class QuotientRing:
     Every reduction modulo I goes through one linear map over the basis B:
     NF(p) = sum_m c_m NF(m), with NF(m) cached as a ring vector (ints, den)
     over B, keyed by the exponents of m.  The cache starts from B's unit
-    vectors; the first monomial outside B builds `mult_matrices`, whose
-    border NF(x_k b) comes from the tails of the reduced Gröbner basis, and
-    every other monomial follows from NF(x_k m) = M_k NF(m), computed as
-    A_k NF(m) / d_k with M_k = A_k / d_k in integers.  A product of two
-    ring vectors (`mul`) reads the table `products` of the NF(b_i b_j).
+    vectors, and every other monomial gets its normal form by one
+    algorithm, from the tails of the reduced Gröbner basis
+    (`_nf_from_tails`): the border, the product table and any higher
+    monomial alike.  A product of two ring vectors (`mul`) reads the table
+    `products` of the NF(b_i b_j).
     """
 
     def __init__(self, ideal, basis):
@@ -291,28 +292,25 @@ class QuotientRing:
 
     # -- normal forms -------------------------------------------------
 
-    def _nf_monomial(self, e):
-        """NF of the monomial with exponents e."""
-        path = []  # divide down to a cached monomial, then multiply back up
-        while e not in self._nf_vectors:
-            k = next(i for i, x in enumerate(e) if x)
-            path.append((e, k))
-            e = e[:k] + (e[k] - 1,) + e[k + 1:]
-        v = self._nf_vectors[e]
-        for e, k in reversed(path):
-            rows, d = self.mult_matrices[k]
-            v = self._nf_vectors[e] = _lowest([sum(map(operator.mul, row, v[0])) for row in rows],
-                                              v[1] * d)
-        return v
+    @functools.cached_property
+    def _reducers(self):
+        """Each g of the reduced Gröbner basis as (lm(g), [(t, -c_t)]) by
+        exponents, over the tail terms c_t t of g: built once per ring."""
+        out = []
+        for g in self.ideal.gb:
+            lm = g.leading_monomial()
+            out.append((lm.exponents, [(m.exponents, -c) for m, c in g.terms.items() if m != lm]))
+        return out
 
-    def _nf_from_tails(self, e, reducers):
+    def _nf_from_tails(self, e):
         """NF of the monomial with exponents e, with no division: for
         x^e = x^u lm(g), g monic in the reduced Gröbner basis,
         NF(x^e) = -sum_t c_t NF(x^u t) over the tail terms c_t t of g.  Each
         x^u t is below x^e in grevlex, so the stack, which computes them
-        first, empties.  `reducers` holds each (lm(g), [(t, -c_t)]) by
-        exponents; any g whose lm divides x^e gives the same normal form."""
+        first, empties.  Any g whose lm divides x^e gives the same normal
+        form."""
         cache = self._nf_vectors
+        reducers = self._reducers
         stack = [e]
         while stack:
             top = stack[-1]
@@ -332,7 +330,7 @@ class QuotientRing:
 
     def nf_vector(self, p):
         """The normal form of p as a ring vector (ints, den) over B."""
-        return combine([(c, *self._nf_monomial(m.exponents)) for m, c in p.terms.items()], self.D)
+        return combine([(c, *self._nf_from_tails(m.exponents)) for m, c in p.terms.items()], self.D)
 
     def normal_form(self, p):
         """Normal form in span(B)."""
@@ -363,24 +361,18 @@ class QuotientRing:
     def mult_matrices(self):
         """M_k, multiplication by x_k, as (integer rows of A_k, d_k) with
         M_k = A_k / d_k, d_k the lcm of the denominators of its columns
-        NF(x_k b).  On first read, each border monomial x_k b outside B gets
-        its normal form from the Gröbner tails (`_nf_from_tails`)."""
-        reducers = []
-        for g in self.ideal.gb:
-            lm = g.leading_monomial()
-            reducers.append((lm.exponents, [(m.exponents, -c) for m, c in g.terms.items() if m != lm]))
-        mats = []
-        for k in range(self.nvars):
-            x_k = Monomial.variable(k, self.nvars)
-            mats.append(_matrix(self._nf_from_tails((b * x_k).exponents, reducers)
-                                for b in self.basis))
-        return mats
+        NF(x_k b), read like every other normal form.  Only
+        `variety.solve_variety` reads them: no normal form passes through
+        them."""
+        return [_matrix(self._nf_from_tails((b * Monomial.variable(k, self.nvars)).exponents)
+                        for b in self.basis)
+                for k in range(self.nvars)]
 
     @functools.cached_property
     def products(self):
         """products[i][j] = NF(b_i b_j), a ring vector over B: the product
         table that the radical, the Gram set and the SDP constraints read."""
-        return [[self._nf_monomial((bi * bj).exponents) for bj in self.basis] for bi in self.basis]
+        return [[self._nf_from_tails((bi * bj).exponents) for bj in self.basis] for bi in self.basis]
 
     @functools.cached_property
     def radical(self):

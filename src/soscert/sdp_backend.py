@@ -13,11 +13,12 @@ smallest eigenvalue lam of the free block Q_0, in one primal-dual
 interior-point solve (`maximize_lambda`) that stops once lam is known
 within a factor 1.5.  The rounding step re-derives an exact certificate
 from the approximate blocks, and all rounding error and the solver's
-residual are absorbed into the free block, corrected exactly into its Gram
-set along row and column 0 (`gram.project_to_gram`) and factored; the
-identity is closed from that block's Gram matrix (`gram.gram_rest`).  The
-float problem reads the ring's vectors (ints, den) as x / den, which rounds
-correctly as float(Fraction(x, den)) does.
+residual are absorbed into the free block, which takes the constructive
+routes' one Gram step (`gram.gram_squares`): it is corrected exactly into
+its Gram set along row and column 0 and factored, and the identity is
+closed from that block's Gram matrix.  The float problem reads the ring's
+vectors (ints, den) as x / den, which rounds correctly as
+float(Fraction(x, den)) does.
 `solve_feasibility` (Dykstra's alternating projections at a fixed lam) is
 kept as an independent reference for the tests.
 """
@@ -29,7 +30,7 @@ import math
 import numpy as np
 
 from . import certifier, gram, quotient
-from .errors import Infeasible, MaxIterations, NotPD, ZeroPivot
+from .errors import Infeasible, MaxIterations
 from .polyring import round_binary
 
 
@@ -260,9 +261,9 @@ def _round_eigen_squares(ring, q, bits):
 
 def algorithm1_certify(inst, ring=None):
     """Solve the SDP for the largest lam, then round at an escalating
-    precision, starting from the decimal order of lam, until the free block,
-    corrected exactly into its Gram set, is positive definite; the output
-    identity is exact by construction."""
+    precision, starting from the decimal order of lam, until the Gram step
+    on the free block finds it positive definite; the output identity is
+    exact by construction."""
     if ring is None:
         ring = certifier.build_ring(inst)
     prob = SdpProblem(inst, ring)
@@ -276,15 +277,10 @@ def algorithm1_certify(inst, ring=None):
         q0_hat, g_blocks = rounded
         # f minus the g part is a sum of squares of the free block mod I
         f_hat = certifier.residual(inst, certifier.Certificate("strict", [[]] + g_blocks, []))
-        try:
-            y0 = gram.project_to_gram(gram.GramVariety(ring, f_hat), q0_hat)
-            fact = gram.ldlt(y0)
-        except (NotPD, ZeroPivot):
-            return None
-        blocks0 = certifier._squares_from_factorization(ring, fact)
-        return certifier._assemble(ring, [blocks0] + g_blocks,
-                                   gram.gram_rest(f_hat, ring.basis, y0))
+        step = gram.gram_squares(gram.GramVariety(ring, f_hat), q0_hat)
+        return None if step is None else ([step[0]] + g_blocks, step[1])
 
     kappa = max(math.ceil(-math.log10(result.lam)), 0)
-    return gram.escalate(max(math.ceil(kappa * math.log2(10)), 4), round_at, attempt)
+    blocks, rest = gram.escalate(max(math.ceil(kappa * math.log2(10)), 4), round_at, attempt)
+    return certifier._assemble(ring, blocks, rest)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from soscert import (certifier, cli, gram, problem_io, quotient, sdp_backend,
                      variety, verify_bounds)
-from soscert.errors import (ClusterAmbiguity, ConditionFailed,
+from soscert.errors import (ClusterAmbiguity, ConditionFailed, NotPD,
                             NotStrictlyPositiveOnS)
 from soscert.polyring import (Monomial, Polynomial, common_denominator, evaluate,
                               parse_polynomial)
@@ -519,6 +519,47 @@ class TestGramClosure:
         cert = certifier.certify_strict(inst)
         assert calls == []
         assert residual(inst, cert).is_zero()
+
+
+class TestOneGramStep:
+    """The radical, Hensel and SDP routes all take the one Gram step,
+    `gram.gram_squares`, and no route factors a matrix outside it."""
+
+    @pytest.mark.parametrize("problem,options", [
+        ("four_points.prob", []),
+        ("double_origin_shifted.prob", []),
+        ("four_points.prob", ["--engine", "sdp"]),
+    ], ids=["radical", "hensel", "sdp"])
+    def test_every_gram_route_takes_the_step(self, problem, options, monkeypatch, tmp_path):
+        steps, factored = [], []
+        step, ldlt = gram.gram_squares, gram.ldlt
+        monkeypatch.setattr(gram, "gram_squares", lambda *a: steps.append(a) or step(*a))
+        monkeypatch.setattr(gram, "ldlt", lambda q: factored.append(q) or ldlt(q))
+        assert cli.main(["certify", "--input", data_path(problem), *options,
+                         "--out", str(tmp_path / "c.cert")]) == 0
+        assert steps and len(factored) == len(steps)
+
+    def test_sdp_escalates_when_the_step_fails(self, monkeypatch, tmp_path):
+        # the free block's first rounding is refused; the next rounding, at
+        # twice the bits, certifies
+        bits, factored = [], []
+        rounding, ldlt = gram.round_matrix, gram.ldlt
+
+        def not_pd_once(q):
+            factored.append(q)
+            if len(factored) == 1:
+                raise NotPD(1)
+            return ldlt(q)
+
+        monkeypatch.setattr(gram, "round_matrix",
+                            lambda mat, frac_bits: bits.append(frac_bits) or rounding(mat, frac_bits))
+        monkeypatch.setattr(gram, "ldlt", not_pd_once)
+        out = tmp_path / "c.cert"
+        prob = data_path("four_points.prob")
+        assert cli.main(["certify", "--input", prob, "--engine", "sdp", "--out", str(out)]) == 0
+        assert len(bits) == 2 and bits[1] == 2 * bits[0]
+        assert len(factored) == 2
+        assert cli.main(["verify", "--input", prob, "--certificate", str(out)]) == 0
 
 
 class TestDispatcher:

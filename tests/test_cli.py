@@ -394,6 +394,20 @@ class TestProblemIO:
             problem_io.parse_problem("variables x\nf: x + 3\nh: x^2 - 1\nradical: true\n")
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("old,new,lineno", [
+        ("f: x + 3", "f:", 2),
+        ("g: x", "g:  ", 3),
+        ("h: x^2 - 1", "h:\nh: x^2 - 1", 4),
+    ], ids=["f", "g", "h"])
+    def test_empty_polynomial_line_exits_1(self, tmp_path, capsys, old, new, lineno):
+        # an empty `f:` used to parse as 0 and exit 3 on a float margin, and
+        # an empty `h:` was dropped
+        prob = tmp_path / "bad.prob"
+        prob.write_text("variables x\nf: x + 3\ng: x\nh: x^2 - 1\n".replace(old, new))
+        assert run(["certify", "--input", str(prob)]) == 1
+        assert (f"line {lineno}: empty polynomial; write 0 for zero"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("line", ["f: 1/0*x + 1", "f: x^1/0 + 1"])
     def test_zero_denominator_in_problem_exits_1(self, tmp_path, capsys, line):
         prob = tmp_path / "bad.prob"

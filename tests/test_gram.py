@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from soscert import certifier, cli, exactla, gram, quotient, variety
 from soscert.errors import NotPD, PrecisionExceeded, ZeroPivot
-from soscert.polyring import evaluate, parse_polynomial
+from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
 from conftest import from_rational, rational, reconstruct
 
@@ -158,7 +158,9 @@ class TestGramRest:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(_SPARSE_CASES)), st.integers(0, 12), st.data())
     def test_equals_the_residual_of_the_squares(self, name, nu_bits, data):
-        # p - B^t Q0 B is p minus the LDL^t squares of Q0, expanded
+        # p - B^t Q0 B is p minus the LDL^t squares of Q0, expanded.  With
+        # p = B^t Q0 B + f h_1, Q0 is in the Gram set of p, so the Gram step
+        # factors Q0 itself and its rest is f h_1
         ring, _ = gram_set(name)
         names = ["x", "y", "z"][:ring.nvars]
         f = parse_polynomial(_SPARSE_CASES[name][1], names)
@@ -166,26 +168,29 @@ class TestGramRest:
         a = [data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)) for _ in range(d)]
         m = [[sum(r[i] * r[j] for r in a) + (i == j) for j in range(d)] for i in range(d)]
         q0 = gram.SymmetricMatrix(m, data.draw(st.integers(1, 2 ** nu_bits)))
-        squares = certifier._squares_from_factorization(ring, gram.ldlt(q0))
-        inst = certifier.ProblemInstance(names, f, [], ring.ideal.generators)
-        rest = gram.gram_rest(f, ring.basis, q0)
+        in_ideal = f * ring.ideal.generators[0]
+        p = in_ideal
+        for bi, row in zip(ring.basis, q0.mat):
+            for bj, x in zip(ring.basis, row):
+                p = p + Polynomial({bi * bj: Fraction(x, q0.nu)}, ring.nvars)
+        squares, rest = gram.gram_squares(gram.GramVariety(ring, p), q0)
+        inst = certifier.ProblemInstance(names, p, [], ring.ideal.generators)
         assert rest == certifier.residual(inst, certifier.Certificate("strict", [squares], []))
+        assert rest == in_ideal
 
 
 class TestRoundAndCertify:
     def test_strictly_positive_input(self):
         ring = make_ring(["x^2 - 1"], ["x"])
         var = variety.solve_variety(ring)
-        q0, fact = gram.round_and_certify(ring, var, poly("x + 3"))
-        assert all(p > 0 for p in fact.pivots)
-        # the factorization rebuilds the projected Gram matrix exactly
-        assert reconstruct(fact) == rational(q0)
-        from soscert.polyring import Polynomial
+        squares, rest = gram.round_and_certify(ring, var, poly("x + 3"))
+        assert len(squares) == ring.D and all(w > 0 for w, _ in squares)
         total = Polynomial.zero(1)
-        for w, vec in fact.square_vectors():
-            q = ring.from_vector(vec)
+        for w, q in squares:
             total = total + q * q * w
+        # the squares give f modulo I, and rest is f minus the squares
         assert ring.normal_form(total - poly("x + 3")).is_zero()
+        assert rest == poly("x + 3") - total
 
     def test_negative_input_rejected(self):
         ring = make_ring(["x^2 - 1"], ["x"])

@@ -1,0 +1,67 @@
+"""Source hygiene of the package, read with the standard library's `ast`:
+no module imports a name it does not use, and no private module-level
+function or class is left that nothing in the package references.
+
+Failures are raised with pytest.fail, not assert, so that the checks hold
+under `python -O` too."""
+
+import ast
+import pathlib
+
+import pytest
+
+import soscert
+
+PACKAGE = pathlib.Path(soscert.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+         for path in MODULES}
+
+
+def _exported(tree):
+    """The names listed in the module's `__all__`."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _loaded(tree):
+    """Every name the module reads, bare or as the base of an attribute."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _imports(tree):
+    """(bound name, line) of every import but `from __future__ import ...`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_unused_import(name):
+    tree = TREES[name]
+    used = _loaded(tree) | _exported(tree)
+    unused = [f"{name}:{line}: {bound}" for bound, line in _imports(tree) if bound not in used]
+    if unused:
+        pytest.fail("unused imports: " + ", ".join(unused))
+
+
+def test_every_private_function_and_class_is_referenced():
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= _loaded(tree) | _exported(tree)
+        referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    orphans = [f"{name}:{node.lineno}: {node.name}"
+               for name, tree in TREES.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and node.name not in referenced]
+    if orphans:
+        pytest.fail("private definitions nothing references: " + ", ".join(orphans))

@@ -100,6 +100,26 @@ class TestExactCoefficients:
             expected = expected + v
         assert evaluate(p, z) == expected
 
+    @settings(max_examples=80)
+    @given(st.one_of(polynomials(), polynomials(max_degree=0, max_terms=1)),
+           st.sampled_from([float, complex]), st.data())
+    def test_float_evaluation_is_the_fraction_loop_bit_for_bit(self, p, kind, data):
+        # the loop evaluate replaced dispatched Fraction * x per term; its
+        # callers took a constant's Fraction value as float() or complex()
+        floats = st.floats(-4, 4)
+        pt = [kind(*(data.draw(floats) for _ in range(1 if kind is float else 2)))
+              for _ in range(2)]
+        expected = 0
+        for m, c in p.terms.items():
+            v = c
+            for x, e in zip(pt, m.exponents):
+                if e:
+                    v = v * x ** e
+            expected = expected + v
+        value = evaluate(p, pt)
+        assert isinstance(value, (float, complex))
+        assert repr(kind(value)) == repr(kind(expected))
+
 
 class TestParseFormat:
     def test_grammar(self):

@@ -435,6 +435,20 @@ def test_normal_form_never_divides_once_the_ring_is_built(monkeypatch):
     assert not ring.is_radical
 
 
+@pytest.mark.parametrize("gens,names", [
+    (["x^3 - y^2", "x^2 - 2*x + y^2"], ("x", "y")),
+    (["x^2 - 1", "y^2 - y", "z^2 - 4"], ("x", "y", "z")),
+], ids=["cusp_circle", "cube3"])
+def test_normal_forms_leave_the_multiplication_matrices_unbuilt(gens, names):
+    # every normal form comes from the Gröbner tails; only the root solver
+    # reads the matrices of the variables
+    ring = quotient.monomial_basis(quotient.groebner([poly(h, names) for h in gens]))
+    ring.products
+    p = poly(" + ".join(names) + " - 2", names) ** (2 * ring.degree_of_basis() + 1)
+    assert ring.from_vector(*ring.nf_vector(p)) == reference_divide(p, ring.ideal.gb)[1]
+    assert "mult_matrices" not in ring.__dict__
+
+
 @pytest.mark.parametrize("gens", [RINGS[name] for name in sorted(RINGS)]
                          + [["x^3 - y^2", "x^2 - 2*x + y^2"], ["3*x^2 - 1", "2*y^2 - x"]],
                          ids=sorted(RINGS) + ["cusp_circle", "3x^2-1,2y^2-x"])
