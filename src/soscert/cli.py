@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 usage, parse or I/O error; 2 the requested certificate
 cannot exist (failed mathematical precondition); 3 numerical exhaustion
-(precision ceiling reached, float64 margin used up, an SDP dual bound at
-or below 0, or the SDP solver stopped without an answer); 4 verification
+(precision ceiling reached, float64 margin used up, roots that the float
+solver cannot separate, data beyond float64 range, an SDP dual bound at or
+below 0, or the SDP solver stopped without an answer); 4 verification
 failure, including an exact identity that failed inside `certify`.
 `certify` and `verify` share one rule: exit 0 exactly when the certificate
 fits the problem (at most 1 + len(g) blocks and len(h) cofactors), the
@@ -23,9 +24,9 @@ import functools
 import sys
 
 from . import certifier, problem_io, verify_bounds
-from .errors import (ConditionFailed, IdentityBroken, Infeasible,
-                     MaxIterations, NotStrictlyPositiveOnS, ParseError,
-                     PrecisionExceeded, SosCertError)
+from .errors import (ClusterAmbiguity, ConditionFailed, IdentityBroken, Infeasible,
+                     MaxIterations, NotStrictlyPositiveOnS, ParseError, PrecisionExceeded,
+                     SingularVandermonde, SosCertError)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -55,8 +56,12 @@ def cmd_certify(args):
     except (ConditionFailed, NotStrictlyPositiveOnS) as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_IMPOSSIBLE
-    except (PrecisionExceeded, Infeasible, MaxIterations) as exc:
+    except (PrecisionExceeded, Infeasible, MaxIterations, ClusterAmbiguity,
+            SingularVandermonde) as exc:
         print(f"gave up: {exc}", file=sys.stderr)
+        return EXIT_EXHAUSTED
+    except OverflowError as exc:
+        print(f"gave up: beyond float64 range: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     except IdentityBroken as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Exception taxonomy shared across the toolkit.
 
 Mathematical impossibility (ConditionFailed), numerical exhaustion
-(PrecisionExceeded, Infeasible, MaxIterations) and structural misuse are
-kept distinct so that callers -- in particular the CLI -- can branch on
-them.
+(PrecisionExceeded, Infeasible, MaxIterations, and ClusterAmbiguity or
+SingularVandermonde when float64 cannot separate the roots) and structural
+misuse are kept distinct so that callers, the CLI's exit codes among
+them, can branch on them.
 """
 
 

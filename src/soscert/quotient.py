@@ -8,19 +8,20 @@ for the nonnegativity pipeline, and the quotient by the radical J on
 which the Hensel route certifies before its lift.
 
 J is read off the trace form H1[i][j] = Tr(M_{b_i b_j}) of R/I: its
-kernel is the nilradical (`radical_generators`).  H1 is first eliminated
-modulo a 61-bit prime, where full rank proves I radical with no rational
-arithmetic; only when that test fails, as it does on every non-radical
-ring, does one exact nullspace give J.  Every float step (root solving, the
-witness's roots, the Gram matrix) sees only R/J, where each root is simple.
+kernel is the nilradical (`radical_generators`).  H1 is built once, as an
+integer matrix over one positive denominator, and first eliminated modulo
+a 61-bit prime, where full rank proves I radical; only when that test
+fails, as it does on every non-radical ring, does one exact nullspace of
+the same matrix give J.  Every float step (root solving, the witness's
+roots, the Gram matrix) sees only R/J, where each root is simple.
 
 A ring vector, the coefficients over the quotient basis B of a normal
 form, has one form: a pair (ints, den) of integers over one positive
-denominator, in lowest terms.  Normal forms, the product table and the
-multiplication matrices all use it; only the solutions that `exactla`
-returns are in Fractions.  Every product of two elements of R/I is read
-off the product table (`QuotientRing.mul`), and so is the matrix of
-multiplication by one (`QuotientRing.mult_matrix`).  Normal forms come
+denominator, in lowest terms.  Normal forms, the product table, the
+multiplication matrices and the solutions of `exactla` all use it.  Every
+product of two elements of R/I is read off the product table
+(`QuotientRing.mul`), and so is the matrix of multiplication by one
+(`QuotientRing.mult_matrix`).  Normal forms come
 from one linear map over B (see `QuotientRing`), and the normal form of
 each monomial from the tails of the reduced Gröbner basis only; the
 multiplication matrices by the variables are read off those normal forms
@@ -176,7 +177,8 @@ def _express_in_generators(g, generators, start_caps):
     L_j h_j, is shifted by the monomials u of degree <= cap_j (grevlex
     ascending): the columns are the u L_j h_j, by j and then by u, the
     right-hand side is L_g g, and there is one row per monomial that occurs.
-    A solution y of that system gives r_j = sum_u y_(j,u) (L_j / L_g) u."""
+    A solution y = ys / den of that system gives
+    r_j = sum_u ys_(j,u) L_j / (den L_g) u."""
     nvars = g.nvars
     target, target_den = integral(g)
     scaled = [integral(h) for h in generators]
@@ -191,10 +193,11 @@ def _express_in_generators(g, generators, start_caps):
             a[r][col] = c
         sol = exactla.solve(a, list(target.values()) + [0] * (len(index) - len(target)))
         if sol is not None:
+            xs, den = sol
             terms = [{} for _ in generators]
-            for x, (j, u) in zip(sol, cols):
+            for x, (j, u) in zip(xs, cols):
                 if x:
-                    terms[j][Monomial(u)] = x * Fraction(scaled[j][1], target_den)
+                    terms[j][Monomial(u)] = Fraction(x * scaled[j][1], den * target_den)
             return [Polynomial(t, nvars) for t in terms]
         caps = [c + 1 for c in caps]
 
@@ -347,7 +350,7 @@ class QuotientRing:
         table = self.products
         ints, den = combine([(x * y, *table[i][j]) for i, x in enumerate(us) if x
                              for j, y in enumerate(vs) if y], self.D)
-        return _lowest(ints, den * ud * vd)
+        return exactla.lowest(ints, den * ud * vd)
 
     def mult_matrix(self, v):
         """Multiplication by the ring vector v, as (integer rows of A, d)
@@ -404,7 +407,7 @@ def combine(terms, size):
     for c, v, d in terms:
         s = c.numerator * (den // (c.denominator * d))
         acc = [a + s * x if x else a for a, x in zip(acc, v)]
-    return _lowest(acc, den)
+    return exactla.lowest(acc, den)
 
 
 def _matrix(cols):
@@ -413,14 +416,6 @@ def _matrix(cols):
     cols = list(cols)
     d = math.lcm(*(den for _, den in cols))
     return exactla.transpose([[x * (d // den) for x in ints] for ints, den in cols]), d
-
-
-def _lowest(ints, den):
-    """The ring vector ints / den in lowest terms."""
-    g = math.gcd(den, *ints)
-    if g > 1:
-        return [x // g for x in ints], den // g
-    return ints, den
 
 
 def monomial_basis(ideal):
@@ -486,11 +481,10 @@ def coprimality_witness(ring, f, roots):
     """
     nf = ring.nf_vector(f)
     rows, d = ring.mult_matrix(ring.mul(nf, nf))
-    sol = exactla.solve(rows, [Fraction(d * x, nf[1]) for x in nf[0]])
+    sol = exactla.solve(rows, [d * x for x in nf[0]])
     if sol is None:
         raise ConditionFailed("(I : f) + (f) is not the unit ideal")
-    den = common_denominator(sol)
-    a_vec = [x.numerator * (den // x.denominator) for x in sol], den
+    a_vec = exactla.lowest(sol[0], sol[1] * nf[1])
     a = ring.from_vector(*a_vec)
     b = ring.from_vector(*combine([(1, *ring.unit), (-1, *ring.mul(a_vec, nf))], ring.D))
 
@@ -524,7 +518,7 @@ def inverse_mod(ring, theta):
     sol = exactla.solve(rows, [d * x for x in ring.unit[0]])
     if sol is None:
         raise NotInvertible("polynomial vanishes at a root of the ideal")
-    return ring.from_vector(sol)
+    return ring.from_vector(*sol)
 
 
 def ideal_power_chain(radical, target):
@@ -564,33 +558,30 @@ def radical_generators(ring):
     characteristic 0 that kernel is the nilradical of R/I (Becker-Woermann;
     Pedersen-Roy-Szpirglas), so I is radical exactly when it is empty.
     Tr(M_p) = t . NF(p) with t_k = Tr(M_{b_k}) = sum_i NF(b_k b_i)[i], and
-    every NF(b_i b_j) comes from the ring's product table.  H1 is first
+    every NF(b_i b_j) comes from the ring's product table.  H1 is built
+    once, in integers: with L the lcm of the table's denominators, L t is
+    integer and so is h1 = L^2 H1, which has H1's kernel.  h1 is first
     eliminated modulo PRIME: full rank there proves the kernel empty, and
-    only otherwise is the rational kernel computed.  Callers use the cached
+    only otherwise is its exact nullspace computed.  Callers use the cached
     `QuotientRing.radical`."""
     products = ring.products
-    if _nonsingular_mod_p(products):
+    den = math.lcm(*(d for row in products for _, d in row))
+    t = [sum(v[i] * (den // d) for i, (v, d) in enumerate(row)) for row in products]
+    h1 = [[0] * ring.D for _ in products]
+    for i, row in enumerate(products):
+        for j in range(i, ring.D):
+            v, d = row[j]
+            h1[i][j] = h1[j][i] = den // d * sum(x * y for x, y in zip(v, t) if x)
+    if _nonsingular_mod_p(h1):
         return list(ring.ideal.generators)
-    t = [sum(Fraction(v[i], d) for i, (v, d) in enumerate(row)) for row in products]
-    h1 = [[Fraction(sum(x * y for x, y in zip(v, t) if x), d) for v, d in row] for row in products]
     return list(ring.ideal.generators) + [ring.from_vector(c) for c in exactla.nullspace(h1)]
 
 
-def _nonsingular_mod_p(products):
-    """True when H1 = (NF(b_i b_j) . t) has full rank modulo PRIME, so that
-    det H1 != 0 over Q.  False when the rank there falls short, or when a
-    denominator of the table is 0 modulo PRIME, so that H1 has no
-    reduction modulo PRIME: neither proves anything."""
+def _nonsingular_mod_p(h1):
+    """True when the integer matrix h1 has full rank modulo PRIME, so that
+    det h1 != 0 over Q.  A rank that falls short there proves nothing."""
     p = PRIME
-    distinct = {id(e): e for row in products for e in row}  # equal b_i b_j share one
-    try:
-        inverse = {key: pow(d, -1, p) for key, (_, d) in distinct.items()}
-    except ValueError:  # pow found a denominator that is 0 modulo PRIME
-        return False
-    t_p = [sum(e[0][i] * inverse[id(e)] for i, e in enumerate(row)) % p for row in products]
-    traces = {key: sum(x * y for x, y in zip(v, t_p) if x) * inverse[key] % p
-              for key, (v, _) in distinct.items()}
-    h1 = [[traces[id(e)] for e in row] for row in products]
+    h1 = [[x % p for x in row] for row in h1]
     for c in range(len(h1)):
         r = next((r for r in range(c, len(h1)) if h1[r][c]), None)
         if r is None:

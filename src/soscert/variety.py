@@ -63,7 +63,7 @@ def solve_variety(ring, seed=0):
     try:
         inv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
-        raise SingularVandermonde(str(exc)) from exc
+        raise SingularVandermonde(f"eigenvector matrix numerically singular: {exc}") from exc
     raw = [np.array([inv[k] @ m @ vecs[:, k] for m in mats]) for k in range(D)]
 
     tol = 2.0 ** -40 * (1.0 + max((float(np.max(np.abs(r))) for r in raw), default=0.0))
@@ -126,7 +126,7 @@ def idempotents(ring, points):
     try:
         u = np.linalg.inv(v.T)
     except np.linalg.LinAlgError as exc:
-        raise SingularVandermonde(str(exc)) from exc
+        raise SingularVandermonde(f"Vandermonde numerically singular: {exc}") from exc
     if not np.all(np.isfinite(u)) or np.linalg.cond(v.T) > 1e12:
         raise SingularVandermonde("Vandermonde numerically singular")
     # columns for real points are real in exact arithmetic

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soscert import exactla, gram, problem_io, quotient, sdp_backend, variety
+from soscert import gram, problem_io, quotient, sdp_backend, variety
 from soscert.errors import ConditionFailed, Infeasible, MaxIterations, ParseError
 from soscert.polyring import Monomial, Polynomial, common_denominator, evaluate, format_polynomial
 
@@ -110,8 +110,8 @@ def reference_divide(p, divisors):
 
 def reference_rref(matrix, ncols=None):
     """Reduced row echelon form by Gauss-Jordan elimination in Fractions,
-    each pivot row normalized: the reference that `exactla.rref` must
-    return the same (R, pivots) as."""
+    each pivot row normalized: `exactla.rref`'s (R, pivots, p) must give
+    the same (R / p, pivots)."""
     a = [row[:] for row in matrix]
     nrows = len(a)
     if ncols is None:
@@ -169,6 +169,16 @@ def reference_nullspace(a):
             v[c] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+def primitive(v):
+    """The rational vector v scaled by a positive rational to integers with
+    gcd 1."""
+    v = [Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g else ints
 
 
 def reference_mult_matrices(ring):
@@ -239,12 +249,13 @@ def reference_witness(ring, f, seed=0):
     denominator gamma.  `quotient.coprimality_witness` must return the same
     (a, b, gamma) from its one D x D solve of a f^2 = f."""
     D = ring.D
-    m_f = exactla.transpose([fractions(ring.nf_vector(f * Polynomial({b: 1}, ring.nvars)))
-                             for b in ring.basis])
+    cols = [fractions(ring.nf_vector(f * Polynomial({b: 1}, ring.nvars))) for b in ring.basis]
+    m_f = [list(row) for row in zip(*cols)]
     zero = [Fraction(0)] * D
     rows = [m_f[r] + [Fraction(int(k == r)) for k in range(D)] for r in range(D)]
     rows += [zero + m_f[r] for r in range(D)]
-    sol = exactla.solve(rows, fractions(ring.nf_vector(Polynomial.constant(1, ring.nvars))) + zero)
+    sol = reference_solve(rows, fractions(ring.nf_vector(Polynomial.constant(1, ring.nvars)))
+                          + zero)
     if sol is None:
         raise ConditionFailed("(I : f) + (f) is not the unit ideal")
     a, b = ring.from_vector(sol[:D]), ring.from_vector(sol[D:])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from soscert import certifier, cli, problem_io, quotient, verify_bounds
+from soscert import certifier, cli, errors, problem_io, quotient, verify_bounds
 from soscert.errors import ParseError
 
 from conftest import data_path, format_problem, load_problem
@@ -597,3 +597,64 @@ class TestGolden:
                 assert out.read_bytes() == fh.read()
         else:
             assert not os.path.exists(golden)
+
+
+# The exit code of `soscert certify` for each exception that `certify` can
+# raise: every SosCertError of `errors`, and a float overflow.
+EXIT_CODES = [
+    (errors.SosCertError("error"), 2),
+    (errors.DimensionMismatch("1 vs 2 variables"), 2),
+    (errors.NotZeroDimensional("no pure power"), 2),
+    (errors.ConditionFailed("(I : f) + (f) is not the unit ideal"), 2),
+    (errors.NotInvertible("vanishes at a root"), 2),
+    (errors.NotPD(1), 2),
+    (errors.ZeroPivot(1), 2),
+    (errors.NotStrictlyPositiveOnS("f < 0 at a point of S"), 2),
+    (errors.NonPositiveAtRealRoot("p = 0 at a real root"), 2),
+    (errors.PrecisionExceeded("ceiling"), 3),
+    (errors.ClusterAmbiguity("point separation"), 3),
+    (errors.SingularVandermonde("Vandermonde numerically singular"), 3),
+    (errors.Infeasible(-1.0), 3),
+    (errors.MaxIterations("iteration limit"), 3),
+    (OverflowError("integer division result too large for a float"), 3),
+    (errors.IdentityBroken("residual is not in the ideal"), 4),
+    (errors.ParseError("bad", line=1), 1),
+]
+
+# Inputs whose roots or coefficients float64 cannot handle: a double root
+# split by 2^-50, and a coefficient beyond float64 range.
+FLOAT_LIMITS = {
+    "split_root": f"variables x y\nf: x + 3\nh: x^2 - 2*x + 1 - 1/{2 ** 100}\nh: y - 1\n",
+    "huge_f": "variables x\nf: 1" + "0" * 400 + "\nh: x^2 - 1\n",
+    "huge_h": "variables x\nf: x + 2\nh: 1" + "0" * 400 + "*x^2 - 1\n",
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code", EXIT_CODES,
+                             ids=[type(exc).__name__ for exc, _ in EXIT_CODES])
+    def test_certify_exit_code(self, monkeypatch, capsys, exc, code):
+        def fail(inst, ring):
+            raise exc
+
+        monkeypatch.setattr(certifier, "certify", fail)
+        assert run(["certify", "--input", data_path("four_points.prob")]) == code
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_the_table_covers_every_error(self):
+        table = {type(exc) for exc, _ in EXIT_CODES}
+        assert {c for c in vars(errors).values()
+                if isinstance(c, type) and issubclass(c, errors.SosCertError)} <= table
+
+    @pytest.mark.parametrize("problem, options", [
+        ("split_root", []), ("split_root", ["--mode", "nonneg"]),
+        ("huge_f", []), ("huge_f", ["--engine", "sdp"]),
+        ("huge_h", []),
+    ], ids=["split_root", "split_root-nonneg", "huge_f", "huge_f-sdp", "huge_h"])
+    def test_float_limits_exit_3(self, tmp_path, capsys, problem, options):
+        prob = tmp_path / "in.prob"
+        prob.write_text(FLOAT_LIMITS[problem])
+        assert run(["certify", "--input", str(prob)] + options) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gave up: ") and err.count("\n") == 1

@@ -10,8 +10,9 @@ from soscert import exactla, problem_io, quotient
 from soscert.errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from soscert.polyring import Monomial, Polynomial, parse_polynomial
 
-from conftest import (fractions, load_problem, mat_vec, radical_roots, reference_divide,
-                      reference_express_in_generators, reference_mult_matrices, reference_witness)
+from conftest import (fractions, load_problem, mat_vec, primitive, radical_roots, reference_divide,
+                      reference_express_in_generators, reference_mult_matrices,
+                      reference_nullspace, reference_witness)
 
 
 def poly(s, names=("x", "y")):
@@ -567,11 +568,13 @@ def test_radical_of_the_cusp_circle_ring():
 
 
 def _exact_radical(ring):
-    """The rational kernel of H1, with no test modulo a prime."""
+    """The rational kernel of H1 by Fraction elimination, with no test
+    modulo a prime, each vector scaled to primitive integers."""
     products = [[fractions(v) for v in row] for row in ring.products]
     t = [sum((row[i][i] for i in range(ring.D)), Fraction(0)) for row in products]
     h1 = [mat_vec(row, t) for row in products]
-    return list(ring.ideal.generators) + [ring.from_vector(c) for c in exactla.nullspace(h1)]
+    return list(ring.ideal.generators) + [ring.from_vector(primitive(c))
+                                          for c in reference_nullspace(h1)]
 
 
 def _ring(gens, names=("x", "y")):
@@ -596,7 +599,7 @@ def test_radical_rings_need_no_rational_elimination(gens, names, monkeypatch):
 
 @pytest.mark.parametrize("prime, gens", [
     (2, ["x^2 - 1"]),  # B = {1, x}, H1 = 2I: rank 0 modulo 2
-    (3, ["3*x^2 - 1"]),  # M_x = [[0, 1/3], [1, 0]]: a denominator is 3
+    (3, ["3*x^2 - 1"]),  # NF(x^2) = 1/3, so L = 3 and h1 = 9 H1 = [[18, 0], [0, 6]]
 ])
 def test_small_prime_falls_back_to_the_exact_kernel(prime, gens, monkeypatch):
     ring = _ring(gens, ("x",))
@@ -614,9 +617,18 @@ def test_small_prime_falls_back_to_the_exact_kernel(prime, gens, monkeypatch):
     (["x^3 - x^2"], ("x",)),
     (["x^3 - y^2", "x^2 - 2*x + y^2"], ("x", "y")),  # the cusp-circle ring
 ])
-def test_non_radical_rings_keep_their_radical(gens, names):
+def test_non_radical_rings_keep_their_radical(gens, names, monkeypatch):
     ring = _ring(gens, names)
+    seen = []
+    for module, name in ((quotient, "_nonsingular_mod_p"), (exactla, "nullspace")):
+        monkeypatch.setattr(module, name,
+                            lambda h1, f=getattr(module, name): seen.append(h1) or f(h1))
     assert quotient.radical_generators(ring) == _exact_radical(ring)
+    # one integer, symmetric H1 serves the modular test and the exact kernel
+    h1 = seen[0]
+    assert len(seen) == 2 and seen[1] is h1
+    assert all(isinstance(x, int) and x == h1[j][i]
+               for i, row in enumerate(h1) for j, x in enumerate(row))
     assert len(ring.radical) > len(ring.ideal.generators)
 
 
