@@ -25,9 +25,13 @@ product of two elements of R/I is read off the product table
 from one linear map over B (see `QuotientRing`), and the normal form of
 each monomial from the tails of the reduced Gröbner basis only; the
 multiplication matrices by the variables are read off those normal forms
-for the root solver alone.  Full division by the Gröbner basis (`divide`,
-on a heap of exponent tuples) is left to what needs its quotients or runs
-before the ring exists: Gröbner completion and `cofactor_reduce`.
+for the root solver alone.  Full division by a Gröbner basis is left to
+what needs its quotients or runs before the ring exists, Gröbner
+completion and `cofactor_reduce`, and it runs in integers: one kernel
+(`_divide`) divides integer polynomials keyed by exponent tuples, and
+Buchberger keeps its basis as primitive integer polynomials.  Fractions
+are made only for the polynomials handed out: `IdealBasis.gb`, the
+remainder and the cofactors p_j.
 """
 
 from __future__ import annotations
@@ -63,32 +67,46 @@ def monomials_upto(nvars, max_degree):
     return out
 
 
-def _monic(p):
-    return p * (Fraction(1) / p.leading_coefficient())
+def _grevlex(e):
+    """`Monomial.grevlex_key` of the exponents e."""
+    return sum(e), tuple(map(operator.neg, e))
 
 
-def divide(p, divisors):
-    """Multivariate division: p = sum(q_i * divisors[i]) + remainder, with no
-    remainder monomial divisible by any divisor's leading monomial.
+def _reducer(terms):
+    """An integer polynomial {exponents: int} as (leading exponents,
+    leading coefficient, tail terms), the form `_divide` divides by."""
+    lead = max(terms, key=_grevlex)
+    return lead, terms[lead], [(e, c) for e, c in terms.items() if e != lead]
 
-    The working polynomial is a dict keyed by exponent tuples, changed in
-    place.  Its leading term comes off a heap keyed (-degree, exponents),
-    which is grevlex-descending (see `Monomial.grevlex_key`); each monomial
-    is queued at most once, and one whose coefficient cancelled is skipped
-    when it is popped.  A popped monomial never comes back, since every
-    term a step adds is below the leading term it removes."""
-    nvars = p.nvars
-    quotients = [{} for _ in divisors]
-    split = []  # (leading exponents, leading coefficient, tail terms, quotient)
-    for d, q in zip(divisors, quotients):
-        lm = d.leading_monomial()
-        split.append((lm.exponents, d.terms[lm],
-                      [(m.exponents, c) for m, c in d.terms.items() if m != lm], q))
-    work = {m.exponents: c for m, c in p.terms.items()}
+
+def _polynomial(terms, den, nvars):
+    """The polynomial sum_e (terms[e] / den) x^e."""
+    return Polynomial({Monomial(e): Fraction(c, den) for e, c in terms.items()}, nvars)
+
+
+def _divide(work, reducers):
+    """Multivariate division in integers: scale * work = sum_i q_i r_i +
+    remainder, with no remainder monomial divisible by the leading
+    monomial of any reducer r_i (`_reducer` triples).  `work` is
+    {exponents: int}, changed in place.  Returns the integer quotients q_i,
+    the integer remainder and the positive integer scale.
+
+    The leading term comes off a heap keyed (-degree, exponents), which is
+    grevlex-descending (see `Monomial.grevlex_key`), so the remainder's
+    first key is its leading monomial.  Each monomial is queued at most
+    once, one whose coefficient cancelled is skipped when popped, and a
+    popped one never comes back: every term a step adds is below the term
+    it removes.  The first reducer whose leading monomial divides the term
+    removes it; when its leading coefficient lc does not divide the term's
+    coefficient c, the working polynomial is first multiplied by
+    lc / gcd(c, lc).  Quotient and remainder terms are kept with the scale
+    they were written at and brought to the final scale at the end."""
+    split = [(lead, lc, tail, {}) for lead, lc, tail in reducers]
     heap = [(-sum(e), e) for e in work]
     heapq.heapify(heap)
     queued = set(work)
     remainder = {}
+    scale = 1
     while heap:
         t = heapq.heappop(heap)[1]
         queued.remove(t)
@@ -96,12 +114,18 @@ def divide(p, divisors):
         if c is None:
             continue
         for lead, lc, tail, q in split:
-            if all(a <= b for a, b in zip(lead, t)):
-                shift = tuple(b - a for a, b in zip(lead, t))
-                factor = c if lc == 1 else c / lc
-                q[shift] = factor
+            if all(map(operator.le, lead, t)):
+                if c % lc:
+                    m = abs(lc) // math.gcd(c, lc)
+                    scale *= m
+                    c *= m
+                    for e in work:
+                        work[e] *= m
+                factor = c // lc
+                shift = tuple(map(operator.sub, t, lead))
+                q[shift] = factor, scale
                 for e, dc in tail:
-                    m = tuple(a + b for a, b in zip(e, shift))
+                    m = tuple(map(operator.add, e, shift))
                     v = work.get(m, 0) - factor * dc
                     if v:
                         work[m] = v
@@ -112,17 +136,34 @@ def divide(p, divisors):
                         del work[m]
                 break
         else:
-            remainder[t] = c
-    return ([Polynomial({Monomial(e): c for e, c in q.items()}, nvars) for q in quotients],
-            Polynomial({Monomial(e): c for e, c in remainder.items()}, nvars))
+            remainder[t] = c, scale
+
+    def rescaled(terms):
+        return {e: c * (scale // s) for e, (c, s) in terms.items()}
+    return [rescaled(q) for *_, q in split], rescaled(remainder), scale
 
 
-def _reduce(p, basis):
-    return divide(p, basis)[1]
+def divide(p, divisors):
+    """Multivariate division of polynomials: p = sum(q_i * divisors[i]) +
+    remainder, with no remainder monomial divisible by any divisor's
+    leading monomial, by `_divide` on their integer forms."""
+    scaled = [integral(d) for d in divisors]
+    work, den = integral(p)
+    quotients, remainder, scale = _divide(work, [_reducer(d) for d, _ in scaled])
+    den *= scale
+    # divisor i is d_i / L_i for its integer form d_i: its quotient is L_i q_i
+    return ([_polynomial({u: c * lcd for u, c in q.items()}, den, p.nvars)
+             for q, (_, lcd) in zip(quotients, scaled)],
+            _polynomial(remainder, den, p.nvars))
 
 
 class IdealBasis:
     """Original generators h_j plus a Gröbner basis for the same ideal.
+
+    `gb` is the monic reduced Gröbner basis as polynomials, and `reducers`
+    the same basis as primitive integer polynomials (leading coefficient
+    positive) in `_reducer` form: `cofactor_reduce` divides by those, and
+    `QuotientRing` reads the normal forms of monomials off their tails.
 
     `is_graded` holds when the generators form a graded basis (an H-basis):
     every p in the ideal is sum_j r_j h_j with deg(r_j h_j) <= deg(p).  That
@@ -132,18 +173,21 @@ class IdealBasis:
     top(I), the two are equal exactly when every leading monomial of the
     Gröbner basis is divisible by one of a Gröbner basis of the top forms.
 
-    `gb_cofactors[k][j]` expresses the k-th Gröbner element as
-    sum_j gb_cofactors[k][j] * generators[j], with degrees bounded as above
-    when `is_graded`.  It costs one integer solve per Gröbner element (see
-    `_express_in_generators`), done the first time it is read: only
-    `cofactor_reduce` needs it, so neither `verify` nor the ring of the
-    radical pays for it.
+    `gb_cofactors[k]` is (rows, den), with the k-th Gröbner element equal
+    to sum_j rows[j] * generators[j] / den, each rows[j] an integer
+    polynomial {exponents: int}, with degrees bounded as above when
+    `is_graded`.  An element that is a scalar multiple of a generator,
+    g = h_j / lc(h_j), has that scalar as its row; each other element
+    costs one integer solve (see `_express_in_generators`).  The rows are
+    built the first time they are read: only `cofactor_reduce` needs them,
+    so neither `verify` nor the ring of the radical pays for them.
     """
 
-    def __init__(self, generators, gb, nvars):
+    def __init__(self, generators, gb, nvars, reducers):
         self.generators = generators
         self.gb = gb
         self.nvars = nvars
+        self.reducers = reducers
 
     @functools.cached_property
     def is_graded(self):
@@ -154,12 +198,25 @@ class IdealBasis:
 
     @functools.cached_property
     def gb_cofactors(self):
-        return [_express_in_generators(g, self.generators,
-                                       [g.degree - h.degree for h in self.generators])
-                for g in self.gb]
+        scaled = [integral(h) for h in self.generators]
+        rows = []
+        for g, (lead, lc, tail) in zip(self.gb, self.reducers):
+            j = next((j for j, (h, _) in enumerate(scaled)
+                      if len(h) == len(tail) + 1 and lead in h
+                      and all(h.get(e, 0) * lc == c * h[lead] for e, c in tail)), None)
+            if j is None:
+                rows.append(_express_in_generators(g, self.generators,
+                                                   [g.degree - h.degree for h in self.generators]))
+                continue
+            # h_j = h / L_j is a multiple of g, so g = h_j L_j / h[lead]
+            h, den = scaled[j]
+            row = [{} for _ in scaled]
+            row[j] = {(0,) * self.nvars: den if h[lead] > 0 else -den}
+            rows.append((row, abs(h[lead])))
+        return rows
 
     def reduce(self, p):
-        return _reduce(p, self.gb)
+        return divide(p, self.gb)[1]
 
     def contains(self, other):
         """Membership of a polynomial, or containment of another ideal
@@ -171,7 +228,8 @@ class IdealBasis:
 
 def _express_in_generators(g, generators, start_caps):
     """Solve g = sum r_j h_j with deg(r_j) <= cap_j, escalating the caps
-    until the coefficient-matching system becomes feasible.
+    until the coefficient-matching system becomes feasible; returns the
+    r_j as a `gb_cofactors` row (rows, den), r_j = rows[j] / den.
 
     The system is in integers.  Each h_j, scaled to integer coefficients
     L_j h_j, is shifted by the monomials u of degree <= cap_j (grevlex
@@ -194,72 +252,91 @@ def _express_in_generators(g, generators, start_caps):
         sol = exactla.solve(a, list(target.values()) + [0] * (len(index) - len(target)))
         if sol is not None:
             xs, den = sol
-            terms = [{} for _ in generators]
+            rows = [{} for _ in generators]
             for x, (j, u) in zip(xs, cols):
                 if x:
-                    terms[j][Monomial(u)] = Fraction(x * scaled[j][1], den * target_den)
-            return [Polynomial(t, nvars) for t in terms]
+                    rows[j][u] = x * scaled[j][1]
+            return rows, den * target_den
         caps = [c + 1 for c in caps]
+
+
+def _primitive_remainder(terms, basis):
+    """The remainder of the integer polynomial `terms` by `basis`, made
+    primitive with a positive leading coefficient, as a `_reducer`
+    triple, or None when it is zero."""
+    remainder = _divide(terms, basis)[1]
+    if not remainder:
+        return None
+    lead, lc = next(iter(remainder.items()))  # `_divide` writes the leading term first
+    content = math.gcd(*remainder.values()) * (1 if lc > 0 else -1)
+    return lead, lc // content, [(e, c // content) for e, c in remainder.items() if e != lead]
 
 
 def groebner(generators):
     """Buchberger completion with sugar-strategy pair selection, followed by
-    full inter-reduction.  The cofactors of the Gröbner elements over the
-    original generators are left to `IdealBasis`, which computes them on
-    first read."""
+    full inter-reduction, on primitive integer polynomials: an integer
+    remainder is a positive multiple of the Fraction one, so every step
+    matches Buchberger on monic polynomials, and the reduced basis, which
+    is unique, is handed out monic.  The cofactors of the Gröbner elements
+    over the original generators are left to `IdealBasis`, which computes
+    them on first read."""
     gens = [p for p in generators if not p.is_zero()]
     if not gens:
         raise NotZeroDimensional("every equation is 0: the ideal (0) has infinitely many zeros")
     nvars = gens[0].nvars
-    basis = []
+    basis = []  # `_reducer` triples
     sugars = []
     for p in gens:
-        r = _reduce(p, basis) if basis else p
-        if not r.is_zero():
-            basis.append(_monic(r))
-            sugars.append(r.degree)
-    lead = [g.leading_monomial() for g in basis]
+        r = _primitive_remainder(integral(p)[0], basis)
+        if r:
+            basis.append(r)
+            sugars.append(sum(r[0]))
     pairs = []  # heap of (sugar, grevlex key of the lcm, i, j), keyed once
 
     def add_pairs(k):
+        lead_k = basis[k][0]
         for i in range(k):
-            lcm = lead[i].lcm(lead[k])
-            sugar = max(sugars[i] + lcm.degree - lead[i].degree,
-                        sugars[k] + lcm.degree - lead[k].degree)
-            heapq.heappush(pairs, (sugar, lcm.grevlex_key(), i, k))
+            lead_i = basis[i][0]
+            lcm = tuple(map(max, lead_i, lead_k))
+            sugar = max(sugars[i] + sum(lcm) - sum(lead_i), sugars[k] + sum(lcm) - sum(lead_k))
+            heapq.heappush(pairs, (sugar, _grevlex(lcm), i, k))
 
     for k in range(1, len(basis)):
         add_pairs(k)
     while pairs:
         sugar, _, i, j = heapq.heappop(pairs)
-        lm_i, lm_j = lead[i], lead[j]
-        lcm = lm_i.lcm(lm_j)
-        if lcm.degree == lm_i.degree + lm_j.degree:
+        (lead_i, lc_i, tail_i), (lead_j, lc_j, tail_j) = basis[i], basis[j]
+        lcm = tuple(map(max, lead_i, lead_j))
+        if sum(lcm) == sum(lead_i) + sum(lead_j):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        s = (Polynomial({lcm / lm_i: Fraction(1)}, nvars) * basis[i]
-             - Polynomial({lcm / lm_j: Fraction(1)}, nvars) * basis[j])
-        r = _reduce(s, basis)
-        if not r.is_zero():
-            basis.append(_monic(r))
-            lead.append(r.leading_monomial())
+        # S = (lc_j / g) x^(lcm - lead_i) b_i - (lc_i / g) x^(lcm - lead_j) b_j
+        g = math.gcd(lc_i, lc_j)
+        s = {}
+        for lead, tail, factor in ((lead_i, tail_i, lc_j // g), (lead_j, tail_j, -lc_i // g)):
+            shift = tuple(map(operator.sub, lcm, lead))
+            for e, c in tail:
+                m = tuple(map(operator.add, e, shift))
+                v = s.get(m, 0) + factor * c
+                if v:
+                    s[m] = v
+                else:
+                    del s[m]
+        r = _primitive_remainder(s, basis)
+        if r:
+            basis.append(r)
             sugars.append(sugar)
             add_pairs(len(basis) - 1)
 
     # inter-reduce: drop redundant elements, then tail-reduce each survivor
-    keep = []
-    for i, lm in enumerate(lead):
-        redundant = any(j != i and lead[j].divides(lm) and (lead[j] != lm or j < i)
-                        for j in range(len(basis)))
-        if not redundant:
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        reduced.append(_monic(_reduce(g, others)) if others else _monic(g))
-    reduced.sort(key=lambda g: g.leading_monomial().grevlex_key())
-
-    return IdealBasis(gens, reduced, nvars)
+    leads = [b[0] for b in basis]
+    minimal = [b for i, b in enumerate(basis)
+               if not any(j != i and all(map(operator.le, leads[j], leads[i]))
+                          and (leads[j] != leads[i] or j < i) for j in range(len(basis)))]
+    reduced = [_primitive_remainder({lead: lc, **dict(tail)}, minimal[:i] + minimal[i + 1:])
+               for i, (lead, lc, tail) in enumerate(minimal)]
+    reduced.sort(key=lambda b: _grevlex(b[0]))
+    gb = [_polynomial({lead: lc, **dict(tail)}, lc, nvars) for lead, lc, tail in reduced]
+    return IdealBasis(gens, gb, nvars, reduced)
 
 
 class Cofactors:
@@ -295,49 +372,36 @@ class QuotientRing:
 
     # -- normal forms -------------------------------------------------
 
-    @functools.cached_property
-    def _reducers(self):
-        """Each g of the reduced Gröbner basis as (lm(g), [(t, -c_t)]) by
-        exponents, over the tail terms c_t t of g: built once per ring."""
-        out = []
-        for g in self.ideal.gb:
-            lm = g.leading_monomial()
-            out.append((lm.exponents, [(m.exponents, -c) for m, c in g.terms.items() if m != lm]))
-        return out
-
     def _nf_from_tails(self, e):
         """NF of the monomial with exponents e, with no division: for
-        x^e = x^u lm(g), g monic in the reduced Gröbner basis,
-        NF(x^e) = -sum_t c_t NF(x^u t) over the tail terms c_t t of g.  Each
-        x^u t is below x^e in grevlex, so the stack, which computes them
-        first, empties.  Any g whose lm divides x^e gives the same normal
-        form."""
+        x^e = x^u lm(g), g = lc lm(g) + sum_t c_t t in the integer reduced
+        Gröbner basis (`IdealBasis.reducers`),
+        NF(x^e) = -sum_t (c_t / lc) NF(x^u t).  Each x^u t is below x^e in
+        grevlex, so the stack, which computes them first, empties.  Any g
+        whose lm divides x^e gives the same normal form."""
         cache = self._nf_vectors
-        reducers = self._reducers
+        reducers = self.ideal.reducers
         stack = [e]
         while stack:
             top = stack[-1]
             if top in cache:
                 stack.pop()
                 continue
-            lead, tail = next(r for r in reducers if all(map(operator.le, r[0], top)))
+            lead, lc, tail = next(r for r in reducers if all(map(operator.le, r[0], top)))
             shift = tuple(map(operator.sub, top, lead))
             below = [tuple(map(operator.add, t, shift)) for t, _ in tail]
             missing = [m for m in below if m not in cache]
             if missing:
                 stack += missing
             else:
-                cache[top] = combine([(c, *cache[m]) for (_, c), m in zip(tail, below)], self.D)
+                cache[top] = combine([(-c, v, d * lc) for (_, c), (v, d)
+                                      in zip(tail, map(cache.get, below))], self.D)
                 stack.pop()
         return cache[e]
 
     def nf_vector(self, p):
         """The normal form of p as a ring vector (ints, den) over B."""
         return combine([(c, *self._nf_from_tails(m.exponents)) for m, c in p.terms.items()], self.D)
-
-    def normal_form(self, p):
-        """Normal form in span(B)."""
-        return self.from_vector(*self.nf_vector(p))
 
     def from_vector(self, v, den=1):
         """The polynomial sum_i (v_i / den) b_i."""
@@ -452,19 +516,31 @@ def cofactor_reduce(ring, p):
     Division by the Gröbner basis gives degree-controlled quotients (the
     term order is degree-compatible); each Gröbner element is then replaced
     by its stored cofactors over the generators, so in the graded case
-    deg(p_j) <= deg(p) - deg(h_j).
+    deg(p_j) <= deg(p) - deg(h_j).  All of it runs in integers: the integer
+    form of p is divided by the integer basis (`_divide`), and the
+    quotients are multiplied by the integer rows of `gb_cofactors`; only
+    the p_j and the remainder are made polynomials.
     """
     ideal = ring.ideal
-    quotients, remainder = divide(p, ideal.gb)
-    gens = ideal.generators
-    p_j = [Polynomial.zero(ring.nvars) for _ in gens]
-    for q_g, cof in zip(quotients, ideal.gb_cofactors):
-        if q_g.is_zero():
-            continue
-        for j, r_j in enumerate(cof):
-            if not r_j.is_zero():
-                p_j[j] = p_j[j] + q_g * r_j
-    return Cofactors(p_j, remainder)
+    work, den = integral(p)
+    quotients, remainder, scale = _divide(work, ideal.reducers)
+    den *= scale
+    # reducer k is lc_k g_k = lc_k sum_j rows_kj h_j / d_k; over the lcm L
+    # of the d_k, p_j = sum_k q_k lc_k (L / d_k) rows_kj / (L den)
+    used = [(q, lc, cof) for q, (_, lc, _), cof
+            in zip(quotients, ideal.reducers, ideal.gb_cofactors) if q]
+    common = math.lcm(*(d for *_, (_, d) in used))
+    acc = [{} for _ in ideal.generators]
+    for q, lc, (rows, d) in used:
+        factor = lc * (common // d)
+        for terms, row in zip(acc, rows):
+            for e, c in row.items():
+                c *= factor
+                for u, x in q.items():
+                    m = tuple(map(operator.add, e, u))
+                    terms[m] = terms.get(m, 0) + c * x
+    return Cofactors([_polynomial(terms, common * den, ring.nvars) for terms in acc],
+                     _polynomial(remainder, den, ring.nvars))
 
 
 def coprimality_witness(ring, f, roots):

@@ -1,3 +1,4 @@
+import heapq
 import math
 import os
 import re
@@ -106,6 +107,79 @@ def reference_divide(p, divisors):
             remainder = remainder + mono
             work = work - mono
     return quotients, remainder
+
+
+def reference_groebner(generators):
+    """Buchberger completion in Fractions, with sugar-strategy pair
+    selection, on monic polynomials reduced by `reference_divide`, followed
+    by full inter-reduction: the monic reduced Gröbner basis, which
+    `quotient.groebner(generators).gb` must equal."""
+    def monic(p):
+        return p * (Fraction(1) / p.leading_coefficient())
+
+    gens = [p for p in generators if not p.is_zero()]
+    nvars = gens[0].nvars
+    basis = []
+    sugars = []
+    for p in gens:
+        r = reference_divide(p, basis)[1] if basis else p
+        if not r.is_zero():
+            basis.append(monic(r))
+            sugars.append(r.degree)
+    lead = [g.leading_monomial() for g in basis]
+    pairs = []  # heap of (sugar, grevlex key of the lcm, i, j), keyed once
+
+    def add_pairs(k):
+        for i in range(k):
+            lcm = lead[i].lcm(lead[k])
+            sugar = max(sugars[i] + lcm.degree - lead[i].degree,
+                        sugars[k] + lcm.degree - lead[k].degree)
+            heapq.heappush(pairs, (sugar, lcm.grevlex_key(), i, k))
+
+    for k in range(1, len(basis)):
+        add_pairs(k)
+    while pairs:
+        sugar, _, i, j = heapq.heappop(pairs)
+        lm_i, lm_j = lead[i], lead[j]
+        lcm = lm_i.lcm(lm_j)
+        if lcm.degree == lm_i.degree + lm_j.degree:
+            continue  # coprime leading terms: S-polynomial reduces to zero
+        s = (Polynomial({lcm / lm_i: Fraction(1)}, nvars) * basis[i]
+             - Polynomial({lcm / lm_j: Fraction(1)}, nvars) * basis[j])
+        r = reference_divide(s, basis)[1]
+        if not r.is_zero():
+            basis.append(monic(r))
+            lead.append(r.leading_monomial())
+            sugars.append(sugar)
+            add_pairs(len(basis) - 1)
+
+    # inter-reduce: drop redundant elements, then tail-reduce each survivor
+    keep = []
+    for i, lm in enumerate(lead):
+        redundant = any(j != i and lead[j].divides(lm) and (lead[j] != lm or j < i)
+                        for j in range(len(basis)))
+        if not redundant:
+            keep.append(i)
+    minimal = [basis[i] for i in keep]
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        reduced.append(monic(reference_divide(g, others)[1]) if others else monic(g))
+    reduced.sort(key=lambda g: g.leading_monomial().grevlex_key())
+    return reduced
+
+
+def normal_form(ring, p):
+    """The normal form of p in span(B), as a polynomial."""
+    return ring.from_vector(*ring.nf_vector(p))
+
+
+def cofactor_polys(ideal):
+    """`IdealBasis.gb_cofactors` as polynomials: row k is the r_j with
+    gb[k] = sum_j r_j h_j."""
+    return [[Polynomial({Monomial(e): Fraction(c, den) for e, c in r.items()}, ideal.nvars)
+             for r in rows]
+            for rows, den in ideal.gb_cofactors]
 
 
 def reference_rref(matrix, ncols=None):

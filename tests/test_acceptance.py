@@ -18,7 +18,7 @@ from soscert.errors import ConditionFailed, Infeasible, MaxIterations
 from soscert.polyring import (Monomial, Polynomial, evaluate, parse_polynomial)
 
 from conftest import (data_path, determinant, fractions, from_rational, load_certificate,
-                      load_problem, radical_roots, rational, reconstruct)
+                      load_problem, normal_form, radical_roots, rational, reconstruct)
 
 
 def poly(s, names=("x", "y")):
@@ -98,7 +98,7 @@ class TestCriterion3NonnegativePipeline:
         f = cusp_circle.f
         a, b, gamma = quotient.coprimality_witness(ring, f, radical_roots(ring))
         # exact defining identity a*f + b = gamma modulo I
-        assert ring.normal_form(a * f + b) == Polynomial.constant(gamma, 2)
+        assert normal_form(ring, a * f + b) == Polynomial.constant(gamma, 2)
         # scalar multiple of the known minimal witness
         scale = gamma / 2
         assert a == poly("1 + x") * scale
@@ -108,7 +108,7 @@ class TestCriterion3NonnegativePipeline:
         assert (expand(cusp_circle, cert) - f).is_zero()
         assert len(cert.witnesses) == len(cert.blocks[0])
         for (w, q), r in zip(cert.blocks[0], cert.witnesses):
-            assert ring.normal_form(q - f * r).is_zero()
+            assert normal_form(ring, q - f * r).is_zero()
         assert time.monotonic() - start < 30.0
 
 
@@ -148,8 +148,8 @@ class TestCriterion5HenselPath:
         t = parse_polynomial("1", ["x"])
         for k, ring_k in enumerate(chain):
             sigma = quotient.inverse_mod(ring_k, t)
-            t = ring_k.normal_form((t + theta * sigma) * Fraction(1, 2))
-            assert ring_k.normal_form(t * t - theta).is_zero()
+            t = normal_form(ring_k, (t + theta * sigma) * Fraction(1, 2))
+            assert normal_form(ring_k, t * t - theta).is_zero()
 
         inst = certifier.ProblemInstance(
             ["x"], parse_polynomial("2 + x", ["x"]), [],

@@ -573,6 +573,7 @@ GOLDEN_EXITS = {
     "double_origin": {"none": 3, "nonneg": 2, "sdp": 3},
     "double_origin_shifted": {"none": 0, "nonneg": 0, "sdp": 0},
     "four_points": {"none": 0, "nonneg": 0, "sdp": 0},
+    "rational_mixed": {"none": 0, "nonneg": 0, "sdp": 0},
     "scaled_witness": {"none": 3, "nonneg": 0, "sdp": 3},
     "zero_f": {"none": 3, "nonneg": 0, "sdp": 3},
 }

@@ -10,9 +10,10 @@ from soscert import exactla, problem_io, quotient
 from soscert.errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from soscert.polyring import Monomial, Polynomial, parse_polynomial
 
-from conftest import (fractions, load_problem, mat_vec, primitive, radical_roots, reference_divide,
-                      reference_express_in_generators, reference_mult_matrices,
-                      reference_nullspace, reference_witness)
+from conftest import (cofactor_polys, fractions, load_problem, mat_vec, normal_form, primitive,
+                      radical_roots, reference_divide, reference_express_in_generators,
+                      reference_groebner, reference_mult_matrices, reference_nullspace,
+                      reference_witness)
 
 
 def poly(s, names=("x", "y")):
@@ -116,11 +117,19 @@ def test_division_matches_reference_on_non_monic_divisors(p, divisors):
     _check_division(p, divisors)
 
 
+@settings(max_examples=40, deadline=None)
+@given(zero_dimensional_generators(), st.lists(_small_rationals, min_size=3, max_size=3))
+def test_groebner_matches_the_fraction_buchberger(gens, scalars):
+    # each generator times a rational, so none is monic or integral
+    gens = [h * c for h, c in zip(gens, scalars)]
+    assert quotient.groebner(gens).gb == reference_groebner(gens)
+
+
 def _graded_by_definition(ideal):
     """Every Groebner element g is sum_j r_j h_j with deg(r_j h_j) <= deg(g):
     the cofactors solve at those caps first and escalate only when that fails."""
     return all(r.is_zero() or r.degree + h.degree <= g.degree
-               for g, cofactors in zip(ideal.gb, ideal.gb_cofactors)
+               for g, cofactors in zip(ideal.gb, cofactor_polys(ideal))
                for r, h in zip(cofactors, ideal.generators))
 
 
@@ -166,6 +175,12 @@ class TestGroebner:
             quotient.monomial_basis(ideal)
 
 
+def _scaled_generator(g, generators):
+    """The index of the first generator h with g = h / lc(h), or None."""
+    return next((j for j, h in enumerate(generators) if h * (1 / h.leading_coefficient()) == g),
+                None)
+
+
 class TestLazyCofactors:
     def test_built_on_first_read(self, monkeypatch):
         calls = []
@@ -177,9 +192,12 @@ class TestLazyCofactors:
         assert ideal.is_graded
         assert calls == []  # the graded test reads the top-degree forms alone
         assert len(ideal.gb_cofactors) == len(ideal.gb)
-        assert calls == ideal.gb
+        # x^2 - 2x + y^2 is the first element, a generator: its row is a
+        # scalar; the second, x^3 + x^2 - 2x, takes a solve
+        solved = [g for g in ideal.gb if _scaled_generator(g, ideal.generators) is None]
+        assert calls == solved == ideal.gb[1:]
         ideal.gb_cofactors
-        assert calls == ideal.gb  # one solve per element, once
+        assert calls == solved  # one solve per element that is no scaled generator, once
 
 
 class TestQuotientRing:
@@ -197,15 +215,15 @@ class TestQuotientRing:
 
     def test_normal_form_idempotent(self, circle_pair_ring):
         p = poly("x^5*y^3 - 2*x + 1")
-        n = circle_pair_ring.normal_form(p)
-        assert circle_pair_ring.normal_form(n) == n
+        n = normal_form(circle_pair_ring, p)
+        assert normal_form(circle_pair_ring, n) == n
         assert circle_pair_ring.ideal.contains(p - n)
 
     def test_normal_form_multiplicative_mod_ideal(self, circle_pair_ring):
         r = circle_pair_ring
         p, q = poly("x^2 + y"), poly("x*y - 3")
-        lhs = r.normal_form(p * q)
-        rhs = r.normal_form(r.normal_form(p) * r.normal_form(q))
+        lhs = normal_form(r, p * q)
+        rhs = normal_form(r, normal_form(r, p) * normal_form(r, q))
         assert lhs == rhs
 
     def test_mult_matrix_consistency(self, circle_pair_ring):
@@ -221,7 +239,7 @@ class TestCofactorReduce:
     def test_identity(self, cusp_ring):
         p = poly("x^4 - y^3 + 2*x")
         cof = quotient.cofactor_reduce(cusp_ring, p)
-        assert cof.remainder == cusp_ring.normal_form(p)
+        assert cof.remainder == normal_form(cusp_ring, p)
         total = cof.remainder
         for pj, hj in zip(cof.p_j, cusp_ring.ideal.generators):
             total = total + pj * hj
@@ -259,7 +277,7 @@ class TestWitness:
         assert a == poly("1 + x") * scale
         assert b == poly("2 - x - x^2") * scale
         # defining identity a*f + b = gamma mod I
-        lhs = cusp_ring.normal_form(a * poly("x") + b)
+        lhs = normal_form(cusp_ring, a * poly("x") + b)
         assert lhs == Polynomial.constant(gamma, 2)
 
     def test_condition_failed(self):
@@ -280,8 +298,8 @@ class TestWitness:
             assert got == expected
             return
         a, b, gamma = got
-        assert ring.normal_form(a * inst.f + b - gamma).is_zero()
-        assert ring.normal_form(b * inst.f).is_zero()
+        assert normal_form(ring, a * inst.f + b - gamma).is_zero()
+        assert normal_form(ring, b * inst.f).is_zero()
         if expected is not None:
             names = inst.var_names
             assert (a, b, gamma) == (poly(expected[0], names), poly(expected[1], names),
@@ -327,7 +345,7 @@ class TestInverse:
     def test_inverse(self, circle_pair_ring):
         f = poly("x + 3")
         inv = quotient.inverse_mod(circle_pair_ring, f)
-        assert circle_pair_ring.normal_form(f * inv) == poly("1")
+        assert normal_form(circle_pair_ring, f * inv) == poly("1")
 
     def test_not_invertible(self, circle_pair_ring):
         with pytest.raises(NotInvertible):
@@ -385,7 +403,7 @@ def test_normal_form_linear(p, q):
     ideal = quotient.groebner([parse_polynomial("x^2 - 1", ["x", "y"]),
                                parse_polynomial("y^2 - x - 2", ["x", "y"])])
     ring = quotient.monomial_basis(ideal)
-    assert ring.normal_form(p + q) == ring.normal_form(p) + ring.normal_form(q)
+    assert normal_form(ring, p + q) == normal_form(ring, p) + normal_form(ring, q)
 
 
 # -- one normal form: the cached monomial map against full division ------------
@@ -419,7 +437,7 @@ def test_normal_form_matches_division(name, data):
     ring = built_ring(name)
     p = data.draw(high_degree_polys(2 * ring.degree_of_basis() + 2))
     expected = reference_divide(p, ring.ideal.gb)[1]
-    assert ring.normal_form(p) == expected
+    assert normal_form(ring, p) == expected
 
 
 def test_normal_form_never_divides_once_the_ring_is_built(monkeypatch):
@@ -431,8 +449,8 @@ def test_normal_form_never_divides_once_the_ring_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("division after the ring was built")
 
-    monkeypatch.setattr(quotient, "divide", refuse)
-    assert ring.normal_form(p) == expected
+    monkeypatch.setattr(quotient, "_divide", refuse)
+    assert normal_form(ring, p) == expected
     assert not ring.is_radical
 
 
@@ -460,7 +478,7 @@ def test_mult_matrices_never_divide(gens, monkeypatch):
     def refuse(*args):
         raise AssertionError("division while the border was built")
 
-    monkeypatch.setattr(quotient, "divide", refuse)
+    monkeypatch.setattr(quotient, "_divide", refuse)
     assert ring.mult_matrices == expected
 
 
@@ -490,9 +508,19 @@ def test_border_matches_division_on_radical_rings(roots, k, m, c):
 
 
 def _cofactor_reference(ideal):
-    return [reference_express_in_generators(g, ideal.generators,
-                                            [g.degree - h.degree for h in ideal.generators])
-            for g in ideal.gb]
+    """The dense Fraction system's cofactors of each Gröbner element, but
+    for an element g = h_j / lc(h_j), the first such generator, the row
+    with 1 / lc(h_j) at j alone."""
+    rows = []
+    for g in ideal.gb:
+        j = _scaled_generator(g, ideal.generators)
+        if j is None:
+            rows.append(reference_express_in_generators(
+                g, ideal.generators, [g.degree - h.degree for h in ideal.generators]))
+        else:
+            rows.append([Polynomial.constant(1 / h.leading_coefficient() if k == j else 0, g.nvars)
+                         for k, h in enumerate(ideal.generators)])
+    return rows
 
 
 @pytest.mark.parametrize("gens, escalates", [
@@ -507,7 +535,7 @@ def test_cofactors_match_the_dense_fraction_system(gens, escalates, monkeypatch)
     failed = []
     solve = exactla.solve
     monkeypatch.setattr(exactla, "solve", lambda a, b: failed.append(solve(a, b)) or failed[-1])
-    assert ideal.gb_cofactors == expected
+    assert cofactor_polys(ideal) == expected
     assert (None in failed) == escalates
 
 
@@ -516,7 +544,7 @@ def test_cofactors_match_the_dense_fraction_system(gens, escalates, monkeypatch)
                  st.lists(_polys(2, 2, 3, _small_rationals), min_size=1, max_size=3)))
 def test_cofactors_match_the_dense_fraction_system_on_random_ideals(gens):
     ideal = quotient.groebner(gens)
-    assert ideal.gb_cofactors == _cofactor_reference(ideal)
+    assert cofactor_polys(ideal) == _cofactor_reference(ideal)
 
 
 # -- the radical against known answers -----------------------------------------

@@ -130,7 +130,7 @@ class TestRingTables:
         monkeypatch.setattr(verify_bounds, "build_ring",
                             lambda inst: rings.append(build_ring(inst)) or rings[-1])
         completing = []
-        groebner, divide = quotient.groebner, quotient.divide
+        groebner, divide = quotient.groebner, quotient._divide
 
         def traced_groebner(gens):
             completing.append(True)
@@ -139,12 +139,12 @@ class TestRingTables:
             finally:
                 completing.pop()
 
-        def traced_divide(p, divisors):
+        def traced_divide(*args):
             assert completing, "division outside the Groebner completion"
-            return divide(p, divisors)
+            return divide(*args)
 
         monkeypatch.setattr(quotient, "groebner", traced_groebner)
-        monkeypatch.setattr(quotient, "divide", traced_divide)
+        monkeypatch.setattr(quotient, "_divide", traced_divide)
         report = verify_bounds.verify_certificate(
             four_points, load_certificate("four_points_strict.cert"))
         assert report.ok and report.degree_bound_ok
