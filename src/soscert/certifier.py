@@ -11,108 +11,23 @@ Both strict routes solve roots on a radical ring and judge the sign of f
 at the points of S by one rule, in `perturb`.  The Gram routes (radical,
 Hensel, SDP) close their identity through the one Gram step
 (`gram.gram_squares`): it returns the LDL^t squares of a Gram matrix Q0 of
-f~ with the rest f~ - B^t Q0 B, whose cofactors `_assemble` finds.
-`residual` is the one expansion of a certificate identity: the verifier's,
-and the one `perturb`, the nonneg route and the SDP rounding use for
-squares that no Gram matrix carries.
+f~ with the rest f~ - B^t Q0 B.  Each route, the SDP engine's too, hands
+its blocks and rest to `_assemble`, which finds the rest's cofactors.
+Squares that no Gram matrix carries are expanded by the verifier's
+`verify_bounds.residual`.  The data types come from `problem_io`, so
+`verify` and `bounds` never load this module or an engine.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 
-from . import gram, quotient, variety
+from . import gram, quotient, sdp_backend, variety, verify_bounds
 from .errors import IdentityBroken, NotStrictlyPositiveOnS, PrecisionExceeded
-from .polyring import Monomial, Polynomial, evaluate, integral, round_binary
-
-
-class Certificate:
-    """Exact data of the identity
-    f = sum_k w_{0,k} q_{0,k}^2 + sum_i (sum_k w_{i,k} q_{i,k}^2) g_i + sum_j p_j h_j.
-
-    `blocks[i]` is the list of (weight, square) pairs of block i (block 0 is
-    the free SoS part); `cofactors[j]` multiplies h_j.  In nonnegative mode
-    `witnesses[k]` is r_k with q_{0,k} = f * r_k modulo I.
-    """
-
-    def __init__(self, mode, blocks, cofactors, witnesses=None, gamma=None):
-        self.mode = mode
-        self.blocks = blocks
-        self.cofactors = cofactors
-        self.witnesses = witnesses
-        self.gamma = gamma
-
-
-def _add_product(acc, a, b, scale):
-    """acc += scale * a * b on integer polynomials keyed by exponent tuples."""
-    for e1, c1 in a.items():
-        c1 *= scale
-        for e2, c2 in b.items():
-            e = tuple(map(operator.add, e1, e2))
-            acc[e] = acc.get(e, 0) + c1 * c2
-
-
-def _add_square(acc, a, scale):
-    """acc += scale * a^2, each cross term taken once."""
-    items = list(a.items())
-    for i, (e1, c1) in enumerate(items):
-        s1 = scale * c1
-        e = tuple(map(operator.add, e1, e1))
-        acc[e] = acc.get(e, 0) + s1 * c1
-        s1 += s1
-        for e2, c2 in items[i + 1:]:
-            e = tuple(map(operator.add, e1, e2))
-            acc[e] = acc.get(e, 0) + s1 * c2
-
-
-def residual(inst, cert):
-    """f - sum_i m_i sum_k w_{i,k} q_{i,k}^2 - sum_j p_j h_j, with m_0 = 1
-    and m_i = g_i: the certificate identity expanded exactly, in integers
-    over one common denominator lcd.  Each factor is an integer polynomial
-    over its own lcm denominator; only the nonzero residual terms become
-    Fractions c / lcd."""
-    n = inst.nvars
-    f, f_den = integral(inst.f)
-    mults = [({(0,) * n: 1}, 1)] + [integral(g) for g in inst.g]
-    blocks = [[(w, *integral(q)) for w, q in block] for block in cert.blocks]
-    products = [(integral(p), integral(h)) for p, h in zip(cert.cofactors, inst.h)]
-    lcd = math.lcm(f_den,
-                   *(w.denominator * d * d * m_den
-                     for (_, m_den), block in zip(mults, blocks) for w, _, d in block),
-                   *(dp * dh for (_, dp), (_, dh) in products))
-    acc = {e: c * (lcd // f_den) for e, c in f.items()}
-    for (m, m_den), block in zip(mults, blocks):
-        # one product by m_i for the whole block
-        inner = {}
-        for w, q, d in block:
-            _add_square(inner, q, -w.numerator * (lcd // (w.denominator * d * d * m_den)))
-        _add_product(acc, m, inner, 1)
-    for (p, dp), (h, dh) in products:
-        _add_product(acc, p, h, -(lcd // (dp * dh)))
-    return Polynomial({Monomial(e): Fraction(c, lcd) for e, c in acc.items() if c}, n)
-
-
-class ProblemInstance:
-    def __init__(self, var_names, f, g=None, h=None, options=None):
-        self.var_names = list(var_names)
-        self.f = f
-        self.g = list(g or [])
-        self.h = list(h or [])
-        self.options = dict(options or {})
-        if not self.h:
-            raise ValueError("at least one equality constraint required")
-
-    @property
-    def nvars(self):
-        return len(self.var_names)
-
-
-def build_ring(inst):
-    """The quotient ring R/I of the instance's equations."""
-    return quotient.monomial_basis(quotient.groebner(inst.h))
+from .polyring import evaluate, round_binary
+from .problem_io import Certificate, ProblemInstance
 
 
 def _real_values(var, p):
@@ -163,7 +78,7 @@ def perturb(inst, ring, var):
         blocks = [[] for _ in inst.g]
         for (_, gi), rho, u_hat in zip(member.excluded, rhos, u_hats):
             blocks[gi].append((rho, u_hat))
-        f_tilde = residual(inst, Certificate("strict", [[]] + blocks, []))
+        f_tilde = verify_bounds.residual(inst, Certificate("strict", [[]] + blocks, []))
         if all(v > tol for v in _real_values(var, f_tilde).values()):
             return blocks, f_tilde
         return None
@@ -177,8 +92,8 @@ def _assemble(ring, blocks, rest):
     its exact cofactors complete the certificate.  The Gram routes take it
     from the Gram step (`gram.gram_squares`), which reads it off the Gram
     matrix whose LDL^t form their squares are, and expand no square:
-    `residual` stays the verifier's expansion, which the CLI runs on every
-    certificate it writes."""
+    `verify_bounds.residual` stays the verifier's expansion, which the CLI
+    runs on every certificate it writes."""
     cof = quotient.cofactor_reduce(ring, rest)
     if not cof.remainder.is_zero():
         raise IdentityBroken("residual is not in the ideal")
@@ -189,7 +104,7 @@ def certify_strict(inst, ring=None):
     """Strict-positivity certificate of f on S, for a ring with D >= 1
     (`certify` handles the empty variety)."""
     if ring is None:
-        ring = build_ring(inst)
+        ring = quotient.build_ring(inst.h)
     if not ring.is_radical:
         return certify_strict_nonradical(inst, ring=ring)
     seed = inst.options.get("seed", 0)
@@ -210,7 +125,7 @@ def certify_nonneg(inst, ring=None):
     squares of a strict certificate of the positive a, from the witness's
     roots of R/J, then close f = (1/gamma) a f^2 modulo I."""
     if ring is None:
-        ring = build_ring(inst)
+        ring = quotient.build_ring(inst.h)
     seed = inst.options.get("seed", 0)
     roots = functools.cache(lambda: variety.solve_variety(ring.radical_ring, seed=seed))
     a, b, gamma_val = quotient.coprimality_witness(ring, inst.f, roots=roots)
@@ -237,7 +152,7 @@ def certify_nonneg(inst, ring=None):
             if i == 0:
                 witnesses.append(qbar)
         blocks.append(new_block)
-    out = _assemble(ring, blocks, residual(inst, Certificate("strict", blocks, [])))
+    out = _assemble(ring, blocks, verify_bounds.residual(inst, Certificate("strict", blocks, [])))
     return Certificate("nonneg", out.blocks, out.cofactors,
                        witnesses=witnesses, gamma=gamma_val)
 
@@ -272,7 +187,7 @@ def certify_strict_nonradical(inst, ring=None):
     modulo J, and its Hensel-lifted square root t gives
     f~ = sum w q^2 + eps t^2 modulo I."""
     if ring is None:
-        ring = build_ring(inst)
+        ring = quotient.build_ring(inst.h)
     var_j = variety.solve_variety(ring.radical_ring, seed=inst.options.get("seed", 0))
     return _assemble(ring, *_hensel_squares(inst, ring, var_j))
 
@@ -297,10 +212,6 @@ def _hensel_squares(inst, ring, var_j):
     return [squares + [(eps, t)]] + g_blocks, gram.gram_rest(eps_theta, ring.basis, eps_t2)
 
 
-# the values of the mode and engine options, in files and on the command line
-OPTION_CHOICES = {"mode": ("strict", "nonneg"), "engine": ("constructive", "sdp")}
-
-
 def certify(inst, ring=None):
     """Dispatch on the engine and mode options.  The SDP engine returns a
     strict-mode certificate in either mode (it proves nonnegativity too);
@@ -308,13 +219,11 @@ def certify(inst, ring=None):
     there.  An empty variety (1 in I) needs no squares at all: f lies in I,
     and its cofactors alone are the certificate, in every mode and engine."""
     if ring is None:
-        ring = build_ring(inst)
+        ring = quotient.build_ring(inst.h)
     if ring.D == 0:
         return _assemble(ring, [[] for _ in range(len(inst.g) + 1)], inst.f)
     if inst.options.get("engine") == "sdp":
-        from . import sdp_backend
-
-        return sdp_backend.algorithm1_certify(inst, ring)
+        return _assemble(ring, *sdp_backend.algorithm1_certify(inst, ring))
     if inst.options.get("mode") == "nonneg":
         return certify_nonneg(inst, ring)
     return certify_strict(inst, ring)

@@ -15,6 +15,7 @@ Every rounding loop doubles its precision and stops once the rounded
 float64 data repeats, as it does from 1074 bits on; a fixed ceiling of 4096
 bits guards the loop.
 `certify` builds the quotient ring once and verifies its own output in it.
+Only `certify` imports `certifier`, and with it the engines and numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import argparse
 import functools
 import sys
 
-from . import certifier, problem_io, verify_bounds
+from . import problem_io, quotient, verify_bounds
 from .errors import (ClusterAmbiguity, ConditionFailed, IdentityBroken, Infeasible,
                      MaxIterations, NotStrictlyPositiveOnS, ParseError, PrecisionExceeded,
                      SingularVandermonde, SosCertError)
@@ -45,12 +46,14 @@ def _load_problem(path):
 
 
 def cmd_certify(args):
+    from . import certifier
+
     inst = _load_problem(args.input)
     for key in ("mode", "engine", "seed"):
         value = getattr(args, key)
         if value is not None:
             inst.options[key] = problem_io.check_option(key, value)
-    ring = certifier.build_ring(inst)
+    ring = quotient.build_ring(inst.h)
     try:
         cert = certifier.certify(inst, ring)
     except (ConditionFailed, NotStrictlyPositiveOnS) as exc:
@@ -93,7 +96,7 @@ def _verdict(inst, cert, ring=None):
 
 def cmd_bounds(args):
     inst = _load_problem(args.input)
-    print(verify_bounds.degree_bounds(inst, certifier.build_ring(inst)).to_text())
+    print(verify_bounds.degree_bounds(inst, quotient.build_ring(inst.h)).to_text())
     return EXIT_OK
 
 
@@ -118,8 +121,8 @@ def build_parser():
 
     p = sub.add_parser("certify", help="compute a certificate")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=certifier.OPTION_CHOICES["mode"])
-    p.add_argument("--engine", choices=certifier.OPTION_CHOICES["engine"])
+    p.add_argument("--mode", choices=problem_io.OPTION_CHOICES["mode"])
+    p.add_argument("--engine", choices=problem_io.OPTION_CHOICES["engine"])
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)

@@ -24,7 +24,9 @@ Certificate file::
 Blocks are numbered 0..r (block 0 is the free sum of squares, block i
 multiplies g_i); `cofactor j` multiplies the j-th equality generator; the
 optional `gamma` and `witness` lines carry the nonnegative-mode data.
-Rationals are printed in lowest terms.
+Rationals are printed in lowest terms.  The data of both formats,
+`ProblemInstance` and `Certificate`, and the option values live here, so
+that reading them loads no engine.
 """
 
 from __future__ import annotations
@@ -33,11 +35,44 @@ import contextlib
 import re
 from fractions import Fraction
 
-from .certifier import OPTION_CHOICES, Certificate, ProblemInstance
 from .errors import ParseError
 from .polyring import format_polynomial, parse_polynomial
 
 
+class ProblemInstance:
+    def __init__(self, var_names, f, g=None, h=None, options=None):
+        self.var_names = list(var_names)
+        self.f = f
+        self.g = list(g or [])
+        self.h = list(h or [])
+        self.options = dict(options or {})
+        if not self.h:
+            raise ValueError("at least one equality constraint required")
+
+    @property
+    def nvars(self):
+        return len(self.var_names)
+
+
+class Certificate:
+    """Exact data of the identity
+    f = sum_k w_{0,k} q_{0,k}^2 + sum_i (sum_k w_{i,k} q_{i,k}^2) g_i + sum_j p_j h_j.
+
+    `blocks[i]` is the list of (weight, square) pairs of block i (block 0 is
+    the free SoS part); `cofactors[j]` multiplies h_j.  In nonnegative mode
+    `witnesses[k]` is r_k with q_{0,k} = f * r_k modulo I.
+    """
+
+    def __init__(self, mode, blocks, cofactors, witnesses=None, gamma=None):
+        self.mode = mode
+        self.blocks = blocks
+        self.cofactors = cofactors
+        self.witnesses = witnesses
+        self.gamma = gamma
+
+
+# the values of the mode and engine options, in files and on the command line
+OPTION_CHOICES = {"mode": ("strict", "nonneg"), "engine": ("constructive", "sdp")}
 _OPTION_TYPES = {"mode": str, "engine": str, "seed": int}
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
 

@@ -27,11 +27,12 @@ each monomial from the tails of the reduced Gröbner basis only; the
 multiplication matrices by the variables are read off those normal forms
 for the root solver alone.  Full division by a Gröbner basis is left to
 what needs its quotients or runs before the ring exists, Gröbner
-completion and `cofactor_reduce`, and it runs in integers: one kernel
-(`_divide`) divides integer polynomials keyed by exponent tuples, and
-Buchberger keeps its basis as primitive integer polynomials.  Fractions
-are made only for the polynomials handed out: `IdealBasis.gb`, the
-remainder and the cofactors p_j.
+completion, `IdealBasis.contains` and `cofactor_reduce`, and it runs in
+integers: one kernel (`_divide`) divides integer polynomials keyed by
+exponent tuples, and Buchberger keeps its basis as primitive integer
+polynomials.  Fractions
+are made only for the polynomials handed out: the remainder, the
+cofactors p_j, and `IdealBasis.gb`, which the pipeline never reads.
 """
 
 from __future__ import annotations
@@ -72,13 +73,6 @@ def _grevlex(e):
     return sum(e), tuple(map(operator.neg, e))
 
 
-def _reducer(terms):
-    """An integer polynomial {exponents: int} as (leading exponents,
-    leading coefficient, tail terms), the form `_divide` divides by."""
-    lead = max(terms, key=_grevlex)
-    return lead, terms[lead], [(e, c) for e, c in terms.items() if e != lead]
-
-
 def _polynomial(terms, den, nvars):
     """The polynomial sum_e (terms[e] / den) x^e."""
     return Polynomial({Monomial(e): Fraction(c, den) for e, c in terms.items()}, nvars)
@@ -87,7 +81,8 @@ def _polynomial(terms, den, nvars):
 def _divide(work, reducers):
     """Multivariate division in integers: scale * work = sum_i q_i r_i +
     remainder, with no remainder monomial divisible by the leading
-    monomial of any reducer r_i (`_reducer` triples).  `work` is
+    monomial of any reducer r_i, an integer polynomial given as the triple
+    (leading exponents, leading coefficient, tail terms).  `work` is
     {exponents: int}, changed in place.  Returns the integer quotients q_i,
     the integer remainder and the positive integer scale.
 
@@ -143,27 +138,16 @@ def _divide(work, reducers):
     return [rescaled(q) for *_, q in split], rescaled(remainder), scale
 
 
-def divide(p, divisors):
-    """Multivariate division of polynomials: p = sum(q_i * divisors[i]) +
-    remainder, with no remainder monomial divisible by any divisor's
-    leading monomial, by `_divide` on their integer forms."""
-    scaled = [integral(d) for d in divisors]
-    work, den = integral(p)
-    quotients, remainder, scale = _divide(work, [_reducer(d) for d, _ in scaled])
-    den *= scale
-    # divisor i is d_i / L_i for its integer form d_i: its quotient is L_i q_i
-    return ([_polynomial({u: c * lcd for u, c in q.items()}, den, p.nvars)
-             for q, (_, lcd) in zip(quotients, scaled)],
-            _polynomial(remainder, den, p.nvars))
-
-
 class IdealBasis:
     """Original generators h_j plus a Gröbner basis for the same ideal.
 
-    `gb` is the monic reduced Gröbner basis as polynomials, and `reducers`
-    the same basis as primitive integer polynomials (leading coefficient
-    positive) in `_reducer` form: `cofactor_reduce` divides by those, and
-    `QuotientRing` reads the normal forms of monomials off their tails.
+    The basis has one form, `reducers`: the reduced Gröbner basis as
+    primitive integer polynomials (leading coefficient positive), as the
+    triples of `_divide`.  `cofactor_reduce` and `contains` divide by
+    those, `QuotientRing` reads the normal forms of monomials off their
+    tails, and the standard monomials, `is_graded` and `gb_cofactors` read
+    their leading exponents.  `gb`, the same basis as monic polynomials,
+    is made on first read, for the tests and `ideal_power_chain` alone.
 
     `is_graded` holds when the generators form a graded basis (an H-basis):
     every p in the ideal is sum_j r_j h_j with deg(r_j h_j) <= deg(p).  That
@@ -183,30 +167,36 @@ class IdealBasis:
     so neither `verify` nor the ring of the radical pays for them.
     """
 
-    def __init__(self, generators, gb, nvars, reducers):
+    def __init__(self, generators, nvars, reducers):
         self.generators = generators
-        self.gb = gb
         self.nvars = nvars
         self.reducers = reducers
+
+    @functools.cached_property
+    def gb(self):
+        return [_polynomial({lead: lc, **dict(tail)}, lc, self.nvars)
+                for lead, lc, tail in self.reducers]
 
     @functools.cached_property
     def is_graded(self):
         tops = [Polynomial({m: c for m, c in h.terms.items() if m.degree == h.degree}, self.nvars)
                 for h in self.generators]
-        top_lead = [g.leading_monomial() for g in groebner(tops).gb]
-        return all(any(t.divides(g.leading_monomial()) for t in top_lead) for g in self.gb)
+        top_lead = [lead for lead, _, _ in groebner(tops).reducers]
+        return all(any(all(map(operator.le, t, lead)) for t in top_lead)
+                   for lead, _, _ in self.reducers)
 
     @functools.cached_property
     def gb_cofactors(self):
         scaled = [integral(h) for h in self.generators]
         rows = []
-        for g, (lead, lc, tail) in zip(self.gb, self.reducers):
+        for reducer in self.reducers:
+            lead, lc, tail = reducer
             j = next((j for j, (h, _) in enumerate(scaled)
                       if len(h) == len(tail) + 1 and lead in h
                       and all(h.get(e, 0) * lc == c * h[lead] for e, c in tail)), None)
             if j is None:
-                rows.append(_express_in_generators(g, self.generators,
-                                                   [g.degree - h.degree for h in self.generators]))
+                rows.append(_express_in_generators(
+                    reducer, self.generators, [sum(lead) - h.degree for h in self.generators]))
                 continue
             # h_j = h / L_j is a multiple of g, so g = h_j L_j / h[lead]
             h, den = scaled[j]
@@ -215,30 +205,28 @@ class IdealBasis:
             rows.append((row, abs(h[lead])))
         return rows
 
-    def reduce(self, p):
-        return divide(p, self.gb)[1]
-
     def contains(self, other):
         """Membership of a polynomial, or containment of another ideal
         (every generator reduces to zero modulo self)."""
-        if isinstance(other, Polynomial):
-            return self.reduce(other).is_zero()
-        return all(self.reduce(g).is_zero() for g in other.generators)
+        polys = [other] if isinstance(other, Polynomial) else other.generators
+        return not any(_divide(integral(p)[0], self.reducers)[1] for p in polys)
 
 
-def _express_in_generators(g, generators, start_caps):
-    """Solve g = sum r_j h_j with deg(r_j) <= cap_j, escalating the caps
-    until the coefficient-matching system becomes feasible; returns the
-    r_j as a `gb_cofactors` row (rows, den), r_j = rows[j] / den.
+def _express_in_generators(reducer, generators, start_caps):
+    """Solve g = sum r_j h_j with deg(r_j) <= cap_j for the monic Gröbner
+    element g = r / lc of the integer `reducer` r, escalating the caps until
+    the coefficient-matching system becomes feasible; returns the r_j as a
+    `gb_cofactors` row (rows, den), r_j = rows[j] / den.
 
     The system is in integers.  Each h_j, scaled to integer coefficients
     L_j h_j, is shifted by the monomials u of degree <= cap_j (grevlex
     ascending): the columns are the u L_j h_j, by j and then by u, the
-    right-hand side is L_g g, and there is one row per monomial that occurs.
-    A solution y = ys / den of that system gives
-    r_j = sum_u ys_(j,u) L_j / (den L_g) u."""
-    nvars = g.nvars
-    target, target_den = integral(g)
+    right-hand side is r = lc g, and there is one row per monomial that
+    occurs.  A solution y = ys / den of that system gives
+    r_j = sum_u ys_(j,u) L_j / (den lc) u."""
+    lead, target_den, tail = reducer
+    nvars = len(lead)
+    target = {lead: target_den, **dict(tail)}
     scaled = [integral(h) for h in generators]
     caps = list(start_caps)
     while True:
@@ -262,7 +250,7 @@ def _express_in_generators(g, generators, start_caps):
 
 def _primitive_remainder(terms, basis):
     """The remainder of the integer polynomial `terms` by `basis`, made
-    primitive with a positive leading coefficient, as a `_reducer`
+    primitive with a positive leading coefficient, as a `_divide`
     triple, or None when it is zero."""
     remainder = _divide(terms, basis)[1]
     if not remainder:
@@ -277,14 +265,14 @@ def groebner(generators):
     full inter-reduction, on primitive integer polynomials: an integer
     remainder is a positive multiple of the Fraction one, so every step
     matches Buchberger on monic polynomials, and the reduced basis, which
-    is unique, is handed out monic.  The cofactors of the Gröbner elements
-    over the original generators are left to `IdealBasis`, which computes
-    them on first read."""
+    is unique, is kept with each element made primitive.  The cofactors of
+    the Gröbner elements over the original generators are left to
+    `IdealBasis`, which computes them on first read."""
     gens = [p for p in generators if not p.is_zero()]
     if not gens:
         raise NotZeroDimensional("every equation is 0: the ideal (0) has infinitely many zeros")
     nvars = gens[0].nvars
-    basis = []  # `_reducer` triples
+    basis = []  # `_divide` triples
     sugars = []
     for p in gens:
         r = _primitive_remainder(integral(p)[0], basis)
@@ -335,8 +323,7 @@ def groebner(generators):
     reduced = [_primitive_remainder({lead: lc, **dict(tail)}, minimal[:i] + minimal[i + 1:])
                for i, (lead, lc, tail) in enumerate(minimal)]
     reduced.sort(key=lambda b: _grevlex(b[0]))
-    gb = [_polynomial({lead: lc, **dict(tail)}, lc, nvars) for lead, lc, tail in reduced]
-    return IdealBasis(gens, gb, nvars, reduced)
+    return IdealBasis(gens, nvars, reduced)
 
 
 class Cofactors:
@@ -458,7 +445,7 @@ class QuotientRing:
         radical of its own."""
         if self.is_radical:
             return self
-        ring = monomial_basis(groebner(self.radical))
+        ring = build_ring(self.radical)
         ring.is_radical = True
         return ring
 
@@ -490,7 +477,7 @@ def monomial_basis(ideal):
     unit ideal has 1 as a leading monomial, so its basis is empty.
     """
     nvars = ideal.nvars
-    lead = [g.leading_monomial() for g in ideal.gb]
+    lead = [Monomial(e) for e, _, _ in ideal.reducers]
     for i in range(nvars):
         if not any(all(e == 0 for k, e in enumerate(m.exponents) if k != i) for m in lead):
             raise NotZeroDimensional(f"no pure power of variable {i + 1} among leading terms")
@@ -508,6 +495,11 @@ def monomial_basis(ideal):
         queue.extend(m * Monomial.variable(i, nvars) for i in range(nvars))
     standard.sort(key=Monomial.grevlex_key)
     return QuotientRing(ideal, standard)
+
+
+def build_ring(generators):
+    """The quotient ring by the ideal of the generators."""
+    return monomial_basis(groebner(generators))
 
 
 def cofactor_reduce(ring, p):

@@ -15,10 +15,12 @@ within a factor 1.5.  The rounding step re-derives an exact certificate
 from the approximate blocks, and all rounding error and the solver's
 residual are absorbed into the free block, which takes the constructive
 routes' one Gram step (`gram.gram_squares`): it is corrected exactly into
-its Gram set along row and column 0 and factored, and the identity is
-closed from that block's Gram matrix.  The float problem reads the ring's
-vectors (ints, den) as x / den, which rounds correctly as
-float(Fraction(x, den)) does.
+its Gram set along row and column 0 and factored.  `algorithm1_certify`
+returns the blocks with the rest read off that block's Gram matrix, and
+`certifier.certify` closes the identity from them, as it does the
+constructive routes': this module does not import `certifier`.  The float
+problem reads the ring's vectors (ints, den) as x / den, which rounds
+correctly as float(Fraction(x, den)) does.
 `solve_feasibility` (Dykstra's alternating projections at a fixed lam) is
 kept as an independent reference for the tests.
 """
@@ -29,9 +31,10 @@ import math
 
 import numpy as np
 
-from . import certifier, gram, quotient
+from . import gram, quotient, verify_bounds
 from .errors import Infeasible, MaxIterations
 from .polyring import round_binary
+from .problem_io import Certificate
 
 
 class SdpProblem:
@@ -259,13 +262,13 @@ def _round_eigen_squares(ring, q, bits):
     return out
 
 
-def algorithm1_certify(inst, ring=None):
+def algorithm1_certify(inst, ring):
     """Solve the SDP for the largest lam, then round at an escalating
     precision, starting from the decimal order of lam, until the Gram step
-    on the free block finds it positive definite; the output identity is
-    exact by construction."""
-    if ring is None:
-        ring = certifier.build_ring(inst)
+    on the free block finds it positive definite.  Returns the blocks and
+    the rest f - B^t Q0 B - (the g blocks), which lies in the ideal by
+    construction; `certifier.certify` closes that identity, as it does the
+    constructive routes'."""
     prob = SdpProblem(inst, ring)
     result = maximize_lambda(prob)
 
@@ -276,11 +279,10 @@ def algorithm1_certify(inst, ring=None):
     def attempt(rounded):
         q0_hat, g_blocks = rounded
         # f minus the g part is a sum of squares of the free block mod I
-        f_hat = certifier.residual(inst, certifier.Certificate("strict", [[]] + g_blocks, []))
+        f_hat = verify_bounds.residual(inst, Certificate("strict", [[]] + g_blocks, []))
         step = gram.gram_squares(gram.GramVariety(ring, f_hat), q0_hat)
         return None if step is None else ([step[0]] + g_blocks, step[1])
 
     kappa = max(math.ceil(-math.log10(result.lam)), 0)
-    blocks, rest = gram.escalate(max(math.ceil(kappa * math.log2(10)), 4), round_at, attempt)
-    return certifier._assemble(ring, blocks, rest)
+    return gram.escalate(max(math.ceil(kappa * math.log2(10)), 4), round_at, attempt)
 

@@ -1,23 +1,76 @@
 """Exact certificate verification and degree/height bound calculators.
 
-verify_certificate fully expands the claimed identity, exactly, over the
-integers with one common denominator (`certifier.residual`, with which
-the certifier also closes its identities); it reports rather than throws,
-so callers can distinguish which clause of the certificate failed.  The
-degree bound of the p_j h_j terms is checked only when the equations form
-a graded basis (`quotient.IdealBasis.is_graded`, decided from their
-top-degree forms with no cofactor solve); in nonnegative mode, block 0
-must have exactly one witness per square.  The bound calculator evaluates
-the degree bound for the cofactor products and the relaxation order at
-which the hierarchy is exact.
+`residual` is the one expansion of a certificate identity, exactly, over
+the integers with one common denominator: verify_certificate's, and the
+one the certifier uses for squares that no Gram matrix carries.
+verify_certificate reports rather than throws, so callers can distinguish
+which clause of the certificate failed.  The degree bound of the p_j h_j
+terms is checked only when the equations form a graded basis
+(`quotient.IdealBasis.is_graded`, decided from their top-degree forms with
+no cofactor solve); in nonnegative mode, block 0 must have exactly one
+witness per square.  The bound calculator evaluates the degree bound for
+the cofactor products and the relaxation order at which the hierarchy is
+exact.  Nothing here loads numpy or an engine: `verify` and `bounds` run
+on `problem_io`, `quotient`, `exactla` and `polyring` alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 
-from .certifier import build_ring, residual
-from .polyring import height
+from . import quotient
+from .polyring import Monomial, Polynomial, height, integral
+
+
+def _add_product(acc, a, b, scale):
+    """acc += scale * a * b on integer polynomials keyed by exponent tuples."""
+    for e1, c1 in a.items():
+        c1 *= scale
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _add_square(acc, a, scale):
+    """acc += scale * a^2, each cross term taken once."""
+    items = list(a.items())
+    for i, (e1, c1) in enumerate(items):
+        s1 = scale * c1
+        e = tuple(map(operator.add, e1, e1))
+        acc[e] = acc.get(e, 0) + s1 * c1
+        s1 += s1
+        for e2, c2 in items[i + 1:]:
+            e = tuple(map(operator.add, e1, e2))
+            acc[e] = acc.get(e, 0) + s1 * c2
+
+
+def residual(inst, cert):
+    """f - sum_i m_i sum_k w_{i,k} q_{i,k}^2 - sum_j p_j h_j, with m_0 = 1
+    and m_i = g_i: the certificate identity expanded exactly, in integers
+    over one common denominator lcd.  Each factor is an integer polynomial
+    over its own lcm denominator; only the nonzero residual terms become
+    Fractions c / lcd."""
+    n = inst.nvars
+    f, f_den = integral(inst.f)
+    mults = [({(0,) * n: 1}, 1)] + [integral(g) for g in inst.g]
+    blocks = [[(w, *integral(q)) for w, q in block] for block in cert.blocks]
+    products = [(integral(p), integral(h)) for p, h in zip(cert.cofactors, inst.h)]
+    lcd = math.lcm(f_den,
+                   *(w.denominator * d * d * m_den
+                     for (_, m_den), block in zip(mults, blocks) for w, _, d in block),
+                   *(dp * dh for (_, dp), (_, dh) in products))
+    acc = {e: c * (lcd // f_den) for e, c in f.items()}
+    for (m, m_den), block in zip(mults, blocks):
+        # one product by m_i for the whole block
+        inner = {}
+        for w, q, d in block:
+            _add_square(inner, q, -w.numerator * (lcd // (w.denominator * d * d * m_den)))
+        _add_product(acc, m, inner, 1)
+    for (p, dp), (h, dh) in products:
+        _add_product(acc, p, h, -(lcd // (dp * dh)))
+    return Polynomial({Monomial(e): Fraction(c, lcd) for e, c in acc.items() if c}, n)
 
 
 class VerificationReport:
@@ -54,8 +107,10 @@ class VerificationReport:
 
     def to_text(self):
         lines = [] if self.shape_error is None else [f"shape: FAILED ({self.shape_error})"]
+        identity = ("not checked" if self.shape_error is not None
+                    else "ok" if self.identity_ok else "FAILED")
         lines += [
-            f"identity: {'ok' if self.identity_ok else 'FAILED'}",
+            f"identity: {identity}",
             f"weights nonnegative: {'ok' if self.weights_ok else 'FAILED'}",
         ]
         if self.degree_bound_ok is not None:
@@ -88,7 +143,7 @@ def verify_certificate(inst, cert, ring=None):
     degree_bound_ok = None
     mode_ok = None
     if ring is None:
-        ring = build_ring(inst)
+        ring = quotient.build_ring(inst.h)
     if ring.ideal.is_graded:
         bound = degree_bounds(inst, ring).cofactor_degree_bound
         degree_bound_ok = all(

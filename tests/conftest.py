@@ -9,7 +9,8 @@ import pytest
 
 from soscert import gram, problem_io, quotient, sdp_backend, variety
 from soscert.errors import ConditionFailed, Infeasible, MaxIterations, ParseError
-from soscert.polyring import Monomial, Polynomial, common_denominator, evaluate, format_polynomial
+from soscert.polyring import (Monomial, Polynomial, common_denominator, evaluate, format_polynomial,
+                              integral)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -84,6 +85,27 @@ def determinant(a):
             f = m[i][k] / m[k][k]
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return det
+
+
+def divide(p, divisors):
+    """`quotient._divide`, the package's division kernel, on polynomials:
+    the integer forms of p and of the divisors go in, and the quotients and
+    the remainder come back as polynomials, as `reference_divide` returns
+    them."""
+    scaled = [integral(d) for d in divisors]
+    triples = []
+    for d, _ in scaled:
+        lead = max(d, key=lambda e: Monomial(e).grevlex_key())
+        triples.append((lead, d[lead], [(e, c) for e, c in d.items() if e != lead]))
+    work, den = integral(p)
+    quotients, remainder, scale = quotient._divide(work, triples)
+    den *= scale
+
+    def polynomial(terms):
+        return Polynomial({Monomial(e): Fraction(c, den) for e, c in terms.items()}, p.nvars)
+    # divisor i is d_i / L_i for its integer form d_i: its quotient is L_i q_i
+    return ([polynomial({u: c * lcd for u, c in q.items()})
+             for q, (_, lcd) in zip(quotients, scaled)], polynomial(remainder))
 
 
 def reference_divide(p, divisors):

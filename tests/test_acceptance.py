@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soscert import (certifier, cli, gram, quotient, sdp_backend,
+from soscert import (certifier, cli, gram, problem_io, quotient, sdp_backend,
                      variety, verify_bounds)
 from soscert.errors import ConditionFailed, Infeasible, MaxIterations
 from soscert.polyring import (Monomial, Polynomial, evaluate, parse_polynomial)
@@ -82,7 +82,6 @@ class TestCriterion2StrictBothEngines:
 
     @staticmethod
     def _check_degrees(inst, path):
-        from soscert import problem_io
         cert, _ = problem_io.parse_certificate(path.read_text(),
                                                expected_vars=inst.var_names)
         assert (expand(inst, cert) - inst.f).is_zero()
@@ -94,7 +93,7 @@ class TestCriterion2StrictBothEngines:
 class TestCriterion3NonnegativePipeline:
     def test_witness_and_certificate(self, cusp_circle):
         start = time.monotonic()
-        ring = certifier.build_ring(cusp_circle)
+        ring = quotient.build_ring(cusp_circle.h)
         f = cusp_circle.f
         a, b, gamma = quotient.coprimality_witness(ring, f, radical_roots(ring))
         # exact defining identity a*f + b = gamma modulo I
@@ -123,7 +122,7 @@ class TestCriterion4NegativeControl:
             certifier.certify_nonneg(double_origin)
 
     def test_sdp_infeasible_at_positive_lambda(self, double_origin):
-        ring = certifier.build_ring(double_origin)
+        ring = quotient.build_ring(double_origin.h)
         prob = sdp_backend.SdpProblem(double_origin, ring)
         with pytest.raises((Infeasible, MaxIterations)):
             sdp_backend.solve_feasibility(prob, 0.01)
@@ -151,7 +150,7 @@ class TestCriterion5HenselPath:
             t = normal_form(ring_k, (t + theta * sigma) * Fraction(1, 2))
             assert normal_form(ring_k, t * t - theta).is_zero()
 
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("2 + x", ["x"]), [],
             [parse_polynomial("x^3", ["x"])])
         cert = certifier.certify_strict(inst)
@@ -251,8 +250,8 @@ class TestCriterion6PropertySuites:
             f = Polynomial(terms, 3)
             low = min(evaluate(f, [Fraction(v) for v in pt]) for pt in vertices)
             f = f - Polynomial.constant(low - 1, 3)  # now f >= 1 on the cube
-            inst = certifier.ProblemInstance(names, f, [], h)
-            ring = certifier.build_ring(inst)
+            inst = problem_io.ProblemInstance(names, f, [], h)
+            ring = quotient.build_ring(inst.h)
             # finite convergence order n for the cube without inequalities
             assert verify_bounds.degree_bounds(inst, ring).hierarchy_order == 3
             cert = certifier.certify_strict(inst, ring=ring)
@@ -262,14 +261,14 @@ class TestCriterion6PropertySuites:
 
 class TestCriterion7BoundCalculators:
     def test_four_points_degree_bound(self, four_points):
-        ring = certifier.build_ring(four_points)
+        ring = quotient.build_ring(four_points.h)
         assert verify_bounds.degree_bounds(four_points, ring).cofactor_degree_bound == 5
 
     def test_binary_cube_linear_g(self):
         names = ["x1", "x2", "x3"]
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             names, parse_polynomial("x1 + 1", names),
             [parse_polynomial("x1 - x3", names)],
             [parse_polynomial(f"{v}^2 - {v}", names) for v in names])
-        ring = certifier.build_ring(inst)
+        ring = quotient.build_ring(inst.h)
         assert verify_bounds.degree_bounds(inst, ring).hierarchy_order == 4

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soscert import (certifier, cli, gram, problem_io, quotient, sdp_backend,
-                     variety, verify_bounds)
+from soscert import certifier, cli, gram, problem_io, quotient, variety, verify_bounds
 from soscert.errors import (ClusterAmbiguity, ConditionFailed, NotPD,
                             NotStrictlyPositiveOnS)
 from soscert.polyring import (Monomial, Polynomial, common_denominator, evaluate,
@@ -39,7 +38,7 @@ def expand(inst, cert):
 
 class TestStrict:
     def test_univariate_two_points(self):
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
         cert = certifier.certify_strict(inst)
@@ -55,7 +54,7 @@ class TestStrict:
                 assert (pj * hj).degree <= 5
 
     def test_not_positive_raises(self, four_points):
-        bad = certifier.ProblemInstance(
+        bad = problem_io.ProblemInstance(
             four_points.var_names, poly("-x - y - 10"), four_points.g,
             four_points.h)
         with pytest.raises(NotStrictlyPositiveOnS):
@@ -94,7 +93,7 @@ def _cliff_ideals():
 
 class TestHensel:
     def test_double_origin_lift(self):
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("1 + x", ["x"]), [],
             [parse_polynomial("x^2", ["x"])])
         cert = certifier.certify_strict(inst)
@@ -106,7 +105,7 @@ class TestHensel:
         assert cert.cofactors == [Polynomial.constant(-half, 1)]
 
     def test_triple_origin_lift(self):
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("2 + x", ["x"]), [],
             [parse_polynomial("x^3", ["x"])])
         cert = certifier.certify_strict(inst)
@@ -138,10 +137,10 @@ class TestHensel:
         # against, never expressed in its generators.  Both Gröbner
         # elements of I are its generators, so its rows take no solve.
         xy = ["x", "y"]
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             xy, parse_polynomial("x + y + 1", xy), [],
             [parse_polynomial("x^3 - 4*x^2 + 5*x - 2", xy), parse_polynomial("y^2 - 6*y + 9", xy)])
-        ring = certifier.build_ring(inst)
+        ring = quotient.build_ring(inst.h)
         cert = certifier.certify_strict(inst, ring=ring)
         assert expand(inst, cert) == inst.f
         assert ring.radical_ring is not ring
@@ -169,14 +168,14 @@ class TestHensel:
         groebner = quotient.groebner
         monkeypatch.setattr(quotient, "groebner", lambda gens: calls.append(gens) or groebner(gens))
         xy = ["x", "y"]
-        inst = certifier.ProblemInstance(xy, parse_polynomial("x + y + 1", xy), [], i)
+        inst = problem_io.ProblemInstance(xy, parse_polynomial("x + y + 1", xy), [], i)
         cert = certifier.certify_strict(inst)
         assert expand(inst, cert) == inst.f
         assert len(calls) == 2 and calls[0] == i
         assert groebner(calls[1]).gb == groebner(j).gb
 
     def test_radical_input_certified_by_the_lift(self):
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
         cert = certifier.certify_strict_nonradical(inst)
@@ -196,7 +195,7 @@ def _certify_and_verify(tmp, text):
 
 
 def _lifted_square_is_one_mod_radical(text, cert):
-    ring = certifier.build_ring(problem_io.parse_problem(text))
+    ring = quotient.build_ring(problem_io.parse_problem(text).h)
     assert not ring.is_radical
     _, t = cert.blocks[0][-1]
     return normal_form(ring.radical_ring, t - 1).is_zero()
@@ -230,7 +229,7 @@ class TestConstantSquareLift:
         xy = ["x", "y"]
         x, y = poly("x"), poly("y")
         w = margin - min(u * px + v * py for px in (a, b) for py in (c, d))
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             xy, x * u + y * v + w, [], [(x - a) ** k * (x - b), (y - c) ** m * (y - d)])
         text = format_problem(inst)
         with tempfile.TemporaryDirectory() as tmp:
@@ -243,7 +242,7 @@ class TestConstantSquareLift:
         # gives thousands of bits here
         xy = ["x", "y"]
         _, i, ring = _cliff_ideals()
-        inst = certifier.ProblemInstance(xy, parse_polynomial("x + y + 1", xy), [], i)
+        inst = problem_io.ProblemInstance(xy, parse_polynomial("x + y + 1", xy), [], i)
         report = verify_bounds.verify_certificate(inst, certifier.certify(inst, ring), ring)
         assert report.ok
         assert max(report.max_numerator_bits, report.max_denominator_bits) <= 256
@@ -256,9 +255,9 @@ class TestConstantSquareLift:
     ], ids=["near_integer_gram", "cliff"])
     def test_height_guard(self, f, h, bits):
         xy = ["x", "y"]
-        inst = certifier.ProblemInstance(xy, parse_polynomial(f, xy), [],
-                                         [parse_polynomial(p, xy) for p in h])
-        ring = certifier.build_ring(inst)
+        inst = problem_io.ProblemInstance(xy, parse_polynomial(f, xy), [],
+                                          [parse_polynomial(p, xy) for p in h])
+        ring = quotient.build_ring(inst.h)
         report = verify_bounds.verify_certificate(inst, certifier.certify(inst, ring), ring)
         assert report.ok
         assert max(report.max_numerator_bits, report.max_denominator_bits) <= bits
@@ -292,7 +291,7 @@ class TestNonneg:
         assert cert.mode == "nonneg"
         assert cert.gamma == 2
         assert expand(cusp_circle, cert) == cusp_circle.f
-        ring = certifier.build_ring(cusp_circle)
+        ring = quotient.build_ring(cusp_circle.h)
         assert len(cert.witnesses) == len(cert.blocks[0])
         for (w, q), r in zip(cert.blocks[0], cert.witnesses):
             assert normal_form(ring, q - cusp_circle.f * r).is_zero()
@@ -305,7 +304,7 @@ class TestNonneg:
         # b^2 = b mod I: b is 1 at the zeros +-sqrt(2) of f and 0 at 1/10,
         # 1/5, although float64 sees |f| of order 1e-7 at +-sqrt(2)
         inst = load_problem("scaled_witness.prob")
-        ring, f = certifier.build_ring(inst), inst.f
+        ring, f = quotient.build_ring(inst.h), inst.f
         a, b, gamma = quotient.coprimality_witness(ring, f, radical_roots(ring))
         assert normal_form(ring, b * b - b * gamma).is_zero()
         assert normal_form(ring, b * f).is_zero()
@@ -352,7 +351,7 @@ class TestNonneg:
 
 class TestPerturb:
     def test_perturbed_f_positive_at_all_real_roots(self, four_points):
-        ring = certifier.build_ring(four_points)
+        ring = quotient.build_ring(four_points.h)
         var = variety.solve_variety(ring)
         blocks, f_tilde = certifier.perturb(four_points, ring, var)
         for pt in var.points:
@@ -360,10 +359,10 @@ class TestPerturb:
                 assert evaluate(f_tilde, [z.real for z in pt.coordinates]) > 0
 
     def test_no_excluded_points_is_identity(self):
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
-        ring = certifier.build_ring(inst)
+        ring = quotient.build_ring(inst.h)
         var = variety.solve_variety(ring)
         blocks, f_tilde = certifier.perturb(inst, ring, var)
         assert f_tilde == inst.f
@@ -403,12 +402,12 @@ def _instances_and_certificates(draw):
     polys = _polys(n)
     g = draw(st.lists(polys, max_size=2))
     h = draw(st.lists(polys, min_size=1, max_size=2))
-    inst = certifier.ProblemInstance([f"x{i}" for i in range(n)], draw(polys), g, h)
+    inst = problem_io.ProblemInstance([f"x{i}" for i in range(n)], draw(polys), g, h)
     weights = st.fractions(min_value=0, max_value=2 ** 40, max_denominator=2 ** 40)
     blocks = draw(st.lists(st.lists(st.tuples(weights, _polys(n, 3)), max_size=3),
                            max_size=1 + len(g)))
     cofactors = draw(st.lists(polys, max_size=len(h)))
-    return inst, certifier.Certificate("strict", blocks, cofactors)
+    return inst, problem_io.Certificate("strict", blocks, cofactors)
 
 
 def _identity_denominator(inst, cert):
@@ -436,31 +435,32 @@ class TestResidual:
             closed.append((blocks, rest)) or assemble(ring, blocks, rest)))
         x = ["x"]
         inst = {
-            "radical": certifier.ProblemInstance(
+            "radical": problem_io.ProblemInstance(
                 x, parse_polynomial("x + 3", x), [], [parse_polynomial("x^2 - 1", x)]),
             "with_g": four_points,
-            "hensel": certifier.ProblemInstance(
+            "hensel": problem_io.ProblemInstance(
                 x, parse_polynomial("1 + x", x), [], [parse_polynomial("x^2", x)]),
             "nonneg": cusp_circle,
-            "sdp": certifier.ProblemInstance(
-                x, parse_polynomial("x + 3", x), [], [parse_polynomial("x^2 - 1", x)]),
+            "sdp": problem_io.ProblemInstance(
+                x, parse_polynomial("x + 3", x), [], [parse_polynomial("x^2 - 1", x)],
+                options={"engine": "sdp"}),
         }[route]
         if route == "sdp":
-            cert = sdp_backend.algorithm1_certify(inst)
+            cert = certifier.certify(inst)
         elif route == "nonneg":
             cert = certifier.certify_nonneg(inst)
         else:
             cert = certifier.certify_strict(inst)
-        assert certifier.residual(inst, cert).is_zero()
+        assert verify_bounds.residual(inst, cert).is_zero()
         assert expand(inst, cert) == inst.f
         (blocks, rest), = closed
-        assert rest == certifier.residual(inst, certifier.Certificate("strict", blocks, []))
+        assert rest == verify_bounds.residual(inst, problem_io.Certificate("strict", blocks, []))
 
     @settings(max_examples=60, deadline=None)
     @given(_instances_and_certificates())
     def test_equals_the_fraction_expansion(self, case):
         inst, cert = case
-        assert certifier.residual(inst, cert) == inst.f - expand(inst, cert)
+        assert verify_bounds.residual(inst, cert) == inst.f - expand(inst, cert)
 
     def test_one_step_of_the_common_denominator_is_rejected(self, tmp_path, capsys):
         prob = data_path("four_points.prob")
@@ -473,8 +473,9 @@ class TestResidual:
         lead = cert.cofactors[j].leading_monomial()
         moved = cert.cofactors[j] + Polynomial({lead: step}, inst.nvars)
         cofactors = cert.cofactors[:j] + [moved] + cert.cofactors[j + 1:]
-        mutant = certifier.Certificate(cert.mode, cert.blocks, cofactors)
-        assert certifier.residual(inst, mutant) == -Polynomial({lead: step}, inst.nvars) * inst.h[j]
+        mutant = problem_io.Certificate(cert.mode, cert.blocks, cofactors)
+        step_h = -Polynomial({lead: step}, inst.nvars) * inst.h[j]
+        assert verify_bounds.residual(inst, mutant) == step_h
         out.write_text(problem_io.format_certificate(mutant, inst.var_names))
         capsys.readouterr()
         assert cli.main(["verify", "--input", prob, "--certificate", str(out)]) == 4
@@ -510,11 +511,11 @@ class TestGramClosure:
     @pytest.mark.parametrize("h", ["x^2 - 1", "x^2"], ids=["radical", "hensel"])
     def test_no_expansion_without_excluded_points(self, h, monkeypatch):
         x = ["x"]
-        inst = certifier.ProblemInstance(x, parse_polynomial("x + 3", x), [],
-                                         [parse_polynomial(h, x)])
+        inst = problem_io.ProblemInstance(x, parse_polynomial("x + 3", x), [],
+                                          [parse_polynomial(h, x)])
         calls = []
-        residual = certifier.residual
-        monkeypatch.setattr(certifier, "residual",
+        residual = verify_bounds.residual
+        monkeypatch.setattr(verify_bounds, "residual",
                             lambda *a: calls.append(a) or residual(*a))
         cert = certifier.certify_strict(inst)
         assert calls == []
@@ -570,7 +571,7 @@ class TestDispatcher:
 
     def test_empty_h_rejected(self):
         with pytest.raises(ValueError):
-            certifier.ProblemInstance(["x"], parse_polynomial("x", ["x"]), [], [])
+            problem_io.ProblemInstance(["x"], parse_polynomial("x", ["x"]), [], [])
 
 
 class TestRadicalOnce:
@@ -586,9 +587,9 @@ class TestRadicalOnce:
         monkeypatch.setattr(quotient, "radical_generators",
                             lambda ring: calls.append(ring) or radical_generators(ring))
         f = poly("x") if mode == "nonneg" else poly("x + y + 3")
-        inst = certifier.ProblemInstance(["x", "y"], f, [], [poly(p) for p in h],
-                                         options={"mode": mode})
-        ring = certifier.build_ring(inst)
+        inst = problem_io.ProblemInstance(["x", "y"], f, [], [poly(p) for p in h],
+                                          options={"mode": mode})
+        ring = quotient.build_ring(inst.h)
         cert = certifier.certify(inst, ring)
         assert expand(inst, cert) == inst.f
         assert calls == [ring]
@@ -638,6 +639,6 @@ class TestInternalFailuresSurface:
             raise ClusterAmbiguity("forced")
 
         monkeypatch.setattr(variety, "solve_variety", fail)
-        ring = certifier.build_ring(cusp_circle)
+        ring = quotient.build_ring(cusp_circle.h)
         with pytest.raises(ClusterAmbiguity):
             quotient.coprimality_witness(ring, cusp_circle.f, radical_roots(ring))

@@ -1,3 +1,5 @@
+import glob
+import json
 import os
 import subprocess
 import sys
@@ -154,6 +156,46 @@ class TestNumpyIsTheOnlyNumericDependency:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_verify_and_bounds_load_no_numpy(self, capsys):
+        # `import numpy` fails in the child: every golden and transcribed
+        # certificate still verifies, and bounds still runs, with the same
+        # output, and no engine is loaded
+        pairs = [(f"{os.path.basename(cert)[:-5].rsplit('-', 1)[0]}.prob", cert)
+                 for cert in sorted(glob.glob(data_path(os.path.join("golden", "*.cert"))))]
+        pairs += [("four_points.prob", "four_points_strict.cert"),
+                  ("cusp_circle.prob", "cusp_circle_x.cert"),
+                  ("cusp_circle_shifted.prob", "cusp_circle_shifted.cert")]
+        argvs = [["verify", "--input", data_path(prob), "--certificate", data_path(cert)]
+                 for prob, cert in pairs]
+        argvs.append(["bounds", "--input", data_path("four_points.prob")])
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            sys.modules["numpy"] = None
+            from soscert import cli
+            runs = []
+            for argv in json.loads(sys.argv[1]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    runs.append([cli.main(argv), out.getvalue()])
+            print(json.dumps({"runs": runs, "modules": sorted(
+                m for m in sys.modules if m == "soscert" or m.startswith("soscert."))}))
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        expected = []
+        for argv in argvs:
+            code = run(argv)
+            expected.append([code, capsys.readouterr().out])
+        assert child["runs"] == expected
+        assert all(code == 0 for code, _ in expected)
+        engines = {"soscert." + m for m in ("certifier", "gram", "variety", "sdp_backend")}
+        assert not engines & set(child["modules"])
+        assert len(child["modules"]) <= 8, child["modules"]
+
 
 class TestVerify:
     def test_transcribed_certificates(self):
@@ -223,8 +265,9 @@ class TestVerify:
         code = run(["verify", "--input", data_path("four_points.prob"),
                     "--certificate", str(bad)])
         assert code == 4
-        assert ("verification failed: shape: 3 blocks, but the problem has 2 multipliers"
-                in capsys.readouterr().err)
+        out, err = capsys.readouterr()
+        assert "identity: not checked" in out.splitlines()
+        assert "verification failed: shape: 3 blocks, but the problem has 2 multipliers" in err
 
     def test_extra_cofactor_exits_4(self, tmp_path, capsys):
         # a third cofactor on a two-equation problem cannot be ignored
@@ -234,8 +277,9 @@ class TestVerify:
         code = run(["verify", "--input", data_path("four_points.prob"),
                     "--certificate", str(bad)])
         assert code == 4
-        assert ("verification failed: shape: 3 cofactors, but the problem has 2 equations"
-                in capsys.readouterr().err)
+        out, err = capsys.readouterr()
+        assert "identity: not checked" in out.splitlines()
+        assert "verification failed: shape: 3 cofactors, but the problem has 2 equations" in err
 
     def test_second_cofactor_line_exits_1(self, tmp_path, capsys):
         # a repeated index must not silently replace the first cofactor
@@ -370,7 +414,7 @@ class TestProblemIO:
     @pytest.mark.parametrize("key", ["mode", "engine"])
     def test_option_values_match_the_cli(self, key):
         # files and the command line accept the values of one table
-        for value in certifier.OPTION_CHOICES[key]:
+        for value in problem_io.OPTION_CHOICES[key]:
             args = cli.build_parser().parse_args(["certify", "--input", "p", f"--{key}", value])
             assert getattr(args, key) == value
             inst = problem_io.parse_problem(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soscert import certifier, cli, exactla, gram, quotient, variety
+from soscert import cli, exactla, gram, problem_io, quotient, variety, verify_bounds
 from soscert.errors import NotPD, PrecisionExceeded, ZeroPivot
 from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
@@ -174,8 +174,8 @@ class TestGramRest:
             for bj, x in zip(ring.basis, row):
                 p = p + Polynomial({bi * bj: Fraction(x, q0.nu)}, ring.nvars)
         squares, rest = gram.gram_squares(gram.GramVariety(ring, p), q0)
-        inst = certifier.ProblemInstance(names, p, [], ring.ideal.generators)
-        assert rest == certifier.residual(inst, certifier.Certificate("strict", [squares], []))
+        inst = problem_io.ProblemInstance(names, p, [], ring.ideal.generators)
+        assert rest == verify_bounds.residual(inst, problem_io.Certificate("strict", [squares], []))
         assert rest == in_ideal
 
 

@@ -10,8 +10,8 @@ from soscert import exactla, problem_io, quotient
 from soscert.errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from soscert.polyring import Monomial, Polynomial, parse_polynomial
 
-from conftest import (cofactor_polys, fractions, load_problem, mat_vec, normal_form, primitive,
-                      radical_roots, reference_divide, reference_express_in_generators,
+from conftest import (cofactor_polys, divide, fractions, load_problem, mat_vec, normal_form,
+                      primitive, radical_roots, reference_divide, reference_express_in_generators,
                       reference_groebner, reference_mult_matrices, reference_nullspace,
                       reference_witness)
 
@@ -35,14 +35,14 @@ def cusp_ring():
 
 class TestDivision:
     def test_remainder_not_divisible(self):
-        q, r = quotient.divide(poly("x^2*y + x"), [poly("x^2 - 1")])
+        q, r = divide(poly("x^2*y + x"), [poly("x^2 - 1")])
         assert q[0] == poly("y")
         assert r == poly("x + y")
 
     def test_reconstruction(self):
         divisors = [poly("x^2 - 1"), poly("x*y - 2")]
         p = poly("x^3*y - 4*x + y^2")
-        qs, r = quotient.divide(p, divisors)
+        qs, r = divide(p, divisors)
         total = r
         for qi, d in zip(qs, divisors):
             total = total + qi * d
@@ -50,7 +50,7 @@ class TestDivision:
 
 
 def _check_division(p, divisors):
-    qs, r = quotient.divide(p, divisors)
+    qs, r = divide(p, divisors)
     ref_qs, ref_r = reference_divide(p, divisors)
     assert qs == ref_qs
     assert r == ref_r
@@ -137,7 +137,7 @@ class TestGroebner:
     def test_generators_reduce_to_zero(self, circle_pair_ring):
         ideal = circle_pair_ring.ideal
         for g in ideal.generators:
-            assert ideal.reduce(g).is_zero()
+            assert ideal.contains(g)
 
     def test_membership(self, circle_pair_ring):
         ideal = circle_pair_ring.ideal
@@ -194,8 +194,9 @@ class TestLazyCofactors:
         assert len(ideal.gb_cofactors) == len(ideal.gb)
         # x^2 - 2x + y^2 is the first element, a generator: its row is a
         # scalar; the second, x^3 + x^2 - 2x, takes a solve
-        solved = [g for g in ideal.gb if _scaled_generator(g, ideal.generators) is None]
-        assert calls == solved == ideal.gb[1:]
+        solved = [r for g, r in zip(ideal.gb, ideal.reducers)
+                  if _scaled_generator(g, ideal.generators) is None]
+        assert calls == solved == ideal.reducers[1:]
         ideal.gb_cofactors
         assert calls == solved  # one solve per element that is no scaled generator, once
 
@@ -355,7 +356,7 @@ class TestInverse:
 class TestRadical:
     def test_radical_ideal_unchanged(self, circle_pair_ring):
         for g in quotient.radical_generators(circle_pair_ring):
-            assert circle_pair_ring.ideal.reduce(g).is_zero()
+            assert circle_pair_ring.ideal.contains(g)
         assert circle_pair_ring.is_radical
         assert circle_pair_ring.radical_ring is circle_pair_ring
 
@@ -443,7 +444,7 @@ def test_normal_form_matches_division(name, data):
 def test_normal_form_never_divides_once_the_ring_is_built(monkeypatch):
     ring = quotient.monomial_basis(quotient.groebner([poly(h) for h in RINGS["multiple"]]))
     p = poly("x^9*y^7 - 3*x^5*y^11 + 2*x*y - 1")
-    expected = ring.ideal.reduce(p)
+    expected = divide(p, ring.ideal.gb)[1]
     ring.mult_matrices  # the first read builds the border from the Gröbner tails
 
     def refuse(*args):

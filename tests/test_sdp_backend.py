@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import load_problem, reference_maximize_lambda
-from soscert import certifier, problem_io, sdp_backend, verify_bounds
+from soscert import certifier, problem_io, quotient, sdp_backend, verify_bounds
 from soscert.errors import Infeasible, MaxIterations
 from soscert.polyring import Polynomial, parse_polynomial
 
@@ -18,7 +18,15 @@ def poly(s, names=("x", "y")):
 
 
 def build(inst):
-    return certifier.build_ring(inst)
+    return quotient.build_ring(inst.h)
+
+
+def sdp_certify(inst, ring=None):
+    """The SDP engine's certificate, its identity closed as `certifier.certify`
+    closes it."""
+    if ring is None:
+        ring = build(inst)
+    return certifier._assemble(ring, *sdp_backend.algorithm1_certify(inst, ring))
 
 
 def _parse(lines):
@@ -62,7 +70,7 @@ class TestFormulate:
     def test_degree_fixed_by_the_basis(self):
         # deg f = 5 > 2 deg B: the blocks stay over B, and the right-hand
         # side is NF(f) = x + 3
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("x^5 + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
         prob = sdp_backend.SdpProblem(inst, build(inst))
@@ -70,7 +78,7 @@ class TestFormulate:
         assert list(prob.b) == [3.0, 1.0]
 
     def test_single_block(self):
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
         prob = sdp_backend.SdpProblem(inst, build(inst))
@@ -103,12 +111,12 @@ class TestFormulate:
         # x^2 is in (x - y^2, y^3) but admits no degree-2 cofactor
         # representation, so this generating set is not graded; the
         # cofactors come from exact reduction, which does not need it
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x", "y"], poly("x + 1"), [],
             [poly("x - y^2"), poly("y^3")])
         ring = build(inst)
         assert not ring.ideal.is_graded
-        cert = sdp_backend.algorithm1_certify(inst, ring)
+        cert = sdp_certify(inst, ring)
         assert verify_bounds.verify_certificate(inst, cert, ring).ok
 
 
@@ -124,7 +132,7 @@ class TestSolver:
         assert w.min() > 0.05 - 1e-6
 
     def test_negative_constant_infeasible(self):
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("-1", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
         prob = sdp_backend.SdpProblem(inst, build(inst))
@@ -188,7 +196,7 @@ def _random_grid(seed):
     margin = rng.choice([Fraction(1), Fraction(1, 2 ** 4), Fraction(1, 2 ** 10),
                          Fraction(1, 2 ** 16), Fraction(1, 2 ** 20), Fraction(-1)])
     low = min(u * px + v * py for px, py in points)
-    return certifier.ProblemInstance(["x", "y"], x * u + y * v + (margin - low), g, h)
+    return problem_io.ProblemInstance(["x", "y"], x * u + y * v + (margin - low), g, h)
 
 
 def _reference_cases():
@@ -233,16 +241,16 @@ class TestStackedIteration:
 class TestAlgorithm1:
     def test_four_points_exact(self, four_points):
         ring = build(four_points)
-        cert = sdp_backend.algorithm1_certify(four_points, ring)
+        cert = sdp_certify(four_points, ring)
         report = verify_bounds.verify_certificate(four_points, cert, ring)
         assert report.identity_ok and report.weights_ok
 
     def test_constant_one(self):
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("1", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
         ring = build(inst)
-        cert = sdp_backend.algorithm1_certify(inst, ring)
+        cert = sdp_certify(inst, ring)
         report = verify_bounds.verify_certificate(inst, cert, ring)
         assert report.identity_ok
 
@@ -255,7 +263,7 @@ class TestAlgorithm1:
     def test_known_answers(self, lines):
         inst = _parse(lines)
         ring = build(inst)
-        cert = sdp_backend.algorithm1_certify(inst, ring)
+        cert = sdp_certify(inst, ring)
         assert verify_bounds.verify_certificate(inst, cert, ring).ok
 
     def test_zero_minimum_is_infeasible(self):
@@ -263,17 +271,17 @@ class TestAlgorithm1:
         inst = problem_io.parse_problem(
             "variables x y\nf: -x - y + 2\nh: x^2 - x\nh: y^2 - y\n")
         with pytest.raises(Infeasible, match="at most"):
-            sdp_backend.algorithm1_certify(inst)
+            sdp_backend.algorithm1_certify(inst, build(inst))
 
     def test_binary_cube_3(self):
         # D = 8; f > 0 where g >= 0 (x1 = 0), f = -2 at (1, 1, 0)
         names = ["x1", "x2", "x3"]
-        inst = certifier.ProblemInstance(
+        inst = problem_io.ProblemInstance(
             names, parse_polynomial("2 - 3*x1 - x2 + x3", names),
             [parse_polynomial("1 - 2*x1", names)],
             [parse_polynomial(f"{v}^2 - {v}", names) for v in names])
         start = time.monotonic()
-        cert = sdp_backend.algorithm1_certify(inst)
+        cert = sdp_certify(inst)
         assert time.monotonic() - start < 5.0
         report = verify_bounds.verify_certificate(inst, cert)
         assert report.ok and report.identity_ok

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from soscert import certifier, quotient, verify_bounds
-from soscert.certifier import Certificate
+from soscert import problem_io, quotient, verify_bounds
+from soscert.problem_io import Certificate
 from soscert.polyring import Polynomial, parse_polynomial
 
 from conftest import load_certificate
@@ -77,14 +77,14 @@ class TestVerifyCertificate:
 def binary_cube_instance(n, f, g=None):
     names = [f"x{i+1}" for i in range(n)]
     h = [parse_polynomial(f"{v}^2 - {v}", names) for v in names]
-    return certifier.ProblemInstance(names, parse_polynomial(f, names),
-                                     [parse_polynomial(s, names) for s in (g or [])],
-                                     h)
+    return problem_io.ProblemInstance(names, parse_polynomial(f, names),
+                                      [parse_polynomial(s, names) for s in (g or [])],
+                                      h)
 
 
 class TestDegreeBounds:
     def test_four_points_bound_is_five(self, four_points):
-        ring = certifier.build_ring(four_points)
+        ring = quotient.build_ring(four_points.h)
         report = verify_bounds.degree_bounds(four_points, ring)
         assert report.cofactor_degree_bound == 5
         assert report.hierarchy_order == 3
@@ -93,7 +93,7 @@ class TestDegreeBounds:
 
     def test_binary_cube_with_linear_g(self):
         inst = binary_cube_instance(3, "x1 + x2 + x3 + 1", ["x1 - x2"])
-        ring = certifier.build_ring(inst)
+        ring = quotient.build_ring(inst.h)
         report = verify_bounds.degree_bounds(inst, ring)
         # deg B = n = 3 and a linear inequality: order n + 1
         assert report.basis_degree == 3
@@ -101,21 +101,21 @@ class TestDegreeBounds:
 
     def test_binary_cube_without_g(self):
         inst = binary_cube_instance(3, "x1*x2*x3 + 1")
-        ring = certifier.build_ring(inst)
+        ring = quotient.build_ring(inst.h)
         report = verify_bounds.degree_bounds(inst, ring)
         assert report.hierarchy_order == 3
 
     def test_constant_f(self, four_points):
-        inst = certifier.ProblemInstance(four_points.var_names, poly("5"),
-                                         four_points.g, four_points.h)
-        ring = certifier.build_ring(inst)
+        inst = problem_io.ProblemInstance(four_points.var_names, poly("5"),
+                                          four_points.g, four_points.h)
+        ring = quotient.build_ring(inst.h)
         report = verify_bounds.degree_bounds(inst, ring)
         assert report.cofactor_degree_bound == 5  # g-term dominates
 
     def test_monotone_in_degrees(self, four_points):
-        ring = certifier.build_ring(four_points)
+        ring = quotient.build_ring(four_points.h)
         base = verify_bounds.degree_bounds(four_points, ring)
-        bigger = certifier.ProblemInstance(
+        bigger = problem_io.ProblemInstance(
             four_points.var_names, poly("x^4*y^3"), four_points.g, four_points.h)
         report = verify_bounds.degree_bounds(bigger, ring)
         assert report.cofactor_degree_bound >= base.cofactor_degree_bound
@@ -126,9 +126,9 @@ class TestRingTables:
         # the degree bound reads B and is_graded alone: no M_k, no division
         # outside the Groebner completion
         rings = []
-        build_ring = certifier.build_ring
-        monkeypatch.setattr(verify_bounds, "build_ring",
-                            lambda inst: rings.append(build_ring(inst)) or rings[-1])
+        build_ring = quotient.build_ring
+        monkeypatch.setattr(quotient, "build_ring",
+                            lambda gens: rings.append(build_ring(gens)) or rings[-1])
         completing = []
         groebner, divide = quotient.groebner, quotient._divide
 
