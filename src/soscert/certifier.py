@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import gram, quotient, sdp_backend, variety, verify_bounds
 from .errors import IdentityBroken, NotStrictlyPositiveOnS, PrecisionExceeded
-from .polyring import evaluate, round_binary
+from .polyring import evaluate, round_scaled
 from .problem_io import Certificate, ProblemInstance
 
 
@@ -70,8 +70,8 @@ def perturb(inst, ring, var):
         rhos.append(rho)
 
     def round_at(bits):
-        return [ring.from_vector([round_binary(float(c.real), bits)
-                                  for c in var.idempotents[:, idx]])
+        return [ring.from_vector([round_scaled(float(c.real), bits)
+                                  for c in var.idempotents[:, idx]], 1 << bits)
                 for idx, _ in member.excluded]
 
     def attempt(u_hats):

@@ -14,7 +14,8 @@ check.  The degree bound is printed but decides no exit code.
 Every rounding loop doubles its precision and stops once the rounded
 float64 data repeats, as it does from 1074 bits on; a fixed ceiling of 4096
 bits guards the loop.
-`certify` builds the quotient ring once and verifies its own output in it.
+`certify` builds the quotient ring once and verifies its own output in it
+before it writes any: a certificate that fails is never written.
 Only `certify` imports `certifier`, and with it the engines and numpy.
 """
 
@@ -69,24 +70,25 @@ def cmd_certify(args):
     except IdentityBroken as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    text = problem_io.format_certificate(cert, inst.var_names)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return _verdict(inst, cert, ring)
+    report = verify_bounds.verify_certificate(inst, cert, ring)
+    if report.ok:
+        text = problem_io.format_certificate(cert, inst.var_names)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    return _verdict(report)
 
 
 def cmd_verify(args):
     inst = _load_problem(args.input)
     cert, _ = problem_io.parse_certificate(_read(args.certificate),
                                            expected_vars=inst.var_names)
-    return _verdict(inst, cert)
+    return _verdict(verify_bounds.verify_certificate(inst, cert))
 
 
-def _verdict(inst, cert, ring=None):
-    report = verify_bounds.verify_certificate(inst, cert, ring)
+def _verdict(report):
     print(report.to_text())
     if report.ok:
         return EXIT_OK

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonPositiveAtRealRoot, NotPD, PrecisionExceeded, ZeroPivot
-from .polyring import Monomial, Polynomial, evaluate, integral, round_scaled
+from .polyring import Polynomial, evaluate, round_scaled
 
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
 # rounding stops every precision loop before this ceiling; it only guards it
@@ -158,9 +158,8 @@ def gram_rest(p, basis, q):
     integers over lcm(den p, nu).  For Q in the Gram set of p it lies in the
     ideal, and it equals p minus the LDL^t squares of Q expanded, at one
     addition per upper-triangle entry."""
-    ints, den = integral(p)
-    lcd = math.lcm(den, q.nu)
-    acc = {e: c * (lcd // den) for e, c in ints.items()}
+    lcd = math.lcm(p.den, q.nu)
+    acc = {e: c * (lcd // p.den) for e, c in p.ints.items()}
     once = lcd // q.nu
     exps = [b.exponents for b in basis]
     for i, (ei, row) in enumerate(zip(exps, q.mat)):
@@ -168,7 +167,7 @@ def gram_rest(p, basis, q):
             if row[j]:
                 e = tuple(map(operator.add, ei, exps[j]))
                 acc[e] = acc.get(e, 0) - (once if i == j else 2 * once) * row[j]
-    return Polynomial({Monomial(e): Fraction(c, lcd) for e, c in acc.items() if c}, p.nvars)
+    return Polynomial(acc, lcd, p.nvars)
 
 
 # -- fraction-free LDL^t ---------------------------------------------------

@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over the exact rationals.
 
-Every coefficient is a `fractions.Fraction`.  Float and complex points meet
-a polynomial only in `evaluate`, which then computes in floats.  Monomials
-are compared in graded reverse lexicographic order throughout, so leading
-terms are degree-compatible.
+A polynomial is integers keyed by exponent tuples over one denominator, the
+form of the quotient ring's vectors, and parsing, printing, arithmetic,
+heights and every exact layer work on it; only the `terms` view makes
+Fractions.  Float and complex points meet a polynomial only in `evaluate`.
+Monomials are compared in graded reverse lexicographic order throughout,
+so leading terms are degree-compatible.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ from fractions import Fraction
 from functools import total_ordering
 
 from .errors import DimensionMismatch, ParseError
+
+
+def grevlex(e):
+    """The graded reverse lexicographic key of the exponents e, with
+    x1 < x2 < ... < xn."""
+    return sum(e), tuple(map(operator.neg, e))
 
 
 @total_ordering
@@ -53,8 +61,7 @@ class Monomial:
         return Monomial(tuple(map(max, self.exponents, other.exponents)))
 
     def grevlex_key(self):
-        # graded reverse lexicographic with x1 < x2 < ... < xn
-        return (self.degree, tuple(-e for e in self.exponents))
+        return grevlex(self.exponents)
 
     def __lt__(self, other):
         return self.grevlex_key() < other.grevlex_key()
@@ -70,53 +77,55 @@ class Monomial:
 
 
 class Polynomial:
-    """Finite map Monomial -> Fraction; zero coefficients are never stored.
+    """sum_e ints[e] x^e / den, from any integers over a nonzero den, kept
+    in lowest terms over a positive den with no zero stored: equal
+    polynomials have equal data, and den is the lcm of the coefficients'
+    denominators.  Values are immutable after construction."""
 
-    Integer coefficients are converted to Fraction.  Values are immutable
-    after construction.
-    """
+    __slots__ = ("ints", "den", "nvars")
 
-    __slots__ = ("terms", "nvars")
-
-    def __init__(self, terms, nvars):
+    def __init__(self, ints, den, nvars):
+        g = math.gcd(den, *ints.values()) if den > 0 else -math.gcd(den, *ints.values())
+        self.ints = {e: c // g for e, c in ints.items() if c}
+        self.den = den // g
         self.nvars = nvars
-        self.terms = {m: c if type(c) is Fraction else Fraction(c)
-                      for m, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, nvars):
-        return cls({}, nvars)
+        return cls({}, 1, nvars)
 
     @classmethod
     def constant(cls, c, nvars):
-        return cls({Monomial.unit(nvars): c}, nvars)
+        """The constant polynomial of a number c, taken exactly."""
+        c = Fraction(c)
+        return cls({(0,) * nvars: c.numerator}, c.denominator, nvars)
 
     @classmethod
     def variable(cls, i, nvars):
-        return cls({Monomial.variable(i, nvars): Fraction(1)}, nvars)
+        return cls({Monomial.variable(i, nvars).exponents: 1}, 1, nvars)
 
     # -- basic queries ------------------------------------------------
 
+    @property
+    def terms(self):
+        """The coefficients as a new dict {Monomial: Fraction} on each read."""
+        return {Monomial(e): Fraction(c, self.den) for e, c in self.ints.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     @property
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m.degree for m in self.terms)
+        return max(map(sum, self.ints), default=-1)
 
     def leading_monomial(self):
-        return max(self.terms, key=Monomial.grevlex_key)
+        return Monomial(max(self.ints, key=grevlex))
 
     def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
-
-    def sorted_terms(self, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: t[0].grevlex_key(), reverse=reverse)
+        return Fraction(self.ints[max(self.ints, key=grevlex)], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -128,19 +137,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other, self.nvars)
         self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return Polynomial(acc, self.nvars)
+        den = math.lcm(self.den, other.den)
+        acc = {e: c * (den // self.den) for e, c in self.ints.items()}
+        scale = den // other.den
+        for e, c in other.ints.items():
+            acc[e] = acc.get(e, 0) + c * scale
+        return Polynomial(acc, den, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()}, self.nvars)
+        return Polynomial({e: -c for e, c in self.ints.items()}, self.den, self.nvars)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other, self.nvars)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -148,16 +157,16 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            if other == 0:
-                return Polynomial.zero(self.nvars)
-            return Polynomial({m: c * other for m, c in self.terms.items()}, self.nvars)
+            other = Fraction(other)  # a scalar, taken exactly
+            return Polynomial({e: c * other.numerator for e, c in self.ints.items()},
+                              self.den * other.denominator, self.nvars)
         self._check(other)
         acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return Polynomial(acc, self.nvars)
+        for e1, c1 in self.ints.items():
+            for e2, c2 in other.ints.items():
+                e = tuple(map(operator.add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return Polynomial(acc, self.den * other.den, self.nvars)
 
     __rmul__ = __mul__
 
@@ -165,7 +174,7 @@ class Polynomial:
         return self * (Fraction(1) / scalar)
 
     def __pow__(self, k):
-        result = Polynomial.constant(Fraction(1), self.nvars)
+        result = Polynomial.constant(1, self.nvars)
         base = self
         k = int(k)
         while k:
@@ -177,11 +186,11 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
-            return (self - Polynomial.constant(other, self.nvars)).is_zero()
-        return self.nvars == other.nvars and self.terms == other.terms
+            other = Polynomial.constant(other, self.nvars)
+        return (self.nvars, self.den, self.ints) == (other.nvars, other.den, other.ints)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.ints.items())))
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
@@ -189,19 +198,20 @@ class Polynomial:
 
 def evaluate(p, point):
     """Evaluate p at a point: exactly at a rational point, in floats at a
-    float or complex one, where each coefficient is taken as float(c) once,
-    as Fraction * x would, bit for bit; a constant gives a float there."""
+    float or complex one, where each coefficient is taken once as the
+    correctly rounded ints[e] / den, as float(Fraction) and so Fraction * x
+    are, bit for bit; a constant gives a float there."""
     if len(point) != p.nvars:
         raise DimensionMismatch(f"point has {len(point)} coordinates, polynomial has {p.nvars} variables")
     inexact = any(isinstance(x, (float, complex)) for x in point)
     total = 0.0 if inexact else 0
-    for m, c in p.terms.items():
-        v = float(c) if inexact else c
-        for x, e in zip(point, m.exponents):
-            if e:
-                v = v * x ** e
+    for e, c in p.ints.items():
+        v = c / p.den if inexact else c
+        for x, k in zip(point, e):
+            if k:
+                v = v * x ** k
         total = total + v
-    return total
+    return total if inexact else Fraction(total, p.den)
 
 
 @dataclass(frozen=True)
@@ -212,27 +222,13 @@ class HeightInfo:
     denominator_height: int
 
 
-def common_denominator(values):
-    """Least common multiple of the denominators of rational values."""
-    return math.lcm(*(v.denominator for v in values))
-
-
-def integral(p):
-    """p as integer coefficients keyed by exponent tuples, over the lcm of
-    its denominators."""
-    den = common_denominator(p.terms.values())
-    return {m.exponents: c.numerator * (den // c.denominator)
-            for m, c in p.terms.items()}, den
-
-
 def height(p):
     """Height of a polynomial: bit length of the largest numerator and of
     the common (lcm) denominator of a primitive representation."""
     if p.is_zero():
         return HeightInfo(0, 0)
-    nu = common_denominator(p.terms.values())
-    top = max(abs(c.numerator * (nu // c.denominator)) for c in p.terms.values())
-    return HeightInfo(top.bit_length(), nu.bit_length() if nu > 1 else 0)
+    top = max(map(abs, p.ints.values()))
+    return HeightInfo(top.bit_length(), p.den.bit_length() if p.den > 1 else 0)
 
 
 def round_binary(x, frac_bits):
@@ -269,9 +265,13 @@ _OPERATORS = frozenset(("*", *_SIGNS, *_POWER))
 
 
 def _number(token):
-    """The value of a number token: an int, or a Fraction for num/den."""
+    """The value of a number token as (numerator, denominator); a zero
+    denominator raises ZeroDivisionError, as Fraction does."""
     top, _, bottom = token.partition("/")
-    return Fraction(int(top), int(bottom)) if bottom else int(top)
+    den = int(bottom) if bottom else 1
+    if not den:
+        raise ZeroDivisionError(f"Fraction({int(top)}, 0)")
+    return int(top), den
 
 
 def _grammar_error(tokens, message):
@@ -286,11 +286,12 @@ def _grammar_error(tokens, message):
 
 
 def parse_polynomial(text, var_names):
-    """Parse the CLI polynomial grammar into an exact Polynomial."""
+    """Parse the CLI polynomial grammar into an exact Polynomial, each term's
+    coefficient an integer fraction, all then over the lcm of their dens."""
     nvars = len(var_names)
     index = {name: i for i, name in enumerate(var_names)}
     tokens = _TOKEN.findall(text)
-    terms = {}
+    terms = []
     i = 0
     n = len(tokens)
     while i < n:
@@ -300,7 +301,7 @@ def parse_polynomial(text, var_names):
             i += 1
         if i >= n:
             raise ParseError("dangling sign in polynomial")
-        coeff = sign
+        num, den = sign, 1
         exps = [0] * nvars
         expect_factor = True
         while i < n:
@@ -327,7 +328,9 @@ def parse_polynomial(text, var_names):
                     i += 2
                 exps[index[t]] += power
             elif t[0].isdecimal():
-                coeff *= _number(t)
+                top, bottom = _number(t)
+                num *= top
+                den *= bottom
             elif t in _POWER:
                 raise _grammar_error(tokens, "unexpected operator '^'")
             else:
@@ -335,9 +338,12 @@ def parse_polynomial(text, var_names):
             expect_factor = False
         if expect_factor:
             raise _grammar_error(tokens, "empty term in polynomial")
-        m = Monomial(exps)
-        terms[m] = terms.get(m, 0) + coeff
-    return Polynomial(terms, nvars)
+        terms.append((tuple(exps), num, den))
+    lcd = math.lcm(*(den for _, _, den in terms))
+    ints = {}
+    for e, num, den in terms:
+        ints[e] = ints.get(e, 0) + num * (lcd // den)
+    return Polynomial(ints, lcd, nvars)
 
 
 def format_polynomial(p, var_names=None):
@@ -347,22 +353,25 @@ def format_polynomial(p, var_names=None):
     if p.is_zero():
         return "0"
     parts = []
-    for m, c in p.sorted_terms():
+    den = p.den
+    for e, c in sorted(p.ints.items(), key=lambda t: grevlex(t[0]), reverse=True):
         factors = []
-        for name, e in zip(var_names, m.exponents):
-            if e == 1:
+        for name, k in zip(var_names, e):
+            if k == 1:
                 factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
+            elif k > 1:
+                factors.append(f"{name}^{k}")
         body = "*".join(factors)
         negative = c < 0
         mag = -c if negative else c
+        g = math.gcd(mag, den)
+        value = str(mag // g) if g == den else f"{mag // g}/{den // g}"
         if not body:
-            text = str(mag)
-        elif mag == 1:
+            text = value
+        elif mag == den:
             text = body
         else:
-            text = f"{mag}*{body}"
+            text = f"{value}*{body}"
         if not parts:
             parts.append(f"-{text}" if negative else text)
         else:

@@ -30,9 +30,9 @@ what needs its quotients or runs before the ring exists, Gröbner
 completion, `IdealBasis.contains` and `cofactor_reduce`, and it runs in
 integers: one kernel (`_divide`) divides integer polynomials keyed by
 exponent tuples, and Buchberger keeps its basis as primitive integer
-polynomials.  Fractions
-are made only for the polynomials handed out: the remainder, the
-cofactors p_j, and `IdealBasis.gb`, which the pipeline never reads.
+polynomials.  A polynomial is itself integers over one denominator (see
+`polyring`), so every reduction takes its input as it is and hands out
+its remainder and cofactors p_j in that form: none makes a Fraction.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ import heapq
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from . import exactla
 from .errors import ConditionFailed, NotInvertible, NotZeroDimensional
-from .polyring import Monomial, Polynomial, common_denominator, evaluate, integral
+from .polyring import Monomial, Polynomial, evaluate, grevlex
 
 
 def monomials_upto(nvars, max_degree):
@@ -66,16 +65,6 @@ def monomials_upto(nvars, max_degree):
             out.append(Monomial(exps))
     out.sort(key=Monomial.grevlex_key)
     return out
-
-
-def _grevlex(e):
-    """`Monomial.grevlex_key` of the exponents e."""
-    return sum(e), tuple(map(operator.neg, e))
-
-
-def _polynomial(terms, den, nvars):
-    """The polynomial sum_e (terms[e] / den) x^e."""
-    return Polynomial({Monomial(e): Fraction(c, den) for e, c in terms.items()}, nvars)
 
 
 def _divide(work, reducers):
@@ -174,42 +163,41 @@ class IdealBasis:
 
     @functools.cached_property
     def gb(self):
-        return [_polynomial({lead: lc, **dict(tail)}, lc, self.nvars)
+        return [Polynomial({lead: lc, **dict(tail)}, lc, self.nvars)
                 for lead, lc, tail in self.reducers]
 
     @functools.cached_property
     def is_graded(self):
-        tops = [Polynomial({m: c for m, c in h.terms.items() if m.degree == h.degree}, self.nvars)
-                for h in self.generators]
+        tops = [Polynomial({e: c for e, c in h.ints.items() if sum(e) == h.degree}, h.den,
+                           self.nvars) for h in self.generators]
         top_lead = [lead for lead, _, _ in groebner(tops).reducers]
         return all(any(all(map(operator.le, t, lead)) for t in top_lead)
                    for lead, _, _ in self.reducers)
 
     @functools.cached_property
     def gb_cofactors(self):
-        scaled = [integral(h) for h in self.generators]
         rows = []
         for reducer in self.reducers:
             lead, lc, tail = reducer
-            j = next((j for j, (h, _) in enumerate(scaled)
-                      if len(h) == len(tail) + 1 and lead in h
-                      and all(h.get(e, 0) * lc == c * h[lead] for e, c in tail)), None)
+            j = next((j for j, h in enumerate(self.generators)
+                      if len(h.ints) == len(tail) + 1 and lead in h.ints
+                      and all(h.ints.get(e, 0) * lc == c * h.ints[lead] for e, c in tail)), None)
             if j is None:
                 rows.append(_express_in_generators(
                     reducer, self.generators, [sum(lead) - h.degree for h in self.generators]))
                 continue
-            # h_j = h / L_j is a multiple of g, so g = h_j L_j / h[lead]
-            h, den = scaled[j]
-            row = [{} for _ in scaled]
-            row[j] = {(0,) * self.nvars: den if h[lead] > 0 else -den}
-            rows.append((row, abs(h[lead])))
+            # h_j = H / L_j, H its integers, is a multiple of g: g = h_j L_j / H[lead]
+            h = self.generators[j]
+            row = [{} for _ in self.generators]
+            row[j] = {(0,) * self.nvars: h.den if h.ints[lead] > 0 else -h.den}
+            rows.append((row, abs(h.ints[lead])))
         return rows
 
     def contains(self, other):
         """Membership of a polynomial, or containment of another ideal
         (every generator reduces to zero modulo self)."""
         polys = [other] if isinstance(other, Polynomial) else other.generators
-        return not any(_divide(integral(p)[0], self.reducers)[1] for p in polys)
+        return not any(_divide(dict(p.ints), self.reducers)[1] for p in polys)
 
 
 def _express_in_generators(reducer, generators, start_caps):
@@ -227,13 +215,12 @@ def _express_in_generators(reducer, generators, start_caps):
     lead, target_den, tail = reducer
     nvars = len(lead)
     target = {lead: target_den, **dict(tail)}
-    scaled = [integral(h) for h in generators]
     caps = list(start_caps)
     while True:
         cols = [(j, u.exponents) for j, cap in enumerate(caps) for u in monomials_upto(nvars, cap)]
         index = {e: i for i, e in enumerate(target)}  # row of each monomial
         entries = [(index.setdefault(tuple(map(operator.add, e, u)), len(index)), col, c)
-                   for col, (j, u) in enumerate(cols) for e, c in scaled[j][0].items()]
+                   for col, (j, u) in enumerate(cols) for e, c in generators[j].ints.items()]
         a = [[0] * len(cols) for _ in index]
         for r, col, c in entries:
             a[r][col] = c
@@ -243,7 +230,7 @@ def _express_in_generators(reducer, generators, start_caps):
             rows = [{} for _ in generators]
             for x, (j, u) in zip(xs, cols):
                 if x:
-                    rows[j][u] = x * scaled[j][1]
+                    rows[j][u] = x * generators[j].den
             return rows, den * target_den
         caps = [c + 1 for c in caps]
 
@@ -275,7 +262,7 @@ def groebner(generators):
     basis = []  # `_divide` triples
     sugars = []
     for p in gens:
-        r = _primitive_remainder(integral(p)[0], basis)
+        r = _primitive_remainder(dict(p.ints), basis)
         if r:
             basis.append(r)
             sugars.append(sum(r[0]))
@@ -287,7 +274,7 @@ def groebner(generators):
             lead_i = basis[i][0]
             lcm = tuple(map(max, lead_i, lead_k))
             sugar = max(sugars[i] + sum(lcm) - sum(lead_i), sugars[k] + sum(lcm) - sum(lead_k))
-            heapq.heappush(pairs, (sugar, _grevlex(lcm), i, k))
+            heapq.heappush(pairs, (sugar, grevlex(lcm), i, k))
 
     for k in range(1, len(basis)):
         add_pairs(k)
@@ -322,7 +309,7 @@ def groebner(generators):
                           and (leads[j] != leads[i] or j < i) for j in range(len(basis)))]
     reduced = [_primitive_remainder({lead: lc, **dict(tail)}, minimal[:i] + minimal[i + 1:])
                for i, (lead, lc, tail) in enumerate(minimal)]
-    reduced.sort(key=lambda b: _grevlex(b[0]))
+    reduced.sort(key=lambda b: grevlex(b[0]))
     return IdealBasis(gens, nvars, reduced)
 
 
@@ -388,11 +375,11 @@ class QuotientRing:
 
     def nf_vector(self, p):
         """The normal form of p as a ring vector (ints, den) over B."""
-        return combine([(c, *self._nf_from_tails(m.exponents)) for m, c in p.terms.items()], self.D)
+        return combine([(c, *self._nf_from_tails(e)) for e, c in p.ints.items()], self.D, p.den)
 
     def from_vector(self, v, den=1):
-        """The polynomial sum_i (v_i / den) b_i."""
-        return Polynomial({m: Fraction(x, den) for m, x in zip(self.basis, v) if x}, self.nvars)
+        """The polynomial sum_i (v_i / den) b_i of integers v_i."""
+        return Polynomial({m.exponents: x for m, x in zip(self.basis, v)}, den, self.nvars)
 
     def mul(self, u, v):
         """The product of the ring vectors u and v, sum_ij u_i v_j NF(b_i b_j)
@@ -450,15 +437,15 @@ class QuotientRing:
         return ring
 
 
-def combine(terms, size):
-    """The ring vector sum_t c_t v_t / d_t of the rationals c_t and the ring
-    vectors (v_t, d_t) of the terms (c_t, v_t, d_t), each of length size."""
-    den = math.lcm(*(c.denominator * d for c, _, d in terms))
+def combine(terms, size, den=1):
+    """The ring vector sum_t c_t v_t / (d_t den) of the rationals c_t and the
+    ring vectors (v_t, d_t) of the terms (c_t, v_t, d_t), each of length size."""
+    lcd = math.lcm(*(c.denominator * d for c, _, d in terms))
     acc = [0] * size
     for c, v, d in terms:
-        s = c.numerator * (den // (c.denominator * d))
+        s = c.numerator * (lcd // (c.denominator * d))
         acc = [a + s * x if x else a for a, x in zip(acc, v)]
-    return exactla.lowest(acc, den)
+    return exactla.lowest(acc, lcd * den)
 
 
 def _matrix(cols):
@@ -514,9 +501,8 @@ def cofactor_reduce(ring, p):
     the p_j and the remainder are made polynomials.
     """
     ideal = ring.ideal
-    work, den = integral(p)
-    quotients, remainder, scale = _divide(work, ideal.reducers)
-    den *= scale
+    quotients, remainder, scale = _divide(dict(p.ints), ideal.reducers)
+    den = p.den * scale
     # reducer k is lc_k g_k = lc_k sum_j rows_kj h_j / d_k; over the lcm L
     # of the d_k, p_j = sum_k q_k lc_k (L / d_k) rows_kj / (L den)
     used = [(q, lc, cof) for q, (_, lc, _), cof
@@ -531,8 +517,8 @@ def cofactor_reduce(ring, p):
                 for u, x in q.items():
                     m = tuple(map(operator.add, e, u))
                     terms[m] = terms.get(m, 0) + c * x
-    return Cofactors([_polynomial(terms, common * den, ring.nvars) for terms in acc],
-                     _polynomial(remainder, den, ring.nvars))
+    return Cofactors([Polynomial(terms, common * den, ring.nvars) for terms in acc],
+                     Polynomial(remainder, den, ring.nvars))
 
 
 def coprimality_witness(ring, f, roots):
@@ -571,7 +557,7 @@ def coprimality_witness(ring, f, roots):
                 a = a + b * rho
 
     # clear denominators into gamma
-    nu = common_denominator(c for poly in (a, b) for c in poly.terms.values())
+    nu = math.lcm(a.den, b.den)
     return (a * nu, b * nu, nu)
 
 
@@ -582,7 +568,8 @@ def inverse_mod(ring, theta):
     inverse.  Like `ideal_power_chain`, it is kept as the tests' reference,
     forming each theta b_j as a Polynomial product, and because the
     benchmark's tracer wraps it by name."""
-    rows, d = _matrix(ring.nf_vector(theta * Polynomial({b: 1}, ring.nvars)) for b in ring.basis)
+    rows, d = _matrix(ring.nf_vector(theta * Polynomial({b.exponents: 1}, 1, ring.nvars))
+                      for b in ring.basis)
     sol = exactla.solve(rows, [d * x for x in ring.unit[0]])
     if sol is None:
         raise NotInvertible("polynomial vanishes at a root of the ideal")

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import gram, quotient, verify_bounds
 from .errors import Infeasible, MaxIterations
-from .polyring import round_binary
+from .polyring import round_binary, round_scaled
 from .problem_io import Certificate
 
 
@@ -255,8 +255,8 @@ def _round_eigen_squares(ring, q, bits):
         weight = round_binary(float(w[k]), bits)
         if weight <= 0:
             continue
-        vec = [round_binary(float(v[i, k]), bits) for i in range(v.shape[0])]
-        poly = ring.from_vector(vec)
+        poly = ring.from_vector([round_scaled(float(v[i, k]), bits) for i in range(v.shape[0])],
+                                1 << bits)
         if not poly.is_zero():
             out.append((weight, poly))
     return out

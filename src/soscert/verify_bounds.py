@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from . import quotient
-from .polyring import Monomial, Polynomial, height, integral
+from .errors import NotZeroDimensional
+from .polyring import Polynomial, height
 
 
 def _add_product(acc, a, b, scale):
@@ -49,28 +49,24 @@ def _add_square(acc, a, scale):
 def residual(inst, cert):
     """f - sum_i m_i sum_k w_{i,k} q_{i,k}^2 - sum_j p_j h_j, with m_0 = 1
     and m_i = g_i: the certificate identity expanded exactly, in integers
-    over one common denominator lcd.  Each factor is an integer polynomial
-    over its own lcm denominator; only the nonzero residual terms become
-    Fractions c / lcd."""
-    n = inst.nvars
-    f, f_den = integral(inst.f)
-    mults = [({(0,) * n: 1}, 1)] + [integral(g) for g in inst.g]
-    blocks = [[(w, *integral(q)) for w, q in block] for block in cert.blocks]
-    products = [(integral(p), integral(h)) for p, h in zip(cert.cofactors, inst.h)]
-    lcd = math.lcm(f_den,
-                   *(w.denominator * d * d * m_den
-                     for (_, m_den), block in zip(mults, blocks) for w, _, d in block),
-                   *(dp * dh for (_, dp), (_, dh) in products))
-    acc = {e: c * (lcd // f_den) for e, c in f.items()}
-    for (m, m_den), block in zip(mults, blocks):
+    over one common denominator lcd, from each factor's integers over its
+    own denominator."""
+    f = inst.f
+    mults = [Polynomial.constant(1, inst.nvars)] + inst.g
+    lcd = math.lcm(f.den,
+                   *(w.denominator * q.den ** 2 * m.den
+                     for m, block in zip(mults, cert.blocks) for w, q in block),
+                   *(p.den * h.den for p, h in zip(cert.cofactors, inst.h)))
+    acc = {e: c * (lcd // f.den) for e, c in f.ints.items()}
+    for m, block in zip(mults, cert.blocks):
         # one product by m_i for the whole block
         inner = {}
-        for w, q, d in block:
-            _add_square(inner, q, -w.numerator * (lcd // (w.denominator * d * d * m_den)))
-        _add_product(acc, m, inner, 1)
-    for (p, dp), (h, dh) in products:
-        _add_product(acc, p, h, -(lcd // (dp * dh)))
-    return Polynomial({Monomial(e): Fraction(c, lcd) for e, c in acc.items() if c}, n)
+        for w, q in block:
+            _add_square(inner, q.ints, -w.numerator * (lcd // (w.denominator * q.den ** 2 * m.den)))
+        _add_product(acc, m.ints, inner, 1)
+    for p, h in zip(cert.cofactors, inst.h):
+        _add_product(acc, p.ints, h.ints, -(lcd // (p.den * h.den)))
+    return Polynomial(acc, lcd, inst.nvars)
 
 
 class VerificationReport:
@@ -125,7 +121,9 @@ class VerificationReport:
 def verify_certificate(inst, cert, ring=None):
     """Exact verification of the certificate identity: its residual is zero.
     A certificate with more blocks than 1 + len(g) or more cofactors than
-    len(h) does not fit the problem; its identity is not checked."""
+    len(h) does not fit the problem; its identity is not checked.  With no
+    finite R/I, a strict certificate is decided with no degree bound, and a
+    nonneg one, whose witnesses are checked in R/I, raises NotZeroDimensional."""
     shape_error = None
     if len(cert.blocks) > 1 + len(inst.g):
         shape_error = (f"{len(cert.blocks)} blocks, but the problem has "
@@ -143,8 +141,12 @@ def verify_certificate(inst, cert, ring=None):
     degree_bound_ok = None
     mode_ok = None
     if ring is None:
-        ring = quotient.build_ring(inst.h)
-    if ring.ideal.is_graded:
+        try:
+            ring = quotient.build_ring(inst.h)
+        except NotZeroDimensional:
+            if cert.mode == "nonneg":
+                raise
+    if ring is not None and ring.ideal.is_graded:
         bound = degree_bounds(inst, ring).cofactor_degree_bound
         degree_bound_ok = all(
             pj.is_zero() or hj.is_zero() or pj.degree + hj.degree <= bound

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from soscert import gram, problem_io, quotient, sdp_backend, variety
-from soscert.errors import ConditionFailed, Infeasible, MaxIterations, ParseError
-from soscert.polyring import (Monomial, Polynomial, common_denominator, evaluate, format_polynomial,
-                              integral)
+from soscert.errors import ConditionFailed, DimensionMismatch, Infeasible, MaxIterations, ParseError
+from soscert.polyring import Monomial, Polynomial, evaluate, format_polynomial
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -87,25 +86,27 @@ def determinant(a):
     return det
 
 
+def polynomial(terms, nvars):
+    """The Polynomial with the rational coefficients terms {Monomial: c},
+    the inverse of `Polynomial.terms`."""
+    den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+    return Polynomial({m.exponents: int(c * den) for m, c in terms.items()}, den, nvars)
+
+
 def divide(p, divisors):
     """`quotient._divide`, the package's division kernel, on polynomials:
     the integer forms of p and of the divisors go in, and the quotients and
     the remainder come back as polynomials, as `reference_divide` returns
     them."""
-    scaled = [integral(d) for d in divisors]
     triples = []
-    for d, _ in scaled:
-        lead = max(d, key=lambda e: Monomial(e).grevlex_key())
-        triples.append((lead, d[lead], [(e, c) for e, c in d.items() if e != lead]))
-    work, den = integral(p)
-    quotients, remainder, scale = quotient._divide(work, triples)
-    den *= scale
-
-    def polynomial(terms):
-        return Polynomial({Monomial(e): Fraction(c, den) for e, c in terms.items()}, p.nvars)
+    for d in divisors:
+        lead = d.leading_monomial().exponents
+        triples.append((lead, d.ints[lead], [(e, c) for e, c in d.ints.items() if e != lead]))
+    quotients, remainder, scale = quotient._divide(dict(p.ints), triples)
+    den = p.den * scale
     # divisor i is d_i / L_i for its integer form d_i: its quotient is L_i q_i
-    return ([polynomial({u: c * lcd for u, c in q.items()})
-             for q, (_, lcd) in zip(quotients, scaled)], polynomial(remainder))
+    return ([Polynomial({u: c * d.den for u, c in q.items()}, den, p.nvars)
+             for q, d in zip(quotients, divisors)], Polynomial(remainder, den, p.nvars))
 
 
 def reference_divide(p, divisors):
@@ -120,12 +121,12 @@ def reference_divide(p, divisors):
         c = work.terms[t]
         for i, (lm, lc) in enumerate(lead):
             if lm.divides(t):
-                factor = Polynomial({t / lm: c / lc}, p.nvars)
+                factor = polynomial({t / lm: c / lc}, p.nvars)
                 quotients[i] = quotients[i] + factor
                 work = work - factor * divisors[i]
                 break
         else:
-            mono = Polynomial({t: c}, p.nvars)
+            mono = polynomial({t: c}, p.nvars)
             remainder = remainder + mono
             work = work - mono
     return quotients, remainder
@@ -166,8 +167,8 @@ def reference_groebner(generators):
         lcm = lm_i.lcm(lm_j)
         if lcm.degree == lm_i.degree + lm_j.degree:
             continue  # coprime leading terms: S-polynomial reduces to zero
-        s = (Polynomial({lcm / lm_i: Fraction(1)}, nvars) * basis[i]
-             - Polynomial({lcm / lm_j: Fraction(1)}, nvars) * basis[j])
+        s = (polynomial({lcm / lm_i: Fraction(1)}, nvars) * basis[i]
+             - polynomial({lcm / lm_j: Fraction(1)}, nvars) * basis[j])
         r = reference_divide(s, basis)[1]
         if not r.is_zero():
             basis.append(monic(r))
@@ -199,8 +200,7 @@ def normal_form(ring, p):
 def cofactor_polys(ideal):
     """`IdealBasis.gb_cofactors` as polynomials: row k is the r_j with
     gb[k] = sum_j r_j h_j."""
-    return [[Polynomial({Monomial(e): Fraction(c, den) for e, c in r.items()}, ideal.nvars)
-             for r in rows]
+    return [[Polynomial(r, den, ideal.nvars) for r in rows]
             for rows, den in ideal.gb_cofactors]
 
 
@@ -285,7 +285,7 @@ def reference_mult_matrices(ring):
     for k in range(ring.nvars):
         cols = []
         for b in ring.basis:
-            nf = reference_divide(Polynomial({b * Monomial.variable(k, ring.nvars): 1}, ring.nvars),
+            nf = reference_divide(polynomial({b * Monomial.variable(k, ring.nvars): 1}, ring.nvars),
                                   ring.ideal.gb)[1]
             cols.append([nf.terms.get(m, Fraction(0)) for m in ring.basis])
         d_k = math.lcm(*(x.denominator for col in cols for x in col))
@@ -311,7 +311,7 @@ def reference_express_in_generators(g, generators, start_caps):
             if caps[j] < 0:
                 continue
             for m in quotient.monomials_upto(nvars, caps[j]):
-                prod = Polynomial({m: Fraction(1)}, nvars) * h
+                prod = polynomial({m: Fraction(1)}, nvars) * h
                 col = [Fraction(0)] * len(support)
                 for mm, c in prod.terms.items():
                     col[index[mm]] = c
@@ -327,7 +327,7 @@ def reference_express_in_generators(g, generators, start_caps):
             if cols:
                 for x, (j, m) in zip(sol, col_polys):
                     if x:
-                        result[j] = result[j] + Polynomial({m: x}, nvars)
+                        result[j] = result[j] + polynomial({m: x}, nvars)
             return result
         caps = [c + 1 for c in caps]
 
@@ -345,7 +345,7 @@ def reference_witness(ring, f, seed=0):
     denominator gamma.  `quotient.coprimality_witness` must return the same
     (a, b, gamma) from its one D x D solve of a f^2 = f."""
     D = ring.D
-    cols = [fractions(ring.nf_vector(f * Polynomial({b: 1}, ring.nvars))) for b in ring.basis]
+    cols = [fractions(ring.nf_vector(f * polynomial({b: 1}, ring.nvars))) for b in ring.basis]
     m_f = [list(row) for row in zip(*cols)]
     zero = [Fraction(0)] * D
     rows = [m_f[r] + [Fraction(int(k == r)) for k in range(D)] for r in range(D)]
@@ -354,7 +354,7 @@ def reference_witness(ring, f, seed=0):
                           + zero)
     if sol is None:
         raise ConditionFailed("(I : f) + (f) is not the unit ideal")
-    a, b = ring.from_vector(sol[:D]), ring.from_vector(sol[D:])
+    a, b = (polynomial(dict(zip(ring.basis, part)), ring.nvars) for part in (sol[:D], sol[D:]))
     if not b.is_zero():
         var = variety.solve_variety(ring.radical_ring, seed=seed)
         reals = ([z.real for z in pt.coordinates] for pt in var.points if pt.kind == "real")
@@ -364,7 +364,7 @@ def reference_witness(ring, f, seed=0):
             while rho <= max(abs(v) for v in vals) + 1:
                 rho *= 2
             a = a + b * rho
-    nu = common_denominator(c for poly in (a, b) for c in poly.terms.values())
+    nu = math.lcm(a.den, b.den)
     return a * nu, b * nu, nu
 
 
@@ -390,7 +390,7 @@ def reference_maximize_lambda(prob, iterations=100):
     # a = NF(sum_p b_p^2) is exactly 0 only without real points (it is at
     # least 1 at a real point); lam then leaves the constraints and is held
     # at 1
-    held = not any(ring.nf_vector(Polynomial({b * b: 1 for b in ring.basis}, ring.nvars))[0])
+    held = not any(ring.nf_vector(polynomial({b * b: 1 for b in ring.basis}, ring.nvars))[0])
     b = prob.b
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     n = d * len(slices)
@@ -542,7 +542,177 @@ def reference_parse_polynomial(text, var_names):
             raise ParseError("empty term in polynomial")
         m = Monomial(exps)
         terms[m] = terms.get(m, 0) + coeff
-    return Polynomial(terms, nvars)
+    return polynomial(terms, nvars)
+
+
+class ReferencePolynomial:
+    """The Fraction polynomial that `polyring.Polynomial` replaced, kept as
+    the reference for its integer form: a finite map Monomial -> Fraction,
+    zero coefficients never stored."""
+
+    __slots__ = ("terms", "nvars")
+
+    def __init__(self, terms, nvars):
+        self.nvars = nvars
+        self.terms = {m: c if type(c) is Fraction else Fraction(c)
+                      for m, c in terms.items() if c}
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls, nvars):
+        return cls({}, nvars)
+
+    @classmethod
+    def constant(cls, c, nvars):
+        return cls({Monomial.unit(nvars): c}, nvars)
+
+    @classmethod
+    def variable(cls, i, nvars):
+        return cls({Monomial.variable(i, nvars): Fraction(1)}, nvars)
+
+    # -- basic queries ------------------------------------------------
+
+    def is_zero(self):
+        return not self.terms
+
+    @property
+    def degree(self):
+        """Total degree; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        return max(m.degree for m in self.terms)
+
+    def leading_monomial(self):
+        return max(self.terms, key=Monomial.grevlex_key)
+
+    def leading_coefficient(self):
+        return self.terms[self.leading_monomial()]
+
+    def sorted_terms(self, reverse=True):
+        return sorted(self.terms.items(), key=lambda t: t[0].grevlex_key(), reverse=reverse)
+
+    # -- arithmetic ---------------------------------------------------
+
+    def _check(self, other):
+        if self.nvars != other.nvars:
+            raise DimensionMismatch(f"{self.nvars} vs {other.nvars} variables")
+
+    def __add__(self, other):
+        if not isinstance(other, ReferencePolynomial):
+            other = ReferencePolynomial.constant(other, self.nvars)
+        self._check(other)
+        acc = dict(self.terms)
+        for m, c in other.terms.items():
+            acc[m] = acc.get(m, 0) + c
+        return ReferencePolynomial(acc, self.nvars)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferencePolynomial({m: -c for m, c in self.terms.items()}, self.nvars)
+
+    def __sub__(self, other):
+        if not isinstance(other, ReferencePolynomial):
+            other = ReferencePolynomial.constant(other, self.nvars)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return ReferencePolynomial.constant(other, self.nvars) - self
+
+    def __mul__(self, other):
+        if not isinstance(other, ReferencePolynomial):
+            if other == 0:
+                return ReferencePolynomial.zero(self.nvars)
+            return ReferencePolynomial({m: c * other for m, c in self.terms.items()}, self.nvars)
+        self._check(other)
+        acc = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = m1 * m2
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return ReferencePolynomial(acc, self.nvars)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return self * (Fraction(1) / scalar)
+
+    def __pow__(self, k):
+        result = ReferencePolynomial.constant(Fraction(1), self.nvars)
+        base = self
+        k = int(k)
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def __eq__(self, other):
+        if not isinstance(other, ReferencePolynomial):
+            return (self - ReferencePolynomial.constant(other, self.nvars)).is_zero()
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return f"ReferencePolynomial({reference_format(self)})"
+
+
+def reference_evaluate(p, point):
+    """`polyring.evaluate` on a ReferencePolynomial, as it was: float(c) of
+    each Fraction coefficient at a float or complex point."""
+    inexact = any(isinstance(x, (float, complex)) for x in point)
+    total = 0.0 if inexact else 0
+    for m, c in p.terms.items():
+        v = float(c) if inexact else c
+        for x, e in zip(point, m.exponents):
+            if e:
+                v = v * x ** e
+        total = total + v
+    return total
+
+
+def reference_height(p):
+    """(numerator bits, denominator bits) of a ReferencePolynomial over the
+    lcm of its denominators, as `polyring.height` computed them."""
+    if p.is_zero():
+        return 0, 0
+    nu = math.lcm(*(c.denominator for c in p.terms.values()))
+    top = max(abs(c.numerator * (nu // c.denominator)) for c in p.terms.values())
+    return top.bit_length(), nu.bit_length() if nu > 1 else 0
+
+
+def reference_format(p, var_names=None):
+    """`polyring.format_polynomial` on a ReferencePolynomial, as it was."""
+    if var_names is None:
+        var_names = [f"x{i + 1}" for i in range(p.nvars)]
+    if p.is_zero():
+        return "0"
+    parts = []
+    for m, c in p.sorted_terms():
+        factors = []
+        for name, e in zip(var_names, m.exponents):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        body = "*".join(factors)
+        negative = c < 0
+        mag = -c if negative else c
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not parts:
+            parts.append(f"-{text}" if negative else text)
+        else:
+            parts.append(f"- {text}" if negative else f"+ {text}")
+    return " ".join(parts)
 
 
 @pytest.fixture

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from soscert import certifier, cli, gram, problem_io, quotient, variety, verify_bounds
 from soscert.errors import (ClusterAmbiguity, ConditionFailed, NotPD,
                             NotStrictlyPositiveOnS)
-from soscert.polyring import (Monomial, Polynomial, common_denominator, evaluate,
-                              parse_polynomial)
+from soscert.polyring import Monomial, Polynomial, evaluate, parse_polynomial
 
-from conftest import data_path, format_problem, load_problem, normal_form, radical_roots
+from conftest import (data_path, format_problem, load_problem, normal_form, polynomial,
+                      radical_roots)
 
 
 def poly(s, names=("x", "y")):
@@ -392,7 +392,7 @@ def _polys(nvars, max_terms=4):
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
     coeffs = st.fractions(min_value=-2 ** 70, max_value=2 ** 70, max_denominator=2 ** 64)
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
-        lambda terms: Polynomial({Monomial(e): c for e, c in terms.items()}, nvars))
+        lambda terms: polynomial({Monomial(e): c for e, c in terms.items()}, nvars))
 
 
 @st.composite
@@ -412,14 +412,11 @@ def _instances_and_certificates(draw):
 
 def _identity_denominator(inst, cert):
     """The common denominator over which `residual` expands the identity."""
-    def den(p):
-        return common_denominator(p.terms.values())
-
     mults = [Polynomial.constant(1, inst.nvars)] + inst.g
-    return math.lcm(den(inst.f),
-                    *(w.denominator * den(q) ** 2 * den(m)
+    return math.lcm(inst.f.den,
+                    *(w.denominator * q.den ** 2 * m.den
                       for m, block in zip(mults, cert.blocks) for w, q in block),
-                    *(den(p) * den(h) for p, h in zip(cert.cofactors, inst.h)))
+                    *(p.den * h.den for p, h in zip(cert.cofactors, inst.h)))
 
 
 class TestResidual:
@@ -471,10 +468,10 @@ class TestResidual:
         step = Fraction(1, _identity_denominator(inst, cert))
         j = next(j for j, pj in enumerate(cert.cofactors) if not pj.is_zero())
         lead = cert.cofactors[j].leading_monomial()
-        moved = cert.cofactors[j] + Polynomial({lead: step}, inst.nvars)
+        moved = cert.cofactors[j] + polynomial({lead: step}, inst.nvars)
         cofactors = cert.cofactors[:j] + [moved] + cert.cofactors[j + 1:]
         mutant = problem_io.Certificate(cert.mode, cert.blocks, cofactors)
-        step_h = -Polynomial({lead: step}, inst.nvars) * inst.h[j]
+        step_h = -polynomial({lead: step}, inst.nvars) * inst.h[j]
         assert verify_bounds.residual(inst, mutant) == step_h
         out.write_text(problem_io.format_certificate(mutant, inst.var_names))
         capsys.readouterr()

@@ -131,6 +131,27 @@ class TestCertify:
         assert "identity: ok" in capsys.readouterr().out
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_failing_certificate_is_not_written(self, tmp_path, monkeypatch, capsys, to_file):
+        # a certificate that fails its own verification is reported, and
+        # neither the --out file nor standard output gets it
+        certify = certifier.certify
+
+        def doubled(inst, ring=None):
+            cert = certify(inst, ring)
+            w, q = cert.blocks[0][0]
+            cert.blocks[0][0] = (2 * w, q)
+            return cert
+        monkeypatch.setattr(certifier, "certify", doubled)
+        out = tmp_path / "cert.txt"
+        argv = ["certify", "--input", data_path("four_points.prob")]
+        assert run(argv + (["--out", str(out)] if to_file else [])) == 4
+        captured = capsys.readouterr()
+        assert "verification failed: identity" in captured.err
+        assert "identity: FAILED" in captured.out.splitlines()
+        assert not out.exists()
+        assert "square" not in captured.out and "mode strict" not in captured.out
+
     def test_seed_determinism(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -256,6 +277,26 @@ class TestVerify:
         out = capsys.readouterr()
         assert "identity: ok" in out.out and "mode witnesses: FAILED" in out.out
         assert "verification failed: mode-witness" in out.err
+
+    @pytest.mark.parametrize("h", ["x*y", "0"])
+    def test_strict_certificate_without_a_finite_quotient(self, tmp_path, capsys, h):
+        # with no finite R/I there is no degree bound to print, and shape,
+        # identity and weights decide a strict certificate alone
+        prob = tmp_path / "p.prob"
+        prob.write_text(f"variables x y\nf: x^2 + 1\nh: {h}\n")
+        cert = tmp_path / "c.cert"
+        body = "variables x y\nblock 0\nweight 1 square x\nweight 1 square 1\ncofactor 1 0\n"
+        cert.write_text("mode strict\n" + body)
+        assert run(["verify", "--input", str(prob), "--certificate", str(cert)]) == 0
+        out = capsys.readouterr().out
+        assert "identity: ok" in out.splitlines() and "degree bound" not in out
+        cert.write_text("mode strict\n" + body.replace("weight 1 square 1", "weight 2 square 1"))
+        assert run(["verify", "--input", str(prob), "--certificate", str(cert)]) == 4
+        assert "verification failed: identity" in capsys.readouterr().err
+        # nonneg witnesses are checked in R/I, and `bounds` bounds R/I: no answer
+        cert.write_text("mode nonneg\n" + body + "witness 1 1\nwitness 2 1\n")
+        assert run(["verify", "--input", str(prob), "--certificate", str(cert)]) == 2
+        assert run(["bounds", "--input", str(prob)]) == 2
 
     def test_extra_block_exits_4(self, tmp_path, capsys):
         # four_points has one g, so a certificate has at most blocks 0 and 1
@@ -616,6 +657,7 @@ GOLDEN_EXITS = {
     "cusp_circle_shifted": {"none": 0, "nonneg": 0, "sdp": 0},
     "double_origin": {"none": 3, "nonneg": 2, "sdp": 3},
     "double_origin_shifted": {"none": 0, "nonneg": 0, "sdp": 0},
+    "excluded_grid": {"none": 0, "nonneg": 0, "sdp": 0},
     "four_points": {"none": 0, "nonneg": 0, "sdp": 0},
     "rational_mixed": {"none": 0, "nonneg": 0, "sdp": 0},
     "scaled_witness": {"none": 3, "nonneg": 0, "sdp": 3},

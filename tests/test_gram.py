@@ -9,7 +9,7 @@ from soscert import cli, exactla, gram, problem_io, quotient, variety, verify_bo
 from soscert.errors import NotPD, PrecisionExceeded, ZeroPivot
 from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
-from conftest import from_rational, normal_form, rational, reconstruct
+from conftest import from_rational, normal_form, polynomial, rational, reconstruct
 
 
 def poly(s, names=("x",)):
@@ -172,7 +172,7 @@ class TestGramRest:
         p = in_ideal
         for bi, row in zip(ring.basis, q0.mat):
             for bj, x in zip(ring.basis, row):
-                p = p + Polynomial({bi * bj: Fraction(x, q0.nu)}, ring.nvars)
+                p = p + polynomial({bi * bj: Fraction(x, q0.nu)}, ring.nvars)
         squares, rest = gram.gram_squares(gram.GramVariety(ring, p), q0)
         inst = problem_io.ProblemInstance(names, p, [], ring.ideal.generators)
         assert rest == verify_bounds.residual(inst, problem_io.Certificate("strict", [squares], []))

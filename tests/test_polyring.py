@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from soscert.polyring import (Monomial, Polynomial, evaluate, format_polynomial,
                               height, parse_polynomial, round_binary)
 from soscert.problem_io import parse_problem
 
-from conftest import reference_parse_polynomial
+from conftest import (ReferencePolynomial, polynomial, reference_evaluate, reference_format,
+                      reference_height, reference_parse_polynomial)
 
 
 def poly(s, names=("x", "y")):
@@ -20,12 +22,12 @@ coeffs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**3)
 
 
 @st.composite
-def polynomials(draw, nvars=2, max_degree=4, max_terms=6):
+def polynomials(draw, nvars=2, max_degree=4, max_terms=6, coeffs=coeffs):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         exps = tuple(draw(st.integers(0, max_degree)) for _ in range(nvars))
         terms[Monomial(exps)] = draw(coeffs)
-    return Polynomial(terms, nvars)
+    return polynomial(terms, nvars)
 
 
 class TestMonomialOrder:
@@ -82,7 +84,7 @@ class TestArithmetic:
 
 class TestExactCoefficients:
     def test_integers_are_stored_as_fractions(self):
-        p = Polynomial({Monomial((1, 0)): 1, Monomial((0, 1)): 0}, 2)
+        p = polynomial({Monomial((1, 0)): 1, Monomial((0, 1)): 0}, 2)
         assert p.terms == {Monomial((1, 0)): Fraction(1)}
         assert all(type(c) is Fraction for c in p.terms.values())
         assert all(type(c) is Fraction for c in (p * 3 - 2).terms.values())
@@ -119,6 +121,84 @@ class TestExactCoefficients:
         value = evaluate(p, pt)
         assert isinstance(value, (float, complex))
         assert repr(kind(value)) == repr(kind(expected))
+
+
+# coefficients far beyond float64's 53 bits, so that c / den and the
+# common denominator meet large integers
+big_coeffs = st.fractions(min_value=-2 ** 70, max_value=2 ** 70, max_denominator=2 ** 64)
+scalars = st.one_of(st.integers(-5, 5), big_coeffs)
+
+
+def _check_lowest(p):
+    """The integer form's invariant: lowest terms over a positive den, with
+    no zero numerator stored."""
+    assert p.den > 0 and all(p.ints.values())
+    assert math.gcd(p.den, *p.ints.values()) == 1
+
+
+def _same(p, ref):
+    _check_lowest(p)
+    assert p.nvars == ref.nvars and p.terms == ref.terms
+
+
+class TestAgainstTheFractionReference:
+    """The integer Polynomial against the Fraction one it replaced
+    (`conftest.ReferencePolynomial`), operation by operation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(polynomials(), polynomials(coeffs=big_coeffs)),
+           st.one_of(polynomials(), polynomials(coeffs=big_coeffs)),
+           scalars, st.integers(0, 3))
+    def test_arithmetic(self, p, q, c, k):
+        rp, rq = ReferencePolynomial(p.terms, 2), ReferencePolynomial(q.terms, 2)
+        _same(p + q, rp + rq)
+        _same(p - q, rp - rq)
+        _same(-p, -rp)
+        _same(p * q, rp * rq)
+        _same(p ** k, rp ** k)
+        _same(p * c, rp * c)
+        _same(c * p, c * rp)
+        _same(p + c, rp + c)
+        _same(c - p, c - rp)
+        if c:
+            _same(p / c, rp / c)
+        assert (p == q) == (rp == rq)
+        assert (p == c) == (rp == c)
+        twin = (p + q) - q  # equal to p, built another way
+        assert twin == p and hash(twin) == hash(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(polynomials(), polynomials(coeffs=big_coeffs)))
+    def test_queries(self, p):
+        ref = ReferencePolynomial(p.terms, 2)
+        assert p.degree == ref.degree
+        info = height(p)
+        assert (info.numerator_height, info.denominator_height) == reference_height(ref)
+        assert all(type(c) is Fraction for c in p.terms.values())
+        if not p.is_zero():
+            assert p.leading_monomial() == ref.leading_monomial()
+            assert p.leading_coefficient() == ref.leading_coefficient()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(polynomials(), polynomials(coeffs=big_coeffs)),
+           st.lists(big_coeffs, min_size=2, max_size=2), st.data())
+    def test_evaluate(self, p, rational_point, data):
+        ref = ReferencePolynomial(p.terms, 2)
+        assert evaluate(p, rational_point) == reference_evaluate(ref, rational_point)
+        floats = st.floats(-4, 4)
+        for kind in (float, complex):
+            pt = [kind(*(data.draw(floats) for _ in range(1 if kind is float else 2)))
+                  for _ in range(2)]
+            assert repr(evaluate(p, pt)) == repr(reference_evaluate(ref, pt))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(polynomials(), polynomials(coeffs=big_coeffs)))
+    def test_parse_of_format(self, p):
+        text = format_polynomial(p, ["x", "y"])
+        assert text == reference_format(ReferencePolynomial(p.terms, 2), ["x", "y"])
+        back = parse_polynomial(text, ["x", "y"])
+        _check_lowest(back)
+        assert back == p and back.terms == reference_parse_polynomial(text, ["x", "y"]).terms
 
 
 class TestParseFormat:

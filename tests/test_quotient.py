@@ -10,7 +10,7 @@ from soscert import exactla, problem_io, quotient
 from soscert.errors import ConditionFailed, NotInvertible, NotZeroDimensional
 from soscert.polyring import Monomial, Polynomial, parse_polynomial
 
-from conftest import (cofactor_polys, divide, fractions, load_problem, mat_vec, normal_form,
+from conftest import (cofactor_polys, divide, fractions, load_problem, mat_vec, normal_form, polynomial,
                       primitive, radical_roots, reference_divide, reference_express_in_generators,
                       reference_groebner, reference_mult_matrices, reference_nullspace,
                       reference_witness)
@@ -67,7 +67,7 @@ def _polys(nvars, max_exp, max_terms, coefficients):
         for _ in range(draw(st.integers(1, max_terms))):
             exps = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
             terms[Monomial(exps)] = draw(coefficients)
-        return Polynomial(terms, nvars)
+        return polynomial(terms, nvars)
     return draw_poly()
 
 
@@ -87,7 +87,7 @@ def zero_dimensional_generators(draw):
     for i in range(nvars):
         d = draw(st.integers(1, 3 if nvars < 3 else 2))
         tail = draw(_polys(nvars, d - 1, 3, _small_rationals))
-        tail = Polynomial({m: c for m, c in tail.terms.items() if m.degree < d}, nvars)
+        tail = polynomial({m: c for m, c in tail.terms.items() if m.degree < d}, nvars)
         gens.append(Polynomial.variable(i, nvars) ** d + tail)
     if nvars > 1:
         gens[0] = gens[0] + draw(_polys(nvars, 1, 2, _small_rationals)) * gens[-1]
@@ -395,7 +395,7 @@ def small_polys(draw):
     for _ in range(draw(st.integers(1, 5))):
         exps = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
         terms[Monomial(exps)] = Fraction(draw(st.integers(-20, 20)))
-    return Polynomial(terms, 2)
+    return polynomial(terms, 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -427,7 +427,7 @@ def high_degree_polys(draw, max_exp):
     for _ in range(draw(st.integers(1, 6))):
         exps = (draw(st.integers(0, max_exp)), draw(st.integers(0, max_exp)))
         terms[Monomial(exps)] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
-    return Polynomial(terms, 2)
+    return polynomial(terms, 2)
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -716,4 +716,4 @@ def test_mul_and_mult_matrix_read_the_product_table(name, p, q):
     assert len(rows) == ring.D and all(type(x) is int for row in rows for x in row)
     for j, b in enumerate(ring.basis):
         column = [Fraction(row[j], d) for row in rows]
-        assert column == fractions(ring.nf_vector(p * Polynomial({b: 1}, 2)))
+        assert column == fractions(ring.nf_vector(p * polynomial({b: 1}, 2)))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import load_problem, reference_maximize_lambda
+from conftest import load_problem, polynomial, reference_maximize_lambda
 from soscert import certifier, problem_io, quotient, sdp_backend, verify_bounds
 from soscert.errors import Infeasible, MaxIterations
 from soscert.polyring import Polynomial, parse_polynomial
@@ -101,7 +101,7 @@ class TestFormulate:
                 square = Polynomial.zero(2)
                 for p, bp in enumerate(ring.basis):
                     for t, bt in enumerate(ring.basis):
-                        square = square + Polynomial({bp * bt: Fraction(q[p, t])}, 2)
+                        square = square + polynomial({bp * bt: Fraction(q[p, t])}, 2)
                 total = total + mult * square
             ints, den = ring.nf_vector(total)
             expected = np.array([x / den for x in ints])

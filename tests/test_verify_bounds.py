@@ -7,7 +7,7 @@ from soscert import problem_io, quotient, verify_bounds
 from soscert.problem_io import Certificate
 from soscert.polyring import Polynomial, parse_polynomial
 
-from conftest import load_certificate
+from conftest import load_certificate, polynomial
 
 
 def poly(s, names=("x", "y")):
@@ -50,7 +50,7 @@ class TestVerifyCertificate:
             k = rng.randrange(len(cert.blocks[i]))
             w, q = cert.blocks[i][k]
             mon, coeff = rng.choice(sorted(q.terms.items()))
-            mutated = q + Polynomial({mon: Fraction(1, rng.randint(1, 7))}, 2)
+            mutated = q + polynomial({mon: Fraction(1, rng.randint(1, 7))}, 2)
             blocks = [list(b) for b in cert.blocks]
             blocks[i][k] = (w, mutated)
             report = verify_bounds.verify_certificate(
