@@ -161,11 +161,10 @@ def gram_rest(p, basis, q):
     lcd = math.lcm(p.den, q.nu)
     acc = {e: c * (lcd // p.den) for e, c in p.ints.items()}
     once = lcd // q.nu
-    exps = [b.exponents for b in basis]
-    for i, (ei, row) in enumerate(zip(exps, q.mat)):
-        for j in range(i, len(exps)):
+    for i, (bi, row) in enumerate(zip(basis, q.mat)):
+        for j in range(i, len(basis)):
             if row[j]:
-                e = tuple(map(operator.add, ei, exps[j]))
+                e = tuple(map(operator.add, bi, basis[j]))
                 acc[e] = acc.get(e, 0) - (once if i == j else 2 * once) * row[j]
     return Polynomial(acc, lcd, p.nvars)
 

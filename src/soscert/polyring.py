@@ -4,19 +4,20 @@ A polynomial is integers keyed by exponent tuples over one denominator, the
 form of the quotient ring's vectors, and parsing, printing, arithmetic,
 heights and every exact layer work on it; only the `terms` view makes
 Fractions.  Float and complex points meet a polynomial only in `evaluate`.
-Monomials are compared in graded reverse lexicographic order throughout,
-so leading terms are degree-compatible.
+A monomial is its exponent tuple everywhere, the quotient basis included,
+and `grevlex` is the one order on them, so leading terms are
+degree-compatible; `Monomial` is only the key of the `terms` view.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import DimensionMismatch, ParseError
 
@@ -27,44 +28,15 @@ def grevlex(e):
     return sum(e), tuple(map(operator.neg, e))
 
 
-@total_ordering
 class Monomial:
-    """A power product x^alpha, stored as a tuple of nonnegative exponents."""
+    """The key of the read-only `Polynomial.terms` view, which keeps its
+    exponent tuple as `exponents`.  Everything else in the package keys a
+    monomial by its exponent tuple itself."""
 
     __slots__ = ("exponents",)
 
     def __init__(self, exponents):
-        self.exponents = tuple(exponents)
-
-    @classmethod
-    def unit(cls, nvars):
-        return cls((0,) * nvars)
-
-    @classmethod
-    def variable(cls, i, nvars):
-        return cls(tuple(1 if j == i else 0 for j in range(nvars)))
-
-    @property
-    def degree(self):
-        return sum(self.exponents)
-
-    def __mul__(self, other):
-        return Monomial(tuple(map(operator.add, self.exponents, other.exponents)))
-
-    def divides(self, other):
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __truediv__(self, other):
-        return Monomial(tuple(map(operator.sub, self.exponents, other.exponents)))
-
-    def lcm(self, other):
-        return Monomial(tuple(map(max, self.exponents, other.exponents)))
-
-    def grevlex_key(self):
-        return grevlex(self.exponents)
-
-    def __lt__(self, other):
-        return self.grevlex_key() < other.grevlex_key()
+        self.exponents = exponents
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exponents == other.exponents
@@ -98,13 +70,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c, nvars):
-        """The constant polynomial of a number c, taken exactly."""
-        c = Fraction(c)
+        """The constant polynomial of a real number c, taken exactly."""
+        c = _scalar(c)
         return cls({(0,) * nvars: c.numerator}, c.denominator, nvars)
 
     @classmethod
     def variable(cls, i, nvars):
-        return cls({Monomial.variable(i, nvars).exponents: 1}, 1, nvars)
+        return cls({tuple(int(j == i) for j in range(nvars)): 1}, 1, nvars)
 
     # -- basic queries ------------------------------------------------
 
@@ -122,10 +94,10 @@ class Polynomial:
         return max(map(sum, self.ints), default=-1)
 
     def leading_monomial(self):
-        return Monomial(max(self.ints, key=grevlex))
+        return max(self.ints, key=grevlex)
 
     def leading_coefficient(self):
-        return Fraction(self.ints[max(self.ints, key=grevlex)], self.den)
+        return Fraction(self.ints[self.leading_monomial()], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -157,7 +129,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            other = Fraction(other)  # a scalar, taken exactly
+            other = _scalar(other)
             return Polynomial({e: c * other.numerator for e, c in self.ints.items()},
                               self.den * other.denominator, self.nvars)
         self._check(other)
@@ -176,7 +148,7 @@ class Polynomial:
     def __pow__(self, k):
         result = Polynomial.constant(1, self.nvars)
         base = self
-        k = int(k)
+        k = operator.index(k)
         while k:
             if k & 1:
                 result = result * base
@@ -186,6 +158,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
+            if not isinstance(other, numbers.Real):
+                return NotImplemented
             other = Polynomial.constant(other, self.nvars)
         return (self.nvars, self.den, self.ints) == (other.nvars, other.den, other.ints)
 
@@ -194,6 +168,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
+
+
+def _scalar(c):
+    """A real number c as a Fraction, exactly.  Anything else, a string
+    included, which Fraction would parse, raises TypeError."""
+    if not isinstance(c, numbers.Real):
+        raise TypeError(f"a polynomial meets a number or a polynomial, not {type(c).__name__}")
+    return Fraction(c)
 
 
 def evaluate(p, point):

@@ -39,32 +39,36 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 import operator
 
 from . import exactla
 from .errors import ConditionFailed, NotInvertible, NotZeroDimensional
-from .polyring import Monomial, Polynomial, evaluate, grevlex
+from .polyring import Polynomial, evaluate, grevlex
+
+
+def _order_ideal(nvars, inside):
+    """The exponent tuples e with inside(e), grevlex ascending, for a
+    predicate that holds at finitely many tuples and, with any tuple, at
+    all of its divisors.  The search reaches each tuple once, from e / x_k
+    with x_k the last variable that divides e."""
+    zero = (0,) * nvars
+    out = []
+    stack = [(zero, 0)] if inside(zero) else []
+    while stack:
+        e, first = stack.pop()
+        out.append(e)
+        for k in range(first, nvars):
+            up = e[:k] + (e[k] + 1,) + e[k + 1:]
+            if inside(up):
+                stack.append((up, k))
+    out.sort(key=grevlex)
+    return out
 
 
 def monomials_upto(nvars, max_degree):
-    """All monomials of total degree <= max_degree, grevlex ascending."""
-    out = []
-    for degree in range(max_degree + 1):
-        for bars in itertools.combinations(range(degree + nvars - 1), nvars - 1) if nvars > 1 else [()]:
-            if nvars == 1:
-                out.append(Monomial((degree,)))
-                break
-            exps = []
-            prev = -1
-            for b in bars:
-                exps.append(b - prev - 1)
-                prev = b
-            exps.append(degree + nvars - 2 - prev)
-            out.append(Monomial(exps))
-    out.sort(key=Monomial.grevlex_key)
-    return out
+    """The exponent tuples of total degree <= max_degree, grevlex ascending."""
+    return _order_ideal(nvars, lambda e: sum(e) <= max_degree)
 
 
 def _divide(work, reducers):
@@ -76,7 +80,7 @@ def _divide(work, reducers):
     the integer remainder and the positive integer scale.
 
     The leading term comes off a heap keyed (-degree, exponents), which is
-    grevlex-descending (see `Monomial.grevlex_key`), so the remainder's
+    grevlex-descending (see `polyring.grevlex`), so the remainder's
     first key is its leading monomial.  Each monomial is queued at most
     once, one whose coefficient cancelled is skipped when popped, and a
     popped one never comes back: every term a step adds is below the term
@@ -217,7 +221,7 @@ def _express_in_generators(reducer, generators, start_caps):
     target = {lead: target_den, **dict(tail)}
     caps = list(start_caps)
     while True:
-        cols = [(j, u.exponents) for j, cap in enumerate(caps) for u in monomials_upto(nvars, cap)]
+        cols = [(j, u) for j, cap in enumerate(caps) for u in monomials_upto(nvars, cap)]
         index = {e: i for i, e in enumerate(target)}  # row of each monomial
         entries = [(index.setdefault(tuple(map(operator.add, e, u)), len(index)), col, c)
                    for col, (j, u) in enumerate(cols) for e, c in generators[j].ints.items()]
@@ -324,10 +328,11 @@ class Cofactors:
 class QuotientRing:
     """Finite-dimensional quotient by a zero-dimensional ideal.
 
-    Every reduction modulo I goes through one linear map over the basis B:
-    NF(p) = sum_m c_m NF(m), with NF(m) cached as a ring vector (ints, den)
-    over B, keyed by the exponents of m.  The cache starts from B's unit
-    vectors, and every other monomial gets its normal form by one
+    The basis B is a grevlex-ascending list of exponent tuples, the
+    standard monomials.  Every reduction modulo I goes through one linear
+    map over B: NF(p) = sum_m c_m NF(m), with NF(m) cached as a ring vector
+    (ints, den) over B, keyed by the exponents of m.  The cache starts from
+    B's unit vectors, and every other monomial gets its normal form by one
     algorithm, from the tails of the reduced Gröbner basis
     (`_nf_from_tails`): the border, the product table and any higher
     monomial alike.  A product of two ring vectors (`mul`) reads the table
@@ -339,8 +344,8 @@ class QuotientRing:
         self.basis = basis
         self.D = len(basis)
         self.nvars = ideal.nvars
-        self._nf_vectors = {m.exponents: ([int(i == k) for i in range(self.D)], 1)
-                            for k, m in enumerate(basis)}
+        self._nf_vectors = {b: ([int(i == k) for i in range(self.D)], 1)
+                            for k, b in enumerate(basis)}
         # NF(1): 1 lies in B unless I is the unit ideal, where every vector is empty
         self.unit = self._nf_vectors.setdefault((0,) * self.nvars, ([], 1))
 
@@ -379,7 +384,7 @@ class QuotientRing:
 
     def from_vector(self, v, den=1):
         """The polynomial sum_i (v_i / den) b_i of integers v_i."""
-        return Polynomial({m.exponents: x for m, x in zip(self.basis, v)}, den, self.nvars)
+        return Polynomial(dict(zip(self.basis, v)), den, self.nvars)
 
     def mul(self, u, v):
         """The product of the ring vectors u and v, sum_ij u_i v_j NF(b_i b_j)
@@ -393,10 +398,10 @@ class QuotientRing:
     def mult_matrix(self, v):
         """Multiplication by the ring vector v, as (integer rows of A, d)
         with M_v = A / d: column j is v b_j = sum_i v_i NF(b_i b_j)."""
-        return _matrix(self.mul(v, self._nf_vectors[b.exponents]) for b in self.basis)
+        return _matrix(self.mul(v, self._nf_vectors[b]) for b in self.basis)
 
     def degree_of_basis(self):
-        return max((m.degree for m in self.basis), default=0)
+        return max(map(sum, self.basis), default=0)
 
     @functools.cached_property
     def mult_matrices(self):
@@ -405,15 +410,15 @@ class QuotientRing:
         NF(x_k b), read like every other normal form.  Only
         `variety.solve_variety` reads them: no normal form passes through
         them."""
-        return [_matrix(self._nf_from_tails((b * Monomial.variable(k, self.nvars)).exponents)
-                        for b in self.basis)
+        return [_matrix(self._nf_from_tails(b[:k] + (b[k] + 1,) + b[k + 1:]) for b in self.basis)
                 for k in range(self.nvars)]
 
     @functools.cached_property
     def products(self):
         """products[i][j] = NF(b_i b_j), a ring vector over B: the product
         table that the radical, the Gram set and the SDP constraints read."""
-        return [[self._nf_from_tails((bi * bj).exponents) for bj in self.basis] for bi in self.basis]
+        return [[self._nf_from_tails(tuple(map(operator.add, bi, bj))) for bj in self.basis]
+                for bi in self.basis]
 
     @functools.cached_property
     def radical(self):
@@ -457,31 +462,21 @@ def _matrix(cols):
 
 
 def monomial_basis(ideal):
-    """The quotient ring on the standard monomials of the ideal, which
-    builds its multiplication matrices on first read.  Raises
+    """The quotient ring on the standard monomials of the ideal, the
+    exponent tuples that no Gröbner leading monomial divides, grevlex
+    ascending; it builds its tables on first read.  Raises
     NotZeroDimensional unless every variable has a pure power among the
     Gröbner leading monomials (the classical finiteness criterion); the
     unit ideal has 1 as a leading monomial, so its basis is empty.
     """
-    nvars = ideal.nvars
-    lead = [Monomial(e) for e, _, _ in ideal.reducers]
-    for i in range(nvars):
-        if not any(all(e == 0 for k, e in enumerate(m.exponents) if k != i) for m in lead):
+    lead = [e for e, _, _ in ideal.reducers]
+    for i in range(ideal.nvars):
+        if not any(sum(e) == e[i] for e in lead):
             raise NotZeroDimensional(f"no pure power of variable {i + 1} among leading terms")
-    standard = []
-    seen = set()
-    queue = [Monomial.unit(nvars)]
-    while queue:
-        m = queue.pop()
-        if m in seen:
-            continue
-        seen.add(m)
-        if any(lm.divides(m) for lm in lead):
-            continue
-        standard.append(m)
-        queue.extend(m * Monomial.variable(i, nvars) for i in range(nvars))
-    standard.sort(key=Monomial.grevlex_key)
-    return QuotientRing(ideal, standard)
+
+    def standard(m):
+        return not any(all(map(operator.le, e, m)) for e in lead)
+    return QuotientRing(ideal, _order_ideal(ideal.nvars, standard))
 
 
 def build_ring(generators):
@@ -568,7 +563,7 @@ def inverse_mod(ring, theta):
     inverse.  Like `ideal_power_chain`, it is kept as the tests' reference,
     forming each theta b_j as a Polynomial product, and because the
     benchmark's tracer wraps it by name."""
-    rows, d = _matrix(ring.nf_vector(theta * Polynomial({b.exponents: 1}, 1, ring.nvars))
+    rows, d = _matrix(ring.nf_vector(theta * Polynomial({b: 1}, 1, ring.nvars))
                       for b in ring.basis)
     sol = exactla.solve(rows, [d * x for x in ring.unit[0]])
     if sol is None:

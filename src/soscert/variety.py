@@ -111,9 +111,9 @@ def _pair_conjugates(points, tol):
 
 def _eval_basis(ring, coords):
     vals = []
-    for m in ring.basis:
+    for b in ring.basis:
         v = 1.0 + 0j
-        for z, e in zip(coords, m.exponents):
+        for z, e in zip(coords, b):
             if e:
                 v *= z ** e
         vals.append(v)

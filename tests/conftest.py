@@ -1,5 +1,7 @@
+import functools
 import heapq
 import math
+import operator
 import os
 import re
 from fractions import Fraction
@@ -7,9 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soscert import gram, problem_io, quotient, sdp_backend, variety
+from soscert import gram, polyring, problem_io, quotient, sdp_backend, variety
 from soscert.errors import ConditionFailed, DimensionMismatch, Infeasible, MaxIterations, ParseError
-from soscert.polyring import Monomial, Polynomial, evaluate, format_polynomial
+from soscert.polyring import Polynomial, evaluate, format_polynomial, grevlex
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -86,11 +88,59 @@ def determinant(a):
     return det
 
 
-def polynomial(terms, nvars):
-    """The Polynomial with the rational coefficients terms {Monomial: c},
-    the inverse of `Polynomial.terms`."""
-    den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
-    return Polynomial({m.exponents: int(c * den) for m, c in terms.items()}, den, nvars)
+@functools.total_ordering
+class Monomial(polyring.Monomial):
+    """A power product x^alpha with the monomial algebra that the reference
+    implementations use, ordered by `polyring.grevlex`.  As a
+    `polyring.Monomial` it equals, and hashes like, the `Polynomial.terms`
+    key of the same exponents."""
+
+    __slots__ = ()
+
+    def __init__(self, exponents):
+        super().__init__(tuple(exponents))
+
+    @classmethod
+    def unit(cls, nvars):
+        return cls((0,) * nvars)
+
+    @classmethod
+    def variable(cls, i, nvars):
+        return cls(tuple(1 if j == i else 0 for j in range(nvars)))
+
+    @property
+    def degree(self):
+        return sum(self.exponents)
+
+    def __mul__(self, other):
+        return Monomial(map(operator.add, self.exponents, other.exponents))
+
+    def divides(self, other):
+        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+
+    def __truediv__(self, other):
+        return Monomial(map(operator.sub, self.exponents, other.exponents))
+
+    def lcm(self, other):
+        return Monomial(map(max, self.exponents, other.exponents))
+
+    def grevlex_key(self):
+        return grevlex(self.exponents)
+
+    def __lt__(self, other):
+        return self.grevlex_key() < other.grevlex_key()
+
+
+def terms(p):
+    """The `terms` view of p, {Monomial: Fraction}, keyed by the Monomial
+    above, which has the algebra."""
+    return {Monomial(m.exponents): c for m, c in p.terms.items()}
+
+
+def polynomial(coeffs, nvars):
+    """The Polynomial with the rational coefficients {exponents: c}."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs.values()))
+    return Polynomial({e: int(c * den) for e, c in coeffs.items()}, den, nvars)
 
 
 def divide(p, divisors):
@@ -100,7 +150,7 @@ def divide(p, divisors):
     them."""
     triples = []
     for d in divisors:
-        lead = d.leading_monomial().exponents
+        lead = d.leading_monomial()
         triples.append((lead, d.ints[lead], [(e, c) for e, c in d.ints.items() if e != lead]))
     quotients, remainder, scale = quotient._divide(dict(p.ints), triples)
     den = p.den * scale
@@ -114,19 +164,19 @@ def reference_divide(p, divisors):
     remainder monomial divisible by any divisor's leading monomial."""
     quotients = [Polynomial.zero(p.nvars) for _ in divisors]
     remainder = Polynomial.zero(p.nvars)
-    lead = [(d.leading_monomial(), d.leading_coefficient()) for d in divisors]
+    lead = [(Monomial(d.leading_monomial()), d.leading_coefficient()) for d in divisors]
     work = p
     while not work.is_zero():
-        t = work.leading_monomial()
+        t = Monomial(work.leading_monomial())
         c = work.terms[t]
         for i, (lm, lc) in enumerate(lead):
             if lm.divides(t):
-                factor = polynomial({t / lm: c / lc}, p.nvars)
+                factor = polynomial({(t / lm).exponents: c / lc}, p.nvars)
                 quotients[i] = quotients[i] + factor
                 work = work - factor * divisors[i]
                 break
         else:
-            mono = polynomial({t: c}, p.nvars)
+            mono = polynomial({t.exponents: c}, p.nvars)
             remainder = remainder + mono
             work = work - mono
     return quotients, remainder
@@ -149,7 +199,7 @@ def reference_groebner(generators):
         if not r.is_zero():
             basis.append(monic(r))
             sugars.append(r.degree)
-    lead = [g.leading_monomial() for g in basis]
+    lead = [Monomial(g.leading_monomial()) for g in basis]
     pairs = []  # heap of (sugar, grevlex key of the lcm, i, j), keyed once
 
     def add_pairs(k):
@@ -167,12 +217,12 @@ def reference_groebner(generators):
         lcm = lm_i.lcm(lm_j)
         if lcm.degree == lm_i.degree + lm_j.degree:
             continue  # coprime leading terms: S-polynomial reduces to zero
-        s = (polynomial({lcm / lm_i: Fraction(1)}, nvars) * basis[i]
-             - polynomial({lcm / lm_j: Fraction(1)}, nvars) * basis[j])
+        s = (polynomial({(lcm / lm_i).exponents: Fraction(1)}, nvars) * basis[i]
+             - polynomial({(lcm / lm_j).exponents: Fraction(1)}, nvars) * basis[j])
         r = reference_divide(s, basis)[1]
         if not r.is_zero():
             basis.append(monic(r))
-            lead.append(r.leading_monomial())
+            lead.append(Monomial(r.leading_monomial()))
             sugars.append(sugar)
             add_pairs(len(basis) - 1)
 
@@ -188,7 +238,7 @@ def reference_groebner(generators):
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         reduced.append(monic(reference_divide(g, others)[1]) if others else monic(g))
-    reduced.sort(key=lambda g: g.leading_monomial().grevlex_key())
+    reduced.sort(key=lambda g: grevlex(g.leading_monomial()))
     return reduced
 
 
@@ -285,9 +335,9 @@ def reference_mult_matrices(ring):
     for k in range(ring.nvars):
         cols = []
         for b in ring.basis:
-            nf = reference_divide(polynomial({b * Monomial.variable(k, ring.nvars): 1}, ring.nvars),
+            nf = reference_divide(polynomial({b[:k] + (b[k] + 1,) + b[k + 1:]: 1}, ring.nvars),
                                   ring.ideal.gb)[1]
-            cols.append([nf.terms.get(m, Fraction(0)) for m in ring.basis])
+            cols.append([nf.terms.get(Monomial(m), Fraction(0)) for m in ring.basis])
         d_k = math.lcm(*(x.denominator for col in cols for x in col))
         mats.append(([[int(x * d_k) for x in row] for row in zip(*cols)], d_k))
     return mats
@@ -314,12 +364,12 @@ def reference_express_in_generators(g, generators, start_caps):
                 prod = polynomial({m: Fraction(1)}, nvars) * h
                 col = [Fraction(0)] * len(support)
                 for mm, c in prod.terms.items():
-                    col[index[mm]] = c
+                    col[index[mm.exponents]] = c
                 cols.append(col)
                 col_polys.append((j, m))
         rhs = [Fraction(0)] * len(support)
         for mm, c in g.terms.items():
-            rhs[index[mm]] = c
+            rhs[index[mm.exponents]] = c
         a = [list(row) for row in zip(*cols)] if cols else [[] for _ in support]
         sol = reference_solve(a, rhs) if cols else (rhs if all(x == 0 for x in rhs) else None)
         if sol is not None:
@@ -390,7 +440,8 @@ def reference_maximize_lambda(prob, iterations=100):
     # a = NF(sum_p b_p^2) is exactly 0 only without real points (it is at
     # least 1 at a real point); lam then leaves the constraints and is held
     # at 1
-    held = not any(ring.nf_vector(polynomial({b * b: 1 for b in ring.basis}, ring.nvars))[0])
+    held = not any(ring.nf_vector(polynomial({tuple(2 * e for e in b): 1 for b in ring.basis},
+                                             ring.nvars))[0])
     b = prob.b
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     n = d * len(slices)
@@ -540,7 +591,7 @@ def reference_parse_polynomial(text, var_names):
             expect_factor = False
         if expect_factor:
             raise ParseError("empty term in polynomial")
-        m = Monomial(exps)
+        m = tuple(exps)
         terms[m] = terms.get(m, 0) + coeff
     return polynomial(terms, nvars)
 

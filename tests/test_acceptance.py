@@ -15,7 +15,7 @@ import pytest
 from soscert import (certifier, cli, gram, problem_io, quotient, sdp_backend,
                      variety, verify_bounds)
 from soscert.errors import ConditionFailed, Infeasible, MaxIterations
-from soscert.polyring import (Monomial, Polynomial, evaluate, parse_polynomial)
+from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
 from conftest import (data_path, determinant, fractions, from_rational, load_certificate,
                       load_problem, normal_form, polynomial, radical_roots, rational,
@@ -247,7 +247,7 @@ class TestCriterion6PropertySuites:
             terms = {}
             for _ in range(rng.randint(1, 8)):
                 e = tuple(rng.randint(0, 1) for _ in range(3))
-                terms[Monomial(e)] = Fraction(rng.randint(-127, 127))
+                terms[e] = Fraction(rng.randint(-127, 127))
             f = polynomial(terms, 3)
             low = min(evaluate(f, [Fraction(v) for v in pt]) for pt in vertices)
             f = f - Polynomial.constant(low - 1, 3)  # now f >= 1 on the cube

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from soscert import certifier, cli, gram, problem_io, quotient, variety, verify_bounds
 from soscert.errors import (ClusterAmbiguity, ConditionFailed, NotPD,
                             NotStrictlyPositiveOnS)
-from soscert.polyring import Monomial, Polynomial, evaluate, parse_polynomial
+from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
 from conftest import (data_path, format_problem, load_problem, normal_form, polynomial,
                       radical_roots)
@@ -392,7 +392,7 @@ def _polys(nvars, max_terms=4):
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
     coeffs = st.fractions(min_value=-2 ** 70, max_value=2 ** 70, max_denominator=2 ** 64)
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
-        lambda terms: polynomial({Monomial(e): c for e, c in terms.items()}, nvars))
+        lambda terms: polynomial(terms, nvars))
 
 
 @st.composite

@@ -172,7 +172,7 @@ class TestGramRest:
         p = in_ideal
         for bi, row in zip(ring.basis, q0.mat):
             for bj, x in zip(ring.basis, row):
-                p = p + polynomial({bi * bj: Fraction(x, q0.nu)}, ring.nvars)
+                p = p + polynomial({tuple(map(sum, zip(bi, bj))): Fraction(x, q0.nu)}, ring.nvars)
         squares, rest = gram.gram_squares(gram.GramVariety(ring, p), q0)
         inst = problem_io.ProblemInstance(names, p, [], ring.ideal.generators)
         assert rest == verify_bounds.residual(inst, problem_io.Certificate("strict", [squares], []))

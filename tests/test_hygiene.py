@@ -65,3 +65,26 @@ def test_every_private_function_and_class_is_referenced():
                and node.name not in referenced]
     if orphans:
         pytest.fail("private definitions nothing references: " + ", ".join(orphans))
+
+
+def _monomial_uses(tree):
+    """(line, what) of every import, name, attribute or `__all__` entry
+    `Monomial`, and of every `.exponents` attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name == "Monomial":
+            yield node.lineno, "imports Monomial"
+        elif isinstance(node, ast.Name) and node.id == "Monomial":
+            yield node.lineno, "names Monomial"
+        elif isinstance(node, ast.Attribute) and node.attr in ("Monomial", "exponents"):
+            yield node.lineno, f"reads .{node.attr}"
+        elif isinstance(node, ast.Constant) and node.value == "Monomial":
+            yield node.lineno, "exports Monomial"
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"polyring.py"}))
+def test_monomial_is_only_the_terms_key(name):
+    # a monomial is its exponent tuple everywhere but the `terms` view,
+    # whose key `polyring.Monomial` nothing else in the package names
+    uses = [f"{name}:{line}: {what}" for line, what in _monomial_uses(TREES[name])]
+    if uses:
+        pytest.fail("Monomial outside polyring: " + ", ".join(uses))

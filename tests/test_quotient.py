@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from soscert import exactla, problem_io, quotient
 from soscert.errors import ConditionFailed, NotInvertible, NotZeroDimensional
-from soscert.polyring import Monomial, Polynomial, parse_polynomial
+from soscert.polyring import Polynomial, grevlex, parse_polynomial
 
 from conftest import (cofactor_polys, divide, fractions, load_problem, mat_vec, normal_form, polynomial,
                       primitive, radical_roots, reference_divide, reference_express_in_generators,
@@ -66,7 +68,7 @@ def _polys(nvars, max_exp, max_terms, coefficients):
         terms = {}
         for _ in range(draw(st.integers(1, max_terms))):
             exps = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
-            terms[Monomial(exps)] = draw(coefficients)
+            terms[exps] = draw(coefficients)
         return polynomial(terms, nvars)
     return draw_poly()
 
@@ -87,7 +89,7 @@ def zero_dimensional_generators(draw):
     for i in range(nvars):
         d = draw(st.integers(1, 3 if nvars < 3 else 2))
         tail = draw(_polys(nvars, d - 1, 3, _small_rationals))
-        tail = polynomial({m: c for m, c in tail.terms.items() if m.degree < d}, nvars)
+        tail = Polynomial({e: c for e, c in tail.ints.items() if sum(e) < d}, tail.den, nvars)
         gens.append(Polynomial.variable(i, nvars) ** d + tail)
     if nvars > 1:
         gens[0] = gens[0] + draw(_polys(nvars, 1, 2, _small_rationals)) * gens[-1]
@@ -203,16 +205,12 @@ class TestLazyCofactors:
 
 class TestQuotientRing:
     def test_basis_four_points(self, circle_pair_ring):
-        names = [str(m) for m in circle_pair_ring.basis]
         assert circle_pair_ring.D == 4
-        assert circle_pair_ring.basis == [Monomial((0, 0)), Monomial((1, 0)),
-                                          Monomial((0, 1)), Monomial((1, 1))]
+        assert circle_pair_ring.basis == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def test_basis_cusp(self, cusp_ring):
         assert cusp_ring.D == 6
-        assert cusp_ring.basis == [Monomial((0, 0)), Monomial((1, 0)),
-                                   Monomial((0, 1)), Monomial((2, 0)),
-                                   Monomial((1, 1)), Monomial((2, 1))]
+        assert cusp_ring.basis == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1)]
 
     def test_normal_form_idempotent(self, circle_pair_ring):
         p = poly("x^5*y^3 - 2*x + 1")
@@ -234,6 +232,28 @@ class TestQuotientRing:
         v = fractions(r.nf_vector(poly("y")))
         prod = [Fraction(x, d) for x in mat_vec(rows, v)]
         assert prod == fractions(r.nf_vector(poly("x*y")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_dimensional_generators())
+def test_monomial_basis_is_the_brute_force_staircase(gens):
+    # every tuple up to the largest pure power among the Gröbner leading
+    # monomials that none of them divides, grevlex ascending
+    ideal = quotient.groebner(gens)
+    lead = [e for e, _, _ in ideal.reducers]
+    top = max(sum(e) for e in lead if max(e) == sum(e))
+    expected = sorted((e for e in itertools.product(range(top + 1), repeat=ideal.nvars)
+                       if not any(all(map(operator.le, m, e)) for m in lead)), key=grevlex)
+    assert quotient.monomial_basis(ideal).basis == expected
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@given(max_degree=st.integers(0, 6))
+def test_monomials_upto_is_the_filtered_product(nvars, max_degree):
+    got = quotient.monomials_upto(nvars, max_degree)
+    expected = sorted((e for e in itertools.product(range(max_degree + 1), repeat=nvars)
+                       if sum(e) <= max_degree), key=grevlex)
+    assert got == expected and len(got) == math.comb(nvars + max_degree, max_degree)
 
 
 class TestCofactorReduce:
@@ -394,7 +414,7 @@ def small_polys(draw):
     terms = {}
     for _ in range(draw(st.integers(1, 5))):
         exps = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
-        terms[Monomial(exps)] = Fraction(draw(st.integers(-20, 20)))
+        terms[exps] = Fraction(draw(st.integers(-20, 20)))
     return polynomial(terms, 2)
 
 
@@ -426,7 +446,7 @@ def high_degree_polys(draw, max_exp):
     terms = {}
     for _ in range(draw(st.integers(1, 6))):
         exps = (draw(st.integers(0, max_exp)), draw(st.integers(0, max_exp)))
-        terms[Monomial(exps)] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+        terms[exps] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
     return polynomial(terms, 2)
 
 
@@ -663,8 +683,8 @@ def test_non_radical_rings_keep_their_radical(gens, names, monkeypatch):
 
 def _monomial_product_reference(ring, m):
     """NF(m) = M^alpha NF(1), one Fraction mat_vec per variable factor."""
-    v = [Fraction(int(b == Monomial.unit(ring.nvars))) for b in ring.basis]
-    for k, e in enumerate(m.exponents):
+    v = [Fraction(int(not any(b))) for b in ring.basis]
+    for k, e in enumerate(m):
         rows, d = ring.mult_matrices[k]
         for _ in range(e):
             v = mat_vec([[Fraction(x, d) for x in row] for row in rows], v)
@@ -681,7 +701,7 @@ def test_products_match_fraction_reference(ring):
     assert any(d > 1 for _, d in ring.mult_matrices)
     for bi, row in zip(ring.basis, ring.products):
         for bj, (ints, den) in zip(ring.basis, row):
-            expected = _monomial_product_reference(ring, bi * bj)
+            expected = _monomial_product_reference(ring, tuple(map(sum, zip(bi, bj))))
             assert all(type(x) is int for x in ints)
             assert den > 0 and math.gcd(den, *ints) == 1  # lowest terms
             assert fractions((ints, den)) == expected

@@ -101,7 +101,8 @@ class TestFormulate:
                 square = Polynomial.zero(2)
                 for p, bp in enumerate(ring.basis):
                     for t, bt in enumerate(ring.basis):
-                        square = square + polynomial({bp * bt: Fraction(q[p, t])}, 2)
+                        e = tuple(map(sum, zip(bp, bt)))
+                        square = square + polynomial({e: Fraction(q[p, t])}, 2)
                 total = total + mult * square
             ints, den = ring.nf_vector(total)
             expected = np.array([x / den for x in ints])

@@ -5,7 +5,7 @@ import pytest
 
 from soscert import problem_io, quotient, verify_bounds
 from soscert.problem_io import Certificate
-from soscert.polyring import Polynomial, parse_polynomial
+from soscert.polyring import Polynomial, grevlex, parse_polynomial
 
 from conftest import load_certificate, polynomial
 
@@ -49,7 +49,7 @@ class TestVerifyCertificate:
             i = rng.randrange(len(cert.blocks))
             k = rng.randrange(len(cert.blocks[i]))
             w, q = cert.blocks[i][k]
-            mon, coeff = rng.choice(sorted(q.terms.items()))
+            mon = rng.choice(sorted(q.ints, key=grevlex))
             mutated = q + polynomial({mon: Fraction(1, rng.randint(1, 7))}, 2)
             blocks = [list(b) for b in cert.blocks]
             blocks[i][k] = (w, mutated)
