@@ -31,13 +31,13 @@ from .problem_io import Certificate, ProblemInstance
 
 
 def _real_values(var, p):
-    return {i: evaluate(p, [z.real for z in pt.coordinates])
-            for i, pt in enumerate(var.points) if pt.kind == "real"}
+    return [evaluate(p, xi) for xi in var.real]
 
 
 def perturb(inst, ring, var):
-    """phi = sum rho_xi u_xi^2 g_{i_xi} over excluded real points, with
-    rational data, such that f - phi > 0 at every real root.
+    """phi = sum rho_xi u_xi^2 g_{i_xi} over the excluded points xi of
+    `var.real`, with rational data, such that f - phi > 0 at every real
+    point; u_xi is xi's column of `var.real_idem`, rounded.
 
     This is the one sign rule of both strict routes at the points of S:
     f < -tol means no certificate exists (NotStrictlyPositiveOnS); f <= 0,
@@ -62,16 +62,15 @@ def perturb(inst, ring, var):
         return [[] for _ in inst.g], inst.f
     rhos = []
     for idx, gi in member.excluded:
-        coords = [z.real for z in var.points[idx].coordinates]
-        g_val = evaluate(inst.g[gi], coords)
+        g_val = evaluate(inst.g[gi], var.real[idx])
         rho = Fraction(1)
         while f_vals[idx] - float(rho) * g_val <= max(1.0, abs(f_vals[idx])):
             rho *= 2
         rhos.append(rho)
 
     def round_at(bits):
-        return [ring.from_vector([round_scaled(float(c.real), bits)
-                                  for c in var.idempotents[:, idx]], 1 << bits)
+        return [ring.from_vector([round_scaled(c, bits) for c in var.real_idem[:, idx].tolist()],
+                                 1 << bits)
                 for idx, _ in member.excluded]
 
     def attempt(u_hats):
@@ -79,7 +78,7 @@ def perturb(inst, ring, var):
         for (_, gi), rho, u_hat in zip(member.excluded, rhos, u_hats):
             blocks[gi].append((rho, u_hat))
         f_tilde = verify_bounds.residual(inst, Certificate("strict", [[]] + blocks, []))
-        if all(v > tol for v in _real_values(var, f_tilde).values()):
+        if all(v > tol for v in _real_values(var, f_tilde)):
             return blocks, f_tilde
         return None
 
@@ -199,7 +198,7 @@ def _hensel_squares(inst, ring, var_j):
     g_blocks, f_tilde = perturb(inst, ring_j, var_j)
     # eps is the largest power of two <= min(1, low / 2), or 1 without real
     # roots; perturb has made low > 0
-    low = min(_real_values(var_j, f_tilde).values(), default=2.0)
+    low = min(_real_values(var_j, f_tilde), default=2.0)
     eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
     squares, rest = gram.round_and_certify(ring_j, var_j, f_tilde - eps)
     # eps theta = f~ - B_J^t Q0 B_J = rest + eps; eps t^2 = B^t (eps c c^t) B

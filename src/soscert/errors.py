@@ -31,17 +31,11 @@ class NotInvertible(SosCertError):
 
 
 class NotPD(SosCertError):
-    """First non-positive principal minor met during LDL^t; carries the
+    """First non-positive leading minor met during LDL^t; carries the
     1-based pivot index."""
 
     def __init__(self, index):
         super().__init__(f"matrix is not positive definite (pivot {index})")
-        self.index = index
-
-
-class ZeroPivot(SosCertError):
-    def __init__(self, index):
-        super().__init__(f"zero pivot at index {index} (no symmetric permutation fixes it)")
         self.index = index
 
 

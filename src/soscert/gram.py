@@ -1,8 +1,9 @@
 """Gram matrices for p modulo a radical zero-dimensional ideal.
 
 The pipeline: assemble a positive definite real Gram matrix from the
-variety data (real roots contribute p(xi) u_xi^2; conjugate pairs are
-combined into two real squares through the lambda-window identity), round
+variety data (each real point xi of `var.real` contributes p(xi) u_xi^2;
+each conjugate pair of `var.pairs`, read through one of its points, gives
+two real squares through the lambda-window identity), round
 it to the nearest dyadic rationals, and take the one Gram step
 (`gram_squares`): correct it exactly into the affine variety of Gram
 matrices of p, and factor the result Q0 by fraction-free LDL^t into an
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonPositiveAtRealRoot, NotPD, PrecisionExceeded, ZeroPivot
+from .errors import NonPositiveAtRealRoot, NotPD, PrecisionExceeded
 from .polyring import Polynomial, evaluate, round_scaled
 
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
@@ -71,21 +72,16 @@ def _dyadic_lambda(mag):
 def build_gram_real(ring, var, p):
     """Q~ = Theta Theta^t with B Q~ B^t = p mod I (numerically), PD.
 
-    The columns of Theta are sqrt(p(xi)) u_xi for each real root xi and two
-    real columns per conjugate pair.  The routes call it only after
-    `certifier.perturb` has made p > 0 at every real root; p <= 0 there
-    raises NonPositiveAtRealRoot."""
-    u = var.idempotents
-    reals = [i for i, pt in enumerate(var.points) if pt.kind == "real"]
-    pairs = [i for i, pt in enumerate(var.points)
-             if pt.kind == "complex" and pt.partner is not None and i < pt.partner]
-    vals_real = {i: evaluate(p, [z.real for z in var.points[i].coordinates])
-                 for i in reals}
-    if any(v <= 0 for v in vals_real.values()):
-        raise NonPositiveAtRealRoot(f"p = {min(vals_real.values()):.3e} at a real root")
-    cols = [math.sqrt(vals_real[i]) * u[:, i].real for i in reals]
-    for i in pairs:
-        cols.extend(_pair_columns(u[:, i], evaluate(p, var.points[i].coordinates)))
+    The columns of Theta are sqrt(p(xi)) u_xi for each real point xi of
+    `var.real`, then two real columns for each conjugate pair of
+    `var.pairs`.  The routes call it only after `certifier.perturb` has made
+    p > 0 at every real point; p <= 0 there raises NonPositiveAtRealRoot."""
+    vals = [evaluate(p, xi) for xi in var.real]
+    if any(v <= 0 for v in vals):
+        raise NonPositiveAtRealRoot(f"p = {min(vals):.3e} at a real root")
+    cols = [math.sqrt(v) * u for v, u in zip(vals, var.real_idem.T)]
+    for zeta, u in zip(var.pairs, var.pair_idem.T):
+        cols.extend(_pair_columns(u, evaluate(p, zeta)))
     theta = np.column_stack(cols) if cols else np.zeros((ring.D, 0))
     return theta @ theta.T
 
@@ -172,61 +168,29 @@ def gram_rest(p, basis, q):
 # -- fraction-free LDL^t ---------------------------------------------------
 
 
-class LDLFactorization:
-    """Q = L D L^t with integer L (columns are bordered minors) and
-    D = diag(1/pivot_k); permutation applied symmetrically when needed."""
-
-    def __init__(self, L, pivots, perm):
-        self.L = L
-        self.pivots = pivots  # pivot_k = nu * Delta_k * Delta_{k-1}
-        self.perm = perm
-
-    def square_vectors(self):
-        """(weight, integer coefficient vector) pairs, in original indexing."""
-        D = len(self.L)
-        out = []
-        for k in range(D):
-            vec = [0] * D
-            for i in range(k, D):
-                vec[self.perm[i]] = self.L[i][k]
-            out.append((Fraction(1, self.pivots[k]), vec))
-        return out
-
-
 def ldlt(q):
-    """Fraction-free (Bareiss) LDL^t of Q = M/nu, M integer symmetric.
+    """Fraction-free (Bareiss) LDL^t of Q = M/nu, M integer symmetric: the
+    squares (1/(nu Delta_k Delta_{k-1}), column k of L), with integer L
+    (its columns are bordered minors), whose weighted sum is Q.
 
-    Raises NotPD(k) at the first negative principal minor, ZeroPivot(k)
-    when a zero pivot survives every symmetric permutation of the trailing
-    block."""
+    Raises NotPD(k) at the first leading minor Delta_k <= 0.  So it returns
+    exactly when Q is positive definite, and no symmetric swap is needed:
+    P^t Q P is positive definite exactly when Q is."""
     D = q.D
     m = [row[:] for row in q.mat]
-    perm = list(range(D))
-    cols = [[0] * D for _ in range(D)]
-    minors = [1]  # Delta_0
-    prev = 1
+    squares = []
+    prev = 1  # Delta_{k-1}
     for k in range(D):
-        if m[k][k] == 0:
-            swap = next((l for l in range(k + 1, D) if m[l][l] != 0), None)
-            if swap is None:
-                raise ZeroPivot(k + 1)
-            for row in m:
-                row[k], row[swap] = row[swap], row[k]
-            m[k], m[swap] = m[swap], m[k]
-            perm[k], perm[swap] = perm[swap], perm[k]
-        for i in range(k, D):
-            cols[i][k] = m[i][k]
         delta_k = m[k][k]
-        if delta_k < 0:
+        if delta_k <= 0:
             raise NotPD(k + 1)
-        minors.append(delta_k)
+        squares.append((Fraction(1, q.nu * delta_k * prev),
+                        [0] * k + [m[i][k] for i in range(k, D)]))
         for i in range(k + 1, D):
             for j in range(k + 1, D):
                 m[i][j] = (m[i][j] * delta_k - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = delta_k
-    pivots = [q.nu * minors[k + 1] * minors[k] for k in range(D)]
-    return LDLFactorization(cols, pivots, perm)
+    return squares
 
 
 def round_matrix(mat, frac_bits):
@@ -264,11 +228,11 @@ def gram_squares(variety, q):
     not positive definite."""
     q0 = project_to_gram(variety, q)
     try:
-        fact = ldlt(q0)
-    except (NotPD, ZeroPivot):
+        squares = ldlt(q0)
+    except NotPD:
         return None
-    squares = [(w, variety.ring.from_vector(vec)) for w, vec in fact.square_vectors()]
-    return squares, gram_rest(variety.p, variety.ring.basis, q0)
+    return ([(w, variety.ring.from_vector(vec)) for w, vec in squares],
+            gram_rest(variety.p, variety.ring.basis, q0))
 
 
 def round_and_certify(ring, var, p):

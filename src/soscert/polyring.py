@@ -164,6 +164,8 @@ class Polynomial:
         return (self.nvars, self.den, self.ints) == (other.nvars, other.den, other.ints)
 
     def __hash__(self):
+        if self.degree <= 0:  # a constant equals its number, so hashes like it
+            return hash(Fraction(sum(self.ints.values()), self.den))
         return hash((self.nvars, self.den, frozenset(self.ints.items())))
 
     def __repr__(self):

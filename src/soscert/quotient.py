@@ -539,9 +539,7 @@ def coprimality_witness(ring, f, roots):
 
     # positivity of a where f vanishes on the variety
     if not b.is_zero():
-        var = roots()
-        reals = ([z.real for z in pt.coordinates] for pt in var.points if pt.kind == "real")
-        zero_pts = [coords for coords in reals if evaluate(b, coords) > 0.5]
+        zero_pts = [xi for xi in roots().real if evaluate(b, xi) > 0.5]
         if zero_pts:
             vals = [evaluate(a, pt) for pt in zero_pts]
             if min(vals) <= 0:

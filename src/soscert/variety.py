@@ -10,6 +10,12 @@ float step: callers solve the quotient by the radical
 (`QuotientRing.radical_ring`), whose D points are distinct, so each
 eigenvalue is one point.  The idempotent coefficients are the inverse
 transpose of the Vandermonde matrix of the basis at the points.
+
+This is the one module that tells real points from complex ones.  The
+certificate reads a real point xi through p(xi) u_xi^2 and a conjugate pair
+through one of its points, so `solve_variety` hands out the real points and
+one point per pair, each with its idempotent, and no caller classifies a
+point again.
 """
 
 from __future__ import annotations
@@ -22,25 +28,19 @@ from .errors import BoundaryAmbiguity, ClusterAmbiguity, SingularVandermonde
 from .polyring import evaluate
 
 
-class RootPoint:
-    def __init__(self, coordinates, kind, partner=None):
-        self.coordinates = list(coordinates)
-        self.kind = kind  # "real" or "complex"
-        self.partner = partner  # index of the conjugate point, complex kind
-
-    def __repr__(self):
-        return f"RootPoint({self.coordinates}, {self.kind})"
-
-
 class VarietyData:
-    def __init__(self, points, idempotents, tolerance, ring):
-        self.points = points
-        self.idempotents = idempotents  # complex array, column j = u_{zeta_j} over B
-        self.tolerance = tolerance
+    """The points of V(I) split as the certificate uses them: `real` holds
+    the float coordinates of the real points and `pairs` the complex
+    coordinates of the first point of each conjugate pair, both in
+    eigenvalue order; `real_idem` (float) and `pair_idem` (complex) hold
+    their idempotents u over B, one column per point."""
+
+    def __init__(self, real, pairs, real_idem, pair_idem, tol):
+        self.real, self.pairs = real, pairs
+        self.real_idem, self.pair_idem = real_idem, pair_idem
         # the one tolerance of the float decisions on values at the roots:
         # membership in S and the sign of f there must agree on it
-        self.decision_tol = max(tolerance * 1e6, 1e-9)
-        self.ring = ring
+        self.decision_tol = max(tol * 1e6, 1e-9)
 
 
 def solve_variety(ring, seed=0):
@@ -68,19 +68,18 @@ def solve_variety(ring, seed=0):
 
     tol = 2.0 ** -40 * (1.0 + max((float(np.max(np.abs(r))) for r in raw), default=0.0))
 
-    points = []
-    for z in raw:
-        kind = "real" if float(np.max(np.abs(z.imag))) <= 1e4 * tol else "complex"
-        points.append(RootPoint([complex(c.real, 0.0) if kind == "real" else complex(c)
-                                 for c in z], kind))
-    _pair_conjugates(points, tol)
-    idem = idempotents(ring, points)
+    is_real = [float(np.max(np.abs(z.imag))) <= 1e4 * tol for z in raw]
+    points = [[complex(c.real, 0.0) if r else complex(c) for c in z] for z, r in zip(raw, is_real)]
+    reals = [k for k, r in enumerate(is_real) if r]
+    firsts = _pair_conjugates(points, [k for k, r in enumerate(is_real) if not r])
+    u = idempotents(ring, points)
 
     if len(raw) > 1:
         sep = separation(np.array(raw))
         if sep < 10 * tol:
             raise ClusterAmbiguity(f"point separation {sep:.3e} below 10*tol")
-    return VarietyData(points, idem, tol, ring)
+    return VarietyData([[z.real for z in points[k]] for k in reals], [points[k] for k in firsts],
+                       u[:, reals].real, u[:, firsts], tol)
 
 
 def separation(r):
@@ -89,24 +88,21 @@ def separation(r):
     return float(np.abs(r[:, None] - r[None]).max(axis=2)[np.triu_indices(len(r), 1)].min())
 
 
-def _pair_conjugates(points, tol):
-    unpaired = [i for i, p in enumerate(points) if p.kind == "complex"]
+def _pair_conjugates(points, unpaired):
+    """Pair each complex point, in eigenvalue order, with the nearest
+    conjugate of a later one, and make that partner's coordinates the exact
+    conjugate.  Returns the first index of each pair."""
+    firsts = []
     while unpaired:
         i = unpaired.pop(0)
-        zi = np.array(points[i].coordinates)
-        best = None
-        for j in unpaired:
-            d = float(np.max(np.abs(np.conj(zi) - np.array(points[j].coordinates))))
-            if best is None or d < best[0]:
-                best = (d, j)
-        if best is None:
+        if not unpaired:
             raise ClusterAmbiguity("unpaired complex point (conjugation symmetry broken)")
-        _, j = best
-        points[i].partner = j
-        points[j].partner = i
-        # enforce exact mutual conjugation of the stored coordinates
-        points[j].coordinates = [complex(z.conjugate()) for z in points[i].coordinates]
+        zi = np.conj(np.array(points[i]))
+        j = min(unpaired, key=lambda j: float(np.max(np.abs(zi - np.array(points[j])))))
+        points[j] = [z.conjugate() for z in points[i]]
         unpaired.remove(j)
+        firsts.append(i)
+    return firsts
 
 
 def _eval_basis(ring, coords):
@@ -121,44 +117,31 @@ def _eval_basis(ring, coords):
 
 
 def idempotents(ring, points):
-    """U = (V^T)^{-1} with V the Vandermonde of B at the points."""
-    v = np.array([_eval_basis(ring, p.coordinates) for p in points]).T  # V[i,j] = b_i(zeta_j)
+    """U = (V^T)^{-1} with V the Vandermonde of B at the points: column j
+    is the idempotent of point j over B."""
+    v = np.array([_eval_basis(ring, p) for p in points]).T  # V[i,j] = b_i(zeta_j)
     try:
         u = np.linalg.inv(v.T)
     except np.linalg.LinAlgError as exc:
         raise SingularVandermonde(f"Vandermonde numerically singular: {exc}") from exc
     if not np.all(np.isfinite(u)) or np.linalg.cond(v.T) > 1e12:
         raise SingularVandermonde("Vandermonde numerically singular")
-    # columns for real points are real in exact arithmetic
-    for j, p in enumerate(points):
-        if p.kind == "real":
-            u[:, j] = u[:, j].real
-    # conjugate columns for conjugate points, exactly as stored
-    for j, p in enumerate(points):
-        if p.kind == "complex" and p.partner is not None and p.partner < j:
-            u[:, j] = np.conj(u[:, p.partner])
     return u
 
 
 class Membership:
-    def __init__(self, s_indices, excluded, complex_indices):
-        self.s_indices = s_indices            # real points satisfying all g_i >= -tol
-        self.excluded = excluded              # list of (point index, violated constraint index)
-        self.complex_indices = complex_indices
+    def __init__(self, s_indices, excluded):
+        self.s_indices = s_indices  # real points satisfying all g_i >= -tol
+        self.excluded = excluded    # list of (real point index, violated constraint index)
 
 
 def membership(var, g_list):
-    """Partition the variety into S, excluded real points (with a violated
-    constraint index each), and complex points."""
+    """Partition the real points into S and the excluded ones, each with a
+    violated constraint index."""
     tol = var.decision_tol
     s_indices = []
     excluded = []
-    complex_indices = []
-    for i, p in enumerate(var.points):
-        if p.kind != "real":
-            complex_indices.append(i)
-            continue
-        coords = [z.real for z in p.coordinates]
+    for i, coords in enumerate(var.real):
         violated = None
         ambiguous = False
         for gi, g in enumerate(g_list):
@@ -171,10 +154,9 @@ def membership(var, g_list):
         if violated is None:
             if ambiguous:
                 warnings.warn(
-                    f"constraint value within tolerance at point {i}; provisionally in S",
+                    f"constraint value within tolerance at real point {i}; provisionally in S",
                     BoundaryAmbiguity)
             s_indices.append(i)
         else:
             excluded.append((i, violated))
-    return Membership(s_indices, excluded, complex_indices)
-
+    return Membership(s_indices, excluded)

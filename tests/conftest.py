@@ -63,11 +63,10 @@ def mat_vec(a, v):
     return [sum((c * x for c, x in zip(row, v) if c), Fraction(0)) for row in a]
 
 
-def reconstruct(fact):
-    """The rational matrix sum_k w_k v_k v_k^t of an LDL^t factorization."""
-    squares = fact.square_vectors()
+def reconstruct(squares):
+    """The rational matrix sum_k w_k v_k v_k^t of the LDL^t squares (w_k, v_k)."""
     return [[sum((w * v[i] * v[j] for w, v in squares), Fraction(0))
-             for j in range(len(fact.L))] for i in range(len(fact.L))]
+             for j in range(len(squares))] for i in range(len(squares))]
 
 
 def determinant(a):
@@ -407,8 +406,7 @@ def reference_witness(ring, f, seed=0):
     a, b = (polynomial(dict(zip(ring.basis, part)), ring.nvars) for part in (sol[:D], sol[D:]))
     if not b.is_zero():
         var = variety.solve_variety(ring.radical_ring, seed=seed)
-        reals = ([z.real for z in pt.coordinates] for pt in var.points if pt.kind == "real")
-        vals = [evaluate(a, coords) for coords in reals if evaluate(b, coords) > 0.5]
+        vals = [evaluate(a, xi) for xi in var.real if evaluate(b, xi) > 0.5]
         if vals and min(vals) <= 0:
             rho = 1
             while rho <= max(abs(v) for v in vals) + 1:

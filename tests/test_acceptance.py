@@ -167,13 +167,13 @@ class TestCriterion6PropertySuites:
             q = [[Fraction(sum(a[k][i] * a[k][j] for k in range(d))
                            + (1 if i == j else 0))
                   for j in range(d)] for i in range(d)]
-            fact = gram.ldlt(from_rational(q))
-            assert reconstruct(fact) == q
-            # pivots are products of consecutive leading principal minors
+            squares = gram.ldlt(from_rational(q))
+            assert reconstruct(squares) == q
+            # the weights are 1 / products of consecutive leading principal minors
             minors = [1] + [determinant([row[:k + 1] for row in q[:k + 1]])
                             for k in range(d)]
-            for k in range(d):
-                assert fact.pivots[k] == minors[k + 1] * minors[k]
+            for k, (w, _) in enumerate(squares):
+                assert w == 1 / (minors[k + 1] * minors[k])
 
     def test_projection_suite(self):
         # random Gram-shaped sets: the unknown (0, j) has the column e_j with
@@ -228,9 +228,10 @@ class TestCriterion6PropertySuites:
             ring = quotient.monomial_basis(quotient.groebner([h1, h2]))
             assert ring.is_radical
             var = variety.solve_variety(ring)
-            u = var.idempotents
-            v = np.array([variety._eval_basis(ring, p.coordinates)
-                          for p in var.points]).T
+            # every root is rational, so every point is real
+            assert var.pairs == []
+            u = var.real_idem
+            v = np.array([variety._eval_basis(ring, xi) for xi in var.real]).T
             assert np.max(np.abs(v.T @ u - np.eye(ring.D))) < 1e-8
             one = np.array([float(x) for x in fractions(ring.nf_vector(
                 Polynomial.constant(Fraction(1), 2)))])

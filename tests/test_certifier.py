@@ -354,9 +354,9 @@ class TestPerturb:
         ring = quotient.build_ring(four_points.h)
         var = variety.solve_variety(ring)
         blocks, f_tilde = certifier.perturb(four_points, ring, var)
-        for pt in var.points:
-            if pt.kind == "real":
-                assert evaluate(f_tilde, [z.real for z in pt.coordinates]) > 0
+        assert len(var.real) == 4
+        for xi in var.real:
+            assert evaluate(f_tilde, xi) > 0
 
     def test_no_excluded_points_is_identity(self):
         inst = problem_io.ProblemInstance(
@@ -491,15 +491,15 @@ class TestGramClosure:
     ], ids=["radical", "hensel", "sdp"])
     def test_a_wrong_square_fails_verification(self, problem, options, monkeypatch,
                                                tmp_path, capsys):
-        vectors = gram.LDLFactorization.square_vectors
+        ldlt = gram.ldlt
 
-        def off_by_a_unit(fact):
-            out = vectors(fact)
+        def off_by_a_unit(q):
+            out = ldlt(q)
             w, vec = out[0]
             out[0] = w, [vec[0] + 1] + vec[1:]
             return out
 
-        monkeypatch.setattr(gram.LDLFactorization, "square_vectors", off_by_a_unit)
+        monkeypatch.setattr(gram, "ldlt", off_by_a_unit)
         code = cli.main(["certify", "--input", data_path(problem), *options,
                          "--out", str(tmp_path / "c.cert")])
         assert code == 4

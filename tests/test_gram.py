@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soscert import cli, exactla, gram, problem_io, quotient, variety, verify_bounds
-from soscert.errors import NotPD, PrecisionExceeded, ZeroPivot
+from soscert.errors import NotPD, PrecisionExceeded
 from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
-from conftest import from_rational, normal_form, polynomial, rational, reconstruct
+from conftest import determinant, from_rational, normal_form, polynomial, rational, reconstruct
 
 
 def poly(s, names=("x",)):
@@ -23,28 +23,28 @@ def make_ring(gens, names):
 
 class TestLdlt:
     def test_known_factorization(self):
-        fact = gram.ldlt(from_rational([[2, 1], [1, 2]]))
-        assert fact.pivots == [2, 6]
-        assert [col[0] for col in fact.L], fact.L == [[2, 0], [1, 3]]
-        assert reconstruct(fact) == [[Fraction(2), Fraction(1)],
-                                      [Fraction(1), Fraction(2)]]
+        squares = gram.ldlt(from_rational([[2, 1], [1, 2]]))
+        # pivots nu Delta_k Delta_{k-1} = 2, 6; L's columns (2, 1), (0, 3)
+        assert squares == [(Fraction(1, 2), [2, 1]), (Fraction(1, 6), [0, 3])]
+        assert reconstruct(squares) == [[Fraction(2), Fraction(1)],
+                                         [Fraction(1), Fraction(2)]]
 
     def test_not_pd(self):
         with pytest.raises(NotPD) as exc:
             gram.ldlt(from_rational([[1, 2], [2, 1]]))
         assert exc.value.index == 2
 
-    def test_zero_pivot_permutation_attempted(self):
-        # zero leading diagonal is permuted away before concluding; the
-        # permuted matrix is then seen to be indefinite, not zero-pivoted
-        with pytest.raises(NotPD):
+    def test_zero_leading_minor_is_not_pd(self):
+        # an indefinite matrix with a zero first pivot: no pivoting is tried
+        with pytest.raises(NotPD) as exc:
             gram.ldlt(from_rational([[0, 1], [1, 1]]))
+        assert exc.value.index == 1
 
-    def test_rank_deficient_raises_zero_pivot(self):
-        with pytest.raises(ZeroPivot):
-            gram.ldlt(from_rational([[0, 0], [0, 1]]))
-        with pytest.raises(ZeroPivot):
-            gram.ldlt(from_rational([[0, 0], [0, 0]]))
+    def test_rank_deficient_is_not_pd(self):
+        for q, k in (([[0, 0], [0, 1]], 1), ([[0, 0], [0, 0]], 1), ([[1, 1], [1, 1]], 2)):
+            with pytest.raises(NotPD) as exc:
+                gram.ldlt(from_rational(q))
+            assert exc.value.index == k
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.data())
@@ -53,9 +53,31 @@ class TestLdlt:
               for _ in range(n)] for _ in range(n)]
         q = [[sum(a[k][i] * a[k][j] for k in range(n))
               + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        fact = gram.ldlt(from_rational(q))
-        assert reconstruct(fact) == q
-        assert all(p > 0 for p in fact.pivots)
+        squares = gram.ldlt(from_rational(q))
+        assert reconstruct(squares) == q
+        assert all(w > 0 for w, _ in squares)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_factors_exactly_the_positive_definite(self, n, data):
+        # random symmetric integer matrices, singular and indefinite ones
+        # included: ldlt returns exactly when every leading minor is > 0,
+        # and otherwise raises NotPD at the first minor <= 0
+        entries = st.integers(-4, 4)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = data.draw(st.integers(-2, 9))
+            for j in range(i):
+                m[i][j] = m[j][i] = data.draw(entries)
+        q = [[Fraction(x) for x in row] for row in m]
+        minors = [determinant([row[:k] for row in q[:k]]) for k in range(1, n + 1)]
+        first = next((k for k, d in enumerate(minors, 1) if d <= 0), None)
+        if first is None:
+            assert reconstruct(gram.ldlt(from_rational(q))) == q
+        else:
+            with pytest.raises(NotPD) as exc:
+                gram.ldlt(from_rational(q))
+            assert exc.value.index == first
 
 
 class TestGramProjection:
@@ -207,10 +229,25 @@ class TestThetaColumns:
         p = parse_polynomial("x + y + 3", ["x", "y"])
         q_tilde = gram.build_gram_real(ring, var, p)
         assert np.min(np.linalg.eigvalsh(q_tilde)) > 0
-        for pt in var.points:
-            b_vals = variety._eval_basis(ring, pt.coordinates)
+        assert len(var.real) == 4
+        for xi in var.real:
+            b_vals = variety._eval_basis(ring, xi)
             val = b_vals @ q_tilde @ b_vals
-            assert abs(val - evaluate(p, pt.coordinates)) < 1e-7
+            assert abs(val - evaluate(p, xi)) < 1e-7
+
+    def test_pair_columns_follow_the_real_ones(self):
+        # x^2 - 1, y^2 + 1: no real point, two conjugate pairs, and still
+        # B^t Q~ B = p at every point, the conjugates included
+        ring = make_ring(["x^2 - 1", "y^2 + 1"], ["x", "y"])
+        var = variety.solve_variety(ring)
+        p = parse_polynomial("x + y + 3", ["x", "y"])
+        q_tilde = gram.build_gram_real(ring, var, p)
+        assert var.real == [] and len(var.pairs) == 2
+        assert np.min(np.linalg.eigvalsh(q_tilde)) > 0
+        for zeta in var.pairs:
+            for point in (zeta, [z.conjugate() for z in zeta]):
+                b_vals = variety._eval_basis(ring, point)
+                assert abs(b_vals @ q_tilde @ b_vals - evaluate(p, point)) < 1e-7
 
 
 class TestEscalation:

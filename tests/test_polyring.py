@@ -153,6 +153,15 @@ class TestScalars:
         assert p * 0.5 == p / 2 and 2 - p == poly("1 - x")
         assert Polynomial.constant(3, 2) == 3 and Polynomial.constant(0.25, 2) == Fraction(1, 4)
 
+    @pytest.mark.parametrize("c", [0, 1, -3, Fraction(1, 2), 0.25], ids=repr)
+    def test_constants_hash_like_their_numbers(self, c):
+        # equal objects must hash alike, or sets and dicts tell them apart
+        for nvars in (1, 3):
+            const = Polynomial.constant(c, nvars)
+            assert const == c and hash(const) == hash(c)
+            assert const in {c} and c in {const}
+        assert poly("x") not in {0, 1} and hash(poly("x")) == hash(poly("x"))
+
     @pytest.mark.parametrize("other", ["1", "1/2", None, [1], b"1", 1j], ids=repr)
     def test_non_numbers_are_not_equal(self, other):
         one = Polynomial.constant(1, 1)
