@@ -69,14 +69,16 @@ def perturb(inst, ring, var):
         rhos.append(rho)
 
     def round_at(bits):
-        return [ring.from_vector([round_scaled(c, bits) for c in var.real_idem[:, idx].tolist()],
-                                 1 << bits)
-                for idx, _ in member.excluded]
+        # (block, weight, square) of each excluded point; a column rounded
+        # to zero adds no square
+        cols = [(gi, rho, [round_scaled(c, bits) for c in var.real_idem[:, idx].tolist()])
+                for (idx, gi), rho in zip(member.excluded, rhos)]
+        return [(gi, *ring.square(rho, u, 1 << bits)) for gi, rho, u in cols if any(u)]
 
-    def attempt(u_hats):
+    def attempt(squares):
         blocks = [[] for _ in inst.g]
-        for (_, gi), rho, u_hat in zip(member.excluded, rhos, u_hats):
-            blocks[gi].append((rho, u_hat))
+        for gi, w, q in squares:
+            blocks[gi].append((w, q))
         f_tilde = verify_bounds.residual(inst, Certificate("strict", [[]] + blocks, []))
         if all(v > tol for v in _real_values(var, f_tilde)):
             return blocks, f_tilde
@@ -144,12 +146,13 @@ def certify_nonneg(inst, ring=None):
     for i, block in enumerate(squares_of_a):
         new_block = []
         for w, qbar in block:
-            q = ring.from_vector(*ring.mul(ring.nf_vector(qbar), nf_f))
-            if q.is_zero():
+            v, den = ring.mul(ring.nf_vector(qbar), nf_f)
+            if not any(v):
                 continue
-            new_block.append((w / gamma_val, q))
+            # the square v / g is NF(qbar f) den / g: its witness is qbar den / g
+            new_block.append(ring.square(w / gamma_val, v, den))
             if i == 0:
-                witnesses.append(qbar)
+                witnesses.append(qbar * Fraction(den, quotient.content(v)))
         blocks.append(new_block)
     out = _assemble(ring, blocks, verify_bounds.residual(inst, Certificate("strict", blocks, [])))
     return Certificate("nonneg", out.blocks, out.cofactors,
@@ -208,7 +211,8 @@ def _hensel_squares(inst, ring, var_j):
     c, den = ring.nf_vector(t)
     eps_t2 = gram.SymmetricMatrix([[eps.numerator * x * y for y in c] for x in c],
                                   eps.denominator * den * den)
-    return [squares + [(eps, t)]] + g_blocks, gram.gram_rest(eps_theta, ring.basis, eps_t2)
+    return ([squares + [ring.square(eps, c, den)]] + g_blocks,
+            gram.gram_rest(eps_theta, ring.basis, eps_t2))
 
 
 def certify(inst, ring=None):

@@ -41,7 +41,7 @@ from .polyring import Polynomial, evaluate, round_scaled
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
 # rounding stops every precision loop before this ceiling; it only guards it
 MAX_BITS = 4096
-START_BITS = 32  # the Gram matrix's first rounding, in fractional bits
+START_BITS = 32  # the most fractional bits of the Gram matrix's first rounding
 
 
 class SymmetricMatrix:
@@ -223,23 +223,29 @@ def escalate(start_bits, round_at, attempt):
 
 def gram_squares(variety, q):
     """The Gram step: correct q into the Gram set of p and factor the
-    result Q0.  Returns (Q0's LDL^t squares over B, rest = p - B^t Q0 B),
-    no square zero (column k of L carries Delta_k > 0), or None when Q0 is
-    not positive definite."""
+    result Q0.  Returns (Q0's LDL^t squares over B, each a primitive
+    `QuotientRing.square`, rest = p - B^t Q0 B), no square zero (column k
+    of L carries Delta_k > 0), or None when Q0 is not positive definite."""
     q0 = project_to_gram(variety, q)
     try:
         squares = ldlt(q0)
     except NotPD:
         return None
-    return ([(w, variety.ring.from_vector(vec)) for w, vec in squares],
+    return ([variety.ring.square(w, vec) for w, vec in squares],
             gram_rest(variety.p, variety.ring.basis, q0))
 
 
 def round_and_certify(ring, var, p):
-    """Round the real Gram matrix of p and take the Gram step, escalating
+    """Round the real Gram matrix Q~ of p and take the Gram step, escalating
     the precision until Q0 is positive definite.  Returns `gram_squares`'s
-    (squares, rest)."""
+    (squares, rest).  b bits move Q~ by at most D 2^-(b+1) in norm, so the
+    first rounding, at ceil(log2(D / lambda_min(Q~))) bits, stays within
+    lambda_min / 2 of Q~: at least 4 bits, at most START_BITS, and
+    START_BITS when lambda_min is not positive."""
     q_tilde = build_gram_real(ring, var, p)
     variety = GramVariety(ring, p)
-    return escalate(START_BITS, lambda bits: round_matrix(q_tilde, bits),
+    lam = float(np.linalg.eigvalsh(q_tilde)[0])
+    start = (min(START_BITS, max(4, math.ceil(math.log2(ring.D) - math.log2(lam))))
+             if lam > 0 else START_BITS)
+    return escalate(start, lambda bits: round_matrix(q_tilde, bits),
                     lambda q: gram_squares(variety, q))

@@ -15,7 +15,7 @@ Certificate file::
     variables x y
     gamma 2
     block 0
-    weight 1/5 square x - 3/5*y
+    weight 1/125 square 5*x - 3*y
     block 1
     weight 1 square 1
     cofactor 1 -1/2*x^2 - 2/5*y^2 - 1/10*y - 7/10

@@ -41,6 +41,7 @@ import functools
 import heapq
 import math
 import operator
+from fractions import Fraction
 
 from . import exactla
 from .errors import ConditionFailed, NotInvertible, NotZeroDimensional
@@ -386,6 +387,14 @@ class QuotientRing:
         """The polynomial sum_i (v_i / den) b_i of integers v_i."""
         return Polynomial(dict(zip(self.basis, v)), den, self.nvars)
 
+    def square(self, w, v, den=1):
+        """The weighted square w (sum_i v_i b_i / den)^2, v not zero, as
+        (w (g / den)^2, q) with v = g q for the `content` g: q is a
+        primitive integer polynomial, and its leading coefficient, the last
+        nonzero entry (B ascends in grevlex), is positive."""
+        g = content(v)
+        return w * Fraction(g * g, den * den), self.from_vector(v, g)
+
     def mul(self, u, v):
         """The product of the ring vectors u and v, sum_ij u_i v_j NF(b_i b_j)
         from the product table."""
@@ -440,6 +449,12 @@ class QuotientRing:
         ring = build_ring(self.radical)
         ring.is_radical = True
         return ring
+
+
+def content(v):
+    """gcd(v) of a nonzero integer vector, signed like its last nonzero entry."""
+    g = math.gcd(*v)
+    return g if next(x for x in reversed(v) if x) > 0 else -g
 
 
 def combine(terms, size, den=1):

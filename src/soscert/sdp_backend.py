@@ -255,10 +255,9 @@ def _round_eigen_squares(ring, q, bits):
         weight = round_binary(float(w[k]), bits)
         if weight <= 0:
             continue
-        poly = ring.from_vector([round_scaled(float(v[i, k]), bits) for i in range(v.shape[0])],
-                                1 << bits)
-        if not poly.is_zero():
-            out.append((weight, poly))
+        vec = [round_scaled(float(v[i, k]), bits) for i in range(v.shape[0])]
+        if any(vec):
+            out.append(ring.square(weight, vec, 1 << bits))
     return out
 
 

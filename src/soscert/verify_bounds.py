@@ -72,7 +72,7 @@ def residual(inst, cert):
 class VerificationReport:
     def __init__(self, identity_ok, weights_ok, degree_bound_ok=None,
                  mode_ok=None, max_numerator_bits=0, max_denominator_bits=0,
-                 shape_error=None):
+                 max_weight_bits=0, shape_error=None):
         self.shape_error = shape_error
         self.identity_ok = identity_ok
         self.weights_ok = weights_ok
@@ -80,6 +80,7 @@ class VerificationReport:
         self.mode_ok = mode_ok
         self.max_numerator_bits = max_numerator_bits
         self.max_denominator_bits = max_denominator_bits
+        self.max_weight_bits = max_weight_bits
 
     @property
     def ok(self):
@@ -115,6 +116,7 @@ class VerificationReport:
             lines.append(f"mode witnesses: {'ok' if self.mode_ok else 'FAILED'}")
         lines.append(f"max numerator bits: {self.max_numerator_bits}")
         lines.append(f"max denominator bits: {self.max_denominator_bits}")
+        lines.append(f"max weight bits: {self.max_weight_bits}")
         return "\n".join(lines)
 
 
@@ -131,7 +133,10 @@ def verify_certificate(inst, cert, ring=None):
     elif len(cert.cofactors) > len(inst.h):
         shape_error = (f"{len(cert.cofactors)} cofactors, but the problem has "
                        f"{len(inst.h)} equations")
-    weights_ok = all(w >= 0 for block in cert.blocks for w, _ in block)
+    weights = [w for block in cert.blocks for w, _ in block]
+    weights_ok = all(w >= 0 for w in weights)
+    weight_bits = max((x.bit_length() for w in weights
+                       for x in (w.numerator, w.denominator)), default=0)
     squares = [q for block in cert.blocks for _, q in block]
     heights = [height(p) for p in squares + cert.cofactors]
     num_bits = max((info.numerator_height for info in heights), default=0)
@@ -158,7 +163,7 @@ def verify_certificate(inst, cert, ring=None):
                    and all(ring.nf_vector(q) == ring.mul(nf_f, ring.nf_vector(r))
                            for (w, q), r in zip(cert.blocks[0], cert.witnesses)))
     return VerificationReport(identity_ok, weights_ok, degree_bound_ok, mode_ok,
-                              num_bits, den_bits, shape_error=shape_error)
+                              num_bits, den_bits, weight_bits, shape_error=shape_error)
 
 
 class BoundReport:

@@ -194,17 +194,22 @@ def _certify_and_verify(tmp, text):
     return code, cli.main(["verify", "--input", prob, "--certificate", out]), cert
 
 
-def _lifted_square_is_one_mod_radical(text, cert):
+def _lifted_square_eps(text, cert):
+    """w k^2 for the last square q of block 0, with weight w, after checking
+    that q is a nonzero constant k modulo the radical J."""
     ring = quotient.build_ring(problem_io.parse_problem(text).h)
     assert not ring.is_radical
-    _, t = cert.blocks[0][-1]
-    return normal_form(ring.radical_ring, t - 1).is_zero()
+    w, q = cert.blocks[0][-1]
+    k = normal_form(ring.radical_ring, q)
+    assert k.degree == 0
+    return w * k.leading_coefficient() ** 2
 
 
 class TestConstantSquareLift:
     """The Hensel route certifies f~ - eps over the radical J with the
-    radical route's Gram construction and lifts the square root of
-    theta = 1 mod J; its last square is 1 modulo J."""
+    radical route's Gram construction and lifts the square root t of
+    theta = 1 mod J; its last square eps t^2 is written w q^2 with q a
+    nonzero constant k modulo J and w k^2 = eps."""
 
     @pytest.mark.parametrize("text", [
         # V(J) = {i, -i}: no real point, so eps = 1
@@ -215,8 +220,7 @@ class TestConstantSquareLift:
     def test_complex_points(self, tmp_path, text):
         code, verified, cert = _certify_and_verify(str(tmp_path), text)
         assert (code, verified) == (0, 0)
-        assert cert.blocks[0][-1][0] == 1
-        assert _lifted_square_is_one_mod_radical(text, cert)
+        assert _lifted_square_eps(text, cert) == 1
 
     @settings(max_examples=8, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=4, max_size=4, unique=True),
@@ -235,7 +239,11 @@ class TestConstantSquareLift:
         with tempfile.TemporaryDirectory() as tmp:
             code, verified, cert = _certify_and_verify(tmp, text)
         assert (code, verified) == (0, 0)
-        assert _lifted_square_is_one_mod_radical(text, cert)
+        # eps is the largest power of two <= min(1, low / 2), for the float
+        # value low of the margin at the roots
+        eps, top = _lifted_square_eps(text, cert), min(1, Fraction(margin, 2))
+        assert top / 4 < eps <= top
+        assert eps.numerator == 1 and eps.denominator & (eps.denominator - 1) == 0
 
     def test_cliff_height(self):
         # x^2 (x - 1), y^2 (y - 2): lifting a non-constant square from R/J
@@ -367,6 +375,30 @@ class TestPerturb:
         blocks, f_tilde = certifier.perturb(inst, ring, var)
         assert f_tilde == inst.f
         assert blocks == []
+
+    @pytest.mark.parametrize("f, squares", [
+        # f = 1 > 0 at the excluded point too: no square is needed, and the
+        # zero rounding of 16 bits already closes
+        ("1", []),
+        # f = -1 at the excluded point: 32 bits round the column to nonzero
+        ("1 - 1/500000*x", [(Fraction(4295 ** 2, 2 ** 64), "x")]),
+    ], ids=["not_needed", "needed"])
+    def test_column_rounded_to_zero_adds_no_square(self, monkeypatch, f, squares):
+        # V = {0, 10^6}, the point 10^6 excluded by g: its idempotent is
+        # x / 10^6, which 16 bits round to zero
+        inst = problem_io.ProblemInstance(
+            ["x"], parse_polynomial(f, ["x"]), [parse_polynomial("1 - x", ["x"])],
+            [parse_polynomial("x^2 - 1000000*x", ["x"])])
+        ring = quotient.build_ring(inst.h)
+        bits = []
+        escalate = gram.escalate
+        monkeypatch.setattr(gram, "escalate", lambda start, round_at, attempt: escalate(
+            start, lambda n: bits.append(n) or round_at(n), attempt))
+        blocks, _ = certifier.perturb(inst, ring, variety.solve_variety(ring))
+        assert bits == [16] + [32] * bool(squares)
+        assert blocks == [[(w, parse_polynomial(q, ["x"])) for w, q in squares]]
+        cert = certifier.certify(inst, ring)
+        assert verify_bounds.verify_certificate(inst, cert, ring).ok
 
 
     def test_margin_below_the_tolerance_is_exhaustion(self, tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -227,6 +228,21 @@ class TestVerify:
                     "--certificate", data_path("cusp_circle_shifted.cert")]) == 0
         assert run(["verify", "--input", data_path("cusp_circle.prob"),
                     "--certificate", data_path("cusp_circle_x.cert")]) == 0
+
+    def test_max_weight_bits_follows_the_heights(self, capsys):
+        golden = data_path(os.path.join("golden", "four_points-none.cert"))
+        cert = problem_io.parse_certificate(Path(golden).read_text())[0]
+        weights = [w for block in cert.blocks for w, _ in block]
+        bits = max(x.bit_length() for w in weights for x in (w.numerator, w.denominator))
+        assert bits == 135
+        report = verify_bounds.verify_certificate(load_problem("four_points.prob"), cert)
+        assert report.max_weight_bits == bits
+        assert run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", golden]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3].startswith("max numerator bits: ")
+        assert lines[-2].startswith("max denominator bits: ")
+        assert lines[-1] == f"max weight bits: {bits}"
 
     def test_mutated_certificate_exits_4(self, tmp_path, capsys):
         text = Path(data_path("four_points_strict.cert")).read_text()
@@ -685,6 +701,66 @@ class TestGolden:
                 assert out.read_bytes() == fh.read()
         else:
             assert not os.path.exists(golden)
+
+
+# Inputs beyond tests/data for the square form: an excluded point whose
+# idempotent x / 10^6 rounds to zero at 16 bits, and a Hensel lift with a g.
+FORM_EXTRA = {
+    "zero_column": "variables x\nf: 1 - 1/500000*x\ng: 1 - x\nh: x^2 - 1000000*x\n",
+    "hensel_g": "variables x y\nf: x - 2\ng: x\nh: x^3 - x^2\nh: y^2 + 1\n",
+}
+FORM_CASES = ([(data_path(f"{problem}.prob"), options) for problem in sorted(GOLDEN_EXITS)
+               for options in sorted(GOLDEN_OPTIONS) if GOLDEN_EXITS[problem][options] == 0]
+              + [(name, "none") for name in sorted(FORM_EXTRA)])
+
+
+class TestSquareForm:
+    """`certify` writes every square as a primitive integer polynomial with a
+    positive leading coefficient, its content in the weight; `verify`
+    accepts any valid certificate, in that form or not."""
+
+    @pytest.mark.parametrize("prob, options", FORM_CASES,
+                             ids=[f"{os.path.basename(p)}-{o}" for p, o in FORM_CASES])
+    def test_certified_squares_are_primitive(self, tmp_path, prob, options):
+        if prob in FORM_EXTRA:
+            (tmp_path / "p.prob").write_text(FORM_EXTRA[prob])
+            prob = str(tmp_path / "p.prob")
+        out = tmp_path / "out.cert"
+        assert run(["certify", "--input", prob, "--out", str(out)]
+                   + GOLDEN_OPTIONS[options]) == 0
+        cert = problem_io.parse_certificate(out.read_text())[0]
+        for w, q in (square for block in cert.blocks for square in block):
+            assert w > 0 and not q.is_zero()
+            assert q.den == 1 and math.gcd(*q.ints.values()) == 1
+            assert q.leading_coefficient() > 0
+        report = verify_bounds.verify_certificate(problem_io.parse_problem(Path(prob).read_text()),
+                                                  cert)
+        assert report.ok
+        assert report.mode_ok is (True if options == "nonneg" else None)
+
+    @pytest.mark.parametrize("problem, cert", [
+        ("four_points", "four_points_strict"), ("cusp_circle_shifted", "cusp_circle_shifted"),
+        ("cusp_circle", "cusp_circle_x")])
+    def test_hand_written_certificates_are_not_in_the_form(self, problem, cert):
+        text = Path(data_path(f"{cert}.cert")).read_text()
+        parsed = problem_io.parse_certificate(text)[0]
+        assert any(q.den != 1 for block in parsed.blocks for _, q in block)
+        assert run(["verify", "--input", data_path(f"{problem}.prob"),
+                    "--certificate", data_path(f"{cert}.cert")]) == 0
+
+    def test_a_scaled_square_still_verifies(self, tmp_path):
+        # (w / 9) (3 q)^2 = w q^2: the same identity off the written form
+        inst = load_problem("four_points.prob")
+        golden = data_path(os.path.join("golden", "four_points-none.cert"))
+        cert = problem_io.parse_certificate(Path(golden).read_text())[0]
+        w, q = cert.blocks[0][0]
+        cert.blocks[0][0] = (w / 9, q * 3)
+        scaled = tmp_path / "scaled.cert"
+        scaled.write_text(problem_io.format_certificate(cert, inst.var_names))
+        reread = problem_io.parse_certificate(scaled.read_text())[0].blocks[0][0][1]
+        assert math.gcd(*reread.ints.values()) == 3
+        assert run(["verify", "--input", data_path("four_points.prob"),
+                    "--certificate", str(scaled)]) == 0
 
 
 # The exit code of `soscert certify` for each exception that `certify` can

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,8 @@ from soscert import cli, exactla, gram, problem_io, quotient, variety, verify_bo
 from soscert.errors import NotPD, PrecisionExceeded
 from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
-from conftest import determinant, from_rational, normal_form, polynomial, rational, reconstruct
+from conftest import (data_path, determinant, from_rational, normal_form, polynomial, rational,
+                      reconstruct)
 
 
 def poly(s, names=("x",)):
@@ -267,6 +269,24 @@ class TestEscalation:
         assert len(factored) == 2
         assert bits == [32, 64, 128]
         assert "float64 margin used up" in capsys.readouterr().err
+
+    def _first_bits(self, monkeypatch, prob):
+        bits = []
+        round_matrix = gram.round_matrix
+        monkeypatch.setattr(gram, "round_matrix",
+                            lambda m, n: bits.append(n) or round_matrix(m, n))
+        assert cli.main(["certify", "--input", prob, "--out", os.devnull]) == 0
+        return bits
+
+    def test_starts_where_lambda_min_says(self, monkeypatch):
+        # four_points is well conditioned: fewer than 32 bits, one attempt
+        bits = self._first_bits(monkeypatch, data_path("four_points.prob"))
+        assert len(bits) == 1 and 4 <= bits[0] < gram.START_BITS
+
+    def test_starts_at_the_cap_without_a_positive_lambda_min(self, monkeypatch):
+        monkeypatch.setattr(gram.np.linalg, "eigvalsh", lambda m: np.zeros(len(m)))
+        bits = self._first_bits(monkeypatch, data_path("four_points.prob"))
+        assert bits == [gram.START_BITS]
 
     def test_helper_stops_after_a_repeated_rounding(self):
         # the second rounding repeats the first: the failed attempt is not rerun

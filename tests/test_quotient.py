@@ -234,6 +234,38 @@ class TestQuotientRing:
         assert prod == fractions(r.nf_vector(poly("x*y")))
 
 
+# denominators 1, 2^k and odd ones
+DENOMINATORS = st.one_of(st.just(1), st.integers(1, 70).map(lambda k: 2 ** k),
+                         st.integers(1, 10 ** 6).map(lambda k: 2 * k + 1))
+
+
+class TestSquare:
+    """`QuotientRing.square` moves the content of a square into its weight:
+    w' q'^2 = w (v / den)^2 with q' primitive, integer, and of positive
+    leading coefficient."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=4, max_size=4).filter(any),
+           st.integers(1, 2 ** 40), DENOMINATORS,
+           st.fractions(min_value=0, max_value=1000, max_denominator=10 ** 6))
+    # a negative leading entry: the content is -6 / 7
+    @example([0, 6, 0, -12], 1, 7, Fraction(1, 3))
+    def test_same_square_primitive_positive(self, v, scale, den, w):
+        ring = mul_ring("radical")
+        v = [scale * x for x in v]
+        w2, q2 = ring.square(w, v, den)
+        assert w2 * q2 ** 2 == w * ring.from_vector(v, den) ** 2
+        assert w2 >= 0 and (w2 == 0) == (w == 0)
+        assert q2.den == 1 and math.gcd(*q2.ints.values()) == 1
+        assert q2.leading_coefficient() > 0
+        assert q2.leading_monomial() == ring.basis[max(i for i, x in enumerate(v) if x)]
+
+    def test_content_signed_by_the_last_nonzero_entry(self):
+        assert quotient.content([4, -6, 0]) == -2
+        assert quotient.content([-4, 6, 0]) == 2
+        assert quotient.content([0, 0, 5]) == 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(zero_dimensional_generators())
 def test_monomial_basis_is_the_brute_force_staircase(gens):
