@@ -8,14 +8,14 @@ f~ - eps over its radical J, plus eps t^2 with t the square root, 1 mod J,
 of theta = 1 mod J, a finite binomial series in R/I; no ring but R/I and
 R/J is built.  Every product in R/I reads the ring's product table.
 Both strict routes solve roots on a radical ring and judge the sign of f
-at the points of S by one rule, in `perturb`.  The Gram routes (radical,
-Hensel, SDP) close their identity through the one Gram step
-(`gram.gram_squares`): it returns the LDL^t squares of a Gram matrix Q0 of
-f~ with the rest f~ - B^t Q0 B.  Each route, the SDP engine's too, hands
-its blocks and rest to `_assemble`, which finds the rest's cofactors.
-Squares that no Gram matrix carries are expanded by the verifier's
-`verify_bounds.residual`.  The data types come from `problem_io`, so
-`verify` and `bounds` never load this module or an engine.
+at the points of S by one rule, in `perturb`, on `VarietyData.signs`.  The
+Gram routes (radical, Hensel, SDP) close their identity through the one
+Gram step (`gram.gram_squares`): it returns the LDL^t squares of a Gram
+matrix Q0 of f~ with the rest f~ - B^t Q0 B.  Each route, the SDP
+engine's too, hands its blocks and rest to `_assemble`, which finds the
+rest's cofactors.  Squares that no Gram matrix carries are expanded by the
+verifier's `verify_bounds.residual`.  The data types come from
+`problem_io`, so `verify` and `bounds` never load this module or an engine.
 """
 
 from __future__ import annotations
@@ -26,12 +26,8 @@ from fractions import Fraction
 
 from . import gram, quotient, sdp_backend, variety, verify_bounds
 from .errors import IdentityBroken, NotStrictlyPositiveOnS, PrecisionExceeded
-from .polyring import evaluate, round_scaled
+from .polyring import round_scaled
 from .problem_io import Certificate, ProblemInstance
-
-
-def _real_values(var, p):
-    return [evaluate(p, xi) for xi in var.real]
 
 
 def perturb(inst, ring, var):
@@ -39,32 +35,33 @@ def perturb(inst, ring, var):
     `var.real`, with rational data, such that f - phi > 0 at every real
     point; u_xi is xi's column of `var.real_idem`, rounded.
 
-    This is the one sign rule of both strict routes at the points of S:
-    f < -tol means no certificate exists (NotStrictlyPositiveOnS); f <= 0,
-    or f <= tol when points are excluded, means float64 cannot show the
-    margin (PrecisionExceeded).  phi >= 0 on S, so no rounding lifts
-    f - phi above tol where f is not.
+    This is the one sign rule of both strict routes at the points of S, on
+    `var.signs`: sign -1 means no certificate exists (NotStrictlyPositiveOnS);
+    sign 0 when points are excluded, or f <= 0 when none is, means float64
+    cannot show the margin (PrecisionExceeded).  phi >= 0 on S, so no
+    rounding lifts f - phi to sign +1 where f is not.
 
     Returns (per-constraint blocks of (weight, square), f - phi)."""
     member = variety.membership(var, inst.g)
-    f_vals = _real_values(var, inst.f)
-    tol = var.decision_tol
+    f_signs = var.signs(inst.f)
     for i in member.s_indices:
-        if f_vals[i] < -tol:
-            raise NotStrictlyPositiveOnS(f"f = {f_vals[i]:.3e} at a point of S")
-    floor = tol if member.excluded else 0.0
+        if f_signs[i][0] < 0:
+            raise NotStrictlyPositiveOnS(f"f = {f_signs[i][1]:.3e} at a point of S")
     for i in member.s_indices:
-        if f_vals[i] <= floor:
-            within = f", within the perturbation tolerance {tol:.1e}" if floor else ""
-            raise PrecisionExceeded(f"float64 margin used up: f = {f_vals[i]:.3e} at a point "
+        sign, v = f_signs[i]
+        if (sign == 0) if member.excluded else (v <= 0):
+            within = (f", within the perturbation tolerance {var.decision_tol:.1e}"
+                      if member.excluded else "")
+            raise PrecisionExceeded(f"float64 margin used up: f = {v:.3e} at a point "
                                     f"of S{within}")
     if not member.excluded:
         return [[] for _ in inst.g], inst.f
+    g_vals = {gi: var.values(inst.g[gi]) for _, gi in member.excluded}
     rhos = []
     for idx, gi in member.excluded:
-        g_val = evaluate(inst.g[gi], var.real[idx])
+        f_val = f_signs[idx][1]
         rho = Fraction(1)
-        while f_vals[idx] - float(rho) * g_val <= max(1.0, abs(f_vals[idx])):
+        while f_val - float(rho) * g_vals[gi][idx] <= max(1.0, abs(f_val)):
             rho *= 2
         rhos.append(rho)
 
@@ -80,7 +77,7 @@ def perturb(inst, ring, var):
         for gi, w, q in squares:
             blocks[gi].append((w, q))
         f_tilde = verify_bounds.residual(inst, Certificate("strict", [[]] + blocks, []))
-        if all(v > tol for v in _real_values(var, f_tilde)):
+        if all(sign > 0 for sign, _ in var.signs(f_tilde)):
             return blocks, f_tilde
         return None
 
@@ -166,7 +163,8 @@ def hensel_sqrt(ring, theta):
 
     With n = theta - 1 in J/I, t is the binomial series
     sum_k C(1/2, k) n^k.  J/I is nilpotent in an algebra of dimension D, so
-    n^D = 0 and the series ends within D - 1 products in R/I."""
+    n^D = 0 and the series ends within D - 1 products in R/I.  t is returned
+    as its ring vector (ints, den)."""
     theta = ring.nf_vector(theta)
     n = quotient.combine([(1, *theta), (-1, *ring.unit)], ring.D)
     terms, power = [(Fraction(1), *ring.unit)], ring.unit
@@ -179,7 +177,7 @@ def hensel_sqrt(ring, theta):
     t = quotient.combine(terms, ring.D)
     if ring.mul(t, t) != theta:
         raise IdentityBroken("Hensel step does not square to theta")
-    return ring.from_vector(*t)
+    return t
 
 
 def certify_strict_nonradical(inst, ring=None):
@@ -201,14 +199,13 @@ def _hensel_squares(inst, ring, var_j):
     g_blocks, f_tilde = perturb(inst, ring_j, var_j)
     # eps is the largest power of two <= min(1, low / 2), or 1 without real
     # roots; perturb has made low > 0
-    low = min(_real_values(var_j, f_tilde), default=2.0)
+    low = min(var_j.values(f_tilde), default=2.0)
     eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
     squares, rest = gram.round_and_certify(ring_j, var_j, f_tilde - eps)
     # eps theta = f~ - B_J^t Q0 B_J = rest + eps; eps t^2 = B^t (eps c c^t) B
     # for t = B^t c
     eps_theta = rest + eps
-    t = hensel_sqrt(ring, eps_theta / eps)
-    c, den = ring.nf_vector(t)
+    c, den = hensel_sqrt(ring, eps_theta / eps)
     eps_t2 = gram.SymmetricMatrix([[eps.numerator * x * y for y in c] for x in c],
                                   eps.denominator * den * den)
     return ([squares + [ring.square(eps, c, den)]] + g_blocks,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 from . import problem_io, quotient, verify_bounds
 from .errors import (ClusterAmbiguity, ConditionFailed, IdentityBroken, Infeasible,
@@ -56,7 +57,10 @@ def cmd_certify(args):
             inst.options[key] = problem_io.check_option(key, value)
     ring = quotient.build_ring(inst.h)
     try:
-        cert = certifier.certify(inst, ring)
+        with warnings.catch_warnings():
+            # one line per warning, with no source location
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            cert = certifier.certify(inst, ring)
     except (ConditionFailed, NotStrictlyPositiveOnS) as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_IMPOSSIBLE

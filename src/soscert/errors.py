@@ -62,10 +62,6 @@ class NotStrictlyPositiveOnS(SosCertError):
     pass
 
 
-class NonPositiveAtRealRoot(SosCertError):
-    pass
-
-
 class IdentityBroken(SosCertError):
     """An exact identity that the construction guarantees does not hold:
     an internal error, not a property of the input."""

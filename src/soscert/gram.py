@@ -35,8 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonPositiveAtRealRoot, NotPD, PrecisionExceeded
-from .polyring import Polynomial, evaluate, round_scaled
+from .errors import NotPD, PrecisionExceeded
+from .polyring import Polynomial, round_scaled
 
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
 # rounding stops every precision loop before this ceiling; it only guards it
@@ -74,14 +74,14 @@ def build_gram_real(ring, var, p):
 
     The columns of Theta are sqrt(p(xi)) u_xi for each real point xi of
     `var.real`, then two real columns for each conjugate pair of
-    `var.pairs`.  The routes call it only after `certifier.perturb` has made
-    p > 0 at every real point; p <= 0 there raises NonPositiveAtRealRoot."""
-    vals = [evaluate(p, xi) for xi in var.real]
+    `var.pairs`.  The routes call it after `certifier.perturb` has judged
+    p > 0 at every real point, so p <= 0 there is a float limit."""
+    vals = var.values(p)
     if any(v <= 0 for v in vals):
-        raise NonPositiveAtRealRoot(f"p = {min(vals):.3e} at a real root")
+        raise PrecisionExceeded(f"float64 margin used up: p = {min(vals):.3e} at a real root")
     cols = [math.sqrt(v) * u for v, u in zip(vals, var.real_idem.T)]
-    for zeta, u in zip(var.pairs, var.pair_idem.T):
-        cols.extend(_pair_columns(u, evaluate(p, zeta)))
+    for a_ib, u in zip(var.pair_values(p), var.pair_idem.T):
+        cols.extend(_pair_columns(u, a_ib))
     theta = np.column_stack(cols) if cols else np.zeros((ring.D, 0))
     return theta @ theta.T
 

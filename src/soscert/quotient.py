@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from . import exactla
 from .errors import ConditionFailed, NotInvertible, NotZeroDimensional
-from .polyring import Polynomial, evaluate, grevlex
+from .polyring import Polynomial, grevlex
 
 
 def _order_ideal(nvars, inside):
@@ -554,15 +554,14 @@ def coprimality_witness(ring, f, roots):
 
     # positivity of a where f vanishes on the variety
     if not b.is_zero():
-        zero_pts = [xi for xi in roots().real if evaluate(b, xi) > 0.5]
-        if zero_pts:
-            vals = [evaluate(a, pt) for pt in zero_pts]
-            if min(vals) <= 0:
-                bound = max(abs(v) for v in vals) + 1
-                rho = 1
-                while rho <= bound:
-                    rho *= 2
-                a = a + b * rho
+        var = roots()
+        vals = [va for va, vb in zip(var.values(a), var.values(b)) if vb > 0.5]
+        if vals and min(vals) <= 0:
+            bound = max(abs(v) for v in vals) + 1
+            rho = 1
+            while rho <= bound:
+                rho *= 2
+            a = a + b * rho
 
     # clear denominators into gamma
     nu = math.lcm(a.den, b.den)

@@ -15,7 +15,8 @@ This is the one module that tells real points from complex ones.  The
 certificate reads a real point xi through p(xi) u_xi^2 and a conjugate pair
 through one of its points, so `solve_variety` hands out the real points and
 one point per pair, each with its idempotent, and no caller classifies a
-point again.
+point again.  Nor does any evaluate at the points or compare a value with
+the tolerance: `VarietyData.values`, `pair_values` and `signs` do.
 """
 
 from __future__ import annotations
@@ -38,9 +39,23 @@ class VarietyData:
     def __init__(self, real, pairs, real_idem, pair_idem, tol):
         self.real, self.pairs = real, pairs
         self.real_idem, self.pair_idem = real_idem, pair_idem
-        # the one tolerance of the float decisions on values at the roots:
-        # membership in S and the sign of f there must agree on it
+        # the tolerance of `signs`, the one float decision on a value at a
+        # root: membership in S and the sign of f there both rest on it
         self.decision_tol = max(tol * 1e6, 1e-9)
+
+    def values(self, p):
+        """The float values of p at the real points."""
+        return [evaluate(p, xi) for xi in self.real]
+
+    def pair_values(self, p):
+        """The complex values of p at the first point of each pair."""
+        return [evaluate(p, zeta) for zeta in self.pairs]
+
+    def signs(self, p):
+        """(sign, value) of p at each real point: the sign is +1 above
+        decision_tol, -1 below -decision_tol, and 0, undecided, between."""
+        tol = self.decision_tol
+        return [((v > tol) - (v < -tol), v) for v in self.values(p)]
 
 
 def solve_variety(ring, seed=0):
@@ -131,32 +146,20 @@ def idempotents(ring, points):
 
 class Membership:
     def __init__(self, s_indices, excluded):
-        self.s_indices = s_indices  # real points satisfying all g_i >= -tol
-        self.excluded = excluded    # list of (real point index, violated constraint index)
+        self.s_indices = s_indices  # real points where no g_i has sign -1
+        self.excluded = excluded    # (real point index, first g_i with sign -1 there)
 
 
 def membership(var, g_list):
-    """Partition the real points into S and the excluded ones, each with a
-    violated constraint index."""
-    tol = var.decision_tol
-    s_indices = []
-    excluded = []
-    for i, coords in enumerate(var.real):
-        violated = None
-        ambiguous = False
-        for gi, g in enumerate(g_list):
-            val = evaluate(g, coords)
-            if val < -tol:
-                violated = gi
-                break
-            if abs(val) <= tol:
-                ambiguous = True
-        if violated is None:
-            if ambiguous:
-                warnings.warn(
-                    f"constraint value within tolerance at real point {i}; provisionally in S",
-                    BoundaryAmbiguity)
-            s_indices.append(i)
-        else:
-            excluded.append((i, violated))
+    """Partition the real points into S and the excluded ones, each with
+    its first g_i of sign -1; a point of S where some g_i has sign 0,
+    undecided, warns BoundaryAmbiguity."""
+    signs = [[s for s, _ in var.signs(g)] for g in g_list]
+    at_points = [[s[i] for s in signs] for i in range(len(var.real))]
+    s_indices = [i for i, at in enumerate(at_points) if -1 not in at]
+    for i in s_indices:
+        if 0 in at_points[i]:
+            warnings.warn(f"constraint value within tolerance at real point {i}; "
+                          "provisionally in S", BoundaryAmbiguity)
+    excluded = [(i, at.index(-1)) for i, at in enumerate(at_points) if -1 in at]
     return Membership(s_indices, excluded)

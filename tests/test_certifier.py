@@ -115,7 +115,7 @@ class TestHensel:
         x = parse_polynomial("x", ["x"])
         ring = _ring([parse_polynomial("x^3", ["x"])])
         theta = parse_polynomial("1 + x", ["x"])
-        t = certifier.hensel_sqrt(ring, theta)
+        t = ring.from_vector(*certifier.hensel_sqrt(ring, theta))
         # the lift in R/I is the chain's lift reduced modulo I
         chain, t_ref = _chain_sqrt(ring, [x], theta, parse_polynomial("1", ["x"]))
         assert len(chain) == 2
@@ -128,7 +128,7 @@ class TestHensel:
         x = parse_polynomial("x", ["x"])
         ring = _ring([parse_polynomial("x^4", ["x"])])
         theta = parse_polynomial("1 + x", ["x"])
-        t = certifier.hensel_sqrt(ring, theta)
+        t = ring.from_vector(*certifier.hensel_sqrt(ring, theta))
         assert t == parse_polynomial("1 + 1/2*x - 1/8*x^2 + 1/16*x^3", ["x"])
         assert t == _chain_sqrt(ring, [x], theta, parse_polynomial("1", ["x"]))[1]
 
@@ -160,7 +160,7 @@ class TestHensel:
         j, i, ring = _cliff_ideals()
         chain, t = _chain_sqrt(ring, j, theta, one)
         assert len(chain) == 2  # J^2, J^4
-        assert certifier.hensel_sqrt(ring, theta) == t
+        assert ring.from_vector(*certifier.hensel_sqrt(ring, theta)) == t
 
     def test_only_the_ideal_and_its_radical_get_groebner_bases(self, monkeypatch):
         j, i, _ = _cliff_ideals()
@@ -280,6 +280,21 @@ class TestConstantSquareLift:
         assert "f = 0.000e+00 at a point of S" in capsys.readouterr().err
 
 
+# The sign rule's exit codes for f = x + 1 + m on V = {+-1} x {0, 1}, whose
+# least value m is at x = -1, without and with g = 1/2 - y, which excludes
+# the points with y = 1, in strict and nonneg mode.  2^-30 lies within the
+# decision tolerance (about 1.8e-6 here), 2^-10 beyond it.  In strict mode
+# sign 0 on S is exhaustion when points are excluded, and otherwise when
+# f <= 0; nonneg mode judges a = 1 / f, whose sign there is that of m.
+SIGN_TABLE = {
+    # m: (strict, strict with g, nonneg, nonneg with g)
+    Fraction(1, 2 ** 30): (0, 3, 0, 0),
+    Fraction(-1, 2 ** 30): (3, 3, 2, 2),
+    Fraction(-1, 2 ** 10): (2, 2, 2, 2),
+    Fraction(1, 2 ** 10): (0, 0, 0, 0),
+}
+
+
 class TestSignRule:
     """Both strict routes judge the sign of f at the points of S by one
     rule, in `perturb`: f = 2 - x^2 + 10^-20 is 10^-20 > 0 at +-sqrt(2),
@@ -291,6 +306,16 @@ class TestSignRule:
         prob.write_text(f"variables x\nf: 2 - x^2 + 1/{10 ** 20}\nh: {h}\n")
         assert cli.main(["certify", "--input", str(prob)]) == 3
         assert "float64 margin used up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", SIGN_TABLE, ids=["+2^-30", "-2^-30", "-2^-10", "+2^-10"])
+    @pytest.mark.parametrize("column, mode, g", [
+        (0, "strict", ""), (1, "strict", "g: 1/2 - y\n"),
+        (2, "nonneg", ""), (3, "nonneg", "g: 1/2 - y\n"),
+    ], ids=["strict", "strict-g", "nonneg", "nonneg-g"])
+    def test_exit_code_table(self, tmp_path, m, column, mode, g):
+        prob = tmp_path / "table.prob"
+        prob.write_text(f"variables x y\nf: x + 1 + {m}\n{g}h: x^2 - 1\nh: y^2 - y\n")
+        assert cli.main(["certify", "--input", str(prob), "--mode", mode]) == SIGN_TABLE[m][column]
 
 
 class TestNonneg:

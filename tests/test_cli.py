@@ -2,6 +2,7 @@ import glob
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -218,6 +219,19 @@ class TestNumpyIsTheOnlyNumericDependency:
         engines = {"soscert." + m for m in ("certifier", "gram", "variety", "sdp_backend")}
         assert not engines & set(child["modules"])
         assert len(child["modules"]) <= 8, child["modules"]
+
+
+class TestWarnings:
+    def test_one_line_per_warning(self, tmp_path, capsys):
+        # x - 1 vanishes at the two points (1, +-1), which stay in S
+        prob = tmp_path / "boundary.prob"
+        prob.write_text("variables x y\nf: x + y + 5\ng: x - 1\nh: x^2 - 1\nh: y^2 - 1\n")
+        assert run(["certify", "--input", str(prob)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert re.fullmatch(r"warning: constraint value within tolerance at real point \d+; "
+                                r"provisionally in S", line)
 
 
 class TestVerify:
@@ -773,7 +787,6 @@ EXIT_CODES = [
     (errors.NotInvertible("vanishes at a root"), 2),
     (errors.NotPD(1), 2),
     (errors.NotStrictlyPositiveOnS("f < 0 at a point of S"), 2),
-    (errors.NonPositiveAtRealRoot("p = 0 at a real root"), 2),
     (errors.PrecisionExceeded("ceiling"), 3),
     (errors.ClusterAmbiguity("point separation"), 3),
     (errors.SingularVandermonde("Vandermonde numerically singular"), 3),

@@ -88,3 +88,39 @@ def test_monomial_is_only_the_terms_key(name):
     uses = [f"{name}:{line}: {what}" for line, what in _monomial_uses(TREES[name])]
     if uses:
         pytest.fail("Monomial outside polyring: " + ", ".join(uses))
+
+
+def _evaluate_uses(tree):
+    """Lines that import `evaluate` or read it as an attribute."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.alias) and node.name == "evaluate"
+                or isinstance(node, ast.Attribute) and node.attr == "evaluate"):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"variety.py", "polyring.py", "__init__.py"}))
+def test_only_variety_evaluates_at_the_points(name):
+    # polyring defines `evaluate` and __init__ re-exports it; every value
+    # at a root comes from `VarietyData.values`, `pair_values` or `signs`
+    lines = list(_evaluate_uses(TREES[name]))
+    if lines:
+        pytest.fail(f"{name} imports or reads evaluate at lines {lines}")
+
+
+def _tolerance_reads(node, in_message=False):
+    """Lines that read `decision_tol` outside an f-string."""
+    in_message = in_message or isinstance(node, ast.JoinedStr)
+    if not in_message and (isinstance(node, ast.Attribute) and node.attr == "decision_tol"
+                           or isinstance(node, ast.Name) and node.id == "decision_tol"):
+        yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _tolerance_reads(child, in_message)
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"variety.py"}))
+def test_only_variety_compares_with_the_tolerance(name):
+    # `VarietyData.signs` is the one sign rule; elsewhere the tolerance may
+    # only be named in a message
+    lines = list(_tolerance_reads(TREES[name]))
+    if lines:
+        pytest.fail(f"{name} reads decision_tol outside a message at lines {lines}")

@@ -1,12 +1,13 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from soscert import quotient, variety
 from soscert.errors import BoundaryAmbiguity, SingularVandermonde
-from soscert.polyring import evaluate, parse_polynomial
+from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
 
 def poly(s, names=("x", "y")):
@@ -99,6 +100,26 @@ class TestIdempotents:
             ring = make_ring(*map(poly, gens))
             with pytest.raises(SingularVandermonde, match="not radical"):
                 variety.solve_variety(ring)
+
+
+class TestSigns:
+    def test_thresholds(self, four_points_var):
+        # +-decision_tol itself is undecided; the next float beyond it is not
+        var = four_points_var
+        tol = var.decision_tol
+        for v, sign in [(tol, 0), (-tol, 0), (0.0, 0), (math.nextafter(tol, 1), 1),
+                        (math.nextafter(-tol, -1), -1)]:
+            assert var.signs(Polynomial.constant(Fraction(v), 2)) == [(sign, v)] * 4
+
+    def test_values_at_the_points(self):
+        # x^2 - 1, (y^2 + 1)(y - 2): real points (+-1, 2) and pairs (+-1, +-i)
+        ring = make_ring(poly("x^2 - 1"), poly("y^3 - 2*y^2 + y - 2"))
+        var = variety.solve_variety(ring)
+        p = poly("x*y")
+        assert var.values(p) == [evaluate(p, xi) for xi in var.real]
+        assert var.pair_values(p) == [evaluate(p, zeta) for zeta in var.pairs]
+        assert var.signs(p) == [(1 if v > 0 else -1, v) for v in var.values(p)]
+        assert sorted(round(v, 9) for v in var.values(p)) == [-2, 2]
 
 
 class TestMembership:
