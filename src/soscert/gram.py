@@ -65,8 +65,8 @@ class SymmetricMatrix:
 
 
 def _dyadic_lambda(mag):
-    """A dyadic rational in the open window (mag+1, mag+2)."""
-    return math.floor((mag + 1.5) * 256) / 256.0
+    """A dyadic rational in the open window (mag+1, mag+2); NaN for mag not finite."""
+    return math.floor((mag + 1.5) * 256) / 256.0 if math.isfinite(mag) else math.nan
 
 
 def build_gram_real(ring, var, p):
@@ -75,7 +75,7 @@ def build_gram_real(ring, var, p):
     The columns of Theta are sqrt(p(xi)) u_xi for each real point xi of
     `var.real`, then two real columns for each conjugate pair of
     `var.pairs`.  The routes call it after `certifier.perturb` has judged
-    p > 0 at every real point, so p <= 0 there is a float limit."""
+    p > 0 at every real point, so p <= 0 there, or a Q~ not finite, is a float limit."""
     vals = var.values(p)
     if any(v <= 0 for v in vals):
         raise PrecisionExceeded(f"float64 margin used up: p = {min(vals):.3e} at a real root")
@@ -83,7 +83,10 @@ def build_gram_real(ring, var, p):
     for a_ib, u in zip(var.pair_values(p), var.pair_idem.T):
         cols.extend(_pair_columns(u, a_ib))
     theta = np.column_stack(cols) if cols else np.zeros((ring.D, 0))
-    return theta @ theta.T
+    q_tilde = theta @ theta.T
+    if not np.isfinite(q_tilde).all():
+        raise PrecisionExceeded("float64 margin used up: the real Gram matrix is not finite")
+    return q_tilde
 
 
 def _pair_columns(u_col, a_ib):
@@ -93,6 +96,8 @@ def _pair_columns(u_col, a_ib):
     a = a_ib.real
     b = a_ib.imag
     lam = _dyadic_lambda(abs(complex(a, b)))
+    if not (lam + a > 0 and lam * lam > a * a + b * b):
+        raise PrecisionExceeded(f"float64 margin used up: p = {a_ib:.3e} at a conjugate pair")
     ur = np.asarray(u_col).real
     ui = np.asarray(u_col).imag
     w1 = 2.0 * (lam + a)
@@ -171,7 +176,8 @@ def gram_rest(p, basis, q):
 def ldlt(q):
     """Fraction-free (Bareiss) LDL^t of Q = M/nu, M integer symmetric: the
     squares (1/(nu Delta_k Delta_{k-1}), column k of L), with integer L
-    (its columns are bordered minors), whose weighted sum is Q.
+    (its columns are bordered minors), whose weighted sum is Q.  The steps
+    keep M symmetric, so they update its upper triangle alone, row by row.
 
     Raises NotPD(k) at the first leading minor Delta_k <= 0.  So it returns
     exactly when Q is positive definite, and no symmetric swap is needed:
@@ -184,21 +190,23 @@ def ldlt(q):
         delta_k = m[k][k]
         if delta_k <= 0:
             raise NotPD(k + 1)
-        squares.append((Fraction(1, q.nu * delta_k * prev),
-                        [0] * k + [m[i][k] for i in range(k, D)]))
+        pivot = m[k]
+        squares.append((Fraction(1, q.nu * delta_k * prev), [0] * k + pivot[k:]))
         for i in range(k + 1, D):
-            for j in range(k + 1, D):
-                m[i][j] = (m[i][j] * delta_k - m[i][k] * m[k][j]) // prev
+            row, mik = m[i], pivot[i]  # m[i][k] = m[k][i]
+            row[i:] = [(x * delta_k - mik * y) // prev for x, y in zip(row[i:], pivot[i:])]
         prev = delta_k
     return squares
 
 
 def round_matrix(mat, frac_bits):
     """Entrywise binary rounding of a float matrix, symmetrized first: a
-    SymmetricMatrix of integers over 2^frac_bits."""
-    sym = (np.asarray(mat) + np.asarray(mat).T) / 2.0
-    return SymmetricMatrix([[round_scaled(x, frac_bits) for x in row] for row in sym.tolist()],
-                           1 << frac_bits)
+    SymmetricMatrix of integers over 2^frac_bits.  Its upper triangle, entry
+    (i, j) as upper[i][j - i], is rounded and mirrored: (M + M^t) / 2 is exactly symmetric."""
+    sym = ((np.asarray(mat) + np.asarray(mat).T) / 2.0).tolist()
+    upper = [[round_scaled(x, frac_bits) for x in row[i:]] for i, row in enumerate(sym)]
+    return SymmetricMatrix([[upper[min(i, j)][abs(i - j)] for j in range(len(sym))]
+                            for i in range(len(sym))], 1 << frac_bits)
 
 
 def escalate(start_bits, round_at, attempt):

@@ -180,22 +180,32 @@ def _scalar(c):
     return Fraction(c)
 
 
-def evaluate(p, point):
-    """Evaluate p at a point: exactly at a rational point, in floats at a
-    float or complex one, where each coefficient is taken once as the
-    correctly rounded ints[e] / den, as float(Fraction) and so Fraction * x
-    are, bit for bit; a constant gives a float there."""
-    if len(point) != p.nvars:
-        raise DimensionMismatch(f"point has {len(point)} coordinates, polynomial has {p.nvars} variables")
-    inexact = any(isinstance(x, (float, complex)) for x in point)
-    total = 0.0 if inexact else 0
-    for e, c in p.ints.items():
-        v = c / p.den if inexact else c
-        for x, k in zip(point, e):
-            if k:
-                v = v * x ** k
-        total = total + v
-    return total if inexact else Fraction(total, p.den)
+def evaluate(p, point=None, *, points=None):
+    """Evaluate p at a point, or the list of its values at `points`: exactly
+    at a rational point, in floats at a float or complex one, where each
+    coefficient is taken once per call as the correctly rounded ints[e] / den,
+    as float(Fraction) and so Fraction * x are, bit for bit, and each power
+    x_i^k once per point; a constant gives a float there."""
+    if points is None:
+        return evaluate(p, points=(point,))[0]
+    slots = {}  # (i, k) -> index of x_i^k among a point's powers
+    factors = [[slots.setdefault((i, k), len(slots)) for i, k in enumerate(e) if k] for e in p.ints]
+    ints, floats, values = list(p.ints.values()), None, []
+    for point in points:
+        if len(point) != p.nvars:
+            raise DimensionMismatch(f"point has {len(point)} coordinates, "
+                                    f"polynomial has {p.nvars} variables")
+        inexact = any(isinstance(x, (float, complex)) for x in point)
+        if inexact and floats is None:
+            floats = [c / p.den for c in ints]
+        powers = [point[i] ** k for i, k in slots]
+        total = 0.0 if inexact else 0
+        for v, term in zip(floats if inexact else ints, factors):
+            for s in term:
+                v = v * powers[s]
+            total = total + v
+        values.append(total if inexact else Fraction(total, p.den))
+    return values
 
 
 @dataclass(frozen=True)
@@ -330,22 +340,22 @@ def parse_polynomial(text, var_names):
     return Polynomial(ints, lcd, nvars)
 
 
-def format_polynomial(p, var_names=None):
-    """Canonical printing, grevlex-descending, rationals in lowest terms."""
+def format_polynomial(p, var_names=None, monomials=None):
+    """Canonical printing, grevlex-descending, rationals in lowest terms;
+    `monomials`, shared by calls with the same names, keeps each monomial's key and text."""
     if var_names is None:
         var_names = [f"x{i + 1}" for i in range(p.nvars)]
+    monomials = {} if monomials is None else monomials
     if p.is_zero():
         return "0"
+    for e in p.ints:
+        if e not in monomials:
+            monomials[e] = grevlex(e), "*".join(name if k == 1 else f"{name}^{k}"
+                                                for name, k in zip(var_names, e) if k)
     parts = []
     den = p.den
-    for e, c in sorted(p.ints.items(), key=lambda t: grevlex(t[0]), reverse=True):
-        factors = []
-        for name, k in zip(var_names, e):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        body = "*".join(factors)
+    for e, c in sorted(p.ints.items(), key=lambda t: monomials[t[0]][0], reverse=True):
+        body = monomials[e][1]
         negative = c < 0
         mag = -c if negative else c
         g = math.gcd(mag, den)

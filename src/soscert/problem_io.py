@@ -271,15 +271,17 @@ def parse_certificate(text, expected_vars=None):
 
 
 def format_certificate(cert, var_names):
+    """The certificate file, each monomial's text and key made once for it."""
+    monomials = {}
     lines = [f"mode {cert.mode}", "variables " + " ".join(var_names)]
     if cert.gamma is not None:
         lines.append(f"gamma {cert.gamma}")
     for i, block in enumerate(cert.blocks):
         lines.append(f"block {i}")
         for w, q in block:
-            lines.append(f"weight {w} square {format_polynomial(q, var_names)}")
+            lines.append(f"weight {w} square {format_polynomial(q, var_names, monomials)}")
     for j, p in enumerate(cert.cofactors, start=1):
-        lines.append(f"cofactor {j} {format_polynomial(p, var_names)}")
+        lines.append(f"cofactor {j} {format_polynomial(p, var_names, monomials)}")
     for k, r in enumerate(cert.witnesses or [], start=1):
-        lines.append(f"witness {k} {format_polynomial(r, var_names)}")
+        lines.append(f"witness {k} {format_polynomial(r, var_names, monomials)}")
     return "\n".join(lines) + "\n"

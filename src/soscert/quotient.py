@@ -133,7 +133,7 @@ def _divide(work, reducers):
 
 
 class IdealBasis:
-    """Original generators h_j plus a Gröbner basis for the same ideal.
+    """Original generators h_j, zeros kept, plus a Gröbner basis for the same ideal.
 
     The basis has one form, `reducers`: the reduced Gröbner basis as
     primitive integer polynomials (leading coefficient positive), as the
@@ -260,7 +260,7 @@ def groebner(generators):
     is unique, is kept with each element made primitive.  The cofactors of
     the Gröbner elements over the original generators are left to
     `IdealBasis`, which computes them on first read."""
-    gens = [p for p in generators if not p.is_zero()]
+    gens = [p for p in generators if not p.is_zero()]  # a zero adds nothing to the ideal
     if not gens:
         raise NotZeroDimensional("every equation is 0: the ideal (0) has infinitely many zeros")
     nvars = gens[0].nvars
@@ -315,7 +315,7 @@ def groebner(generators):
     reduced = [_primitive_remainder({lead: lc, **dict(tail)}, minimal[:i] + minimal[i + 1:])
                for i, (lead, lc, tail) in enumerate(minimal)]
     reduced.sort(key=lambda b: grevlex(b[0]))
-    return IdealBasis(gens, nvars, reduced)
+    return IdealBasis(list(generators), nvars, reduced)
 
 
 class Cofactors:
@@ -381,7 +381,8 @@ class QuotientRing:
 
     def nf_vector(self, p):
         """The normal form of p as a ring vector (ints, den) over B."""
-        return combine([(c, *self._nf_from_tails(e)) for e, c in p.ints.items()], self.D, p.den)
+        return combine([(c, *(self._nf_vectors.get(e) or self._nf_from_tails(e)))
+                        for e, c in p.ints.items()], self.D, p.den)
 
     def from_vector(self, v, den=1):
         """The polynomial sum_i (v_i / den) b_i of integers v_i."""
@@ -425,9 +426,11 @@ class QuotientRing:
     @functools.cached_property
     def products(self):
         """products[i][j] = NF(b_i b_j), a ring vector over B: the product
-        table that the radical, the Gram set and the SDP constraints read."""
-        return [[self._nf_from_tails(tuple(map(operator.add, bi, bj))) for bj in self.basis]
-                for bi in self.basis]
+        table that the radical, the Gram set and the SDP constraints read,
+        one ring vector per i <= j (upper[i][j - i]), which (j, i) shares."""
+        upper = [[self._nf_from_tails(tuple(map(operator.add, bi, bj))) for bj in self.basis[i:]]
+                 for i, bi in enumerate(self.basis)]
+        return [[upper[min(i, j)][abs(i - j)] for j in range(self.D)] for i in range(self.D)]
 
     @functools.cached_property
     def radical(self):

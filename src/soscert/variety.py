@@ -34,7 +34,8 @@ class VarietyData:
     the float coordinates of the real points and `pairs` the complex
     coordinates of the first point of each conjugate pair, both in
     eigenvalue order; `real_idem` (float) and `pair_idem` (complex) hold
-    their idempotents u over B, one column per point."""
+    their idempotents u over B, one column per point; `values` and
+    `pair_values` evaluate each polynomial object once."""
 
     def __init__(self, real, pairs, real_idem, pair_idem, tol):
         self.real, self.pairs = real, pairs
@@ -42,14 +43,21 @@ class VarietyData:
         # the tolerance of `signs`, the one float decision on a value at a
         # root: membership in S and the sign of f there both rest on it
         self.decision_tol = max(tol * 1e6, 1e-9)
+        self._values = {}  # (id(p), id(points)) -> (p, values): an equal p may sum in another order
+
+    def _evaluate(self, p, points):
+        key = id(p), id(points)
+        if key not in self._values:
+            self._values[key] = p, tuple(evaluate(p, points=points))
+        return list(self._values[key][1])
 
     def values(self, p):
-        """The float values of p at the real points."""
-        return [evaluate(p, xi) for xi in self.real]
+        """The float values of p at the real points, as a new list."""
+        return self._evaluate(p, self.real)
 
     def pair_values(self, p):
-        """The complex values of p at the first point of each pair."""
-        return [evaluate(p, zeta) for zeta in self.pairs]
+        """The complex values of p at the first point of each pair, as a new list."""
+        return self._evaluate(p, self.pairs)
 
     def signs(self, p):
         """(sign, value) of p at each real point: the sign is +1 above
@@ -121,12 +129,13 @@ def _pair_conjugates(points, unpaired):
 
 
 def _eval_basis(ring, coords):
+    powers = [[z ** k for k in range(t + 1)] for z, t in zip(coords, map(max, zip(*ring.basis)))]
     vals = []
     for b in ring.basis:
         v = 1.0 + 0j
-        for z, e in zip(coords, b):
+        for pw, e in zip(powers, b):
             if e:
-                v *= z ** e
+                v *= pw[e]
         vals.append(v)
     return np.array(vals)
 

@@ -33,24 +33,31 @@ def _add_product(acc, a, b, scale):
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
-def _add_square(acc, a, scale):
-    """acc += scale * a^2, each cross term taken once."""
-    items = list(a.items())
-    for i, (e1, c1) in enumerate(items):
-        s1 = scale * c1
-        e = tuple(map(operator.add, e1, e1))
-        acc[e] = acc.get(e, 0) + s1 * c1
-        s1 += s1
-        for e2, c2 in items[i + 1:]:
-            e = tuple(map(operator.add, e1, e2))
-            acc[e] = acc.get(e, 0) + s1 * c2
+def _add_block(acc, squares):
+    """acc += sum_k s_k q_k^2 for pairs (s_k, q_k) of integers and integer polynomials,
+    through G = sum_k s_k c_k c_k^t on their monomials in first-seen order: each
+    monomial pair adds to acc once, in the order that square-by-square expansion gives."""
+    index, gram = {}, {}
+    for s, q in squares:
+        row = [(index.setdefault(e, len(index)), c) for e, c in q.items()]
+        for a, (i, ci) in enumerate(row):
+            si = s * ci
+            gram[i, i] = gram.get((i, i), 0) + si * ci
+            si += si
+            for j, cj in row[a + 1:]:
+                key = (i, j) if i < j else (j, i)
+                gram[key] = gram.get(key, 0) + si * cj
+    monomials = list(index)
+    for (i, j), x in gram.items():
+        e = tuple(map(operator.add, monomials[i], monomials[j]))
+        acc[e] = acc.get(e, 0) + x
 
 
 def residual(inst, cert):
     """f - sum_i m_i sum_k w_{i,k} q_{i,k}^2 - sum_j p_j h_j, with m_0 = 1
     and m_i = g_i: the certificate identity expanded exactly, in integers
     over one common denominator lcd, from each factor's integers over its
-    own denominator."""
+    own denominator, block by block (`_add_block`), block i's sum times g_i."""
     f = inst.f
     mults = [Polynomial.constant(1, inst.nvars)] + inst.g
     lcd = math.lcm(f.den,
@@ -58,12 +65,12 @@ def residual(inst, cert):
                      for m, block in zip(mults, cert.blocks) for w, q in block),
                    *(p.den * h.den for p, h in zip(cert.cofactors, inst.h)))
     acc = {e: c * (lcd // f.den) for e, c in f.ints.items()}
-    for m, block in zip(mults, cert.blocks):
-        # one product by m_i for the whole block
-        inner = {}
-        for w, q in block:
-            _add_square(inner, q.ints, -w.numerator * (lcd // (w.denominator * q.den ** 2 * m.den)))
-        _add_product(acc, m.ints, inner, 1)
+    for i, (m, block) in enumerate(zip(mults, cert.blocks)):
+        inner = {} if i else acc  # block 0 adds straight to acc
+        _add_block(inner, [(-w.numerator * (lcd // (w.denominator * q.den ** 2 * m.den)), q.ints)
+                           for w, q in block])
+        if i:
+            _add_product(acc, m.ints, inner, 1)
     for p, h in zip(cert.cofactors, inst.h):
         _add_product(acc, p.ints, h.ints, -(lcd // (p.den * h.den)))
     return Polynomial(acc, lcd, inst.nvars)

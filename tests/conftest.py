@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from soscert import gram, polyring, problem_io, quotient, sdp_backend, variety
-from soscert.errors import ConditionFailed, DimensionMismatch, Infeasible, MaxIterations, ParseError
+from soscert.errors import ConditionFailed, DimensionMismatch, Infeasible, MaxIterations, NotPD, ParseError
 from soscert.polyring import Polynomial, evaluate, format_polynomial, grevlex
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -85,6 +85,66 @@ def determinant(a):
             f = m[i][k] / m[k][k]
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return det
+
+
+def reference_ldlt(q):
+    """`gram.ldlt` as it was: the Bareiss update entry by entry, over both
+    triangles of the matrix."""
+    D = q.D
+    m = [row[:] for row in q.mat]
+    squares = []
+    prev = 1
+    for k in range(D):
+        delta_k = m[k][k]
+        if delta_k <= 0:
+            raise NotPD(k + 1)
+        squares.append((Fraction(1, q.nu * delta_k * prev),
+                        [0] * k + [m[i][k] for i in range(k, D)]))
+        for i in range(k + 1, D):
+            for j in range(k + 1, D):
+                m[i][j] = (m[i][j] * delta_k - m[i][k] * m[k][j]) // prev
+        prev = delta_k
+    return squares
+
+
+def reference_residual(inst, cert):
+    """`verify_bounds.residual` as it was: each square expanded on its own,
+    with an exponent tuple for every cross term, and each block's sum, one
+    polynomial, times its multiplier, the constant 1 for block 0."""
+
+    def add_product(acc, a, b, scale):
+        for e1, c1 in a.items():
+            c1 *= scale
+            for e2, c2 in b.items():
+                e = tuple(map(operator.add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+
+    def add_square(acc, a, scale):
+        items = list(a.items())
+        for i, (e1, c1) in enumerate(items):
+            s1 = scale * c1
+            e = tuple(map(operator.add, e1, e1))
+            acc[e] = acc.get(e, 0) + s1 * c1
+            s1 += s1
+            for e2, c2 in items[i + 1:]:
+                e = tuple(map(operator.add, e1, e2))
+                acc[e] = acc.get(e, 0) + s1 * c2
+
+    f = inst.f
+    mults = [Polynomial.constant(1, inst.nvars)] + inst.g
+    lcd = math.lcm(f.den,
+                   *(w.denominator * q.den ** 2 * m.den
+                     for m, block in zip(mults, cert.blocks) for w, q in block),
+                   *(p.den * h.den for p, h in zip(cert.cofactors, inst.h)))
+    acc = {e: c * (lcd // f.den) for e, c in f.ints.items()}
+    for m, block in zip(mults, cert.blocks):
+        inner = {}
+        for w, q in block:
+            add_square(inner, q.ints, -w.numerator * (lcd // (w.denominator * q.den ** 2 * m.den)))
+        add_product(acc, m.ints, inner, 1)
+    for p, h in zip(cert.cofactors, inst.h):
+        add_product(acc, p.ints, h.ints, -(lcd // (p.den * h.den)))
+    return Polynomial(acc, lcd, inst.nvars)
 
 
 @functools.total_ordering

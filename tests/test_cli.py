@@ -2,6 +2,7 @@ import glob
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,8 +14,10 @@ import pytest
 
 from soscert import certifier, cli, errors, problem_io, quotient, verify_bounds
 from soscert.errors import ParseError
+from soscert.polyring import Polynomial
 
-from conftest import data_path, format_problem, load_problem
+from conftest import (ReferencePolynomial, data_path, format_problem, load_problem,
+                      reference_format, terms)
 
 
 def run(argv):
@@ -460,11 +463,39 @@ class TestOneParserPerProcess:
             assert [run(argv) for argv, _ in sequence] == [code for _, code in sequence]
 
 
+def reference_format_certificate(cert, var_names):
+    """`problem_io.format_certificate` as it was: each line's polynomial
+    printed on its own, through the Fraction reference printer."""
+    def text(p):
+        return reference_format(ReferencePolynomial(terms(p), len(var_names)), var_names)
+    lines = [f"mode {cert.mode}", "variables " + " ".join(var_names)]
+    if cert.gamma is not None:
+        lines.append(f"gamma {cert.gamma}")
+    for i, block in enumerate(cert.blocks):
+        lines.append(f"block {i}")
+        lines += [f"weight {w} square {text(q)}" for w, q in block]
+    lines += [f"cofactor {j} {text(p)}" for j, p in enumerate(cert.cofactors, start=1)]
+    lines += [f"witness {k} {text(r)}" for k, r in enumerate(cert.witnesses or [], start=1)]
+    return "\n".join(lines) + "\n"
+
+
+GOLDEN_CERTS = sorted(os.path.basename(p) for p in glob.glob(data_path(os.path.join("golden", "*.cert"))))
+
+
 class TestProblemIO:
     def test_problem_round_trip(self, four_points):
         text = format_problem(four_points)
         again = problem_io.parse_problem(text)
         assert format_problem(again) == text
+
+    @pytest.mark.parametrize("name", GOLDEN_CERTS)
+    def test_format_certificate_line_by_line(self, name):
+        # one table of monomial texts for the whole certificate prints
+        # every line as printing each polynomial on its own did
+        text = Path(data_path(os.path.join("golden", name))).read_text()
+        cert, names = problem_io.parse_certificate(text)
+        assert problem_io.format_certificate(cert, names) == reference_format_certificate(cert, names)
+        assert problem_io.format_certificate(cert, names) == text
 
     def test_options_parsed(self):
         inst = problem_io.parse_problem(
@@ -803,6 +834,18 @@ FLOAT_LIMITS = {
     "split_root": f"variables x y\nf: x + 3\nh: x^2 - 2*x + 1 - 1/{2 ** 100}\nh: y - 1\n",
     "huge_f": "variables x\nf: 1" + "0" * 400 + "\nh: x^2 - 1\n",
     "huge_h": "variables x\nf: x + 2\nh: 1" + "0" * 400 + "*x^2 - 1\n",
+    # conjugate pairs where f~ is beyond 2^52, so that no float lambda lies
+    # in the window (|a+ib| + 1, |a+ib| + 2) of `gram._pair_columns`
+    "pair_window": "variables x y\nf: 2*1/3 + y^2\nh: x^2 + 100000000000000000000*10 -x\n"
+                   "h: x^2*x + x^2*y\n",
+    "pair_window_2": "variables x y\nf: -x^3 -2 + 1/3*x + 10*1\n"
+                     "h: -x*y*1 + x^2 + 1 + x^2*2\n"
+                     "h: -y^2*100000000000000000000 + x*y + y*10 + 10\n",
+    # the nonneg witness has pair values near 1e155: its Gram matrix
+    # overflowed to NaN before the pair window stopped it
+    "non_finite": "variables x y\nf: 0 + 10 -2*100000000000000000000 -100000000000000000000*x*y\n"
+                  "g: 3 + 2*100000000000000000000 + 3 -y\nh: -2 -10*x^2 + x + x^3*x*y\n"
+                  "h: x*y -y^2 -x\n",
 }
 
 
@@ -827,10 +870,95 @@ class TestExitCodes:
         ("split_root", []), ("split_root", ["--mode", "nonneg"]),
         ("huge_f", []), ("huge_f", ["--engine", "sdp"]),
         ("huge_h", []),
-    ], ids=["split_root", "split_root-nonneg", "huge_f", "huge_f-sdp", "huge_h"])
+        ("pair_window", []), ("pair_window", ["--mode", "nonneg"]),
+        ("pair_window_2", ["--mode", "nonneg"]),
+        ("non_finite", []), ("non_finite", ["--mode", "nonneg"]),
+    ], ids=["split_root", "split_root-nonneg", "huge_f", "huge_f-sdp", "huge_h",
+            "pair_window", "pair_window-nonneg", "pair_window_2-nonneg",
+            "non_finite", "non_finite-nonneg"])
     def test_float_limits_exit_3(self, tmp_path, capsys, problem, options):
         prob = tmp_path / "in.prob"
         prob.write_text(FLOAT_LIMITS[problem])
         assert run(["certify", "--input", str(prob)] + options) == 3
         err = capsys.readouterr().err
         assert err.startswith("gave up: ") and err.count("\n") == 1
+
+
+OPTION_SETS = {"none": [], "nonneg": ["--mode", "nonneg"], "sdp": ["--engine", "sdp"]}
+
+
+def certify_and_verify(tmp_path, text, options):
+    """certify's exit code on the problem text, after `verify` has passed
+    any certificate it wrote."""
+    prob, cert = tmp_path / "p.prob", tmp_path / "p.cert"
+    prob.write_text(text)
+    if cert.exists():
+        cert.unlink()
+    code = run(["certify", "--input", str(prob), "--out", str(cert)] + options)
+    if cert.exists():
+        assert run(["verify", "--input", str(prob), "--certificate", str(cert)]) == 0, text
+    return code
+
+
+# an equation that is exactly 0, before, between and after nonzero ones:
+# its cofactor multiplies it and no other
+ZERO_EQUATIONS = {
+    "first": "variables x\nf: x + 2\nh: 0\nh: x^2 - 1\n",
+    "last": "variables x\nf: x + 2\nh: x^2 - 1\nh: 0\n",
+    "between": "variables x y\nf: x + y + 3\nh: x^2 - 1\nh: 0\nh: y^2 - 1\n",
+    "two_first": "variables x y\nf: x + y + 3\nh: 0\nh: 0*x\nh: x^2 - 1\nh: y^2 - 1\n",
+}
+
+
+class TestZeroEquations:
+    @pytest.mark.parametrize("options", sorted(OPTION_SETS))
+    @pytest.mark.parametrize("where", sorted(ZERO_EQUATIONS))
+    def test_certified_and_verified(self, tmp_path, where, options):
+        assert certify_and_verify(tmp_path, ZERO_EQUATIONS[where], OPTION_SETS[options]) == 0
+        cert, _ = problem_io.parse_certificate((tmp_path / "p.cert").read_text())
+        inst = problem_io.parse_problem(ZERO_EQUATIONS[where])
+        assert len(cert.cofactors) == len(inst.h)
+        assert all(p.is_zero() for p, h in zip(cert.cofactors, inst.h) if h.is_zero())
+
+    def test_the_ideal_keeps_every_generator(self):
+        gens = [Polynomial.zero(1), problem_io.parse_problem(ZERO_EQUATIONS["first"]).h[1]]
+        ring = quotient.build_ring(gens)
+        assert ring.ideal.generators == gens
+        cof = quotient.cofactor_reduce(ring, gens[1] * gens[1])
+        assert cof.p_j[0].is_zero() and cof.p_j[1] == gens[1] and cof.remainder.is_zero()
+
+
+# the pieces of the random problems: small monomials, small integers and
+# rationals, 0 and a number beyond float64's 2^53
+SWEEP_FACTORS = ["x", "y", "x^2", "x^3", "y^2", "x*y", "1", "2", "3", "10", "1/3", "2/5", "0",
+                 "100000000000000000000"]
+
+
+def _sweep_problem(rng):
+    """A two-variable problem: an f, 0 to 2 g and 1 to 3 h, each a signed
+    sum of 1 to 4 products of 1 to 3 pieces."""
+    def poly():
+        terms = ["*".join(rng.choice(SWEEP_FACTORS) for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 4))]
+        text = ("-" if rng.random() < 0.3 else "") + terms[0]
+        return text + "".join(rng.choice((" + ", " -")) + t for t in terms[1:])
+    lines = ["variables x y", f"f: {poly()}"]
+    lines += [f"g: {poly()}" for _ in range(rng.randint(0, 2))]
+    lines += [f"h: {poly()}" for _ in range(rng.randint(1, 3))]
+    return "\n".join(lines) + "\n"
+
+
+class TestRandomSweep:
+    def test_certify_never_crashes(self, tmp_path, capsys):
+        # every outcome is a certificate that verifies (0), no certificate
+        # (2) or exhaustion (3): never a traceback, a parse error or a
+        # certificate that fails its own check (4)
+        rng = random.Random(20)
+        codes = {}
+        for _ in range(100):
+            text = _sweep_problem(rng)
+            for options in OPTION_SETS.values():
+                code = certify_and_verify(tmp_path, text, options)
+                assert code in (0, 2, 3), (text, options, capsys.readouterr().err)
+                codes[code] = codes.get(code, 0) + 1
+        assert len(codes) == 3

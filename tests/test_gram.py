@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from soscert import cli, exactla, gram, problem_io, quotient, variety, verify_bounds
 from soscert.errors import NotPD, PrecisionExceeded
-from soscert.polyring import Polynomial, evaluate, parse_polynomial
+from soscert.polyring import Polynomial, evaluate, parse_polynomial, round_scaled
 
 from conftest import (data_path, determinant, from_rational, normal_form, polynomial, rational,
-                      reconstruct)
+                      reconstruct, reference_ldlt)
 
 
 def poly(s, names=("x",)):
@@ -80,6 +80,18 @@ class TestLdlt:
             with pytest.raises(NotPD) as exc:
                 gram.ldlt(from_rational(q))
             assert exc.value.index == first
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_equals_the_entrywise_update(self, n, data):
+        # random integer PD matrices a a^t + I over a random nu: the
+        # one-triangle update gives the squares of the entry-by-entry one
+        a = [[data.draw(st.integers(-99, 99)) for _ in range(n)] for _ in range(n)]
+        m = [[sum(a[i][k] * a[j][k] for k in range(n)) + (i == j) for j in range(n)]
+             for i in range(n)]
+        q = gram.SymmetricMatrix(m, data.draw(st.integers(1, 2 ** 40)))
+        assert gram.ldlt(q) == reference_ldlt(q)
 
 
 class TestGramProjection:
@@ -250,6 +262,38 @@ class TestThetaColumns:
             for point in (zeta, [z.conjugate() for z in zeta]):
                 b_vals = variety._eval_basis(ring, point)
                 assert abs(b_vals @ q_tilde @ b_vals - evaluate(p, point)) < 1e-7
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_non_finite_gram_matrix_is_exhaustion(self):
+        # p(xi) u_xi^2 beyond float64 range: Q~ = inf, which no eigenvalue
+        # solver takes
+        ring = make_ring(["x - 1"], ["x"])
+        var = variety.VarietyData([[1.0]], [], np.array([[1e10]]), np.zeros((1, 0)), 1e-12)
+        with pytest.raises(PrecisionExceeded, match="Gram matrix is not finite"):
+            gram.build_gram_real(ring, var, Polynomial.constant(10 ** 300, 1))
+
+    @pytest.mark.parametrize("a_ib", [complex(-1e21, 3.2e10), complex(2 ** 60, 1), complex(-2 ** 60, 0),
+                                      complex(1e200, 1e200), complex(float("nan"), 0)])
+    def test_a_pair_value_with_no_float_lambda_is_exhaustion(self, a_ib):
+        # past 2^52 no float lies strictly inside (|a+ib| + 1, |a+ib| + 2)
+        with pytest.raises(PrecisionExceeded, match="at a conjugate pair"):
+            gram._pair_columns(np.array([1 + 1j]), a_ib)
+
+    def test_a_pair_value_within_float_range_gives_two_columns(self):
+        c1, c2 = gram._pair_columns(np.array([1 + 2j]), complex(-3.0, 4.0))
+        assert np.isfinite(c1).all() and np.isfinite(c2).all()
+
+
+class TestRoundMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 80), st.data())
+    def test_equals_the_entrywise_rounding(self, n, frac_bits, data):
+        floats = st.floats(-1e6, 1e6, allow_nan=False)
+        m = np.array([[data.draw(floats) for _ in range(n)] for _ in range(n)])
+        sym = ((m + m.T) / 2.0).tolist()
+        assert gram.round_matrix(m, frac_bits) == gram.SymmetricMatrix(
+            [[round_scaled(x, frac_bits) for x in row] for row in sym], 1 << frac_bits)
 
 
 class TestEscalation:

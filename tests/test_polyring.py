@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soscert.errors import ParseError
+from soscert.errors import DimensionMismatch, ParseError
 from soscert import polyring
 from soscert.polyring import (Polynomial, evaluate, format_polynomial, grevlex, height,
                               parse_polynomial, round_binary)
@@ -246,6 +246,36 @@ class TestAgainstTheFractionReference:
             pt = [kind(*(data.draw(floats) for _ in range(1 if kind is float else 2)))
                   for _ in range(2)]
             assert repr(evaluate(p, pt)) == repr(reference_evaluate(ref, pt))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(polynomials(), polynomials(coeffs=big_coeffs)), st.integers(0, 5),
+           st.sampled_from([float, complex]), st.data())
+    def test_evaluate_at_several_points(self, p, k, kind, data):
+        # k points at once give the k one-point values bit for bit, each
+        # still the value of the Fraction-coefficient reference
+        floats = st.floats(-4, 4)
+        pts = [[kind(*(data.draw(floats) for _ in range(1 if kind is float else 2)))
+                for _ in range(2)] for _ in range(k)]
+        values = evaluate(p, points=pts)
+        ref = ReferencePolynomial(terms(p), 2)
+        assert [repr(v) for v in values] == [repr(evaluate(p, pt)) for pt in pts]
+        assert [repr(v) for v in values] == [repr(reference_evaluate(ref, pt)) for pt in pts]
+        rational = [[Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9)))
+                     for _ in range(2)] for _ in range(k)]
+        assert evaluate(p, points=rational) == [reference_evaluate(ref, pt) for pt in rational]
+
+    def test_evaluate_checks_every_point(self):
+        with pytest.raises(DimensionMismatch):
+            evaluate(poly("x + y"), points=[[1.0, 2.0], [1.0]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(polynomials(), polynomials(coeffs=big_coeffs)), max_size=4))
+    def test_format_with_shared_monomials(self, ps):
+        # one dict of monomial texts and keys shared by several calls
+        # prints each polynomial as a call of its own does
+        monomials = {}
+        assert ([format_polynomial(p, ["x", "y"], monomials) for p in ps]
+                == [reference_format(ReferencePolynomial(terms(p), 2), ["x", "y"]) for p in ps])
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(polynomials(), polynomials(coeffs=big_coeffs)))

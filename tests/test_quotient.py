@@ -737,6 +737,9 @@ def test_products_match_fraction_reference(ring):
             assert all(type(x) is int for x in ints)
             assert den > 0 and math.gcd(den, *ints) == 1  # lowest terms
             assert fractions((ints, den)) == expected
+    # one ring vector per unordered pair: entry (j, i) is entry (i, j)
+    table = ring.products
+    assert all(table[j][i] is table[i][j] for i in range(ring.D) for j in range(ring.D))
 
 
 # -- products in R/I read off the product table ---------------------------------

@@ -122,6 +122,26 @@ class TestSigns:
         assert sorted(round(v, 9) for v in var.values(p)) == [-2, 2]
 
 
+    def test_each_polynomial_evaluated_once(self, monkeypatch):
+        # a second call reads the first evaluation, at the real points and
+        # at the pairs alike, even after its caller changed the first result
+        ring = make_ring(poly("x^2 - 1"), poly("y^3 - 2*y^2 + y - 2"))
+        var = variety.solve_variety(ring)
+        calls = []
+        monkeypatch.setattr(variety, "evaluate", lambda p, points: calls.append(p) or evaluate(
+            p, points=points))
+        p = poly("x*y + 1")
+        first, pairs = var.values(p), var.pair_values(p)
+        expected, expected_pairs = list(first), list(pairs)
+        first[0] = pairs[0] = None
+        assert var.values(p) == expected and var.pair_values(p) == expected_pairs
+        assert [s for s, _ in var.signs(p)] == [1 if v > 0 else -1 for v in expected]
+        assert calls == [p, p]
+        # an equal polynomial is another object, evaluated on its own
+        var.values(poly("x*y + 1"))
+        assert len(calls) == 3
+
+
 class TestMembership:
     def test_partition(self, four_points_var):
         member = variety.membership(four_points_var, [poly("y")])

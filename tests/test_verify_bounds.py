@@ -2,16 +2,55 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soscert import problem_io, quotient, verify_bounds
 from soscert.problem_io import Certificate
 from soscert.polyring import Polynomial, grevlex, parse_polynomial
 
-from conftest import load_certificate, polynomial
+from conftest import load_certificate, polynomial, reference_residual
 
 
 def poly(s, names=("x", "y")):
     return parse_polynomial(s, list(names))
+
+
+@st.composite
+def _certificates(draw):
+    """(inst, cert) with g blocks, empty blocks, zero squares, distinct
+    weight denominators, and squares whose supports overlap (drawn from a
+    few monomials) or are disjoint (shifted apart in the first variable)."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.fractions(min_value=-2 ** 40, max_value=2 ** 40, max_denominator=2 ** 20)
+    polys = st.dictionaries(exps, coeffs, max_size=4).map(lambda terms: polynomial(terms, n))
+    g = draw(st.lists(polys, max_size=2))
+    h = draw(st.lists(polys, min_size=1, max_size=2))
+    inst = problem_io.ProblemInstance([f"x{i}" for i in range(n)], draw(polys), g, h)
+    weights = st.fractions(min_value=0, max_value=2 ** 30, max_denominator=2 ** 30)
+    blocks = []
+    for i in range(draw(st.integers(0, 1 + len(g)))):
+        blocks.append([])
+        for k in range(draw(st.integers(0, 4))):
+            terms = draw(st.dictionaries(exps, coeffs, max_size=5))
+            if draw(st.booleans()):
+                shift = 3 * (1 + k + 5 * i)
+                terms = {(e[0] + shift, *e[1:]): c for e, c in terms.items()}
+            blocks[-1].append((draw(weights), polynomial(terms, n)))
+    return inst, Certificate("strict", blocks, draw(st.lists(polys, max_size=len(h))))
+
+
+class TestResidual:
+    @settings(max_examples=100, deadline=None)
+    @given(_certificates())
+    def test_equals_the_per_square_expansion(self, case):
+        # the same polynomial, with its terms in the same order, so that a
+        # float evaluation of it sums them in the same order too
+        inst, cert = case
+        got, ref = verify_bounds.residual(inst, cert), reference_residual(inst, cert)
+        assert got == ref
+        assert list(got.ints.items()) == list(ref.ints.items())
 
 
 class TestVerifyCertificate:
