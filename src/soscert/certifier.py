@@ -14,8 +14,10 @@ Gram step (`gram.gram_squares`): it returns the LDL^t squares of a Gram
 matrix Q0 of f~ with the rest f~ - B^t Q0 B.  Each route, the SDP
 engine's too, hands its blocks and rest to `_assemble`, which finds the
 rest's cofactors.  Squares that no Gram matrix carries are expanded by the
-verifier's `verify_bounds.residual`.  The data types come from
-`problem_io`, so `verify` and `bounds` never load this module or an engine.
+verifier's `verify_bounds.residual`.  `certify` is the one route
+dispatch, and solves the points of R/J at most once per call.  The
+data types come from `problem_io`, so `verify` and `bounds` never load this
+module or an engine.
 """
 
 from __future__ import annotations
@@ -98,34 +100,19 @@ def _assemble(ring, blocks, rest):
     return Certificate("strict", blocks, cof.p_j)
 
 
-def certify_strict(inst, ring=None):
-    """Strict-positivity certificate of f on S, for a ring with D >= 1
-    (`certify` handles the empty variety)."""
-    if ring is None:
-        ring = quotient.build_ring(inst.h)
-    if not ring.is_radical:
-        return certify_strict_nonradical(inst, ring=ring)
-    seed = inst.options.get("seed", 0)
-    var = variety.solve_variety(ring, seed=seed)
-    return _assemble(ring, *_strict_squares(inst, ring, var))
-
-
 def _strict_squares(inst, ring, var):
-    """The blocks of `certify_strict` on a radical ring, from its points
-    var, and the rest f~ - B^t Q0 B that `_assemble` closes."""
+    """The blocks of the radical route, from the points var of its ring,
+    and the rest f~ - B^t Q0 B that `_assemble` closes."""
     g_blocks, f_tilde = perturb(inst, ring, var)
     squares, rest = gram.round_and_certify(ring, var, f_tilde)
     return [squares] + g_blocks, rest
 
 
-def certify_nonneg(inst, ring=None):
+def certify_nonneg(inst, ring, roots):
     """Nonnegativity certificate via the coprimality witness: take the
-    squares of a strict certificate of the positive a, from the witness's
-    roots of R/J, then close f = (1/gamma) a f^2 modulo I."""
-    if ring is None:
-        ring = quotient.build_ring(inst.h)
-    seed = inst.options.get("seed", 0)
-    roots = functools.cache(lambda: variety.solve_variety(ring.radical_ring, seed=seed))
+    squares of a strict certificate of the positive a, from the points
+    `roots()` of R/J, which the witness reads first, then close
+    f = (1/gamma) a f^2 modulo I."""
     a, b, gamma_val = quotient.coprimality_witness(ring, inst.f, roots=roots)
     inner = ProblemInstance(inst.var_names, a, inst.g, inst.h,
                             options=inst.options)
@@ -180,15 +167,12 @@ def hensel_sqrt(ring, theta):
     return t
 
 
-def certify_strict_nonradical(inst, ring=None):
+def certify_strict_nonradical(inst, ring, var_j):
     """Strict certificate when the ideal has multiple points.  Over the
     radical J, certify f~ - eps = sum w q^2 mod J for a power of two eps
-    below f~ at the real roots; then theta = (f~ - sum w q^2) / eps is 1
-    modulo J, and its Hensel-lifted square root t gives
+    below f~ at the real roots var_j; then theta = (f~ - sum w q^2) / eps is
+    1 modulo J, and its Hensel-lifted square root t gives
     f~ = sum w q^2 + eps t^2 modulo I."""
-    if ring is None:
-        ring = quotient.build_ring(inst.h)
-    var_j = variety.solve_variety(ring.radical_ring, seed=inst.options.get("seed", 0))
     return _assemble(ring, *_hensel_squares(inst, ring, var_j))
 
 
@@ -202,28 +186,30 @@ def _hensel_squares(inst, ring, var_j):
     low = min(var_j.values(f_tilde), default=2.0)
     eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
     squares, rest = gram.round_and_certify(ring_j, var_j, f_tilde - eps)
-    # eps theta = f~ - B_J^t Q0 B_J = rest + eps; eps t^2 = B^t (eps c c^t) B
-    # for t = B^t c
+    # eps theta = f~ - B_J^t Q0 B_J = rest + eps
     eps_theta = rest + eps
     c, den = hensel_sqrt(ring, eps_theta / eps)
-    eps_t2 = gram.SymmetricMatrix([[eps.numerator * x * y for y in c] for x in c],
-                                  eps.denominator * den * den)
-    return ([squares + [ring.square(eps, c, den)]] + g_blocks,
-            gram.gram_rest(eps_theta, ring.basis, eps_t2))
+    t = ring.from_vector(c, den)
+    return [squares + [ring.square(eps, c, den)]] + g_blocks, eps_theta - t * t * eps
 
 
 def certify(inst, ring=None):
-    """Dispatch on the engine and mode options.  The SDP engine returns a
-    strict-mode certificate in either mode (it proves nonnegativity too);
-    the witness structure of the constructive nonneg route is not produced
-    there.  An empty variety (1 in I) needs no squares at all: f lies in I,
-    and its cofactors alone are the certificate, in every mode and engine."""
+    """The one route dispatch, on the engine and mode options and the ring.
+    The SDP engine returns a strict-mode certificate in either mode (it
+    proves nonnegativity too), with no witnesses.  An empty variety (1 in I)
+    needs no squares at all: f lies in I, and its cofactors alone are the
+    certificate, in every mode and engine.  The other routes solve the
+    points of R/J (J = I when I is radical) once, when they first read them."""
     if ring is None:
         ring = quotient.build_ring(inst.h)
     if ring.D == 0:
         return _assemble(ring, [[] for _ in range(len(inst.g) + 1)], inst.f)
     if inst.options.get("engine") == "sdp":
         return _assemble(ring, *sdp_backend.algorithm1_certify(inst, ring))
+    seed = inst.options.get("seed", 0)
+    roots = functools.cache(lambda: variety.solve_variety(ring.radical_ring, seed=seed))
     if inst.options.get("mode") == "nonneg":
-        return certify_nonneg(inst, ring)
-    return certify_strict(inst, ring)
+        return certify_nonneg(inst, ring, roots)
+    if not ring.is_radical:
+        return certify_strict_nonradical(inst, ring, roots())
+    return _assemble(ring, *_strict_squares(inst, ring, roots()))

@@ -23,20 +23,19 @@ denominator, like the ring's vectors (see `quotient`): each matrix is a
 `SymmetricMatrix` M / nu in lowest terms, and the Gram set is A / den, b / b_den.
 The LDL^t squares of a matrix Q expand to B^t Q B exactly, so the step
 returns the rest p - B^t Q0 B that closes a route's identity from
-`gram_rest`, and expands no square.
+`gram_rest`, through `polyring.add_gram`, and expands no square.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import NotPD, PrecisionExceeded
-from .polyring import Polynomial, round_scaled
+from .polyring import Polynomial, add_gram, round_scaled
 
 # float64 data rounds exactly from 1074 fractional bits on, so a repeated
 # rounding stops every precision loop before this ceiling; it only guards it
@@ -162,11 +161,8 @@ def gram_rest(p, basis, q):
     lcd = math.lcm(p.den, q.nu)
     acc = {e: c * (lcd // p.den) for e, c in p.ints.items()}
     once = lcd // q.nu
-    for i, (bi, row) in enumerate(zip(basis, q.mat)):
-        for j in range(i, len(basis)):
-            if row[j]:
-                e = tuple(map(operator.add, bi, basis[j]))
-                acc[e] = acc.get(e, 0) - (once if i == j else 2 * once) * row[j]
+    add_gram(acc, basis, {(i, j): (once if i == j else 2 * once) * -x
+                          for i, row in enumerate(q.mat) for j, x in enumerate(row[i:], i) if x})
     return Polynomial(acc, lcd, p.nvars)
 
 

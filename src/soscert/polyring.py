@@ -3,7 +3,9 @@
 A polynomial is integers keyed by exponent tuples over one denominator, the
 form of the quotient ring's vectors, and parsing, printing, arithmetic,
 heights and every exact layer work on it; only the `terms` view makes
-Fractions.  Float and complex points meet a polynomial only in `evaluate`.
+Fractions.  `add_product` and `add_gram`, the one product kernel, hold
+every loop that multiplies integer polynomials.  Float and complex points
+meet a polynomial only in `evaluate`.
 A monomial is its exponent tuple everywhere, the quotient basis included,
 and `grevlex` is the one order on them, so leading terms are
 degree-compatible; `Monomial` is only the key of the `terms` view.
@@ -134,10 +136,7 @@ class Polynomial:
                               self.den * other.denominator, self.nvars)
         self._check(other)
         acc = {}
-        for e1, c1 in self.ints.items():
-            for e2, c2 in other.ints.items():
-                e = tuple(map(operator.add, e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
+        add_product(acc, self.ints, other.ints)
         return Polynomial(acc, self.den * other.den, self.nvars)
 
     __rmul__ = __mul__
@@ -170,6 +169,24 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
+
+
+def add_product(acc, a, b, scale=1):
+    """acc += scale * a * b on integer polynomials keyed by exponent tuples,
+    term by term: each new monomial enters acc where it first occurs."""
+    for e1, c1 in a.items():
+        c1 *= scale
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def add_gram(acc, monomials, gram):
+    """acc += m^t G m on the monomials m, from the upper triangle of G as
+    `gram` {(i, j): x}, i <= j, with its off-diagonal values doubled."""
+    for (i, j), x in gram.items():
+        e = tuple(map(operator.add, monomials[i], monomials[j]))
+        acc[e] = acc.get(e, 0) + x
 
 
 def _scalar(c):

@@ -29,10 +29,11 @@ for the root solver alone.  Full division by a Gröbner basis is left to
 what needs its quotients or runs before the ring exists, Gröbner
 completion, `IdealBasis.contains` and `cofactor_reduce`, and it runs in
 integers: one kernel (`_divide`) divides integer polynomials keyed by
-exponent tuples, and Buchberger keeps its basis as primitive integer
-polynomials.  A polynomial is itself integers over one denominator (see
-`polyring`), so every reduction takes its input as it is and hands out
-its remainder and cofactors p_j in that form: none makes a Fraction.
+exponent tuples, `polyring.add_product` multiplies them, and Buchberger
+keeps its basis as primitive integer polynomials.  A polynomial is itself
+integers over one denominator (see `polyring`), so every reduction takes
+its input as it is and hands out its remainder and cofactors p_j in that
+form: none makes a Fraction.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fractions import Fraction
 
 from . import exactla
 from .errors import ConditionFailed, NotInvertible, NotZeroDimensional
-from .polyring import Polynomial, grevlex
+from .polyring import Polynomial, add_product, grevlex
 
 
 def _order_ideal(nvars, inside):
@@ -293,15 +294,8 @@ def groebner(generators):
         g = math.gcd(lc_i, lc_j)
         s = {}
         for lead, tail, factor in ((lead_i, tail_i, lc_j // g), (lead_j, tail_j, -lc_i // g)):
-            shift = tuple(map(operator.sub, lcm, lead))
-            for e, c in tail:
-                m = tuple(map(operator.add, e, shift))
-                v = s.get(m, 0) + factor * c
-                if v:
-                    s[m] = v
-                else:
-                    del s[m]
-        r = _primitive_remainder(s, basis)
+            add_product(s, {tuple(map(operator.sub, lcm, lead)): factor}, dict(tail))
+        r = _primitive_remainder({m: c for m, c in s.items() if c}, basis)
         if r:
             basis.append(r)
             sugars.append(sugar)
@@ -525,11 +519,7 @@ def cofactor_reduce(ring, p):
     for q, lc, (rows, d) in used:
         factor = lc * (common // d)
         for terms, row in zip(acc, rows):
-            for e, c in row.items():
-                c *= factor
-                for u, x in q.items():
-                    m = tuple(map(operator.add, e, u))
-                    terms[m] = terms.get(m, 0) + c * x
+            add_product(terms, row, q, factor)
     return Cofactors([Polynomial(terms, common * den, ring.nvars) for terms in acc],
                      Polynomial(remainder, den, ring.nvars))
 

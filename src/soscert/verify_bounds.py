@@ -2,41 +2,32 @@
 
 `residual` is the one expansion of a certificate identity, exactly, over
 the integers with one common denominator: verify_certificate's, and the
-one the certifier uses for squares that no Gram matrix carries.
-verify_certificate reports rather than throws, so callers can distinguish
-which clause of the certificate failed.  The degree bound of the p_j h_j
-terms is checked only when the equations form a graded basis
-(`quotient.IdealBasis.is_graded`, decided from their top-degree forms with
-no cofactor solve); in nonnegative mode, block 0 must have exactly one
-witness per square.  The bound calculator evaluates the degree bound for
-the cofactor products and the relaxation order at which the hierarchy is
-exact.  Nothing here loads numpy or an engine: `verify` and `bounds` run
-on `problem_io`, `quotient`, `exactla` and `polyring` alone.
+one the certifier uses for squares that no Gram matrix carries, through
+`polyring.add_product` and `add_gram`.  verify_certificate reports rather
+than throws, so callers can distinguish which clause of the certificate
+failed.  The degree bound of the p_j h_j terms is checked only when the
+equations form a graded basis (`quotient.IdealBasis.is_graded`, decided
+from their top-degree forms with no cofactor solve); in nonnegative mode,
+block 0 must have exactly one witness per square.  The bound calculator
+evaluates the degree bound for the cofactor products and the relaxation
+order at which the hierarchy is exact.  Nothing here loads numpy or an
+engine: `verify` and `bounds` run on `problem_io`, `quotient`, `exactla`
+and `polyring` alone.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 from . import quotient
 from .errors import NotZeroDimensional
-from .polyring import Polynomial, height
-
-
-def _add_product(acc, a, b, scale):
-    """acc += scale * a * b on integer polynomials keyed by exponent tuples."""
-    for e1, c1 in a.items():
-        c1 *= scale
-        for e2, c2 in b.items():
-            e = tuple(map(operator.add, e1, e2))
-            acc[e] = acc.get(e, 0) + c1 * c2
+from .polyring import Polynomial, add_gram, add_product, height
 
 
 def _add_block(acc, squares):
     """acc += sum_k s_k q_k^2 for pairs (s_k, q_k) of integers and integer polynomials,
-    through G = sum_k s_k c_k c_k^t on their monomials in first-seen order: each
-    monomial pair adds to acc once, in the order that square-by-square expansion gives."""
+    through G = sum_k s_k c_k c_k^t on their monomials in first-seen order (`add_gram`):
+    each monomial pair adds to acc once, in the order that square-by-square expansion gives."""
     index, gram = {}, {}
     for s, q in squares:
         row = [(index.setdefault(e, len(index)), c) for e, c in q.items()]
@@ -47,10 +38,7 @@ def _add_block(acc, squares):
             for j, cj in row[a + 1:]:
                 key = (i, j) if i < j else (j, i)
                 gram[key] = gram.get(key, 0) + si * cj
-    monomials = list(index)
-    for (i, j), x in gram.items():
-        e = tuple(map(operator.add, monomials[i], monomials[j]))
-        acc[e] = acc.get(e, 0) + x
+    add_gram(acc, list(index), gram)
 
 
 def residual(inst, cert):
@@ -70,9 +58,9 @@ def residual(inst, cert):
         _add_block(inner, [(-w.numerator * (lcd // (w.denominator * q.den ** 2 * m.den)), q.ints)
                            for w, q in block])
         if i:
-            _add_product(acc, m.ints, inner, 1)
+            add_product(acc, m.ints, inner)
     for p, h in zip(cert.cofactors, inst.h):
-        _add_product(acc, p.ints, h.ints, -(lcd // (p.den * h.den)))
+        add_product(acc, p.ints, h.ints, -(lcd // (p.den * h.den)))
     return Polynomial(acc, lcd, inst.nvars)
 
 

@@ -441,6 +441,12 @@ def reference_express_in_generators(g, generators, start_caps):
         caps = [c + 1 for c in caps]
 
 
+def nonneg(inst):
+    """The problem inst in nonnegative mode, with its other options."""
+    return problem_io.ProblemInstance(inst.var_names, inst.f, inst.g, inst.h,
+                                      options={**inst.options, "mode": "nonneg"})
+
+
 def radical_roots(ring, seed=0):
     """The `roots` argument of `quotient.coprimality_witness`: solves the
     points of ring.radical_ring when called."""

@@ -18,7 +18,7 @@ from soscert.errors import ConditionFailed, Infeasible, MaxIterations
 from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
 from conftest import (data_path, determinant, fractions, from_rational, load_certificate,
-                      load_problem, normal_form, polynomial, radical_roots, rational,
+                      load_problem, nonneg, normal_form, polynomial, radical_roots, rational,
                       reconstruct)
 
 
@@ -104,7 +104,7 @@ class TestCriterion3NonnegativePipeline:
         assert a == poly("1 + x") * scale
         assert b == poly("2 - x - x^2") * scale
 
-        cert = certifier.certify_nonneg(cusp_circle)
+        cert = certifier.certify(nonneg(cusp_circle))
         assert (expand(cusp_circle, cert) - f).is_zero()
         assert len(cert.witnesses) == len(cert.blocks[0])
         for (w, q), r in zip(cert.blocks[0], cert.witnesses):
@@ -120,7 +120,7 @@ class TestCriterion4NegativeControl:
 
     def test_condition_failed_exception(self, double_origin):
         with pytest.raises(ConditionFailed):
-            certifier.certify_nonneg(double_origin)
+            certifier.certify(nonneg(double_origin))
 
     def test_sdp_infeasible_at_positive_lambda(self, double_origin):
         ring = quotient.build_ring(double_origin.h)
@@ -132,7 +132,7 @@ class TestCriterion4NegativeControl:
 class TestCriterion5HenselPath:
     def test_double_origin_certificate(self):
         inst = load_problem("double_origin_shifted.prob")
-        cert = certifier.certify_strict(inst)
+        cert = certifier.certify(inst)
         assert (expand(inst, cert) - inst.f).is_zero()
         # 1 + x = 1/2 * 1^2 + 1/2 * (1 + x)^2 - 1/2 * x^2, where 1 + x is the
         # lifted square root of theta = 1 + 2x modulo x^2
@@ -154,7 +154,7 @@ class TestCriterion5HenselPath:
         inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("2 + x", ["x"]), [],
             [parse_polynomial("x^3", ["x"])])
-        cert = certifier.certify_strict(inst)
+        cert = certifier.certify(inst)
         assert (expand(inst, cert) - inst.f).is_zero()
 
 
@@ -256,7 +256,7 @@ class TestCriterion6PropertySuites:
             ring = quotient.build_ring(inst.h)
             # finite convergence order n for the cube without inequalities
             assert verify_bounds.degree_bounds(inst, ring).hierarchy_order == 3
-            cert = certifier.certify_strict(inst, ring=ring)
+            cert = certifier.certify(inst, ring=ring)
             assert (expand(inst, cert) - f).is_zero()
         assert time.monotonic() - start < 300.0
 

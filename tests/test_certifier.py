@@ -16,8 +16,8 @@ from soscert.errors import (ClusterAmbiguity, ConditionFailed, NotPD,
                             NotStrictlyPositiveOnS)
 from soscert.polyring import Polynomial, evaluate, parse_polynomial
 
-from conftest import (data_path, format_problem, load_problem, normal_form, polynomial,
-                      radical_roots)
+from conftest import (data_path, format_problem, load_problem, nonneg, normal_form,
+                      polynomial, radical_roots)
 
 
 def poly(s, names=("x", "y")):
@@ -41,12 +41,12 @@ class TestStrict:
         inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
-        cert = certifier.certify_strict(inst)
+        cert = certifier.certify(inst)
         assert expand(inst, cert) == inst.f
         assert all(w > 0 for w, _ in cert.blocks[0])
 
     def test_four_points_with_inequality(self, four_points):
-        cert = certifier.certify_strict(four_points)
+        cert = certifier.certify(four_points)
         assert expand(four_points, cert) == four_points.f
         # graded degree bound from the quotient basis of degree 2
         for pj, hj in zip(cert.cofactors, four_points.h):
@@ -58,7 +58,7 @@ class TestStrict:
             four_points.var_names, poly("-x - y - 10"), four_points.g,
             four_points.h)
         with pytest.raises(NotStrictlyPositiveOnS):
-            certifier.certify_strict(bad)
+            certifier.certify(bad)
 
     def test_deterministic(self, four_points):
         c1 = certifier.certify(four_points)
@@ -96,7 +96,7 @@ class TestHensel:
         inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("1 + x", ["x"]), [],
             [parse_polynomial("x^2", ["x"])])
-        cert = certifier.certify_strict(inst)
+        cert = certifier.certify(inst)
         assert expand(inst, cert) == inst.f
         # eps = 1/2 below f(0) = 1: 1/2 = 1/2 * 1^2 modulo x, and the square
         # root of theta = 1 + 2x modulo x^2 is 1 + x
@@ -108,7 +108,7 @@ class TestHensel:
         inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("2 + x", ["x"]), [],
             [parse_polynomial("x^3", ["x"])])
-        cert = certifier.certify_strict(inst)
+        cert = certifier.certify(inst)
         assert expand(inst, cert) == inst.f
 
     def test_hensel_sqrt_chain_property(self):
@@ -141,7 +141,7 @@ class TestHensel:
             xy, parse_polynomial("x + y + 1", xy), [],
             [parse_polynomial("x^3 - 4*x^2 + 5*x - 2", xy), parse_polynomial("y^2 - 6*y + 9", xy)])
         ring = quotient.build_ring(inst.h)
-        cert = certifier.certify_strict(inst, ring=ring)
+        cert = certifier.certify(inst, ring=ring)
         assert expand(inst, cert) == inst.f
         assert ring.radical_ring is not ring
         assert "gb_cofactors" in vars(ring.ideal)
@@ -169,7 +169,7 @@ class TestHensel:
         monkeypatch.setattr(quotient, "groebner", lambda gens: calls.append(gens) or groebner(gens))
         xy = ["x", "y"]
         inst = problem_io.ProblemInstance(xy, parse_polynomial("x + y + 1", xy), [], i)
-        cert = certifier.certify_strict(inst)
+        cert = certifier.certify(inst)
         assert expand(inst, cert) == inst.f
         assert len(calls) == 2 and calls[0] == i
         assert groebner(calls[1]).gb == groebner(j).gb
@@ -178,7 +178,8 @@ class TestHensel:
         inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
-        cert = certifier.certify_strict_nonradical(inst)
+        ring = quotient.build_ring(inst.h)
+        cert = certifier.certify_strict_nonradical(inst, ring, radical_roots(ring)())
         assert expand(inst, cert) == inst.f
 
 
@@ -320,7 +321,7 @@ class TestSignRule:
 
 class TestNonneg:
     def test_cusp_circle(self, cusp_circle):
-        cert = certifier.certify_nonneg(cusp_circle)
+        cert = certifier.certify(nonneg(cusp_circle))
         assert cert.mode == "nonneg"
         assert cert.gamma == 2
         assert expand(cusp_circle, cert) == cusp_circle.f
@@ -331,7 +332,7 @@ class TestNonneg:
 
     def test_condition_failed(self, double_origin):
         with pytest.raises(ConditionFailed):
-            certifier.certify_nonneg(double_origin)
+            certifier.certify(nonneg(double_origin))
 
     def test_witness_zeros_from_the_idempotent(self):
         # b^2 = b mod I: b is 1 at the zeros +-sqrt(2) of f and 0 at 1/10,
@@ -365,7 +366,7 @@ class TestNonneg:
         monomial_basis = quotient.monomial_basis
         monkeypatch.setattr(quotient, "monomial_basis",
                             lambda ideal: rings.append(monomial_basis(ideal)) or rings[-1])
-        cert = certifier.certify_nonneg(cusp_circle)
+        cert = certifier.certify(nonneg(cusp_circle))
         assert expand(cusp_circle, cert) == cusp_circle.f
         ring, ring_j = rings
         assert not ring.is_radical and ring_j is ring.radical_ring
@@ -377,7 +378,7 @@ class TestNonneg:
         monkeypatch.setattr(variety, "solve_variety",
                             lambda ring, seed=0: seeds.append(seed) or solve_variety(ring, seed))
         cusp_circle.options["seed"] = 7
-        cert = certifier.certify_nonneg(cusp_circle)
+        cert = certifier.certify(nonneg(cusp_circle))
         assert expand(cusp_circle, cert) == cusp_circle.f
         assert seeds == [7]
 
@@ -502,9 +503,9 @@ class TestResidual:
         if route == "sdp":
             cert = certifier.certify(inst)
         elif route == "nonneg":
-            cert = certifier.certify_nonneg(inst)
+            cert = certifier.certify(nonneg(inst))
         else:
-            cert = certifier.certify_strict(inst)
+            cert = certifier.certify(inst)
         assert verify_bounds.residual(inst, cert).is_zero()
         assert expand(inst, cert) == inst.f
         (blocks, rest), = closed
@@ -571,7 +572,7 @@ class TestGramClosure:
         residual = verify_bounds.residual
         monkeypatch.setattr(verify_bounds, "residual",
                             lambda *a: calls.append(a) or residual(*a))
-        cert = certifier.certify_strict(inst)
+        cert = certifier.certify(inst)
         assert calls == []
         assert residual(inst, cert).is_zero()
 
@@ -629,17 +630,27 @@ class TestDispatcher:
 
 
 class TestRadicalOnce:
+    @staticmethod
+    def _count_solves(monkeypatch):
+        solves = []
+        solve_variety = variety.solve_variety
+        monkeypatch.setattr(variety, "solve_variety", lambda ring, seed=0: (
+            solves.append(ring) or solve_variety(ring, seed)))
+        return solves
+
     @pytest.mark.parametrize("mode, h", [
         ("strict", ["x^2 - 1", "y^2 - y"]),
         ("strict", ["x^3 - x^2", "y^2 - y"]),
         ("nonneg", ["x^3 - y^2", "x^2 - 2*x + y^2"]),
     ], ids=["radical", "hensel", "nonneg"])
     def test_radical_generators_once_per_ring(self, monkeypatch, mode, h):
-        # R/I computes its radical once; R/J is radical by construction
+        # R/I computes its radical once; R/J is radical by construction, and
+        # every route solves its points once
         calls = []
         radical_generators = quotient.radical_generators
         monkeypatch.setattr(quotient, "radical_generators",
                             lambda ring: calls.append(ring) or radical_generators(ring))
+        solves = self._count_solves(monkeypatch)
         f = poly("x") if mode == "nonneg" else poly("x + y + 3")
         inst = problem_io.ProblemInstance(["x", "y"], f, [], [poly(p) for p in h],
                                           options={"mode": mode})
@@ -647,6 +658,37 @@ class TestRadicalOnce:
         cert = certifier.certify(inst, ring)
         assert expand(inst, cert) == inst.f
         assert calls == [ring]
+        assert solves == [ring.radical_ring]
+
+    @pytest.mark.parametrize("mode", ["strict", "nonneg"])
+    def test_no_solve_under_sdp(self, monkeypatch, mode):
+        solves = self._count_solves(monkeypatch)
+        inst = problem_io.ProblemInstance(["x"], parse_polynomial("x + 3", ["x"]), [],
+                                          [parse_polynomial("x^2 - 1", ["x"])],
+                                          options={"engine": "sdp", "mode": mode})
+        cert = certifier.certify(inst)
+        assert expand(inst, cert) == inst.f
+        assert solves == []
+
+    @pytest.mark.parametrize("mode", ["strict", "nonneg"])
+    def test_no_solve_for_the_empty_variety(self, monkeypatch, mode):
+        # 1 = (x^2 + 1) - x x lies in I: f is its own cofactor combination
+        solves = self._count_solves(monkeypatch)
+        x = ["x"]
+        inst = problem_io.ProblemInstance(x, parse_polynomial("x - 3", x), [],
+                                          [parse_polynomial(h, x) for h in ("x^2 + 1", "x")],
+                                          options={"mode": mode})
+        ring = quotient.build_ring(inst.h)
+        assert ring.D == 0
+        cert = certifier.certify(inst, ring)
+        assert expand(inst, cert) == inst.f
+        assert solves == []
+
+    def test_no_solve_before_a_failed_witness(self, monkeypatch, double_origin):
+        solves = self._count_solves(monkeypatch)
+        with pytest.raises(ConditionFailed):
+            certifier.certify(nonneg(double_origin))
+        assert solves == []
 
 
 class TestInternalFailuresSurface:

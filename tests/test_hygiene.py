@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with the standard library's `ast`:
-no module imports a name it does not use, and no private module-level
-function or class is left that nothing in the package references.
+no module imports a name it does not use, no private module-level
+function or class is left that nothing in the package references, and no
+module but `polyring` and `quotient` does exponent-tuple arithmetic.
 
 Failures are raised with pytest.fail, not assert, so that the checks hold
 under `python -O` too."""
@@ -124,3 +125,22 @@ def test_only_variety_compares_with_the_tolerance(name):
     lines = list(_tolerance_reads(TREES[name]))
     if lines:
         pytest.fail(f"{name} reads decision_tol outside a message at lines {lines}")
+
+
+def _operator_uses(tree):
+    """Lines that import the `operator` module, or names from it, or read it."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.alias) and node.name == "operator"
+                or isinstance(node, ast.ImportFrom) and node.module == "operator"
+                or isinstance(node, ast.Name) and node.id == "operator"):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"polyring.py", "quotient.py"}))
+def test_only_polyring_and_quotient_do_exponent_arithmetic(name):
+    # exponent tuples are added by `map(operator.add, ...)`: every product of
+    # integer polynomials elsewhere goes through `polyring.add_product` or
+    # `polyring.add_gram`
+    lines = sorted(set(_operator_uses(TREES[name])))
+    if lines:
+        pytest.fail(f"{name} imports or reads operator at lines {lines}")
