@@ -7,12 +7,15 @@ against the *original* generators, the coprimality witness (a, b, gamma)
 for the nonnegativity pipeline, and the quotient by the radical J on
 which the Hensel route certifies before its lift.
 
-J is read off the trace form H1[i][j] = Tr(M_{b_i b_j}) of R/I: its
-kernel is the nilradical (`radical_generators`).  H1 is built once, as an
-integer matrix over one positive denominator, and first eliminated modulo
-a 61-bit prime, where full rank proves I radical; only when that test
-fails, as it does on every non-radical ring, does one exact nullspace of
-the same matrix give J.  Every float step (root solving, the witness's
+Two exact tests give J (`radical_generators`).  When I holds a squarefree
+polynomial in each variable alone, as every grid and cube ideal does, I
+is radical (Seidenberg's lemma), and neither the product table nor H1 is
+read.  On every other ring J is read off the trace form
+H1[i][j] = Tr(M_{b_i b_j}) of R/I, whose kernel is the nilradical.  H1 is
+built once, as an integer matrix over one positive denominator, and first
+eliminated modulo a 61-bit prime, where full rank proves I radical; only
+when that fails, as on every non-radical ring, does one exact nullspace
+of the same matrix give J.  Every float step (root solving, the witness's
 roots, the Gram matrix) sees only R/J, where each root is simple.
 
 A ring vector, the coefficients over the quotient basis B of a normal
@@ -601,24 +604,57 @@ def ideal_power_chain(radical, target):
         current_gens = ideal.gb
 
 
-# -- radical computation (kernel of the trace form) ------------------------
+# -- radical computation (Seidenberg's lemma, else the trace form) --------
 
 # A Mersenne prime: H1 of full rank modulo it has det H1 != 0 over Q.
 PRIME = (1 << 61) - 1
 
 
 def radical_generators(ring):
-    """Generators of the radical J: the ideal plus sum_i c_i b_i for a basis
-    c of the kernel of the trace form H1[i][j] = Tr(M_{b_i b_j}).  In
-    characteristic 0 that kernel is the nilradical of R/I (Becker-Woermann;
-    Pedersen-Roy-Szpirglas), so I is radical exactly when it is empty.
-    Tr(M_p) = t . NF(p) with t_k = Tr(M_{b_k}) = sum_i NF(b_k b_i)[i], and
-    every NF(b_i b_j) comes from the ring's product table.  H1 is built
-    once, in integers: with L the lcm of the table's denominators, L t is
-    integer and so is h1 = L^2 H1, which has H1's kernel.  h1 is first
-    eliminated modulo PRIME: full rank there proves the kernel empty, and
-    only otherwise is its exact nullspace computed.  Callers use the cached
-    `QuotientRing.radical`."""
+    """Generators of the radical J: I itself when, for every variable x_k,
+    a generator or a reduced Gröbner element is squarefree in x_k alone
+    (`_squarefree_mod_p`), as on grid and cube ideals, by Seidenberg's
+    lemma (Kreuzer-Robbiano, Prop. 3.7.15); on every other ring, every
+    non-radical one among them, I plus the kernel of the trace form
+    (`_trace_kernel`).  Callers use the cached `QuotientRing.radical`."""
+    ideal, found = ring.ideal, set()
+    for terms in [h.ints for h in ideal.generators] + [{lead: lc, **dict(tail)}
+                                                       for lead, lc, tail in ideal.reducers]:
+        used = {k for e in terms for k, x in enumerate(e) if x}
+        if len(used) == 1 and not used <= found and _squarefree_mod_p(
+                {sum(e): c for e, c in terms.items()}):
+            found |= used
+    return list(ideal.generators) + ([] if len(found) == ring.nvars else _trace_kernel(ring))
+
+
+def _squarefree_mod_p(coeffs):
+    """True when PRIME does not divide lc(f) and gcd(f, f') = 1 modulo
+    PRIME, for f = sum_i c_i x^i of positive degree given as {i: c_i}.
+    Then f is squarefree: f = g^2 h over Z with deg g >= 1 would stay so
+    modulo PRIME, deg g unchanged."""
+    p = PRIME
+    a = [coeffs.get(i, 0) % p for i in range(max(coeffs) + 1)]
+    b = [i * c % p for i, c in enumerate(a)][1:]  # Euclid on f and f', constant first
+    while a[-1] and any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a -= q x^(len(a) - len(b)) b, its top term dropped
+            q = a.pop() * inv % p
+            for i in range(1, len(b)):
+                a[-i] = (a[-i] - q * b[-1 - i]) % p
+        a, b = b, a
+    return len(a) == 1 and a[0] != 0
+
+
+def _trace_kernel(ring):
+    """The polynomials sum_i c_i b_i for a basis c of the kernel of the
+    trace form H1, the nilradical of R/I (Becker-Woermann;
+    Pedersen-Roy-Szpirglas): empty exactly when I is radical.
+    H1[i][j] = Tr(M_{b_i b_j}) = t . NF(b_i b_j) with
+    t_k = Tr(M_{b_k}) = sum_i NF(b_k b_i)[i], from the product table.  With
+    L the lcm of the table's denominators, L t and h1 = L^2 H1 are integer,
+    and h1 is first eliminated modulo PRIME (see the module docstring)."""
     products = ring.products
     den = math.lcm(*(d for row in products for _, d in row))
     t = [sum(v[i] * (den // d) for i, (v, d) in enumerate(row)) for row in products]
@@ -628,8 +664,8 @@ def radical_generators(ring):
             v, d = row[j]
             h1[i][j] = h1[j][i] = den // d * sum(x * y for x, y in zip(v, t) if x)
     if _nonsingular_mod_p(h1):
-        return list(ring.ideal.generators)
-    return list(ring.ideal.generators) + [ring.from_vector(c) for c in exactla.nullspace(h1)]
+        return []
+    return [ring.from_vector(c) for c in exactla.nullspace(h1)]
 
 
 def _nonsingular_mod_p(h1):

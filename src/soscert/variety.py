@@ -17,10 +17,16 @@ through one of its points, so `solve_variety` hands out the real points and
 one point per pair, each with its idempotent, and no caller classifies a
 point again.  Nor does any evaluate at the points or compare a value with
 the tolerance: `VarietyData.values`, `pair_values` and `signs` do.
+
+The solver is array code over all points at once, and its floats are bit
+for bit those of a loop over the points: the row products inv[k] M_j are
+one-row matmuls, each finished by its own dot with the strided column
+V[:, k], since a full inv @ M_j, einsum or a contiguous dot rounds apart.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -66,6 +72,11 @@ class VarietyData:
         return [((v > tol) - (v < -tol), v) for v in self.values(p)]
 
 
+# the seeded coefficients of the combination C, per (seed, nvars): default_rng costs 40 us
+_combination = functools.cache(
+    lambda seed, n: tuple(np.random.default_rng(seed).uniform(0.5, 1.5, size=n).tolist()))
+
+
 def solve_variety(ring, seed=0):
     """Points of the variety of a radical ring, via the eigenvalue method.
 
@@ -76,33 +87,29 @@ def solve_variety(ring, seed=0):
     Vandermonde matrix is sure to see."""
     if not ring.is_radical:
         raise SingularVandermonde("the ring is not radical: its points are multiple")
-    D = ring.D
-    n = ring.nvars
-    mats = [np.array([[x / d for x in row] for row in rows]) for rows, d in ring.mult_matrices]
-    rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(0.5, 1.5, size=n)
-    combo = sum(c * m for c, m in zip(coeffs, mats))
+    mats = np.array([[[x / d for x in row] for row in rows] for rows, d in ring.mult_matrices])
+    combo = sum(c * m for c, m in zip(_combination(seed, ring.nvars), mats))
     vecs = np.linalg.eig(combo.astype(complex))[1]
     try:
         inv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise SingularVandermonde(f"eigenvector matrix numerically singular: {exc}") from exc
-    raw = [np.array([inv[k] @ m @ vecs[:, k] for m in mats]) for k in range(D)]
+    # raw[k, j] = inv[k] M_j vecs[:, k]: one-row products, one dot per point
+    rows = np.matmul(inv[None, :, None, :], mats[:, None])[:, :, 0]
+    raw = np.array([[r @ vecs[:, k] for r in rows[:, k]] for k in range(ring.D)])
 
-    tol = 2.0 ** -40 * (1.0 + max((float(np.max(np.abs(r))) for r in raw), default=0.0))
-
-    is_real = [float(np.max(np.abs(z.imag))) <= 1e4 * tol for z in raw]
-    points = [[complex(c.real, 0.0) if r else complex(c) for c in z] for z, r in zip(raw, is_real)]
-    reals = [k for k, r in enumerate(is_real) if r]
-    firsts = _pair_conjugates(points, [k for k, r in enumerate(is_real) if not r])
+    tol = 2.0 ** -40 * (1.0 + float(np.abs(raw).max()))
+    is_real = np.abs(raw.imag).max(axis=1) <= 1e4 * tol
+    points = np.where(is_real[:, None], raw.real, raw)
+    firsts = _pair_conjugates(points, np.flatnonzero(~is_real))
     u = idempotents(ring, points)
 
     if len(raw) > 1:
-        sep = separation(np.array(raw))
+        sep = separation(raw)
         if sep < 10 * tol:
             raise ClusterAmbiguity(f"point separation {sep:.3e} below 10*tol")
-    return VarietyData([[z.real for z in points[k]] for k in reals], [points[k] for k in firsts],
-                       u[:, reals].real, u[:, firsts], tol)
+    return VarietyData(points[is_real].real.tolist(), points[firsts].tolist(),
+                       u[:, is_real].real, u[:, firsts], tol)
 
 
 def separation(r):
@@ -113,42 +120,39 @@ def separation(r):
 
 def _pair_conjugates(points, unpaired):
     """Pair each complex point, in eigenvalue order, with the nearest
-    conjugate of a later one, and make that partner's coordinates the exact
-    conjugate.  Returns the first index of each pair."""
+    conjugate of a later one, and make that partner's row of `points` the
+    exact conjugate.  Returns the first index of each pair."""
+    z = points[unpaired]
+    dist = np.abs(z.conj()[:, None] - z[None]).max(axis=2)  # dist[a, b] = |conj(z_a) - z_b|
+    left = list(range(len(unpaired)))
     firsts = []
-    while unpaired:
-        i = unpaired.pop(0)
-        if not unpaired:
+    while left:
+        a = left.pop(0)
+        if not left:
             raise ClusterAmbiguity("unpaired complex point (conjugation symmetry broken)")
-        zi = np.conj(np.array(points[i]))
-        j = min(unpaired, key=lambda j: float(np.max(np.abs(zi - np.array(points[j])))))
-        points[j] = [z.conjugate() for z in points[i]]
-        unpaired.remove(j)
-        firsts.append(i)
+        b = min(left, key=dist[a].__getitem__)
+        left.remove(b)
+        points[unpaired[b]] = points[unpaired[a]].conj()
+        firsts.append(unpaired[a])
     return firsts
 
 
 def _eval_basis(ring, coords):
-    powers = [[z ** k for k in range(t + 1)] for z, t in zip(coords, map(max, zip(*ring.basis)))]
-    vals = []
-    for b in ring.basis:
-        v = 1.0 + 0j
-        for pw, e in zip(powers, b):
-            if e:
-                v *= pw[e]
-        vals.append(v)
-    return np.array(vals)
+    """b_i at one point (coordinates in the last axis) or at an array of
+    points: an array of the points' shape with the last axis over B."""
+    z = np.asarray(coords, dtype=complex)
+    return np.prod(z[..., None, :] ** np.array(ring.basis), axis=-1)
 
 
 def idempotents(ring, points):
     """U = (V^T)^{-1} with V the Vandermonde of B at the points: column j
     is the idempotent of point j over B."""
-    v = np.array([_eval_basis(ring, p) for p in points]).T  # V[i,j] = b_i(zeta_j)
+    vt = _eval_basis(ring, points)  # V^T[j, i] = b_i(zeta_j)
     try:
-        u = np.linalg.inv(v.T)
+        u = np.linalg.inv(vt)
     except np.linalg.LinAlgError as exc:
         raise SingularVandermonde(f"Vandermonde numerically singular: {exc}") from exc
-    if not np.all(np.isfinite(u)) or np.linalg.cond(v.T) > 1e12:
+    if not np.all(np.isfinite(u)) or np.linalg.cond(vt) > 1e12:
         raise SingularVandermonde("Vandermonde numerically singular")
     return u
 

@@ -453,6 +453,50 @@ def radical_roots(ring, seed=0):
     return lambda: variety.solve_variety(ring.radical_ring, seed=seed)
 
 
+def reference_solve_variety(ring, seed=0):
+    """`variety.solve_variety` point by point: one row product inv[k] M_j
+    and one dot per (point, M_j), each point classified on its own, the
+    conjugate pairs found by pairwise distances, and the basis evaluated
+    at one point at a time with Python complex powers.  The array form
+    must give the same floats, bit for bit."""
+    D, n = ring.D, ring.nvars
+    mats = [np.array([[x / d for x in row] for row in rows]) for rows, d in ring.mult_matrices]
+    coeffs = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
+    combo = sum(c * m for c, m in zip(coeffs, mats))
+    vecs = np.linalg.eig(combo.astype(complex))[1]
+    inv = np.linalg.inv(vecs)
+    raw = [np.array([inv[k] @ m @ vecs[:, k] for m in mats]) for k in range(D)]
+    tol = 2.0 ** -40 * (1.0 + max((float(np.max(np.abs(r))) for r in raw), default=0.0))
+    is_real = [float(np.max(np.abs(z.imag))) <= 1e4 * tol for z in raw]
+    points = [[complex(c.real, 0.0) if r else complex(c) for c in z] for z, r in zip(raw, is_real)]
+    reals = [k for k, r in enumerate(is_real) if r]
+    unpaired = [k for k, r in enumerate(is_real) if not r]
+    firsts = []
+    while unpaired:
+        i = unpaired.pop(0)
+        zi = np.conj(np.array(points[i]))
+        j = min(unpaired, key=lambda j: float(np.max(np.abs(zi - np.array(points[j])))))
+        points[j] = [z.conjugate() for z in points[i]]
+        unpaired.remove(j)
+        firsts.append(i)
+
+    def basis_values(coords):
+        powers = [[z ** k for k in range(t + 1)]
+                  for z, t in zip(coords, map(max, zip(*ring.basis)))]
+        vals = []
+        for b in ring.basis:
+            v = 1.0 + 0j
+            for pw, e in zip(powers, b):
+                if e:
+                    v *= pw[e]
+            vals.append(v)
+        return np.array(vals)
+
+    u = np.linalg.inv(np.array([basis_values(p) for p in points]))
+    return variety.VarietyData([[z.real for z in points[k]] for k in reals],
+                               [points[k] for k in firsts], u[:, reals].real, u[:, firsts], tol)
+
+
 def reference_witness(ring, f, seed=0):
     """The coprimality witness from the 2D x 2D block system a f + b = 1,
     b f = 0 over the quotient basis, with the coefficients of a, then of b,

@@ -167,6 +167,16 @@ class TestCertify:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_another_seed_in_between_changes_nothing(self, tmp_path):
+        # the solver caches its seeded coefficients per seed, in one process
+        outs = []
+        for i, seed in enumerate(("0", "7", "0")):
+            out = tmp_path / f"{i}.cert"
+            assert run(["certify", "--input", data_path("excluded_grid.prob"),
+                        "--seed", seed, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[2]
+
 
 class TestNumpyIsTheOnlyNumericDependency:
     def test_certify_loads_no_scipy(self, tmp_path):

@@ -713,6 +713,72 @@ def test_non_radical_rings_keep_their_radical(gens, names, monkeypatch):
     assert len(ring.radical) > len(ring.ideal.generators)
 
 
+# -- Seidenberg's lemma before the trace form ----------------------------------
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    f = getattr(quotient, name)
+    monkeypatch.setattr(quotient, name, lambda *args: calls.append(args) or f(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name, trace_form", [
+    ("excluded_grid.prob", False),  # x^4 - 5x^2 + 4 and y^3 - y: squarefree
+    ("four_points.prob", True),  # y^2 - x - 2: no polynomial in y alone
+    ("rational_mixed.prob", True),  # no polynomial in one variable alone
+])
+def test_which_rings_take_the_trace_form(name, trace_form, monkeypatch):
+    ring = quotient.build_ring(load_problem(name).h)
+    calls = _spy(monkeypatch, "_nonsingular_mod_p")
+    assert ring.is_radical
+    assert len(calls) == trace_form
+    # the product table is built by its first reader, here the trace form
+    assert ("products" in vars(ring)) == trace_form
+
+
+def test_a_leading_coefficient_divisible_by_the_prime_falls_through(monkeypatch):
+    # (PRIME x + 1)^2 (x - 2) has a double root, but is x - 2 modulo PRIME,
+    # squarefree there: only a leading coefficient PRIME does not divide
+    # carries the test over to Q
+    x = parse_polynomial("x", ["x"])
+    ring = quotient.build_ring([(x * quotient.PRIME + 1) ** 2 * (x - 2)])
+    calls = _spy(monkeypatch, "_trace_kernel")
+    assert not ring.is_radical and len(calls) == 1
+    assert ring.radical_ring.D == 2
+
+
+def test_one_repeated_variable_is_not_radical(monkeypatch):
+    # x^2 - 1 is squarefree but y^3 - y^2 is not: the trace form decides
+    ring = _ring(["x^2 - 1", "y^3 - y^2"])
+    calls = _spy(monkeypatch, "_trace_kernel")
+    assert not ring.is_radical and len(calls) == 1
+    assert ring.radical_ring.D == 4
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=3,
+                         unique_by=lambda f: f[0]), min_size=1, max_size=2),
+       st.sampled_from([None, 1, 2]))
+def test_the_precheck_agrees_with_the_trace_form(factors, square):
+    # one product of (x_k - r)^m per variable, the first times (x_1^2 + 2)^square
+    names = ["x", "y"][:len(factors)]
+    gens = []
+    for k, roots in enumerate(factors):
+        x = parse_polynomial(names[k], names)
+        h = (x * x + 2) ** square if square and k == 0 else Polynomial.constant(1, len(names))
+        for r, m in roots:
+            h = h * (x - r) ** m
+        gens.append(h)
+    ring = quotient.build_ring(gens)
+    assume(ring.D <= 24)
+    radical = all(m == 1 for roots in factors for _, m in roots) and square != 2
+    assert ring.is_radical == radical
+    # only the trace form reads the product table
+    assert ("products" in vars(ring)) != radical
+    assert (not quotient._trace_kernel(ring)) == radical
+
+
 def _monomial_product_reference(ring, m):
     """NF(m) = M^alpha NF(1), one Fraction mat_vec per variable factor."""
     v = [Fraction(int(not any(b))) for b in ring.basis]

@@ -1,13 +1,18 @@
 import math
+import os
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soscert import quotient, variety
-from soscert.errors import BoundaryAmbiguity, SingularVandermonde
+from soscert.errors import BoundaryAmbiguity, ClusterAmbiguity, SingularVandermonde
 from soscert.polyring import Polynomial, evaluate, parse_polynomial
+
+from conftest import DATA, load_problem, reference_solve_variety
 
 
 def poly(s, names=("x", "y")):
@@ -237,3 +242,81 @@ def test_separation_matches_the_pairwise_loop(seed):
     r[n - 1] = r[0] + 1e-13  # one near-repeated point
     expected = min(float(np.max(np.abs(a - b))) for i, a in enumerate(r) for b in r[i + 1:])
     assert variety.separation(r) == expected
+
+
+# -- the array solver against the loop over the points, bit for bit ----------
+
+
+def _assert_bit_identical(ring):
+    for seed in (0, 7):
+        got, ref = variety.solve_variety(ring, seed=seed), reference_solve_variety(ring, seed=seed)
+        assert (got.real, got.pairs, got.decision_tol) == (ref.real, ref.pairs, ref.decision_tol)
+        assert np.array_equal(got.real_idem, ref.real_idem)
+        assert np.array_equal(got.pair_idem, ref.pair_idem)
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_RINGS))
+def test_bit_identical_on_the_contract_rings(name):
+    _assert_bit_identical(make_ring(*map(poly, _CONTRACT_RINGS[name])).radical_ring)
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(DATA) if f.endswith(".prob")))
+def test_bit_identical_on_the_data_problems(name):
+    _assert_bit_identical(quotient.build_ring(load_problem(name).h).radical_ring)
+
+
+@st.composite
+def grid_rings(draw):
+    """The ring of one product of distinct linear factors (x - r/2) and at
+    most one x^2 + c per variable, in 1-3 variables with D <= 16: real
+    points, conjugate pairs or both."""
+    names = ["x", "y", "z"][:draw(st.integers(1, 3))]
+    gens, D = [], 1
+    for name in names:
+        cap = min(4, 16 // D)
+        c = draw(st.integers(1, 6)) if cap >= 2 and draw(st.booleans()) else None
+        roots = draw(st.lists(st.integers(-6, 6), min_size=0 if c else 1,
+                              max_size=cap - (2 if c else 0), unique=True))
+        x = parse_polynomial(name, names)
+        h = Polynomial.constant(1, len(names)) if c is None else x * x + c
+        for r in roots:
+            h = h * (x - Fraction(r, 2))
+        gens.append(h)
+        D *= h.degree
+    return quotient.build_ring(gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_rings())
+def test_bit_identical_on_grids_and_conjugate_pairs(ring):
+    assert ring.D <= 16
+    _assert_bit_identical(ring)
+
+
+def test_the_seeded_coefficients_are_kept_per_seed():
+    # the cached coefficients are a tuple, which no caller can change; a
+    # solve at another seed in between leaves seed 0's floats as they were
+    ring = make_ring(poly("x^2 - 1"), poly("y^2 - x - 2"))
+    assert isinstance(variety._combination(0, 2), tuple)
+    first = variety.solve_variety(ring, seed=0)
+    other = variety.solve_variety(ring, seed=7)
+    again = variety.solve_variety(ring, seed=0)
+    assert first.real != other.real
+    assert first.real == again.real and np.array_equal(first.real_idem, again.real_idem)
+
+
+class TestPairConjugates:
+    def test_an_odd_number_of_complex_points_is_ambiguous(self):
+        points = np.array([[1j, 2 + 0j], [2 + 1j, 1j], [-1j, 2 + 0j]])
+        with pytest.raises(ClusterAmbiguity, match="unpaired complex point"):
+            variety._pair_conjugates(points, np.arange(3))
+
+    def test_each_first_point_takes_its_nearest_conjugate(self):
+        # rows 0 and 1 start the two pairs; their conjugates, each off by
+        # 1e-12, sit at rows 4 and 2, and row 3 is a real point
+        a, b = np.array([1 + 2j, 3j]), np.array([-1 + 1j, 2 - 1j])
+        points = np.array([a, b, b.conj() + 1e-12, [0.5, -2], a.conj() - 1e-12j])
+        firsts = variety._pair_conjugates(points, np.array([0, 1, 2, 4]))
+        assert firsts == [0, 1]
+        assert np.array_equal(points[4], a.conj()) and np.array_equal(points[2], b.conj())
+        assert np.array_equal(points[:2], [a, b]) and np.array_equal(points[3], [0.5, -2])
