@@ -1,23 +1,24 @@
 """Orchestration of the certification pipelines.
 
-Four routes produce a Certificate: strict positivity on the real variety
-(radical ideals), strict positivity on S via inequality perturbation,
-nonnegativity through the (a, b, gamma) witness, and non-radical ideals.
+Five routes produce a Certificate: strict positivity on a radical ideal
+with only real points and no g, from the exact trace-form Gram matrix
+(`_trace_squares`); on the real variety of any other radical ideal; on S
+via inequality perturbation; nonnegativity through the (a, b, gamma)
+witness; and non-radical ideals.
 A non-radical ideal I gets the radical route's own Gram certificate of
 f~ - eps over its radical J, plus eps t^2 with t the square root, 1 mod J,
 of theta = 1 mod J, a finite binomial series in R/I; no ring but R/I and
 R/J is built.  Every product in R/I reads the ring's product table.
-Both strict routes solve roots on a radical ring and judge the sign of f
-at the points of S by one rule, in `perturb`, on `VarietyData.signs`.  The
-Gram routes (radical, Hensel, SDP) close their identity through the one
-Gram step (`gram.gram_squares`): it returns the LDL^t squares of a Gram
-matrix Q0 of f~ with the rest f~ - B^t Q0 B.  Each route, the SDP
-engine's too, hands its blocks and rest to `_assemble`, which finds the
-rest's cofactors.  Squares that no Gram matrix carries are expanded by the
-verifier's `verify_bounds.residual`.  `certify` is the one route
-dispatch, and solves the points of R/J at most once per call.  The
-data types come from `problem_io`, so `verify` and `bounds` never load this
-module or an engine.
+The float strict routes solve roots on a radical ring and judge the sign
+of f at the points of S by one rule, in `perturb`, on `VarietyData.signs`.
+Each Gram route factors a Gram matrix Q0 of f~ into LDL^t squares and the
+rest f~ - B^t Q0 B (`gram.factor_gram`), the float ones (radical, Hensel,
+SDP) in the one rounded Gram step (`gram.gram_squares`), and hands its
+blocks and rest to `_assemble`, which finds the rest's cofactors.  Squares
+that no Gram matrix carries are expanded by the verifier's
+`verify_bounds.residual`.  `certify` is the one route dispatch, and solves
+the points of R/J at most once per call.  The data types come from
+`problem_io`, so `verify` and `bounds` never load this module or an engine.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import functools
 import math
 from fractions import Fraction
 
-from . import gram, quotient, sdp_backend, variety, verify_bounds
-from .errors import IdentityBroken, NotStrictlyPositiveOnS, PrecisionExceeded
+from . import exactla, gram, quotient, sdp_backend, variety, verify_bounds
+from .errors import IdentityBroken, NotPD, NotStrictlyPositiveOnS, PrecisionExceeded
 from .polyring import round_scaled
 from .problem_io import Certificate, ProblemInstance
 
@@ -106,6 +107,35 @@ def _strict_squares(inst, ring, var):
     g_blocks, f_tilde = perturb(inst, ring, var)
     squares, rest = gram.round_and_certify(ring, var, f_tilde)
     return [squares] + g_blocks, rest
+
+
+def _all_real(ring):
+    """Every point of V(I), I radical, is real: in integers, by Sturm counts
+    of the precheck's elements, whose roots hold every coordinate, or else
+    by `ldlt` of the trace form, whose signature counts the real points."""
+    if ring.univariates is not None:
+        return all(quotient.real_root_count(c) == max(c) for c in ring.univariates)
+    try:
+        gram.ldlt(gram.SymmetricMatrix(ring.trace_form[0]))
+    except NotPD:
+        return False
+    return True
+
+
+def _trace_squares(inst, ring):
+    """The blocks and rest of the trace route, all points xi real and in S:
+    G = M_f H1^-1 = V^-1 diag(f(xi)) V^-t, V the Vandermonde matrix of B,
+    is in the Gram set (B^t G B = f at every xi) and is positive definite
+    exactly when every f(xi) > 0.  G = H1^-1 M_f^t solves [h1 | A^t], A / d = M_f."""
+    h1, den = ring.trace_form
+    a, d = ring.mult_matrix(ring.nf_vector(inst.f))
+    red, _, p = exactla.rref([row + col for row, col in zip(h1, exactla.transpose(a))], ring.D)
+    g = gram.SymmetricMatrix([[den * x for x in row[ring.D:]] for row in red], p * d)
+    try:
+        squares, rest = gram.factor_gram(ring, inst.f, g)
+    except NotPD as exc:
+        raise NotStrictlyPositiveOnS("f <= 0 at a real point of V = S") from exc
+    return [squares], rest
 
 
 def certify_nonneg(inst, ring, roots):
@@ -198,8 +228,9 @@ def certify(inst, ring=None):
     The SDP engine returns a strict-mode certificate in either mode (it
     proves nonnegativity too), with no witnesses.  An empty variety (1 in I)
     needs no squares at all: f lies in I, and its cofactors alone are the
-    certificate, in every mode and engine.  The other routes solve the
-    points of R/J (J = I when I is radical) once, when they first read them."""
+    certificate, in every mode and engine.  The routes but the trace route
+    solve the points of R/J (J = I when I is radical) once, when they
+    first read them."""
     if ring is None:
         ring = quotient.build_ring(inst.h)
     if ring.D == 0:
@@ -212,4 +243,6 @@ def certify(inst, ring=None):
         return certify_nonneg(inst, ring, roots)
     if not ring.is_radical:
         return certify_strict_nonradical(inst, ring, roots())
+    if not inst.g and _all_real(ring):
+        return _assemble(ring, *_trace_squares(inst, ring))
     return _assemble(ring, *_strict_squares(inst, ring, roots()))

@@ -9,12 +9,15 @@ it to the nearest dyadic rationals, and take the one Gram step
 matrices of p, and factor the result Q0 by fraction-free LDL^t into an
 exact weighted sum of squares.
 
-All three Gram routes take this step: the radical route on R/I, the
+The float Gram routes take this step: the radical route on R/I, the
 Hensel route on R/J for f~ - eps (see `certifier`), and the SDP engine on
-its rounded free block (see `sdp_backend`).  The Gram set is
-A y = b over the D(D+1)/2 upper-triangle unknowns of a matrix on the basis
-monomials B of the quotient: D rows, one per basis monomial.  A column of A
-is NF(b_i b_j) over B, read from the ring's product table, and b is NF(p).
+its rounded free block (see `sdp_backend`).  The trace route's exact
+matrix M_f H1^-1 is in the Gram set, and is only factored (`factor_gram`).
+The Gram set is A y = b over the D(D+1)/2 upper-triangle unknowns of a
+matrix on the basis monomials B of the quotient: D rows, one per basis
+monomial.  A column of A is NF(b_i b_j) over B, read from the nonzero
+entries of the ring's product table (`QuotientRing.product_terms`), and b
+is NF(p).
 Since 1 = b_0 lies in B, the columns (0, j) are weighted unit vectors:
 y_0j appears in row j alone.  So a rounded matrix q is moved into the set
 by correcting its row and column 0 by the residual b - A q, with no linear
@@ -45,10 +48,11 @@ START_BITS = 32  # the most fractional bits of the Gram matrix's first rounding
 
 class SymmetricMatrix:
     """Symmetric matrix M / nu of integers over a positive denominator, in
-    lowest terms (gcd(nu, M) = 1), so equal matrices have equal (M, nu)."""
+    lowest terms (gcd(nu, M) = 1), so equal matrices have equal (M, nu).
+    A negative nu given is made positive."""
 
     def __init__(self, mat, nu=1):
-        g = math.gcd(nu, *itertools.chain.from_iterable(mat))
+        g = math.gcd(nu, *itertools.chain.from_iterable(mat)) * (1 if nu > 0 else -1)
         self.mat = [[x // g for x in row] for row in mat]
         self.nu = nu // g
         self.D = len(mat)
@@ -120,16 +124,11 @@ class GramVariety:
 
     def __init__(self, ring, p):
         self.ring, self.p = ring, p
-        D = self.D = ring.D
-        self.den = math.lcm(*(d for row in ring.products for _, d in row))
-        self.A = [[] for _ in range(D)]
-        for i in range(D):
-            for j in range(i, D):
-                v, d = ring.products[i][j]
-                scale = self.den // d * (1 if i == j else 2)
-                for r, x in enumerate(v):
-                    if x:
-                        self.A[r].append(((i, j), scale * x))
+        self.D = ring.D
+        self.den, terms = ring.product_terms
+        self.A = [[] for _ in range(ring.D)]
+        for i, j, r, x in terms:
+            self.A[r].append(((i, j), x if i == j else 2 * x))
         self.b, self.b_den = ring.nf_vector(p)
 
 
@@ -227,16 +226,19 @@ def escalate(start_bits, round_at, attempt):
 
 def gram_squares(variety, q):
     """The Gram step: correct q into the Gram set of p and factor the
-    result Q0.  Returns (Q0's LDL^t squares over B, each a primitive
-    `QuotientRing.square`, rest = p - B^t Q0 B), no square zero (column k
-    of L carries Delta_k > 0), or None when Q0 is not positive definite."""
-    q0 = project_to_gram(variety, q)
+    result Q0 (`factor_gram`), or None when Q0 is not positive definite."""
     try:
-        squares = ldlt(q0)
+        return factor_gram(variety.ring, variety.p, project_to_gram(variety, q))
     except NotPD:
         return None
-    return ([variety.ring.square(w, vec) for w, vec in squares],
-            gram_rest(variety.p, variety.ring.basis, q0))
+
+
+def factor_gram(ring, p, q0):
+    """(Q0's LDL^t squares over B, each a primitive `QuotientRing.square`,
+    rest = p - B^t Q0 B) for Q0 in the Gram set of p, no square zero
+    (column k of L carries Delta_k > 0).  Raises NotPD when Q0 is not
+    positive definite."""
+    return [ring.square(w, vec) for w, vec in ldlt(q0)], gram_rest(p, ring.basis, q0)
 
 
 def round_and_certify(ring, var, p):

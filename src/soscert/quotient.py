@@ -12,11 +12,12 @@ polynomial in each variable alone, as every grid and cube ideal does, I
 is radical (Seidenberg's lemma), and neither the product table nor H1 is
 read.  On every other ring J is read off the trace form
 H1[i][j] = Tr(M_{b_i b_j}) of R/I, whose kernel is the nilradical.  H1 is
-built once, as an integer matrix over one positive denominator, and first
-eliminated modulo a 61-bit prime, where full rank proves I radical; only
-when that fails, as on every non-radical ring, does one exact nullspace
-of the same matrix give J.  Every float step (root solving, the witness's
-roots, the Gram matrix) sees only R/J, where each root is simple.
+built once (`QuotientRing.trace_form`), as an integer matrix over one
+positive denominator, and first eliminated modulo a 61-bit prime, where
+full rank proves I radical; only when that fails, as on every non-radical
+ring, does one exact nullspace of the same matrix give J.  Every float
+step (root solving, the witness's roots, the Gram matrix) sees only R/J,
+where each root is simple.
 
 A ring vector, the coefficients over the quotient basis B of a normal
 form, has one form: a pair (ints, den) of integers over one positive
@@ -430,6 +431,43 @@ class QuotientRing:
         return [[upper[min(i, j)][abs(i - j)] for j in range(self.D)] for i in range(self.D)]
 
     @functools.cached_property
+    def product_terms(self):
+        """The product table's nonzero entries, which the Gram set and the
+        trace form read: (L, [(i, j, r, x), ...]) over i <= j, row by row,
+        with NF(b_i b_j) = sum x b_r / L over its entries."""
+        den = math.lcm(*(d for row in self.products for _, d in row))
+        return den, [(i, j, r, x * (den // d)) for i, row in enumerate(self.products)
+                     for j, (v, d) in enumerate(row[i:], i) for r, x in enumerate(v) if x]
+
+    @functools.cached_property
+    def trace_form(self):
+        """(h1, L^2), H1 = h1 / L^2 the trace form H1[i][j] = Tr(M_{b_i b_j})
+        = t . NF(b_i b_j), t_k = Tr(M_{b_k}) = sum_i NF(b_k b_i)[i], over the
+        L of `product_terms`."""
+        den, terms = self.product_terms
+        t = [sum(v[i] * (den // d) for i, (v, d) in enumerate(row)) for row in self.products]
+        h1 = [[0] * self.D for _ in range(self.D)]
+        for i, j, r, x in terms:
+            h1[i][j] += x * t[r]
+            h1[j][i] = h1[i][j]
+        return h1, den * den
+
+    @functools.cached_property
+    def univariates(self):
+        """Seidenberg's precheck: per variable x_k, a reduced Gröbner element
+        (the minimal polynomial of x_k) or else a generator in x_k alone,
+        {i: c_i} for sum_i c_i x_k^i, that `_squarefree_mod_p` proves
+        squarefree; None when one has none."""
+        found = {}
+        for terms in [{lead: lc, **dict(tail)} for lead, lc, tail in self.ideal.reducers] + [
+                h.ints for h in self.ideal.generators]:
+            used = {k for e in terms for k, x in enumerate(e) if x}
+            if len(used) == 1 and not used <= found.keys() and _squarefree_mod_p(
+                    coeffs := {sum(e): c for e, c in terms.items()}):
+                found[used.pop()] = coeffs
+        return [found[k] for k in range(self.nvars)] if len(found) == self.nvars else None
+
+    @functools.cached_property
     def radical(self):
         """Generators of the radical ideal, computed once per ring."""
         return radical_generators(self)
@@ -613,18 +651,11 @@ PRIME = (1 << 61) - 1
 def radical_generators(ring):
     """Generators of the radical J: I itself when, for every variable x_k,
     a generator or a reduced Gröbner element is squarefree in x_k alone
-    (`_squarefree_mod_p`), as on grid and cube ideals, by Seidenberg's
-    lemma (Kreuzer-Robbiano, Prop. 3.7.15); on every other ring, every
-    non-radical one among them, I plus the kernel of the trace form
-    (`_trace_kernel`).  Callers use the cached `QuotientRing.radical`."""
-    ideal, found = ring.ideal, set()
-    for terms in [h.ints for h in ideal.generators] + [{lead: lc, **dict(tail)}
-                                                       for lead, lc, tail in ideal.reducers]:
-        used = {k for e in terms for k, x in enumerate(e) if x}
-        if len(used) == 1 and not used <= found and _squarefree_mod_p(
-                {sum(e): c for e, c in terms.items()}):
-            found |= used
-    return list(ideal.generators) + ([] if len(found) == ring.nvars else _trace_kernel(ring))
+    (`QuotientRing.univariates`), as on grid and cube ideals, by
+    Seidenberg's lemma (Kreuzer-Robbiano, Prop. 3.7.15); on every other
+    ring, every non-radical one among them, I plus the kernel of the trace
+    form (`_trace_kernel`).  Callers use the cached `QuotientRing.radical`."""
+    return list(ring.ideal.generators) + (_trace_kernel(ring) if ring.univariates is None else [])
 
 
 def _squarefree_mod_p(coeffs):
@@ -649,23 +680,36 @@ def _squarefree_mod_p(coeffs):
 
 def _trace_kernel(ring):
     """The polynomials sum_i c_i b_i for a basis c of the kernel of the
-    trace form H1, the nilradical of R/I (Becker-Woermann;
-    Pedersen-Roy-Szpirglas): empty exactly when I is radical.
-    H1[i][j] = Tr(M_{b_i b_j}) = t . NF(b_i b_j) with
-    t_k = Tr(M_{b_k}) = sum_i NF(b_k b_i)[i], from the product table.  With
-    L the lcm of the table's denominators, L t and h1 = L^2 H1 are integer,
-    and h1 is first eliminated modulo PRIME (see the module docstring)."""
-    products = ring.products
-    den = math.lcm(*(d for row in products for _, d in row))
-    t = [sum(v[i] * (den // d) for i, (v, d) in enumerate(row)) for row in products]
-    h1 = [[0] * ring.D for _ in products]
-    for i, row in enumerate(products):
-        for j in range(i, ring.D):
-            v, d = row[j]
-            h1[i][j] = h1[j][i] = den // d * sum(x * y for x, y in zip(v, t) if x)
+    trace form H1 (`QuotientRing.trace_form`), the nilradical of R/I
+    (Becker-Woermann; Pedersen-Roy-Szpirglas): empty exactly when I is
+    radical.  Its integer form h1 is first eliminated modulo PRIME (see the
+    module docstring)."""
+    h1 = ring.trace_form[0]
     if _nonsingular_mod_p(h1):
         return []
     return [ring.from_vector(c) for c in exactla.nullspace(h1)]
+
+
+def real_root_count(coeffs):
+    """The number of distinct real roots of f = sum_i c_i x^i, {i: c_i} of
+    positive degree: by Sturm's theorem (Basu-Pollack-Roy, Thm. 2.50), the
+    sign changes of f, f', -rem(f, f'), ... at -infinity less those at
+    +infinity.  Each remainder is made in integers, times a power of |lc|,
+    and divided by its content: positive factors, which keep every sign."""
+    a = [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]  # constant first
+    b, seq = [i * c for i, c in enumerate(a)][1:], [a]
+    while b:
+        seq.append(b)
+        r = a
+        while len(r) >= len(b):  # r = |lc| r - sign(lc) top(r) x^k b drops its top term
+            k, q = len(r) - len(b), r[-1] if b[-1] > 0 else -r[-1]
+            r = [abs(b[-1]) * x - (q * b[i - k] if i >= k else 0) for i, x in enumerate(r)]
+            while r and not r[-1]:
+                r.pop()
+        g = math.gcd(*r)
+        a, b = b, [-x // g for x in r]
+    ends = [(p[-1] * (-1) ** (len(p) - 1), p[-1]) for p in seq]  # signs at -inf, +inf
+    return sum((x[0] * y[0] < 0) - (x[1] * y[1] < 0) for x, y in zip(ends, ends[1:]))
 
 
 def _nonsingular_mod_p(h1):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -284,24 +285,27 @@ class TestConstantSquareLift:
 # The sign rule's exit codes for f = x + 1 + m on V = {+-1} x {0, 1}, whose
 # least value m is at x = -1, without and with g = 1/2 - y, which excludes
 # the points with y = 1, in strict and nonneg mode.  2^-30 lies within the
-# decision tolerance (about 1.8e-6 here), 2^-10 beyond it.  In strict mode
-# sign 0 on S is exhaustion when points are excluded, and otherwise when
-# f <= 0; nonneg mode judges a = 1 / f, whose sign there is that of m.
+# decision tolerance (about 1.8e-6 here), 2^-10 beyond it.  Strict mode
+# with no g takes the trace route, which decides the sign exactly; with g,
+# sign 0 on S is exhaustion when points are excluded; nonneg mode judges
+# a = 1 / f, whose sign there is that of m.
 SIGN_TABLE = {
     # m: (strict, strict with g, nonneg, nonneg with g)
     Fraction(1, 2 ** 30): (0, 3, 0, 0),
-    Fraction(-1, 2 ** 30): (3, 3, 2, 2),
+    Fraction(-1, 2 ** 30): (2, 3, 2, 2),
     Fraction(-1, 2 ** 10): (2, 2, 2, 2),
     Fraction(1, 2 ** 10): (0, 0, 0, 0),
 }
 
 
 class TestSignRule:
-    """Both strict routes judge the sign of f at the points of S by one
-    rule, in `perturb`: f = 2 - x^2 + 10^-20 is 10^-20 > 0 at +-sqrt(2),
-    below what float64 can show, so either route gives up with exit 3."""
+    """Both float strict routes judge the sign of f at the points of S by
+    one rule, in `perturb`: f = 2 - x^2 + 10^-20 is 10^-20 > 0 at
+    +-sqrt(2), below what float64 can show, so either route gives up with
+    exit 3.  The radical ideal (x^2 - 2)(x^2 + 1) has a conjugate pair, so
+    the exact trace route does not take it."""
 
-    @pytest.mark.parametrize("h", ["x^2 - 2", "x^4 - 4*x^2 + 4"], ids=["radical", "hensel"])
+    @pytest.mark.parametrize("h", ["x^4 - x^2 - 2", "x^4 - 4*x^2 + 4"], ids=["radical", "hensel"])
     def test_margin_below_float64_is_exhaustion(self, tmp_path, capsys, h):
         prob = tmp_path / "tiny.prob"
         prob.write_text(f"variables x\nf: 2 - x^2 + 1/{10 ** 20}\nh: {h}\n")
@@ -578,8 +582,9 @@ class TestGramClosure:
 
 
 class TestOneGramStep:
-    """The radical, Hensel and SDP routes all take the one Gram step,
-    `gram.gram_squares`, and no route factors a matrix outside it."""
+    """The float radical, Hensel and SDP routes all take the one Gram step,
+    `gram.gram_squares`, and none factors a matrix outside it; the exact
+    trace route (`TestTraceRoute`) factors its matrix with no step."""
 
     @pytest.mark.parametrize("problem,options", [
         ("four_points.prob", []),
@@ -639,7 +644,7 @@ class TestRadicalOnce:
         return solves
 
     @pytest.mark.parametrize("mode, h", [
-        ("strict", ["x^2 - 1", "y^2 - y"]),
+        ("strict", ["x^2 + 1", "y^2 - y"]),  # complex points: the float route
         ("strict", ["x^3 - x^2", "y^2 - y"]),
         ("nonneg", ["x^3 - y^2", "x^2 - 2*x + y^2"]),
     ], ids=["radical", "hensel", "nonneg"])
@@ -738,3 +743,106 @@ class TestInternalFailuresSurface:
         ring = quotient.build_ring(cusp_circle.h)
         with pytest.raises(ClusterAmbiguity):
             quotient.coprimality_witness(ring, cusp_circle.f, radical_roots(ring))
+
+
+def _grid_instances(draw):
+    """An integer-root grid ideal prod_r (x_k - r) in 1 to 3 variables with
+    D <= 16 and no g, and a random f shifted so that its minimum over the
+    grid points is +-2^-k, k in 0..128; returns (instance, sign)."""
+    n = draw(st.integers(1, 3))
+    names = ["x", "y", "z"][:n]
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)
+                 .filter(lambda s: math.prod(s) <= 16))
+    roots = [draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k, unique=True))
+             for k in sizes]
+    h = [math.prod((Polynomial.variable(i, n) - r for r in rs), start=Polynomial.constant(1, n))
+         for i, rs in enumerate(roots)]
+    f = polynomial({e: draw(st.integers(-4, 4)) for e in draw(st.lists(
+        st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=5))}, n)
+    points = list(itertools.product(*roots))
+    sign = draw(st.sampled_from([1, -1]))
+    low = min(evaluate(f, pt) for pt in points)
+    f = f + Fraction(sign, 2 ** draw(st.integers(0, 128))) - low
+    return problem_io.ProblemInstance(names, f, [], h), sign
+
+
+class TestTraceRoute:
+    """A radical ring with every point real and no g takes the trace route:
+    G = M_f H1^-1, one exact solve, no root and no rounding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_grid_known_answers(self, data):
+        inst, sign = data.draw(st.composite(lambda draw: _grid_instances(draw))())
+        if sign > 0:
+            cert = certifier.certify(inst)
+            assert verify_bounds.verify_certificate(inst, cert).ok
+        else:
+            with pytest.raises(NotStrictlyPositiveOnS):
+                certifier.certify(inst)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"trace_form": 0, "solve_variety": 0, "round_matrix": 0}
+        trace_form = quotient.QuotientRing.trace_form
+
+        def counted(ring):
+            calls["trace_form"] += 1
+            return trace_form.func(ring)
+        cached = functools.cached_property(counted)
+        cached.__set_name__(quotient.QuotientRing, "trace_form")
+        monkeypatch.setattr(quotient.QuotientRing, "trace_form", cached)
+        for module, name in ((variety, "solve_variety"), (gram, "round_matrix")):
+            def spy(*args, name=name, f=getattr(module, name), **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("h, real", [
+        (["x^2 - 1", "y^2 - y"], True),
+        (["x^4 - 1", "y^3 - y"], False),  # conj12-like: x = +-i
+        (["x^2 - 2", "y^2 - x*y - 3"], True),  # no polynomial in y alone
+        (["x^2 + 2", "y^2 - x*y - 3"], False),
+        # x^3 + x has complex roots, but the Gröbner element x is what I holds
+        (["x^3 + x", "y^2 - 1", "x^2"], True),
+    ], ids=["precheck-real", "precheck-complex", "trace-form-real", "trace-form-complex",
+            "precheck-minimal-polynomial"])
+    def test_which_rings_take_the_route(self, monkeypatch, h, real):
+        calls = self._spy(monkeypatch)
+        inst = problem_io.ProblemInstance(["x", "y"], poly("x + y + 9"), [],
+                                          [poly(p) for p in h])
+        ring = quotient.build_ring(inst.h)
+        precheck = ring.univariates is not None
+        cert = certifier.certify(inst, ring)
+        assert verify_bounds.verify_certificate(inst, cert).ok
+        # complex points on a precheck ring cost a Sturm count, no trace form;
+        # the trace route solves no point and rounds nothing
+        assert calls["trace_form"] == (0 if precheck and not real else 1)
+        assert (calls["solve_variety"], calls["round_matrix"] > 0) == ((0, False) if real
+                                                                      else (1, True))
+
+    def test_a_g_keeps_the_float_route(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        inst = problem_io.ProblemInstance(["x", "y"], poly("x + y + 9"), [poly("1")],
+                                          [poly("x^2 - 1"), poly("y^2 - y")])
+        assert verify_bounds.verify_certificate(inst, certifier.certify(inst)).ok
+        assert calls["solve_variety"] == 1
+
+    def test_zero_at_a_point_is_exact(self):
+        # f = 0 at x = -1: no strict certificate, and no float has to say so
+        inst = problem_io.ProblemInstance(["x"], poly("x + 1", ["x"]), [],
+                                          [poly("x^2 - 1", ["x"])])
+        with pytest.raises(NotStrictlyPositiveOnS, match="f <= 0 at a real point of V = S"):
+            certifier.certify(inst)
+
+    def test_the_matrix_is_the_trace_gram_matrix(self):
+        # on x^2 = 1, the points +-1 give V = [[1, 1], [1, -1]] and
+        # G = V^-1 diag(f(1), f(-1)) V^-t = [[a + b, a - b], [a - b, a + b]] / 4
+        inst = problem_io.ProblemInstance(["x"], poly("x + 3", ["x"]), [],
+                                          [poly("x^2 - 1", ["x"])])
+        (squares,), rest = certifier._trace_squares(inst, quotient.build_ring(inst.h))
+        # with a = f(1) = 4 and b = f(-1) = 2, B^t G B = 3/2 + x + 3/2 x^2
+        total = sum((q * q * w for w, q in squares), Polynomial.zero(1))
+        assert total == poly("3/2 + x + 3/2*x^2", ["x"])
+        assert normal_form(quotient.build_ring(inst.h), rest).is_zero()

@@ -299,10 +299,12 @@ class TestRoundMatrix:
 class TestEscalation:
     def test_stops_when_rounding_repeats(self, tmp_path, monkeypatch, capsys):
         # f > 0 on V by 2^-51, below what the float64 Gram matrix can show:
-        # from 64 bits on, rounding reproduces the same matrix
+        # from 64 bits on, rounding reproduces the same matrix.  The g, true
+        # everywhere, keeps the float route: with no g the trace route would
+        # certify f exactly
         prob = tmp_path / "tiny.prob"
         prob.write_text(f"variables x y\nf: x + 1 + 1/{2 ** 51}\n"
-                        "h: x^2 - 1\nh: y^2 - y\n")
+                        "g: 1\nh: x^2 - 1\nh: y^2 - y\n")
         bits, factored = [], []
         round_matrix, ldlt = gram.round_matrix, gram.ldlt
         monkeypatch.setattr(gram, "round_matrix",

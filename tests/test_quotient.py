@@ -838,3 +838,45 @@ def test_mul_and_mult_matrix_read_the_product_table(name, p, q):
     for j, b in enumerate(ring.basis):
         column = [Fraction(row[j], d) for row in rows]
         assert column == fractions(ring.nf_vector(p * polynomial({b: 1}, 2)))
+
+
+# -- the Sturm count and the trace form ------------------------------------------
+
+
+@pytest.mark.parametrize("coeffs, count", [
+    ({0: -6, 1: 11, 2: -6, 3: 1}, 3),  # (x - 1)(x - 2)(x - 3): all real
+    ({0: -1, 1: 1, 2: -1, 3: 1}, 1),  # (x - 1)(x^2 + 1): a pair of complex roots
+    ({0: 1, 2: 1}, 0),  # x^2 + 1
+    ({0: 2 ** 100 - 1, 1: -2 ** 101, 2: 2 ** 100}, 2),  # roots 1 +- 2^-50, 2^-49 apart
+    ({0: 1, 2: -2 ** 101 - 1, 4: 2 ** 200}, 4),  # (2^100 x^2 - 1)^2 - x^2: roots near +-2^-50
+    ({1: -3, 2: 2}, 2),  # x (2x - 3), no constant term
+    ({0: -5, 1: 7}, 1),
+], ids=["three-real", "complex-pair", "no-real", "split-2^-50", "split-pairs", "zero-root",
+        "linear"])
+def test_real_root_count(coeffs, count):
+    assert quotient.real_root_count(coeffs) == count
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-6, 6), max_size=4, unique=True),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4)), max_size=2),
+       st.integers(1, 3))
+def test_real_root_count_of_products(roots, quadratics, scale):
+    # prod (x - r) prod ((x - a)^2 + b): the distinct r and no other real root
+    x = poly("x", ("x",))
+    p = Polynomial.constant(scale, 1)
+    for r in roots:
+        p = p * (x - r)
+    for a, b in quadratics:
+        p = p * ((x - a) * (x - a) + b)
+    assume(p.degree > 0)
+    assert quotient.real_root_count({e[0]: c for e, c in p.ints.items()}) == len(roots)
+
+
+@pytest.mark.parametrize("name", ["four_points.prob", "rational_mixed.prob", "cusp_circle.prob"])
+def test_trace_form_matches_fraction_reference(name):
+    ring = quotient.build_ring(load_problem(name).h)
+    products = [[fractions(v) for v in row] for row in ring.products]
+    t = [sum((row[i][i] for i in range(ring.D)), Fraction(0)) for row in products]
+    h1, den = ring.trace_form
+    assert [[Fraction(x, den) for x in row] for row in h1] == [mat_vec(row, t) for row in products]
