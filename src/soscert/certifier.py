@@ -110,11 +110,13 @@ def _strict_squares(inst, ring, var):
 
 
 def _all_real(ring):
-    """Every point of V(I), I radical, is real: in integers, by Sturm counts
-    of the precheck's elements, whose roots hold every coordinate, or else
-    by `ldlt` of the trace form, whose signature counts the real points."""
+    """Every point of V(I), I radical, is real, decided in integers.  On a
+    precheck ring the Sturm chains that proved its univariates squarefree
+    have counted their real roots, which hold every coordinate
+    (`QuotientRing.univariates`); on every other ring `ldlt` of the trace
+    form decides, whose signature counts the real points."""
     if ring.univariates is not None:
-        return all(quotient.real_root_count(c) == max(c) for c in ring.univariates)
+        return all(ring.univariates)
     try:
         gram.ldlt(gram.SymmetricMatrix(ring.trace_form[0]))
     except NotPD:

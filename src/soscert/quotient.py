@@ -10,14 +10,14 @@ which the Hensel route certifies before its lift.
 Two exact tests give J (`radical_generators`).  When I holds a squarefree
 polynomial in each variable alone, as every grid and cube ideal does, I
 is radical (Seidenberg's lemma), and neither the product table nor H1 is
-read.  On every other ring J is read off the trace form
-H1[i][j] = Tr(M_{b_i b_j}) of R/I, whose kernel is the nilradical.  H1 is
-built once (`QuotientRing.trace_form`), as an integer matrix over one
-positive denominator, and first eliminated modulo a 61-bit prime, where
-full rank proves I radical; only when that fails, as on every non-radical
-ring, does one exact nullspace of the same matrix give J.  Every float
-step (root solving, the witness's roots, the Gram matrix) sees only R/J,
-where each root is simple.
+read: one integer Sturm chain per such polynomial (`sturm`) proves it
+squarefree and counts its real roots, so it also decides whether every
+point is real.  On every other ring J is I plus the exact kernel of the
+trace form H1[i][j] = Tr(M_{b_i b_j}) of R/I, the nilradical; H1 is built
+once (`QuotientRing.trace_form`), as an integer matrix over one positive
+denominator, and its signature counts the real points.  Every float step
+(root solving, the witness's roots, the Gram matrix) sees only R/J, where
+each root is simple.
 
 A ring vector, the coefficients over the quotient basis B of a normal
 form, has one form: a pair (ints, den) of integers over one positive
@@ -454,17 +454,19 @@ class QuotientRing:
 
     @functools.cached_property
     def univariates(self):
-        """Seidenberg's precheck: per variable x_k, a reduced Gröbner element
-        (the minimal polynomial of x_k) or else a generator in x_k alone,
-        {i: c_i} for sum_i c_i x_k^i, that `_squarefree_mod_p` proves
-        squarefree; None when one has none."""
+        """Seidenberg's precheck: for each variable x_k, the first polynomial
+        in x_k alone that `sturm` proves squarefree, a reduced Gröbner
+        element (the minimal polynomial of x_k) before a generator; the list
+        holds, per variable, whether all its roots are real.  None when some
+        variable has no such polynomial."""
         found = {}
         for terms in [{lead: lc, **dict(tail)} for lead, lc, tail in self.ideal.reducers] + [
                 h.ints for h in self.ideal.generators]:
             used = {k for e in terms for k, x in enumerate(e) if x}
-            if len(used) == 1 and not used <= found.keys() and _squarefree_mod_p(
-                    coeffs := {sum(e): c for e, c in terms.items()}):
-                found[used.pop()] = coeffs
+            if len(used) == 1 and not used <= found.keys():
+                count, squarefree = sturm(coeffs := {sum(e): c for e, c in terms.items()})
+                if squarefree:
+                    found[used.pop()] = count == max(coeffs)
         return [found[k] for k in range(self.nvars)] if len(found) == self.nvars else None
 
     @functools.cached_property
@@ -644,58 +646,33 @@ def ideal_power_chain(radical, target):
 
 # -- radical computation (Seidenberg's lemma, else the trace form) --------
 
-# A Mersenne prime: H1 of full rank modulo it has det H1 != 0 over Q.
-PRIME = (1 << 61) - 1
-
 
 def radical_generators(ring):
     """Generators of the radical J: I itself when, for every variable x_k,
     a generator or a reduced Gröbner element is squarefree in x_k alone
     (`QuotientRing.univariates`), as on grid and cube ideals, by
     Seidenberg's lemma (Kreuzer-Robbiano, Prop. 3.7.15); on every other
-    ring, every non-radical one among them, I plus the kernel of the trace
-    form (`_trace_kernel`).  Callers use the cached `QuotientRing.radical`."""
+    ring, I plus the kernel of the trace form (`_trace_kernel`).  Callers
+    use the cached `QuotientRing.radical`."""
     return list(ring.ideal.generators) + (_trace_kernel(ring) if ring.univariates is None else [])
 
 
-def _squarefree_mod_p(coeffs):
-    """True when PRIME does not divide lc(f) and gcd(f, f') = 1 modulo
-    PRIME, for f = sum_i c_i x^i of positive degree given as {i: c_i}.
-    Then f is squarefree: f = g^2 h over Z with deg g >= 1 would stay so
-    modulo PRIME, deg g unchanged."""
-    p = PRIME
-    a = [coeffs.get(i, 0) % p for i in range(max(coeffs) + 1)]
-    b = [i * c % p for i, c in enumerate(a)][1:]  # Euclid on f and f', constant first
-    while a[-1] and any(b):
-        while not b[-1]:
-            b.pop()
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):  # a -= q x^(len(a) - len(b)) b, its top term dropped
-            q = a.pop() * inv % p
-            for i in range(1, len(b)):
-                a[-i] = (a[-i] - q * b[-1 - i]) % p
-        a, b = b, a
-    return len(a) == 1 and a[0] != 0
-
-
 def _trace_kernel(ring):
-    """The polynomials sum_i c_i b_i for a basis c of the kernel of the
-    trace form H1 (`QuotientRing.trace_form`), the nilradical of R/I
+    """The polynomials sum_i c_i b_i for a basis c of the exact kernel of
+    the trace form H1 (`QuotientRing.trace_form`), the nilradical of R/I
     (Becker-Woermann; Pedersen-Roy-Szpirglas): empty exactly when I is
-    radical.  Its integer form h1 is first eliminated modulo PRIME (see the
-    module docstring)."""
-    h1 = ring.trace_form[0]
-    if _nonsingular_mod_p(h1):
-        return []
-    return [ring.from_vector(c) for c in exactla.nullspace(h1)]
+    radical."""
+    return [ring.from_vector(c) for c in exactla.nullspace(ring.trace_form[0])]
 
 
-def real_root_count(coeffs):
-    """The number of distinct real roots of f = sum_i c_i x^i, {i: c_i} of
-    positive degree: by Sturm's theorem (Basu-Pollack-Roy, Thm. 2.50), the
-    sign changes of f, f', -rem(f, f'), ... at -infinity less those at
-    +infinity.  Each remainder is made in integers, times a power of |lc|,
-    and divided by its content: positive factors, which keep every sign."""
+def sturm(coeffs):
+    """(the number of distinct real roots, whether f is squarefree) for
+    f = sum_i c_i x^i, {i: c_i} of positive degree.  The count is Sturm's
+    theorem (Basu-Pollack-Roy, Thm. 2.50): the sign changes of f, f',
+    -rem(f, f'), ... at -infinity less those at +infinity.  The chain ends
+    at gcd(f, f') up to a factor, a constant exactly when f is squarefree.
+    Each remainder is made in integers, times a power of |lc|, and divided
+    by its content: positive factors, which keep every sign."""
     a = [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]  # constant first
     b, seq = [i * c for i, c in enumerate(a)][1:], [a]
     while b:
@@ -709,23 +686,5 @@ def real_root_count(coeffs):
         g = math.gcd(*r)
         a, b = b, [-x // g for x in r]
     ends = [(p[-1] * (-1) ** (len(p) - 1), p[-1]) for p in seq]  # signs at -inf, +inf
-    return sum((x[0] * y[0] < 0) - (x[1] * y[1] < 0) for x, y in zip(ends, ends[1:]))
-
-
-def _nonsingular_mod_p(h1):
-    """True when the integer matrix h1 has full rank modulo PRIME, so that
-    det h1 != 0 over Q.  A rank that falls short there proves nothing."""
-    p = PRIME
-    h1 = [[x % p for x in row] for row in h1]
-    for c in range(len(h1)):
-        r = next((r for r in range(c, len(h1)) if h1[r][c]), None)
-        if r is None:
-            return False
-        h1[c], h1[r] = h1[r], h1[c]
-        pivot = h1[c]
-        inv = pow(pivot[c], -1, p)
-        for row in h1[c + 1:]:
-            if row[c]:
-                f = row[c] * inv % p
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], pivot[c:])]
-    return True
+    return (sum((x[0] * y[0] < 0) - (x[1] * y[1] < 0) for x, y in zip(ends, ends[1:])),
+            len(seq[-1]) == 1)

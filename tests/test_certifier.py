@@ -822,6 +822,16 @@ class TestTraceRoute:
         assert (calls["solve_variety"], calls["round_matrix"] > 0) == ((0, False) if real
                                                                       else (1, True))
 
+    def test_a_huge_leading_coefficient_takes_the_precheck(self):
+        # 2^61 - 1 divides the leading coefficient, and the Sturm chain over Q
+        # still proves x alone squarefree with two real roots
+        inst = problem_io.ProblemInstance(["x"], poly("1", ["x"]), [],
+                                          [poly("2305843009213693951*x^2 - 1", ["x"])])
+        ring = quotient.build_ring(inst.h)
+        assert ring.univariates is not None
+        assert ring.is_radical and "products" not in vars(ring)
+        assert verify_bounds.verify_certificate(inst, certifier.certify(inst, ring)).ok
+
     def test_a_g_keeps_the_float_route(self, monkeypatch):
         calls = self._spy(monkeypatch)
         inst = problem_io.ProblemInstance(["x", "y"], poly("x + y + 9"), [poly("1")],

@@ -645,12 +645,12 @@ def test_radical_of_the_cusp_circle_ring():
     assert ring.D == 6
 
 
-# -- the radical test modulo a prime, and the integer normal-form table --------
+# -- the exact radical, and the integer normal-form table ----------------------
 
 
 def _exact_radical(ring):
-    """The rational kernel of H1 by Fraction elimination, with no test
-    modulo a prime, each vector scaled to primitive integers."""
+    """The rational kernel of H1 by Fraction elimination, each vector
+    scaled to primitive integers."""
     products = [[fractions(v) for v in row] for row in ring.products]
     t = [sum((row[i][i] for i in range(ring.D)), Fraction(0)) for row in products]
     h1 = [mat_vec(row, t) for row in products]
@@ -663,7 +663,6 @@ def _ring(gens, names=("x", "y")):
 
 
 @pytest.mark.parametrize("gens, names", [
-    (["x^2 - 1", "y^2 - x - 2"], ("x", "y")),  # four points
     (["x^2 - 1", "y^2 - 1", "z^2 - 1"], ("x", "y", "z")),  # the 3-cube
     (RINGS["conjugate"], ("x", "y")),  # two conjugate pairs
 ])
@@ -678,36 +677,16 @@ def test_radical_rings_need_no_rational_elimination(gens, names, monkeypatch):
     assert ring.radical == ring.ideal.generators
 
 
-@pytest.mark.parametrize("prime, gens", [
-    (2, ["x^2 - 1"]),  # B = {1, x}, H1 = 2I: rank 0 modulo 2
-    (3, ["3*x^2 - 1"]),  # NF(x^2) = 1/3, so L = 3 and h1 = 9 H1 = [[18, 0], [0, 6]]
-])
-def test_small_prime_falls_back_to_the_exact_kernel(prime, gens, monkeypatch):
-    ring = _ring(gens, ("x",))
-    expected = _exact_radical(ring)
-    assert expected == ring.ideal.generators
-    calls = []
-    nullspace = exactla.nullspace
-    monkeypatch.setattr(exactla, "nullspace", lambda a: calls.append(a) or nullspace(a))
-    monkeypatch.setattr(quotient, "PRIME", prime)
-    assert quotient.radical_generators(ring) == expected
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("gens, names", [
     (["x^3 - x^2"], ("x",)),
     (["x^3 - y^2", "x^2 - 2*x + y^2"], ("x", "y")),  # the cusp-circle ring
 ])
 def test_non_radical_rings_keep_their_radical(gens, names, monkeypatch):
     ring = _ring(gens, names)
-    seen = []
-    for module, name in ((quotient, "_nonsingular_mod_p"), (exactla, "nullspace")):
-        monkeypatch.setattr(module, name,
-                            lambda h1, f=getattr(module, name): seen.append(h1) or f(h1))
+    seen = _spy(monkeypatch, "nullspace", exactla)
     assert quotient.radical_generators(ring) == _exact_radical(ring)
-    # one integer, symmetric H1 serves the modular test and the exact kernel
-    h1 = seen[0]
-    assert len(seen) == 2 and seen[1] is h1
+    # one exact kernel, of the integer, symmetric H1
+    ((h1,),) = seen
     assert all(isinstance(x, int) and x == h1[j][i]
                for i, row in enumerate(h1) for j, x in enumerate(row))
     assert len(ring.radical) > len(ring.ideal.generators)
@@ -716,10 +695,10 @@ def test_non_radical_rings_keep_their_radical(gens, names, monkeypatch):
 # -- Seidenberg's lemma before the trace form ----------------------------------
 
 
-def _spy(monkeypatch, name):
+def _spy(monkeypatch, name, module=quotient):
     calls = []
-    f = getattr(quotient, name)
-    monkeypatch.setattr(quotient, name, lambda *args: calls.append(args) or f(*args))
+    f = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or f(*args))
     return calls
 
 
@@ -730,19 +709,19 @@ def _spy(monkeypatch, name):
 ])
 def test_which_rings_take_the_trace_form(name, trace_form, monkeypatch):
     ring = quotient.build_ring(load_problem(name).h)
-    calls = _spy(monkeypatch, "_nonsingular_mod_p")
+    calls = _spy(monkeypatch, "nullspace", exactla)
     assert ring.is_radical
+    # off the precheck, the exact kernel of H1 decides
     assert len(calls) == trace_form
     # the product table is built by its first reader, here the trace form
     assert ("products" in vars(ring)) == trace_form
 
 
-def test_a_leading_coefficient_divisible_by_the_prime_falls_through(monkeypatch):
-    # (PRIME x + 1)^2 (x - 2) has a double root, but is x - 2 modulo PRIME,
-    # squarefree there: only a leading coefficient PRIME does not divide
-    # carries the test over to Q
+def test_a_double_root_under_a_huge_leading_coefficient_is_not_radical(monkeypatch):
+    # (P x + 1)^2 (x - 2), P = 2^61 - 1, has the double root -1/P: the Sturm
+    # chain ends at gcd(f, f') = P x + 1, so the trace form decides
     x = parse_polynomial("x", ["x"])
-    ring = quotient.build_ring([(x * quotient.PRIME + 1) ** 2 * (x - 2)])
+    ring = quotient.build_ring([(x * (2**61 - 1) + 1) ** 2 * (x - 2)])
     calls = _spy(monkeypatch, "_trace_kernel")
     assert not ring.is_radical and len(calls) == 1
     assert ring.radical_ring.D == 2
@@ -840,7 +819,7 @@ def test_mul_and_mult_matrix_read_the_product_table(name, p, q):
         assert column == fractions(ring.nf_vector(p * polynomial({b: 1}, 2)))
 
 
-# -- the Sturm count and the trace form ------------------------------------------
+# -- the Sturm chain and the trace form ------------------------------------------
 
 
 @pytest.mark.parametrize("coeffs, count", [
@@ -854,7 +833,7 @@ def test_mul_and_mult_matrix_read_the_product_table(name, p, q):
 ], ids=["three-real", "complex-pair", "no-real", "split-2^-50", "split-pairs", "zero-root",
         "linear"])
 def test_real_root_count(coeffs, count):
-    assert quotient.real_root_count(coeffs) == count
+    assert quotient.sturm(coeffs)[0] == count
 
 
 @settings(max_examples=40, deadline=None)
@@ -870,7 +849,23 @@ def test_real_root_count_of_products(roots, quadratics, scale):
     for a, b in quadratics:
         p = p * ((x - a) * (x - a) + b)
     assume(p.degree > 0)
-    assert quotient.real_root_count({e[0]: c for e, c in p.ints.items()}) == len(roots)
+    assert quotient.sturm({e[0]: c for e, c in p.ints.items()})[0] == len(roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-6, 6), max_size=4, unique=True),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4)), max_size=2, unique=True),
+       st.integers(1, 3), st.data())
+def test_sturm_is_squarefree_unless_a_root_repeats(roots, quadratics, scale, data):
+    # distinct x - r and irreducible (x - a)^2 + b, one of them maybe squared
+    x = poly("x", ("x",))
+    factors = [x - r for r in roots] + [(x - a) * (x - a) + b for a, b in quadratics]
+    assume(factors)
+    square = data.draw(st.sampled_from([None, *range(len(factors))]))
+    p = Polynomial.constant(scale, 1)
+    for f in factors + ([factors[square]] if square is not None else []):
+        p = p * f
+    assert quotient.sturm({e[0]: c for e, c in p.ints.items()}) == (len(roots), square is None)
 
 
 @pytest.mark.parametrize("name", ["four_points.prob", "rational_mixed.prob", "cusp_circle.prob"])
