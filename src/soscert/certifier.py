@@ -1,16 +1,19 @@
 """Orchestration of the certification pipelines.
 
-Five routes produce a Certificate: strict positivity on a radical ideal
-with only real points and no g, from the exact trace-form Gram matrix
-(`_trace_squares`); on the real variety of any other radical ideal; on S
-via inequality perturbation; nonnegativity through the (a, b, gamma)
-witness; and non-radical ideals.
-A non-radical ideal I gets the radical route's own Gram certificate of
-f~ - eps over its radical J, plus eps t^2 with t the square root, 1 mod J,
-of theta = 1 mod J, a finite binomial series in R/I; no ring but R/I and
-R/J is built.  Every product in R/I reads the ring's product table.
+Six routes produce a Certificate: strict positivity, with no g and only
+real points on the radical J, from the exact trace-form Gram matrices of
+R/J, on a radical ideal (`_trace_squares`) and on a non-radical one
+(`_trace_hensel_squares`); on the real variety of any other radical
+ideal; on S via inequality perturbation; nonnegativity through the
+(a, b, gamma) witness; and other non-radical ideals.
+A non-radical ideal I gets a Gram certificate of f~ - eps over its
+radical J, exact or the radical route's own, plus eps t^2 with t the
+square root, 1 mod J, of theta = 1 mod J, a finite binomial series in
+R/I; no ring but R/I and R/J is built.  Every product in R/I reads the
+nonzero entries of the ring's product table.
 The float strict routes solve roots on a radical ring and judge the sign
-of f at the points of S by one rule, in `perturb`, on `VarietyData.signs`.
+of f at the points of S by one rule, in `perturb`, on `VarietyData.signs`;
+the exact ones judge it by the LDL^t of G(f).
 Each Gram route factors a Gram matrix Q0 of f~ into LDL^t squares and the
 rest f~ - B^t Q0 B (`gram.factor_gram`), the float ones (radical, Hensel,
 SDP) in the one rounded Gram step (`gram.gram_squares`), and hands its
@@ -124,15 +127,26 @@ def _all_real(ring):
     return True
 
 
+def _trace_grams(ring, *vectors):
+    """The trace-form Gram matrix G(p) = M_p H1^-1 = H1^-1 M_p^t of a radical
+    ring for each ring vector p, from one fraction-free solve of
+    [h1 | A_p^t ...], A_p / d_p = M_p: G(p) = V^-1 diag(p(xi)) V^-t, V the
+    Vandermonde matrix of B, is in the Gram set of p (B^t G B = p at every
+    xi), and, all points xi real, positive definite exactly when every
+    p(xi) > 0."""
+    h1, den = ring.trace_form
+    mats = [ring.mult_matrix(v) for v in vectors]
+    cols = [exactla.transpose(a) for a, _ in mats]
+    red, _, p = exactla.rref([row + [x for col in cols for x in col[i]]
+                              for i, row in enumerate(h1)], ring.D)
+    return [gram.SymmetricMatrix([[den * x for x in row[k * ring.D:(k + 1) * ring.D]]
+                                  for row in red], p * d) for k, (_, d) in enumerate(mats, 1)]
+
+
 def _trace_squares(inst, ring):
     """The blocks and rest of the trace route, all points xi real and in S:
-    G = M_f H1^-1 = V^-1 diag(f(xi)) V^-t, V the Vandermonde matrix of B,
-    is in the Gram set (B^t G B = f at every xi) and is positive definite
-    exactly when every f(xi) > 0.  G = H1^-1 M_f^t solves [h1 | A^t], A / d = M_f."""
-    h1, den = ring.trace_form
-    a, d = ring.mult_matrix(ring.nf_vector(inst.f))
-    red, _, p = exactla.rref([row + col for row, col in zip(h1, exactla.transpose(a))], ring.D)
-    g = gram.SymmetricMatrix([[den * x for x in row[ring.D:]] for row in red], p * d)
+    the squares of G(f) (`_trace_grams`)."""
+    g, = _trace_grams(ring, ring.nf_vector(inst.f))
     try:
         squares, rest = gram.factor_gram(ring, inst.f, g)
     except NotPD as exc:
@@ -217,12 +231,59 @@ def _hensel_squares(inst, ring, var_j):
     # roots; perturb has made low > 0
     low = min(var_j.values(f_tilde), default=2.0)
     eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
-    squares, rest = gram.round_and_certify(ring_j, var_j, f_tilde - eps)
-    # eps theta = f~ - B_J^t Q0 B_J = rest + eps
+    block, rest = _lift(ring, *gram.round_and_certify(ring_j, var_j, f_tilde - eps), eps)
+    return [block] + g_blocks, rest
+
+
+def _trace_hensel_squares(inst, ring):
+    """The blocks and rest of the Hensel route when every point of R/J is
+    real and there is no g, from the trace-form Gram matrices of R/J
+    (`_trace_grams`), with no root: f > 0 at every point exactly when G(f)
+    is positive definite, and eps is the largest power of two <= 1 with
+    G(f - eps) = G(f) - eps G(1) positive definite, that is, eps < min f.
+    The exponent k of eps = 2^-k doubles until G(f - eps) is positive
+    definite, then a bisection finds the least such k."""
+    ring_j = ring.radical_ring
+    g_f, g_1 = _trace_grams(ring_j, ring_j.nf_vector(inst.f), ring_j.unit)
+    try:
+        gram.ldlt(g_f)
+    except NotPD as exc:
+        raise NotStrictlyPositiveOnS("f <= 0 at a real point of V = S") from exc
+
+    def attempt(k):
+        # G(f - 2^-k) = G(f) - 2^-k G(1), integers over nu_f nu_1 2^k: its
+        # squares and rest, or None when it is not positive definite
+        shifted = gram.SymmetricMatrix(
+            [[(x << k) * g_1.nu - y * g_f.nu for x, y in zip(row_f, row_1)]
+             for row_f, row_1 in zip(g_f.mat, g_1.mat)], g_f.nu * g_1.nu << k)
+        try:
+            return gram.factor_gram(ring_j, inst.f - Fraction(1, 1 << k), shifted)
+        except NotPD:
+            return None
+
+    low, high = -1, 0  # the least k with G(f - 2^-k) positive definite is in (low, high]
+    while (found := attempt(high)) is None:
+        low, high = high, max(1, 2 * high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if (result := attempt(mid)) is None:
+            low = mid
+        else:
+            high, found = mid, result
+    block, rest = _lift(ring, *found, Fraction(1, 1 << high))
+    return [block], rest
+
+
+def _lift(ring, squares, rest, eps):
+    """Block 0 and the rest of the Hensel route from the squares of a Gram
+    certificate of f~ - eps over R/J and its rest f~ - eps - B_J^t Q0 B_J:
+    eps theta = f~ - B_J^t Q0 B_J = rest + eps is 1 mod J times eps, and
+    its Hensel-lifted square root t gives the last square eps t^2 and the
+    rest eps theta - eps t^2, which lies in I."""
     eps_theta = rest + eps
     c, den = hensel_sqrt(ring, eps_theta / eps)
     t = ring.from_vector(c, den)
-    return [squares + [ring.square(eps, c, den)]] + g_blocks, eps_theta - t * t * eps
+    return squares + [ring.square(eps, c, den)], eps_theta - t * t * eps
 
 
 def certify(inst, ring=None):
@@ -230,9 +291,10 @@ def certify(inst, ring=None):
     The SDP engine returns a strict-mode certificate in either mode (it
     proves nonnegativity too), with no witnesses.  An empty variety (1 in I)
     needs no squares at all: f lies in I, and its cofactors alone are the
-    certificate, in every mode and engine.  The routes but the trace route
-    solve the points of R/J (J = I when I is radical) once, when they
-    first read them."""
+    certificate, in every mode and engine.  In strict mode with no g, an
+    R/J (J = I when I is radical) whose points are all real takes an exact
+    trace route, the plain one or the Hensel lift, with no root.  Every
+    other route solves the points of R/J once, when it first reads them."""
     if ring is None:
         ring = quotient.build_ring(inst.h)
     if ring.D == 0:
@@ -243,8 +305,9 @@ def certify(inst, ring=None):
     roots = functools.cache(lambda: variety.solve_variety(ring.radical_ring, seed=seed))
     if inst.options.get("mode") == "nonneg":
         return certify_nonneg(inst, ring, roots)
+    if not inst.g and _all_real(ring.radical_ring):
+        squares = _trace_squares if ring.is_radical else _trace_hensel_squares
+        return _assemble(ring, *squares(inst, ring))
     if not ring.is_radical:
         return certify_strict_nonradical(inst, ring, roots())
-    if not inst.g and _all_real(ring):
-        return _assemble(ring, *_trace_squares(inst, ring))
     return _assemble(ring, *_strict_squares(inst, ring, roots()))

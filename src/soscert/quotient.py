@@ -23,9 +23,9 @@ A ring vector, the coefficients over the quotient basis B of a normal
 form, has one form: a pair (ints, den) of integers over one positive
 denominator, in lowest terms.  Normal forms, the product table, the
 multiplication matrices and the solutions of `exactla` all use it.  Every
-product of two elements of R/I is read off the product table
-(`QuotientRing.mul`), and so is the matrix of multiplication by one
-(`QuotientRing.mult_matrix`).  Normal forms come
+product of two elements of R/I is read off the nonzero entries of the
+product table (`QuotientRing.mul`), and so is the matrix of multiplication
+by one (`QuotientRing.mult_matrix`).  Normal forms come
 from one linear map over B (see `QuotientRing`), and the normal form of
 each monomial from the tails of the reduced Gröbner basis only; the
 multiplication matrices by the variables are read off those normal forms
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -395,18 +396,31 @@ class QuotientRing:
         return w * Fraction(g * g, den * den), self.from_vector(v, g)
 
     def mul(self, u, v):
-        """The product of the ring vectors u and v, sum_ij u_i v_j NF(b_i b_j)
-        from the product table."""
+        """The product of the ring vectors u and v, sum_ij u_i v_j NF(b_i b_j),
+        in one pass over the nonzero entries of the product table."""
         (us, ud), (vs, vd) = u, v
-        table = self.products
-        ints, den = combine([(x * y, *table[i][j]) for i, x in enumerate(us) if x
-                             for j, y in enumerate(vs) if y], self.D)
-        return exactla.lowest(ints, den * ud * vd)
+        den, terms = self.product_terms
+        acc = [0] * self.D
+        for i, j, r, x in terms:
+            s = us[i] * vs[j] + us[j] * vs[i] if i != j else us[i] * vs[i]
+            if s:
+                acc[r] += s * x
+        return exactla.lowest(acc, den * ud * vd)
 
     def mult_matrix(self, v):
         """Multiplication by the ring vector v, as (integer rows of A, d)
-        with M_v = A / d: column j is v b_j = sum_i v_i NF(b_i b_j)."""
-        return _matrix(self.mul(v, self._nf_vectors[b]) for b in self.basis)
+        with M_v = A / d in lowest terms: column j is v b_j =
+        sum_i v_i NF(b_i b_j), in one pass over the product table's nonzero
+        entries.  d is the lcm of the columns' own denominators."""
+        vs, vd = v
+        den, terms = self.product_terms
+        a = [[0] * self.D for _ in range(self.D)]
+        for i, j, r, x in terms:
+            a[r][j] += vs[i] * x
+            if i != j:
+                a[r][i] += vs[j] * x
+        g = math.gcd(den * vd, *itertools.chain.from_iterable(a))
+        return [[x // g for x in row] for row in a], den * vd // g
 
     def degree_of_basis(self):
         return max(map(sum, self.basis), default=0)
@@ -432,8 +446,9 @@ class QuotientRing:
 
     @functools.cached_property
     def product_terms(self):
-        """The product table's nonzero entries, which the Gram set and the
-        trace form read: (L, [(i, j, r, x), ...]) over i <= j, row by row,
+        """The product table's nonzero entries, which `mul`, `mult_matrix`,
+        the Gram set and the trace form read: (L, [(i, j, r, x), ...]) over
+        i <= j, row by row,
         with NF(b_i b_j) = sum x b_r / L over its entries."""
         den = math.lcm(*(d for row in self.products for _, d in row))
         return den, [(i, j, r, x * (den // d)) for i, row in enumerate(self.products)

@@ -208,10 +208,11 @@ def _lifted_square_eps(text, cert):
 
 
 class TestConstantSquareLift:
-    """The Hensel route certifies f~ - eps over the radical J with the
-    radical route's Gram construction and lifts the square root t of
-    theta = 1 mod J; its last square eps t^2 is written w q^2 with q a
-    nonzero constant k modulo J and w k^2 = eps."""
+    """The Hensel route certifies f~ - eps over the radical J, with the
+    float radical route's Gram construction when R/J has a complex point
+    or there is a g (`TestTraceHensel` covers the rest), and lifts the
+    square root t of theta = 1 mod J; its last square eps t^2 is written
+    w q^2 with q a nonzero constant k modulo J and w k^2 = eps."""
 
     @pytest.mark.parametrize("text", [
         # V(J) = {i, -i}: no real point, so eps = 1
@@ -229,14 +230,16 @@ class TestConstantSquareLift:
            st.integers(2, 3), st.integers(1, 3), st.integers(-2, 2), st.integers(-2, 2),
            st.integers(1, 4))
     def test_random_products(self, roots, k, m, u, v, margin):
-        # (x - a)^k (x - b), (y - c)^m (y - d) with f = u x + v y + w, whose
-        # minimum over the four points is the margin
+        # (x - a)^k (x - b), (y - c)^m (y - d)(y^2 + 1) with f = u x + v y + w,
+        # whose minimum over the four real points is the margin; the points
+        # with y = +-i keep it on the float route
         a, b, c, d = roots
         xy = ["x", "y"]
         x, y = poly("x"), poly("y")
         w = margin - min(u * px + v * py for px in (a, b) for py in (c, d))
         inst = problem_io.ProblemInstance(
-            xy, x * u + y * v + w, [], [(x - a) ** k * (x - b), (y - c) ** m * (y - d)])
+            xy, x * u + y * v + w, [],
+            [(x - a) ** k * (x - b), (y - c) ** m * (y - d) * (y * y + 1)])
         text = format_problem(inst)
         with tempfile.TemporaryDirectory() as tmp:
             code, verified, cert = _certify_and_verify(tmp, text)
@@ -273,11 +276,12 @@ class TestConstantSquareLift:
         assert max(report.max_numerator_bits, report.max_denominator_bits) <= bits
 
     def test_zero_at_a_multiple_point_is_exhaustion(self, tmp_path, capsys):
-        # f = x vanishes at the double root 0 of x^3 - x^2.  A float value
-        # cannot tell 0 from a margin below float64, so this is exhaustion
-        # (3), naming the value of f there, not that of f - eps
+        # f = x vanishes at the double root 0 of (x^3 - x^2)(x^2 + 1), whose
+        # pair +-i keeps it off the exact trace route.  A float value cannot
+        # tell 0 from a margin below float64, so this is exhaustion (3),
+        # naming the value of f there, not that of f - eps
         prob = tmp_path / "zero.prob"
-        prob.write_text("variables x\nf: x\nh: x^3 - x^2\n")
+        prob.write_text("variables x\nf: x\nh: x^5 - x^4 + x^3 - x^2\n")
         assert cli.main(["certify", "--input", str(prob)]) == 3
         assert "f = 0.000e+00 at a point of S" in capsys.readouterr().err
 
@@ -302,10 +306,10 @@ class TestSignRule:
     """Both float strict routes judge the sign of f at the points of S by
     one rule, in `perturb`: f = 2 - x^2 + 10^-20 is 10^-20 > 0 at
     +-sqrt(2), below what float64 can show, so either route gives up with
-    exit 3.  The radical ideal (x^2 - 2)(x^2 + 1) has a conjugate pair, so
-    the exact trace route does not take it."""
+    exit 3.  The ideals (x^2 - 2)(x^2 + 1) and (x^2 - 2)^2 (x^2 + 1) have a
+    conjugate pair, so neither exact trace route takes them."""
 
-    @pytest.mark.parametrize("h", ["x^4 - x^2 - 2", "x^4 - 4*x^2 + 4"], ids=["radical", "hensel"])
+    @pytest.mark.parametrize("h", ["x^4 - x^2 - 2", "x^6 - 3*x^4 + 4"], ids=["radical", "hensel"])
     def test_margin_below_float64_is_exhaustion(self, tmp_path, capsys, h):
         prob = tmp_path / "tiny.prob"
         prob.write_text(f"variables x\nf: 2 - x^2 + 1/{10 ** 20}\nh: {h}\n")
@@ -549,8 +553,9 @@ class TestGramClosure:
     @pytest.mark.parametrize("problem,options", [
         ("four_points.prob", []),
         ("double_origin_shifted.prob", []),
+        ("cusp_circle_shifted.prob", []),  # a conjugate pair in R/J: the float lift
         ("four_points.prob", ["--engine", "sdp"]),
-    ], ids=["radical", "hensel", "sdp"])
+    ], ids=["radical", "hensel", "hensel_float", "sdp"])
     def test_a_wrong_square_fails_verification(self, problem, options, monkeypatch,
                                                tmp_path, capsys):
         ldlt = gram.ldlt
@@ -584,19 +589,26 @@ class TestGramClosure:
 class TestOneGramStep:
     """The float radical, Hensel and SDP routes all take the one Gram step,
     `gram.gram_squares`, and none factors a matrix outside it; the exact
-    trace route (`TestTraceRoute`) factors its matrix with no step."""
+    trace routes (`TestTraceRoute`, `TestTraceHensel`) factor their
+    matrices with no step."""
 
     @pytest.mark.parametrize("problem,options", [
         ("four_points.prob", []),
-        ("double_origin_shifted.prob", []),
+        # R/J has points (0, +-i), (1, +-i), which its Sturm chains count,
+        # with no factored trace form: the float lift
+        ("variables x y\nf: x + y + 3\nh: x^3 - x^2\nh: y^2 + 1\n", []),
         ("four_points.prob", ["--engine", "sdp"]),
     ], ids=["radical", "hensel", "sdp"])
     def test_every_gram_route_takes_the_step(self, problem, options, monkeypatch, tmp_path):
+        prob = data_path(problem)
+        if problem.startswith("variables"):
+            prob = tmp_path / "p.prob"
+            prob.write_text(problem)
         steps, factored = [], []
         step, ldlt = gram.gram_squares, gram.ldlt
         monkeypatch.setattr(gram, "gram_squares", lambda *a: steps.append(a) or step(*a))
         monkeypatch.setattr(gram, "ldlt", lambda q: factored.append(q) or ldlt(q))
-        assert cli.main(["certify", "--input", data_path(problem), *options,
+        assert cli.main(["certify", "--input", str(prob), *options,
                          "--out", str(tmp_path / "c.cert")]) == 0
         assert steps and len(factored) == len(steps)
 
@@ -645,7 +657,7 @@ class TestRadicalOnce:
 
     @pytest.mark.parametrize("mode, h", [
         ("strict", ["x^2 + 1", "y^2 - y"]),  # complex points: the float route
-        ("strict", ["x^3 - x^2", "y^2 - y"]),
+        ("strict", ["x^3 - x^2", "y^2 + 1"]),  # complex points: the float lift
         ("nonneg", ["x^3 - y^2", "x^2 - 2*x + y^2"]),
     ], ids=["radical", "hensel", "nonneg"])
     def test_radical_generators_once_per_ring(self, monkeypatch, mode, h):
@@ -856,3 +868,105 @@ class TestTraceRoute:
         total = sum((q * q * w for w, q in squares), Polynomial.zero(1))
         assert total == poly("3/2 + x + 3/2*x^2", ["x"])
         assert normal_form(quotient.build_ring(inst.h), rest).is_zero()
+
+
+def _multiplicity_instances(draw):
+    """prod_k (x - a_k)^(m_k), prod_k (y - b_k)^(n_k) with 1 to 3 distinct
+    rational roots per variable and a multiplicity above 1 somewhere, and a
+    linear f shifted so that its exact minimum over the grid of roots is m,
+    m = 0 or +-2^-j, j in 0..72; returns (instance, m)."""
+    x, y = poly("x"), poly("y")
+    rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    factors, roots = [], []
+    for v in (x, y):
+        rs = draw(st.lists(rationals, min_size=1, max_size=3, unique=True))
+        ms = draw(st.lists(st.integers(1, 3), min_size=len(rs), max_size=len(rs)))
+        factors.append(math.prod(((v - r) ** k for r, k in zip(rs, ms)),
+                                 start=Polynomial.constant(1, 2)))
+        roots.append((rs, ms))
+    if all(k == 1 for _, ms in roots for k in ms):
+        factors[0] = factors[0] * (x - roots[0][0][0])
+    u, v = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    m = draw(st.sampled_from([0, 1, -1])) * Fraction(1, 2 ** draw(st.integers(0, 72)))
+    low = min(u * a + v * b for a in roots[0][0] for b in roots[1][0])
+    return problem_io.ProblemInstance(["x", "y"], x * u + y * v + (m - low), [], factors), m
+
+
+class TestTraceHensel:
+    """A non-radical ring whose radical J has only real points, with no g,
+    takes the trace route on R/J: G(f) = M_f H1^-1 and G(1) = H1^-1 of R/J
+    from one solve, no root, no rounding, and eps the largest power of two
+    <= 1 with G(f) - eps G(1) positive definite, below min f."""
+
+    TINY = f"variables x\nf: 2 - x^2 + 1/{10 ** 20}\nh: x^4 - 4*x^2 + 4\n"
+
+    def test_margin_below_float64(self, tmp_path):
+        # 10^-20 > 0 at +-sqrt(2), the double roots of (x^2 - 2)^2
+        code, verified, cert = _certify_and_verify(str(tmp_path), self.TINY)
+        assert (code, verified) == (0, 0)
+        inst = problem_io.parse_problem(self.TINY)
+        report = verify_bounds.verify_certificate(inst, cert)
+        assert (report.max_numerator_bits, report.max_denominator_bits) == (231, 166)
+
+    def test_zero_at_a_multiple_point_is_exact(self, tmp_path, capsys):
+        # f = x vanishes at the double root 0 of x^3 - x^2
+        prob = tmp_path / "zero.prob"
+        prob.write_text("variables x\nf: x\nh: x^3 - x^2\n")
+        assert cli.main(["certify", "--input", str(prob)]) == 2
+        assert "f <= 0 at a real point of V = S" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h, mode, solves", [
+        (["x^3 - x^2", "y^2 - y"], "strict", 0),
+        (["x^3 - y^2", "y^2 + x^2 - 2*x"], "strict", 1),  # the cusp circle: x = -2 +- ...i
+        (["x^3 - x^2", "y^2 - y"], "nonneg", 1),
+    ], ids=["all-real", "cusp_circle", "nonneg"])
+    def test_solves(self, monkeypatch, h, mode, solves):
+        calls = TestTraceRoute._spy(monkeypatch)
+        inst = problem_io.ProblemInstance(["x", "y"], poly("x + y + 3"), [],
+                                          [poly(p) for p in h], options={"mode": mode})
+        cert = certifier.certify(inst)
+        assert verify_bounds.verify_certificate(inst, cert).ok
+        assert calls["solve_variety"] == solves
+        assert (calls["round_matrix"] > 0) == (solves > 0)
+
+    @pytest.mark.parametrize("text", [
+        TINY,
+        "variables x y\nf: x + y + 1\nh: x^3 - x^2\nh: y^2 - y\n",  # min f = 1: eps = 1/2
+        "variables x y\nf: x + 2*y + 5\nh: x^2\nh: y^3 + y^2\n",  # min f = 3: eps = 1
+        "variables x\nf: x + 5/8\nh: x^3 - x^2\n",  # min f = 5/8: eps = 1/2
+    ], ids=["tiny", "margin_1", "margin_3", "margin_5/8"])
+    def test_eps_is_maximal(self, tmp_path, text):
+        code, _, cert = _certify_and_verify(str(tmp_path), text)
+        assert code == 0
+        eps = _lifted_square_eps(text, cert)
+        assert eps.numerator == 1 and eps.denominator & (eps.denominator - 1) == 0
+        inst = problem_io.parse_problem(text)
+        ring_j = quotient.build_ring(inst.h).radical_ring
+        g_f, g_1 = certifier._trace_grams(ring_j, ring_j.nf_vector(inst.f), ring_j.unit)
+
+        def shifted(e):  # G(f) - e G(1)
+            return gram.SymmetricMatrix(
+                [[x * g_1.nu * e.denominator - y * g_f.nu * e.numerator
+                  for x, y in zip(row_f, row_1)] for row_f, row_1 in zip(g_f.mat, g_1.mat)],
+                g_f.nu * g_1.nu * e.denominator)
+        gram.ldlt(shifted(eps))
+        if eps < 1:
+            with pytest.raises(NotPD):
+                gram.ldlt(shifted(2 * eps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_multiplicity_known_answers(self, data):
+        inst, m = data.draw(st.composite(lambda draw: _multiplicity_instances(draw))())
+        assert not quotient.build_ring(inst.h).is_radical
+        with tempfile.TemporaryDirectory() as tmp:
+            prob, out = os.path.join(tmp, "p.prob"), os.path.join(tmp, "p.cert")
+            with open(prob, "w") as fh:
+                fh.write(format_problem(inst))
+            code = cli.main(["certify", "--input", prob, "--out", out])
+            if m > 0:
+                assert code == 0
+                assert cli.main(["verify", "--input", prob, "--certificate", out]) == 0
+            else:
+                assert code == 2
+                assert not os.path.exists(out)

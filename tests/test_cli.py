@@ -453,17 +453,18 @@ class TestBounds:
 class TestOneParserPerProcess:
     def test_commands_in_turn(self, tmp_path, capsys):
         # one cached parser serves every call: no option of one call
-        # reaches the next (certify with --mode nonneg exits 2 on the double
-        # origin, and 3 in the default strict mode right after it)
+        # reaches the next (certify with --mode nonneg exits 0 on the cusp
+        # circle, and 3 in the default strict mode right after it)
         assert cli.build_parser() is cli.build_parser()
         prob, double = data_path("four_points.prob"), data_path("double_origin.prob")
+        cusp = data_path("cusp_circle.prob")
         out = tmp_path / "cert.txt"
         calls = [
             (["certify", "--input", prob, "--out", str(out)], 0),
             (["verify", "--input", prob, "--certificate", str(out)], 0),
             (["bounds", "--input", prob, "--constant", "2"], 1),
-            (["certify", "--input", double, "--mode", "nonneg"], 2),
-            (["certify", "--input", double], 3),
+            (["certify", "--input", cusp, "--mode", "nonneg"], 0),
+            (["certify", "--input", cusp], 3),
             (["verify", "--input", prob, "--certificate", data_path("four_points_strict.cert")], 0),
             (["bounds", "--input", double], 0),
             (["verify", "--input", double, "--certificate", str(out)], 1),
@@ -727,7 +728,8 @@ GOLDEN_OPTIONS = {"none": [], "nonneg": ["--mode", "nonneg"], "sdp": ["--engine"
 GOLDEN_EXITS = {
     "cusp_circle": {"none": 3, "nonneg": 0, "sdp": 3},
     "cusp_circle_shifted": {"none": 0, "nonneg": 0, "sdp": 0},
-    "double_origin": {"none": 3, "nonneg": 2, "sdp": 3},
+    # f = 0 at the double root: the trace route on R/J decides it, exactly
+    "double_origin": {"none": 2, "nonneg": 2, "sdp": 3},
     "double_origin_shifted": {"none": 0, "nonneg": 0, "sdp": 0},
     "excluded_grid": {"none": 0, "nonneg": 0, "sdp": 0},
     "four_points": {"none": 0, "nonneg": 0, "sdp": 0},
