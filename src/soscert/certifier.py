@@ -1,11 +1,12 @@
 """Orchestration of the certification pipelines.
 
-Six routes produce a Certificate: strict positivity, with no g and only
-real points on the radical J, from the exact trace-form Gram matrices of
-R/J, on a radical ideal (`_trace_squares`) and on a non-radical one
-(`_trace_hensel_squares`); on the real variety of any other radical
-ideal; on S via inequality perturbation; nonnegativity through the
-(a, b, gamma) witness; and other non-radical ideals.
+`certify` dispatches on the engine and the mode, and `_strict_blocks` is
+the one strict route dispatch of both modes: of f in strict mode, of the
+positive a of the (a, b, gamma) witness in nonneg mode.  With no g and
+only real points on the radical J it takes the exact trace-form Gram
+matrices of R/J, on a radical ideal (`_trace_squares`) and on a
+non-radical one (`_trace_hensel_squares`); otherwise the points of R/J,
+on a radical ideal with perturbation on S, or `certify_strict_nonradical`.
 A non-radical ideal I gets a Gram certificate of f~ - eps over its
 radical J, exact or the radical route's own, plus eps t^2 with t the
 square root, 1 mod J, of theta = 1 mod J, a finite binomial series in
@@ -19,9 +20,9 @@ rest f~ - B^t Q0 B (`gram.factor_gram`), the float ones (radical, Hensel,
 SDP) in the one rounded Gram step (`gram.gram_squares`), and hands its
 blocks and rest to `_assemble`, which finds the rest's cofactors.  Squares
 that no Gram matrix carries are expanded by the verifier's
-`verify_bounds.residual`.  `certify` is the one route dispatch, and solves
-the points of R/J at most once per call.  The data types come from
-`problem_io`, so `verify` and `bounds` never load this module or an engine.
+`verify_bounds.residual`.  `certify` solves the points of R/J at most once
+per call.  The data types come from `problem_io`, so `verify` and `bounds`
+never load this module or an engine.
 """
 
 from __future__ import annotations
@@ -104,14 +105,6 @@ def _assemble(ring, blocks, rest):
     return Certificate("strict", blocks, cof.p_j)
 
 
-def _strict_squares(inst, ring, var):
-    """The blocks of the radical route, from the points var of its ring,
-    and the rest f~ - B^t Q0 B that `_assemble` closes."""
-    g_blocks, f_tilde = perturb(inst, ring, var)
-    squares, rest = gram.round_and_certify(ring, var, f_tilde)
-    return [squares] + g_blocks, rest
-
-
 def _all_real(ring):
     """Every point of V(I), I radical, is real, decided in integers.  On a
     precheck ring the Sturm chains that proved its univariates squarefree
@@ -156,16 +149,16 @@ def _trace_squares(inst, ring):
 
 def certify_nonneg(inst, ring, roots):
     """Nonnegativity certificate via the coprimality witness: take the
-    squares of a strict certificate of the positive a, from the points
-    `roots()` of R/J, which the witness reads first, then close
-    f = (1/gamma) a f^2 modulo I."""
+    squares of a strict certificate of the positive a, on the route
+    `_strict_blocks` picks for a as it would for f, then close
+    f = (1/gamma) a f^2 modulo I.  The witness reads the points `roots()`
+    of R/J only when f has a zero on V, to shift a there."""
     a, b, gamma_val = quotient.coprimality_witness(ring, inst.f, roots=roots)
     inner = ProblemInstance(inst.var_names, a, inst.g, inst.h,
                             options=inst.options)
     try:
-        squares = _strict_squares if ring.is_radical else _hensel_squares
         # only f's identity is closed: a's rest is dropped
-        squares_of_a, _ = squares(inner, ring, roots())
+        squares_of_a, _ = _strict_blocks(inner, ring, roots)
     except NotStrictlyPositiveOnS as exc:
         # a = gamma / f wherever f != 0, and a > 0 where f = 0: a < 0 at a
         # point of S is f < 0 there, while the inner message gives a's value
@@ -214,17 +207,12 @@ def hensel_sqrt(ring, theta):
 
 
 def certify_strict_nonradical(inst, ring, var_j):
-    """Strict certificate when the ideal has multiple points.  Over the
-    radical J, certify f~ - eps = sum w q^2 mod J for a power of two eps
-    below f~ at the real roots var_j; then theta = (f~ - sum w q^2) / eps is
-    1 modulo J, and its Hensel-lifted square root t gives
-    f~ = sum w q^2 + eps t^2 modulo I."""
-    return _assemble(ring, *_hensel_squares(inst, ring, var_j))
-
-
-def _hensel_squares(inst, ring, var_j):
-    """The blocks of `certify_strict_nonradical`, from the points of R/J,
-    and the rest eps theta - eps t^2 that `_assemble` closes."""
+    """The blocks and rest of the float Hensel route, when the ideal has
+    multiple points.  Over the radical J, certify f~ - eps = sum w q^2 mod J
+    for a power of two eps below f~ at the real roots var_j; then
+    theta = (f~ - sum w q^2) / eps is 1 modulo J, and its Hensel-lifted
+    square root t gives f~ = sum w q^2 + eps t^2 modulo I, with the rest
+    eps theta - eps t^2 that `_assemble` closes."""
     ring_j = ring.radical_ring
     g_blocks, f_tilde = perturb(inst, ring_j, var_j)
     # eps is the largest power of two <= min(1, low / 2), or 1 without real
@@ -287,14 +275,13 @@ def _lift(ring, squares, rest, eps):
 
 
 def certify(inst, ring=None):
-    """The one route dispatch, on the engine and mode options and the ring.
-    The SDP engine returns a strict-mode certificate in either mode (it
-    proves nonnegativity too), with no witnesses.  An empty variety (1 in I)
+    """The dispatch on the engine and mode options and the ring.  The SDP
+    engine returns a strict-mode certificate in either mode (it proves
+    nonnegativity too), with no witnesses.  An empty variety (1 in I)
     needs no squares at all: f lies in I, and its cofactors alone are the
-    certificate, in every mode and engine.  In strict mode with no g, an
-    R/J (J = I when I is radical) whose points are all real takes an exact
-    trace route, the plain one or the Hensel lift, with no root.  Every
-    other route solves the points of R/J once, when it first reads them."""
+    certificate, in every mode and engine.  Otherwise both modes take the
+    strict route of `_strict_blocks`, strict mode for f and nonneg mode for
+    its witness a, and solve the points of R/J once, when first read."""
     if ring is None:
         ring = quotient.build_ring(inst.h)
     if ring.D == 0:
@@ -305,9 +292,20 @@ def certify(inst, ring=None):
     roots = functools.cache(lambda: variety.solve_variety(ring.radical_ring, seed=seed))
     if inst.options.get("mode") == "nonneg":
         return certify_nonneg(inst, ring, roots)
+    return _assemble(ring, *_strict_blocks(inst, ring, roots))
+
+
+def _strict_blocks(inst, ring, roots):
+    """The blocks and rest of a certificate of inst.f > 0 on S, the one
+    strict route dispatch of both modes: with no g and every point of R/J
+    (J = I when I is radical) real, an exact trace route, the plain one or
+    the Hensel lift, with no root; otherwise the float radical or Hensel
+    route on the points `roots()` of R/J."""
     if not inst.g and _all_real(ring.radical_ring):
         squares = _trace_squares if ring.is_radical else _trace_hensel_squares
-        return _assemble(ring, *squares(inst, ring))
+        return squares(inst, ring)
     if not ring.is_radical:
         return certify_strict_nonradical(inst, ring, roots())
-    return _assemble(ring, *_strict_squares(inst, ring, roots()))
+    g_blocks, f_tilde = perturb(inst, ring, roots())
+    squares, rest = gram.round_and_certify(ring, roots(), f_tilde)
+    return [squares] + g_blocks, rest

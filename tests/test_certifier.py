@@ -180,7 +180,8 @@ class TestHensel:
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
         ring = quotient.build_ring(inst.h)
-        cert = certifier.certify_strict_nonradical(inst, ring, radical_roots(ring)())
+        cert = certifier._assemble(
+            ring, *certifier.certify_strict_nonradical(inst, ring, radical_roots(ring)()))
         assert expand(inst, cert) == inst.f
 
 
@@ -918,7 +919,9 @@ class TestTraceHensel:
     @pytest.mark.parametrize("h, mode, solves", [
         (["x^3 - x^2", "y^2 - y"], "strict", 0),
         (["x^3 - y^2", "y^2 + x^2 - 2*x"], "strict", 1),  # the cusp circle: x = -2 +- ...i
-        (["x^3 - x^2", "y^2 - y"], "nonneg", 1),
+        # f > 0 on V gives b = 0: the witness reads no root, and a takes the
+        # exact Hensel route
+        (["x^3 - x^2", "y^2 - y"], "nonneg", 0),
     ], ids=["all-real", "cusp_circle", "nonneg"])
     def test_solves(self, monkeypatch, h, mode, solves):
         calls = TestTraceRoute._spy(monkeypatch)
@@ -970,3 +973,44 @@ class TestTraceHensel:
             else:
                 assert code == 2
                 assert not os.path.exists(out)
+
+
+class TestNonnegTraceRoute:
+    """In nonneg mode the witness a takes the strict route that f would take:
+    with no g on an all-real radical ring, the trace route, with no rounding.
+    Only the witness's shift at the zeros of f reads the roots."""
+
+    # f on the 3x3 grid x in {-3, 2, 3}, y in {-3, -2, -1}: f = 0 at (-3, -1)
+    # alone and f >= 3 at the other eight points
+    GRID = ("variables x y\nf: -x^2 - x*y + 3*y^2 + 2*x + 3*y + 18{shift}\n"
+            "h: x^3 - 2*x^2 - 9*x + 18\nh: y^3 + 6*y^2 + 11*y + 6\n")
+
+    @pytest.mark.parametrize("shift, solves", [("", 1), (" + 1", 0)], ids=["zero", "positive"])
+    def test_solves(self, monkeypatch, shift, solves):
+        calls = TestTraceRoute._spy(monkeypatch)
+        inst = nonneg(problem_io.parse_problem(self.GRID.format(shift=shift)))
+        cert = certifier.certify(inst)
+        assert verify_bounds.verify_certificate(inst, cert).ok
+        assert (calls["solve_variety"], calls["round_matrix"]) == (solves, 0)
+
+    def test_known_answer(self, tmp_path):
+        text = self.GRID.format(shift="")
+        prob, out = tmp_path / "grid.prob", tmp_path / "grid.cert"
+        prob.write_text(text)
+        assert cli.main(["certify", "--mode", "nonneg", "--input", str(prob),
+                         "--out", str(out)]) == 0
+        cert = problem_io.parse_certificate(out.read_text())[0]
+        report = verify_bounds.verify_certificate(problem_io.parse_problem(text), cert)
+        assert report.ok
+        # the float radical route gave (134, 22) bits and 268 weight bits
+        assert (report.max_numerator_bits, report.max_denominator_bits,
+                report.max_weight_bits) == (50, 8, 95)
+
+    def test_negative_at_a_point(self, tmp_path, capsys):
+        # f - 1 = -1 at (-3, -1)
+        prob, out = tmp_path / "grid.prob", tmp_path / "grid.cert"
+        prob.write_text(self.GRID.format(shift=" - 1"))
+        assert cli.main(["certify", "--mode", "nonneg", "--input", str(prob),
+                         "--out", str(out)]) == 2
+        assert "f < 0 at a point of S" in capsys.readouterr().err
+        assert not out.exists()

@@ -844,7 +844,7 @@ EXIT_CODES = [
 # Inputs whose roots or coefficients float64 cannot handle: a double root
 # split by 2^-50, and a coefficient beyond float64 range.  Their rings are
 # radical with every point real, so with no g the exact trace route
-# certifies them; the nonneg and SDP routes still meet the float limit.
+# certifies them, in both modes; the SDP route still meets the float limit.
 FLOAT_LIMITS = {
     "split_root": f"variables x y\nf: x + 3\nh: x^2 - 2*x + 1 - 1/{2 ** 100}\nh: y - 1\n",
     "huge_f": "variables x\nf: 1" + "0" * 400 + "\nh: x^2 - 1\n",
@@ -882,12 +882,11 @@ class TestExitCodes:
                 if isinstance(c, type) and issubclass(c, errors.SosCertError)} <= table
 
     @pytest.mark.parametrize("problem, options", [
-        ("split_root", ["--mode", "nonneg"]),
         ("huge_f", ["--engine", "sdp"]),
         ("pair_window", []), ("pair_window", ["--mode", "nonneg"]),
         ("pair_window_2", ["--mode", "nonneg"]),
         ("non_finite", []), ("non_finite", ["--mode", "nonneg"]),
-    ], ids=["split_root-nonneg", "huge_f-sdp",
+    ], ids=["huge_f-sdp",
             "pair_window", "pair_window-nonneg", "pair_window_2-nonneg",
             "non_finite", "non_finite-nonneg"])
     def test_float_limits_exit_3(self, tmp_path, capsys, problem, options):
@@ -897,10 +896,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("gave up: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("problem", ["split_root", "huge_f", "huge_h"])
-    def test_trace_route_passes_float_limits(self, tmp_path, problem):
-        # no root is solved and no float is rounded: the certificate is exact
-        assert certify_and_verify(tmp_path, FLOAT_LIMITS[problem], []) == 0
+    @pytest.mark.parametrize("problem, options", [
+        ("split_root", []), ("huge_f", []), ("huge_h", []),
+        ("split_root", ["--mode", "nonneg"]),
+    ], ids=["split_root", "huge_f", "huge_h", "split_root-nonneg"])
+    def test_trace_route_passes_float_limits(self, tmp_path, problem, options):
+        # no root is solved and no float is rounded: the certificate is exact;
+        # in nonneg mode f > 0 on V, so the witness a takes the same route
+        assert certify_and_verify(tmp_path, FLOAT_LIMITS[problem], options) == 0
 
 
 OPTION_SETS = {"none": [], "nonneg": ["--mode", "nonneg"], "sdp": ["--engine", "sdp"]}

@@ -144,3 +144,17 @@ def test_only_polyring_and_quotient_do_exponent_arithmetic(name):
     lines = sorted(set(_operator_uses(TREES[name])))
     if lines:
         pytest.fail(f"{name} imports or reads operator at lines {lines}")
+
+
+STRICT_ROUTES = ("_trace_squares", "_trace_hensel_squares", "certify_strict_nonradical")
+
+
+def test_one_strict_route_dispatch():
+    # both modes pick the strict route in `_strict_blocks`: no other
+    # definition in `certifier` names a strict route
+    uses = [f"{node.name}:{name.lineno}: {name.id}"
+            for node in TREES["certifier.py"].body if getattr(node, "name", "") != "_strict_blocks"
+            for name in ast.walk(node)
+            if isinstance(name, ast.Name) and name.id in STRICT_ROUTES]
+    if uses:
+        pytest.fail("strict routes named outside _strict_blocks: " + ", ".join(uses))
