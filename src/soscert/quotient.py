@@ -591,8 +591,8 @@ def coprimality_witness(ring, f, roots):
     of this shape exists; f = 0 gives a = 0, b = 1.  As b^2 = b mod I, b is
     exactly 1 at the zeros of f on the variety and 0 elsewhere: the real
     zeros of f are the real roots where b > 1/2, from `roots()` (the points
-    of ring.radical_ring) only when b != 0; where `a` is not strictly
-    positive at those zeros, it is shifted by a power-of-two multiple of b.
+    of ring.radical_ring) only when b != 0; unless `a` has sign +1 at all
+    of them (`VarietyData.signs`), it is shifted by a multiple 2^k b.
     """
     nf = ring.nf_vector(f)
     rows, d = ring.mult_matrix(ring.mul(nf, nf))
@@ -606,9 +606,9 @@ def coprimality_witness(ring, f, roots):
     # positivity of a where f vanishes on the variety
     if not b.is_zero():
         var = roots()
-        vals = [va for va, vb in zip(var.values(a), var.values(b)) if vb > 0.5]
-        if vals and min(vals) <= 0:
-            bound = max(abs(v) for v in vals) + 1
+        at_zeros = [sv for sv, vb in zip(var.signs(a), var.values(b)) if vb > 0.5]
+        if at_zeros and min(sign for sign, _ in at_zeros) <= 0:
+            bound = max(abs(v) for _, v in at_zeros) + 1
             rho = 1
             while rho <= bound:
                 rho *= 2

@@ -517,7 +517,7 @@ def reference_witness(ring, f, seed=0):
     if not b.is_zero():
         var = variety.solve_variety(ring.radical_ring, seed=seed)
         vals = [evaluate(a, xi) for xi in var.real if evaluate(b, xi) > 0.5]
-        if vals and min(vals) <= 0:
+        if vals and min(vals) <= var.decision_tol:
             rho = 1
             while rho <= max(abs(v) for v in vals) + 1:
                 rho *= 2

@@ -1014,3 +1014,22 @@ class TestNonnegTraceRoute:
                          "--out", str(out)]) == 2
         assert "f < 0 at a point of S" in capsys.readouterr().err
         assert not out.exists()
+
+    # The witness's solve sets a's free column to 0, which can make a exactly
+    # 0 at the zero of f: on {0, 1, 2}, a = x/4 at f = 0, 4, 2; on
+    # {1/3, 1, 2}, a = (3x - 1)/100 at f = 0, 50, 20, where the float value of
+    # a at 1/3 is noise of either sign.  The shift must not trust that noise.
+    WITNESS_ZERO = {
+        "origin": "variables x\nf: -3*x^2 + 7*x\nh: x^3 - 3*x^2 + 2*x\n",
+        "third": "variables x\nf: -63*x^2 + 159*x - 46\nh: 3*x^3 - 10*x^2 + 9*x - 2\n",
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", sorted(WITNESS_ZERO))
+    def test_witness_zero_at_a_zero_of_f(self, tmp_path, name, seed):
+        text = self.WITNESS_ZERO[name]
+        prob, out = tmp_path / "w.prob", tmp_path / "w.cert"
+        prob.write_text(text)
+        assert cli.main(["certify", "--mode", "nonneg", "--seed", str(seed),
+                         "--input", str(prob), "--out", str(out)]) == 0
+        assert cli.main(["verify", "--input", str(prob), "--certificate", str(out)]) == 0

@@ -339,6 +339,18 @@ class TestWitness:
         with pytest.raises(ConditionFailed):
             quotient.coprimality_witness(ring, parse_polynomial("x", ["x"]), radical_roots(ring))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shift_where_a_is_zero_at_a_zero_of_f(self, seed):
+        # on {1/3, 1, 2} the solve gives a = (3x - 1)/100, exactly 0 at the
+        # zero 1/3 of f, where its float value is noise of either sign
+        inst = problem_io.parse_problem(
+            "variables x\nf: -63*x^2 + 159*x - 46\nh: 3*x^3 - 10*x^2 + 9*x - 2\n")
+        ring = quotient.build_ring(inst.h)
+        a, b, gamma = quotient.coprimality_witness(ring, inst.f, radical_roots(ring, seed))
+        at_third = sum(Fraction(c, a.den) * Fraction(1, 3) ** e for (e,), c in a.ints.items())
+        assert at_third > 0
+        assert normal_form(ring, a * inst.f + b - gamma).is_zero()
+
     @pytest.mark.parametrize("name, expected", _WITNESS_CASES,
                              ids=[name for name, _ in _WITNESS_CASES])
     def test_matches_the_block_system(self, name, expected):
