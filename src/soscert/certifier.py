@@ -2,24 +2,24 @@
 
 `certify` dispatches on the engine and the mode, and `_strict_blocks` is
 the one strict route dispatch of both modes: of f in strict mode, of the
-positive a of the (a, b, gamma) witness in nonneg mode.  With no g and
-only real points on the radical J it takes the exact trace-form Gram
-matrices of R/J, on a radical ideal (`_trace_squares`) and on a
-non-radical one (`_trace_hensel_squares`); otherwise the points of R/J,
-on a radical ideal with perturbation on S, or `certify_strict_nonradical`.
-A non-radical ideal I gets a Gram certificate of f~ - eps over its
-radical J, exact or the radical route's own, plus eps t^2 with t the
-square root, 1 mod J, of theta = 1 mod J, a finite binomial series in
-R/I; no ring but R/I and R/J is built.  Every product in R/I reads the
-nonzero entries of the ring's product table.
-The float strict routes solve roots on a radical ring and judge the sign
-of f at the points of S by one rule, in `perturb`, on `VarietyData.signs`;
-the exact ones judge it by the LDL^t of G(f).
-Each Gram route factors a Gram matrix Q0 of f~ into LDL^t squares and the
-rest f~ - B^t Q0 B (`gram.factor_gram`), the float ones (radical, Hensel,
-SDP) in the one rounded Gram step (`gram.gram_squares`), and hands its
-blocks and rest to `_assemble`, which finds the rest's cofactors.  Squares
-that no Gram matrix carries are expanded by the verifier's
+positive a of the (a, b, gamma) witness in nonneg mode.  It has two
+stages.  The first is one Gram step over R/J, J the radical of I (J = I
+when I is radical), of f~ or, on a non-radical ring, of f~ - eps.  With
+no g and only real points on J it is exact (`_exact_gram_step`): the
+trace-form Gram matrices of R/J, with no root, whose LDL^t judges the sign
+of f.  Otherwise it is float (`_float_gram_step`): `perturb` on the points
+of R/J, the one sign rule at the points of S on `VarietyData.signs`, then
+the rounded Gram step `gram.round_and_certify`.  The second stage, on a
+non-radical ring alone, is one Hensel lift (`certify_strict_nonradical`):
+eps t^2, with t the square root, 1 mod J, of theta = 1 mod J, a finite
+binomial series in R/I, closes f~ modulo I.  No ring but R/I and R/J is
+built, and every product in R/I reads the nonzero entries of the ring's
+product table.
+Each Gram step factors a Gram matrix Q0 of f~ into LDL^t squares and the
+rest f~ - B^t Q0 B (`gram.factor_gram`), the float ones (strict and SDP)
+in the one rounded Gram step (`gram.gram_squares`), and the blocks and
+rest go to `_assemble`, which finds the rest's cofactors.  Squares that no
+Gram matrix carries are expanded by the verifier's
 `verify_bounds.residual`.  `certify` solves the points of R/J at most once
 per call.  The data types come from `problem_io`, so `verify` and `bounds`
 never load this module or an engine.
@@ -42,7 +42,7 @@ def perturb(inst, ring, var):
     `var.real`, with rational data, such that f - phi > 0 at every real
     point; u_xi is xi's column of `var.real_idem`, rounded.
 
-    This is the one sign rule of both strict routes at the points of S, on
+    This is the one sign rule of the float Gram step at the points of S, on
     `var.signs`: sign -1 means no certificate exists (NotStrictlyPositiveOnS);
     sign 0 when points are excluded, or f <= 0 when none is, means float64
     cannot show the margin (PrecisionExceeded).  phi >= 0 on S, so no
@@ -136,17 +136,6 @@ def _trace_grams(ring, *vectors):
                                   for row in red], p * d) for k, (_, d) in enumerate(mats, 1)]
 
 
-def _trace_squares(inst, ring):
-    """The blocks and rest of the trace route, all points xi real and in S:
-    the squares of G(f) (`_trace_grams`)."""
-    g, = _trace_grams(ring, ring.nf_vector(inst.f))
-    try:
-        squares, rest = gram.factor_gram(ring, inst.f, g)
-    except NotPD as exc:
-        raise NotStrictlyPositiveOnS("f <= 0 at a real point of V = S") from exc
-    return [squares], rest
-
-
 def certify_nonneg(inst, ring, roots):
     """Nonnegativity certificate via the coprimality witness: take the
     squares of a strict certificate of the positive a, on the route
@@ -206,37 +195,24 @@ def hensel_sqrt(ring, theta):
     return t
 
 
-def certify_strict_nonradical(inst, ring, var_j):
-    """The blocks and rest of the float Hensel route, when the ideal has
-    multiple points.  Over the radical J, certify f~ - eps = sum w q^2 mod J
-    for a power of two eps below f~ at the real roots var_j; then
-    theta = (f~ - sum w q^2) / eps is 1 modulo J, and its Hensel-lifted
-    square root t gives f~ = sum w q^2 + eps t^2 modulo I, with the rest
-    eps theta - eps t^2 that `_assemble` closes."""
-    ring_j = ring.radical_ring
-    g_blocks, f_tilde = perturb(inst, ring_j, var_j)
-    # eps is the largest power of two <= min(1, low / 2), or 1 without real
-    # roots; perturb has made low > 0
-    low = min(var_j.values(f_tilde), default=2.0)
-    eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
-    block, rest = _lift(ring, *gram.round_and_certify(ring_j, var_j, f_tilde - eps), eps)
-    return [block] + g_blocks, rest
-
-
-def _trace_hensel_squares(inst, ring):
-    """The blocks and rest of the Hensel route when every point of R/J is
-    real and there is no g, from the trace-form Gram matrices of R/J
-    (`_trace_grams`), with no root: f > 0 at every point exactly when G(f)
-    is positive definite, and eps is the largest power of two <= 1 with
-    G(f - eps) = G(f) - eps G(1) positive definite, that is, eps < min f.
-    The exponent k of eps = 2^-k doubles until G(f - eps) is positive
-    definite, then a bisection finds the least such k."""
-    ring_j = ring.radical_ring
-    g_f, g_1 = _trace_grams(ring_j, ring_j.nf_vector(inst.f), ring_j.unit)
+def _exact_gram_step(inst, ring_j, lift):
+    """The Gram step of the exact route, when every point xi of R/J is real
+    and there is no g: (no g blocks, squares, rest, eps) of the trace-form
+    Gram matrix G(f - eps) (`_trace_grams`), with no root.  f > 0 at every
+    xi exactly when G(f) is positive definite.  eps is 0 unless `lift`;
+    then it is the largest power of two <= 1 with G(f - eps) =
+    G(f) - eps G(1) positive definite, that is, eps < min f: the exponent k
+    of eps = 2^-k doubles until G(f - eps) is positive definite, then a
+    bisection finds the least such k."""
+    # G(1) only when lifting, from the same solve as G(f)
+    g_f, *g_1 = _trace_grams(ring_j, ring_j.nf_vector(inst.f), *([ring_j.unit] if lift else []))
     try:
+        if not lift:
+            return [], *gram.factor_gram(ring_j, inst.f, g_f), 0
         gram.ldlt(g_f)
     except NotPD as exc:
         raise NotStrictlyPositiveOnS("f <= 0 at a real point of V = S") from exc
+    g_1, = g_1
 
     def attempt(k):
         # G(f - 2^-k) = G(f) - 2^-k G(1), integers over nu_f nu_1 2^k: its
@@ -258,16 +234,30 @@ def _trace_hensel_squares(inst, ring):
             low = mid
         else:
             high, found = mid, result
-    block, rest = _lift(ring, *found, Fraction(1, 1 << high))
-    return [block], rest
+    return [], *found, Fraction(1, 1 << high)
 
 
-def _lift(ring, squares, rest, eps):
-    """Block 0 and the rest of the Hensel route from the squares of a Gram
-    certificate of f~ - eps over R/J and its rest f~ - eps - B_J^t Q0 B_J:
-    eps theta = f~ - B_J^t Q0 B_J = rest + eps is 1 mod J times eps, and
-    its Hensel-lifted square root t gives the last square eps t^2 and the
-    rest eps theta - eps t^2, which lies in I."""
+def _float_gram_step(inst, ring_j, var_j, lift):
+    """The Gram step of the float route on the points var_j of R/J:
+    (g blocks, squares, rest, eps) of f~ - eps, f~ = f - phi from `perturb`.
+    eps is 0 unless `lift`; then it is the largest power of two
+    <= min(1, low / 2), low the least value of f~ at the real points (perturb
+    has made it positive), or 1 without real points."""
+    g_blocks, p = perturb(inst, ring_j, var_j)
+    eps = 0
+    if lift:
+        low = min(var_j.values(p), default=2.0)
+        eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
+        p -= eps
+    return g_blocks, *gram.round_and_certify(ring_j, var_j, p), eps
+
+
+def certify_strict_nonradical(ring, squares, rest, eps):
+    """The Hensel lift of a Gram certificate over R/J to R/I: block 0 and
+    the rest, from the squares of f~ - eps over R/J and its rest
+    f~ - eps - B_J^t Q0 B_J.  eps theta = f~ - B_J^t Q0 B_J = rest + eps is
+    1 mod J times eps, and its Hensel-lifted square root t gives the last
+    square eps t^2 and the rest eps theta - eps t^2, which lies in I."""
     eps_theta = rest + eps
     c, den = hensel_sqrt(ring, eps_theta / eps)
     t = ring.from_vector(c, den)
@@ -297,15 +287,16 @@ def certify(inst, ring=None):
 
 def _strict_blocks(inst, ring, roots):
     """The blocks and rest of a certificate of inst.f > 0 on S, the one
-    strict route dispatch of both modes: with no g and every point of R/J
-    (J = I when I is radical) real, an exact trace route, the plain one or
-    the Hensel lift, with no root; otherwise the float radical or Hensel
-    route on the points `roots()` of R/J."""
-    if not inst.g and _all_real(ring.radical_ring):
-        squares = _trace_squares if ring.is_radical else _trace_hensel_squares
-        return squares(inst, ring)
-    if not ring.is_radical:
-        return certify_strict_nonradical(inst, ring, roots())
-    g_blocks, f_tilde = perturb(inst, ring, roots())
-    squares, rest = gram.round_and_certify(ring, roots(), f_tilde)
+    strict route dispatch of both modes, in two stages.  First one Gram
+    step over R/J (J = I when I is radical), of f~ or, on a non-radical
+    ring, of f~ - eps: exact, with no root, when there is no g and every
+    point of R/J is real, else float, on the points `roots()` of R/J.  Then,
+    on a non-radical ring, one Hensel lift to R/I."""
+    ring_j, lift = ring.radical_ring, not ring.is_radical
+    if not inst.g and _all_real(ring_j):
+        g_blocks, squares, rest, eps = _exact_gram_step(inst, ring_j, lift)
+    else:
+        g_blocks, squares, rest, eps = _float_gram_step(inst, ring_j, roots(), lift)
+    if lift:
+        squares, rest = certify_strict_nonradical(ring, squares, rest, eps)
     return [squares] + g_blocks, rest

@@ -4,10 +4,10 @@ Matrices are lists of lists of ints, and every result is integer data over
 one denominator.  The one kernel, `rref`, eliminates fraction-free (Bareiss
 1968).  Its inputs are the D x D systems of the quotient ring (the trace
 form, whose kernel is the nilradical on every ring that Seidenberg's
-precheck in `quotient.radical_generators` does not cover; the trace routes'
-Gram matrices H1^-1 M_p^t, several in one solve; the coprimality witness)
-and the systems of the cofactors of a Groebner basis.  The float routes'
-Gram matrices need no solve (see `gram`).
+precheck in `quotient.radical_generators` does not cover; the exact Gram
+step's matrices H1^-1 M_p^t, several in one solve; the coprimality
+witness) and the systems of the cofactors of a Groebner basis.  The float
+Gram step's matrices need no solve (see `gram`).
 """
 
 from __future__ import annotations

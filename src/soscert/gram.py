@@ -9,11 +9,11 @@ it to the nearest dyadic rationals, and take the one Gram step
 matrices of p, and factor the result Q0 by fraction-free LDL^t into an
 exact weighted sum of squares.
 
-The float Gram routes take this step: the radical route on R/I, the
-Hensel route on R/J for f~ - eps (see `certifier`), and the SDP engine on
-its rounded free block (see `sdp_backend`).  The trace routes' exact
-matrices M_p H1^-1 (p = f, or f - eps on R/J) are in the Gram set, and
-are only factored (`factor_gram`).
+Two callers take this step: the float Gram step of `certifier` on R/J, for
+f~ or f~ - eps, and the SDP engine on its rounded free block (see
+`sdp_backend`).  The exact Gram step's matrices M_p H1^-1 (p = f, or
+f - eps, on R/J) are in the Gram set, and are only factored
+(`factor_gram`).
 The Gram set is A y = b over the D(D+1)/2 upper-triangle unknowns of a
 matrix on the basis monomials B of the quotient: D rows, one per basis
 monomial.  A column of A is NF(b_i b_j) over B, read from the nonzero

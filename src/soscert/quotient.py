@@ -5,7 +5,8 @@ monomial basis, which builds its tables (multiplication matrices, normal
 forms, products, radical) on first read, degree-aware cofactor reduction
 against the *original* generators, the coprimality witness (a, b, gamma)
 for the nonnegativity pipeline, and the quotient by the radical J on
-which the Hensel route certifies before its lift.
+which a non-radical ring's strict route takes its Gram step before the
+Hensel lift.
 
 Two exact tests give J (`radical_generators`).  When I holds a squarefree
 polynomial in each variable alone, as every grid and cube ideal does, I

@@ -176,12 +176,16 @@ class TestHensel:
         assert groebner(calls[1]).gb == groebner(j).gb
 
     def test_radical_input_certified_by_the_lift(self):
+        # the float Gram step of x + 3 - eps, then the lift with J = I
         inst = problem_io.ProblemInstance(
             ["x"], parse_polynomial("x + 3", ["x"]), [],
             [parse_polynomial("x^2 - 1", ["x"])])
         ring = quotient.build_ring(inst.h)
-        cert = certifier._assemble(
-            ring, *certifier.certify_strict_nonradical(inst, ring, radical_roots(ring)()))
+        g_blocks, squares, rest, eps = certifier._float_gram_step(
+            inst, ring, radical_roots(ring)(), True)
+        assert eps > 0
+        block, rest = certifier.certify_strict_nonradical(ring, squares, rest, eps)
+        cert = certifier._assemble(ring, [block] + g_blocks, rest)
         assert expand(inst, cert) == inst.f
 
 
@@ -291,7 +295,7 @@ class TestConstantSquareLift:
 # least value m is at x = -1, without and with g = 1/2 - y, which excludes
 # the points with y = 1, in strict and nonneg mode.  2^-30 lies within the
 # decision tolerance (about 1.8e-6 here), 2^-10 beyond it.  Strict mode
-# with no g takes the trace route, which decides the sign exactly; with g,
+# with no g takes the exact route, which decides the sign exactly; with g,
 # sign 0 on S is exhaustion when points are excluded; nonneg mode judges
 # a = 1 / f, whose sign there is that of m.
 SIGN_TABLE = {
@@ -301,6 +305,16 @@ SIGN_TABLE = {
     Fraction(-1, 2 ** 10): (2, 2, 2, 2),
     Fraction(1, 2 ** 10): (0, 0, 0, 0),
 }
+# The same on (x^2 - 1)^2, whose radical is x^2 - 1: every route ends in the
+# lift, and the routes with g take the float Gram step on R/J.  One cell
+# differs: in nonneg mode with g at m = +2^-30 the witness a = gamma / f
+# mod I has coefficients near 2^120 in its R/I form, and its float value at
+# the points x = 1 cancels to 0.0, where the true value is about 2.3e18, so
+# perturb sees sign 0 there, with points excluded, and gives up (3).
+HENSEL_SIGN_TABLE = {**SIGN_TABLE, Fraction(1, 2 ** 30): (0, 3, 0, 3)}
+SIGN_COLUMNS = [(0, "strict", ""), (1, "strict", "g: 1/2 - y\n"),
+                (2, "nonneg", ""), (3, "nonneg", "g: 1/2 - y\n")]
+SIGN_IDS = ["strict", "strict-g", "nonneg", "nonneg-g"]
 
 
 class TestSignRule:
@@ -318,14 +332,14 @@ class TestSignRule:
         assert "float64 margin used up" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", SIGN_TABLE, ids=["+2^-30", "-2^-30", "-2^-10", "+2^-10"])
-    @pytest.mark.parametrize("column, mode, g", [
-        (0, "strict", ""), (1, "strict", "g: 1/2 - y\n"),
-        (2, "nonneg", ""), (3, "nonneg", "g: 1/2 - y\n"),
-    ], ids=["strict", "strict-g", "nonneg", "nonneg-g"])
-    def test_exit_code_table(self, tmp_path, m, column, mode, g):
+    @pytest.mark.parametrize("column, mode, g, h, table", [
+        (*c, h, table) for h, table in (("x^2 - 1", SIGN_TABLE),
+                                        ("x^4 - 2*x^2 + 1", HENSEL_SIGN_TABLE))
+        for c in SIGN_COLUMNS], ids=SIGN_IDS + ["hensel-" + i for i in SIGN_IDS])
+    def test_exit_code_table(self, tmp_path, m, column, mode, g, h, table):
         prob = tmp_path / "table.prob"
-        prob.write_text(f"variables x y\nf: x + 1 + {m}\n{g}h: x^2 - 1\nh: y^2 - y\n")
-        assert cli.main(["certify", "--input", str(prob), "--mode", mode]) == SIGN_TABLE[m][column]
+        prob.write_text(f"variables x y\nf: x + 1 + {m}\n{g}h: {h}\nh: y^2 - y\n")
+        assert cli.main(["certify", "--input", str(prob), "--mode", mode]) == table[m][column]
 
 
 class TestNonneg:
@@ -796,7 +810,8 @@ class TestTraceRoute:
 
     @staticmethod
     def _spy(monkeypatch):
-        calls = {"trace_form": 0, "solve_variety": 0, "round_matrix": 0}
+        calls = {"trace_form": 0, "solve_variety": 0, "round_matrix": 0,
+                 "certify_strict_nonradical": 0}
         trace_form = quotient.QuotientRing.trace_form
 
         def counted(ring):
@@ -805,7 +820,8 @@ class TestTraceRoute:
         cached = functools.cached_property(counted)
         cached.__set_name__(quotient.QuotientRing, "trace_form")
         monkeypatch.setattr(quotient.QuotientRing, "trace_form", cached)
-        for module, name in ((variety, "solve_variety"), (gram, "round_matrix")):
+        for module, name in ((variety, "solve_variety"), (gram, "round_matrix"),
+                             (certifier, "certify_strict_nonradical")):
             def spy(*args, name=name, f=getattr(module, name), **kwargs):
                 calls[name] += 1
                 return f(*args, **kwargs)
@@ -834,6 +850,7 @@ class TestTraceRoute:
         assert calls["trace_form"] == (0 if precheck and not real else 1)
         assert (calls["solve_variety"], calls["round_matrix"] > 0) == ((0, False) if real
                                                                       else (1, True))
+        assert calls["certify_strict_nonradical"] == 0
 
     def test_a_huge_leading_coefficient_takes_the_precheck(self):
         # 2^61 - 1 divides the leading coefficient, and the Sturm chain over Q
@@ -851,6 +868,7 @@ class TestTraceRoute:
                                           [poly("x^2 - 1"), poly("y^2 - y")])
         assert verify_bounds.verify_certificate(inst, certifier.certify(inst)).ok
         assert calls["solve_variety"] == 1
+        assert calls["certify_strict_nonradical"] == 0
 
     def test_zero_at_a_point_is_exact(self):
         # f = 0 at x = -1: no strict certificate, and no float has to say so
@@ -864,7 +882,9 @@ class TestTraceRoute:
         # G = V^-1 diag(f(1), f(-1)) V^-t = [[a + b, a - b], [a - b, a + b]] / 4
         inst = problem_io.ProblemInstance(["x"], poly("x + 3", ["x"]), [],
                                           [poly("x^2 - 1", ["x"])])
-        (squares,), rest = certifier._trace_squares(inst, quotient.build_ring(inst.h))
+        g_blocks, squares, rest, eps = certifier._exact_gram_step(
+            inst, quotient.build_ring(inst.h), False)
+        assert (g_blocks, eps) == ([], 0)
         # with a = f(1) = 4 and b = f(-1) = 2, B^t G B = 3/2 + x + 3/2 x^2
         total = sum((q * q * w for w, q in squares), Polynomial.zero(1))
         assert total == poly("3/2 + x + 3/2*x^2", ["x"])
@@ -931,6 +951,8 @@ class TestTraceHensel:
         assert verify_bounds.verify_certificate(inst, cert).ok
         assert calls["solve_variety"] == solves
         assert (calls["round_matrix"] > 0) == (solves > 0)
+        # the exact and the float Gram step both end in the one lift
+        assert calls["certify_strict_nonradical"] == 1
 
     @pytest.mark.parametrize("text", [
         TINY,
