@@ -3,13 +3,19 @@
 `certify` dispatches on the engine and the mode, and `_strict_blocks` is
 the one strict route dispatch of both modes: of f in strict mode, of the
 positive a of the (a, b, gamma) witness in nonneg mode.  It has two
-stages.  The first is one Gram step over R/J, J the radical of I (J = I
-when I is radical), of f~ or, on a non-radical ring, of f~ - eps.  With
-no g and only real points on J it is exact (`_exact_gram_step`): the
-trace-form Gram matrices of R/J, with no root, whose LDL^t judges the sign
-of f.  Otherwise it is float (`_float_gram_step`): `perturb` on the points
-of R/J, the one sign rule at the points of S on `VarietyData.signs`, then
-the rounded Gram step `gram.round_and_certify`.  The second stage, on a
+stages.  On a radical ring whose reduced Gröbner basis is one polynomial
+per variable, each with only rational roots (`variety.rational_grid`),
+the first stage is the paper's idempotent certificate
+f = sum_xi f(xi) e_xi^2 mod I (`_idempotent_step`): e_xi is a product of
+univariate Lagrange polynomials, every sign is decided in Q, and there is
+no root solve, no Gram matrix and no rounding.  On every other ring it is
+one Gram step over R/J, J the radical of I (J = I when I is radical), of
+f~ or, on a non-radical ring, of f~ - eps.  With no g and only real points
+on J it is exact (`_exact_gram_step`): the trace-form Gram matrices of
+R/J, with no root, whose LDL^t judges the sign of f.  Otherwise it is
+float (`_float_gram_step`): `perturb` on the points of R/J, the one sign
+rule at the points of S on `VarietyData.signs`, then the rounded Gram step
+`gram.round_and_certify`, on NF_J(f) when lifting.  The second stage, on a
 non-radical ring alone, is one Hensel lift (`certify_strict_nonradical`):
 eps t^2, with t the square root, 1 mod J, of theta = 1 mod J, a finite
 binomial series in R/I, closes f~ modulo I.  No ring but R/I and R/J is
@@ -19,10 +25,10 @@ Each Gram step factors a Gram matrix Q0 of f~ into LDL^t squares and the
 rest f~ - B^t Q0 B (`gram.factor_gram`), the float ones (strict and SDP)
 in the one rounded Gram step (`gram.gram_squares`), and the blocks and
 rest go to `_assemble`, which finds the rest's cofactors.  Squares that no
-Gram matrix carries are expanded by the verifier's
-`verify_bounds.residual`.  `certify` solves the points of R/J at most once
-per call.  The data types come from `problem_io`, so `verify` and `bounds`
-never load this module or an engine.
+Gram matrix carries, the idempotent squares among them, are expanded by
+the verifier's `verify_bounds.residual`.  `certify` solves the points of
+R/J at most once per call.  The data types come from `problem_io`, so
+`verify` and `bounds` never load this module or an engine.
 """
 
 from __future__ import annotations
@@ -242,14 +248,48 @@ def _float_gram_step(inst, ring_j, var_j, lift):
     (g blocks, squares, rest, eps) of f~ - eps, f~ = f - phi from `perturb`.
     eps is 0 unless `lift`; then it is the largest power of two
     <= min(1, low / 2), low the least value of f~ at the real points (perturb
-    has made it positive), or 1 without real points."""
+    has made it positive), or 1 without real points.  When lifting, every
+    float value is read off NF_J(f), whose coefficients are those of R/J,
+    not off f's R/I form, and f - NF_J(f), which lies in J, goes back into
+    the rest."""
+    f = inst.f
+    if lift:
+        inst = ProblemInstance(inst.var_names, ring_j.from_vector(*ring_j.nf_vector(f)),
+                               inst.g, inst.h, options=inst.options)
     g_blocks, p = perturb(inst, ring_j, var_j)
     eps = 0
     if lift:
         low = min(var_j.values(p), default=2.0)
         eps = Fraction(2) ** min(0, math.frexp(low / 2)[1] - 1)
         p -= eps
-    return g_blocks, *gram.round_and_certify(ring_j, var_j, p), eps
+    squares, rest = gram.round_and_certify(ring_j, var_j, p)
+    return g_blocks, squares, rest + (f - inst.f), eps
+
+
+def _idempotent_step(inst, ring, grid):
+    """The first stage on a radical ring whose points are the rational
+    `grid`: the paper's f = sum_xi f(xi) e_xi^2 mod I, with no root solve
+    and no Gram matrix.  Every sign is exact.  At a point of S,
+    f(xi) > 0 (else NotStrictlyPositiveOnS) weighs e_xi^2 in block 0.  At
+    an excluded point, with g_i the first g negative there, e_xi^2 goes to
+    block 0 with weight f(xi) when f(xi) > 0, to block i with weight
+    f(xi) / g_i(xi) when f(xi) < 0, and nowhere when f(xi) = 0.  Each
+    square, e_xi^2 = e_xi mod I, adds f(xi) e_xi, and sum_xi e_xi = 1, so
+    the rest, expanded by `verify_bounds.residual`, lies in I.  Returns
+    (g blocks, squares, rest, eps = 0)."""
+    f_vals = grid.values(inst.f)
+    g_vals = [grid.values(g) for g in inst.g]
+    blocks = [[] for _ in range(len(inst.g) + 1)]
+    for k, (fv, (e, den)) in enumerate(zip(f_vals, grid.idempotents)):
+        i = next((i for i, gv in enumerate(g_vals, 1) if gv[k] < 0), 0)
+        if i == 0 and fv <= 0:
+            point = ", ".join(map(str, grid.points[k]))
+            raise NotStrictlyPositiveOnS(f"f = {fv} at the point ({point}) of S")
+        if fv > 0:
+            blocks[0].append(ring.square(fv, e, den))
+        elif fv < 0:
+            blocks[i].append(ring.square(fv / g_vals[i - 1][k], e, den))
+    return blocks[1:], blocks[0], verify_bounds.residual(inst, Certificate("strict", blocks, [])), 0
 
 
 def certify_strict_nonradical(ring, squares, rest, eps):
@@ -287,13 +327,18 @@ def certify(inst, ring=None):
 
 def _strict_blocks(inst, ring, roots):
     """The blocks and rest of a certificate of inst.f > 0 on S, the one
-    strict route dispatch of both modes, in two stages.  First one Gram
-    step over R/J (J = I when I is radical), of f~ or, on a non-radical
-    ring, of f~ - eps: exact, with no root, when there is no g and every
-    point of R/J is real, else float, on the points `roots()` of R/J.  Then,
-    on a non-radical ring, one Hensel lift to R/I."""
+    strict route dispatch of both modes, in two stages.  First, on a
+    radical ring whose points are a rational grid, the idempotent split,
+    with no root and no Gram matrix; on every other ring one Gram step over
+    R/J (J = I when I is radical), of f~ or, on a non-radical ring, of
+    f~ - eps: exact, with no root, when there is no g and every point of
+    R/J is real, else float, on the points `roots()` of R/J.  Then, on a
+    non-radical ring, one Hensel lift to R/I."""
     ring_j, lift = ring.radical_ring, not ring.is_radical
-    if not inst.g and _all_real(ring_j):
+    grid = None if lift else variety.rational_grid(ring)
+    if grid is not None:
+        g_blocks, squares, rest, eps = _idempotent_step(inst, ring, grid)
+    elif not inst.g and _all_real(ring_j):
         g_blocks, squares, rest, eps = _exact_gram_step(inst, ring_j, lift)
     else:
         g_blocks, squares, rest, eps = _float_gram_step(inst, ring_j, roots(), lift)

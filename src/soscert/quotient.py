@@ -18,7 +18,10 @@ trace form H1[i][j] = Tr(M_{b_i b_j}) of R/I, the nilradical; H1 is built
 once (`QuotientRing.trace_form`), as an integer matrix over one positive
 denominator, and its signature counts the real points.  Every float step
 (root solving, the witness's roots, the Gram matrix) sees only R/J, where
-each root is simple.
+each root is simple.  When the reduced Gröbner basis is one polynomial in
+each variable alone (`QuotientRing.grid`), B is a grid of exponents, and a
+product of univariate polynomials is read onto it with no reduction
+(`QuotientRing.grid_vector`): the idempotents of rational points.
 
 A ring vector, the coefficients over the quotient basis B of a normal
 form, has one form: a pair (ints, den) of integers over one positive
@@ -484,6 +487,46 @@ class QuotientRing:
                 if squarefree:
                     found[used.pop()] = count == max(coeffs)
         return [found[k] for k in range(self.nvars)] if len(found) == self.nvars else None
+
+    @functools.cached_property
+    def grid(self):
+        """The reduced Gröbner basis as {i: c_i} of each p_k = sum_i c_i x_k^i,
+        by variable, when it is exactly one integer polynomial p_k in each
+        variable x_k alone; else None.  B is then every x^b with
+        b_k < deg p_k, so a product of polynomials u_k(x_k) of degree below
+        deg p_k is its own normal form (`grid_vector`)."""
+        found = {}
+        for lead, lc, tail in self.ideal.reducers:
+            k = next((k for k, x in enumerate(lead) if x), None)
+            terms = [(lead, lc), *tail]
+            if k is None or k in found or any(sum(e) != e[k] for e, _ in terms):
+                return None
+            found[k] = {e[k]: c for e, c in terms}
+        return [found[k] for k in range(self.nvars)] if len(found) == self.nvars else None
+
+    def grid_vector(self, factors):
+        """The ring vector of prod_k u_k(x_k) on a `grid` ring, for the
+        factors u_k = (coefficients, den_k), the deg p_k integers of
+        x_k^0, x_k^1, ... over den_k != 0: its coefficient at b is
+        prod_k u_k[b_k] / prod_k den_k, read off the Kronecker product of
+        the u_k at `_grid_index`."""
+        kron, den = [1], 1
+        for u, d in factors:
+            kron = [x * y for x in kron for y in u]
+            den *= d
+        return exactla.lowest([kron[i] for i in self._grid_index], den)
+
+    @functools.cached_property
+    def _grid_index(self):
+        """The place of each b of B in the Kronecker product of `grid_vector`,
+        the first variable's index outermost."""
+        out = []
+        for b in self.basis:
+            i = 0
+            for bk, p in zip(b, self.grid):
+                i = i * max(p) + bk
+            out.append(i)
+        return out
 
     @functools.cached_property
     def radical(self):

@@ -1,5 +1,13 @@
-"""Numerical solving of the complex variety of a radical zero-dimensional
-ideal.
+"""The points of the variety of a radical zero-dimensional ideal: exact
+on a product ring of rational roots, numerical on every other ring.
+
+On a ring whose reduced Gröbner basis is one polynomial per variable, the
+points are the grid of each variable's roots.  When all of those are
+rational (`rational_grid`), they are found from float candidates that each
+pass an exact test in integers, and a `RationalGrid` holds them with their
+exact idempotents, products of univariate Lagrange polynomials, and
+evaluates polynomials at them exactly.  Every other ring is solved in
+floats (`solve_variety`).
 
 Coordinates come from an eigendecomposition C = V diag(c) V^-1 of a random
 (seeded) linear combination C of the multiplication matrices M_j.  The D
@@ -16,7 +24,8 @@ certificate reads a real point xi through p(xi) u_xi^2 and a conjugate pair
 through one of its points, so `solve_variety` hands out the real points and
 one point per pair, each with its idempotent, and no caller classifies a
 point again.  Nor does any evaluate at the points or compare a value with
-the tolerance: `VarietyData.values`, `pair_values` and `signs` do.
+the tolerance: `VarietyData.values`, `pair_values` and `signs` do, and
+`RationalGrid.values`, whose values are exact and need no tolerance.
 
 The solver is array code over all points at once, and its floats are bit
 for bit those of a loop over the points: the row products inv[k] M_j are
@@ -27,7 +36,9 @@ V[:, k], since a full inv @ M_j, einsum or a contiguous dot rounds apart.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -155,6 +166,81 @@ def idempotents(ring, points):
     if not np.all(np.isfinite(u)) or np.linalg.cond(vt) > 1e12:
         raise SingularVandermonde("Vandermonde numerically singular")
     return u
+
+
+class RationalGrid:
+    """The points of a `QuotientRing.grid` ring whose every coordinate is
+    rational: the product of each variable's roots, with their idempotents
+    e_xi = prod_k L_k(x_k), L_k the Lagrange polynomial of xi_k among x_k's
+    roots, as ring vectors (`QuotientRing.grid_vector`), one per point in
+    the order of `points`.  `values` evaluates exactly.  A root that is an
+    integer is an int, so an integer grid evaluates in integers."""
+
+    def __init__(self, ring, roots):
+        self.points = list(itertools.product(*roots))
+        lagrange = [[_lagrange(rs, r) for r in rs] for rs in roots]
+        self.idempotents = [ring.grid_vector(factors)
+                            for factors in itertools.product(*lagrange)]
+
+    def values(self, p):
+        """The exact values of p at the points, in their order."""
+        return evaluate(p, points=self.points)
+
+
+def _lagrange(roots, r):
+    """The Lagrange polynomial of the root r among `roots`, 1 at r and 0 at
+    the others, as (integer coefficients, constant first, den)."""
+    num = [1]
+    for s in roots:
+        if s != r:  # num *= (b x - a) for s = a / b
+            a, b = s.as_integer_ratio()
+            num = [b * y - a * x for x, y in zip(num + [0], [0] + num)]
+    at_r = Fraction(sum(c * r ** i for i, c in enumerate(num)))
+    return [c * at_r.denominator for c in num], at_r.numerator
+
+
+def _rational_roots(coeffs):
+    """The roots of p = sum_i c_i x^i ({i: c_i}, integers) when it has deg p
+    distinct rational ones, sorted, as ints where they are integers; else
+    None.  A rational root's reduced denominator divides L = |c_deg|, so it
+    is m / L for an integer m.  The candidates m are the real parts of p's
+    float roots times L, rounded, with p scaled by 2^-s (s the largest
+    coefficient bit length, so that no coefficient overflows); one is kept
+    only if p(m / L) L^deg = 0 holds in integers.  A float failure, such as
+    a leading coefficient that underflows or a companion matrix that
+    overflows, finds fewer or non-finite roots, so it gives None too, and
+    warns nothing."""
+    deg = max(coeffs)
+    lead = abs(coeffs[deg])
+    shift = max(abs(c).bit_length() for c in coeffs.values())
+    try:
+        with np.errstate(all="ignore"):
+            z = np.roots([coeffs.get(i, 0) / (1 << shift) for i in range(deg, -1, -1)])
+    except np.linalg.LinAlgError:
+        return None
+    if len(z) != deg or not np.all(np.isfinite(z)):
+        return None
+    found = set()
+    for x in z.real.tolist():
+        n, d = x.as_integer_ratio()
+        m = (2 * n * lead + d) // (2 * d)  # the integer nearest x L
+        if not sum(c * m ** i * lead ** (deg - i) for i, c in coeffs.items()):
+            found.add(Fraction(m, lead))
+    return (sorted(int(r) if r.denominator == 1 else r for r in found)
+            if len(found) == deg else None)
+
+
+def rational_grid(ring):
+    """The `RationalGrid` of a radical ring whose reduced Gröbner basis is
+    one polynomial per variable (`QuotientRing.grid`), each with only
+    rational roots, or None: any complex or irrational root, or a float
+    candidate that fails the exact test, leaves the ring to the other
+    routes.  A complex root costs no float step: the Sturm counts of
+    `QuotientRing.univariates` have found it."""
+    if ring.grid is None or not all(ring.univariates or ()):
+        return None
+    roots = [_rational_roots(p) for p in ring.grid]
+    return None if None in roots else RationalGrid(ring, roots)
 
 
 class Membership:

@@ -294,24 +294,25 @@ class TestConstantSquareLift:
 # The sign rule's exit codes for f = x + 1 + m on V = {+-1} x {0, 1}, whose
 # least value m is at x = -1, without and with g = 1/2 - y, which excludes
 # the points with y = 1, in strict and nonneg mode.  2^-30 lies within the
-# decision tolerance (about 1.8e-6 here), 2^-10 beyond it.  Strict mode
-# with no g takes the exact route, which decides the sign exactly; with g,
-# sign 0 on S is exhaustion when points are excluded; nonneg mode judges
-# a = 1 / f, whose sign there is that of m.
+# float decision tolerance (about 1.8e-6 here), 2^-10 beyond it.  Every
+# point is rational, so both modes, with g or not, split R/I into the
+# idempotents of its points and decide every sign exactly; nonneg mode
+# judges a = 1 / f, whose sign there is that of m.
 SIGN_TABLE = {
     # m: (strict, strict with g, nonneg, nonneg with g)
-    Fraction(1, 2 ** 30): (0, 3, 0, 0),
-    Fraction(-1, 2 ** 30): (2, 3, 2, 2),
+    Fraction(1, 2 ** 30): (0, 0, 0, 0),
+    Fraction(-1, 2 ** 30): (2, 2, 2, 2),
     Fraction(-1, 2 ** 10): (2, 2, 2, 2),
     Fraction(1, 2 ** 10): (0, 0, 0, 0),
 }
 # The same on (x^2 - 1)^2, whose radical is x^2 - 1: every route ends in the
-# lift, and the routes with g take the float Gram step on R/J.  One cell
-# differs: in nonneg mode with g at m = +2^-30 the witness a = gamma / f
-# mod I has coefficients near 2^120 in its R/I form, and its float value at
-# the points x = 1 cancels to 0.0, where the true value is about 2.3e18, so
-# perturb sees sign 0 there, with points excluded, and gives up (3).
-HENSEL_SIGN_TABLE = {**SIGN_TABLE, Fraction(1, 2 ** 30): (0, 3, 0, 3)}
+# lift, and the routes with g take the float Gram step on R/J, whose sign
+# rule in `perturb` calls 2^-30 at a point of S undecided: exhaustion (3)
+# in strict mode.  In nonneg mode the witness a = gamma / f mod I has
+# coefficients near 2^120 in its R/I form, but the float step reads its
+# values off NF_J(a), where they do not cancel.
+HENSEL_SIGN_TABLE = {**SIGN_TABLE, Fraction(1, 2 ** 30): (0, 3, 0, 0),
+                     Fraction(-1, 2 ** 30): (2, 3, 2, 2)}
 SIGN_COLUMNS = [(0, "strict", ""), (1, "strict", "g: 1/2 - y\n"),
                 (2, "nonneg", ""), (3, "nonneg", "g: 1/2 - y\n")]
 SIGN_IDS = ["strict", "strict-g", "nonneg", "nonneg-g"]
@@ -451,13 +452,14 @@ class TestPerturb:
 
 
     def test_margin_below_the_tolerance_is_exhaustion(self, tmp_path, monkeypatch, capsys):
-        # f > 0 on S = {(+-1, 0)} with minimum 2^-30 at (-1, 0), under the
-        # perturbation's tolerance: no rounding can lift f - phi above it
-        # there, so it stops before rounding anything, and that is
-        # numerical exhaustion (3), not impossibility (2)
+        # f > 0 on S = {(+-1, -sqrt(2))} with minimum 2^-30 at x = -1, under
+        # the perturbation's tolerance: no rounding can lift f - phi above
+        # it there, so it stops before rounding anything, and that is
+        # numerical exhaustion (3), not impossibility (2).  The irrational
+        # points keep the float route: on y^2 = y the split decides exactly
         prob = tmp_path / "tiny_g.prob"
         prob.write_text(f"variables x y\nf: x + 1 + 1/{2 ** 30}\ng: 1/2 - y\n"
-                        "h: x^2 - 1\nh: y^2 - y\n")
+                        "h: x^2 - 1\nh: y^2 - 2\n")
         bits = []
         escalate = gram.escalate
         monkeypatch.setattr(gram, "escalate", lambda start, round_at, attempt: escalate(
@@ -587,7 +589,9 @@ class TestGramClosure:
         assert code == 4
         assert "verification failed: identity" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("h", ["x^2 - 1", "x^2"], ids=["radical", "hensel"])
+    # x^2 - 2, not x^2 - 1: the split of a ring of rational points closes
+    # its identity through `residual`
+    @pytest.mark.parametrize("h", ["x^2 - 2", "x^2"], ids=["radical", "hensel"])
     def test_no_expansion_without_excluded_points(self, h, monkeypatch):
         x = ["x"]
         inst = problem_io.ProblemInstance(x, parse_polynomial("x + 3", x), [],
@@ -773,20 +777,25 @@ class TestInternalFailuresSurface:
 
 
 def _grid_instances(draw):
-    """An integer-root grid ideal prod_r (x_k - r) in 1 to 3 variables with
-    D <= 16 and no g, and a random f shifted so that its minimum over the
-    grid points is +-2^-k, k in 0..128; returns (instance, sign)."""
-    n = draw(st.integers(1, 3))
+    """A sheared integer grid, prod_r (x - r) and prod_r (x_k - x - r) for
+    the later variables x_k, in 2 or 3 variables with D <= 16 and no g, and
+    a random f shifted so that its minimum over the points (a, a + b, ...)
+    is +-2^-k, k in 0..128; returns (instance, sign).  The points are
+    rational, but the generators are not one polynomial per variable, so
+    the split leaves the ring to the trace route."""
+    n = draw(st.integers(2, 3))
     names = ["x", "y", "z"][:n]
+    # two roots in x at least: with one, x_k - x - r is x_k - a - r modulo I
     sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)
-                 .filter(lambda s: math.prod(s) <= 16))
+                 .filter(lambda s: math.prod(s) <= 16 and s[0] > 1))
     roots = [draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k, unique=True))
              for k in sizes]
-    h = [math.prod((Polynomial.variable(i, n) - r for r in rs), start=Polynomial.constant(1, n))
-         for i, rs in enumerate(roots)]
+    x = Polynomial.variable(0, n)
+    h = [math.prod((Polynomial.variable(i, n) - (x if i else 0) - r for r in rs),
+                   start=Polynomial.constant(1, n)) for i, rs in enumerate(roots)]
     f = polynomial({e: draw(st.integers(-4, 4)) for e in draw(st.lists(
         st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=5))}, n)
-    points = list(itertools.product(*roots))
+    points = [(a, *(a + b for b in rest)) for a, *rest in itertools.product(*roots)]
     sign = draw(st.sampled_from([1, -1]))
     low = min(evaluate(f, pt) for pt in points)
     f = f + Fraction(sign, 2 ** draw(st.integers(0, 128))) - low
@@ -801,6 +810,7 @@ class TestTraceRoute:
     @given(st.data())
     def test_grid_known_answers(self, data):
         inst, sign = data.draw(st.composite(lambda draw: _grid_instances(draw))())
+        assert quotient.build_ring(inst.h).grid is None
         if sign > 0:
             cert = certifier.certify(inst)
             assert verify_bounds.verify_certificate(inst, cert).ok
@@ -811,7 +821,7 @@ class TestTraceRoute:
     @staticmethod
     def _spy(monkeypatch):
         calls = {"trace_form": 0, "solve_variety": 0, "round_matrix": 0,
-                 "certify_strict_nonradical": 0}
+                 "certify_strict_nonradical": 0, "_idempotent_step": 0}
         trace_form = quotient.QuotientRing.trace_form
 
         def counted(ring):
@@ -821,20 +831,23 @@ class TestTraceRoute:
         cached.__set_name__(quotient.QuotientRing, "trace_form")
         monkeypatch.setattr(quotient.QuotientRing, "trace_form", cached)
         for module, name in ((variety, "solve_variety"), (gram, "round_matrix"),
-                             (certifier, "certify_strict_nonradical")):
+                             (certifier, "certify_strict_nonradical"),
+                             (certifier, "_idempotent_step")):
             def spy(*args, name=name, f=getattr(module, name), **kwargs):
                 calls[name] += 1
                 return f(*args, **kwargs)
             monkeypatch.setattr(module, name, spy)
         return calls
 
+    # y^2 - 2 where the points would otherwise be rational: the split
+    # takes those rings (`TestIdempotentSplit`)
     @pytest.mark.parametrize("h, real", [
-        (["x^2 - 1", "y^2 - y"], True),
+        (["x^2 - 1", "y^2 - 2"], True),
         (["x^4 - 1", "y^3 - y"], False),  # conj12-like: x = +-i
         (["x^2 - 2", "y^2 - x*y - 3"], True),  # no polynomial in y alone
         (["x^2 + 2", "y^2 - x*y - 3"], False),
         # x^3 + x has complex roots, but the Gröbner element x is what I holds
-        (["x^3 + x", "y^2 - 1", "x^2"], True),
+        (["x^3 + x", "y^2 - 2", "x^2"], True),
     ], ids=["precheck-real", "precheck-complex", "trace-form-real", "trace-form-complex",
             "precheck-minimal-polynomial"])
     def test_which_rings_take_the_route(self, monkeypatch, h, real):
@@ -852,6 +865,42 @@ class TestTraceRoute:
                                                                       else (1, True))
         assert calls["certify_strict_nonradical"] == 0
 
+    @pytest.mark.parametrize("h, g, route", [
+        # one polynomial per variable, every root rational: the split
+        (["x^2 - 1", "y^2 - y"], [], (1, 0, 0, 0)),
+        (["x^2 - 1", "y^2 - y"], ["1/2 - y"], (1, 0, 0, 0)),
+        (["2*x^2 + x - 3", "3*y^3 - 4*y^2 + y"], [], (1, 0, 0, 0)),  # -3/2, 1/3
+        # an irrational root: the trace route, or the float route with a g
+        (["x^2 - 2", "y^2 - y"], [], (0, 1, 0, 0)),
+        (["x^2 - 2", "y^2 - y"], ["1/2 - y"], (0, 0, 1, 1)),
+        # an x^2 + 1 factor: the float route
+        (["x^4 - 1", "y^2 - y"], [], (0, 0, 1, 1)),
+        (["x^3 - x^2 + x - 1", "y^2 - y"], ["1/2 - y"], (0, 0, 1, 1)),
+        # rational points, but y - x is not a polynomial in y alone
+        (["x^2 - 1", "y - x"], [], (0, 1, 0, 0)),
+    ], ids=["split", "split-g", "split-fractions", "irrational", "irrational-g",
+            "complex", "complex-g", "not-a-product"])
+    def test_which_rings_split(self, monkeypatch, h, g, route):
+        # route: (split steps, trace forms, root solves, roundings > 0)
+        calls = self._spy(monkeypatch)
+        inst = problem_io.ProblemInstance(["x", "y"], poly("x + y + 9"), [poly(p) for p in g],
+                                          [poly(p) for p in h])
+        assert verify_bounds.verify_certificate(inst, certifier.certify(inst)).ok
+        assert (calls["_idempotent_step"], calls["trace_form"], calls["solve_variety"],
+                int(calls["round_matrix"] > 0)) == route
+
+    def test_a_float_failure_falls_back(self, monkeypatch):
+        # the roots +-10^-200 of 10^400 x^2 - 1 are rational, but the scaled
+        # float polynomial loses its constant term: no candidate passes the
+        # exact test, and the trace route certifies
+        calls = self._spy(monkeypatch)
+        inst = problem_io.ProblemInstance(["x"], poly("x + 2", ["x"]), [],
+                                          [poly(f"{10 ** 400}*x^2 - 1", ["x"])])
+        ring = quotient.build_ring(inst.h)
+        assert ring.grid is not None and variety.rational_grid(ring) is None
+        assert verify_bounds.verify_certificate(inst, certifier.certify(inst, ring)).ok
+        assert (calls["_idempotent_step"], calls["trace_form"]) == (0, 1)
+
     def test_a_huge_leading_coefficient_takes_the_precheck(self):
         # 2^61 - 1 divides the leading coefficient, and the Sturm chain over Q
         # still proves x alone squarefree with two real roots
@@ -865,15 +914,16 @@ class TestTraceRoute:
     def test_a_g_keeps_the_float_route(self, monkeypatch):
         calls = self._spy(monkeypatch)
         inst = problem_io.ProblemInstance(["x", "y"], poly("x + y + 9"), [poly("1")],
-                                          [poly("x^2 - 1"), poly("y^2 - y")])
+                                          [poly("x^2 - 1"), poly("y^2 - 2")])
         assert verify_bounds.verify_certificate(inst, certifier.certify(inst)).ok
         assert calls["solve_variety"] == 1
         assert calls["certify_strict_nonradical"] == 0
 
     def test_zero_at_a_point_is_exact(self):
-        # f = 0 at x = -1: no strict certificate, and no float has to say so
-        inst = problem_io.ProblemInstance(["x"], poly("x + 1", ["x"]), [],
-                                          [poly("x^2 - 1", ["x"])])
+        # f = 0 at x = 1, a point beside +-sqrt(2): no strict certificate,
+        # and no float has to say so
+        inst = problem_io.ProblemInstance(["x"], poly("x - 1", ["x"]), [],
+                                          [poly("x^3 - x^2 - 2*x + 2", ["x"])])
         with pytest.raises(NotStrictlyPositiveOnS, match="f <= 0 at a real point of V = S"):
             certifier.certify(inst)
 
@@ -1002,10 +1052,11 @@ class TestNonnegTraceRoute:
     with no g on an all-real radical ring, the trace route, with no rounding.
     Only the witness's shift at the zeros of f reads the roots."""
 
-    # f on the 3x3 grid x in {-3, 2, 3}, y in {-3, -2, -1}: f = 0 at (-3, -1)
-    # alone and f >= 3 at the other eight points
+    # f on the 3x3 grid x in {-3, 2, 3}, y in {-1, +-sqrt(2)}: f = 0 at
+    # (-3, -1) alone and f > 1/2 at the other eight points.  y = +-sqrt(2)
+    # keeps the grid from the split of rational points
     GRID = ("variables x y\nf: -x^2 - x*y + 3*y^2 + 2*x + 3*y + 18{shift}\n"
-            "h: x^3 - 2*x^2 - 9*x + 18\nh: y^3 + 6*y^2 + 11*y + 6\n")
+            "h: x^3 - 2*x^2 - 9*x + 18\nh: y^3 + y^2 - 2*y - 2\n")
 
     @pytest.mark.parametrize("shift, solves", [("", 1), (" + 1", 0)], ids=["zero", "positive"])
     def test_solves(self, monkeypatch, shift, solves):
@@ -1024,9 +1075,9 @@ class TestNonnegTraceRoute:
         cert = problem_io.parse_certificate(out.read_text())[0]
         report = verify_bounds.verify_certificate(problem_io.parse_problem(text), cert)
         assert report.ok
-        # the float radical route gave (134, 22) bits and 268 weight bits
+        # the trace route's heights on this grid
         assert (report.max_numerator_bits, report.max_denominator_bits,
-                report.max_weight_bits) == (50, 8, 95)
+                report.max_weight_bits) == (47, 10, 89)
 
     def test_negative_at_a_point(self, tmp_path, capsys):
         # f - 1 = -1 at (-3, -1)
@@ -1055,3 +1106,59 @@ class TestNonnegTraceRoute:
         assert cli.main(["certify", "--mode", "nonneg", "--seed", str(seed),
                          "--input", str(prob), "--out", str(out)]) == 0
         assert cli.main(["verify", "--input", str(prob), "--certificate", str(out)]) == 0
+
+
+def _split_instances(draw):
+    """A product ring prod_r (x_k - r) in 1 to 3 variables, D <= 12, whose
+    roots are rationals such as -3/2 and 1/3, with or without a linear g,
+    and a random f shifted so that its least value over S is 0, +-1,
+    +-2^-30 or +-2^-128, in strict or nonneg mode; returns (instance,
+    mode, expected exit code), the code from `Fraction` evaluation at the points."""
+    mode = draw(st.sampled_from(["strict", "nonneg"]))
+    with_g = draw(st.booleans())
+    n = draw(st.integers(1, 3))
+    names = ["x", "y", "z"][:n]
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)
+                 .filter(lambda s: math.prod(s) <= 12))
+    rationals = st.sampled_from([Fraction(-3, 2), Fraction(1, 3), Fraction(-2, 5), -2, -1, 0,
+                                 1, 2, Fraction(5, 4)])
+    roots = [draw(st.lists(rationals, min_size=k, max_size=k, unique=True)) for k in sizes]
+    h = [math.prod((Polynomial.variable(i, n) - r for r in rs), start=Polynomial.constant(1, n))
+         for i, rs in enumerate(roots)]
+    points = list(itertools.product(*roots))
+    small = st.integers(-3, 3)
+    g = []
+    if with_g:
+        g = [polynomial({(0,) * n: draw(small), **{tuple(int(k == i) for k in range(n)): draw(small)
+                                                   for i in range(n)}}, n)]
+    f = polynomial({e: draw(small) for e in draw(st.lists(
+        st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=5))}, n)
+    in_s = [pt for pt in points if all(evaluate(gi, pt) >= 0 for gi in g)]
+    margin = draw(st.sampled_from([0, 1, -1, Fraction(1, 2 ** 30), Fraction(-1, 2 ** 30),
+                                   Fraction(1, 2 ** 128), Fraction(-1, 2 ** 128)]))
+    if in_s:
+        f = f + margin - min(evaluate(f, pt) for pt in in_s)
+    low = min((evaluate(f, pt) for pt in in_s), default=1)
+    code = 0 if (low > 0 if mode == "strict" else low >= 0) else 2
+    return problem_io.ProblemInstance(names, f, g, h), mode, code
+
+
+class TestIdempotentSplit:
+    """A radical ring whose reduced Gröbner basis is one polynomial per
+    variable with only rational roots takes the split f = sum f(xi) e_xi^2:
+    every sign is exact, so no margin is too small and nothing exits 3."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_known_answers(self, data):
+        inst, mode, expected = data.draw(st.composite(lambda draw: _split_instances(draw))())
+        assert variety.rational_grid(quotient.build_ring(inst.h)) is not None
+        with tempfile.TemporaryDirectory() as tmp:
+            prob, out = os.path.join(tmp, "p.prob"), os.path.join(tmp, "p.cert")
+            with open(prob, "w") as fh:
+                fh.write(format_problem(inst))
+            assert cli.main(["certify", "--mode", mode, "--input", prob, "--out", out]) == expected
+            if expected == 0:
+                assert cli.main(["verify", "--input", prob, "--certificate", out]) == 0
+            else:
+                assert not os.path.exists(out)

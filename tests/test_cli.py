@@ -236,15 +236,22 @@ class TestNumpyIsTheOnlyNumericDependency:
 
 class TestWarnings:
     def test_one_line_per_warning(self, tmp_path, capsys):
-        # x - 1 vanishes at the two points (1, +-1), which stay in S
+        # x - 1 vanishes at the two points (1, +-sqrt(2)), which stay in S
         prob = tmp_path / "boundary.prob"
-        prob.write_text("variables x y\nf: x + y + 5\ng: x - 1\nh: x^2 - 1\nh: y^2 - 1\n")
+        prob.write_text("variables x y\nf: x + y + 5\ng: x - 1\nh: x^2 - 1\nh: y^2 - 2\n")
         assert run(["certify", "--input", str(prob)]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2
         for line in lines:
             assert re.fullmatch(r"warning: constraint value within tolerance at real point \d+; "
                                 r"provisionally in S", line)
+
+    def test_no_warning_at_a_rational_point(self, tmp_path, capsys):
+        # at (1, +-1) the split decides g = 0 exactly: the points are in S
+        prob = tmp_path / "boundary.prob"
+        prob.write_text("variables x y\nf: x + y + 5\ng: x - 1\nh: x^2 - 1\nh: y^2 - 1\n")
+        assert run(["certify", "--input", str(prob)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestVerify:
@@ -761,10 +768,12 @@ class TestGolden:
             assert not os.path.exists(golden)
 
 
-# Inputs beyond tests/data for the square form: an excluded point whose
-# idempotent x / 10^6 rounds to zero at 16 bits, and a Hensel lift with a g.
+# Inputs beyond tests/data for the square form: excluded points whose
+# idempotents x (1/2 +- y / (2 sqrt(2))) / 10^6 round to zero at 16 bits (the
+# irrational y keeps the float route), and a Hensel lift with a g.
 FORM_EXTRA = {
-    "zero_column": "variables x\nf: 1 - 1/500000*x\ng: 1 - x\nh: x^2 - 1000000*x\n",
+    "zero_column": "variables x y\nf: 1 - 1/500000*x\ng: 1 - x\nh: x^2 - 1000000*x\n"
+                   "h: y^2 - 2\n",
     "hensel_g": "variables x y\nf: x - 2\ng: x\nh: x^3 - x^2\nh: y^2 + 1\n",
 }
 FORM_CASES = ([(data_path(f"{problem}.prob"), options) for problem in sorted(GOLDEN_EXITS)
@@ -843,8 +852,10 @@ EXIT_CODES = [
 
 # Inputs whose roots or coefficients float64 cannot handle: a double root
 # split by 2^-50, and a coefficient beyond float64 range.  Their rings are
-# radical with every point real, so with no g the exact trace route
-# certifies them, in both modes; the SDP route still meets the float limit.
+# radical with every point real, so with no g an exact route certifies
+# them, in both modes: the split of the rational points +-1 for huge_f, the
+# trace route for the others, whose rational roots no float candidate
+# finds; the SDP route still meets the float limit.
 FLOAT_LIMITS = {
     "split_root": f"variables x y\nf: x + 3\nh: x^2 - 2*x + 1 - 1/{2 ** 100}\nh: y - 1\n",
     "huge_f": "variables x\nf: 1" + "0" * 400 + "\nh: x^2 - 1\n",

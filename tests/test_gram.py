@@ -298,13 +298,14 @@ class TestRoundMatrix:
 
 class TestEscalation:
     def test_stops_when_rounding_repeats(self, tmp_path, monkeypatch, capsys):
-        # f > 0 on V by 2^-51, below what the float64 Gram matrix can show:
-        # from 64 bits on, rounding reproduces the same matrix.  The g, true
-        # everywhere, keeps the float route: with no g the trace route would
-        # certify f exactly
+        # f > 0 on V by 2^-52, below what the float64 Gram matrix can show:
+        # from 128 bits on, rounding reproduces the same matrix.  The g,
+        # true everywhere, keeps the float route: with no g the trace route
+        # would certify f exactly.  y^2 = 2, not y^2 = y, keeps it from the
+        # split, which decides every sign at rational points exactly
         prob = tmp_path / "tiny.prob"
-        prob.write_text(f"variables x y\nf: x + 1 + 1/{2 ** 51}\n"
-                        "g: 1\nh: x^2 - 1\nh: y^2 - y\n")
+        prob.write_text(f"variables x y\nf: x + 1 + 1/{2 ** 52}\n"
+                        "g: 1\nh: x^2 - 1\nh: y^2 - 2\n")
         bits, factored = [], []
         round_matrix, ldlt = gram.round_matrix, gram.ldlt
         monkeypatch.setattr(gram, "round_matrix",
@@ -312,8 +313,8 @@ class TestEscalation:
         monkeypatch.setattr(gram, "ldlt", lambda q: factored.append(q) or ldlt(q))
         code = cli.main(["certify", "--input", str(prob)])
         assert code == 3
-        assert len(factored) == 2
-        assert bits == [32, 64, 128]
+        assert len(factored) == 3
+        assert bits == [32, 64, 128, 256]
         assert "float64 margin used up" in capsys.readouterr().err
 
     def _first_bits(self, monkeypatch, prob):

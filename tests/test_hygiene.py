@@ -146,7 +146,8 @@ def test_only_polyring_and_quotient_do_exponent_arithmetic(name):
         pytest.fail(f"{name} imports or reads operator at lines {lines}")
 
 
-STRICT_ROUTES = ("_exact_gram_step", "_float_gram_step", "certify_strict_nonradical")
+STRICT_ROUTES = ("_idempotent_step", "_exact_gram_step", "_float_gram_step",
+                 "certify_strict_nonradical")
 
 
 def test_one_strict_route_dispatch():

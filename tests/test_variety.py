@@ -107,6 +107,49 @@ class TestIdempotents:
                 variety.solve_variety(ring)
 
 
+class TestRationalGrid:
+    """The rational points of a product ring, found from float candidates
+    checked in integers, with their exact idempotents."""
+
+    @pytest.mark.parametrize("coeffs, roots", [
+        ({0: 0, 1: -1, 3: 1}, [-1, 0, 1]),  # x^3 - x: integer roots stay ints
+        ({0: -2, 1: -1, 2: 6}, [Fraction(-1, 2), Fraction(2, 3)]),
+        ({0: -1, 1: 2 ** 61 - 1}, [Fraction(1, 2 ** 61 - 1)]),
+        ({0: -2, 2: 1}, None),  # irrational
+        ({0: -1, 1: 1, 2: -1, 3: 1}, None),  # (x - 1)(x^2 + 1): a complex pair
+        # +-10^-200 are rational, but 2^-1329 underflows to a zero constant
+        ({0: -1, 2: 10 ** 400}, None),
+        # +-2^530: the leading coefficient scales to 2^-1061, and the
+        # companion matrix overflows
+        ({0: -2 ** 1060, 2: 1}, None),
+    ], ids=["integers", "fractions", "huge_denominator", "irrational", "complex", "underflow",
+            "overflow"])
+    def test_roots(self, coeffs, roots):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = variety._rational_roots(coeffs)
+        assert found == roots
+        assert [type(r) for r in found or []] == [type(r) for r in roots or []]
+
+    def test_idempotents_are_exact(self):
+        ring = make_ring(poly("2*x^2 + x - 3"), poly("3*y^3 - 4*y^2 + y"))
+        grid = variety.rational_grid(ring)
+        assert grid.points == [(x, y) for x in (Fraction(-3, 2), 1) for y in (0, Fraction(1, 3), 1)]
+        total = quotient.combine([(Fraction(1), *e) for e in grid.idempotents], ring.D)
+        assert total == ring.unit
+        for k, e in enumerate(grid.idempotents):
+            assert ring.mul(e, e) == e
+            values = [evaluate(ring.from_vector(*e), pt) for pt in grid.points]
+            assert values == [int(j == k) for j in range(len(grid.points))]
+        assert grid.values(poly("x*y + 1")) == [x * y + 1 for x, y in grid.points]
+
+    @pytest.mark.parametrize("gens", [("x^2 - 1", "y - x"), ("x^2 - 1", "y^2 + 1"),
+                                      ("x^2 - 1", "y^2 - 2")],
+                             ids=["not_a_product", "complex", "irrational"])
+    def test_other_rings(self, gens):
+        assert variety.rational_grid(make_ring(*map(poly, gens))) is None
+
+
 class TestSigns:
     def test_thresholds(self, four_points_var):
         # +-decision_tol itself is undecided; the next float beyond it is not
