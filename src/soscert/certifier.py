@@ -3,32 +3,33 @@
 `certify` dispatches on the engine and the mode, and `_strict_blocks` is
 the one strict route dispatch of both modes: of f in strict mode, of the
 positive a of the (a, b, gamma) witness in nonneg mode.  It has two
-stages.  On a radical ring whose reduced Gröbner basis is one polynomial
-per variable, each with only rational roots (`variety.rational_grid`),
-the first stage is the paper's idempotent certificate
-f = sum_xi f(xi) e_xi^2 mod I (`_idempotent_step`): e_xi is a product of
-univariate Lagrange polynomials, every sign is decided in Q, and there is
-no root solve, no Gram matrix and no rounding.  On every other ring it is
-one Gram step over R/J, J the radical of I (J = I when I is radical), of
-f~ or, on a non-radical ring, of f~ - eps.  With no g and only real points
-on J it is exact (`_exact_gram_step`): the trace-form Gram matrices of
-R/J, with no root, whose LDL^t judges the sign of f.  Otherwise it is
-float (`_float_gram_step`): `perturb` on the points of R/J, the one sign
-rule at the points of S on `VarietyData.signs`, then the rounded Gram step
-`gram.round_and_certify`, on NF_J(f) when lifting.  The second stage, on a
-non-radical ring alone, is one Hensel lift (`certify_strict_nonradical`):
-eps t^2, with t the square root, 1 mod J, of theta = 1 mod J, a finite
-binomial series in R/I, closes f~ modulo I.  No ring but R/I and R/J is
-built, and every product in R/I reads the nonzero entries of the ring's
-product table.
+stages.  On a radical product ring, told by Seidenberg's univariates p_k
+with D = prod_k deg p_k, whose every root is rational
+(`variety.rational_grid`), the first stage is the paper's idempotent
+certificate f = sum_xi f(xi) e_xi^2 mod I (`_idempotent_step`): e_xi is a
+product of univariate Lagrange polynomials, every sign is decided in Q,
+and there is no root solve, no Gram matrix and no rounding.  On every
+other ring it is one Gram step over R/J, J the radical of I (J = I when I
+is radical), of f~ or, on a non-radical ring, of f~ - eps.  With no g and
+only real points on J it is exact (`_exact_gram_step`): the trace-form
+Gram matrices of R/J, with no root, whose LDL^t judges the sign of f.
+Otherwise it is float (`_float_gram_step`): `perturb` on the points of
+R/J, the one sign rule at the points of S on `VarietyData.signs`, then the
+rounded Gram step `gram.round_and_certify`, on NF_J(f) when lifting.  The
+second stage, on a non-radical ring alone, is one Hensel lift
+(`certify_strict_nonradical`): eps t^2, with t the square root, 1 mod J,
+of theta = 1 mod J, a finite binomial series in R/I, closes f~ modulo I.
+No ring but R/I and R/J is built, and every product in R/I reads the
+nonzero entries of the ring's product table.
 Each Gram step factors a Gram matrix Q0 of f~ into LDL^t squares and the
 rest f~ - B^t Q0 B (`gram.factor_gram`), the float ones (strict and SDP)
 in the one rounded Gram step (`gram.gram_squares`), and the blocks and
 rest go to `_assemble`, which finds the rest's cofactors.  Squares that no
 Gram matrix carries, the idempotent squares among them, are expanded by
-the verifier's `verify_bounds.residual`.  `certify` solves the points of
-R/J at most once per call.  The data types come from `problem_io`, so
-`verify` and `bounds` never load this module or an engine.
+the verifier's `verify_bounds.residual`.  `certify` reads R/J's rational
+grid and solves its points at most once per call.  The data types come
+from `problem_io`, so `verify` and `bounds` never load this module or an
+engine.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _all_real(ring):
     (`QuotientRing.univariates`); on every other ring `ldlt` of the trace
     form decides, whose signature counts the real points."""
     if ring.univariates is not None:
-        return all(ring.univariates)
+        return all(real for _, real in ring.univariates)
     try:
         gram.ldlt(gram.SymmetricMatrix(ring.trace_form[0]))
     except NotPD:
@@ -142,18 +143,18 @@ def _trace_grams(ring, *vectors):
                                   for row in red], p * d) for k, (_, d) in enumerate(mats, 1)]
 
 
-def certify_nonneg(inst, ring, roots):
+def certify_nonneg(inst, ring, grid, roots):
     """Nonnegativity certificate via the coprimality witness: take the
     squares of a strict certificate of the positive a, on the route
     `_strict_blocks` picks for a as it would for f, then close
-    f = (1/gamma) a f^2 modulo I.  The witness reads the points `roots()`
-    of R/J only when f has a zero on V, to shift a there."""
-    a, b, gamma_val = quotient.coprimality_witness(ring, inst.f, roots=roots)
+    f = (1/gamma) a f^2 modulo I.  The witness reads the points of R/J,
+    `grid()` or else `roots()`, only when f has a zero on V, to shift a."""
+    a, b, gamma_val = quotient.coprimality_witness(ring, inst.f, roots=lambda: grid() or roots())
     inner = ProblemInstance(inst.var_names, a, inst.g, inst.h,
                             options=inst.options)
     try:
         # only f's identity is closed: a's rest is dropped
-        squares_of_a, _ = _strict_blocks(inner, ring, roots)
+        squares_of_a, _ = _strict_blocks(inner, ring, grid, roots)
     except NotStrictlyPositiveOnS as exc:
         # a = gamma / f wherever f != 0, and a > 0 where f = 0: a < 0 at a
         # point of S is f < 0 there, while the inner message gives a's value
@@ -311,7 +312,8 @@ def certify(inst, ring=None):
     needs no squares at all: f lies in I, and its cofactors alone are the
     certificate, in every mode and engine.  Otherwise both modes take the
     strict route of `_strict_blocks`, strict mode for f and nonneg mode for
-    its witness a, and solve the points of R/J once, when first read."""
+    its witness a, and read R/J's rational grid and solve its points at
+    most once, when first read."""
     if ring is None:
         ring = quotient.build_ring(inst.h)
     if ring.D == 0:
@@ -320,24 +322,24 @@ def certify(inst, ring=None):
         return _assemble(ring, *sdp_backend.algorithm1_certify(inst, ring))
     seed = inst.options.get("seed", 0)
     roots = functools.cache(lambda: variety.solve_variety(ring.radical_ring, seed=seed))
+    grid = functools.cache(lambda: variety.rational_grid(ring.radical_ring))
     if inst.options.get("mode") == "nonneg":
-        return certify_nonneg(inst, ring, roots)
-    return _assemble(ring, *_strict_blocks(inst, ring, roots))
+        return certify_nonneg(inst, ring, grid, roots)
+    return _assemble(ring, *_strict_blocks(inst, ring, grid, roots))
 
 
-def _strict_blocks(inst, ring, roots):
+def _strict_blocks(inst, ring, grid, roots):
     """The blocks and rest of a certificate of inst.f > 0 on S, the one
     strict route dispatch of both modes, in two stages.  First, on a
-    radical ring whose points are a rational grid, the idempotent split,
-    with no root and no Gram matrix; on every other ring one Gram step over
+    radical ring whose points are the rational `grid()`, the idempotent
+    split, with no root and no Gram matrix; on every other ring one Gram step over
     R/J (J = I when I is radical), of f~ or, on a non-radical ring, of
     f~ - eps: exact, with no root, when there is no g and every point of
     R/J is real, else float, on the points `roots()` of R/J.  Then, on a
     non-radical ring, one Hensel lift to R/I."""
     ring_j, lift = ring.radical_ring, not ring.is_radical
-    grid = None if lift else variety.rational_grid(ring)
-    if grid is not None:
-        g_blocks, squares, rest, eps = _idempotent_step(inst, ring, grid)
+    if not lift and (points := grid()) is not None:
+        g_blocks, squares, rest, eps = _idempotent_step(inst, ring, points)
     elif not inst.g and _all_real(ring_j):
         g_blocks, squares, rest, eps = _exact_gram_step(inst, ring_j, lift)
     else:

@@ -9,19 +9,17 @@ which a non-radical ring's strict route takes its Gram step before the
 Hensel lift.
 
 Two exact tests give J (`radical_generators`).  When I holds a squarefree
-polynomial in each variable alone, as every grid and cube ideal does, I
-is radical (Seidenberg's lemma), and neither the product table nor H1 is
-read: one integer Sturm chain per such polynomial (`sturm`) proves it
+polynomial p_k in each variable alone, as every grid and cube ideal does,
+I is radical (Seidenberg's lemma), and neither the product table nor H1
+is read: one integer Sturm chain per such polynomial (`sturm`) proves it
 squarefree and counts its real roots, so it also decides whether every
-point is real.  On every other ring J is I plus the exact kernel of the
-trace form H1[i][j] = Tr(M_{b_i b_j}) of R/I, the nilradical; H1 is built
-once (`QuotientRing.trace_form`), as an integer matrix over one positive
-denominator, and its signature counts the real points.  Every float step
-(root solving, the witness's roots, the Gram matrix) sees only R/J, where
-each root is simple.  When the reduced Gröbner basis is one polynomial in
-each variable alone (`QuotientRing.grid`), B is a grid of exponents, and a
-product of univariate polynomials is read onto it with no reduction
-(`QuotientRing.grid_vector`): the idempotents of rational points.
+point is real (`QuotientRing.univariates`); with D = prod_k deg p_k, I is
+(p_1, ..., p_n), a product ring.  On every other ring J is I plus the
+exact kernel of the trace form H1[i][j] = Tr(M_{b_i b_j}) of R/I, the
+nilradical; H1 is built once (`QuotientRing.trace_form`), as an integer
+matrix over one positive denominator, and its signature counts the real
+points.  Every float step (root solving, the witness's roots, the Gram
+matrix) sees only R/J, where each root is simple.
 
 A ring vector, the coefficients over the quotient basis B of a normal
 form, has one form: a pair (ints, den) of integers over one positive
@@ -474,10 +472,10 @@ class QuotientRing:
     @functools.cached_property
     def univariates(self):
         """Seidenberg's precheck: for each variable x_k, the first polynomial
-        in x_k alone that `sturm` proves squarefree, a reduced Gröbner
-        element (the minimal polynomial of x_k) before a generator; the list
-        holds, per variable, whether all its roots are real.  None when some
-        variable has no such polynomial."""
+        p_k = sum_i c_i x_k^i in x_k alone that `sturm` proves squarefree, a
+        reduced Gröbner element (the minimal polynomial of x_k) before a
+        generator, as ({i: c_i}, whether all its roots are real); None when
+        some variable has none.  D = prod_k deg p_k exactly when I = (p_k)."""
         found = {}
         for terms in [{lead: lc, **dict(tail)} for lead, lc, tail in self.ideal.reducers] + [
                 h.ints for h in self.ideal.generators]:
@@ -485,48 +483,8 @@ class QuotientRing:
             if len(used) == 1 and not used <= found.keys():
                 count, squarefree = sturm(coeffs := {sum(e): c for e, c in terms.items()})
                 if squarefree:
-                    found[used.pop()] = count == max(coeffs)
+                    found[used.pop()] = coeffs, count == max(coeffs)
         return [found[k] for k in range(self.nvars)] if len(found) == self.nvars else None
-
-    @functools.cached_property
-    def grid(self):
-        """The reduced Gröbner basis as {i: c_i} of each p_k = sum_i c_i x_k^i,
-        by variable, when it is exactly one integer polynomial p_k in each
-        variable x_k alone; else None.  B is then every x^b with
-        b_k < deg p_k, so a product of polynomials u_k(x_k) of degree below
-        deg p_k is its own normal form (`grid_vector`)."""
-        found = {}
-        for lead, lc, tail in self.ideal.reducers:
-            k = next((k for k, x in enumerate(lead) if x), None)
-            terms = [(lead, lc), *tail]
-            if k is None or k in found or any(sum(e) != e[k] for e, _ in terms):
-                return None
-            found[k] = {e[k]: c for e, c in terms}
-        return [found[k] for k in range(self.nvars)] if len(found) == self.nvars else None
-
-    def grid_vector(self, factors):
-        """The ring vector of prod_k u_k(x_k) on a `grid` ring, for the
-        factors u_k = (coefficients, den_k), the deg p_k integers of
-        x_k^0, x_k^1, ... over den_k != 0: its coefficient at b is
-        prod_k u_k[b_k] / prod_k den_k, read off the Kronecker product of
-        the u_k at `_grid_index`."""
-        kron, den = [1], 1
-        for u, d in factors:
-            kron = [x * y for x in kron for y in u]
-            den *= d
-        return exactla.lowest([kron[i] for i in self._grid_index], den)
-
-    @functools.cached_property
-    def _grid_index(self):
-        """The place of each b of B in the Kronecker product of `grid_vector`,
-        the first variable's index outermost."""
-        out = []
-        for b in self.basis:
-            i = 0
-            for bk, p in zip(b, self.grid):
-                i = i * max(p) + bk
-            out.append(i)
-        return out
 
     @functools.cached_property
     def radical(self):
@@ -636,7 +594,7 @@ def coprimality_witness(ring, f, roots):
     exactly 1 at the zeros of f on the variety and 0 elsewhere: the real
     zeros of f are the real roots where b > 1/2, from `roots()` (the points
     of ring.radical_ring) only when b != 0; unless `a` has sign +1 at all
-    of them (`VarietyData.signs`), it is shifted by a multiple 2^k b.
+    of them (`signs`, exact on a rational grid), it is shifted by 2^k b.
     """
     nf = ring.nf_vector(f)
     rows, d = ring.mult_matrix(ring.mul(nf, nf))

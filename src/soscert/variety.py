@@ -1,13 +1,12 @@
 """The points of the variety of a radical zero-dimensional ideal: exact
 on a product ring of rational roots, numerical on every other ring.
 
-On a ring whose reduced Gröbner basis is one polynomial per variable, the
-points are the grid of each variable's roots.  When all of those are
-rational (`rational_grid`), they are found from float candidates that each
-pass an exact test in integers, and a `RationalGrid` holds them with their
-exact idempotents, products of univariate Lagrange polynomials, and
-evaluates polynomials at them exactly.  Every other ring is solved in
-floats (`solve_variety`).
+On a product ring, Seidenberg's univariates p_k with D = prod_k deg p_k,
+the points are the grid of the roots of the p_k.  When all of those are
+rational (`rational_grid`), they are found from float candidates that
+each pass an exact test in integers, and a `RationalGrid` holds them with
+their exact idempotents, products of univariate Lagrange polynomials.
+Every other ring is solved in floats (`solve_variety`).
 
 Coordinates come from an eigendecomposition C = V diag(c) V^-1 of a random
 (seeded) linear combination C of the multiplication matrices M_j.  The D
@@ -25,7 +24,7 @@ through one of its points, so `solve_variety` hands out the real points and
 one point per pair, each with its idempotent, and no caller classifies a
 point again.  Nor does any evaluate at the points or compare a value with
 the tolerance: `VarietyData.values`, `pair_values` and `signs` do, and
-`RationalGrid.values`, whose values are exact and need no tolerance.
+`RationalGrid`'s, whose values are exact and need no tolerance.
 
 The solver is array code over all points at once, and its floats are bit
 for bit those of a loop over the points: the row products inv[k] M_j are
@@ -37,11 +36,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 
+from . import exactla
 from .errors import BoundaryAmbiguity, ClusterAmbiguity, SingularVandermonde
 from .polyring import evaluate
 
@@ -169,18 +170,26 @@ def idempotents(ring, points):
 
 
 class RationalGrid:
-    """The points of a `QuotientRing.grid` ring whose every coordinate is
-    rational: the product of each variable's roots, with their idempotents
-    e_xi = prod_k L_k(x_k), L_k the Lagrange polynomial of xi_k among x_k's
-    roots, as ring vectors (`QuotientRing.grid_vector`), one per point in
-    the order of `points`.  `values` evaluates exactly.  A root that is an
-    integer is an int, so an integer grid evaluates in integers."""
+    """The rational points of a product ring, the grid of the roots of its
+    p_k, with their idempotents e_xi = prod_k L_k(x_k), L_k the Lagrange
+    polynomial of xi_k among the roots of p_k, one per point in the order
+    of `points`: B is every x^b with b_k < deg p_k, so e_xi is the ring
+    vector of the prod_k L_k[b_k].  `values` and `signs` are exact, and an
+    integer root is an int, so an integer grid evaluates in integers."""
+
+    decision_tol = 0  # exact values: `signs` is VarietyData's rule with no tolerance
+    signs = VarietyData.signs
 
     def __init__(self, ring, roots):
         self.points = list(itertools.product(*roots))
         lagrange = [[_lagrange(rs, r) for r in rs] for rs in roots]
-        self.idempotents = [ring.grid_vector(factors)
-                            for factors in itertools.product(*lagrange)]
+        # entry b of every e_xi at once, in the order of `points`: the
+        # Kronecker product over k of the L_k[b_k] of x_k's roots
+        rows = [[1]] * ring.D
+        for k, factors in enumerate(lagrange):
+            rows = [[x * u[b[k]] for x in row for u, _ in factors] for row, b in zip(rows, ring.basis)]
+        dens = [math.prod(d for _, d in factors) for factors in itertools.product(*lagrange)]
+        self.idempotents = [exactla.lowest(list(col), d) for col, d in zip(zip(*rows), dens)]
 
     def values(self, p):
         """The exact values of p at the points, in their order."""
@@ -231,15 +240,16 @@ def _rational_roots(coeffs):
 
 
 def rational_grid(ring):
-    """The `RationalGrid` of a radical ring whose reduced Gröbner basis is
-    one polynomial per variable (`QuotientRing.grid`), each with only
-    rational roots, or None: any complex or irrational root, or a float
-    candidate that fails the exact test, leaves the ring to the other
-    routes.  A complex root costs no float step: the Sturm counts of
-    `QuotientRing.univariates` have found it."""
-    if ring.grid is None or not all(ring.univariates or ()):
+    """The `RationalGrid` of a radical ring whose univariates p_k
+    (`QuotientRing.univariates`) have D = prod_k deg p_k and only rational
+    roots, or None.  A complex root costs no float step: the Sturm counts
+    have found it.  An irrational root, or a float candidate that fails the
+    exact test, leaves the ring to the other routes."""
+    found = ring.univariates
+    if found is None or not all(real for _, real in found) or ring.D != math.prod(
+            max(p) for p, _ in found):
         return None
-    roots = [_rational_roots(p) for p in ring.grid]
+    roots = [_rational_roots(p) for p, _ in found]
     return None if None in roots else RationalGrid(ring, roots)
 
 

@@ -810,7 +810,7 @@ class TestTraceRoute:
     @given(st.data())
     def test_grid_known_answers(self, data):
         inst, sign = data.draw(st.composite(lambda draw: _grid_instances(draw))())
-        assert quotient.build_ring(inst.h).grid is None
+        assert variety.rational_grid(quotient.build_ring(inst.h)) is None
         if sign > 0:
             cert = certifier.certify(inst)
             assert verify_bounds.verify_certificate(inst, cert).ok
@@ -878,8 +878,12 @@ class TestTraceRoute:
         (["x^3 - x^2 + x - 1", "y^2 - y"], ["1/2 - y"], (0, 0, 1, 1)),
         # rational points, but y - x is not a polynomial in y alone
         (["x^2 - 1", "y - x"], [], (0, 1, 0, 0)),
+        # univariates in x and y, but D = 2 < 2 * 2: the diagonal, no product
+        (["x^2 - 1", "y^2 - 1", "x - y"], [], (0, 1, 0, 0)),
+        # x^2 y - y = y (x^2 - 1) is redundant: D = 4, the product ring
+        (["x^2 - 1", "y^2 - 1", "x^2*y - y"], [], (1, 0, 0, 0)),
     ], ids=["split", "split-g", "split-fractions", "irrational", "irrational-g",
-            "complex", "complex-g", "not-a-product"])
+            "complex", "complex-g", "not-a-product", "diagonal", "redundant-generator"])
     def test_which_rings_split(self, monkeypatch, h, g, route):
         # route: (split steps, trace forms, root solves, roundings > 0)
         calls = self._spy(monkeypatch)
@@ -897,7 +901,9 @@ class TestTraceRoute:
         inst = problem_io.ProblemInstance(["x"], poly("x + 2", ["x"]), [],
                                           [poly(f"{10 ** 400}*x^2 - 1", ["x"])])
         ring = quotient.build_ring(inst.h)
-        assert ring.grid is not None and variety.rational_grid(ring) is None
+        assert ring.univariates is not None
+        assert ring.D == math.prod(max(p) for p, _ in ring.univariates)
+        assert variety.rational_grid(ring) is None
         assert verify_bounds.verify_certificate(inst, certifier.certify(inst, ring)).ok
         assert (calls["_idempotent_step"], calls["trace_form"]) == (0, 1)
 
@@ -1162,3 +1168,19 @@ class TestIdempotentSplit:
                 assert cli.main(["verify", "--input", prob, "--certificate", out]) == 0
             else:
                 assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("names, f, h", [
+        # the binary 3-cube, f = 0 at four of its points
+        (["x", "y", "z"], "x + y*z", ["x^2 - x", "y^2 - y", "z^2 - z"]),
+        # a 3 x 3 grid, f = 0 wherever x = 0 or y = 0
+        (["x", "y"], "x^2*y", ["x^3 - x", "y^3 - 3*y^2 + 2*y"]),
+    ], ids=["cube3", "grid3x3"])
+    def test_nonneg_witness_solves_no_point(self, monkeypatch, names, f, h):
+        # f has zeros on V, so b != 0 and the witness's shift reads the
+        # points: the exact grid, with no float solve
+        calls = TestTraceRoute._spy(monkeypatch)
+        inst = problem_io.ProblemInstance(names, poly(f, names), [],
+                                          [poly(p, names) for p in h], options={"mode": "nonneg"})
+        cert = certifier.certify(inst)
+        assert verify_bounds.verify_certificate(inst, cert).ok
+        assert (calls["solve_variety"], calls["_idempotent_step"]) == (0, 1)

@@ -143,10 +143,17 @@ class TestRationalGrid:
             assert values == [int(j == k) for j in range(len(grid.points))]
         assert grid.values(poly("x*y + 1")) == [x * y + 1 for x, y in grid.points]
 
+    def test_a_redundant_generator(self):
+        # y (x^2 - 1) lies in (x^2 - 1): D = 2 * 2, so I = (x^2 - 1, y^2 - 1)
+        grid = variety.rational_grid(make_ring(*map(poly, ("x^2 - 1", "y^2 - 1", "x^2*y - y"))))
+        assert grid.points == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+        assert grid.signs(poly("x + y")) == [(-1, -2), (0, 0), (0, 0), (1, 2)]
+
     @pytest.mark.parametrize("gens", [("x^2 - 1", "y - x"), ("x^2 - 1", "y^2 + 1"),
-                                      ("x^2 - 1", "y^2 - 2")],
-                             ids=["not_a_product", "complex", "irrational"])
+                                      ("x^2 - 1", "y^2 - 2"), ("x^2 - 1", "y^2 - 1", "x - y")],
+                             ids=["not_a_product", "complex", "irrational", "diagonal"])
     def test_other_rings(self, gens):
+        # the diagonal has univariates x^2 - 1 and y^2 - 1, but D = 2 < 2 * 2
         assert variety.rational_grid(make_ring(*map(poly, gens))) is None
 
 
