@@ -4,13 +4,16 @@
 the one strict route dispatch of both modes: of f in strict mode, of the
 positive a of the (a, b, gamma) witness in nonneg mode.  It has two
 stages.  On a radical product ring, told by Seidenberg's univariates p_k
-with D = prod_k deg p_k, whose every root is rational
+with D = prod_k deg p_k, whose every real root is rational and whose
+complex roots are at most those of one quadratic q_k per variable
 (`variety.rational_grid`), the first stage is the paper's idempotent
-certificate f = sum_xi f(xi) e_xi^2 mod I (`_idempotent_step`): e_xi is a
-product of univariate Lagrange polynomials, every sign is decided in Q,
-and there is no root solve, no Gram matrix and no rounding.  On every
-other ring it is one Gram step over R/J, J the radical of I (J = I when I
-is radical), of f~ or, on a non-radical ring, of f~ - eps.  With no g and
+certificate f = sum_xi f(xi) e_xi^2 + E f mod I (`_idempotent_step`):
+e_xi is a product of univariate Lagrange polynomials, every sign is
+decided in Q, E f on the complex points is a sum of squares because -1 is
+one there, and there is no root solve, no Gram matrix and no rounding.
+On every other ring it is one Gram step over R/J, J the radical of I
+(J = I when I is radical), of f~ or, on a non-radical ring, of
+f~ - eps.  With no g and
 only real points on J it is exact (`_exact_gram_step`): the trace-form
 Gram matrices of R/J, with no root, whose LDL^t judges the sign of f.
 Otherwise it is float (`_float_gram_step`): `perturb` on the points of
@@ -119,7 +122,7 @@ def _all_real(ring):
     (`QuotientRing.univariates`); on every other ring `ldlt` of the trace
     form decides, whose signature counts the real points."""
     if ring.univariates is not None:
-        return all(real for _, real in ring.univariates)
+        return all(count == max(p) for p, count in ring.univariates)
     try:
         gram.ldlt(gram.SymmetricMatrix(ring.trace_form[0]))
     except NotPD:
@@ -268,15 +271,19 @@ def _float_gram_step(inst, ring_j, var_j, lift):
 
 
 def _idempotent_step(inst, ring, grid):
-    """The first stage on a radical ring whose points are the rational
-    `grid`: the paper's f = sum_xi f(xi) e_xi^2 mod I, with no root solve
-    and no Gram matrix.  Every sign is exact.  At a point of S,
+    """The first stage on a radical ring whose real points are the rational
+    `grid`: the paper's f = sum_xi f(xi) e_xi^2 + E f mod I, with no root
+    solve and no Gram matrix.  Every sign is exact.  At a point of S,
     f(xi) > 0 (else NotStrictlyPositiveOnS) weighs e_xi^2 in block 0.  At
     an excluded point, with g_i the first g negative there, e_xi^2 goes to
     block 0 with weight f(xi) when f(xi) > 0, to block i with weight
     f(xi) / g_i(xi) when f(xi) < 0, and nowhere when f(xi) = 0.  Each
-    square, e_xi^2 = e_xi mod I, adds f(xi) e_xi, and sum_xi e_xi = 1, so
-    the rest, expanded by `verify_bounds.residual`, lies in I.  Returns
+    square, e_xi^2 = e_xi mod I, adds f(xi) e_xi.  E = 1 - sum_xi e_xi is
+    the idempotent of the complex points, where -1 is a sum of squares
+    (`RationalGrid.rest`: -E = sum_k F_k u_k^2 / d_k, E = sum_k F_k); with
+    z = NF(E f), E f = ((z + E) / 2)^2 + sum_k (F_k u_k (f - 1) / 2)^2 / d_k
+    mod I adds the rest to block 0.  So f less the squares, expanded by
+    `verify_bounds.residual`, lies in I.  Returns
     (g blocks, squares, rest, eps = 0)."""
     f_vals = grid.values(inst.f)
     g_vals = [grid.values(g) for g in inst.g]
@@ -290,6 +297,17 @@ def _idempotent_step(inst, ring, grid):
             blocks[0].append(ring.square(fv, e, den))
         elif fv < 0:
             blocks[i].append(ring.square(fv / g_vals[i - 1][k], e, den))
+    if grid.rest:
+        # (z + E) / 2 = (NF(f) + 1 - sum_xi (f(xi) + 1) e_xi) / 2; the other
+        # squares are (F_k u_k (z - E) / 2)^2 / d_k, and F_k E = F_k
+        half = Fraction(1, 2)
+        plus = quotient.combine(
+            [(half, *ring.nf_vector(inst.f)), (half, *ring.unit)]
+            + [(-half * (fv + 1), *e) for fv, e in zip(f_vals, grid.idempotents)], ring.D)
+        at_complex = [(1, plus)] + [
+            (Fraction(1, 4 * d), ring.nf_vector(ring.from_vector(*v) * (inst.f - 1)))
+            for v, d in grid.rest]
+        blocks[0] += [ring.square(w, *v) for w, v in at_complex if any(v[0])]
     return blocks[1:], blocks[0], verify_bounds.residual(inst, Certificate("strict", blocks, [])), 0
 
 
@@ -331,7 +349,7 @@ def certify(inst, ring=None):
 def _strict_blocks(inst, ring, grid, roots):
     """The blocks and rest of a certificate of inst.f > 0 on S, the one
     strict route dispatch of both modes, in two stages.  First, on a
-    radical ring whose points are the rational `grid()`, the idempotent
+    radical ring whose real points are the rational `grid()`, the idempotent
     split, with no root and no Gram matrix; on every other ring one Gram step over
     R/J (J = I when I is radical), of f~ or, on a non-radical ring, of
     f~ - eps: exact, with no root, when there is no g and every point of

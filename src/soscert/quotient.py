@@ -474,7 +474,7 @@ class QuotientRing:
         """Seidenberg's precheck: for each variable x_k, the first polynomial
         p_k = sum_i c_i x_k^i in x_k alone that `sturm` proves squarefree, a
         reduced Gröbner element (the minimal polynomial of x_k) before a
-        generator, as ({i: c_i}, whether all its roots are real); None when
+        generator, as ({i: c_i}, the number of its real roots); None when
         some variable has none.  D = prod_k deg p_k exactly when I = (p_k)."""
         found = {}
         for terms in [{lead: lc, **dict(tail)} for lead, lc, tail in self.ideal.reducers] + [
@@ -483,7 +483,7 @@ class QuotientRing:
             if len(used) == 1 and not used <= found.keys():
                 count, squarefree = sturm(coeffs := {sum(e): c for e, c in terms.items()})
                 if squarefree:
-                    found[used.pop()] = coeffs, count == max(coeffs)
+                    found[used.pop()] = coeffs, count
         return [found[k] for k in range(self.nvars)] if len(found) == self.nvars else None
 
     @functools.cached_property
@@ -682,15 +682,13 @@ def _trace_kernel(ring):
     return [ring.from_vector(c) for c in exactla.nullspace(ring.trace_form[0])]
 
 
-def sturm(coeffs):
-    """(the number of distinct real roots, whether f is squarefree) for
-    f = sum_i c_i x^i, {i: c_i} of positive degree.  The count is Sturm's
-    theorem (Basu-Pollack-Roy, Thm. 2.50): the sign changes of f, f',
-    -rem(f, f'), ... at -infinity less those at +infinity.  The chain ends
+def sturm_chain(coeffs):
+    """The Sturm chain f, f', -rem(f, f'), ... of f = sum_i c_i x^i, {i: c_i}
+    of positive degree, each a list of integers, constant first.  It ends
     at gcd(f, f') up to a factor, a constant exactly when f is squarefree.
     Each remainder is made in integers, times a power of |lc|, and divided
     by its content: positive factors, which keep every sign."""
-    a = [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]  # constant first
+    a = [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
     b, seq = [i * c for i, c in enumerate(a)][1:], [a]
     while b:
         seq.append(b)
@@ -702,6 +700,25 @@ def sturm(coeffs):
                 r.pop()
         g = math.gcd(*r)
         a, b = b, [-x // g for x in r]
+    return seq
+
+
+def sign_changes(chain, m, den):
+    """The sign changes of a Sturm chain at x = m / den, den > 0, zeros
+    dropped, each p read as den^deg p p(m / den), in integers.  For a
+    squarefree f they fall by one at each root and nowhere else, so
+    sign_changes(a) - sign_changes(b) counts the roots in (a, b]."""
+    values = [v for p in chain if (v := sum(c * m ** i * den ** (len(p) - 1 - i)
+                                            for i, c in enumerate(p)))]
+    return sum((u > 0) != (v > 0) for u, v in zip(values, values[1:]))
+
+
+def sturm(coeffs):
+    """(the number of distinct real roots, whether f is squarefree) for
+    f = sum_i c_i x^i, {i: c_i} of positive degree.  The count is Sturm's
+    theorem (Basu-Pollack-Roy, Thm. 2.50): the sign changes of the chain
+    (`sturm_chain`) at -infinity less those at +infinity."""
+    seq = sturm_chain(coeffs)
     ends = [(p[-1] * (-1) ** (len(p) - 1), p[-1]) for p in seq]  # signs at -inf, +inf
     return (sum((x[0] * y[0] < 0) - (x[1] * y[1] < 0) for x, y in zip(ends, ends[1:])),
             len(seq[-1]) == 1)

@@ -1,12 +1,17 @@
 """The points of the variety of a radical zero-dimensional ideal: exact
-on a product ring of rational roots, numerical on every other ring.
+on a product ring of rational real roots, numerical on every other ring.
 
 On a product ring, Seidenberg's univariates p_k with D = prod_k deg p_k,
-the points are the grid of the roots of the p_k.  When all of those are
-rational (`rational_grid`), they are found from float candidates that
-each pass an exact test in integers, and a `RationalGrid` holds them with
-their exact idempotents, products of univariate Lagrange polynomials.
-Every other ring is solved in floats (`solve_variety`).
+the points are the grid of the roots of the p_k.  When every real root is
+rational and p_k = r_k q_k, r_k holding its real roots and q_k 1 or a
+quadratic with no real root (`rational_grid`), the real roots are found
+from float candidates that each pass an exact test in integers, or, where
+those fall short of the Sturm count, by exact bisection on the Sturm
+chain.  A `RationalGrid` holds the real points with their exact
+idempotents, products of univariate Lagrange polynomials that vanish at
+the complex points too, and the squares that make -1 a sum of squares at
+the complex points.  Every other ring is solved in floats
+(`solve_variety`).
 
 Coordinates come from an eigendecomposition C = V diag(c) V^-1 of a random
 (seeded) linear combination C of the multiplication matrices M_j.  The D
@@ -42,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactla
+from . import exactla, quotient
 from .errors import BoundaryAmbiguity, ClusterAmbiguity, SingularVandermonde
 from .polyring import evaluate
 
@@ -170,19 +175,30 @@ def idempotents(ring, points):
 
 
 class RationalGrid:
-    """The rational points of a product ring, the grid of the roots of its
-    p_k, with their idempotents e_xi = prod_k L_k(x_k), L_k the Lagrange
-    polynomial of xi_k among the roots of p_k, one per point in the order
-    of `points`: B is every x^b with b_k < deg p_k, so e_xi is the ring
-    vector of the prod_k L_k[b_k].  `values` and `signs` are exact, and an
-    integer root is an int, so an integer grid evaluates in integers."""
+    """The real points of a product ring, the grid of the rational roots of
+    its p_k = r_k q_k (q_k = 1, or a quadratic with no real root), with
+    their idempotents e_xi = prod_k L_k(x_k), L_k the Lagrange polynomial
+    of xi_k among the roots of p_k, one per point in the order of `points`:
+    q_k is a factor of L_k, so e_xi vanishes at the complex points too.  B
+    is every x^b with b_k < deg p_k, so e_xi is the ring vector of the
+    prod_k L_k[b_k].  `values` and `signs` are exact, and an integer root is
+    an int, so an integer grid evaluates in integers.
+
+    `rest` is what the complex points need: E = 1 - sum e_xi, their
+    idempotent, is sum_k F_k, F_k = P_1 ... P_{k-1} (1 - P_k) with P_k the
+    sum of x_k's L_k, and each q_k = c2 x^2 + c1 x + c0 gives
+    u_k = 2 c2 x_k + c1 with u_k^2 = -d_k mod q_k, d_k = 4 c0 c2 - c1^2 > 0.
+    It holds (the ring vector of F_k u_k, d_k) for each quadratic q_k, so
+    -E = sum_k F_k u_k^2 / d_k mod I; it is empty when every point is
+    rational."""
 
     decision_tol = 0  # exact values: `signs` is VarietyData's rule with no tolerance
     signs = VarietyData.signs
 
-    def __init__(self, ring, roots):
+    def __init__(self, ring, polys, roots):
         self.points = list(itertools.product(*roots))
-        lagrange = [[_lagrange(rs, r) for r in rs] for rs in roots]
+        quadratics = [_deflate(p, rs) for p, rs in zip(polys, roots)]
+        lagrange = [[_lagrange(rs, r, q) for r in rs] for rs, q in zip(roots, quadratics)]
         # entry b of every e_xi at once, in the order of `points`: the
         # Kronecker product over k of the L_k[b_k] of x_k's roots
         rows = [[1]] * ring.D
@@ -190,16 +206,53 @@ class RationalGrid:
             rows = [[x * u[b[k]] for x in row for u, _ in factors] for row, b in zip(rows, ring.basis)]
         dens = [math.prod(d for _, d in factors) for factors in itertools.product(*lagrange)]
         self.idempotents = [exactla.lowest(list(col), d) for col, d in zip(zip(*rows), dens)]
+        # P_k, and 1 after x_k in F_k, as integers over x_k^i, i < deg p_k, and a den
+        sums = [quotient.combine([(1, *u) for u in factors], max(p))
+                for p, factors in zip(polys, lagrange)]
+        ones = [([1] + [0] * (max(p) - 1), 1) for p in polys]
+        self.rest = []
+        for k, (p, q) in enumerate(zip(polys, quadratics)):
+            if len(q) == 3:
+                (c0, c1, c2), top, (v, den) = q, max(p), sums[k]
+                w = [den * (i == 0) - x for i, x in enumerate(v)] + [0]  # (1 - P_k) den
+                w = [c1 * x + 2 * c2 * y for x, y in zip(w, [0] + w)]  # times u_k
+                w = [p[top] * x - w[top] * p.get(i, 0) for i, x in enumerate(w[:top])]  # mod p_k
+                self.rest.append((_tensor(ring, sums[:k] + [(w, den * p[top])] + ones[k + 1:]),
+                                  4 * c0 * c2 - c1 * c1))
 
     def values(self, p):
         """The exact values of p at the points, in their order."""
         return evaluate(p, points=self.points)
 
 
-def _lagrange(roots, r):
-    """The Lagrange polynomial of the root r among `roots`, 1 at r and 0 at
-    the others, as (integer coefficients, constant first, den)."""
-    num = [1]
+def _tensor(ring, factors):
+    """The ring vector of prod_k w_k(x_k) on a product ring, each w_k a pair
+    (integers over x_k^i, i < deg p_k, den): entry b is prod_k w_k[b_k]."""
+    return exactla.lowest([math.prod(w[i] for (w, _), i in zip(factors, b)) for b in ring.basis],
+                          math.prod(d for _, d in factors))
+
+
+def _deflate(p, roots):
+    """p / prod_r (b x - a), r = a / b over `roots`, as primitive integers,
+    constant first, with a positive leading coefficient: [1], or p's
+    quadratic factor with no real root.  The division is exact in integers
+    (Gauss's lemma), top term first."""
+    q = [p.get(i, 0) for i in range(max(p) + 1)]
+    for r in roots:
+        a, b = r.as_integer_ratio()
+        s = [0]
+        for c in reversed(q[1:]):  # q = s (b x - a): s_(i-1) = (q_i + a s_i) / b
+            s.append((c + a * s[-1]) // b)
+        q = s[:0:-1]
+    return [c // quotient.content(q) for c in q]
+
+
+def _lagrange(roots, r, q):
+    """q (integers, constant first, q(r) != 0) times the Lagrange
+    polynomial of the root r among `roots`, scaled to 1 at r: 0 at the
+    other roots and at those of q, as (integer coefficients, constant
+    first, den)."""
+    num = q
     for s in roots:
         if s != r:  # num *= (b x - a) for s = a / b
             a, b = s.as_integer_ratio()
@@ -208,49 +261,82 @@ def _lagrange(roots, r):
     return [c * at_r.denominator for c in num], at_r.numerator
 
 
-def _rational_roots(coeffs):
-    """The roots of p = sum_i c_i x^i ({i: c_i}, integers) when it has deg p
-    distinct rational ones, sorted, as ints where they are integers; else
-    None.  A rational root's reduced denominator divides L = |c_deg|, so it
-    is m / L for an integer m.  The candidates m are the real parts of p's
-    float roots times L, rounded, with p scaled by 2^-s (s the largest
-    coefficient bit length, so that no coefficient overflows); one is kept
-    only if p(m / L) L^deg = 0 holds in integers.  A float failure, such as
-    a leading coefficient that underflows or a companion matrix that
-    overflows, finds fewer or non-finite roots, so it gives None too, and
-    warns nothing."""
+def _rational_roots(coeffs, count):
+    """The `count` real roots of a squarefree p = sum_i c_i x^i ({i: c_i},
+    integers) when every one of them is rational, sorted, as ints where
+    they are integers; else None.  A rational root's reduced denominator
+    divides L = |c_deg|, so it is m / L for an integer m, kept only if
+    p(m / L) L^deg = 0 holds in integers.  The candidates m are the real
+    parts of p's float roots times L, rounded, with p scaled by 2^-s (s the
+    largest coefficient bit length, so that no coefficient overflows).
+    Only when they find fewer than `count` roots (float64 cannot separate
+    1 +- 2^-50, a scaled coefficient underflows, or the companion matrix
+    overflows) does `_isolate` try every m that an exact bisection leaves.
+    Warns nothing."""
     deg = max(coeffs)
     lead = abs(coeffs[deg])
+
+    def is_root(m):
+        return not sum(c * m ** i * lead ** (deg - i) for i, c in coeffs.items())
+
     shift = max(abs(c).bit_length() for c in coeffs.values())
     try:
         with np.errstate(all="ignore"):
             z = np.roots([coeffs.get(i, 0) / (1 << shift) for i in range(deg, -1, -1)])
     except np.linalg.LinAlgError:
-        return None
-    if len(z) != deg or not np.all(np.isfinite(z)):
-        return None
+        z = np.zeros(0)
     found = set()
-    for x in z.real.tolist():
+    for x in z.real[np.isfinite(z.real)].tolist():
         n, d = x.as_integer_ratio()
         m = (2 * n * lead + d) // (2 * d)  # the integer nearest x L
-        if not sum(c * m ** i * lead ** (deg - i) for i, c in coeffs.items()):
-            found.add(Fraction(m, lead))
-    return (sorted(int(r) if r.denominator == 1 else r for r in found)
-            if len(found) == deg else None)
+        if is_root(m):
+            found.add(m)
+    if len(found) < count:
+        found = set(filter(is_root, _isolate(coeffs, lead)))
+    if len(found) < count:
+        return None
+    return [int(r) if r.denominator == 1 else r for r in sorted(Fraction(m, lead) for m in found)]
+
+
+def _isolate(coeffs, lead):
+    """The integers m such that (m - 1, m] / L holds a real root of the
+    squarefree p, by bisection on its Sturm chain over (-c, c], c = L plus
+    the largest |c_i| (Cauchy's bound on |L x| at a root): an interval
+    with a root is halved until it is (m - 1, m], whose one multiple of
+    1 / L is m / L."""
+    chain = quotient.sturm_chain(coeffs)
+
+    def changes(m):
+        return quotient.sign_changes(chain, m, lead)
+
+    c = lead + max(map(abs, coeffs.values()))
+    out, stack = [], [(-c, c, changes(-c), changes(c))]
+    while stack:
+        lo, hi, at_lo, at_hi = stack.pop()
+        if at_lo == at_hi:  # no root in (lo, hi] / L
+            continue
+        if hi - lo == 1:
+            out.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        at_mid = changes(mid)
+        stack += [(lo, mid, at_lo, at_mid), (mid, hi, at_mid, at_hi)]
+    return out
 
 
 def rational_grid(ring):
-    """The `RationalGrid` of a radical ring whose univariates p_k
-    (`QuotientRing.univariates`) have D = prod_k deg p_k and only rational
-    roots, or None.  A complex root costs no float step: the Sturm counts
-    have found it.  An irrational root, or a float candidate that fails the
-    exact test, leaves the ring to the other routes."""
+    """The `RationalGrid` of a radical product ring, univariates p_k
+    (`QuotientRing.univariates`) with D = prod_k deg p_k, on which each p_k
+    has a real root, all of them rational, and deg p_k less their Sturm
+    count is 0 or 2; else None.  A ring with no real point or more complex
+    roots costs no float step: the Sturm counts have found them.  An
+    irrational real root leaves the ring to the other routes."""
     found = ring.univariates
-    if found is None or not all(real for _, real in found) or ring.D != math.prod(
-            max(p) for p, _ in found):
+    if (found is None or ring.D != math.prod(max(p) for p, _ in found)
+            or any(not count or max(p) - count not in (0, 2) for p, count in found)):
         return None
-    roots = [_rational_roots(p) for p, _ in found]
-    return None if None in roots else RationalGrid(ring, roots)
+    roots = [_rational_roots(p, count) for p, count in found]
+    return None if None in roots else RationalGrid(ring, [p for p, _ in found], roots)
 
 
 class Membership:

@@ -843,7 +843,8 @@ class TestTraceRoute:
     # takes those rings (`TestIdempotentSplit`)
     @pytest.mark.parametrize("h, real", [
         (["x^2 - 1", "y^2 - 2"], True),
-        (["x^4 - 1", "y^3 - y"], False),  # conj12-like: x = +-i
+        # (x - 1)(x^2 + 1)(x^2 + 2): a complex rest of degree 4 leaves the split
+        (["x^5 - x^4 + 3*x^3 - 3*x^2 + 2*x - 2", "y^3 - y"], False),
         (["x^2 - 2", "y^2 - x*y - 3"], True),  # no polynomial in y alone
         (["x^2 + 2", "y^2 - x*y - 3"], False),
         # x^3 + x has complex roots, but the Gröbner element x is what I holds
@@ -873,9 +874,12 @@ class TestTraceRoute:
         # an irrational root: the trace route, or the float route with a g
         (["x^2 - 2", "y^2 - y"], [], (0, 1, 0, 0)),
         (["x^2 - 2", "y^2 - y"], ["1/2 - y"], (0, 0, 1, 1)),
-        # an x^2 + 1 factor: the float route
-        (["x^4 - 1", "y^2 - y"], [], (0, 0, 1, 1)),
-        (["x^3 - x^2 + x - 1", "y^2 - y"], ["1/2 - y"], (0, 0, 1, 1)),
+        # an x^2 + 1 factor: the split, with -1 a sum of squares at x = +-i
+        (["x^4 - 1", "y^2 - y"], [], (1, 0, 0, 0)),
+        (["x^3 - x^2 + x - 1", "y^2 - y"], ["1/2 - y"], (1, 0, 0, 0)),
+        # an (x^2 + 1)(x^2 + 2) factor, a complex rest of degree 4: the float route
+        (["x^5 - x^4 + 3*x^3 - 3*x^2 + 2*x - 2", "y^2 - y"], [], (0, 0, 1, 1)),
+        (["x^5 - x^4 + 3*x^3 - 3*x^2 + 2*x - 2", "y^2 - y"], ["1/2 - y"], (0, 0, 1, 1)),
         # rational points, but y - x is not a polynomial in y alone
         (["x^2 - 1", "y - x"], [], (0, 1, 0, 0)),
         # univariates in x and y, but D = 2 < 2 * 2: the diagonal, no product
@@ -883,7 +887,8 @@ class TestTraceRoute:
         # x^2 y - y = y (x^2 - 1) is redundant: D = 4, the product ring
         (["x^2 - 1", "y^2 - 1", "x^2*y - y"], [], (1, 0, 0, 0)),
     ], ids=["split", "split-g", "split-fractions", "irrational", "irrational-g",
-            "complex", "complex-g", "not-a-product", "diagonal", "redundant-generator"])
+            "complex", "complex-g", "complex-quartic", "complex-quartic-g", "not-a-product",
+            "diagonal", "redundant-generator"])
     def test_which_rings_split(self, monkeypatch, h, g, route):
         # route: (split steps, trace forms, root solves, roundings > 0)
         calls = self._spy(monkeypatch)
@@ -894,12 +899,13 @@ class TestTraceRoute:
                 int(calls["round_matrix"] > 0)) == route
 
     def test_a_float_failure_falls_back(self, monkeypatch):
-        # the roots +-10^-200 of 10^400 x^2 - 1 are rational, but the scaled
-        # float polynomial loses its constant term: no candidate passes the
-        # exact test, and the trace route certifies
+        # the scaled float polynomial of 10^400 x^2 - 2 loses its constant
+        # term, so no candidate passes the exact test; the bisection finds
+        # its roots +-sqrt(2) 10^-200 irrational, and the trace route
+        # certifies
         calls = self._spy(monkeypatch)
         inst = problem_io.ProblemInstance(["x"], poly("x + 2", ["x"]), [],
-                                          [poly(f"{10 ** 400}*x^2 - 1", ["x"])])
+                                          [poly(f"{10 ** 400}*x^2 - 2", ["x"])])
         ring = quotient.build_ring(inst.h)
         assert ring.univariates is not None
         assert ring.D == math.prod(max(p) for p, _ in ring.univariates)
@@ -1184,3 +1190,34 @@ class TestIdempotentSplit:
         cert = certifier.certify(inst)
         assert verify_bounds.verify_certificate(inst, cert).ok
         assert (calls["solve_variety"], calls["_idempotent_step"]) == (0, 1)
+
+    # conj12 and conj16 of the benchmark: x in {+-1} or {+-2} beside the
+    # pair x^2 + 1 or x^2 + 3, y in {-1, 0, 1}, or {0, 1} beside the pair
+    # y^2 + y + 1; g is nonzero at every real point and excludes some
+    CONJ = {"conj12": (["x^4 - 1", "y^3 - y"], list(itertools.product((-1, 1), (-1, 0, 1)))),
+            "conj16": (["x^4 - x^2 - 12", "y^4 - y"], list(itertools.product((-2, 2), (0, 1))))}
+
+    @pytest.mark.parametrize("margin", [1, Fraction(1, 2 ** 12), Fraction(1, 2 ** 40), 0, -1],
+                             ids=["1", "2^-12", "2^-40", "0", "-1"])
+    @pytest.mark.parametrize("g", ["", "x + 2*y + 1/2"], ids=["no-g", "g"])
+    @pytest.mark.parametrize("mode", ["strict", "nonneg"])
+    @pytest.mark.parametrize("shape", list(CONJ))
+    def test_complex_points_known_answers(self, tmp_path, monkeypatch, shape, mode, g, margin):
+        # the complex points take -1 as a sum of squares: no root solve and
+        # no rounding, and f's sign at the rational points alone decides
+        h, points = self.CONJ[shape]
+        gs = [poly(g)] if g else []
+        in_s = [pt for pt in points if all(evaluate(gi, pt) >= 0 for gi in gs)]
+        f = poly("x^2*y - x*y^2 + 2*x - y + x*y")
+        f = f + margin - min(evaluate(f, pt) for pt in in_s)
+        prob, out = tmp_path / "p.prob", tmp_path / "p.cert"
+        prob.write_text(format_problem(problem_io.ProblemInstance(
+            ["x", "y"], f, gs, [poly(p) for p in h])))
+        calls = TestTraceRoute._spy(monkeypatch)
+        expected = 0 if (margin > 0 if mode == "strict" else margin >= 0) else 2
+        code = cli.main(["certify", "--mode", mode, "--input", str(prob), "--out", str(out)])
+        assert code == expected
+        assert (calls["solve_variety"], calls["round_matrix"],
+                calls["_idempotent_step"]) == (0, 0, 1)
+        if expected == 0:
+            assert cli.main(["verify", "--input", str(prob), "--certificate", str(out)]) == 0

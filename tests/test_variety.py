@@ -109,27 +109,39 @@ class TestIdempotents:
 
 class TestRationalGrid:
     """The rational points of a product ring, found from float candidates
-    checked in integers, with their exact idempotents."""
+    checked in integers, or by exact bisection where those fall short, with
+    their exact idempotents."""
 
     @pytest.mark.parametrize("coeffs, roots", [
         ({0: 0, 1: -1, 3: 1}, [-1, 0, 1]),  # x^3 - x: integer roots stay ints
         ({0: -2, 1: -1, 2: 6}, [Fraction(-1, 2), Fraction(2, 3)]),
         ({0: -1, 1: 2 ** 61 - 1}, [Fraction(1, 2 ** 61 - 1)]),
         ({0: -2, 2: 1}, None),  # irrational
-        ({0: -1, 1: 1, 2: -1, 3: 1}, None),  # (x - 1)(x^2 + 1): a complex pair
-        # +-10^-200 are rational, but 2^-1329 underflows to a zero constant
-        ({0: -1, 2: 10 ** 400}, None),
+        ({0: -1, 1: 1, 2: -1, 3: 1}, [1]),  # (x - 1)(x^2 + 1): one real root
+        # +-10^-200: 2^-1329 underflows to a zero constant, and the float
+        # candidates miss both roots, which the bisection finds
+        ({0: -1, 2: 10 ** 400}, [Fraction(-1, 10 ** 200), Fraction(1, 10 ** 200)]),
         # +-2^530: the leading coefficient scales to 2^-1061, and the
         # companion matrix overflows
-        ({0: -2 ** 1060, 2: 1}, None),
+        ({0: -2 ** 1060, 2: 1}, [-2 ** 530, 2 ** 530]),
+        # (x - 1)^2 - 2^-100: float64 sees a double root at 1
+        ({0: 2 ** 100 - 1, 1: -2 ** 101, 2: 2 ** 100},
+         [Fraction(2 ** 50 - 1, 2 ** 50), Fraction(2 ** 50 + 1, 2 ** 50)]),
+        # 10^400 x^2 - 2: the bisection finds the roots +-sqrt(2) 10^-200 irrational
+        ({0: -2, 2: 10 ** 400}, None),
     ], ids=["integers", "fractions", "huge_denominator", "irrational", "complex", "underflow",
-            "overflow"])
+            "overflow", "close_pair", "underflow_irrational"])
     def test_roots(self, coeffs, roots):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            found = variety._rational_roots(coeffs)
+            found = variety._rational_roots(coeffs, quotient.sturm(coeffs)[0])
         assert found == roots
         assert [type(r) for r in found or []] == [type(r) for r in roots or []]
+
+    def test_the_float_candidates_suffice_on_a_grid(self, monkeypatch):
+        # the bisection runs only where the float candidates fall short
+        monkeypatch.setattr(variety, "_isolate", None)
+        assert variety._rational_roots({0: 6, 1: -5, 2: -2, 3: 1}, 3) == [-2, 1, 3]
 
     def test_idempotents_are_exact(self):
         ring = make_ring(poly("2*x^2 + x - 3"), poly("3*y^3 - 4*y^2 + y"))
@@ -142,6 +154,32 @@ class TestRationalGrid:
             values = [evaluate(ring.from_vector(*e), pt) for pt in grid.points]
             assert values == [int(j == k) for j in range(len(grid.points))]
         assert grid.values(poly("x*y + 1")) == [x * y + 1 for x, y in grid.points]
+        assert grid.rest == []
+
+    @pytest.mark.parametrize("gens, d", [
+        # conj12: x = +-1, +-i, y in {-1, 0, 1}
+        (("x^4 - 1", "y^3 - y"), [4]),
+        # conj16: x = +-2, +-i sqrt(3), y in {0, 1}, (-1 +- i sqrt(3)) / 2
+        (("x^4 - x^2 - 12", "y^4 - y"), [12, 3]),
+        # 3 x^2 + 2 x + 1 in x, with the roots -1/2 and 1/3
+        (("18*x^4 + 15*x^3 + 5*x^2 - x - 1", "y^2 - y"), [8]),
+    ], ids=["conj12", "conj16", "fractions"])
+    def test_complex_points(self, gens, d):
+        # e_xi vanishes at the complex points too: sum e_xi + E = 1 with E
+        # = sum_k F_k, and F_k u_k^2 / d_k = -F_k mod I, so E is minus a sum
+        # of squares
+        ring = make_ring(*map(poly, gens))
+        grid = variety.rational_grid(ring)
+        for e in grid.idempotents:
+            assert ring.mul(e, e) == e
+        e_sum = quotient.combine([(Fraction(1), *e) for e in grid.idempotents], ring.D)
+        rest = quotient.combine([(Fraction(1), *ring.unit), (Fraction(-1), *e_sum)], ring.D)
+        assert ring.mul(rest, rest) == rest and any(rest[0])
+        assert [dk for _, dk in grid.rest] == d
+        squares = quotient.combine([(Fraction(1, dk), *ring.mul(v, v)) for v, dk in grid.rest],
+                                   ring.D)
+        assert quotient.combine([(Fraction(1), *squares), (Fraction(1), *rest)], ring.D)[0] == [
+            0] * ring.D
 
     def test_a_redundant_generator(self):
         # y (x^2 - 1) lies in (x^2 - 1): D = 2 * 2, so I = (x^2 - 1, y^2 - 1)
@@ -150,10 +188,14 @@ class TestRationalGrid:
         assert grid.signs(poly("x + y")) == [(-1, -2), (0, 0), (0, 0), (1, 2)]
 
     @pytest.mark.parametrize("gens", [("x^2 - 1", "y - x"), ("x^2 - 1", "y^2 + 1"),
-                                      ("x^2 - 1", "y^2 - 2"), ("x^2 - 1", "y^2 - 1", "x - y")],
-                             ids=["not_a_product", "complex", "irrational", "diagonal"])
+                                      ("x^2 - 1", "y^2 - 2"), ("x^2 - 1", "y^2 - 1", "x - y"),
+                                      ("x^5 - x^4 + 3*x^3 - 3*x^2 + 2*x - 2", "y^2 - 1")],
+                             ids=["not_a_product", "complex", "irrational", "diagonal",
+                                  "complex_quartic"])
     def test_other_rings(self, gens):
-        # the diagonal has univariates x^2 - 1 and y^2 - 1, but D = 2 < 2 * 2
+        # the diagonal has univariates x^2 - 1 and y^2 - 1, but D = 2 < 2 * 2;
+        # y^2 + 1 has no real root; (x - 1)(x^2 + 1)(x^2 + 2) has a complex
+        # rest of degree 4
         assert variety.rational_grid(make_ring(*map(poly, gens))) is None
 
 
