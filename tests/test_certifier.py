@@ -1121,22 +1121,29 @@ class TestNonnegTraceRoute:
 
 
 def _split_instances(draw):
-    """A product ring prod_r (x_k - r) in 1 to 3 variables, D <= 12, whose
-    roots are rationals such as -3/2 and 1/3, with or without a linear g,
-    and a random f shifted so that its least value over S is 0, +-1,
-    +-2^-30 or +-2^-128, in strict or nonneg mode; returns (instance,
-    mode, expected exit code), the code from `Fraction` evaluation at the points."""
+    """A product ring prod_r (x_k - r) q_k(x_k) in 1 to 3 variables,
+    D <= 16, whose roots are rationals such as -3/2 and 1/3, q_k 1 or a
+    quadratic with no real root, with or without a linear g, and a random f
+    shifted so that its least value over S is 0, +-1, +-2^-30 or +-2^-128,
+    in strict or nonneg mode; returns (instance, mode, expected exit code),
+    the code from `Fraction` evaluation at the rational points."""
     mode = draw(st.sampled_from(["strict", "nonneg"]))
     with_g = draw(st.booleans())
     n = draw(st.integers(1, 3))
     names = ["x", "y", "z"][:n]
+    # (c0, c1, c2) of c2 x^2 + c1 x + c0, each with c1^2 < 4 c0 c2, or (): q_k = 1
+    quadratics = draw(st.lists(st.sampled_from([(), (), (), (1, 0, 1), (1, 1, 1), (1, 1, 2),
+                                                (1, -2, 3), (5, 4, 4)]), min_size=n, max_size=n))
     sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)
-                 .filter(lambda s: math.prod(s) <= 12))
+                 .filter(lambda s: math.prod(k + 2 * bool(q) for k, q in zip(s, quadratics))
+                         <= 16))
     rationals = st.sampled_from([Fraction(-3, 2), Fraction(1, 3), Fraction(-2, 5), -2, -1, 0,
                                  1, 2, Fraction(5, 4)])
     roots = [draw(st.lists(rationals, min_size=k, max_size=k, unique=True)) for k in sizes]
-    h = [math.prod((Polynomial.variable(i, n) - r for r in rs), start=Polynomial.constant(1, n))
-         for i, rs in enumerate(roots)]
+    h = [math.prod((Polynomial.variable(i, n) - r for r in rs),
+                   start=sum((c * Polynomial.variable(i, n) ** e for e, c in enumerate(q)),
+                             Polynomial.constant(0 if q else 1, n)))
+         for i, (rs, q) in enumerate(zip(roots, quadratics))]
     points = list(itertools.product(*roots))
     small = st.integers(-3, 3)
     g = []
@@ -1157,7 +1164,8 @@ def _split_instances(draw):
 
 class TestIdempotentSplit:
     """A radical ring whose reduced Gröbner basis is one polynomial per
-    variable with only rational roots takes the split f = sum f(xi) e_xi^2:
+    variable with only rational real roots, and at most a rootless
+    quadratic factor more, takes the split f = sum f(xi) e_xi^2 + E f:
     every sign is exact, so no margin is too small and nothing exits 3."""
 
     @settings(max_examples=100, deadline=None)
